@@ -24,7 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateModelError, ModelInvariantError
+from .errors import (
+    ConfigurationError,
+    DegenerateModelError,
+    ModelInvariantError,
+    check_kappa,
+)
 from .quadrature import gauss_linear_nodes, sphere_surface
 from .symbols import (
     ENV_INF_RE,
@@ -38,6 +43,7 @@ from .verdicts import (
     DEFAULT_BAND,
     DivergenceVerdict,
     diverges_verdict,
+    memoized_profile,
     verdict_from_radial_integrand,
 )
 
@@ -56,8 +62,7 @@ class WeightFunction:
 
     @staticmethod
     def power(kappa):
-        if kappa < 0:
-            raise ConfigurationError(f"power weight needs kappa >= 0, got {kappa}")
+        check_kappa(kappa)
         return WeightFunction(tag="power", kappa=float(kappa))
 
     @staticmethod
@@ -108,122 +113,84 @@ class WeightFunction:
 def _reduced_envelope(model, kind, n_directions):
     """Vectorized rho -> envelope, reduced over directions toward the largest
     integrand (the smallest envelope value), with per-model caching."""
-    radial = envelope_is_radial(model, kind)
-    cache = model._cache.setdefault(("profile", kind, n_directions), {})
-
-    def profile(rhos):
-        rhos = np.atleast_1d(np.asarray(rhos, dtype=float))
-        out = np.empty_like(rhos)
-        missing = [i for i, rho in enumerate(rhos) if float(rho) not in cache]
-        if missing:
-            sub = rhos[missing]
-            vals = envelope_profile(model, kind, sub, reduce="min",
-                                    n_directions=1 if radial else n_directions)
-            for i, v in zip(missing, vals):
-                cache[float(rhos[i])] = float(v)
-        for i, rho in enumerate(rhos):
-            out[i] = cache[float(rho)]
-        return out
-
-    return profile
+    n = 1 if envelope_is_radial(model, kind) else n_directions
+    return memoized_profile(
+        model._cache.setdefault(("profile", kind, n_directions), {}),
+        lambda rhos: envelope_profile(model, kind, rhos, reduce="min",
+                                      n_directions=n))
 
 
-def _check_positive(values, what):
-    if np.any(values < 0):
-        raise DegenerateModelError(f"{what} envelope is negative")
+_WHAT = {ENV_SUP_ABS: "sup |q|", ENV_INF_RE: "inf Re q"}
+
+
+def _frequency_test(model, kind, r, integrand, K, band, n_directions,
+                    kappa=None):
+    """Verdict on int_B(0,r) integrand(S_d rho^{d-1}, m(rho)) drho, where m
+    is the `kind` envelope reduced over directions.
+
+    The weak side (sup |q|) needs m > 0 at every frequency; on the strong
+    side (inf Re q) a vanishing envelope makes the integral infinite.
+    """
+    if r <= 0:
+        raise ConfigurationError(f"radius must be positive, got {r}")
+    if kappa is not None:
+        check_kappa(kappa)
+    env = _reduced_envelope(model, kind, n_directions)
+    s_d = sphere_surface(model.d)
+    d = model.d
+    if kind == ENV_INF_RE:
+        probe = env(np.asarray([r / 2.0, r / 8.0, r / 64.0]))
+        if np.any(probe <= 0.0):
+            return diverges_verdict(notes=(
+                "inf Re q vanishes on the test set; strong-side integral is "
+                "infinite",))
+
+    def G(rhos):
+        m = env(rhos)
+        if np.any(m < 0):
+            raise DegenerateModelError(f"{_WHAT[kind]} envelope is negative")
+        if kind == ENV_SUP_ABS and np.any(m == 0.0):
+            raise DegenerateModelError(
+                "sup |q| vanishes at positive frequency; model degenerate")
+        return integrand(s_d * rhos ** (d - 1), m)
+
+    return verdict_from_radial_integrand(G, r, K=K, band=band,
+                                         singularity=AT_ORIGIN)
 
 
 def weak_integral_f(model: SymbolModel, f: WeightFunction, r: float,
                     K=24, band=DEFAULT_BAND, n_directions=64) -> DivergenceVerdict:
     """Weak-side test with a general weight; Diverges supports weak transience."""
-    if r <= 0:
-        raise ConfigurationError(f"radius must be positive, got {r}")
-    env = _reduced_envelope(model, ENV_SUP_ABS, n_directions)
-    s_d = sphere_surface(model.d)
-    d = model.d
-
-    def G(rhos):
-        m = env(rhos)
-        _check_positive(m, "sup |q|")
-        if np.any(m == 0.0):
-            raise DegenerateModelError(
-                "sup |q| vanishes at positive frequency; model degenerate")
-        t0 = _LN2 / (4.0 * m)
-        return s_d * rhos ** (d - 1) * f.integral_to(t0)
-
-    return verdict_from_radial_integrand(G, r, K=K, band=band,
-                                         singularity=AT_ORIGIN)
+    return _frequency_test(
+        model, ENV_SUP_ABS, r,
+        lambda radial, m: radial * f.integral_to(_LN2 / (4.0 * m)),
+        K, band, n_directions)
 
 
 def strong_integral_f(model: SymbolModel, f: WeightFunction, r: float,
                       K=24, band=DEFAULT_BAND, n_directions=64) -> DivergenceVerdict:
     """Strong-side test with a general weight; Converges supports strong
     transience (given the sector condition, which the caller records)."""
-    if r <= 0:
-        raise ConfigurationError(f"radius must be positive, got {r}")
-    env = _reduced_envelope(model, ENV_INF_RE, n_directions)
-    s_d = sphere_surface(model.d)
-    d = model.d
-    probe = env(np.asarray([r / 2.0, r / 8.0, r / 64.0]))
-    if np.any(probe <= 0.0):
-        return diverges_verdict(notes=(
-            "inf Re q vanishes on the test set; strong-side integral is infinite",))
-
-    def G(rhos):
-        m = env(rhos)
-        _check_positive(m, "inf Re q")
-        return s_d * rhos ** (d - 1) * f.exp_moment(m)
-
-    return verdict_from_radial_integrand(G, r, K=K, band=band,
-                                         singularity=AT_ORIGIN)
+    return _frequency_test(model, ENV_INF_RE, r,
+                           lambda radial, m: radial * f.exp_moment(m),
+                           K, band, n_directions)
 
 
 def weak_integral_kappa(model: SymbolModel, kappa: float, r: float,
                         K=24, band=DEFAULT_BAND, n_directions=64) -> DivergenceVerdict:
     """int_B(0,r) dxi / (sup_x |q|)^{kappa+1}; Diverges supports weak transience."""
-    if r <= 0:
-        raise ConfigurationError(f"radius must be positive, got {r}")
-    if kappa < 0:
-        raise ConfigurationError(f"kappa must be >= 0, got {kappa}")
-    env = _reduced_envelope(model, ENV_SUP_ABS, n_directions)
-    s_d = sphere_surface(model.d)
-    d = model.d
-
-    def G(rhos):
-        m = env(rhos)
-        _check_positive(m, "sup |q|")
-        if np.any(m == 0.0):
-            raise DegenerateModelError(
-                "sup |q| vanishes at positive frequency; model degenerate")
-        return s_d * rhos ** (d - 1) / m ** (kappa + 1.0)
-
-    return verdict_from_radial_integrand(G, r, K=K, band=band,
-                                         singularity=AT_ORIGIN)
+    return _frequency_test(model, ENV_SUP_ABS, r,
+                           lambda radial, m: radial / m ** (kappa + 1.0),
+                           K, band, n_directions, kappa)
 
 
 def strong_integral_kappa(model: SymbolModel, kappa: float, r: float,
                           K=24, band=DEFAULT_BAND, n_directions=64) -> DivergenceVerdict:
     """int_B(0,r) dxi / (inf_x Re q)^{kappa+1}; Converges supports strong
     transience."""
-    if r <= 0:
-        raise ConfigurationError(f"radius must be positive, got {r}")
-    if kappa < 0:
-        raise ConfigurationError(f"kappa must be >= 0, got {kappa}")
-    env = _reduced_envelope(model, ENV_INF_RE, n_directions)
-    s_d = sphere_surface(model.d)
-    d = model.d
-    probe = env(np.asarray([r / 2.0, r / 8.0, r / 64.0]))
-    if np.any(probe <= 0.0):
-        return diverges_verdict(notes=(
-            "inf Re q vanishes on the test set; strong-side integral is infinite",))
-
-    def G(rhos):
-        m = env(rhos)
-        _check_positive(m, "inf Re q")
-        return s_d * rhos ** (d - 1) / m ** (kappa + 1.0)
-
-    return verdict_from_radial_integrand(G, r, K=K, band=band,
-                                         singularity=AT_ORIGIN)
+    return _frequency_test(model, ENV_INF_RE, r,
+                           lambda radial, m: radial / m ** (kappa + 1.0),
+                           K, band, n_directions, kappa)
 
 
 def r_independence_report(model: SymbolModel, test, r_list) -> bool:

@@ -9,10 +9,7 @@ must not conflict; a conflict is reported as Inconclusive with full trace.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .cf_integrals import strong_integral_kappa, weak_integral_kappa
 from .errors import (
@@ -20,10 +17,12 @@ from .errors import (
     LevyTransienceError,
     NonPowerTailError,
     NotApplicableError,
+    check_kappa,
 )
 from .index_rules import (
     IMPLIES_STRONG,
     IMPLIES_WEAK,
+    _jsonable,
     index_bound_rules,
     moment_rules,
     pruitt_indices,
@@ -54,6 +53,8 @@ ALL_METHODS = ("closed_form", "integral", "tail", "index")
 
 _PRECEDENCE = {"closed_form": 3, "integral": 2, "tail": 2, "index": 1}
 
+_INDEX_SIDES = {IMPLIES_WEAK: "weak", IMPLIES_STRONG: "strong"}
+
 
 class NotTransientError(LevyTransienceError):
     """classify() was called on a process the gate declares recurrent."""
@@ -71,18 +72,6 @@ class RuleRecord:
         return {"id": self.rule_id, "quote_ref": self.statement,
                 "verdict": self.verdict, "method": self.method,
                 "detail": _jsonable(self.detail)}
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return float(obj)
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
-    return obj
 
 
 @dataclass(frozen=True)
@@ -145,9 +134,7 @@ def transience_gate(model: SymbolModel, r=1.0, use_structural=True) -> str:
 def _structural_gate(model):
     fam, d, p = model.family, model.d, model.params
     if fam == "brownian_drift" and model.drift_vector is None:
-        floor = p["c"].bounds[0] if "c" in p else float(
-            np.min(np.linalg.eigvalsh(model.triplet.diffusion_matrix)))
-        if floor > 0:
+        if model.triplet.diffusion_bounds[0] > 0:
             return GATE_TRANSIENT if d >= 3 else GATE_RECURRENT
         return None
     if fam in ("isotropic_stable", "stable_like"):
@@ -167,30 +154,38 @@ def _structural_gate(model):
             return GATE_TRANSIENT
         return None
     if fam == "radial_jump":
-        dens = model.triplet.jump_density
-        if dens.x_independent:
-            try:
-                delta = _snap_rv_index(rv_index_fit(dens), d)
-            except (NonPowerTailError, ConfigurationError):
-                return None
-            if d >= 3:
-                return GATE_TRANSIENT
-            if -2.0 * d < delta <= -float(d):
-                return GATE_TRANSIENT
-            if delta == -2.0 * d:
-                borderline = borderline_index_test(dens).decided_state == CONVERGES
-                return GATE_TRANSIENT if borderline else GATE_RECURRENT
-            return GATE_RECURRENT
-        return None
+        delta, borderline = _rv_index(model.triplet.jump_density, d)
+        if delta is None:
+            return None
+        if d >= 3:
+            return GATE_TRANSIENT
+        if -2.0 * d < delta <= -float(d):
+            return GATE_TRANSIENT
+        if delta == -2.0 * d:
+            return GATE_TRANSIENT if borderline else GATE_RECURRENT
+        return GATE_RECURRENT
     return None
 
 
-def _snap_rv_index(delta, d, tol=0.02):
-    """Snap a fitted regular-variation index onto the case boundaries."""
+def _rv_index(dens, d, tol=0.02):
+    """(index, borderline) of a state-independent density: the fitted
+    regular-variation index snapped onto the case boundaries (None when no
+    power-law tail index exists) and, at index -2d in dimension <= 2,
+    whether the borderline integral test converges (else None)."""
+    if not dens.x_independent:
+        return None, None
+    try:
+        delta = rv_index_fit(dens)
+    except (NonPowerTailError, ConfigurationError):
+        return None, None
     for boundary in (-float(d), -float(d) - 2.0, -2.0 * float(d)):
         if abs(delta - boundary) <= tol:
-            return boundary
-    return delta
+            delta = boundary
+            break
+    borderline = None
+    if delta == -2.0 * d and d <= 2:
+        borderline = borderline_index_test(dens).decided_state == CONVERGES
+    return delta, borderline
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +196,7 @@ def _closed_form_rules(model, d, kappa, records):
     fam, p = model.family, model.params
     sides = []
     if fam == "brownian_drift" and model.drift_vector is None:
-        floor = p["c"].bounds[0] if "c" in p else float(
-            np.min(np.linalg.eigvalsh(model.triplet.diffusion_matrix)))
-        if floor > 0:
+        if model.triplet.diffusion_bounds[0] > 0:
             weak = d <= 2.0 * (kappa + 1.0)
             side = "weak" if weak else "strong"
             records.append(RuleRecord(
@@ -293,16 +286,9 @@ def _closed_form_rules(model, d, kappa, records):
             sides.append("strong")
         return sides
     if fam == "radial_jump":
-        dens = model.triplet.jump_density
-        if not dens.x_independent:
+        delta, borderline = _rv_index(model.triplet.jump_density, d)
+        if delta is None:
             return sides
-        try:
-            delta = _snap_rv_index(rv_index_fit(dens), d)
-        except (NonPowerTailError, ConfigurationError):
-            return sides
-        borderline = None
-        if delta == -2.0 * d and d <= 2:
-            borderline = borderline_index_test(dens).decided_state == CONVERGES
         cls = rv_classify(d, delta, kappa, borderline_converges=borderline)
         if cls.transient and cls.weakly_transient is not None:
             side = "weak" if cls.weakly_transient else "strong"
@@ -326,8 +312,7 @@ def classify(model: SymbolModel, kappa: float, d=None, r=1.0,
         d = model.d
     if d != model.d:
         raise ConfigurationError(f"model dimension {model.d} != requested {d}")
-    if kappa < 0:
-        raise ConfigurationError(f"kappa must be >= 0, got {kappa}")
+    check_kappa(kappa)
     if gate is None:
         gate = transience_gate(model, r)
     if gate == GATE_RECURRENT:
@@ -343,111 +328,67 @@ def classify(model: SymbolModel, kappa: float, d=None, r=1.0,
         if sides:
             evidence["closed_form"] = set(sides)
 
-    sector_ok = None
+    def fire(method, side, rule_id, statement, detail):
+        records.append(RuleRecord(rule_id=rule_id, statement=statement,
+                                  verdict=side, method=method, detail=detail))
+        if side != "info":
+            evidence.setdefault(method, set()).add(side)
+
     if "integral" in methods:
         weak_v = weak_integral_kappa(model, kappa, r)
         strong_v = strong_integral_kappa(model, kappa, r)
-        sides = set()
         if weak_v.decided_state == DIVERGES:
-            records.append(RuleRecord(
-                rule_id="cf-weak-integral",
-                statement="small-frequency integral of (sup|q|)^{-(kappa+1)} "
-                          "diverges",
-                verdict="weak", method="integral",
-                detail=weak_v.to_json()))
-            sides.add("weak")
+            fire("integral", "weak", "cf-weak-integral",
+                 "small-frequency integral of (sup|q|)^{-(kappa+1)} diverges",
+                 weak_v.to_json())
         if strong_v.decided_state == CONVERGES:
             sector_ok = _sector_constant(model, assumptions)
-            records.append(RuleRecord(
-                rule_id="cf-strong-integral",
-                statement="small-frequency integral of (inf Re q)^{-(kappa+1)} "
-                          "converges",
-                verdict="strong", method="integral",
-                detail=dict(strong_v.to_json(),
-                            sector_constant=sector_ok)))
-            sides.add("strong")
+            fire("integral", "strong", "cf-strong-integral",
+                 "small-frequency integral of (inf Re q)^{-(kappa+1)} converges",
+                 dict(strong_v.to_json(), sector_constant=sector_ok))
             if sector_ok is None:
                 notes.append("strong-side evidence lacks a verified sector "
                              "constant; conditional")
-        if sides:
-            evidence.setdefault("integral", set()).update(sides)
 
     if "tail" in methods and model.triplet.jump_density is not None \
             and model.drift_vector is None:
         dens = model.triplet.jump_density
+        r_tail = max(r, 2.0 * dens.u0, 1.0)
         try:
-            tw = tail_test_weak(dens, d, kappa, max(r, 2.0 * dens.u0, 1.0))
+            tw = tail_test_weak(dens, d, kappa, r_tail)
             if tw.decided_state == DIVERGES:
-                records.append(RuleRecord(
-                    rule_id="tail-weak",
-                    statement="integrated-tail sup test diverges",
-                    verdict="weak", method="tail", detail=tw.to_json()))
-                evidence.setdefault("tail", set()).add("weak")
-            ts = tail_test_strong(dens, d, kappa, max(r, 2.0 * dens.u0, 1.0))
+                fire("tail", "weak", "tail-weak",
+                     "integrated-tail sup test diverges", tw.to_json())
+            ts = tail_test_strong(dens, d, kappa, r_tail)
             if ts.decided_state == CONVERGES:
                 iff_ok = dens.monotone_beyond_u0 \
                     and dens.monotone_verified() and (
                         quadratic_growth_floor(dens, extra_floor=0.0)
                         or assumptions["perturbation_margin"])
                 if iff_ok:
-                    records.append(RuleRecord(
-                        rule_id="tail-strong",
-                        statement="integrated-tail inf test converges "
-                                  "(equivalence hypotheses verified)",
-                        verdict="strong", method="tail", detail=ts.to_json()))
-                    evidence.setdefault("tail", set()).add("strong")
+                    fire("tail", "strong", "tail-strong",
+                         "integrated-tail inf test converges "
+                         "(equivalence hypotheses verified)", ts.to_json())
                 else:
-                    records.append(RuleRecord(
-                        rule_id="tail-strong-consistent",
-                        statement="integrated-tail inf test converges "
-                                  "(necessary for the strong side)",
-                        verdict="info", method="tail", detail=ts.to_json()))
-            split = split_tail_tests(dens, d, kappa, max(r, 2.0 * dens.u0, 1.0))
+                    fire("tail", "info", "tail-strong-consistent",
+                         "integrated-tail inf test converges "
+                         "(necessary for the strong side)", ts.to_json())
+            split = split_tail_tests(dens, d, kappa, r_tail)
             if split.strong_second_moment.decided_state == CONVERGES \
                     and cos_moment_condition(dens):
-                records.append(RuleRecord(
-                    rule_id="cos-moment-strong",
-                    statement="truncated-moment tail test converges and the "
-                              "cosine-moment floor is positive",
-                    verdict="strong", method="tail",
-                    detail=split.strong_second_moment.to_json()))
-                evidence.setdefault("tail", set()).add("strong")
+                fire("tail", "strong", "cos-moment-strong",
+                     "truncated-moment tail test converges and the "
+                     "cosine-moment floor is positive",
+                     split.strong_second_moment.to_json())
         except (NotApplicableError, NonPowerTailError) as exc:
             notes.append(f"tail tests not applicable: {exc}")
 
     if "index" in methods:
         try:
-            idx = pruitt_indices(model)
-            first, second = index_bound_rules(d, kappa, idx)
-            for out in (first, second):
-                if out.conclusion == IMPLIES_WEAK:
-                    records.append(RuleRecord(
-                        rule_id=out.rule, statement=out.statement,
-                        verdict="weak", method="index", detail=out.premises))
-                    evidence.setdefault("index", set()).add("weak")
-                elif out.conclusion == IMPLIES_STRONG:
-                    records.append(RuleRecord(
-                        rule_id=out.rule, statement=out.statement,
-                        verdict="strong", method="index", detail=out.premises))
-                    evidence.setdefault("index", set()).add("strong")
-            m_first, m_second = moment_rules(model, d, kappa)
-            for out in (m_first, m_second):
-                if out.conclusion == IMPLIES_WEAK:
-                    records.append(RuleRecord(
-                        rule_id=out.rule, statement=out.statement,
-                        verdict="weak", method="index", detail=out.premises))
-                    evidence.setdefault("index", set()).add("weak")
-                elif out.conclusion == IMPLIES_STRONG:
-                    records.append(RuleRecord(
-                        rule_id=out.rule, statement=out.statement,
-                        verdict="strong", method="index", detail=out.premises))
-                    evidence.setdefault("index", set()).add("strong")
-            for out in shape_diagnostic(model, kappa, d):
-                if out.conclusion == IMPLIES_STRONG:
-                    records.append(RuleRecord(
-                        rule_id=out.rule, statement=out.statement,
-                        verdict="strong", method="index", detail=out.premises))
-                    evidence.setdefault("index", set()).add("strong")
+            for out in _index_outcomes(model, d, kappa):
+                side = _INDEX_SIDES.get(out.conclusion)
+                if side is not None:
+                    fire("index", side, out.rule, out.statement, out.premises)
         except LevyTransienceError as exc:
             notes.append(f"index rules skipped: {exc}")
 
@@ -456,6 +397,13 @@ def classify(model: SymbolModel, kappa: float, d=None, r=1.0,
         gate=gate, kappa=kappa, verdict=verdict,
         fired_rules=tuple(records), assumptions=assumptions,
         conditional=tuple(conditional), notes=tuple(notes))
+
+
+def _index_outcomes(model, d, kappa):
+    # lazy, so the records of the rules before a failing one are kept
+    yield from index_bound_rules(d, kappa, pruitt_indices(model))
+    yield from moment_rules(model, d, kappa)
+    yield from shape_diagnostic(model, kappa, d)
 
 
 def _sector_constant(model, assumptions):

@@ -8,8 +8,8 @@ errors (bad config, violated model invariants, refused estimates).
 from __future__ import annotations
 
 import csv
+import functools
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -17,9 +17,10 @@ import click
 import numpy as np
 
 from . import classifier as clf
-from .errors import LevyTransienceError
+from .errors import ConfigurationError, LevyTransienceError, NotApplicableError
 from .index_rules import pruitt_indices
 from .levy_tails import (
+    _num,
     comparison_transfer,
     cos_moment_condition,
     density_floor_test,
@@ -36,9 +37,7 @@ from .montecarlo import (
     occupation_integral_estimate,
 )
 from .symbols import load_model
-from .errors import NotApplicableError
 
-EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INCONCLUSIVE = 2
 
@@ -47,35 +46,11 @@ _VERDICT_CODE = {clf.STRONGLY_TRANSIENT: 0, clf.WEAKLY_TRANSIENT: 1,
 
 
 def _fmt(value):
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            return repr(value)
-        return repr(value)
-    return str(value)
-
-
-def _write_json(out_dir: Path, payload: dict):
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "report.json"
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
-def _write_plotdata(out_dir: Path, rows):
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "plotdata.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["series", "x", "y", "extra"])
-        for series, x, y, extra in rows:
-            writer.writerow([series, _fmt(x), _fmt(y), _fmt(extra)])
-    return path
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def emit_plotdata(objects) -> list:
-    """Tidy (series, x, y, extra) rows from verdicts, estimates and grids."""
+    """Tidy (series, x, y, extra) rows from verdicts and estimates."""
     rows = []
     for name, obj in objects:
         if hasattr(obj, "partials"):
@@ -84,9 +59,6 @@ def emit_plotdata(objects) -> list:
         elif hasattr(obj, "horizons"):
             for h, v, s in zip(obj.horizons, obj.values, obj.stderrs):
                 rows.append((name, h, v, s))
-        elif isinstance(obj, list):
-            for x, y in obj:
-                rows.append((name, x, y, ""))
     return rows
 
 
@@ -97,16 +69,22 @@ def _parse_kappa_grid(spec):
     return [float(x) for x in spec.split(",") if x.strip()]
 
 
-def _load(model_path):
-    return load_model(model_path)
-
-
 def _report_format(fmt, out, payload, rows):
+    """Write report.json and/or plotdata.csv into `out`, as `fmt` asks."""
+    out.mkdir(parents=True, exist_ok=True)
     wrote = []
     if fmt in ("json", "both"):
-        wrote.append(_write_json(out, payload))
+        wrote.append(out / "report.json")
+        with open(wrote[-1], "w") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     if fmt in ("csv", "both"):
-        wrote.append(_write_plotdata(out, rows))
+        wrote.append(out / "plotdata.csv")
+        with open(wrote[-1], "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["series", "x", "y", "extra"])
+            for series, x, y, extra in rows:
+                writer.writerow([series, _fmt(x), _fmt(y), _fmt(extra)])
     for p in wrote:
         click.echo(f"wrote {p}")
 
@@ -128,6 +106,20 @@ def _with_common(fn):
     return fn
 
 
+def _exit_on_error(fn):
+    """Report a LevyTransienceError from a command as `error: ...` on stderr
+    and exit with EXIT_ERROR instead of printing a traceback."""
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except LevyTransienceError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_ERROR)
+
+    return run
+
+
 @click.group()
 def main():
     """Weak/strong transience classification for Levy-type processes."""
@@ -142,19 +134,14 @@ def main():
               help="Frequency-ball radius for the integral tests.")
 @click.option("--d", "dim", type=int, default=None,
               help="Expected state-space dimension (checked against the model).")
+@_exit_on_error
 def classify_cmd(model_paths, out_dir, fmt, kappa, kappa_grid, radius, dim):
     """Classify a model as weakly/strongly transient at one or many kappa."""
-    try:
-        model = _load(model_paths[0])
-        kappas = _parse_kappa_grid(kappa_grid) if kappa_grid else [kappa]
-        if kappas == [None]:
-            raise click.UsageError("need --kappa or --kappa-grid")
-        reports = [clf.classify(model, k, d=dim, r=radius) for k in kappas]
-    except click.UsageError:
-        raise
-    except LevyTransienceError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_ERROR)
+    model = load_model(model_paths[0])
+    kappas = _parse_kappa_grid(kappa_grid) if kappa_grid else [kappa]
+    if kappas == [None]:
+        raise click.UsageError("need --kappa or --kappa-grid")
+    reports = [clf.classify(model, k, d=dim, r=radius) for k in kappas]
     payload = {"command": "classify", "model": str(model_paths[0]),
                "r": radius,
                "results": [r.to_json() for r in reports]}
@@ -176,15 +163,12 @@ def classify_cmd(model_paths, out_dir, fmt, kappa, kappa_grid, radius, dim):
 @_with_common
 @click.option("--tol", type=float, default=0.01, help="Bracket tolerance.")
 @click.option("--r", "radius", type=float, default=1.0)
+@_exit_on_error
 def kappa_star_cmd(model_paths, out_dir, fmt, tol, radius):
     """Locate the boundary between strong and weak transience."""
-    try:
-        model = _load(model_paths[0])
-        star = clf.kappa_boundary(model, tol=tol, r=radius)
-        gate = clf.transience_gate(model, r=radius)
-    except LevyTransienceError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_ERROR)
+    model = load_model(model_paths[0])
+    star = clf.kappa_boundary(model, tol=tol, r=radius)
+    gate = clf.transience_gate(model, r=radius)
     payload = {"command": "kappa-star", "model": str(model_paths[0]),
                "gate": gate, "kappa_star": star, "tol": tol}
     _report_format(fmt, Path(out_dir), payload,
@@ -194,14 +178,11 @@ def kappa_star_cmd(model_paths, out_dir, fmt, tol, radius):
 
 @main.command("pruitt")
 @_with_common
+@_exit_on_error
 def pruitt_cmd(model_paths, out_dir, fmt):
     """Estimate the scaling indices of the symbol envelopes."""
-    try:
-        model = _load(model_paths[0])
-        idx = pruitt_indices(model)
-    except LevyTransienceError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_ERROR)
+    model = load_model(model_paths[0])
+    idx = pruitt_indices(model)
     payload = {"command": "pruitt", "model": str(model_paths[0]),
                "indices": idx.to_json()}
     _report_format(fmt, Path(out_dir), payload,
@@ -213,35 +194,28 @@ def pruitt_cmd(model_paths, out_dir, fmt):
 @_with_common
 @click.option("--kappa", type=float, required=True)
 @click.option("--r", "radius", type=float, default=1.0)
+@_exit_on_error
 def tails_cmd(model_paths, out_dir, fmt, kappa, radius):
     """Run the measure-side tail tests of a radial jump model."""
+    model = load_model(model_paths[0])
+    dens = model.triplet.jump_density
+    if dens is None:
+        raise NotApplicableError("model carries no radial jump density")
+    d = model.d
+    r0 = max(radius, 2.0 * dens.u0, 1.0)
+    weak = tail_test_weak(dens, d, kappa, r0)
+    strong = tail_test_strong(dens, d, kappa, r0)
+    split = split_tail_tests(dens, d, kappa, r0)
     try:
-        model = _load(model_paths[0])
-        dens = model.triplet.jump_density
-        if dens is None:
-            raise NotApplicableError("model carries no radial jump density")
-        d = model.d
-        r0 = max(radius, 2.0 * dens.u0, 1.0)
-        weak = tail_test_weak(dens, d, kappa, r0)
-        strong = tail_test_strong(dens, d, kappa, r0)
-        split = split_tail_tests(dens, d, kappa, r0)
-        try:
-            floor = density_floor_test(dens, d, kappa, r0).to_json()
-        except NotApplicableError as exc:
-            floor = {"not_applicable": str(exc)}
-        cosmoment = cos_moment_condition(dens)
-    except LevyTransienceError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_ERROR)
+        floor = density_floor_test(dens, d, kappa, r0).to_json()
+    except NotApplicableError as exc:
+        floor = {"not_applicable": str(exc)}
+    cosmoment = cos_moment_condition(dens)
     payload = {
         "command": "tails", "model": str(model_paths[0]), "kappa": kappa,
         "weak": weak.to_json(), "strong": strong.to_json(),
-        "split": {"weak_split": split.weak_split.to_json(),
-                  "strong_split": split.strong_split.to_json(),
-                  "strong_tail_mass": split.strong_tail_mass.to_json(),
-                  "strong_second_moment":
-                      split.strong_second_moment.to_json(),
-                  "fired": split.fired()},
+        "split": dict({name: v.to_json() for name, v in vars(split).items()},
+                      fired=split.fired()),
         "density_floor": floor,
         "cos_moment_condition": cosmoment,
     }
@@ -266,17 +240,14 @@ def tails_cmd(model_paths, out_dir, fmt, kappa, radius):
 @click.option("--trace-paths", "trace_paths", type=int, default=0,
               help="Dump this many per-path traces to traces.csv "
                    "(Euler mode only).")
+@_exit_on_error
 def simulate_cmd(model_paths, out_dir, fmt, kappa, radius, horizon, paths,
                  step, seed, mode, trace_paths):
     """Estimate the occupation integral at doubling horizons."""
-    try:
-        model = _load(model_paths[0])
-        cfg = SimConfig(horizon=horizon, paths=paths, seed=seed,
-                        radius=radius, kappa=kappa, step=step, mode=mode)
-        est = occupation_integral_estimate(model, cfg)
-    except LevyTransienceError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_ERROR)
+    model = load_model(model_paths[0])
+    cfg = SimConfig(horizon=horizon, paths=paths, seed=seed,
+                    radius=radius, kappa=kappa, step=step, mode=mode)
+    est = occupation_integral_estimate(model, cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if trace_paths > 0 and mode == EULER_PATH:
@@ -322,54 +293,44 @@ def simulate_cmd(model_paths, out_dir, fmt, kappa, radius, horizon, paths,
         sys.exit(EXIT_INCONCLUSIVE)
 
 
-def _num(v):
-    return None if (isinstance(v, float) and not math.isfinite(v)) else v
-
-
 @main.command("compare")
 @_with_common
 @click.option("--kappa-grid", "kappa_grid", type=str, default="0.5,1,2")
 @click.option("--u0", type=float, default=1.0,
               help="Radius beyond which tail domination is checked.")
+@_exit_on_error
 def compare_cmd(model_paths, out_dir, fmt, kappa_grid, u0):
     """Perturbation/comparison transfer report for two models."""
     if len(model_paths) != 2:
-        click.echo("error: compare needs exactly two --model files", err=True)
-        sys.exit(EXIT_ERROR)
+        raise ConfigurationError("compare needs exactly two --model files")
+    a = load_model(model_paths[0])
+    b = load_model(model_paths[1])
+    da, db = a.triplet.jump_density, b.triplet.jump_density
+    if da is None or db is None:
+        raise NotApplicableError("compare needs radial jump densities")
+    pert = perturbation_equivalence(da, db)
     try:
-        a = _load(model_paths[0])
-        b = _load(model_paths[1])
-        da, db = a.triplet.jump_density, b.triplet.jump_density
-        if da is None or db is None:
-            raise NotApplicableError("compare needs radial jump densities")
-        pert = perturbation_equivalence(da, db)
-        try:
-            comp = comparison_transfer(da, db, u0).to_json()
-        except NotApplicableError as exc:
-            comp = {"not_applicable": str(exc), "witness": exc.witness}
-        kappas = _parse_kappa_grid(kappa_grid)
-        verdicts = {}
-        for label, model in (("a", a), ("b", b)):
-            row = []
-            for k in kappas:
-                try:
-                    row.append(clf.classify(model, k).verdict)
-                except LevyTransienceError as exc:
-                    row.append(f"error: {exc}")
-            verdicts[label] = row
-    except LevyTransienceError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_ERROR)
+        comp = comparison_transfer(da, db, u0).to_json()
+    except NotApplicableError as exc:
+        comp = {"not_applicable": str(exc), "witness": exc.witness}
+    kappas = _parse_kappa_grid(kappa_grid)
+    verdicts = {}
+    for label, model in (("a", a), ("b", b)):
+        row = []
+        for k in kappas:
+            try:
+                row.append(clf.classify(model, k).verdict)
+            except LevyTransienceError as exc:
+                row.append(f"error: {exc}")
+        verdicts[label] = row
     payload = {"command": "compare",
                "models": [str(p) for p in model_paths],
                "perturbation": pert.to_json(),
                "comparison": comp,
                "kappa_grid": kappas,
                "verdicts": verdicts}
-    rows = [("verdict_a", k, _VERDICT_CODE.get(v, 2), v)
-            for k, v in zip(kappas, verdicts["a"])]
-    rows += [("verdict_b", k, _VERDICT_CODE.get(v, 2), v)
-             for k, v in zip(kappas, verdicts["b"])]
+    rows = [(f"verdict_{label}", k, _VERDICT_CODE.get(v, 2), v)
+            for label in "ab" for k, v in zip(kappas, verdicts[label])]
     _report_format(fmt, Path(out_dir), payload, rows)
     click.echo(f"distance finite: {pert.weak_side_transfer}; "
                f"strong transfer: {pert.strong_side_transfer}")
@@ -380,18 +341,15 @@ def compare_cmd(model_paths, out_dir, fmt, kappa_grid, u0):
 @click.option("--paths", type=int, default=100_000)
 @click.option("--seed", type=int, default=7)
 @click.option("--t", "t_value", type=float, default=1.0)
+@_exit_on_error
 def validate_sampler_cmd(model_paths, out_dir, fmt, paths, seed, t_value):
     """Empirical characteristic function check of the marginal sampler."""
-    try:
-        model = _load(model_paths[0])
-        cfg = SimConfig(horizon=t_value, paths=paths, seed=seed, radius=1.0,
-                        kappa=0.0)
-        dirs = np.eye(model.d)[0]
-        xi_set = [s * dirs for s in (0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0)]
-        rep = ecf_check(model, t_value, xi_set, cfg)
-    except LevyTransienceError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_ERROR)
+    model = load_model(model_paths[0])
+    cfg = SimConfig(horizon=t_value, paths=paths, seed=seed, radius=1.0,
+                    kappa=0.0)
+    dirs = np.eye(model.d)[0]
+    xi_set = [s * dirs for s in (0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0)]
+    rep = ecf_check(model, t_value, xi_set, cfg)
     payload = {"command": "validate-sampler", "model": str(model_paths[0]),
                "t": t_value, "paths": paths, "report": rep.to_json()}
     rows = [("ecf", row["xi_norm"], row["ecf_re"], row["target_re"])

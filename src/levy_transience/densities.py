@@ -37,6 +37,7 @@ class DensityVariant:
     profile: object                      # callable, u array -> density array
     support_lo: float = 0.0              # density vanishes below this radius
     breakpoints: tuple = ()
+    alpha: float | None = None           # tail index of a power-law variant
 
     def __call__(self, u):
         return np.asarray(self.profile(np.asarray(u, dtype=float)), dtype=float)
@@ -71,9 +72,6 @@ class RadialLevyDensity:
 
     # -- basic evaluation ---------------------------------------------------
 
-    def profile(self, u, variant=0):
-        return self.variants[variant](u)
-
     def envelope(self, u, which="sup"):
         """sup or inf over variants of n(., u) (vectorized over u)."""
         vals = np.stack([v(u) for v in self.variants])
@@ -90,6 +88,11 @@ class RadialLevyDensity:
             return s_d * u ** (dd - 1) * v(u)
 
         return w
+
+    def second_moment_weight(self, variant):
+        """u -> u^2 * S_d * u^{d-1} * n(u), the weight of |y|^2 nu(dy)."""
+        w = self.radial_weight(variant)
+        return lambda u: np.asarray(u, dtype=float) ** 2 * w(u)
 
     def all_breakpoints(self):
         pts = set()
@@ -154,10 +157,6 @@ class RadialLevyDensity:
             )
         return self._cache[key]
 
-    def jump_symbol_envelope(self, rho, which="sup"):
-        vals = [self.jump_symbol(rho, i) for i in range(len(self.variants))]
-        return max(vals) if which == "sup" else min(vals)
-
     # -- validation ---------------------------------------------------------
 
     def _validate(self):
@@ -175,17 +174,12 @@ class RadialLevyDensity:
             if np.any(vals < 0):
                 raise ModelInvariantError(
                     f"density variant {v.label!r} takes negative values")
-            w = self.radial_weight(idx)
-            start = max(v.support_lo, 1e-300)
+            bps = self.all_breakpoints()
             try:
-                if v.support_lo > 0:
-                    small = 0.0 if v.support_lo >= 1.0 else integrate_origin(
-                        lambda u: u ** 2 * w(u), 1.0,
-                        self.all_breakpoints(), support_lo=v.support_lo)
-                else:
-                    small = integrate_origin(lambda u: u ** 2 * w(u), 1.0,
-                                             self.all_breakpoints())
-                integrate_tail(w, max(1.0, start), self.all_breakpoints())
+                small = integrate_origin(self.second_moment_weight(idx), 1.0,
+                                         bps, support_lo=v.support_lo)
+                integrate_tail(self.radial_weight(idx), max(1.0, v.support_lo),
+                               bps)
             except Exception as exc:
                 raise LevyMeasureError(
                     "jump measure fails int min(1,|y|^2) nu(dy) < infinity "
@@ -235,7 +229,7 @@ def power_density(d, alpha, coeff=1.0, u0=0.0, n_variants=9):
 
         variants.append(DensityVariant(
             label=f"alpha={a:g},coeff={c:g}", profile=prof,
-            support_lo=u0, breakpoints=(u0,) if u0 > 0 else ()))
+            support_lo=u0, breakpoints=(u0,) if u0 > 0 else (), alpha=a))
     return RadialLevyDensity(
         d=d, u0=u0, variants=tuple(variants),
         monotone_beyond_u0=True,
@@ -265,7 +259,7 @@ def stable_density(d, alpha, gamma=1.0, n_variants=9):
             return _c * np.asarray(u, dtype=float) ** _p
 
         variants.append(DensityVariant(label=f"alpha={a:g},gamma={g:g}",
-                                       profile=prof))
+                                       profile=prof, alpha=a))
     return RadialLevyDensity(
         d=d, u0=0.0, variants=tuple(variants),
         monotone_beyond_u0=True, x_independent=(len(pairs) == 1),
@@ -289,7 +283,8 @@ def finite_range_density(d, alpha, n_variants=9):
             return np.where(u >= 1.0, _c * u ** _p, 0.0)
 
         variants.append(DensityVariant(label=f"alpha={a:g}", profile=prof,
-                                       support_lo=1.0, breakpoints=(1.0,)))
+                                       support_lo=1.0, breakpoints=(1.0,),
+                                       alpha=a))
     return RadialLevyDensity(
         d=d, u0=1.0, variants=tuple(variants),
         monotone_beyond_u0=True, x_independent=(len(alphas) == 1),
@@ -328,6 +323,10 @@ def table_density(d, u_knots, n_values, u0=0.0, monotone=True):
     n_values = np.asarray(n_values, dtype=float)
     if np.any(u_knots <= 0) or np.any(n_values <= 0):
         raise ModelInvariantError("table knots and values must be positive")
+    if u_knots.ndim != 1 or u_knots.shape != n_values.shape \
+            or u_knots.size < 2:
+        raise ModelInvariantError("a table needs matching u and n lists "
+                                  "of at least two knots")
     if np.any(np.diff(u_knots) <= 0):
         raise ModelInvariantError("table radii must be strictly increasing")
     lu, ln = np.log(u_knots), np.log(n_values)
@@ -374,7 +373,8 @@ def modified_density(base: RadialLevyDensity, radius, factor=None, replacement=N
         variants.append(DensityVariant(
             label=v.label + f"|mod<{radius:g}", profile=prof,
             support_lo=0.0 if replacement is not None else v.support_lo,
-            breakpoints=tuple(sorted(set(v.breakpoints) | {radius}))))
+            breakpoints=tuple(sorted(set(v.breakpoints) | {radius})),
+            alpha=v.alpha))
     return RadialLevyDensity(
         d=base.d, u0=max(base.u0, radius), variants=tuple(variants),
         monotone_beyond_u0=base.monotone_beyond_u0,

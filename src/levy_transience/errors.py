@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the shared kappa check."""
+
+import math
 
 
 class LevyTransienceError(Exception):
@@ -51,3 +53,10 @@ class NonPowerTailError(LevyTransienceError):
 
 class EstimateRefusedError(LevyTransienceError):
     """A Monte Carlo estimate was refused (e.g. censoring fraction too high)."""
+
+
+def check_kappa(kappa):
+    """Raise ConfigurationError unless the moment order kappa is finite and
+    >= 0 (a nan compares false with everything, so `kappa < 0` lets it by)."""
+    if not (math.isfinite(kappa) and kappa >= 0):
+        raise ConfigurationError(f"kappa must be finite and >= 0, got {kappa}")

@@ -10,6 +10,7 @@ strong-side integral conditions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -66,20 +67,31 @@ class RuleOutcome:
 
     def to_json(self):
         return {"id": self.rule, "conclusion": self.conclusion,
-                "premises": {k: _jsonable(v) for k, v in self.premises.items()},
+                "premises": _jsonable(self.premises),
                 "statement": self.statement}
 
 
-def _jsonable(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return float(v)
-    if isinstance(v, float) and not math.isfinite(v):
-        return repr(v)
-    return v
+def _jsonable(obj):
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, (np.floating, np.integer)):
+        return float(obj)
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)
+    return obj
 
 
-def _dyadic_rhos():
-    return 2.0 ** (-np.arange(_K_LO, _K_HI + 1).astype(float))
+def _dyadic_profiles(model, n_directions):
+    """Dyadic radii 2^-_K_LO .. 2^-_K_HI with the sup-envelope (max over
+    directions) and the inf-envelope (min over directions) on them."""
+    rhos = 2.0 ** (-np.arange(_K_LO, _K_HI + 1).astype(float))
+    return (rhos,
+            envelope_profile(model, ENV_SUP_ABS, rhos, reduce="max",
+                             n_directions=n_directions),
+            envelope_profile(model, ENV_INF_RE, rhos, reduce="min",
+                             n_directions=n_directions))
 
 
 def _slope_and_residual(rhos, vals):
@@ -100,11 +112,7 @@ def upper_index(model: SymbolModel, n_directions=16) -> float:
 
 
 def pruitt_indices(model: SymbolModel, n_directions=16) -> PruittIndices:
-    rhos = _dyadic_rhos()
-    sup_prof = envelope_profile(model, ENV_SUP_ABS, rhos, reduce="max",
-                                n_directions=n_directions)
-    inf_prof = envelope_profile(model, ENV_INF_RE, rhos, reduce="min",
-                                n_directions=n_directions)
+    rhos, sup_prof, inf_prof = _dyadic_profiles(model, n_directions)
     if np.any(sup_prof <= 0.0):
         raise DegenerateModelError("sup-envelope vanishes on the dyadic ladder")
     lo, res_lo = _slope_and_residual(rhos, sup_prof)
@@ -158,9 +166,7 @@ def scaling_rules(model: SymbolModel, gamma_exp: float, d: int, kappa: float,
     """
     if gamma_exp <= 0:
         raise NotApplicableError("scaling exponent must be positive")
-    rhos = _dyadic_rhos()
-    sup_prof = envelope_profile(model, ENV_SUP_ABS, rhos, reduce="max",
-                                n_directions=n_directions)
+    rhos, sup_prof, inf_prof = _dyadic_profiles(model, n_directions)
     slope_sup, _ = _slope_and_residual(rhos, sup_prof)
     bounded_above = slope_sup >= gamma_exp - tol
     first = RuleOutcome(
@@ -171,8 +177,6 @@ def scaling_rules(model: SymbolModel, gamma_exp: float, d: int, kappa: float,
                   "bounded_above": bounded_above, "d": d, "kappa": kappa},
         statement="sup|q| = O(|xi|^gamma) and d <= (kappa+1)*gamma give the "
                   "weak-side condition")
-    inf_prof = envelope_profile(model, ENV_INF_RE, rhos, reduce="min",
-                                n_directions=n_directions)
     if np.any(inf_prof <= 0.0):
         bounded_below = False
         slope_inf = float("inf")
@@ -197,11 +201,7 @@ def uniform_second_moment(model: SymbolModel) -> float:
         return 0.0
     worst = 0.0
     for i in range(len(dens.variants)):
-        w = dens.radial_weight(i)
-
-        def g(u, _w=w):
-            return np.asarray(u, dtype=float) ** 2 * _w(u)
-
+        g = dens.second_moment_weight(i)
         bps = dens.all_breakpoints()
         lo = dens.support_lo(i)
         try:
@@ -220,24 +220,11 @@ def _truncated_quadratic_floor(model: SymbolModel, radius: float) -> float:
         return 0.0
     best = float("inf")
     for i in range(len(dens.variants)):
-        w = dens.radial_weight(i)
-
-        def g(u, _w=w):
-            return np.asarray(u, dtype=float) ** 2 * _w(u)
-
-        val = integrate_origin(g, radius, dens.all_breakpoints(),
+        val = integrate_origin(dens.second_moment_weight(i), radius,
+                               dens.all_breakpoints(),
                                support_lo=dens.support_lo(i))
         best = min(best, val / model.d)
     return best
-
-
-def _diffusion_floor(model: SymbolModel) -> float:
-    t = model.triplet
-    if t.diffusion_matrix is not None:
-        return float(np.min(np.linalg.eigvalsh(t.diffusion_matrix)))
-    if t.diffusion_field is not None:
-        return t.diffusion_field.bounds[0]
-    return 0.0
 
 
 def moment_rules(model: SymbolModel, d: int, kappa: float):
@@ -260,7 +247,7 @@ def moment_rules(model: SymbolModel, d: int, kappa: float):
         statement="even symbol, finite uniform second moment and "
                   "d <= 2(kappa+1) give the weak-side condition")
     floors = []
-    c_floor = _diffusion_floor(model)
+    c_floor = model.triplet.diffusion_bounds[0]
     for k in range(_K_LO, _K_HI + 1):
         rho = 2.0 ** (-k)
         floors.append(c_floor + _truncated_quadratic_floor(
@@ -324,10 +311,8 @@ def shape_diagnostic(model: SymbolModel, kappa: float, d: int,
                 statement="profile shape rules need a radial envelope"))
             continue
 
-        def profile(rho, _kind=kind):
-            return envelope_profile(model, _kind, rho, reduce="min",
-                                    n_directions=1)
-
+        profile = functools.partial(envelope_profile, model, kind,
+                                    reduce="min", n_directions=1)
         convex, concave, window = _shape_flags(profile, tol=tol)
         index_name = "lower_index" if label == "sup" else "upper_index"
         if convex and kappa + 1.0 >= d:

@@ -18,8 +18,10 @@ nested quadrature (the identity stays an independent cross-check).
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,10 +32,12 @@ from .errors import (
     LevyMeasureError,
     NonPowerTailError,
     NotApplicableError,
+    check_kappa,
 )
 from .quadrature import (
     integrate_origin,
     integrate_tail,
+    log_gauss_blocks,
     sphere_surface,
     tail_cumulative,
 )
@@ -43,6 +47,7 @@ from .verdicts import (
     DIVERGES,
     DEFAULT_BAND,
     DivergenceVerdict,
+    memoized_profile,
     verdict_from_radial_integrand,
 )
 
@@ -73,12 +78,8 @@ def truncated_second_moment(density: RadialLevyDensity, rho: float,
     """int_{B(0, rho)} |y|^2 nu(dy) = S_d int_0^rho u^{d+1} n(u) du."""
     if rho <= 0:
         raise ConfigurationError("truncated second moment needs rho > 0")
-    w = density.radial_weight(variant)
-
-    def g(u):
-        return np.asarray(u, dtype=float) ** 2 * w(u)
-
-    base = integrate_origin(g, rho, density.all_breakpoints(),
+    base = integrate_origin(density.second_moment_weight(variant), rho,
+                            density.all_breakpoints(),
                             support_lo=density.support_lo(variant))
     return base + density.atom_second_moment(rho)
 
@@ -102,12 +103,7 @@ def _t1_ladder(density, variant, rhos):
     coarse_of = np.searchsorted(coarse, edges[:-1], side="right") - 1
 
     # every tail-mass value the outer integral needs, in one cumulative sweep
-    base_x, base_w = np.polynomial.legendre.leggauss(16)
-    t0, t1 = np.log(edges[:-1]), np.log(edges[1:])
-    mid = 0.5 * (t0 + t1)[:, None]
-    half = 0.5 * (t1 - t0)[:, None]
-    nodes = np.exp(mid + half * base_x[None, :])
-    weights = half * base_w[None, :] * nodes
+    nodes, weights = log_gauss_blocks(edges[:-1], edges[1:])
     flat = nodes.ravel()
     order = np.argsort(flat)
     tm_sorted = tail_cumulative(w, flat[order], bps)
@@ -165,56 +161,29 @@ def tail_functionals(density: RadialLevyDensity, rho: float,
         truncated_moment=truncated_second_moment(density, rho, variant))
 
 
-def _envelope_over_variants(density, values_per_variant, which):
-    stack = np.stack(values_per_variant)
+def _tail_mass_sweep(density, variant, rhos):
+    w = density.radial_weight(variant)
+    return tail_cumulative(w, rhos, density.all_breakpoints()) \
+        + density.atom_tail_mass(rhos)
+
+
+# Tail functional tag -> (density, variant, ascending radii) -> values.
+_SWEEPS = {
+    "t1": _t1_ladder,
+    "tm": _tail_mass_sweep,
+    "t3": lambda density, variant, rhos: [
+        truncated_second_moment(density, r, variant) for r in rhos],
+}
+
+
+def _variant_envelope(density, tag, which, rhos):
+    """sup or inf over the variants of the tail functional `tag` (T1, tail
+    mass or T3), memoized on the density."""
+    stack = np.stack([memoized_profile(
+        density._cache.setdefault((tag, i), {}),
+        functools.partial(_SWEEPS[tag], density, i))(rhos)
+        for i in range(len(density.variants))])
     return stack.max(axis=0) if which == "sup" else stack.min(axis=0)
-
-
-def _t1_values(density, variant, rhos):
-    """T1 at arbitrary radii, memoized on the density."""
-    cache = density._cache
-    missing = sorted({float(r) for r in rhos
-                      if ("t1", variant, float(r)) not in cache})
-    if missing:
-        vals = _t1_ladder(density, variant, np.asarray(missing))
-        for r, v in zip(missing, vals):
-            cache[("t1", variant, r)] = float(v)
-    return np.asarray([cache[("t1", variant, float(r))] for r in rhos])
-
-
-def _tm_values(density, variant, rhos):
-    """Tail mass nu(B^c(0, rho)) at arbitrary radii, memoized."""
-    cache = density._cache
-    missing = sorted({float(r) for r in rhos
-                      if ("tm", variant, float(r)) not in cache})
-    if missing:
-        w = density.radial_weight(variant)
-        vals = tail_cumulative(w, np.asarray(missing),
-                               density.all_breakpoints())
-        vals = vals + density.atom_tail_mass(np.asarray(missing))
-        for r, v in zip(missing, vals):
-            cache[("tm", variant, r)] = float(v)
-    return np.asarray([cache[("tm", variant, float(r))] for r in rhos])
-
-
-def _t3_values(density, variant, rhos):
-    """Truncated second moments at arbitrary radii, memoized."""
-    cache = density._cache
-    for r in rhos:
-        key = ("t3", variant, float(r))
-        if key not in cache:
-            cache[key] = truncated_second_moment(density, float(r), variant)
-    return np.asarray([cache[("t3", variant, float(r))] for r in rhos])
-
-
-def _t1_envelope_fn(density, which):
-    def profile(rhos):
-        rhos = np.atleast_1d(np.asarray(rhos, dtype=float))
-        per_variant = [_t1_values(density, i, rhos)
-                       for i in range(len(density.variants))]
-        return _envelope_over_variants(density, per_variant, which)
-
-    return profile
 
 
 # ---------------------------------------------------------------------------
@@ -241,13 +210,13 @@ def _tail_test(density, d, kappa, r, which, K, band):
     if d != density.d:
         raise ConfigurationError(
             f"dimension mismatch: test d={d}, density d={density.d}")
-    t1 = _t1_envelope_fn(density, which)
-    probe = t1(np.asarray([r, 4.0 * r]))
+    check_kappa(kappa)
+    probe = _variant_envelope(density, "t1", which, [r, 4.0 * r])
     if np.all(probe == 0.0):
         raise NotApplicableError("integrated tail vanishes; no jump tail to test")
 
     def G(rhos):
-        vals = t1(rhos)
+        vals = _variant_envelope(density, "t1", which, rhos)
         return rhos ** (2.0 * kappa - d + 1.0) / vals ** (kappa + 1.0)
 
     return verdict_from_radial_integrand(G, r, K=K, band=band,
@@ -286,19 +255,12 @@ def split_tail_tests(density: RadialLevyDensity, d: int, kappa: float, r: float,
     """
     if r <= 0:
         raise ConfigurationError("tail tests need r > 0")
-    nv = len(density.variants)
-
-    def tm_env(rhos, which):
-        per = [_tm_values(density, i, rhos) for i in range(nv)]
-        return _envelope_over_variants(density, per, which)
-
-    def t3_env(rhos, which):
-        per = [_t3_values(density, i, rhos) for i in range(nv)]
-        return _envelope_over_variants(density, per, which)
+    check_kappa(kappa)
+    env = functools.partial(_variant_envelope, density)
 
     def split(which):
         def G(rhos):
-            denom = rhos ** 2 * tm_env(rhos, which) + t3_env(rhos, which)
+            denom = rhos ** 2 * env("tm", which, rhos) + env("t3", which, rhos)
             return rhos ** (2.0 * kappa - d + 1.0) / denom ** (kappa + 1.0)
         return G
 
@@ -308,13 +270,14 @@ def split_tail_tests(density: RadialLevyDensity, d: int, kappa: float, r: float,
                                                  singularity=AT_INFINITY)
 
     def G_mass(rhos):
-        return rhos ** (-d - 1.0) / tm_env(rhos, "sup") ** (kappa + 1.0)
+        return rhos ** (-d - 1.0) / env("tm", "sup", rhos) ** (kappa + 1.0)
 
     strong_tail_mass = verdict_from_radial_integrand(
         G_mass, r, K=K, band=band, singularity=AT_INFINITY)
 
     def G_moment(rhos):
-        return rhos ** (2.0 * kappa - d + 1.0) / t3_env(rhos, "inf") ** (kappa + 1.0)
+        return rhos ** (2.0 * kappa - d + 1.0) \
+            / env("t3", "inf", rhos) ** (kappa + 1.0)
 
     strong_second_moment = verdict_from_radial_integrand(
         G_moment, r, K=K, band=band, singularity=AT_INFINITY)
@@ -329,6 +292,7 @@ def density_floor_test(density: RadialLevyDensity, d: int, kappa: float,
 
     Requires the density decreasing beyond its cutoff.
     """
+    check_kappa(kappa)
     if not density.monotone_beyond_u0 or not density.monotone_verified():
         raise NotApplicableError(
             "density-floor test needs a density decreasing beyond the cutoff")
@@ -344,19 +308,26 @@ def density_floor_test(density: RadialLevyDensity, d: int, kappa: float,
                                          singularity=AT_INFINITY)
 
 
-def cos_moment_condition(density: RadialLevyDensity, k_lo=4, k_hi=16,
-                         tol=0.05) -> bool:
-    """Whether inf_x int (1 - cos<xi, y>) nu(x, dy) / |xi|^2 stays bounded
-    away from 0 as xi -> 0 (dyadic liminf surrogate)."""
+def _quadratic_ladder(density, k_lo=4, k_hi=16):
+    """Dyadic radii 2^-k_lo .. 2^-k_hi, inf over variants of
+    jump_symbol(rho) / rho^2 on them, and the minimum over the smaller half
+    of the radii (the liminf surrogate as xi -> 0)."""
     rhos = 2.0 ** (-np.arange(k_lo, k_hi + 1).astype(float))
     vals = np.asarray([
         min(density.jump_symbol(rho, i) for i in range(len(density.variants)))
         / rho ** 2 for rho in rhos])
+    return rhos, vals, np.min(vals[len(vals) // 2:])
+
+
+def cos_moment_condition(density: RadialLevyDensity, k_lo=4, k_hi=16,
+                         tol=0.05) -> bool:
+    """Whether inf_x int (1 - cos<xi, y>) nu(x, dy) / |xi|^2 stays bounded
+    away from 0 as xi -> 0 (dyadic liminf surrogate)."""
+    rhos, vals, floor = _quadratic_ladder(density, k_lo, k_hi)
     if np.any(vals <= 0.0):
         return False
-    tail = vals[len(vals) // 2:]
     slope = np.polyfit(np.log(rhos), np.log(vals), 1)[0]
-    return bool(np.min(tail) > 0.0 and slope <= tol)
+    return bool(floor > 0.0 and slope <= tol)
 
 
 def quadratic_growth_floor(density: RadialLevyDensity, extra_floor=0.0,
@@ -367,12 +338,7 @@ def quadratic_growth_floor(density: RadialLevyDensity, extra_floor=0.0,
     This is the nondegeneracy hypothesis under which the strong-side T1 test
     becomes an equivalence for decreasing densities.
     """
-    rhos = 2.0 ** (-np.arange(k_lo, k_hi + 1).astype(float))
-    vals = np.asarray([
-        min(density.jump_symbol(rho, i) for i in range(len(density.variants)))
-        / rho ** 2 for rho in rhos])
-    tail = vals[len(vals) // 2:]
-    return bool(np.min(tail) > extra_floor)
+    return bool(_quadratic_ladder(density, k_lo, k_hi)[2] > extra_floor)
 
 
 # ---------------------------------------------------------------------------
@@ -380,13 +346,12 @@ def quadratic_growth_floor(density: RadialLevyDensity, extra_floor=0.0,
 # ---------------------------------------------------------------------------
 
 def perturbation_distance(density_a: RadialLevyDensity,
-                          density_b: RadialLevyDensity,
-                          rotation=None) -> float:
-    """sup over paired states of int |y|^2 |n_a(x, |y|) - n_b(Ox, |y|)| dy.
+                          density_b: RadialLevyDensity) -> float:
+    """sup over paired states of int |y|^2 |n_a(x, |y|) - n_b(x, |y|)| dy.
 
-    Radial profiles are rotation invariant, so the rotation only re-pairs
-    states; profiles are paired positionally. Returns +inf when the distance
-    integral diverges (then no transfer is claimed).
+    Radial profiles are rotation invariant, so a rotation of the state
+    space only re-pairs states; profiles are paired positionally. Returns
+    +inf when the distance integral diverges (then no transfer is claimed).
     """
     if density_a.d != density_b.d:
         raise ConfigurationError("perturbation distance needs equal dimensions")
@@ -439,8 +404,7 @@ def _num(v):
 
 def perturbation_equivalence(density_a: RadialLevyDensity,
                              density_b: RadialLevyDensity,
-                             diffusion_gap=0.0,
-                             rotation=None) -> PerturbationReport:
+                             diffusion_gap=0.0) -> PerturbationReport:
     """Transfer report between two radial models.
 
     A finite weighted total-variation distance between the jump measures
@@ -448,13 +412,10 @@ def perturbation_equivalence(density_a: RadialLevyDensity,
     additionally needs the quadratic growth of the first symbol to dominate
     half the diffusion gap plus the distance.
     """
-    dist = perturbation_distance(density_a, density_b, rotation)
+    dist = perturbation_distance(density_a, density_b)
     weak_transfer = math.isfinite(dist)
-    rhos = 2.0 ** (-np.arange(4, 17).astype(float))
-    lhs_vals = [min(density_a.jump_symbol(rho, i)
-                    for i in range(len(density_a.variants))) / rho ** 2
-                for rho in rhos]
-    lhs = float(np.min(lhs_vals[len(lhs_vals) // 2:]))
+    rhos, lhs_vals, lhs = _quadratic_ladder(density_a)
+    lhs = float(lhs)
     slope = np.polyfit(np.log(rhos), np.log(np.maximum(lhs_vals, 1e-300)), 1)[0]
     if slope < -0.05:
         lhs = float("inf")   # ratio grows without bound as xi -> 0
@@ -469,7 +430,7 @@ def perturbation_equivalence(density_a: RadialLevyDensity,
                               notes=notes)
 
 
-def model_perturbation_report(model_a, model_b, rotation=None) -> "PerturbationReport":
+def model_perturbation_report(model_a, model_b) -> "PerturbationReport":
     """Perturbation transfer between two radial models, including the
     diffusion-coefficient gap in the margin condition."""
     da = model_a.triplet.jump_density
@@ -478,20 +439,10 @@ def model_perturbation_report(model_a, model_b, rotation=None) -> "PerturbationR
         raise ConfigurationError(
             "perturbation report needs radial jump densities on both models")
 
-    def c_bounds(model):
-        t = model.triplet
-        if t.diffusion_matrix is not None:
-            ev = np.linalg.eigvalsh(t.diffusion_matrix)
-            return float(ev.min()), float(ev.max())
-        if t.diffusion_field is not None:
-            return t.diffusion_field.bounds
-        return 0.0, 0.0
-
-    lo_a, hi_a = c_bounds(model_a)
-    lo_b, hi_b = c_bounds(model_b)
+    lo_a, hi_a = model_a.triplet.diffusion_bounds
+    lo_b, hi_b = model_b.triplet.diffusion_bounds
     gap = max(abs(hi_a - lo_b), abs(hi_b - lo_a))
-    return perturbation_equivalence(da, db, diffusion_gap=gap,
-                                    rotation=rotation)
+    return perturbation_equivalence(da, db, diffusion_gap=gap)
 
 
 @dataclass(frozen=True)
@@ -502,9 +453,7 @@ class ComparisonReport:
     strong_transfer: str
 
     def to_json(self):
-        return {"domination_ok": self.domination_ok, "witness": self.witness,
-                "weak_transfer": self.weak_transfer,
-                "strong_transfer": self.strong_transfer}
+        return dataclasses.asdict(self)
 
 
 def comparison_transfer(density_a: RadialLevyDensity,
@@ -600,9 +549,7 @@ class RvClassification:
     statement: str
 
     def to_json(self):
-        return {"case": self.case, "transient": self.transient,
-                "weakly_transient": self.weakly_transient,
-                "statement": self.statement}
+        return dataclasses.asdict(self)
 
 
 def rv_classify(d: int, delta: float, kappa: float,

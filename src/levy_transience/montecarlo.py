@@ -21,7 +21,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, EstimateRefusedError, ModelInvariantError
+from .errors import (
+    ConfigurationError,
+    EstimateRefusedError,
+    ModelInvariantError,
+    check_kappa,
+)
 from .symbols import SymbolModel, eval_symbol
 
 _DOMAIN_MARGINAL = 0x6D415247
@@ -73,8 +78,7 @@ class SimConfig:
             raise ConfigurationError("need at least one path")
         if self.radius <= 0:
             raise ConfigurationError("ball radius must be positive")
-        if self.kappa < 0:
-            raise ConfigurationError("kappa must be >= 0")
+        check_kappa(self.kappa)
         if self.mode not in (EXACT_MARGINAL, EULER_PATH):
             raise ConfigurationError(f"unknown simulation mode {self.mode!r}")
 
@@ -83,15 +87,19 @@ class SimConfig:
 # Exact marginal samplers.
 # ---------------------------------------------------------------------------
 
-def _positive_stable(alpha_half, gen, n):
+def _kanter(a, u, w):
     """One-sided stable variates with Laplace transform exp(-lambda^a),
-    0 < a < 1, via the Kanter construction."""
-    u = np.clip(gen.random(n), 1e-12, 1.0 - 1e-12)
-    w = np.maximum(gen.standard_exponential(n), 1e-300)
+    0 < a < 1, from uniforms u and standard exponentials w (Kanter 1975)."""
+    u = np.clip(u, 1e-12, 1.0 - 1e-12)
+    w = np.maximum(w, 1e-300)
     th = np.pi * u
-    a = alpha_half
     return (np.sin(a * th) / np.sin(th) ** (1.0 / a)
             * (np.sin((1.0 - a) * th) / w) ** ((1.0 - a) / a))
+
+
+def _positive_stable(alpha_half, gen, n):
+    u = gen.random(n)     # the uniforms are drawn before the exponentials
+    return _kanter(alpha_half, u, gen.standard_exponential(n))
 
 
 def _isotropic_stable_sample(d, alpha, scale_c, gen, n):
@@ -187,12 +195,7 @@ def _euler_sweep(model, T, h, seed, path_indices, x0, observer):
             if np.any(alpha <= 0.0) or np.any(alpha >= 2.0):
                 raise ModelInvariantError(
                     "stability index left (0,2) at a visited state")
-            u = np.clip(us[:, j], 1e-12, 1.0 - 1e-12)
-            w = np.maximum(ws[:, j], 1e-300)
-            a = 0.5 * alpha
-            th = np.pi * u
-            s0 = (np.sin(a * th) / np.sin(th) ** (1.0 / a)
-                  * (np.sin((1.0 - a) * th) / w) ** ((1.0 - a) / a))
+            s0 = _kanter(0.5 * alpha, us[:, j], ws[:, j])
             zeta = np.sqrt(2.0 * s0)[:, None] * zs[:, j, :]
             X = X + ((gamma * h) ** (1.0 / alpha))[:, None] * zeta
         if drift is not None:
@@ -334,7 +337,17 @@ def occupation_integral_estimate(model: SymbolModel, config: SimConfig,
             values.append(v)
             errs.append(e)
     else:
-        values, errs = _euler_occupation(model, config)
+        h, n = config.step, config.paths
+
+        def occupy(acc, t, X):
+            inside = np.linalg.norm(X, axis=1) <= r
+            acc += t ** kappa * inside * h
+
+        sums = _euler_snapshots(model, config, 4.0 * T, [
+            int(round(c * T / h)) for c in (1.0, 2.0, 4.0)], occupy)
+        values = [float(np.mean(sums[:, k])) for k in range(3)]
+        errs = [float(np.std(sums[:, k], ddof=1) / math.sqrt(n))
+                for k in range(3)]
     verdict, ghat, ratio = _trend_verdict(values, errs, config.trend_band,
                                           config.trend_margin, notes)
     return OccupationEstimate(
@@ -371,33 +384,26 @@ def _log_trapezoid(grid, probs, variances, kappa, horizon):
     return value, math.sqrt(var)
 
 
-def _euler_occupation(model, config):
-    T, h = config.horizon, config.step
-    m = int(round(4.0 * T / h))
-    n = config.paths
-    sums = np.zeros((n, 3))
-    marks = (int(round(T / h)), int(round(2.0 * T / h)), m)
+def _euler_snapshots(model, config, T, marks, update):
+    """Per-path statistics, advanced in place by update(acc, t, X) after
+    every Euler step on [0, T], at the step counts in `marks`."""
+    h, n = config.step, config.paths
+    out = np.zeros((n, len(marks)))
 
     def work(chunk):
         idx = list(chunk)
         acc = np.zeros(len(idx))
-        snap = {}
 
-        def observer(j, t, X, acc=acc, snap=snap):
-            inside = np.linalg.norm(X, axis=1) <= config.radius
-            acc += t ** config.kappa * inside * h
+        def observer(j, t, X):
+            update(acc, t, X)
             for k, mark in enumerate(marks):
                 if j + 1 == mark:
-                    snap[k] = acc.copy()
+                    out[idx[0]:idx[-1] + 1, k] = acc
 
-        _euler_sweep(model, 4.0 * T, h, config.seed, idx, None, observer)
-        for k in range(3):
-            sums[idx[0]:idx[-1] + 1, k] = snap[k]
+        _euler_sweep(model, T, h, config.seed, idx, None, observer)
 
-    _run_chunks(_chunks(n, m, model.d), work)
-    values = [float(np.mean(sums[:, k])) for k in range(3)]
-    errs = [float(np.std(sums[:, k], ddof=1) / math.sqrt(n)) for k in range(3)]
-    return values, errs
+    _run_chunks(_chunks(n, int(round(T / h)), model.d), work)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -433,29 +439,14 @@ def last_exit_estimate(model: SymbolModel, radius: float,
     half of the horizon), since the moment would then be badly truncated.
     """
     T, h, kappa = config.horizon, config.step, config.kappa
-    m = int(round(T / h))
-    n = config.paths
     horizons = (0.25 * T, 0.5 * T, T)
-    marks = [int(round(H / h)) for H in horizons]
-    last_at = np.zeros((n, 3))
 
-    def work(chunk):
-        idx = list(chunk)
-        last_seen = np.zeros(len(idx))
-        snaps = {}
+    def last_visit(acc, t, X):
+        acc[np.linalg.norm(X, axis=1) <= radius] = t
 
-        def observer(j, t, X, last_seen=last_seen, snaps=snaps):
-            inside = np.linalg.norm(X, axis=1) <= radius
-            last_seen[inside] = t
-            for k, mark in enumerate(marks):
-                if j + 1 == mark:
-                    snaps[k] = last_seen.copy()
-
-        _euler_sweep(model, T, h, config.seed, idx, None, observer)
-        for k in range(3):
-            last_at[idx[0]:idx[-1] + 1, k] = snaps[k]
-
-    _run_chunks(_chunks(n, m, model.d), work)
+    last_at = _euler_snapshots(model, config, T,
+                               [int(round(H / h)) for H in horizons],
+                               last_visit)
     censored = float(np.mean(last_at[:, 2] > 0.5 * T))
     if censored > config.censor_limit:
         raise EstimateRefusedError(

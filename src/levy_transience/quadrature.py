@@ -39,6 +39,17 @@ def _split_points(a, b, breakpoints):
     return pts
 
 
+def log_gauss_blocks(lo, hi, n=16):
+    """Nodes and weights of one n-point Gauss-Legendre block in log space
+    per interval [lo[j], hi[j]]; both arrays have shape (len(lo), n)."""
+    base_x, base_w = _gl(n)
+    t0, t1 = np.log(lo), np.log(hi)
+    mid = 0.5 * (t0 + t1)[:, None]
+    half = 0.5 * (t1 - t0)[:, None]
+    u = np.exp(mid + half * base_x[None, :])
+    return u, half * base_w[None, :] * u
+
+
 def gauss_log_nodes(a, b, breakpoints=(), n=16):
     """Nodes and weights for integrating over [a, b], 0 < a < b.
 
@@ -47,18 +58,13 @@ def gauss_log_nodes(a, b, breakpoints=(), n=16):
     """
     if not (0.0 < a < b):
         raise QuadratureError(f"invalid log-quadrature interval [{a}, {b}]")
-    base_x, base_w = _gl(n)
     xs, ws = [], []
     for lo, hi in zip(*(lambda p: (p[:-1], p[1:]))(_split_points(a, b, breakpoints))):
         n_blocks = max(1, int(math.ceil(math.log2(hi / lo))))
         edges = lo * (hi / lo) ** np.linspace(0.0, 1.0, n_blocks + 1)
-        t0, t1 = np.log(edges[:-1]), np.log(edges[1:])
-        mid = 0.5 * (t0 + t1)[:, None]
-        half = 0.5 * (t1 - t0)[:, None]
-        t = mid + half * base_x[None, :]
-        u = np.exp(t)
+        u, w = log_gauss_blocks(edges[:-1], edges[1:], n)
         xs.append(u.ravel())
-        ws.append((half * base_w[None, :] * u).ravel())
+        ws.append(w.ravel())
     return np.concatenate(xs), np.concatenate(ws)
 
 
@@ -81,28 +87,28 @@ def integrate_log(f, a, b, breakpoints=(), n=16):
     return float(w @ np.asarray(f(u), dtype=float))
 
 
-def integrate_tail(f, a, breakpoints=(), rel_tol=1e-11, max_octaves=260,
-                   min_octaves=6, on_divergence="raise"):
-    """Integral of f over [a, infinity) for nonnegative power-like-tailed f.
+def _octave_sum(f, start, step, breakpoints, rel_tol, max_octaves,
+                min_octaves, on_divergence, message):
+    """Sum of f over geometric octave blocks from `start`, each block
+    `step` times the last (2 toward infinity, 1/2 toward the origin), with
+    the remainder extrapolated from the block ratio.
 
-    Sums geometric octave blocks and extrapolates the remainder from the
-    last block ratio. Detects divergence when the block sequence fails to
-    decay; then either raises DivergentIntegralError or returns inf.
+    Detects divergence when the block sequence fails to decay; then either
+    raises DivergentIntegralError or returns inf.
     """
-    if a <= 0:
-        raise QuadratureError(f"tail integral needs a > 0, got {a}")
     total = 0.0
     prev = None
     prev_ratio = None
     zero_run = 0
-    lo = float(a)
+    edge = float(start)
     for j in range(max_octaves):
-        hi = 2.0 * lo
+        nxt = step * edge
+        lo, hi = (edge, nxt) if step > 1.0 else (nxt, edge)
         block = integrate_log(f, lo, hi, breakpoints)
         total += block
         zero_run = zero_run + 1 if block == 0.0 else 0
         if zero_run >= 24 and j >= min_octaves:
-            return total      # effectively bounded support
+            return total      # the integrand vanishes toward the open end
         if prev is not None and prev > 0.0 and block > 0.0 and j >= min_octaves:
             ratio = block / prev
             if ratio < 0.995:
@@ -117,13 +123,26 @@ def integrate_tail(f, a, breakpoints=(), rel_tol=1e-11, max_octaves=260,
                     return total + remainder
             prev_ratio = ratio
         prev = block
-        lo = hi
+        edge = nxt
     if on_divergence == "inf":
         return math.inf
-    raise DivergentIntegralError(
-        f"tail integral from {a} did not converge within {max_octaves} octaves",
-        partial=total,
-    )
+    raise DivergentIntegralError(message, partial=total)
+
+
+def integrate_tail(f, a, breakpoints=(), rel_tol=1e-11, max_octaves=260,
+                   min_octaves=6, on_divergence="raise"):
+    """Integral of f over [a, infinity) for nonnegative power-like-tailed f.
+
+    Sums geometric octave blocks and extrapolates the remainder from the
+    last block ratio. Detects divergence when the block sequence fails to
+    decay; then either raises DivergentIntegralError or returns inf.
+    """
+    if a <= 0:
+        raise QuadratureError(f"tail integral needs a > 0, got {a}")
+    return _octave_sum(
+        f, a, 2.0, breakpoints, rel_tol, max_octaves, min_octaves,
+        on_divergence,
+        f"tail integral from {a} did not converge within {max_octaves} octaves")
 
 
 def integrate_origin(f, b, breakpoints=(), rel_tol=1e-11, max_octaves=220,
@@ -132,42 +151,11 @@ def integrate_origin(f, b, breakpoints=(), rel_tol=1e-11, max_octaves=220,
     if b <= 0:
         return 0.0
     if support_lo > 0.0:
-        if support_lo >= b:
-            return 0.0
-        u, w = gauss_log_nodes(support_lo, b, breakpoints)
-        return float(w @ np.asarray(f(u), dtype=float))
-    total = 0.0
-    prev = None
-    prev_ratio = None
-    zero_run = 0
-    hi = float(b)
-    for j in range(max_octaves):
-        lo = 0.5 * hi
-        block = integrate_log(f, lo, hi, breakpoints)
-        total += block
-        zero_run = zero_run + 1 if block == 0.0 else 0
-        if zero_run >= 24 and j >= min_octaves:
-            return total      # integrand vanishes toward the origin
-        if prev is not None and prev > 0.0 and block > 0.0 and j >= min_octaves:
-            ratio = block / prev
-            if ratio < 0.995:
-                remainder = block * ratio / (1.0 - ratio)
-                done = remainder <= rel_tol * max(total, 1e-300)
-                if not done and prev_ratio is not None:
-                    drift = abs(ratio - prev_ratio) / (1.0 - ratio)
-                    done = drift * remainder <= rel_tol * max(
-                        total + remainder, 1e-300)
-                if done:
-                    return total + remainder
-            prev_ratio = ratio
-        prev = block
-        hi = lo
-    if on_divergence == "inf":
-        return math.inf
-    raise DivergentIntegralError(
-        f"integral near 0 below {b} did not converge within {max_octaves} octaves",
-        partial=total,
-    )
+        return integrate_log(f, support_lo, b, breakpoints)
+    return _octave_sum(
+        f, b, 0.5, breakpoints, rel_tol, max_octaves, min_octaves,
+        on_divergence,
+        f"integral near 0 below {b} did not converge within {max_octaves} octaves")
 
 
 def segment_integrals(f, edges, breakpoints=(), n=16):
@@ -188,12 +176,7 @@ def segment_integrals(f, edges, breakpoints=(), n=16):
     nonempty = hi > lo * (1.0 + 1e-14)
     fast = width_ok & ~has_bp & nonempty
     if np.any(fast):
-        base_x, base_w = _gl(n)
-        t0, t1 = np.log(lo[fast]), np.log(hi[fast])
-        mid = 0.5 * (t0 + t1)[:, None]
-        half = 0.5 * (t1 - t0)[:, None]
-        u = np.exp(mid + half * base_x[None, :])
-        w = half * base_w[None, :] * u
+        u, w = log_gauss_blocks(lo[fast], hi[fast], n)
         vals = np.asarray(f(u.ravel()), dtype=float).reshape(u.shape)
         out[fast] = np.sum(w * vals, axis=1)
     for j in np.nonzero(~fast & nonempty)[0]:
@@ -304,10 +287,3 @@ def jump_symbol_value(f, rho, d, breakpoints=(), support_lo=0.0, rel_tol=1e-10):
     wave_tail = oscillatory_tail_integral(f, osc_start, rho, d, bps)
     return near + plain_tail - wave_tail
 
-
-def loglog_slope(x, y):
-    """Least-squares slope of log y against log x (positive data)."""
-    lx = np.log(np.asarray(x, dtype=float))
-    ly = np.log(np.asarray(y, dtype=float))
-    slope, _ = np.polyfit(lx, ly, 1)
-    return float(slope)

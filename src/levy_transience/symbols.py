@@ -81,10 +81,6 @@ class ScalarField:
         lo, hi = self.bounds
         return lo == hi
 
-    @property
-    def is_even(self):
-        return self.kind == "const" or self.profile == "cos"
-
     def __call__(self, X):
         X = np.asarray(X, dtype=float)
         x1 = X[..., 0]
@@ -151,6 +147,16 @@ class LevyTriplet:
         if self.diffusion_field is not None:
             if self.diffusion_field.bounds[0] < 0:
                 raise ModelInvariantError("diffusion coefficient must be >= 0")
+
+    @property
+    def diffusion_bounds(self):
+        """(inf, sup) over states of the eigenvalues of C(x)."""
+        if self.diffusion_matrix is not None:
+            ev = np.linalg.eigvalsh(self.diffusion_matrix)
+            return float(ev.min()), float(ev.max())
+        if self.diffusion_field is not None:
+            return self.diffusion_field.bounds
+        return 0.0, 0.0
 
     def diffusion_quadratic(self, X, xi):
         """0.5 <xi, C(x) xi> for a batch of states X."""
@@ -220,9 +226,6 @@ class SymbolModel:
     def state_points(self):
         return self.state_grid.points(self.d)
 
-    def assumption(self, key, default=None):
-        return self.assumptions.get(key, default)
-
 
 def _unit(d):
     e = np.zeros(d)
@@ -286,8 +289,7 @@ def eval_symbol_batch(model: SymbolModel, X, xi) -> np.ndarray:
         dens = model.triplet.jump_density
         vals = np.empty(n)
         for i, xrow in enumerate(X):
-            vi = _variant_for_state(model, xrow)
-            vals[i] = _cached_jump_symbol(model, vi, rho)
+            vals[i] = dens.jump_symbol(rho, _variant_for_state(model, xrow))
         return vals.astype(complex)
     if fam == "custom":
         fn = p["eval_fn"]
@@ -302,18 +304,9 @@ def _variant_for_state(model, x):
     alpha = model.params.get("alpha")
     if isinstance(alpha, ScalarField) and not alpha.is_constant:
         a = float(alpha(np.atleast_2d(x))[0])
-        labels = [float(v.label.split("alpha=")[1].split(",")[0])
-                  for v in dens.variants]
-        return int(np.argmin(np.abs(np.asarray(labels) - a)))
+        alphas = np.asarray([v.alpha for v in dens.variants])
+        return int(np.argmin(np.abs(alphas - a)))
     return 0
-
-
-def _cached_jump_symbol(model, variant, rho):
-    key = ("jump", variant, float(rho))
-    cache = model._cache
-    if key not in cache:
-        cache[key] = model.triplet.jump_density.jump_symbol(rho, variant)
-    return cache[key]
 
 
 # ---------------------------------------------------------------------------
@@ -383,10 +376,8 @@ def _closed_envelope(model, kind, xi):
         dens = model.triplet.jump_density
         if kind == ENV_SUP_ABS_IM:
             return 0.0
-        which = "inf" if kind == ENV_INF_RE else "sup"
-        vals = [_cached_jump_symbol(model, i, rho)
-                for i in range(len(dens.variants))]
-        return min(vals) if which == "inf" else max(vals)
+        vals = [dens.jump_symbol(rho, i) for i in range(len(dens.variants))]
+        return min(vals) if kind == ENV_INF_RE else max(vals)
     if fam == "custom":
         env = p.get("envelopes") or {}
         fn = env.get(kind)
@@ -641,23 +632,51 @@ def custom_model(d, eval_fn, envelopes=None, x_samples=None,
 # Model files.
 # ---------------------------------------------------------------------------
 
+_REQUIRED = object()
+
+
+def _field(obj, key, convert=lambda v: v, default=_REQUIRED, root=""):
+    """obj[key] of a JSON object in a model file, passed through `convert`.
+    A missing required field or a value `convert` rejects raises
+    ConfigurationError naming the field (`root` + `key`)."""
+    if key not in obj:
+        if default is _REQUIRED:
+            raise ConfigurationError(f"model config missing field {root + key!r}")
+        return default
+    try:
+        return convert(obj[key])
+    except (ConfigurationError, IndexError, KeyError, TypeError,
+            ValueError) as exc:
+        raise ConfigurationError(f"model field {root + key!r} is malformed "
+                                 f"({obj[key]!r}): {exc}") from None
+
+
+def _floats(*shape):
+    """Converter to a float array of the given shape; None stays None."""
+    return lambda v: None if v is None else np.asarray(
+        v, dtype=float).reshape(shape)
+
+
 def density_from_spec(d, spec):
+    def get(key, convert, default=_REQUIRED):
+        return _field(spec, key, convert, default, root="parameters.density.")
+
     kind = spec.get("kind", "power")
     if kind in ("power", "radial_density"):
-        return power_density(d, alpha=_range_or_const(spec["alpha"]),
-                             coeff=_range_or_const(spec.get("coeff", 1.0)),
-                             u0=float(spec.get("u0", 0.0)))
+        return power_density(d, alpha=get("alpha", _range_or_const),
+                             coeff=get("coeff", _range_or_const, 1.0),
+                             u0=get("u0", float, 0.0))
     if kind == "stable":
-        return stable_density(d, alpha=_range_or_const(spec["alpha"]),
-                              gamma=_range_or_const(spec.get("gamma", 1.0)))
+        return stable_density(d, alpha=get("alpha", _range_or_const),
+                              gamma=get("gamma", _range_or_const, 1.0))
     if kind == "power_log":
-        return power_log_density(d, exponent=float(spec["exponent"]),
-                                 log_exponent=float(spec["log_exponent"]),
-                                 coeff=float(spec.get("coeff", 1.0)),
-                                 u_start=float(spec.get("u_start", math.e)))
+        return power_log_density(d, exponent=get("exponent", float),
+                                 log_exponent=get("log_exponent", float),
+                                 coeff=get("coeff", float, 1.0),
+                                 u_start=get("u_start", float, math.e))
     if kind == "table":
-        return table_density(d, spec["u"], spec["n"],
-                             u0=float(spec.get("u0", 0.0)),
+        return table_density(d, get("u", _floats(-1)), get("n", _floats(-1)),
+                             u0=get("u0", float, 0.0),
                              monotone=bool(spec.get("monotone", True)))
     raise ConfigurationError(f"unknown density kind {kind!r}")
 
@@ -671,41 +690,56 @@ def _range_or_const(v):
 
 
 def model_from_config(cfg: dict) -> SymbolModel:
-    """Build a model from a parsed JSON config (schema in the README)."""
-    try:
-        family = cfg["family"]
-        d = int(cfg["d"])
-    except KeyError as exc:
-        raise ConfigurationError(f"model config missing field {exc}") from exc
-    params = cfg.get("parameters", {})
+    """Build a model from a parsed JSON config (schema in the README).
+
+    A missing or malformed field raises ConfigurationError naming it.
+    """
+    if not isinstance(cfg, dict):
+        raise ConfigurationError("model config must be a JSON object")
+    family = _field(cfg, "family")
+    d = _field(cfg, "d", float)
+    if not (d >= 1 and d.is_integer()):
+        raise ConfigurationError(f"model field 'd' must be a positive "
+                                 f"integer, got {cfg['d']!r}")
+    d = int(d)
+    params = _field(cfg, "parameters", dict, {})
     mode = cfg.get("envelope_mode", "closed_form")
-    sg = cfg.get("state_grid")
-    grid = StateGrid(tuple(sg["box"]), int(sg.get("points_per_axis", 21))) \
+    sg = _field(cfg, "state_grid", lambda v: dict(v or {}), {})
+    grid = StateGrid(
+        tuple(_field(sg, "box", _floats(2), root="state_grid.").tolist()),
+        _field(sg, "points_per_axis", int, 21, root="state_grid.")) \
         if sg else StateGrid()
-    assumptions = dict(cfg.get("assumptions", {}))
+    assumptions = _field(cfg, "assumptions", dict, {})
+
+    def param(key, convert, default=_REQUIRED):
+        return _field(params, key, convert, default, root="parameters.")
+
     if family == "brownian_drift":
-        return brownian_drift(d, drift=params.get("b"),
-                              c=params.get("c", 1.0) if "C" not in params else 1.0,
-                              C=params.get("C"), envelope_mode=mode,
+        return brownian_drift(d, drift=param("b", _floats(d), None),
+                              c=param("c", ScalarField.make, 1.0)
+                              if "C" not in params else 1.0,
+                              C=param("C", _floats(d, d), None),
+                              envelope_mode=mode,
                               state_grid=grid, assumptions=assumptions)
     if family == "isotropic_stable":
-        return isotropic_stable(d, float(params["alpha"]),
-                                float(params.get("gamma", 1.0)),
+        return isotropic_stable(d, param("alpha", float),
+                                param("gamma", float, 1.0),
                                 envelope_mode=mode, assumptions=assumptions)
     if family == "stable_like":
-        beta = params.get("beta")
-        if beta is not None and not np.any(np.asarray(beta, dtype=float)):
+        beta = param("beta", _floats(d), None)
+        if beta is not None and not np.any(beta):
             beta = None
-        return stable_like(d, alpha=params["alpha"], beta=beta,
-                           gamma=params.get("gamma", 1.0), envelope_mode=mode,
+        return stable_like(d, alpha=param("alpha", ScalarField.make), beta=beta,
+                           gamma=param("gamma", ScalarField.make, 1.0),
+                           envelope_mode=mode,
                            state_grid=grid, assumptions=assumptions)
     if family == "radial_jump":
-        dens = density_from_spec(d, params["density"])
+        dens = density_from_spec(d, param("density", dict))
         return radial_jump_model(dens, envelope_mode=mode,
                                  assumptions=assumptions)
     if family == "finite_jump":
-        return finite_jump_model(d, alpha=params["alpha"], envelope_mode=mode,
-                                 assumptions=assumptions)
+        return finite_jump_model(d, alpha=param("alpha", ScalarField.make),
+                                 envelope_mode=mode, assumptions=assumptions)
     raise ConfigurationError(f"family {family!r} is not loadable from JSON")
 
 

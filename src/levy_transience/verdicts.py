@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateModelError, QuadratureError
-from .quadrature import gauss_log_nodes
+from .quadrature import log_gauss_blocks
 
 DIVERGES = "diverges"
 CONVERGES = "converges"
@@ -107,6 +107,19 @@ def _refine(rhos, g, singularity):
     return (DIVERGES if level > 0.25 * np.max(y) else CONVERGES), info
 
 
+def memoized_profile(cache, compute):
+    """rhos -> values of a function of the radius, memoized per radius in the
+    dict `cache`; radii not cached yet go to compute(sorted radii) at once."""
+    def profile(rhos):
+        rhos = np.atleast_1d(np.asarray(rhos, dtype=float))
+        missing = sorted({float(r) for r in rhos} - cache.keys())
+        if missing:
+            cache.update(zip(missing, map(float, compute(missing))))
+        return np.asarray([cache[float(r)] for r in rhos])
+
+    return profile
+
+
 def verdict_from_radial_integrand(G, r, K=DEFAULT_LADDER, band=DEFAULT_BAND,
                                   singularity=AT_ORIGIN, n_gl=16,
                                   notes=()) -> DivergenceVerdict:
@@ -128,19 +141,12 @@ def verdict_from_radial_integrand(G, r, K=DEFAULT_LADDER, band=DEFAULT_BAND,
             "radial integrand vanishes at positive radius; model degenerate")
 
     # cumulative partial integrals octave by octave, single vectorized G call
-    nodes, weights, octave_id = [], [], []
-    for j in range(K):
-        a, b = (rhos[j + 1], rhos[j]) if singularity == AT_ORIGIN \
-            else (rhos[j], rhos[j + 1])
-        u, w = gauss_log_nodes(a, b, n=n_gl)
-        nodes.append(u)
-        weights.append(w)
-        octave_id.append(np.full(u.size, j))
-    nodes = np.concatenate(nodes)
-    weights = np.concatenate(weights)
-    octave_id = np.concatenate(octave_id)
-    contrib = weights * np.asarray(G(nodes), dtype=float)
-    octave_ints = np.bincount(octave_id, weights=contrib, minlength=K)
+    lo, hi = (rhos[1:], rhos[:-1]) if singularity == AT_ORIGIN \
+        else (rhos[:-1], rhos[1:])
+    nodes, weights = log_gauss_blocks(lo, hi, n_gl)
+    contrib = weights.ravel() * np.asarray(G(nodes.ravel()), dtype=float)
+    octave_ints = np.bincount(np.repeat(np.arange(K), n_gl), weights=contrib,
+                              minlength=K)
     cumulative = np.cumsum(octave_ints)
     partials = tuple((float(rhos[j + 1]), float(cumulative[j])) for j in range(K))
 
@@ -149,20 +155,14 @@ def verdict_from_radial_integrand(G, r, K=DEFAULT_LADDER, band=DEFAULT_BAND,
     window = slice(K - 7, K + 1)
     refined_state, refinement = _refine(rhos[window], g[window], singularity)
 
-    if singularity == AT_ORIGIN:
-        if exponent <= -1.0 - band:
-            state = DIVERGES
-        elif exponent >= -1.0 + band:
-            state = CONVERGES
-        else:
-            state = INCONCLUSIVE
+    # rho^e is integrable at the origin iff e > -1, at infinity iff e < -1
+    below, above = exponent <= -1.0 - band, exponent >= -1.0 + band
+    if below if singularity == AT_ORIGIN else above:
+        state = DIVERGES
+    elif above if singularity == AT_ORIGIN else below:
+        state = CONVERGES
     else:
-        if exponent >= -1.0 + band:
-            state = DIVERGES
-        elif exponent <= -1.0 - band:
-            state = CONVERGES
-        else:
-            state = INCONCLUSIVE
+        state = INCONCLUSIVE
 
     return DivergenceVerdict(
         state=state, exponent=exponent, band=band, partials=partials,

@@ -191,3 +191,12 @@ def test_oscillatory_envelope_is_inconclusive():
         x_independent=True)
     v = weak_integral_kappa(model, 0.0, 1.0)
     assert v.state == INCONCLUSIVE
+
+
+@pytest.mark.parametrize("kappa", [math.nan, math.inf, -1.0])
+def test_non_finite_or_negative_kappa_rejected(bm3, kappa):
+    with pytest.raises(ConfigurationError, match="kappa"):
+        WeightFunction.power(kappa)
+    for test in (weak_integral_kappa, strong_integral_kappa):
+        with pytest.raises(ConfigurationError, match="kappa"):
+            test(bm3, kappa, 1.0)

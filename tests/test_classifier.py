@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -67,6 +68,12 @@ def test_kappa_boundary_integral_only(bm3, stable_05_d1):
     assert got == pytest.approx(0.5, abs=0.02)
     got = kappa_boundary(stable_05_d1, tol=0.01, methods=("integral",))
     assert got == pytest.approx(1.0, abs=0.02)
+
+
+@pytest.mark.parametrize("kappa", [math.nan, math.inf])
+def test_classify_rejects_non_finite_kappa(stable_10_d3, kappa):
+    with pytest.raises(ConfigurationError, match="kappa"):
+        classify(stable_10_d3, kappa)
 
 
 def test_kappa_boundary_no_boundary(bm3):

@@ -182,3 +182,42 @@ def test_report_json_round_trip(runner, model_file, tmp_path):
                          "--out", str(out)])
     text = (out / "report.json").read_text()
     assert json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n" == text
+
+
+@pytest.mark.parametrize("cfg, field", [
+    ({"family": "isotropic_stable", "d": 3, "parameters": {"gamma": 1}},
+     "parameters.alpha"),
+    ({"family": "isotropic_stable", "d": 2.5,
+      "parameters": {"alpha": 1.0}}, "'d'"),
+    ({"family": "isotropic_stable", "d": 3,
+      "parameters": {"alpha": "one"}}, "parameters.alpha"),
+    ({"family": "stable_like", "d": 2,
+      "parameters": {"alpha": {"lo": 0.5}}}, "parameters.alpha"),
+    ({"family": "stable_like", "d": 2,
+      "parameters": {"alpha": 1.0, "beta": [1.0]}}, "parameters.beta"),
+    ({"family": "radial_jump", "d": 2, "parameters": {"density": {
+        "kind": "table", "u": [1, 10], "n": ["a", 1]}}},
+     "parameters.density.n"),
+    ({"family": "brownian_drift", "d": 2,
+      "parameters": {"c": 1.0}, "state_grid": {"box": [0]}}, "state_grid.box"),
+])
+def test_malformed_model_file_names_the_field(runner, model_file, tmp_path,
+                                               cfg, field):
+    path = model_file(cfg, "bad.json")
+    result = runner.invoke(main, ["classify", "--model", path,
+                                  "--kappa", "1.0",
+                                  "--out", str(tmp_path / "o")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error:") and field in result.stderr
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("kappa", ["nan", "inf"])
+def test_non_finite_kappa_exit_code(runner, model_file, tmp_path, kappa):
+    path = model_file(BM3, "bm3.json")
+    result = runner.invoke(main, ["classify", "--model", path,
+                                  "--kappa", kappa,
+                                  "--out", str(tmp_path / "o")])
+    assert result.exit_code == 1
+    assert "error: kappa must be finite" in result.stderr

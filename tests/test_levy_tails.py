@@ -13,7 +13,11 @@ from levy_transience.densities import (
     stable_density,
     table_density,
 )
-from levy_transience.errors import NonPowerTailError, NotApplicableError
+from levy_transience.errors import (
+    ConfigurationError,
+    NonPowerTailError,
+    NotApplicableError,
+)
 from levy_transience.levy_tails import (
     comparison_transfer,
     cos_moment_condition,
@@ -273,3 +277,12 @@ def test_truncated_second_moment_power():
     rho = 5.0
     want = 2.0 * coef * rho ** 1.5 / 1.5
     assert truncated_second_moment(dens, rho) == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("kappa", [math.nan, math.inf])
+def test_tail_tests_reject_non_finite_kappa(kappa):
+    dens = stable_density(1, 0.5)
+    for test in (tail_test_weak, tail_test_strong, split_tail_tests,
+                 density_floor_test):
+        with pytest.raises(ConfigurationError, match="kappa"):
+            test(dens, 1, kappa, 2.0)

@@ -258,3 +258,9 @@ def test_positivity_diagnostic_symmetric():
     xi_set = [s * np.array([1.0, 0.0]) for s in (0.5, 1.0, 2.0, 4.0)]
     diag = positivity_diagnostic(model, 1.0, xi_set, cfg)
     assert diag["nonnegative_within_3se"]
+
+
+@pytest.mark.parametrize("kappa", [math.nan, math.inf])
+def test_sim_config_rejects_non_finite_kappa(kappa):
+    with pytest.raises(ConfigurationError, match="kappa"):
+        SimConfig(horizon=1.0, paths=10, seed=1, radius=1.0, kappa=kappa)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from levy_transience.densities import power_density
+from levy_transience.densities import modified_density, power_density
 from levy_transience.errors import ConfigurationError, DegenerateModelError
 from levy_transience.symbols import (
     StateGrid,
@@ -12,6 +12,7 @@ from levy_transience.symbols import (
     custom_model,
     eval_symbol,
     eval_symbol_batch,
+    finite_jump_model,
     inf_re_symbol,
     isotropic_stable,
     model_from_config,
@@ -22,6 +23,7 @@ from levy_transience.symbols import (
     sup_abs_im_symbol,
     sup_abs_symbol,
     symmetry_check,
+    _variant_for_state,
 )
 
 
@@ -178,3 +180,22 @@ def test_load_model_bad_json(tmp_path):
         from levy_transience.symbols import load_model
         load_model(str(p))
     assert "line" in str(err.value)
+
+
+def test_variant_for_state_picks_nearest_stored_alpha():
+    # finite_jump alpha in [1, 3] with the cos profile has variants at
+    # alpha = 1, 1.25, ..., 3 and alpha(x) = 2 + cos(x_1) at state x
+    model = finite_jump_model(2, alpha=(1.0, 3.0))
+    dens = model.triplet.jump_density
+    for x1, index in ((0.0, 8), (math.pi, 0), (math.pi / 2, 4),
+                      (2.0 * math.pi / 3, 2), (1.0, 6)):
+        x = np.array([x1, 0.0])
+        assert _variant_for_state(model, x) == index
+        xi = np.array([0.3, 0.4])
+        assert eval_symbol(model, x, xi).real == dens.jump_symbol(0.5, index)
+    # labels of modified variants no longer carry a parsable alpha
+    modified = radial_jump_model(modified_density(dens, 2.0, factor=0.5),
+                                 params={"alpha": model.params["alpha"]})
+    assert [v.alpha for v in modified.triplet.jump_density.variants] \
+        == [v.alpha for v in dens.variants]
+    assert _variant_for_state(modified, np.array([1.0, 0.0])) == 6
