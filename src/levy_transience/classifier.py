@@ -17,6 +17,7 @@ from .errors import (
     LevyTransienceError,
     NonPowerTailError,
     NotApplicableError,
+    QuadratureError,
     check_kappa,
 )
 from .index_rules import (
@@ -137,7 +138,7 @@ def _structural_gate(model):
         if model.triplet.diffusion_bounds[0] > 0:
             return GATE_TRANSIENT if d >= 3 else GATE_RECURRENT
         return None
-    if fam in ("isotropic_stable", "stable_like"):
+    if fam == "stable_like":
         a_lo, a_hi = p["alpha"].bounds
         if d >= 2:
             return GATE_TRANSIENT
@@ -192,72 +193,46 @@ def _rv_index(dens, d, tol=0.02):
 # Closed-form family rules.
 # ---------------------------------------------------------------------------
 
-def _closed_form_rules(model, d, kappa, records):
+def _closed_form_rules(model, d, kappa):
+    """The family's closed-form rules that fire, as (side, rule_id,
+    statement, detail) tuples."""
     fam, p = model.family, model.params
-    sides = []
     if fam == "brownian_drift" and model.drift_vector is None:
         if model.triplet.diffusion_bounds[0] > 0:
             weak = d <= 2.0 * (kappa + 1.0)
-            side = "weak" if weak else "strong"
-            records.append(RuleRecord(
-                rule_id="elliptic-moment-rule",
-                statement="driftless uniformly elliptic diffusion: weakly "
-                          "transient iff d <= 2(kappa+1)",
-                verdict=side, method="closed_form",
-                detail={"d": d, "kappa": kappa,
-                        "threshold": 2.0 * (kappa + 1.0)}))
-            sides.append(side)
-        return sides
-    if fam in ("isotropic_stable", "stable_like") \
-            and model.drift_vector is None and p["alpha"].is_constant:
+            yield ("weak" if weak else "strong", "elliptic-moment-rule",
+                   "driftless uniformly elliptic diffusion: weakly "
+                   "transient iff d <= 2(kappa+1)",
+                   {"d": d, "kappa": kappa, "threshold": 2.0 * (kappa + 1.0)})
+    elif fam == "stable_like" and model.drift_vector is None \
+            and p["alpha"].is_constant:
         alpha = p["alpha"].bounds[0]
         weak = d <= alpha * (kappa + 1.0)
-        side = "weak" if weak else "strong"
-        records.append(RuleRecord(
-            rule_id="stable-scaling-rule",
-            statement="rotation-invariant stable scaling: weakly transient "
-                      "iff d/(kappa+1) <= alpha",
-            verdict=side, method="closed_form",
-            detail={"d": d, "kappa": kappa, "alpha": alpha}))
-        sides.append(side)
-        return sides
-    if fam == "stable_like":
+        yield ("weak" if weak else "strong", "stable-scaling-rule",
+               "rotation-invariant stable scaling: weakly transient "
+               "iff d/(kappa+1) <= alpha",
+               {"d": d, "kappa": kappa, "alpha": alpha})
+    elif fam == "stable_like":
         a_lo, a_hi = p["alpha"].bounds
         has_drift = model.drift_vector is not None
         if has_drift and a_lo < 1.0 and d <= (kappa + 1.0) * a_lo:
-            records.append(RuleRecord(
-                rule_id="stable-like-drift-low",
-                statement="drifted, lower index < 1: d <= (kappa+1)*alpha_lo "
-                          "gives the weak side",
-                verdict="weak", method="closed_form",
-                detail={"alpha_lo": a_lo}))
-            sides.append("weak")
+            yield ("weak", "stable-like-drift-low",
+                   "drifted, lower index < 1: d <= (kappa+1)*alpha_lo "
+                   "gives the weak side", {"alpha_lo": a_lo})
         if has_drift and a_lo >= 1.0 and d <= (kappa + 1.0):
-            records.append(RuleRecord(
-                rule_id="stable-like-drift-unit",
-                statement="drifted, lower index >= 1: d <= kappa+1 gives the "
-                          "weak side",
-                verdict="weak", method="closed_form", detail={}))
-            sides.append("weak")
+            yield ("weak", "stable-like-drift-unit",
+                   "drifted, lower index >= 1: d <= kappa+1 gives the "
+                   "weak side", {})
         if not has_drift and d <= (kappa + 1.0) * a_lo:
-            records.append(RuleRecord(
-                rule_id="stable-like-driftless",
-                statement="driftless: d <= (kappa+1)*alpha_lo gives the weak "
-                          "side",
-                verdict="weak", method="closed_form",
-                detail={"alpha_lo": a_lo}))
-            sides.append("weak")
+            yield ("weak", "stable-like-driftless",
+                   "driftless: d <= (kappa+1)*alpha_lo gives the weak side",
+                   {"alpha_lo": a_lo})
         if d > (kappa + 1.0) * a_hi:
-            records.append(RuleRecord(
-                rule_id="stable-like-strong",
-                statement="d > (kappa+1)*alpha_hi gives the strong side",
-                verdict="strong", method="closed_form",
-                detail={"alpha_hi": a_hi}))
-            sides.append("strong")
-        return sides
-    if fam == "finite_jump":
+            yield ("strong", "stable-like-strong",
+                   "d > (kappa+1)*alpha_hi gives the strong side",
+                   {"alpha_hi": a_hi})
+    elif fam == "finite_jump":
         a_lo, a_hi = p["alpha"].bounds
-        weak = strong = False
         if a_hi < 2.0:
             weak = a_lo * (kappa + 1.0) >= d
             strong = a_hi * (kappa + 1.0) < d
@@ -271,34 +246,21 @@ def _closed_form_rules(model, d, kappa, records):
             strong = 2.0 * (kappa + 1.0) <= d
             case = "tail index exactly 2"
         else:
-            return sides
-        if weak:
-            records.append(RuleRecord(
-                rule_id="bounded-jump-rule", verdict="weak",
-                statement=f"unit-mass power jump kernel, {case}: weak side",
-                method="closed_form", detail={"alpha_lo": a_lo, "alpha_hi": a_hi}))
-            sides.append("weak")
-        if strong:
-            records.append(RuleRecord(
-                rule_id="bounded-jump-rule", verdict="strong",
-                statement=f"unit-mass power jump kernel, {case}: strong side",
-                method="closed_form", detail={"alpha_lo": a_lo, "alpha_hi": a_hi}))
-            sides.append("strong")
-        return sides
-    if fam == "radial_jump":
+            return
+        for side, fired in (("weak", weak), ("strong", strong)):
+            if fired:
+                yield (side, "bounded-jump-rule",
+                       f"unit-mass power jump kernel, {case}: {side} side",
+                       {"alpha_lo": a_lo, "alpha_hi": a_hi})
+    elif fam == "radial_jump":
         delta, borderline = _rv_index(model.triplet.jump_density, d)
         if delta is None:
-            return sides
+            return
         cls = rv_classify(d, delta, kappa, borderline_converges=borderline)
         if cls.transient and cls.weakly_transient is not None:
-            side = "weak" if cls.weakly_transient else "strong"
-            records.append(RuleRecord(
-                rule_id=f"rv-case-{cls.case}", statement=cls.statement,
-                verdict=side, method="closed_form",
-                detail={"index": delta, "kappa": kappa}))
-            sides.append(side)
-        return sides
-    return sides
+            yield ("weak" if cls.weakly_transient else "strong",
+                   f"rv-case-{cls.case}", cls.statement,
+                   {"index": delta, "kappa": kappa})
 
 
 # ---------------------------------------------------------------------------
@@ -323,32 +285,36 @@ def classify(model: SymbolModel, kappa: float, d=None, r=1.0,
     evidence = {}   # method band -> set of sides
     notes = []
 
-    if "closed_form" in methods:
-        sides = _closed_form_rules(model, d, kappa, records)
-        if sides:
-            evidence["closed_form"] = set(sides)
-
     def fire(method, side, rule_id, statement, detail):
         records.append(RuleRecord(rule_id=rule_id, statement=statement,
                                   verdict=side, method=method, detail=detail))
         if side != "info":
             evidence.setdefault(method, set()).add(side)
 
+    if "closed_form" in methods:
+        for rule in _closed_form_rules(model, d, kappa):
+            fire("closed_form", *rule)
+
     if "integral" in methods:
-        weak_v = weak_integral_kappa(model, kappa, r)
-        strong_v = strong_integral_kappa(model, kappa, r)
-        if weak_v.decided_state == DIVERGES:
-            fire("integral", "weak", "cf-weak-integral",
-                 "small-frequency integral of (sup|q|)^{-(kappa+1)} diverges",
-                 weak_v.to_json())
-        if strong_v.decided_state == CONVERGES:
-            sector_ok = _sector_constant(model, assumptions)
-            fire("integral", "strong", "cf-strong-integral",
-                 "small-frequency integral of (inf Re q)^{-(kappa+1)} converges",
-                 dict(strong_v.to_json(), sector_constant=sector_ok))
-            if sector_ok is None:
-                notes.append("strong-side evidence lacks a verified sector "
-                             "constant; conditional")
+        try:
+            weak_v = weak_integral_kappa(model, kappa, r)
+            if weak_v.decided_state == DIVERGES:
+                fire("integral", "weak", "cf-weak-integral",
+                     "small-frequency integral of (sup|q|)^{-(kappa+1)} "
+                     "diverges", weak_v.to_json())
+            strong_v = strong_integral_kappa(model, kappa, r)
+            if strong_v.decided_state == CONVERGES:
+                sector_ok = _sector_constant(model, assumptions)
+                fire("integral", "strong", "cf-strong-integral",
+                     "small-frequency integral of (inf Re q)^{-(kappa+1)} "
+                     "converges",
+                     dict(strong_v.to_json(), sector_constant=sector_ok))
+                if sector_ok is None:
+                    notes.append("strong-side evidence lacks a verified "
+                                 "sector constant; conditional")
+        except QuadratureError as exc:
+            # e.g. (sup|q|)^(kappa+1) over/underflowing at a large kappa
+            notes.append(f"integral tests skipped: {exc}")
 
     if "tail" in methods and model.triplet.jump_density is not None \
             and model.drift_vector is None:
@@ -380,7 +346,7 @@ def classify(model: SymbolModel, kappa: float, d=None, r=1.0,
                      "truncated-moment tail test converges and the "
                      "cosine-moment floor is positive",
                      split.strong_second_moment.to_json())
-        except (NotApplicableError, NonPowerTailError) as exc:
+        except (NotApplicableError, NonPowerTailError, QuadratureError) as exc:
             notes.append(f"tail tests not applicable: {exc}")
 
     if "index" in methods:

@@ -370,7 +370,10 @@ def perturbation_distance(density_a: RadialLevyDensity,
 
         def g(u, _va=va, _vb=vb):
             u = np.asarray(u, dtype=float)
-            return s_d * u ** (d + 1) * np.abs(_va(u) - _vb(u))
+            # u^(d+1) overflows only after ~255 octaves of a diverging
+            # integral; the inf blocks then still read as divergence
+            with np.errstate(over="ignore"):
+                return s_d * u ** (d + 1) * np.abs(_va(u) - _vb(u))
 
         try:
             val = integrate_origin(g, 1.0, bps) + integrate_tail(g, 1.0, bps)

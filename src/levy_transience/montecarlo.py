@@ -102,7 +102,7 @@ def _positive_stable(alpha_half, gen, n):
     return _kanter(alpha_half, u, gen.standard_exponential(n))
 
 
-def _isotropic_stable_sample(d, alpha, scale_c, gen, n):
+def _stable_sample(d, alpha, scale_c, gen, n):
     """Samples with characteristic function exp(-scale_c * |xi|^alpha),
     via a positive-stable subordinated Gaussian."""
     s = scale_c ** (2.0 / alpha) * _positive_stable(0.5 * alpha, gen, n)
@@ -120,8 +120,8 @@ def _constant_param(model, key):
 
 def sample_levy_marginal(model: SymbolModel, t: float,
                          gen: np.random.Generator, n: int) -> np.ndarray:
-    """n samples of X_t for a state-independent Brownian or isotropic
-    stable family started at 0."""
+    """n samples of X_t started at 0, for a state-independent Brownian or
+    stable-like model, drifted or not."""
     if t <= 0:
         raise ConfigurationError("marginal time must be positive")
     d = model.d
@@ -132,15 +132,16 @@ def sample_levy_marginal(model: SymbolModel, t: float,
         else:
             L = math.sqrt(_constant_param(model, "c")) * np.eye(d)
         x = math.sqrt(t) * gen.standard_normal((n, d)) @ L.T
-        if model.triplet.drift is not None:
-            x = x + t * model.triplet.drift
-        return x
-    if model.family == "isotropic_stable":
+    elif model.family == "stable_like":
         alpha = _constant_param(model, "alpha")
         gamma = _constant_param(model, "gamma")
-        return _isotropic_stable_sample(d, alpha, t * gamma, gen, n)
-    raise ConfigurationError(
-        f"family {model.family!r} has no exact marginal sampler")
+        x = _stable_sample(d, alpha, t * gamma, gen, n)
+    else:
+        raise ConfigurationError(
+            f"family {model.family!r} has no exact marginal sampler")
+    if model.triplet.drift is not None:
+        x = x + t * model.triplet.drift
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +156,7 @@ def _family_step_fields(model):
             L = np.linalg.cholesky(C + 1e-300 * np.eye(model.d))
             return ("brownian_matrix", L)
         return ("brownian", p["c"])
-    if model.family in ("isotropic_stable", "stable_like"):
+    if model.family == "stable_like":
         return ("stable", p["alpha"], p["gamma"])
     raise ConfigurationError(
         f"family {model.family!r} has no Euler path scheme")

@@ -173,8 +173,8 @@ class LevyTriplet:
 # The model.
 # ---------------------------------------------------------------------------
 
-FAMILIES = ("brownian_drift", "isotropic_stable", "stable_like",
-            "radial_jump", "finite_jump", "custom")
+FAMILIES = ("brownian_drift", "stable_like", "radial_jump", "finite_jump",
+            "custom")
 
 
 @dataclass(frozen=True)
@@ -202,21 +202,12 @@ class SymbolModel:
 
     @property
     def is_state_independent(self):
-        if self.family in ("brownian_drift", "isotropic_stable"):
-            return all(f.is_constant for f in self._scalar_fields())
-        if self.family in ("stable_like", "radial_jump", "finite_jump"):
-            dens = self.triplet.jump_density
-            dens_ok = dens is None or dens.x_independent
-            return dens_ok and all(f.is_constant for f in self._scalar_fields())
-        return bool(self.params.get("x_independent", False))
-
-    def _scalar_fields(self):
-        out = []
-        for key in ("alpha", "gamma", "c"):
-            f = self.params.get(key)
-            if isinstance(f, ScalarField):
-                out.append(f)
-        return out
+        if self.family == "custom":
+            return bool(self.params.get("x_independent", False))
+        dens = self.triplet.jump_density
+        fields = (self.params.get(key) for key in ("alpha", "gamma", "c"))
+        return (dens is None or dens.x_independent) and all(
+            f.is_constant for f in fields if isinstance(f, ScalarField))
 
     @property
     def drift_vector(self):
@@ -267,34 +258,22 @@ def eval_symbol_batch(model: SymbolModel, X, xi) -> np.ndarray:
         return np.zeros(n, dtype=complex)
     fam = model.family
     p = model.params
-    rho = float(np.linalg.norm(xi))
-    if fam == "brownian_drift":
-        re = model.triplet.diffusion_quadratic(X, xi)
-        im = np.zeros(n)
-        if model.triplet.drift is not None:
-            im = -np.full(n, float(xi @ model.triplet.drift))
-        return re + 1j * im
-    if fam == "isotropic_stable":
-        val = p["gamma"].value * rho ** p["alpha"].value
-        return np.full(n, val, dtype=complex)
-    if fam == "stable_like":
-        alpha = p["alpha"](X)
-        gamma = p["gamma"](X)
-        re = gamma * rho ** alpha
-        im = np.zeros(n)
-        if model.triplet.drift is not None:
-            im = -np.full(n, float(xi @ model.triplet.drift))
-        return re + 1j * im
-    if fam in ("radial_jump", "finite_jump"):
-        dens = model.triplet.jump_density
-        vals = np.empty(n)
-        for i, xrow in enumerate(X):
-            vals[i] = dens.jump_symbol(rho, _variant_for_state(model, xrow))
-        return vals.astype(complex)
     if fam == "custom":
         fn = p["eval_fn"]
         return np.asarray([complex(fn(xrow, xi)) for xrow in X])
-    raise ConfigurationError(f"unknown family {fam!r}")
+    rho = float(np.linalg.norm(xi))
+    if fam == "brownian_drift":
+        re = model.triplet.diffusion_quadratic(X, xi)
+    elif fam == "stable_like":
+        re = p["gamma"](X) * rho ** p["alpha"](X)
+    else:
+        dens = model.triplet.jump_density
+        re = np.asarray([dens.jump_symbol(rho, _variant_for_state(model, xrow))
+                         for xrow in X], dtype=float)
+    im = np.zeros(n)
+    if model.triplet.drift is not None:
+        im = -np.full(n, float(xi @ model.triplet.drift))
+    return re + 1j * im
 
 
 def _variant_for_state(model, x):
@@ -342,47 +321,32 @@ def _envelope(model, kind, xi):
 def _closed_envelope(model, kind, xi):
     fam = model.family
     p = model.params
-    rho = float(np.linalg.norm(xi))
+    if fam == "custom":
+        fn = (p.get("envelopes") or {}).get(kind)
+        return None if fn is None else float(fn(xi))
     drift = model.triplet.drift
     drift_term = abs(float(xi @ drift)) if drift is not None else 0.0
+    if kind == ENV_SUP_ABS_IM:
+        return drift_term   # b is constant, so sup|Im q| = |<xi, b>|
+    rho = float(np.linalg.norm(xi))
     if fam == "brownian_drift":
         if model.triplet.diffusion_matrix is not None:
-            re = 0.5 * float(xi @ model.triplet.diffusion_matrix @ xi)
-            re_lo = re_hi = re
+            lo = hi = 0.5 * float(xi @ model.triplet.diffusion_matrix @ xi)
         else:
             c_lo, c_hi = p["c"].bounds
-            re_lo, re_hi = 0.5 * c_lo * rho ** 2, 0.5 * c_hi * rho ** 2
-        if kind == ENV_INF_RE:
-            return re_lo
-        if kind == ENV_SUP_ABS_IM:
-            return drift_term
-        return math.hypot(drift_term, re_hi)
-    if fam == "isotropic_stable":
-        val = p["gamma"].value * rho ** p["alpha"].value
-        return 0.0 if kind == ENV_SUP_ABS_IM else val
-    if fam == "stable_like":
-        a_lo, a_hi = p["alpha"].bounds
-        g_lo, g_hi = p["gamma"].bounds
+            lo, hi = 0.5 * c_lo * rho ** 2, 0.5 * c_hi * rho ** 2
+    elif fam == "stable_like":
         if not (p["alpha"].is_constant or p["gamma"].is_constant):
             return None   # joint variation: fall back to the state grid
-        pow_lo = min(rho ** a_lo, rho ** a_hi)
-        pow_hi = max(rho ** a_lo, rho ** a_hi)
-        if kind == ENV_INF_RE:
-            return g_lo * pow_lo
-        if kind == ENV_SUP_ABS_IM:
-            return drift_term
-        return math.hypot(drift_term, g_hi * pow_hi)
-    if fam in ("radial_jump", "finite_jump"):
+        a_lo, a_hi = p["alpha"].bounds
+        g_lo, g_hi = p["gamma"].bounds
+        lo = g_lo * min(rho ** a_lo, rho ** a_hi)
+        hi = g_hi * max(rho ** a_lo, rho ** a_hi)
+    else:
         dens = model.triplet.jump_density
-        if kind == ENV_SUP_ABS_IM:
-            return 0.0
         vals = [dens.jump_symbol(rho, i) for i in range(len(dens.variants))]
-        return min(vals) if kind == ENV_INF_RE else max(vals)
-    if fam == "custom":
-        env = p.get("envelopes") or {}
-        fn = env.get(kind)
-        return None if fn is None else float(fn(xi))
-    return None
+        lo, hi = min(vals), max(vals)
+    return lo if kind == ENV_INF_RE else math.hypot(drift_term, hi)
 
 
 def _grid_envelope(model, kind, xi):
@@ -414,22 +378,12 @@ def direction_set(d, n):
 
 def envelope_is_radial(model: SymbolModel, kind) -> bool:
     """Whether the envelope, as a function of xi, is rotation invariant."""
-    fam = model.family
-    if fam in ("isotropic_stable", "radial_jump", "finite_jump"):
-        return True
-    has_drift = model.drift_vector is not None
-    if fam == "brownian_drift":
-        iso = model.triplet.diffusion_matrix is None or _matrix_isotropic(
-            model.triplet.diffusion_matrix)
-        if kind == ENV_INF_RE:
-            return iso
-        return iso and (not has_drift or model.d == 1)
-    if fam == "stable_like":
-        if kind == ENV_INF_RE:
-            return True
-        return not has_drift or model.d == 1
-    # custom: numeric sampling over rotations
-    return _numeric_radial(model, kind)
+    if model.family == "custom":
+        return _numeric_radial(model, kind)   # sampled over rotations
+    C = model.triplet.diffusion_matrix
+    iso = C is None or _matrix_isotropic(C)
+    return iso and (kind == ENV_INF_RE or model.drift_vector is None
+                    or model.d == 1)
 
 
 def _matrix_isotropic(C):
@@ -564,16 +518,14 @@ def brownian_drift(d, drift=None, c=1.0, C=None, envelope_mode="closed_form",
 
 def isotropic_stable(d, alpha, gamma=1.0, envelope_mode="closed_form",
                      assumptions=None):
+    """Rotation-invariant alpha-stable process: the stable_like model with
+    constant alpha and gamma and no drift."""
     if not (0.0 < alpha < 2.0):
         raise ModelInvariantError(f"stable index must lie in (0,2), got {alpha}")
     if gamma <= 0:
         raise ModelInvariantError(f"stable scale must be positive, got {gamma}")
-    dens = stable_density(d, alpha, gamma)
-    triplet = LevyTriplet(d=d, jump_density=dens)
-    params = {"alpha": ScalarField.make(alpha), "gamma": ScalarField.make(gamma)}
-    return SymbolModel(family="isotropic_stable", d=d, triplet=triplet,
-                       params=params, envelope_mode=envelope_mode,
-                       assumptions=assumptions or {})
+    return stable_like(d, float(alpha), gamma=float(gamma),
+                       envelope_mode=envelope_mode, assumptions=assumptions)
 
 
 def stable_like(d, alpha, beta=None, gamma=1.0, envelope_mode="closed_form",

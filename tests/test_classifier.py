@@ -15,10 +15,13 @@ from levy_transience.classifier import (
     kappa_boundary,
     transience_gate,
 )
+from levy_transience.densities import power_density
 from levy_transience.errors import ConfigurationError
 from levy_transience.symbols import (
     brownian_drift,
+    finite_jump_model,
     isotropic_stable,
+    radial_jump_model,
     stable_like,
 )
 
@@ -74,6 +77,68 @@ def test_kappa_boundary_integral_only(bm3, stable_05_d1):
 def test_classify_rejects_non_finite_kappa(stable_10_d3, kappa):
     with pytest.raises(ConfigurationError, match="kappa"):
         classify(stable_10_d3, kappa)
+
+
+@pytest.mark.parametrize("model, kappa, verdict", [
+    (isotropic_stable(3, 1.0), 200.0, WEAKLY_TRANSIENT),
+    (isotropic_stable(3, 1.0, gamma=1e-200), 1.0, STRONGLY_TRANSIENT),
+])
+def test_closed_form_decides_when_integrands_overflow(model, kappa, verdict):
+    # (sup|q|)^(kappa+1) under/overflows on the integral and tail ladders;
+    # those bands are skipped with a note and the closed-form rule decides
+    rep = classify(model, kappa)
+    assert rep.verdict == verdict
+    assert any(n.startswith("integral tests skipped") for n in rep.notes)
+    assert not any(r.method == "integral" for r in rep.fired_rules)
+
+
+_SCALING = ("rotation-invariant stable scaling: weakly transient iff "
+            "d/(kappa+1) <= alpha")
+_JUMP = "unit-mass power jump kernel, tail index "
+
+
+@pytest.mark.parametrize("make, kappa, rule", [
+    (lambda: brownian_drift(3), 0.6, (
+        "elliptic-moment-rule", "weak", "driftless uniformly elliptic "
+        "diffusion: weakly transient iff d <= 2(kappa+1)",
+        {"d": 3, "kappa": 0.6, "threshold": 3.2})),
+    (lambda: isotropic_stable(3, 1.0), 1.0, (
+        "stable-scaling-rule", "strong", _SCALING,
+        {"d": 3, "kappa": 1.0, "alpha": 1.0})),
+    (lambda: stable_like(2, 1.3, beta=[0.5, 0.0]), 0.0, (
+        "stable-like-strong", "strong",
+        "d > (kappa+1)*alpha_hi gives the strong side", {"alpha_hi": 1.3})),
+    (lambda: stable_like(2, 1.3, beta=[0.5, 0.0]), 1.0, (
+        "stable-like-drift-unit", "weak",
+        "drifted, lower index >= 1: d <= kappa+1 gives the weak side", {})),
+    (lambda: stable_like(2, (0.6, 0.9), beta=[0.5, 0.0]), 3.0, (
+        "stable-like-drift-low", "weak", "drifted, lower index < 1: "
+        "d <= (kappa+1)*alpha_lo gives the weak side", {"alpha_lo": 0.6})),
+    (lambda: stable_like(3, (1.2, 1.5)), 1.6, (
+        "stable-like-driftless", "weak",
+        "driftless: d <= (kappa+1)*alpha_lo gives the weak side",
+        {"alpha_lo": 1.2})),
+    (lambda: finite_jump_model(2, 1.5), 0.5, (
+        "bounded-jump-rule", "weak", _JUMP + "below 2: weak side",
+        {"alpha_lo": 1.5, "alpha_hi": 1.5})),
+    (lambda: finite_jump_model(3, (2.5, 3.0)), 0.2, (
+        "bounded-jump-rule", "strong",
+        _JUMP + "above 2 (finite second moment): strong side",
+        {"alpha_lo": 2.5, "alpha_hi": 3.0})),
+    (lambda: finite_jump_model(3, 2.0), 1.0, (
+        "bounded-jump-rule", "weak", _JUMP + "exactly 2: weak side",
+        {"alpha_lo": 2.0, "alpha_hi": 2.0})),
+    (lambda: radial_jump_model(power_density(3, alpha=0.5, u0=1.0)), 1.0, (
+        "rv-case-v", "strong", "-d-2 < index < -d: weak iff "
+        "d(kappa+2) + index*(kappa+1) <= 0", {"index": -3.5, "kappa": 1.0})),
+])
+def test_closed_form_rule_records(make, kappa, rule):
+    rep = classify(make(), kappa, methods=("closed_form",))
+    rule_id, side, statement, detail = rule
+    [rec] = rep.fired_rules
+    assert (rec.rule_id, rec.verdict, rec.method, rec.statement) \
+        == (rule_id, side, "closed_form", statement)
+    assert rec.detail == pytest.approx(detail, rel=1e-12)
 
 
 def test_kappa_boundary_no_boundary(bm3):

@@ -213,6 +213,20 @@ def test_malformed_model_file_names_the_field(runner, model_file, tmp_path,
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("gamma, kappa, verdict", [
+    (1.0, "200", "weakly_transient"), (1e-200, "1", "strongly_transient")])
+def test_classify_overflowing_integrands_exit_0(runner, model_file, tmp_path,
+                                                gamma, kappa, verdict):
+    cfg = {"family": "isotropic_stable", "d": 3,
+           "parameters": {"alpha": 1.0, "gamma": gamma}}
+    path = model_file(cfg, "stable3.json")
+    result = runner.invoke(main, ["classify", "--model", path,
+                                  "--kappa", kappa,
+                                  "--out", str(tmp_path / "o")])
+    assert result.exit_code == 0, result.output
+    assert f"kappa={kappa}: {verdict}" in result.output
+
+
 @pytest.mark.parametrize("kappa", ["nan", "inf"])
 def test_non_finite_kappa_exit_code(runner, model_file, tmp_path, kappa):
     path = model_file(BM3, "bm3.json")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -152,6 +153,16 @@ def test_perturbation_transfer_report():
     rep = perturbation_equivalence(stable_density(1, 0.5),
                                    stable_density(1, 1.5))
     assert not rep.weak_side_transfer
+
+
+def test_diverging_perturbation_distance_raises_no_warning():
+    a = power_density(3, alpha=(0.8, 1.2), u0=1.0)
+    b = power_density(3, alpha=(0.9, 1.1), u0=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = perturbation_equivalence(a, b)
+    assert rep.distance == math.inf
+    assert not rep.weak_side_transfer and not rep.strong_side_transfer
 
 
 def test_perturbation_invariance_of_verdicts():

@@ -61,6 +61,18 @@ def test_ecf_stable_alpha15_d2():
     assert abs(row["ecf_re"] - row["target_re"]) <= 3.0 * row["stderr_re"]
 
 
+def test_ecf_drifted_constant_stable_like():
+    cfg = SimConfig(horizon=1.0, paths=100_000, seed=42, radius=1.0, kappa=0.0)
+    model = stable_like(2, 1.3, beta=[0.5, 0.0])
+    x = sample_levy_marginal(model, 2.0, substream(3, 0, 0xABCD), 100_000)
+    # the drift shifts the symmetric stable law by t * beta
+    assert np.median(x, axis=0) == pytest.approx([1.0, 0.0], abs=0.02)
+    xis = [s * np.array([0.8, 0.6]) for s in (0.25, 0.5, 1.0, 2.0)]
+    rep = ecf_check(model, 1.0, xis, cfg)
+    assert rep.all_pass
+    assert all(abs(row["target_im"]) > 0.05 for row in rep.rows[:3])
+
+
 def test_marginal_sampler_rejects_state_dependence():
     model = stable_like(1, alpha=(0.6, 1.4), gamma=1.0)
     gen = substream(1, 0, 0xABCD)

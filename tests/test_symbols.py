@@ -1,15 +1,23 @@
+import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 
 from levy_transience.densities import modified_density, power_density
-from levy_transience.errors import ConfigurationError, DegenerateModelError
+from levy_transience.errors import (
+    ConfigurationError,
+    DegenerateModelError,
+    ModelInvariantError,
+)
 from levy_transience.symbols import (
     StateGrid,
     brownian_drift,
     custom_model,
+    density_from_spec,
     eval_symbol,
     eval_symbol_batch,
     finite_jump_model,
@@ -171,6 +179,40 @@ def test_model_from_config_round_trip(model_file):
     xi = np.array([0.25, 0.0])
     assert sup_abs_symbol(loaded, xi) == pytest.approx(
         sup_abs_symbol(model, xi))
+
+
+def test_isotropic_stable_config_is_constant_stable_like():
+    cfg = {"family": "isotropic_stable", "d": 3,
+           "parameters": {"alpha": 1.2, "gamma": 2.0}}
+    model = model_from_config(cfg)
+    assert model.family == "stable_like"
+    assert model.drift_vector is None and model.is_state_independent
+    assert model.params["alpha"].bounds == (1.2, 1.2)
+    assert model.params["gamma"].bounds == (2.0, 2.0)
+    assert eval_symbol(model, None, [0.5, 0.0, 0.0]) == pytest.approx(
+        2.0 * 0.5 ** 1.2, rel=1e-15)
+    for params, message in (
+            ({"alpha": 2.5}, "stable index must lie in (0,2), got 2.5"),
+            ({"alpha": 1.0, "gamma": -1}, "stable scale must be positive, "
+                                          "got -1.0")):
+        with pytest.raises(ModelInvariantError) as err:
+            model_from_config(dict(cfg, parameters=params))
+        assert str(err.value) == message
+
+
+def test_readme_density_examples_build_in_their_dimensions():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    specs = [json.loads(line) for line in readme.splitlines()
+             if line.startswith('{"kind":')]
+    assert {s["kind"] for s in specs} == {"power", "stable", "power_log",
+                                          "table"}
+    for spec in specs:
+        row = re.search(rf"^\| `{spec['kind']}` .*\| d = ([0-9, ]+)",
+                        readme, re.M)
+        dims = [int(d) for d in row.group(1).split(",")]
+        for d in dims:
+            model = radial_jump_model(density_from_spec(d, spec))
+            assert model.d == d
 
 
 def test_load_model_bad_json(tmp_path):
