@@ -152,7 +152,10 @@ def _frequency_test(model, kind, r, integrand, K, band, n_directions,
         if kind == ENV_SUP_ABS and np.any(m == 0.0):
             raise DegenerateModelError(
                 "sup |q| vanishes at positive frequency; model degenerate")
-        return integrand(s_d * rhos ** (d - 1), m)
+        # a large kappa over/underflows here; verdict_from_radial_integrand
+        # turns the non-finite values into a QuadratureError
+        with np.errstate(all="ignore"):
+            return integrand(s_d * rhos ** (d - 1), m)
 
     return verdict_from_radial_integrand(G, r, K=K, band=band,
                                          singularity=AT_ORIGIN)

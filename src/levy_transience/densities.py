@@ -119,8 +119,13 @@ class RadialLevyDensity:
         return out
 
     def atom_second_moment(self, rho):
-        """Sum of radius^2 * mass over atoms inside B(0, rho)."""
-        return sum(r * r * m for r, m in self.atoms if r < rho)
+        """Sum of radius^2 * mass over atoms inside B(0, rho) (vectorized
+        over rho)."""
+        rho = np.asarray(rho, dtype=float)
+        out = np.zeros_like(rho)
+        for radius, mass in self.atoms:
+            out += np.where(radius < rho, radius * radius * mass, 0.0)
+        return out
 
     def monotone_verified(self, n_grid=64) -> bool:
         """Numerical check of the decreasing-beyond-u0 hypothesis.
@@ -145,17 +150,25 @@ class RadialLevyDensity:
     # -- symbol contribution ------------------------------------------------
 
     def jump_symbol(self, rho, variant=0, rel_tol=1e-10):
-        """Jump part of the symbol at |xi| = rho: int (1-cos<xi,y>) nu(dy)."""
-        if rho == 0.0:
-            return 0.0
-        key = ("jsym", variant, float(rho))
-        if key not in self._cache:
-            self._cache[key] = jump_symbol_value(
-                self.radial_weight(variant), rho, self.d,
+        """Jump part of the symbol at |xi| = rho: int (1-cos<xi,y>) nu(dy).
+
+        rho is one radius or an array of radii (then an array comes back).
+        Values are cached per radius; the radii not cached yet are computed
+        in one jump_symbol_value call.
+        """
+        rhos = np.asarray(rho, dtype=float)
+        keys = [("jsym", variant, r) for r in map(float, rhos.ravel())]
+        missing = sorted({key[2] for key in keys
+                          if key[2] != 0.0 and key not in self._cache})
+        if missing:
+            vals = jump_symbol_value(
+                self.radial_weight(variant), np.asarray(missing), self.d,
                 breakpoints=self.all_breakpoints(),
-                support_lo=self.support_lo(variant), rel_tol=rel_tol,
-            )
-        return self._cache[key]
+                support_lo=self.support_lo(variant), rel_tol=rel_tol)
+            self._cache.update(
+                (("jsym", variant, r), float(v)) for r, v in zip(missing, vals))
+        out = np.asarray([self._cache.get(key, 0.0) for key in keys])
+        return out.reshape(rhos.shape) if rhos.ndim else float(out[0])
 
     # -- validation ---------------------------------------------------------
 

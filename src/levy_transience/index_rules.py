@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateModelError, NotApplicableError
-from .quadrature import integrate_origin, integrate_tail
+from .quadrature import integrate_origin, integrate_tail, origin_cumulative
 from .symbols import (
     ENV_INF_RE,
     ENV_SUP_ABS,
@@ -213,18 +213,16 @@ def uniform_second_moment(model: SymbolModel) -> float:
     return worst
 
 
-def _truncated_quadratic_floor(model: SymbolModel, radius: float) -> float:
-    """inf over states of (1/d) int_{|y| <= radius} |y|^2 nu(x, dy)."""
+def _truncated_quadratic_floors(model: SymbolModel, radii) -> np.ndarray:
+    """inf over states of (1/d) int_{|y| <= radius} |y|^2 nu(x, dy) at each
+    of the ascending radii (one origin-side sweep per variant)."""
     dens = model.triplet.jump_density
     if dens is None:
-        return 0.0
-    best = float("inf")
-    for i in range(len(dens.variants)):
-        val = integrate_origin(dens.second_moment_weight(i), radius,
-                               dens.all_breakpoints(),
-                               support_lo=dens.support_lo(i))
-        best = min(best, val / model.d)
-    return best
+        return np.zeros(len(radii))
+    return np.min([origin_cumulative(dens.second_moment_weight(i), radii,
+                                     dens.all_breakpoints(),
+                                     support_lo=dens.support_lo(i))
+                   for i in range(len(dens.variants))], axis=0) / model.d
 
 
 def moment_rules(model: SymbolModel, d: int, kappa: float):
@@ -246,12 +244,9 @@ def moment_rules(model: SymbolModel, d: int, kappa: float):
                   "kappa": kappa, "threshold": 2.0 * (kappa + 1.0)},
         statement="even symbol, finite uniform second moment and "
                   "d <= 2(kappa+1) give the weak-side condition")
-    floors = []
-    c_floor = model.triplet.diffusion_bounds[0]
-    for k in range(_K_LO, _K_HI + 1):
-        rho = 2.0 ** (-k)
-        floors.append(c_floor + _truncated_quadratic_floor(
-            model, math.pi / (2.0 * rho)))
+    rhos = 2.0 ** (-np.arange(_K_LO, _K_HI + 1).astype(float))
+    floors = model.triplet.diffusion_bounds[0] \
+        + _truncated_quadratic_floors(model, math.pi / (2.0 * rhos))
     tail_min = float(np.min(floors[len(floors) // 2:]))
     nondegenerate = tail_min > 1e-12
     second = RuleOutcome(

@@ -38,6 +38,7 @@ from .quadrature import (
     integrate_origin,
     integrate_tail,
     log_gauss_blocks,
+    origin_cumulative,
     sphere_surface,
     tail_cumulative,
 )
@@ -78,10 +79,7 @@ def truncated_second_moment(density: RadialLevyDensity, rho: float,
     """int_{B(0, rho)} |y|^2 nu(dy) = S_d int_0^rho u^{d+1} n(u) du."""
     if rho <= 0:
         raise ConfigurationError("truncated second moment needs rho > 0")
-    base = integrate_origin(density.second_moment_weight(variant), rho,
-                            density.all_breakpoints(),
-                            support_lo=density.support_lo(variant))
-    return base + density.atom_second_moment(rho)
+    return float(_second_moment_sweep(density, variant, [rho])[0])
 
 
 def _t1_ladder(density, variant, rhos):
@@ -167,13 +165,16 @@ def _tail_mass_sweep(density, variant, rhos):
         + density.atom_tail_mass(rhos)
 
 
+def _second_moment_sweep(density, variant, rhos):
+    """T3 at each (ascending) rho: one origin-side cumulative sweep."""
+    return origin_cumulative(density.second_moment_weight(variant), rhos,
+                             density.all_breakpoints(),
+                             support_lo=density.support_lo(variant)) \
+        + density.atom_second_moment(rhos)
+
+
 # Tail functional tag -> (density, variant, ascending radii) -> values.
-_SWEEPS = {
-    "t1": _t1_ladder,
-    "tm": _tail_mass_sweep,
-    "t3": lambda density, variant, rhos: [
-        truncated_second_moment(density, r, variant) for r in rhos],
-}
+_SWEEPS = {"t1": _t1_ladder, "tm": _tail_mass_sweep, "t3": _second_moment_sweep}
 
 
 def _variant_envelope(density, tag, which, rhos):
@@ -217,7 +218,10 @@ def _tail_test(density, d, kappa, r, which, K, band):
 
     def G(rhos):
         vals = _variant_envelope(density, "t1", which, rhos)
-        return rhos ** (2.0 * kappa - d + 1.0) / vals ** (kappa + 1.0)
+        # a large kappa over/underflows here; verdict_from_radial_integrand
+        # turns the non-finite values into a QuadratureError
+        with np.errstate(all="ignore"):
+            return rhos ** (2.0 * kappa - d + 1.0) / vals ** (kappa + 1.0)
 
     return verdict_from_radial_integrand(G, r, K=K, band=band,
                                          singularity=AT_INFINITY)
@@ -313,9 +317,8 @@ def _quadratic_ladder(density, k_lo=4, k_hi=16):
     jump_symbol(rho) / rho^2 on them, and the minimum over the smaller half
     of the radii (the liminf surrogate as xi -> 0)."""
     rhos = 2.0 ** (-np.arange(k_lo, k_hi + 1).astype(float))
-    vals = np.asarray([
-        min(density.jump_symbol(rho, i) for i in range(len(density.variants)))
-        / rho ** 2 for rho in rhos])
+    vals = np.min([density.jump_symbol(rhos, i)
+                   for i in range(len(density.variants))], axis=0) / rhos ** 2
     return rhos, vals, np.min(vals[len(vals) // 2:])
 
 

@@ -6,6 +6,11 @@ like powers (possibly with slowly varying corrections) near 0 and infinity.
 Gauss-Legendre blocks in log space are essentially exact for such integrands,
 and geometric block sums admit reliable power-law extrapolation of the
 unbounded ends, including divergence detection.
+
+The block machinery works on rows: many intervals (or many octave sums) at
+once, cut at the breakpoints into one flat piece list, with one integrand
+call per step and np.bincount for the per-row sums. A scalar integral is the
+one-row case.
 """
 
 from __future__ import annotations
@@ -13,11 +18,19 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 from .errors import DivergentIntegralError, QuadratureError
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+#: radii per chunk of a jump-symbol ladder; keeps the (radius, block, node)
+#: arrays of the wave tail at a few hundred kB
+_CHUNK = 64
+
+#: octaves integrated per step of an octave sum; a power-law integral
+#: meets its stop rule within the first batch
+_OCTAVE_BATCH = 8
+
 
 #: surface area of the unit sphere in R^d, S_d = 2 pi^{d/2} / Gamma(d/2)
 def sphere_surface(d: int) -> float:
@@ -30,13 +43,27 @@ def _gl(n: int):
     return _GL_CACHE[n]
 
 
-def _split_points(a, b, breakpoints):
-    pts = [a]
-    for p in sorted(set(float(x) for x in breakpoints)):
-        if a < p < b:
-            pts.append(p)
-    pts.append(b)
-    return pts
+def _ranks(counts):
+    """Position of each element of np.repeat(x, counts) within its group."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _split(lo, hi, breakpoints):
+    """Intervals [lo[j], hi[j]] cut at the breakpoints strictly inside them,
+    as a flat piece list (interval of each piece, piece lo, piece hi)."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    bps = np.asarray(sorted({float(p) for p in breakpoints}), dtype=float)
+    first = np.searchsorted(bps, lo, side="right")
+    cuts = np.maximum(np.searchsorted(bps, hi, side="left") - first, 0)
+    owner = np.repeat(np.arange(lo.size), cuts + 1)
+    k = _ranks(cuts + 1)
+    # piece k of interval j runs from its cut k-1 to its cut k, where cut -1
+    # is lo and the last cut is hi
+    knots = np.append(bps, 0.0)
+    idx = first[owner] + k
+    left = np.where(k == 0, lo[owner], knots[idx - 1])
+    right = np.where(k == cuts[owner], hi[owner], knots[idx])
+    return owner, left, right
 
 
 def log_gauss_blocks(lo, hi, n=16):
@@ -50,83 +77,133 @@ def log_gauss_blocks(lo, hi, n=16):
     return u, half * base_w[None, :] * u
 
 
-def gauss_log_nodes(a, b, breakpoints=(), n=16):
-    """Nodes and weights for integrating over [a, b], 0 < a < b.
-
-    The interval is split at interior breakpoints, each piece is covered with
-    one Gauss-Legendre block per octave in log space.
-    """
-    if not (0.0 < a < b):
-        raise QuadratureError(f"invalid log-quadrature interval [{a}, {b}]")
-    xs, ws = [], []
-    for lo, hi in zip(*(lambda p: (p[:-1], p[1:]))(_split_points(a, b, breakpoints))):
-        n_blocks = max(1, int(math.ceil(math.log2(hi / lo))))
-        edges = lo * (hi / lo) ** np.linspace(0.0, 1.0, n_blocks + 1)
-        u, w = log_gauss_blocks(edges[:-1], edges[1:], n)
-        xs.append(u.ravel())
-        ws.append(w.ravel())
-    return np.concatenate(xs), np.concatenate(ws)
+def _linear_gauss_blocks(lo, hi, n):
+    """Nodes and weights of one plain n-point Gauss-Legendre block per
+    interval [lo[j], hi[j]]; both arrays have shape (len(lo), n)."""
+    base_x, base_w = _gl(n)
+    mid, half = 0.5 * (lo + hi)[:, None], 0.5 * (hi - lo)[:, None]
+    return mid + half * base_x, half * base_w
 
 
 def gauss_linear_nodes(a, b, breakpoints=(), n=10):
     """Plain Gauss-Legendre nodes/weights on [a, b] split at breakpoints."""
-    base_x, base_w = _gl(n)
-    xs, ws = [], []
-    for lo, hi in zip(*(lambda p: (p[:-1], p[1:]))(_split_points(a, b, breakpoints))):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        xs.append(mid + half * base_x)
-        ws.append(half * base_w)
-    return np.concatenate(xs), np.concatenate(ws)
+    _, lo, hi = _split([a], [b], breakpoints)
+    u, w = _linear_gauss_blocks(lo, hi, n)
+    return u.ravel(), w.ravel()
+
+
+def _log_integrals(g, a, b, breakpoints=(), n=16):
+    """Integral of g over [a[j], b[j]] for every j (0 where b[j] <= a[j]).
+
+    Each interval is split at interior breakpoints and each piece covered
+    with one Gauss-Legendre block per octave in log space. g is called once,
+    as g(u, j): u holds one block of nodes per row, and j (one column) the
+    interval of each block.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    out = np.zeros(a.shape)
+    live = np.flatnonzero(b > a)
+    if live.size == 0:
+        return out
+    bad = live[a[live] <= 0.0]
+    if bad.size:
+        raise QuadratureError(
+            f"invalid log-quadrature interval [{a[bad[0]]}, {b[bad[0]]}]")
+    owner, lo, hi = _split(a[live], b[live], breakpoints)
+    count = np.maximum(1, np.ceil(np.log2(hi / lo))).astype(int)
+    k, owner = _ranks(count), np.repeat(owner, count)
+    lo, ratio, count = (np.repeat(x, count) for x in (lo, hi / lo, count))
+    u, w = log_gauss_blocks(lo * ratio ** (k / count),
+                            lo * ratio ** ((k + 1) / count), n)
+    vals = np.asarray(g(u, live[owner, None]), dtype=float)
+    out[live] = np.bincount(owner, weights=np.einsum("ij,ij->i", w, vals),
+                            minlength=live.size)
+    return out
 
 
 def integrate_log(f, a, b, breakpoints=(), n=16):
     """Integral of f over [a, b] with log-spaced Gauss blocks."""
-    if b <= a:
-        return 0.0
-    u, w = gauss_log_nodes(a, b, breakpoints, n)
-    return float(w @ np.asarray(f(u), dtype=float))
+    return float(_log_integrals(lambda u, _: f(u), [a], [b], breakpoints, n)[0])
 
 
-def _octave_sum(f, start, step, breakpoints, rel_tol, max_octaves,
+def _octave_sum(g, start, step, breakpoints, rel_tol, max_octaves,
                 min_octaves, on_divergence, message):
-    """Sum of f over geometric octave blocks from `start`, each block
-    `step` times the last (2 toward infinity, 1/2 toward the origin), with
-    the remainder extrapolated from the block ratio.
+    """Sums of g over geometric octave blocks, one row per start[j]: each
+    block `step` times the last (2 toward infinity, 1/2 toward the origin),
+    with the remainder extrapolated from the block ratio.
 
-    Detects divergence when the block sequence fails to decay; then either
-    raises DivergentIntegralError or returns inf.
+    Octaves are integrated _OCTAVE_BATCH at a time for all rows still
+    running, with one g(u, j) call (see _log_integrals); the stop rule then
+    finds the first octave of the batch at which each row is done. A row
+    whose block sequence fails to decay diverges; then DivergentIntegralError
+    (with `message`) is raised, or the row reads inf.
     """
-    total = 0.0
-    prev = None
-    prev_ratio = None
-    zero_run = 0
-    edge = float(start)
-    for j in range(max_octaves):
-        nxt = step * edge
-        lo, hi = (edge, nxt) if step > 1.0 else (nxt, edge)
-        block = integrate_log(f, lo, hi, breakpoints)
-        total += block
-        zero_run = zero_run + 1 if block == 0.0 else 0
-        if zero_run >= 24 and j >= min_octaves:
-            return total      # the integrand vanishes toward the open end
-        if prev is not None and prev > 0.0 and block > 0.0 and j >= min_octaves:
-            ratio = block / prev
-            if ratio < 0.995:
-                remainder = block * ratio / (1.0 - ratio)
-                done = remainder <= rel_tol * max(total, 1e-300)
-                if not done and prev_ratio is not None:
-                    # geometric extrapolation is exact once the ratio settles
-                    drift = abs(ratio - prev_ratio) / (1.0 - ratio)
-                    done = drift * remainder <= rel_tol * max(
-                        total + remainder, 1e-300)
-                if done:
-                    return total + remainder
-            prev_ratio = ratio
-        prev = block
-        edge = nxt
-    if on_divergence == "inf":
-        return math.inf
-    raise DivergentIntegralError(message, partial=total)
+    start = np.asarray(start, dtype=float)
+    m = start.size
+    out = np.full(m, math.inf)
+    # running state per row: total, last block, ratio at the last checked
+    # octave (and whether there is one), length of the current zero run
+    total, prev, prev_ratio = np.zeros(m), np.zeros(m), np.zeros(m)
+    has_ratio = np.zeros(m, dtype=bool)
+    zero_run = np.zeros(m, dtype=int)
+    rows = np.arange(m)
+    for j0 in range(0, max_octaves, _OCTAVE_BATCH):
+        jj = np.arange(j0, min(j0 + _OCTAVE_BATCH, max_octaves))
+        n_oct = jj.size
+        edges = start[rows, None] * step ** np.append(jj, jj[-1] + 1)
+        lo, hi = (edges[:, :-1], edges[:, 1:]) if step > 1.0 \
+            else (edges[:, 1:], edges[:, :-1])
+        block = _log_integrals(lambda u, i: g(u, rows[i // n_oct]),
+                               lo.ravel(), hi.ravel(),
+                               breakpoints).reshape(rows.size, n_oct)
+        before = np.column_stack([prev[rows], block[:, :-1]])
+        tot = np.cumsum(np.column_stack([total[rows], block]), axis=1)[:, 1:]
+        col = np.arange(n_oct)
+
+        # the integrand vanishes toward the open end after 24 zero blocks
+        zero = block == 0.0
+        seen = np.cumsum(zero, axis=1)
+        run = seen - np.maximum.accumulate(np.where(zero, 0, seen), axis=1)
+        run += np.where(np.cumsum(~zero, axis=1) == 0, zero_run[rows, None], 0)
+        stop = (run >= 24) & (jj >= min_octaves)
+
+        check = (before > 0.0) & (block > 0.0) & (jj >= min_octaves)
+        with np.errstate(invalid="ignore"):   # inf/inf: a diverging row
+            ratio = np.divide(block, before, out=np.ones_like(block),
+                              where=check)
+        decays = check & (ratio < 0.995)
+        rem = np.divide(block * ratio, 1.0 - ratio,
+                        out=np.zeros_like(block), where=decays)
+        ok = decays & (rem <= rel_tol * np.maximum(tot, 1e-300))
+        # geometric extrapolation is exact once the ratio settles; compare
+        # with the ratio of the last checked octave before this one
+        last = np.maximum.accumulate(np.where(check, col, -1), axis=1)
+        last_before = np.column_stack([np.full(rows.size, -1), last[:, :-1]])
+        ratio_before = np.where(
+            last_before >= 0,
+            np.take_along_axis(ratio, np.maximum(last_before, 0), axis=1),
+            prev_ratio[rows, None])
+        drift = decays & ~ok & ((last_before >= 0) | has_ratio[rows, None])
+        ok[drift] = (np.abs(ratio - ratio_before)[drift]
+                     / (1.0 - ratio[drift]) * rem[drift]
+                     <= rel_tol * np.maximum(tot + rem, 1e-300)[drift])
+        stop |= ok
+
+        pick = np.arange(rows.size), np.argmax(stop, axis=1)
+        done = stop[pick]
+        out[rows[done]] = (tot + np.where(ok, rem, 0.0))[pick][done]
+        total[rows] = tot[:, -1]
+        prev[rows] = block[:, -1]
+        zero_run[rows] = run[:, -1]
+        checked = last[:, -1] >= 0
+        prev_ratio[rows[checked]] = ratio[checked, last[checked, -1]]
+        has_ratio[rows[checked]] = True
+        rows = rows[~done]
+        if rows.size == 0:
+            return out
+    if on_divergence != "inf":
+        raise DivergentIntegralError(message, partial=float(total[rows[0]]))
+    return out
 
 
 def integrate_tail(f, a, breakpoints=(), rel_tol=1e-11, max_octaves=260,
@@ -139,10 +216,11 @@ def integrate_tail(f, a, breakpoints=(), rel_tol=1e-11, max_octaves=260,
     """
     if a <= 0:
         raise QuadratureError(f"tail integral needs a > 0, got {a}")
-    return _octave_sum(
-        f, a, 2.0, breakpoints, rel_tol, max_octaves, min_octaves,
-        on_divergence,
-        f"tail integral from {a} did not converge within {max_octaves} octaves")
+    return float(_octave_sum(
+        lambda u, _: f(u), [a], 2.0, breakpoints, rel_tol, max_octaves,
+        min_octaves, on_divergence,
+        f"tail integral from {a} did not converge within {max_octaves} octaves"
+    )[0])
 
 
 def integrate_origin(f, b, breakpoints=(), rel_tol=1e-11, max_octaves=220,
@@ -152,36 +230,19 @@ def integrate_origin(f, b, breakpoints=(), rel_tol=1e-11, max_octaves=220,
         return 0.0
     if support_lo > 0.0:
         return integrate_log(f, support_lo, b, breakpoints)
-    return _octave_sum(
-        f, b, 0.5, breakpoints, rel_tol, max_octaves, min_octaves,
-        on_divergence,
-        f"integral near 0 below {b} did not converge within {max_octaves} octaves")
+    return float(_octave_sum(
+        lambda u, _: f(u), [b], 0.5, breakpoints, rel_tol, max_octaves,
+        min_octaves, on_divergence,
+        f"integral near 0 below {b} did not converge within {max_octaves} "
+        "octaves")[0])
 
 
 def segment_integrals(f, edges, breakpoints=(), n=16):
-    """Integrals of f over each consecutive [edges[j], edges[j+1]].
-
-    Gaps narrower than an octave get a single log-space Gauss block (batched
-    in one f call); wider gaps or gaps containing a breakpoint fall back to
-    the piecewise path.
-    """
+    """Integrals of f over each consecutive [edges[j], edges[j+1]], split at
+    breakpoints, in one f call."""
     edges = np.asarray(edges, dtype=float)
-    m = len(edges) - 1
-    out = np.zeros(m)
-    lo, hi = edges[:-1], edges[1:]
-    width_ok = hi <= lo * 2.0000001
-    has_bp = np.zeros(m, dtype=bool)
-    for p in breakpoints:
-        has_bp |= (lo < p) & (p < hi)
-    nonempty = hi > lo * (1.0 + 1e-14)
-    fast = width_ok & ~has_bp & nonempty
-    if np.any(fast):
-        u, w = log_gauss_blocks(lo[fast], hi[fast], n)
-        vals = np.asarray(f(u.ravel()), dtype=float).reshape(u.shape)
-        out[fast] = np.sum(w * vals, axis=1)
-    for j in np.nonzero(~fast & nonempty)[0]:
-        out[j] = integrate_log(f, lo[j], hi[j], breakpoints, n=n)
-    return out
+    return _log_integrals(lambda u, _: f(u), edges[:-1], edges[1:],
+                          breakpoints, n)
 
 
 def tail_cumulative(f, us, breakpoints=(), rel_tol=1e-11, on_divergence="raise"):
@@ -202,9 +263,28 @@ def tail_cumulative(f, us, breakpoints=(), rel_tol=1e-11, on_divergence="raise")
     return out
 
 
+def origin_cumulative(f, us, breakpoints=(), rel_tol=1e-11, support_lo=0.0):
+    """F(u_i) = integral of f over (0, u_i] (or [support_lo, u_i]) for sorted
+    ascending us: the origin-side mirror of tail_cumulative."""
+    us = np.asarray(us, dtype=float)
+    bottom = integrate_origin(f, us[0], breakpoints, rel_tol=rel_tol,
+                              support_lo=support_lo)
+    out = np.empty_like(us)
+    out[0] = bottom
+    out[1:] = bottom + np.cumsum(segment_integrals(f, us, breakpoints))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Spherically averaged cosine kernel and the radial jump-symbol integral.
 # ---------------------------------------------------------------------------
+
+def _hyp0f1(b, z):
+    # imported on first use: scipy.special is most of the package's import
+    # time, and only the jump-symbol kernel needs it
+    from scipy.special import hyp0f1
+    return hyp0f1(b, z)
+
 
 def one_minus_wave_kernel(s, d):
     """1 - psi_d(s) where psi_d(s) is the average of cos(s * w_1) over the
@@ -225,65 +305,88 @@ def one_minus_wave_kernel(s, d):
         t4 = t3 * z / (16.0 * (b + 3.0))
         out[small] = t1 - t2 + t3 - t4
     if np.any(~small):
-        out[~small] = 1.0 - special.hyp0f1(b, -0.25 * s[~small] ** 2)
+        out[~small] = 1.0 - _hyp0f1(b, -0.25 * s[~small] ** 2)
     return out
 
 
 def _accelerated_limit(partial_sums):
-    # Iterated averaging of the partial-sum sequence; converges fast for
+    # Iterated averaging of each row of partial sums; converges fast for
     # eventually alternating block sums.
     s = np.asarray(partial_sums, dtype=float)
-    while s.size > 1:
-        s = 0.5 * (s[1:] + s[:-1])
-    return float(s[0])
+    while s.shape[-1] > 1:
+        s = 0.5 * (s[..., 1:] + s[..., :-1])
+    return s[..., 0]
 
 
 def oscillatory_tail_integral(f, a, rho, d, breakpoints=(), n_blocks=48, n=10):
-    """Integral of psi_d(rho * u) * f(u) over [a, infinity).
+    """Integral of psi_d(rho * u) * f(u) over [a, infinity), for each pair
+    (a[j], rho[j]) of the equal-length vectors a and rho.
 
     Blocks of half-period length pi/rho give (asymptotically) alternating
     contributions; the limit of the partial sums is taken with iterated
-    averaging. f must have an integrable power-like tail.
+    averaging. f must have an integrable power-like tail. The blocks of all
+    rows, split at breakpoints, are one flat piece list: one f call, one
+    kernel call and a bincount for the block sums.
     """
-    if rho <= 0:
+    a, rho = np.atleast_1d(a).astype(float), np.atleast_1d(rho).astype(float)
+    if np.any(rho <= 0):
         raise QuadratureError("oscillatory integral needs rho > 0")
-    b = 0.5 * d
-    half = math.pi / rho
-    edges = a + half * np.arange(n_blocks + 1)
-    sums = np.empty(n_blocks)
-    acc = 0.0
-    for k in range(n_blocks):
-        u, w = gauss_linear_nodes(edges[k], edges[k + 1], breakpoints, n=n)
-        psi = special.hyp0f1(b, -0.25 * (rho * u) ** 2)
-        acc += float(w @ (psi * np.asarray(f(u), dtype=float)))
-        sums[k] = acc
-    return _accelerated_limit(sums[n_blocks // 2:])
+    edges = a[:, None] + (math.pi / rho)[:, None] * np.arange(n_blocks + 1)
+    owner, lo, hi = _split(edges[:, :-1].ravel(), edges[:, 1:].ravel(),
+                           breakpoints)
+    u, w = _linear_gauss_blocks(lo, hi, n)
+    psi = _hyp0f1(0.5 * d, -0.25 * (rho[owner // n_blocks, None] * u) ** 2)
+    vals = psi * np.asarray(f(u), dtype=float)
+    blocks = np.bincount(owner, weights=np.einsum("ij,ij->i", w, vals),
+                         minlength=rho.size * n_blocks)
+    sums = np.cumsum(blocks.reshape(rho.size, n_blocks), axis=1)
+    return _accelerated_limit(sums[:, n_blocks // 2:])
 
 
 def jump_symbol_value(f, rho, d, breakpoints=(), support_lo=0.0, rel_tol=1e-10):
-    """Integral of (1 - psi_d(rho*u)) * f(u) over (0, infinity).
+    """Integral of (1 - psi_d(rho*u)) * f(u) over (0, infinity), at one
+    radius rho or at each radius of an array rho (then an array of the same
+    shape is returned).
 
     This is the radial reduction of int (1 - cos<xi, y>) nu(dy) for a radial
     jump weight: f(u) = S_d * u^{d-1} * n(u) yields the (real) jump part of
-    the symbol at |xi| = rho. Splits at the oscillation scale pi/rho.
+    the symbol at |xi| = rho. Splits at the oscillation scale pi/rho into the
+    near part below it and the plain and wave tails above it. A ladder is
+    evaluated _CHUNK radii at a time, every part for all radii of a chunk
+    at once.
     """
-    if rho == 0.0:
-        return 0.0
+    rhos = np.asarray(rho, dtype=float)
+    flat = rhos.ravel()
+    out = np.zeros(flat.size)
+    nonzero = np.flatnonzero(flat)
+    for first in range(0, nonzero.size, _CHUNK):
+        rows = nonzero[first:first + _CHUNK]
+        out[rows] = _jump_symbol_rows(f, flat[rows], d, tuple(breakpoints),
+                                      support_lo, rel_tol)
+    return out.reshape(rhos.shape) if rhos.ndim else float(out[0])
+
+
+def _jump_symbol_rows(f, rho, d, bps, support_lo, rel_tol):
+    """jump_symbol_value at one chunk of nonzero radii."""
     u_c = math.pi / rho
-    bps = tuple(breakpoints)
-
-    def smooth_part(u):
-        return one_minus_wave_kernel(rho * u, d) * np.asarray(f(u), dtype=float)
-
     lo_end = max(support_lo, 0.0)
-    if lo_end >= u_c:
-        near = 0.0
-        osc_start = lo_end
-    else:
-        near = integrate_origin(smooth_part, u_c, bps, rel_tol=rel_tol,
-                                support_lo=support_lo)
-        osc_start = u_c
-    plain_tail = integrate_tail(f, osc_start, bps, rel_tol=rel_tol)
+    inner = u_c > lo_end             # rows with a part below pi/rho
+    near = np.zeros(rho.size)
+    rho_in = rho[inner]
+
+    def smooth_part(u, j):
+        return one_minus_wave_kernel(rho_in[j] * u, d) \
+            * np.asarray(f(u), dtype=float)
+
+    if support_lo > 0.0:
+        near[inner] = _log_integrals(smooth_part, np.full(rho_in.size, lo_end),
+                                     u_c[inner], bps)
+    elif rho_in.size:
+        near[inner] = _octave_sum(
+            smooth_part, u_c[inner], 0.5, bps, rel_tol, 220, 6, "raise",
+            "integral near 0 below pi/rho did not converge within 220 octaves")
+    osc_start = np.where(inner, u_c, lo_end)
+    starts, where = np.unique(osc_start, return_inverse=True)
+    plain_tail = tail_cumulative(f, starts, bps, rel_tol=rel_tol)[where]
     wave_tail = oscillatory_tail_integral(f, osc_start, rho, d, bps)
     return near + plain_tail - wave_tail
-

@@ -253,39 +253,60 @@ def eval_symbol_batch(model: SymbolModel, X, xi) -> np.ndarray:
     """q(x, xi) for a batch of states X with shape (n, d)."""
     xi = _as_xi(xi, model.d)
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    n = X.shape[0]
     if not np.any(xi):
-        return np.zeros(n, dtype=complex)
+        return np.zeros(X.shape[0], dtype=complex)
+    return _symbol_table(model, X, xi[None, :])[:, 0]
+
+
+def _symbol_table(model, X, XI):
+    """q(x, xi) for states X (n, d) and nonzero frequencies XI (m, d), as an
+    (n, m) array; a radial density's jump symbol is one ladder per variant."""
     fam = model.family
     p = model.params
     if fam == "custom":
         fn = p["eval_fn"]
-        return np.asarray([complex(fn(xrow, xi)) for xrow in X])
-    rho = float(np.linalg.norm(xi))
+        return np.asarray([[complex(fn(xrow, xi)) for xi in XI] for xrow in X])
+    rho = _norms(XI)
     if fam == "brownian_drift":
-        re = model.triplet.diffusion_quadratic(X, xi)
+        re = np.stack([model.triplet.diffusion_quadratic(X, xi) for xi in XI],
+                      axis=1)
     elif fam == "stable_like":
-        re = p["gamma"](X) * rho ** p["alpha"](X)
+        re = np.stack([p["gamma"](X) * r ** p["alpha"](X) for r in rho], axis=1)
     else:
         dens = model.triplet.jump_density
-        re = np.asarray([dens.jump_symbol(rho, _variant_for_state(model, xrow))
-                         for xrow in X], dtype=float)
-    im = np.zeros(n)
+        idx = _variant_for_state(model, X)
+        if idx is None:
+            idx = np.zeros(X.shape[0], dtype=int)   # pointwise: first variant
+        used, where = np.unique(idx, return_inverse=True)
+        re = np.stack([dens.jump_symbol(rho, v) for v in used])[where]
+    im = np.zeros(XI.shape[0])
     if model.triplet.drift is not None:
-        im = -np.full(n, float(xi @ model.triplet.drift))
-    return re + 1j * im
+        im = -np.asarray([float(xi @ model.triplet.drift) for xi in XI])
+    return re + 1j * im[None, :]
+
+
+def _norms(XI):
+    """|xi| of each row as a Python float, one row at a time as for a single
+    frequency (numpy's batched norm rounds differently in the last bit)."""
+    return [float(np.linalg.norm(xi)) for xi in XI]
 
 
 def _variant_for_state(model, x):
+    """Density variant at state x, or at each state of a batch x (n, d): the
+    one whose alpha is nearest alpha(x). None when a state-dependent density
+    has no alpha field tying its variants to states; then only the envelope
+    over all variants is defined."""
     dens = model.triplet.jump_density
+    X = np.atleast_2d(np.asarray(x, dtype=float))
     if dens.x_independent or len(dens.variants) == 1:
-        return 0
-    alpha = model.params.get("alpha")
-    if isinstance(alpha, ScalarField) and not alpha.is_constant:
-        a = float(alpha(np.atleast_2d(x))[0])
+        idx = np.zeros(X.shape[0], dtype=int)
+    else:
+        alpha = model.params.get("alpha")
+        if not isinstance(alpha, ScalarField) or alpha.is_constant:
+            return None
         alphas = np.asarray([v.alpha for v in dens.variants])
-        return int(np.argmin(np.abs(alphas - a)))
-    return 0
+        idx = np.argmin(np.abs(alphas[None, :] - alpha(X)[:, None]), axis=1)
+    return idx if np.ndim(x) == 2 else int(idx[0])
 
 
 # ---------------------------------------------------------------------------
@@ -308,60 +329,82 @@ def sup_abs_im_symbol(model: SymbolModel, xi) -> float:
 
 
 def _envelope(model, kind, xi):
-    xi = _as_xi(xi, model.d)
-    if not np.any(xi):
-        return 0.0
-    if model.envelope_mode == "closed_form":
-        val = _closed_envelope(model, kind, xi)
-        if val is not None:
-            return val
-    return _grid_envelope(model, kind, xi)
+    return float(_envelopes(model, kind, _as_xi(xi, model.d)[None, :])[0])
 
 
-def _closed_envelope(model, kind, xi):
+def _envelopes(model, kind, XI):
+    """The `kind` envelope at each frequency row of XI (0 at xi = 0)."""
+    out = np.zeros(XI.shape[0])
+    nonzero = np.any(XI != 0.0, axis=1)
+    if np.any(nonzero):
+        val = None
+        if model.envelope_mode == "closed_form":
+            val = _closed_envelope(model, kind, XI[nonzero])
+        out[nonzero] = _grid_envelope(model, kind, XI[nonzero]) \
+            if val is None else val
+    return out
+
+
+def _closed_envelope(model, kind, XI):
+    """Closed-form envelope at each frequency row of XI, or None when the
+    family has none. Scalar terms are Python floats per frequency, as for a
+    single one (numpy rounds vector powers and hypot differently)."""
     fam = model.family
     p = model.params
     if fam == "custom":
         fn = (p.get("envelopes") or {}).get(kind)
-        return None if fn is None else float(fn(xi))
+        return None if fn is None else np.asarray([float(fn(xi)) for xi in XI])
     drift = model.triplet.drift
-    drift_term = abs(float(xi @ drift)) if drift is not None else 0.0
+    drift_term = [abs(float(xi @ drift)) if drift is not None else 0.0
+                  for xi in XI]
     if kind == ENV_SUP_ABS_IM:
-        return drift_term   # b is constant, so sup|Im q| = |<xi, b>|
-    rho = float(np.linalg.norm(xi))
+        return np.asarray(drift_term)   # b is constant: sup|Im q| = |<xi, b>|
+    rho = _norms(XI)
     if fam == "brownian_drift":
-        if model.triplet.diffusion_matrix is not None:
-            lo = hi = 0.5 * float(xi @ model.triplet.diffusion_matrix @ xi)
+        C = model.triplet.diffusion_matrix
+        if C is not None:
+            lo = hi = [0.5 * float(xi @ C @ xi) for xi in XI]
         else:
             c_lo, c_hi = p["c"].bounds
-            lo, hi = 0.5 * c_lo * rho ** 2, 0.5 * c_hi * rho ** 2
+            lo = [0.5 * c_lo * r ** 2 for r in rho]
+            hi = [0.5 * c_hi * r ** 2 for r in rho]
     elif fam == "stable_like":
         if not (p["alpha"].is_constant or p["gamma"].is_constant):
             return None   # joint variation: fall back to the state grid
         a_lo, a_hi = p["alpha"].bounds
         g_lo, g_hi = p["gamma"].bounds
-        lo = g_lo * min(rho ** a_lo, rho ** a_hi)
-        hi = g_hi * max(rho ** a_lo, rho ** a_hi)
+        lo = [g_lo * min(r ** a_lo, r ** a_hi) for r in rho]
+        hi = [g_hi * max(r ** a_lo, r ** a_hi) for r in rho]
     else:
         dens = model.triplet.jump_density
         vals = [dens.jump_symbol(rho, i) for i in range(len(dens.variants))]
-        lo, hi = min(vals), max(vals)
-    return lo if kind == ENV_INF_RE else math.hypot(drift_term, hi)
+        lo, hi = np.min(vals, axis=0), np.max(vals, axis=0)
+    if kind == ENV_INF_RE:
+        return np.asarray(lo, dtype=float)
+    return np.asarray([math.hypot(t, h) for t, h in zip(drift_term, hi)])
 
 
-def _grid_envelope(model, kind, xi):
+#: states x frequencies per block of a grid envelope (1 MB of complex q)
+_GRID_BLOCK = 1 << 16
+
+
+def _grid_envelope(model, kind, XI):
     if model.family == "custom" and "x_samples" in model.params:
         X = np.atleast_2d(np.asarray(model.params["x_samples"], dtype=float))
     else:
         X = model.state_points()
     if X.size == 0:
         raise ConfigurationError("empty state grid")
-    q = eval_symbol_batch(model, X, xi)
-    if kind == ENV_SUP_ABS:
-        return float(np.max(np.abs(q)))
-    if kind == ENV_INF_RE:
-        return float(np.min(q.real))
-    return float(np.max(np.abs(q.imag)))
+    if model.family == "radial_jump" and _variant_for_state(model, X) is None:
+        # variants not tied to states: the sup/inf over states is the one
+        # over all variants
+        return _closed_envelope(model, kind, XI)
+    reduce = {ENV_SUP_ABS: lambda q: np.max(np.abs(q), axis=0),
+              ENV_INF_RE: lambda q: np.min(q.real, axis=0),
+              ENV_SUP_ABS_IM: lambda q: np.max(np.abs(q.imag), axis=0)}[kind]
+    step = max(1, _GRID_BLOCK // X.shape[0])
+    return np.concatenate([reduce(_symbol_table(model, X, XI[j:j + step]))
+                           for j in range(0, XI.shape[0], step)])
 
 
 def direction_set(d, n):
@@ -417,17 +460,15 @@ def envelope_profile(model: SymbolModel, kind, rhos, reduce="min",
 
     For radial envelopes a single direction suffices; otherwise the envelope
     is evaluated along a deterministic direction set and reduced with min or
-    max per radius.
+    max per radius. All radii and directions are one batch of frequencies.
     """
     rhos = np.asarray(rhos, dtype=float)
     if envelope_is_radial(model, kind):
         dirs = _unit(model.d)[None, :]
     else:
         dirs = direction_set(model.d, n_directions)
-    vals = np.empty((dirs.shape[0], rhos.size))
-    for i, u in enumerate(dirs):
-        for j, r in enumerate(rhos):
-            vals[i, j] = _envelope(model, kind, r * u)
+    XI = (dirs[:, None, :] * rhos[None, :, None]).reshape(-1, model.d)
+    vals = _envelopes(model, kind, XI).reshape(dirs.shape[0], rhos.size)
     return vals.min(axis=0) if reduce == "min" else vals.max(axis=0)
 
 
@@ -446,14 +487,12 @@ def sector_check(model: SymbolModel, c: float, n_directions=16,
     if radii is None:
         radii = 2.0 ** np.arange(-10, 4).astype(float)
     dirs = direction_set(model.d, n_directions)
-    for r in radii:
-        for u in dirs:
-            xi = r * u
-            im = sup_abs_im_symbol(model, xi)
-            re = inf_re_symbol(model, xi)
-            if im > c * re + 1e-12 * (1.0 + re):
-                return False, xi
-    return True, None
+    XI = (np.asarray(radii, dtype=float)[:, None, None]
+          * dirs[None, :, :]).reshape(-1, model.d)
+    im = _envelopes(model, ENV_SUP_ABS_IM, XI)
+    re = _envelopes(model, ENV_INF_RE, XI)
+    bad = np.flatnonzero(im > c * re + 1e-12 * (1.0 + re))
+    return (True, None) if bad.size == 0 else (False, XI[bad[0]])
 
 
 def radiality_check(model: SymbolModel) -> bool:

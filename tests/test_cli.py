@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import levy_transience
 from levy_transience.cli import main
 
 BM3 = {"family": "brownian_drift", "d": 3, "parameters": {"c": 1.0}}
@@ -225,6 +230,29 @@ def test_classify_overflowing_integrands_exit_0(runner, model_file, tmp_path,
                                   "--out", str(tmp_path / "o")])
     assert result.exit_code == 0, result.output
     assert f"kappa={kappa}: {verdict}" in result.output
+
+
+def test_classify_overflowing_integrands_print_no_warning(model_file,
+                                                       tmp_path):
+    # the overflowing kappa=200 integrands are skipped with a note; numpy
+    # must not print RuntimeWarnings on the way (a fresh process, so the
+    # test runner's warning capture cannot hide them)
+    cfg = {"family": "isotropic_stable", "d": 3,
+           "parameters": {"alpha": 1.0}}
+    src = str(Path(levy_transience.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "levy_transience.cli", "classify", "--model",
+         model_file(cfg, "stable3.json"), "--kappa", "200",
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert result.returncode == 0, result.stderr
+    assert "kappa=200: weakly_transient" in result.stdout
+    assert "RuntimeWarning" not in result.stderr
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert report["results"][0]["notes"] == [
+        "integral tests skipped: radial integrand is not finite on the ladder",
+        "tail tests not applicable: radial integrand is not finite on the "
+        "ladder"]
 
 
 @pytest.mark.parametrize("kappa", ["nan", "inf"])

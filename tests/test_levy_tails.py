@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -20,6 +21,7 @@ from levy_transience.errors import (
     NotApplicableError,
 )
 from levy_transience.levy_tails import (
+    _SWEEPS,
     comparison_transfer,
     cos_moment_condition,
     density_floor_test,
@@ -288,6 +290,24 @@ def test_truncated_second_moment_power():
     rho = 5.0
     want = 2.0 * coef * rho ** 1.5 / 1.5
     assert truncated_second_moment(dens, rho) == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("dens", [
+    stable_density(3, 1.4),
+    table_density(2, [0.5, 3.0, 40.0], [1e-1, 1e-3, 1e-12]),
+    finite_range_density(1, 0.7),
+    # support cut, kink and two atoms below the cutoff
+    dataclasses.replace(power_density(2, 1.2, u0=1.0),
+                        atoms=((0.5, 0.3), (1.0, 0.1))),
+], ids=["stable", "table", "finite", "power-atoms"])
+def test_second_moment_sweep_matches_single_radii(dens):
+    # the T3 ladder is one origin-side sweep; each radius on its own is one
+    # octave sum (or one log integral above the support cut)
+    rhos = np.concatenate([np.geomspace(0.05, 80.0, 40), [0.5, 1.0, 3.0]])
+    rhos.sort()
+    got = _SWEEPS["t3"](dens, 0, rhos)
+    want = [truncated_second_moment(dens, r) for r in rhos]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-300)
 
 
 @pytest.mark.parametrize("kappa", [math.nan, math.inf])

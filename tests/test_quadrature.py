@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import levy_transience
 from levy_transience.errors import DivergentIntegralError
 from levy_transience.quadrature import (
     integrate_log,
@@ -120,3 +125,92 @@ def test_segment_integrals_with_breakpoint():
     assert got[0] == pytest.approx(0.0, abs=1e-15)
     assert got[1] == pytest.approx(1.0 - 1.0 / 1.5, rel=1e-12)
     assert got[2] == pytest.approx(1.0 / 1.5 - 1.0 / 3.0, rel=1e-12)
+
+
+def _ladder_cases():
+    from levy_transience.densities import (
+        finite_range_density,
+        modified_density,
+        power_density,
+        stable_density,
+        table_density,
+    )
+
+    for d in (1, 2, 3, 5):
+        # cutoff u0 = 1: radii on both sides of pi / u0
+        yield f"power-u0-d{d}", power_density(d, (0.8, 1.2), u0=1.0,
+                                              n_variants=2)
+        yield f"stable-d{d}", stable_density(d, (0.6, 1.4), n_variants=2)
+        # knots 0.5, 3, 40 fall inside the wave blocks of most radii
+        yield f"table-d{d}", table_density(d, [0.5, 3.0, 40.0],
+                                           [1e-1, 1e-3, 1e-12])
+        yield f"finite-d{d}", finite_range_density(d, 1.2)
+        yield f"modified-d{d}", modified_density(
+            power_density(d, 1.1, u0=0.5), 2.0, factor=3.0)
+
+
+@pytest.mark.parametrize("name, dens", list(_ladder_cases()))
+def test_jump_symbol_value_ladder_matches_single_radii(name, dens):
+    rhos = np.concatenate([np.geomspace(1e-3, 30.0, 23),
+                           np.pi * np.array([0.999, 1.0, 1.001])])
+    for i in range(len(dens.variants)):
+        f = dens.radial_weight(i)
+        kw = dict(breakpoints=dens.all_breakpoints(),
+                  support_lo=dens.support_lo(i))
+        ladder = jump_symbol_value(f, rhos, dens.d, **kw)
+        single = np.array([jump_symbol_value(f, r, dens.d, **kw)
+                           for r in rhos])
+        assert ladder.shape == rhos.shape
+        np.testing.assert_allclose(ladder, single, rtol=1e-13, atol=0.0)
+
+
+def test_jump_symbol_value_ladder_chunks_and_zero_radius():
+    from levy_transience.densities import stable_density
+
+    dens = stable_density(3, 1.3)
+    f = dens.radial_weight(0)
+    # more radii than one chunk, a zero radius and a 2-d shape
+    rhos = np.append(np.geomspace(1e-4, 10.0, 149), 0.0).reshape(10, 15)
+    got = jump_symbol_value(f, rhos, 3)
+    assert got.shape == (10, 15) and got[-1, -1] == 0.0
+    np.testing.assert_allclose(got, rhos ** 1.3, rtol=1e-10)
+
+
+def test_jump_symbol_value_stable_closed_form_on_a_radius_vector():
+    from levy_transience.densities import stable_coefficient
+
+    for d, alpha in ((1, 0.5), (2, 0.8), (3, 1.5), (5, 1.9)):
+        c = stable_coefficient(d, alpha)
+        s_d = sphere_surface(d)
+
+        def w(u):
+            return s_d * c * u ** (-1.0 - alpha)
+
+        rhos = np.array([2.0 ** -20, 1e-3, 0.1, 1.0, 30.0])
+        np.testing.assert_allclose(jump_symbol_value(w, rhos, d),
+                                   rhos ** alpha, rtol=1e-8)
+
+
+def test_origin_cumulative_matches_direct():
+    from levy_transience.quadrature import origin_cumulative
+
+    us = np.geomspace(0.05, 40.0, 17)
+    np.testing.assert_allclose(origin_cumulative(lambda u: u ** -0.4, us),
+                               us ** 0.6 / 0.6, rtol=1e-10)
+    # support cut at 0.5, kink at 2: blocks split at both breakpoints
+    got = origin_cumulative(
+        lambda u: np.where(u < 0.5, 0.0, np.where(u < 2.0, u, 2.0)), us,
+        breakpoints=(0.5, 2.0), support_lo=0.5)
+    want = np.where(us < 0.5, 0.0, np.where(
+        us < 2.0, (us ** 2 - 0.25) / 2.0, 1.875 + 2.0 * (us - 2.0)))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
+def test_import_leaves_scipy_special_unloaded():
+    src = str(Path(levy_transience.__file__).resolve().parents[1])
+    code = ("import sys, levy_transience.cli; "
+            "print('scipy.special' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "False"

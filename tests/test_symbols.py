@@ -241,3 +241,27 @@ def test_variant_for_state_picks_nearest_stored_alpha():
     assert [v.alpha for v in modified.triplet.jump_density.variants] \
         == [v.alpha for v in dens.variants]
     assert _variant_for_state(modified, np.array([1.0, 0.0])) == 6
+
+
+def test_grid_envelope_of_untied_variants_is_the_variant_envelope():
+    # a radial_jump density from JSON has 9 alpha variants and no state
+    # field tying them to states: the grid envelopes must be the sup/inf
+    # over all variants, not variant 0 at every state
+    from levy_transience.classifier import classify
+
+    def cfg(mode):
+        return {"family": "radial_jump", "d": 2, "envelope_mode": mode,
+                "parameters": {"density": {"kind": "stable",
+                                           "alpha": [0.614, 1.411]}}}
+
+    closed = model_from_config(cfg("closed_form"))
+    grid = model_from_config(cfg("grid_sampled"))
+    for rho in (0.01, 0.3, 5.0):
+        xi = np.array([0.6, 0.8]) * rho
+        assert inf_re_symbol(grid, xi) == inf_re_symbol(closed, xi)
+        assert sup_abs_symbol(grid, xi) == sup_abs_symbol(closed, xi)
+    xi = np.array([0.01, 0.0])
+    assert inf_re_symbol(grid, xi) == pytest.approx(0.01 ** 1.411, rel=1e-8)
+    assert sup_abs_symbol(grid, xi) == pytest.approx(0.01 ** 0.614, rel=1e-8)
+    assert classify(grid, 1.5).verdict == classify(closed, 1.5).verdict \
+        == "inconclusive"
