@@ -40,7 +40,7 @@ from .levy_tails import (
     tail_test_weak,
 )
 from .symbols import SymbolModel, sector_check, symmetry_check
-from .verdicts import CONVERGES, DIVERGES
+from .verdicts import CONVERGES, DIVERGES, model_memo
 
 GATE_TRANSIENT = "transient"
 GATE_RECURRENT = "recurrent"
@@ -114,6 +114,7 @@ def _default_assumptions(model):
 # Transience gate.
 # ---------------------------------------------------------------------------
 
+@model_memo
 def transience_gate(model: SymbolModel, r=1.0, use_structural=True) -> str:
     """Transient / Recurrent / Unknown from structural family facts plus the
     constant-weight integral tests."""

@@ -21,6 +21,7 @@ from .quadrature import (
     jump_symbol_value,
     sphere_surface,
 )
+from .verdicts import model_memo
 
 
 def stable_coefficient(d: int, alpha: float) -> float:
@@ -38,6 +39,7 @@ class DensityVariant:
     support_lo: float = 0.0              # density vanishes below this radius
     breakpoints: tuple = ()
     alpha: float | None = None           # tail index of a power-law variant
+    gamma: float | None = None           # jump symbol gamma * rho^alpha, if set
 
     def __call__(self, u):
         return np.asarray(self.profile(np.asarray(u, dtype=float)), dtype=float)
@@ -127,25 +129,20 @@ class RadialLevyDensity:
             out += np.where(radius < rho, radius * radius * mass, 0.0)
         return out
 
+    @model_memo
     def monotone_verified(self, n_grid=64) -> bool:
         """Numerical check of the decreasing-beyond-u0 hypothesis.
 
         When this fails, the measure-side strong test loses its equivalence
         status and is reported as a necessary condition only.
         """
-        key = ("monotone_verified", n_grid)
-        if key not in self._cache:
-            lo = max(self.u0, 1e-3)
-            grid = np.geomspace(lo * 1.001, lo * 1e6, n_grid)
-            ok = True
-            for v in self.variants:
-                vals = v(grid)
-                if np.any(np.diff(vals) > 1e-12 * np.maximum(
-                        vals[:-1], 1e-300)):
-                    ok = False
-                    break
-            self._cache[key] = ok
-        return self._cache[key]
+        lo = max(self.u0, 1e-3)
+        grid = np.geomspace(lo * 1.001, lo * 1e6, n_grid)
+        for v in self.variants:
+            vals = v(grid)
+            if np.any(np.diff(vals) > 1e-12 * np.maximum(vals[:-1], 1e-300)):
+                return False
+        return True
 
     # -- symbol contribution ------------------------------------------------
 
@@ -153,10 +150,15 @@ class RadialLevyDensity:
         """Jump part of the symbol at |xi| = rho: int (1-cos<xi,y>) nu(dy).
 
         rho is one radius or an array of radii (then an array comes back).
-        Values are cached per radius; the radii not cached yet are computed
-        in one jump_symbol_value call.
+        A variant with a closed form (gamma) is evaluated directly; otherwise
+        values are cached per radius, and the radii not cached yet are
+        computed in one jump_symbol_value call.
         """
         rhos = np.asarray(rho, dtype=float)
+        v = self.variants[variant]
+        if v.gamma is not None:
+            out = v.gamma * rhos ** v.alpha
+            return out if rhos.ndim else float(out)
         keys = [("jsym", variant, r) for r in map(float, rhos.ravel())]
         missing = sorted({key[2] for key in keys
                           if key[2] != 0.0 and key not in self._cache})
@@ -272,7 +274,7 @@ def stable_density(d, alpha, gamma=1.0, n_variants=9):
             return _c * np.asarray(u, dtype=float) ** _p
 
         variants.append(DensityVariant(label=f"alpha={a:g},gamma={g:g}",
-                                       profile=prof, alpha=a))
+                                       profile=prof, alpha=a, gamma=g))
     return RadialLevyDensity(
         d=d, u0=0.0, variants=tuple(variants),
         monotone_beyond_u0=True, x_independent=(len(pairs) == 1),

@@ -10,13 +10,12 @@ strong-side integral conditions.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateModelError, NotApplicableError
+from .errors import DegenerateModelError, NotApplicableError, QuadratureError
 from .quadrature import integrate_origin, integrate_tail, origin_cumulative
 from .symbols import (
     ENV_INF_RE,
@@ -26,6 +25,7 @@ from .symbols import (
     envelope_profile,
     symbol_even_in_xi,
 )
+from .verdicts import model_memo
 
 IMPLIES_WEAK = "implies_weak_side"       # the weak-side integral diverges
 IMPLIES_STRONG = "implies_strong_side"   # the strong-side integral converges
@@ -111,6 +111,7 @@ def upper_index(model: SymbolModel, n_directions=16) -> float:
     return pruitt_indices(model, n_directions).upper
 
 
+@model_memo
 def pruitt_indices(model: SymbolModel, n_directions=16) -> PruittIndices:
     rhos, sup_prof, inf_prof = _dyadic_profiles(model, n_directions)
     if np.any(sup_prof <= 0.0):
@@ -194,6 +195,7 @@ def scaling_rules(model: SymbolModel, gamma_exp: float, d: int, kappa: float,
     return first, second
 
 
+@model_memo
 def uniform_second_moment(model: SymbolModel) -> float:
     """sup over states of int |y|^2 nu(x, dy); +inf when not integrable."""
     dens = model.triplet.jump_density
@@ -207,22 +209,28 @@ def uniform_second_moment(model: SymbolModel) -> float:
         try:
             small = integrate_origin(g, 1.0, bps, support_lo=lo)
             big = integrate_tail(g, 1.0, bps)
-        except Exception:
+        except QuadratureError:    # DivergentIntegralError among them
             return float("inf")
         worst = max(worst, small + big)
     return worst
 
 
-def _truncated_quadratic_floors(model: SymbolModel, radii) -> np.ndarray:
-    """inf over states of (1/d) int_{|y| <= radius} |y|^2 nu(x, dy) at each
-    of the ascending radii (one origin-side sweep per variant)."""
+@model_memo
+def _quadratic_floor(model: SymbolModel) -> float:
+    """liminf surrogate of inf_x (<xi, C xi> + int_{|y| <= pi/(2|xi|)}
+    <xi, y>^2 nu) / |xi|^2 as xi -> 0: the diffusion floor plus the inf
+    over states of (1/d) times the truncated second moment (one origin-side
+    sweep per variant), minimized over the smaller half of the dyadic radii."""
+    rhos = 2.0 ** (-np.arange(_K_LO, _K_HI + 1).astype(float))
+    radii = math.pi / (2.0 * rhos)
     dens = model.triplet.jump_density
-    if dens is None:
-        return np.zeros(len(radii))
-    return np.min([origin_cumulative(dens.second_moment_weight(i), radii,
-                                     dens.all_breakpoints(),
-                                     support_lo=dens.support_lo(i))
-                   for i in range(len(dens.variants))], axis=0) / model.d
+    jumps = np.zeros(len(radii)) if dens is None else np.min(
+        [origin_cumulative(dens.second_moment_weight(i), radii,
+                           dens.all_breakpoints(),
+                           support_lo=dens.support_lo(i))
+         for i in range(len(dens.variants))], axis=0) / model.d
+    floors = model.triplet.diffusion_bounds[0] + jumps
+    return float(np.min(floors[len(floors) // 2:]))
 
 
 def moment_rules(model: SymbolModel, d: int, kappa: float):
@@ -244,10 +252,7 @@ def moment_rules(model: SymbolModel, d: int, kappa: float):
                   "kappa": kappa, "threshold": 2.0 * (kappa + 1.0)},
         statement="even symbol, finite uniform second moment and "
                   "d <= 2(kappa+1) give the weak-side condition")
-    rhos = 2.0 ** (-np.arange(_K_LO, _K_HI + 1).astype(float))
-    floors = model.triplet.diffusion_bounds[0] \
-        + _truncated_quadratic_floors(model, math.pi / (2.0 * rhos))
-    tail_min = float(np.min(floors[len(floors) // 2:]))
+    tail_min = _quadratic_floor(model)
     nondegenerate = tail_min > 1e-12
     second = RuleOutcome(
         rule="nondegeneracy-strong",
@@ -264,15 +269,18 @@ def moment_rules(model: SymbolModel, d: int, kappa: float):
 # Convexity/concavity diagnostics of the radial envelope profiles.
 # ---------------------------------------------------------------------------
 
-def _shape_flags(profile, n_points=12, tol=1e-8):
-    """(is_convex, is_concave, window) of a radial profile near 0.
+@model_memo
+def _shape_flags(model, kind, n_points=12, tol=1e-8):
+    """(is_convex, is_concave, window) of the radial `kind` envelope profile
+    near 0.
 
     The window is the largest dyadic radius at which the second-difference
     sign pattern is stable across the window and its half.
     """
     def classify(eps):
         rho = eps * np.arange(1, n_points + 1) / n_points
-        vals = np.asarray(profile(rho), dtype=float)
+        vals = envelope_profile(model, kind, rho, reduce="min",
+                                n_directions=1)
         d2 = vals[2:] - 2.0 * vals[1:-1] + vals[:-2]
         scale = max(float(np.max(np.abs(vals))), 1e-300)
         return bool(np.all(d2 >= -tol * scale)), bool(np.all(d2 <= tol * scale))
@@ -306,9 +314,7 @@ def shape_diagnostic(model: SymbolModel, kappa: float, d: int,
                 statement="profile shape rules need a radial envelope"))
             continue
 
-        profile = functools.partial(envelope_profile, model, kind,
-                                    reduce="min", n_directions=1)
-        convex, concave, window = _shape_flags(profile, tol=tol)
+        convex, concave, window = _shape_flags(model, kind, tol=tol)
         index_name = "lower_index" if label == "sup" else "upper_index"
         if convex and kappa + 1.0 >= d:
             extras = {}

@@ -49,6 +49,7 @@ from .verdicts import (
     DEFAULT_BAND,
     DivergenceVerdict,
     memoized_profile,
+    model_memo,
     verdict_from_radial_integrand,
 )
 
@@ -312,6 +313,7 @@ def density_floor_test(density: RadialLevyDensity, d: int, kappa: float,
                                          singularity=AT_INFINITY)
 
 
+@model_memo
 def _quadratic_ladder(density, k_lo=4, k_hi=16):
     """Dyadic radii 2^-k_lo .. 2^-k_hi, inf over variants of
     jump_symbol(rho) / rho^2 on them, and the minimum over the smaller half

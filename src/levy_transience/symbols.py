@@ -29,6 +29,7 @@ from .densities import (
     table_density,
 )
 from .errors import ConfigurationError, DegenerateModelError, ModelInvariantError
+from .verdicts import model_memo
 
 ENV_SUP_ABS = "sup_abs"
 ENV_INF_RE = "inf_re"
@@ -476,6 +477,7 @@ def envelope_profile(model: SymbolModel, kind, rhos, reduce="min",
 # Structural checks.
 # ---------------------------------------------------------------------------
 
+@model_memo
 def sector_check(model: SymbolModel, c: float, n_directions=16,
                  radii=None):
     """Check sup|Im q| <= c * inf Re q on a frequency grid.
@@ -509,6 +511,7 @@ def radiality_check(model: SymbolModel) -> bool:
     return True
 
 
+@model_memo
 def symmetry_check(model: SymbolModel, n_samples=24, tol=1e-8) -> bool:
     """Sampled check of q(x, xi) = q(-x, -xi)."""
     gen = np.random.Generator(np.random.Philox(key=[0xC0FFEE, model.d]))
@@ -523,6 +526,7 @@ def symmetry_check(model: SymbolModel, n_samples=24, tol=1e-8) -> bool:
     return True
 
 
+@model_memo
 def symbol_even_in_xi(model: SymbolModel, n_samples=16, tol=1e-8) -> bool:
     """Sampled check of q(x, xi) = q(x, -xi) (zero drift, symmetric jumps)."""
     gen = np.random.Generator(np.random.Philox(key=[0xBEEF, model.d]))

@@ -11,6 +11,8 @@ case falls on.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -107,15 +109,43 @@ def _refine(rhos, g, singularity):
     return (DIVERGES if level > 0.25 * np.max(y) else CONVERGES), info
 
 
+def model_memo(fn):
+    """Memoize fn(obj, ...) in the `_cache` dict of the frozen obj (a model
+    or a density), keyed by fn and its other arguments, defaults filled in.
+    Calls with an unhashable argument are not memoized. Every caller gets
+    the same result object, so callers must not mutate it."""
+    signature = inspect.signature(fn)
+
+    @functools.wraps(fn)
+    def memo(obj, *args, **kwargs):
+        bound = signature.bind(obj, *args, **kwargs)
+        bound.apply_defaults()
+        key = (fn, *list(bound.arguments.values())[1:])
+        try:
+            return obj._cache[key]
+        except KeyError:
+            pass
+        except TypeError:
+            return fn(obj, *args, **kwargs)
+        obj._cache[key] = value = fn(obj, *args, **kwargs)
+        return value
+
+    return memo
+
+
 def memoized_profile(cache, compute):
     """rhos -> values of a function of the radius, memoized per radius in the
-    dict `cache`; radii not cached yet go to compute(sorted radii) at once."""
+    dict `cache`; radii not cached yet go to compute(sorted radii) at once.
+    A whole radius array seen before is looked up at once (as a copy)."""
     def profile(rhos):
         rhos = np.atleast_1d(np.asarray(rhos, dtype=float))
-        missing = sorted({float(r) for r in rhos} - cache.keys())
-        if missing:
-            cache.update(zip(missing, map(float, compute(missing))))
-        return np.asarray([cache[float(r)] for r in rhos])
+        key = rhos.tobytes()
+        if key not in cache:
+            missing = sorted({float(r) for r in rhos} - cache.keys())
+            if missing:
+                cache.update(zip(missing, map(float, compute(missing))))
+            cache[key] = np.asarray([cache[float(r)] for r in rhos])
+        return cache[key].copy()
 
     return profile
 

@@ -1,0 +1,188 @@
+"""Kappa-free model facts are memoized on the frozen model and density
+objects: a warm object must answer exactly as a fresh one."""
+
+import importlib.util
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import levy_transience
+from levy_transience.classifier import classify, kappa_boundary, transience_gate
+from levy_transience.densities import (
+    DensityVariant,
+    RadialLevyDensity,
+    stable_density,
+)
+from levy_transience.errors import LevyTransienceError
+from levy_transience.index_rules import uniform_second_moment
+from levy_transience.quadrature import jump_symbol_value
+from levy_transience.symbols import (
+    isotropic_stable,
+    load_model,
+    model_from_config,
+    radial_jump_model,
+    sector_check,
+    stable_like,
+)
+from levy_transience.verdicts import model_memo
+
+_WORKLOADS = Path(__file__).resolve().parent.parent / "benchmarks" \
+    / "workloads.py"
+
+
+def _kappa_star_model_files(tmp_path):
+    spec = importlib.util.spec_from_file_location("_bench_workloads",
+                                                  _WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    ops = module.generate("kappa_star", module.DEFAULT_SEED, tmp_path)
+    return sorted({op["args"][2] for op in ops})
+
+
+# the model file and the radial_jump density examples of the README
+_README = [
+    {"family": "stable_like", "d": 2,
+     "parameters": {"alpha": {"lo": 0.6, "hi": 1.4, "profile": "cos"},
+                    "gamma": 1.0, "beta": [0.5, 0.0]},
+     "envelope_mode": "closed_form",
+     "state_grid": {"box": [-10, 10], "points_per_axis": 21},
+     "assumptions": {"weak_test_hypothesis": False, "irreducible": True}},
+    {"family": "brownian_drift", "d": 3, "parameters": {"c": 1.0}},
+    {"family": "isotropic_stable", "d": 3, "parameters": {"alpha": 1.0}},
+] + [{"family": "radial_jump", "d": d, "parameters": {"density": density}}
+     for d, density in (
+         (3, {"kind": "power", "alpha": 0.5, "coeff": 1.0, "u0": 1.0}),
+         (2, {"kind": "stable", "alpha": 1.2, "gamma": 1.0}),
+         (1, {"kind": "power_log", "exponent": -2.0, "log_exponent": 2.0,
+              "u_start": 2.718281828}),
+         (3, {"kind": "table", "u": [1, 10, 100], "n": [1e-1, 1e-5, 1e-9],
+              "u0": 1.0, "monotone": True}))]
+
+_KAPPAS = (0.0, 0.7, 2.5)
+_DECIMAL = re.compile(r"-?\d+\.\d*(?:[eE][-+]?\d+)?|-?\d+[eE][-+]?\d+")
+
+
+def _outcome(call):
+    """JSON of a report, or the error a call raised."""
+    try:
+        return json.dumps(call().to_json(), sort_keys=True)
+    except LevyTransienceError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _check_warm_equals_fresh(load):
+    warm = load()
+    try:
+        kappa_boundary(warm)
+    except LevyTransienceError:
+        pass                     # no boundary in range: the probes still ran
+    for k in (0.3, 5.0):
+        _outcome(lambda: classify(warm, k))
+    for k in _KAPPAS:
+        assert _outcome(lambda: classify(warm, k)) \
+            == _outcome(lambda: classify(load(), k)), k
+    # the memo keys cover every argument: radius and structural switch
+    for r in (1.0, 0.25):
+        for structural in (True, False):
+            assert transience_gate(warm, r, structural) \
+                == transience_gate(load(), r, structural)
+    # ... and the whole-ladder lookups the radius ladder. The two ladders
+    # share most radii, and a jump symbol computed by quadrature together
+    # with other radii can differ from a lone one at the quadrature
+    # tolerance, so the numbers are compared to 1e-9 relative here.
+    for r in (0.5, 1.0):
+        got = _outcome(lambda: classify(warm, 1.0, r=r))
+        want = _outcome(lambda: classify(load(), 1.0, r=r))
+        assert _DECIMAL.sub("#", got) == _DECIMAL.sub("#", want)
+        np.testing.assert_allclose(
+            np.asarray(_DECIMAL.findall(got), dtype=float),
+            np.asarray(_DECIMAL.findall(want), dtype=float), rtol=1e-9)
+
+
+def test_kappa_star_workload_models_answer_the_same_warm(tmp_path):
+    for path in _kappa_star_model_files(tmp_path):
+        _check_warm_equals_fresh(lambda: load_model(path))
+
+
+@pytest.mark.parametrize("cfg", _README,
+                         ids=[c["family"] + "-" + c["parameters"].get(
+                             "density", {}).get("kind", "")
+                              for c in _README])
+def test_readme_models_answer_the_same_warm(cfg):
+    _check_warm_equals_fresh(lambda: model_from_config(cfg))
+
+
+def test_memo_keys_cover_every_argument():
+    calls = []
+
+    @model_memo
+    def fact(obj, r=1.0, structural=True):
+        calls.append((r, structural))
+        return r, structural
+
+    model = isotropic_stable(2, 1.2)
+    assert fact(model) == fact(model, 1.0) \
+        == fact(model, r=1.0, structural=True) == (1.0, True)
+    assert fact(model, 0.25) == (0.25, True)
+    assert fact(model, 0.25, False) == (0.25, False)
+    assert len(calls) == 3
+    assert fact(model, [0.5]) == fact(model, [0.5]) == ([0.5], True)
+    assert len(calls) == 5                 # unhashable: not memoized
+
+    # a check whose answer changes with its argument, on one object
+    drifted = stable_like(2, 0.5, beta=(0.1, 0.0))
+    assert [sector_check(drifted, c)[0] for c in (0.0, 0.5)] == [False, True]
+
+
+def test_uniform_second_moment_lets_profile_bugs_through():
+    # a broken profile must raise, not read as an infinite second moment
+    broken = {"on": False}
+
+    def profile(u):
+        if broken["on"]:
+            raise TypeError("profile bug")
+        return np.asarray(u, dtype=float) ** -3.5
+
+    dens = RadialLevyDensity(d=3, u0=0.0, variants=(
+        DensityVariant(label="power", profile=profile, alpha=0.5),))
+    model = radial_jump_model(dens)
+    broken["on"] = True
+    with pytest.raises(TypeError, match="profile bug"):
+        uniform_second_moment(model)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+@pytest.mark.parametrize("alpha, gamma", [(0.7, 1.7),
+                                          ((0.3, 1.9), (0.5, 2.0))])
+def test_stable_closed_form_matches_quadrature(d, alpha, gamma):
+    rhos = np.geomspace(1e-4, 1e2, 31)
+    dens = stable_density(d, alpha, gamma=gamma)
+    for i in range(len(dens.variants)):
+        np.testing.assert_allclose(
+            dens.jump_symbol(rhos, i),
+            jump_symbol_value(dens.radial_weight(i), rhos, d), rtol=1e-9)
+
+
+def test_kappa_star_on_stable_like_leaves_scipy_special_unloaded(model_file,
+                                                                 tmp_path):
+    path = model_file({"family": "stable_like", "d": 2, "parameters": {
+        "alpha": {"lo": 0.6, "hi": 1.4, "profile": "cos"}, "gamma": 1.0}})
+    src = str(Path(levy_transience.__file__).resolve().parents[1])
+    code = ("import sys\n"
+            "from levy_transience.cli import main\n"
+            "try:\n"
+            f"    main(['kappa-star', '--model', {path!r}, '--out', "
+            f"{str(tmp_path / 'o')!r}])\n"
+            "except SystemExit as exc:\n"
+            "    print('scipy.special' in sys.modules)\n"
+            "    sys.exit(exc.code)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "False"
