@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LevyMeasureError, ModelInvariantError
+from .errors import LevyMeasureError, ModelInvariantError, QuadratureError
 from .quadrature import (
     integrate_origin,
     integrate_tail,
@@ -195,7 +195,7 @@ class RadialLevyDensity:
                                          bps, support_lo=v.support_lo)
                 integrate_tail(self.radial_weight(idx), max(1.0, v.support_lo),
                                bps)
-            except Exception as exc:
+            except QuadratureError as exc:  # DivergentIntegralError among them
                 raise LevyMeasureError(
                     "jump measure fails int min(1,|y|^2) nu(dy) < infinity "
                     f"for variant {v.label!r}: {exc}") from exc

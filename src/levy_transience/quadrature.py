@@ -279,16 +279,21 @@ def origin_cumulative(f, us, breakpoints=(), rel_tol=1e-11, support_lo=0.0):
 # Spherically averaged cosine kernel and the radial jump-symbol integral.
 # ---------------------------------------------------------------------------
 
-def _hyp0f1(b, z):
+def wave_kernel(s, d):
+    """psi_d(s) = 0F1(d/2; -s^2/4) for s > 0: the average of cos(s * w_1)
+    over the unit sphere in R^d. Elementary for d = 1 and 3 (DLMF 10.49)."""
+    if d == 1:
+        return np.cos(s)
+    if d == 3:
+        return np.sin(s) / s
     # imported on first use: scipy.special is most of the package's import
-    # time, and only the jump-symbol kernel needs it
+    # time, and only even d and d >= 5 need it
     from scipy.special import hyp0f1
-    return hyp0f1(b, z)
+    return hyp0f1(0.5 * d, -0.25 * s ** 2)
 
 
 def one_minus_wave_kernel(s, d):
-    """1 - psi_d(s) where psi_d(s) is the average of cos(s * w_1) over the
-    unit sphere in R^d: psi_d(s) = 0F1(d/2; -s^2/4).
+    """1 - psi_d(s), with psi_d the wave_kernel.
 
     A short series is used for small s to avoid cancellation; the kernel
     behaves like s^2 / (2d) near 0 and oscillates around 1 for large s.
@@ -305,7 +310,7 @@ def one_minus_wave_kernel(s, d):
         t4 = t3 * z / (16.0 * (b + 3.0))
         out[small] = t1 - t2 + t3 - t4
     if np.any(~small):
-        out[~small] = 1.0 - _hyp0f1(b, -0.25 * s[~small] ** 2)
+        out[~small] = 1.0 - wave_kernel(s[~small], d)
     return out
 
 
@@ -335,8 +340,8 @@ def oscillatory_tail_integral(f, a, rho, d, breakpoints=(), n_blocks=48, n=10):
     owner, lo, hi = _split(edges[:, :-1].ravel(), edges[:, 1:].ravel(),
                            breakpoints)
     u, w = _linear_gauss_blocks(lo, hi, n)
-    psi = _hyp0f1(0.5 * d, -0.25 * (rho[owner // n_blocks, None] * u) ** 2)
-    vals = psi * np.asarray(f(u), dtype=float)
+    vals = wave_kernel(rho[owner // n_blocks, None] * u, d) \
+        * np.asarray(f(u), dtype=float)
     blocks = np.bincount(owner, weights=np.einsum("ij,ij->i", w, vals),
                          minlength=rho.size * n_blocks)
     sums = np.cumsum(blocks.reshape(rho.size, n_blocks), axis=1)

@@ -169,20 +169,37 @@ def test_stable_closed_form_matches_quadrature(d, alpha, gamma):
             jump_symbol_value(dens.radial_weight(i), rhos, d), rtol=1e-9)
 
 
-def test_kappa_star_on_stable_like_leaves_scipy_special_unloaded(model_file,
-                                                                 tmp_path):
-    path = model_file({"family": "stable_like", "d": 2, "parameters": {
-        "alpha": {"lo": 0.6, "hi": 1.4, "profile": "cos"}, "gamma": 1.0}})
+def _scipy_special_loaded_after(args, tmp_path):
+    """Run the CLI with args in a fresh interpreter; assert it exits 0 and
+    return whether scipy.special was imported."""
     src = str(Path(levy_transience.__file__).resolve().parents[1])
     code = ("import sys\n"
             "from levy_transience.cli import main\n"
             "try:\n"
-            f"    main(['kappa-star', '--model', {path!r}, '--out', "
-            f"{str(tmp_path / 'o')!r}])\n"
+            f"    main({args + ['--out', str(tmp_path / 'o')]!r})\n"
             "except SystemExit as exc:\n"
             "    print('scipy.special' in sys.modules)\n"
             "    sys.exit(exc.code)\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=dict(os.environ, PYTHONPATH=src))
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-1] == "False"
+    return out.stdout.splitlines()[-1] == "True"
+
+
+def test_kappa_star_on_stable_like_leaves_scipy_special_unloaded(model_file,
+                                                                 tmp_path):
+    path = model_file({"family": "stable_like", "d": 2, "parameters": {
+        "alpha": {"lo": 0.6, "hi": 1.4, "profile": "cos"}, "gamma": 1.0}})
+    assert not _scipy_special_loaded_after(["kappa-star", "--model", path],
+                                           tmp_path)
+
+
+@pytest.mark.parametrize("d, grid", [(3, "0.5,4"), (2, "0.25,3")])
+def test_radial_power_classify_needs_scipy_special_only_for_even_d(
+        model_file, tmp_path, d, grid):
+    # d = 3 takes the elementary kernel sin(s)/s, d = 2 still hyp0f1
+    path = model_file({"family": "radial_jump", "d": d, "parameters": {
+        "density": {"kind": "power", "alpha": 1.0, "u0": 1.0}}})
+    assert _scipy_special_loaded_after(
+        ["classify", "--model", path, "--kappa-grid", grid], tmp_path) \
+        == (d == 2)

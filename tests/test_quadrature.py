@@ -75,11 +75,25 @@ def test_integrate_origin_support_cutoff():
 
 
 def test_wave_kernel_matches_low_dim_closed_forms():
+    from scipy.special import gamma, hyp0f1, jv
+
     s = np.array([1e-4, 0.01, 0.09, 0.5, 2.0, 17.0])
     np.testing.assert_allclose(one_minus_wave_kernel(s, 1), 1 - np.cos(s),
                                rtol=1e-10, atol=1e-14)
     np.testing.assert_allclose(one_minus_wave_kernel(s, 3),
                                1 - np.sin(s) / s, rtol=1e-10, atol=1e-14)
+    # independent references on a dense grid and on both sides of the 0.1
+    # series switch: 0F1(d/2; -s^2/4) and the Bessel form
+    # Gamma(d/2) (2/s)^(d/2-1) J_(d/2-1)(s). scipy's hyp0f1(0.5, .) is itself
+    # off by up to 5.9e-12 near s = 12.8, hence the looser d = 1 bound.
+    switch = 0.1 * (1.0 + np.array([-1e-2, -1e-6, 0.0, 1e-6, 1e-2]))
+    s = np.concatenate([switch, np.linspace(0.1, 200.0, 20001)])
+    for d, hyp_atol in ((1, 1e-11), (3, 1e-13)):
+        got = one_minus_wave_kernel(s, d)
+        np.testing.assert_allclose(got, 1 - hyp0f1(d / 2, -s ** 2 / 4),
+                                   rtol=0, atol=hyp_atol)
+        bessel = gamma(d / 2) * (2 / s) ** (d / 2 - 1) * jv(d / 2 - 1, s)
+        np.testing.assert_allclose(got, 1 - bessel, rtol=0, atol=1e-13)
 
 
 def test_wave_kernel_small_argument_scale():
@@ -90,11 +104,12 @@ def test_wave_kernel_small_argument_scale():
         assert val == pytest.approx(s * s / (2.0 * d), rel=1e-9)
 
 
-def test_jump_symbol_value_stable_closed_form():
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_jump_symbol_value_stable_closed_form(d):
     # weight of an isotropic stable measure gives exactly rho^alpha
     from levy_transience.densities import stable_coefficient
 
-    d, alpha = 2, 0.8
+    alpha = 0.8
     c = stable_coefficient(d, alpha)
     s_d = sphere_surface(d)
 

@@ -7,10 +7,16 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from levy_transience.densities import modified_density, power_density
+from levy_transience.densities import (
+    DensityVariant,
+    RadialLevyDensity,
+    modified_density,
+    power_density,
+)
 from levy_transience.errors import (
     ConfigurationError,
     DegenerateModelError,
+    LevyMeasureError,
     ModelInvariantError,
 )
 from levy_transience.symbols import (
@@ -154,6 +160,29 @@ def test_symmetry_check_cases(stable_05_d1):
 def test_degenerate_symbol_rejected():
     with pytest.raises(DegenerateModelError):
         brownian_drift(2, c=0.0)
+
+
+def test_density_validation_lets_profile_bugs_through():
+    # the profile fails only above the sample grid (which ends at 1e-3), so
+    # the error comes from the tail integral of the integrability check and
+    # must not be reported as a non-integrable Levy measure
+    def profile(u):
+        if np.any(u > 10.0):
+            raise TypeError("profile bug")
+        return u ** -3.5
+
+    with pytest.raises(TypeError, match="profile bug"):
+        RadialLevyDensity(d=3, u0=0.0, variants=(
+            DensityVariant(label="power", profile=profile, alpha=0.5),))
+
+
+@pytest.mark.parametrize("power", [-5.5, -3.0])
+def test_non_integrable_density_is_not_a_levy_measure(power):
+    # u^-5.5 in d = 3 diverges at the origin, u^-3 at infinity
+    with np.errstate(over="ignore"), \
+            pytest.raises(LevyMeasureError, match=r"min\(1,\|y\|\^2\)"):
+        RadialLevyDensity(d=3, u0=0.0, variants=(
+            DensityVariant(label="bad", profile=lambda u: u ** power),))
 
 
 def test_invalid_family_parameters():
