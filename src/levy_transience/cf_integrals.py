@@ -125,8 +125,9 @@ _WHAT = {ENV_SUP_ABS: "sup |q|", ENV_INF_RE: "inf Re q"}
 
 def _frequency_test(model, kind, r, integrand, K, band, n_directions,
                     kappa=None):
-    """Verdict on int_B(0,r) integrand(S_d rho^{d-1}, m(rho)) drho, where m
-    is the `kind` envelope reduced over directions.
+    """Verdict on int_B(0,r) exp(integrand(log(S_d rho^{d-1}), m(rho))) drho,
+    where m is the `kind` envelope reduced over directions and the integrand
+    returns the log of the radial integrand.
 
     The weak side (sup |q|) needs m > 0 at every frequency; on the strong
     side (inf Re q) a vanishing envelope makes the integral infinite.
@@ -136,7 +137,7 @@ def _frequency_test(model, kind, r, integrand, K, band, n_directions,
     if kappa is not None:
         check_kappa(kappa)
     env = _reduced_envelope(model, kind, n_directions)
-    s_d = sphere_surface(model.d)
+    log_s_d = math.log(sphere_surface(model.d))
     d = model.d
     if kind == ENV_INF_RE:
         probe = env(np.asarray([r / 2.0, r / 8.0, r / 64.0]))
@@ -145,19 +146,20 @@ def _frequency_test(model, kind, r, integrand, K, band, n_directions,
                 "inf Re q vanishes on the test set; strong-side integral is "
                 "infinite",))
 
-    def G(rhos):
+    def log_G(rhos):
         m = env(rhos)
         if np.any(m < 0):
             raise DegenerateModelError(f"{_WHAT[kind]} envelope is negative")
         if kind == ENV_SUP_ABS and np.any(m == 0.0):
             raise DegenerateModelError(
                 "sup |q| vanishes at positive frequency; model degenerate")
-        # a large kappa over/underflows here; verdict_from_radial_integrand
-        # turns the non-finite values into a QuadratureError
-        with np.errstate(all="ignore"):
-            return integrand(s_d * rhos ** (d - 1), m)
+        # log 0 where inf Re q vanishes at a ladder point, or a general
+        # weight overflowing at a large kappa: +inf log G, which
+        # verdict_from_radial_integrand reports as a QuadratureError
+        with np.errstate(divide="ignore", over="ignore"):
+            return integrand(log_s_d + (d - 1) * np.log(rhos), m)
 
-    return verdict_from_radial_integrand(G, r, K=K, band=band,
+    return verdict_from_radial_integrand(log_G, r, K=K, band=band,
                                          singularity=AT_ORIGIN)
 
 
@@ -166,7 +168,7 @@ def weak_integral_f(model: SymbolModel, f: WeightFunction, r: float,
     """Weak-side test with a general weight; Diverges supports weak transience."""
     return _frequency_test(
         model, ENV_SUP_ABS, r,
-        lambda radial, m: radial * f.integral_to(_LN2 / (4.0 * m)),
+        lambda lrad, m: lrad + np.log(f.integral_to(_LN2 / (4.0 * m))),
         K, band, n_directions)
 
 
@@ -175,7 +177,7 @@ def strong_integral_f(model: SymbolModel, f: WeightFunction, r: float,
     """Strong-side test with a general weight; Converges supports strong
     transience (given the sector condition, which the caller records)."""
     return _frequency_test(model, ENV_INF_RE, r,
-                           lambda radial, m: radial * f.exp_moment(m),
+                           lambda lrad, m: lrad + np.log(f.exp_moment(m)),
                            K, band, n_directions)
 
 
@@ -183,7 +185,7 @@ def weak_integral_kappa(model: SymbolModel, kappa: float, r: float,
                         K=24, band=DEFAULT_BAND, n_directions=64) -> DivergenceVerdict:
     """int_B(0,r) dxi / (sup_x |q|)^{kappa+1}; Diverges supports weak transience."""
     return _frequency_test(model, ENV_SUP_ABS, r,
-                           lambda radial, m: radial / m ** (kappa + 1.0),
+                           lambda lrad, m: lrad - (kappa + 1.0) * np.log(m),
                            K, band, n_directions, kappa)
 
 
@@ -192,7 +194,7 @@ def strong_integral_kappa(model: SymbolModel, kappa: float, r: float,
     """int_B(0,r) dxi / (inf_x Re q)^{kappa+1}; Converges supports strong
     transience."""
     return _frequency_test(model, ENV_INF_RE, r,
-                           lambda radial, m: radial / m ** (kappa + 1.0),
+                           lambda lrad, m: lrad - (kappa + 1.0) * np.log(m),
                            K, band, n_directions, kappa)
 
 

@@ -63,7 +63,8 @@ class RadialLevyDensity:
     x_independent: bool = True
     atoms: tuple = ()
     meta: dict = field(default_factory=dict)
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         if self.d < 1:
@@ -146,7 +147,7 @@ class RadialLevyDensity:
 
     # -- symbol contribution ------------------------------------------------
 
-    def jump_symbol(self, rho, variant=0, rel_tol=1e-10):
+    def jump_symbol(self, rho, variant=0):
         """Jump part of the symbol at |xi| = rho: int (1-cos<xi,y>) nu(dy).
 
         rho is one radius or an array of radii (then an array comes back).
@@ -166,7 +167,7 @@ class RadialLevyDensity:
             vals = jump_symbol_value(
                 self.radial_weight(variant), np.asarray(missing), self.d,
                 breakpoints=self.all_breakpoints(),
-                support_lo=self.support_lo(variant), rel_tol=rel_tol)
+                support_lo=self.support_lo(variant))
             self._cache.update(
                 (("jsym", variant, r), float(v)) for r, v in zip(missing, vals))
         out = np.asarray([self._cache.get(key, 0.0) for key in keys])

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateModelError, NotApplicableError, QuadratureError
-from .quadrature import integrate_origin, integrate_tail, origin_cumulative
+from .levy_tails import _variant_envelope
+from .quadrature import integrate_origin, integrate_tail
 from .symbols import (
     ENV_INF_RE,
     ENV_SUP_ABS,
@@ -218,17 +219,14 @@ def uniform_second_moment(model: SymbolModel) -> float:
 @model_memo
 def _quadratic_floor(model: SymbolModel) -> float:
     """liminf surrogate of inf_x (<xi, C xi> + int_{|y| <= pi/(2|xi|)}
-    <xi, y>^2 nu) / |xi|^2 as xi -> 0: the diffusion floor plus the inf
-    over states of (1/d) times the truncated second moment (one origin-side
-    sweep per variant), minimized over the smaller half of the dyadic radii."""
+    <xi, y>^2 nu) / |xi|^2 as xi -> 0: the diffusion floor plus (1/d) times
+    the inf over states of the truncated second moment T3 (atoms included),
+    minimized over the smaller half of the dyadic radii."""
     rhos = 2.0 ** (-np.arange(_K_LO, _K_HI + 1).astype(float))
     radii = math.pi / (2.0 * rhos)
     dens = model.triplet.jump_density
-    jumps = np.zeros(len(radii)) if dens is None else np.min(
-        [origin_cumulative(dens.second_moment_weight(i), radii,
-                           dens.all_breakpoints(),
-                           support_lo=dens.support_lo(i))
-         for i in range(len(dens.variants))], axis=0) / model.d
+    jumps = np.zeros(len(radii)) if dens is None \
+        else _variant_envelope(dens, "t3", "inf", radii) / model.d
     floors = model.triplet.diffusion_bounds[0] + jumps
     return float(np.min(floors[len(floors) // 2:]))
 

@@ -35,6 +35,7 @@ from .errors import (
     check_kappa,
 )
 from .quadrature import (
+    MAX_BLOCK_RATIO,
     integrate_origin,
     integrate_tail,
     log_gauss_blocks,
@@ -119,7 +120,7 @@ def _t1_ladder(density, variant, rhos):
     total_deep = float(np.sum(deep))
     if deep[0] > 0 and deep[1] > 0:
         ratio = deep[0] / deep[1]
-        if ratio >= 0.999:
+        if ratio >= MAX_BLOCK_RATIO:
             raise LevyMeasureError(
                 "integrated tail T1 diverges at 0; the jump measure violates "
                 "int min(1, |y|^2) nu(dy) < infinity")
@@ -213,19 +214,18 @@ def _tail_test(density, d, kappa, r, which, K, band):
         raise ConfigurationError(
             f"dimension mismatch: test d={d}, density d={density.d}")
     check_kappa(kappa)
-    probe = _variant_envelope(density, "t1", which, [r, 4.0 * r])
-    if np.all(probe == 0.0):
+    env = functools.partial(_variant_envelope, density, "t1", which)
+    if np.all(env([r, 4.0 * r]) == 0.0):
         raise NotApplicableError("integrated tail vanishes; no jump tail to test")
+    return _power_test(2.0 * kappa - d + 1.0, kappa + 1.0, env, r, K, band)
 
-    def G(rhos):
-        vals = _variant_envelope(density, "t1", which, rhos)
-        # a large kappa over/underflows here; verdict_from_radial_integrand
-        # turns the non-finite values into a QuadratureError
-        with np.errstate(all="ignore"):
-            return rhos ** (2.0 * kappa - d + 1.0) / vals ** (kappa + 1.0)
 
-    return verdict_from_radial_integrand(G, r, K=K, band=band,
-                                         singularity=AT_INFINITY)
+def _power_test(a, b, env, r, K, band):
+    """Verdict on int_r^infinity rho^a / env(rho)^b drho, taken in log space
+    (env positive on the ladder)."""
+    return verdict_from_radial_integrand(
+        lambda rhos: a * np.log(rhos) - b * np.log(env(rhos)), r, K=K,
+        band=band, singularity=AT_INFINITY)
 
 
 @dataclass(frozen=True)
@@ -262,32 +262,18 @@ def split_tail_tests(density: RadialLevyDensity, d: int, kappa: float, r: float,
         raise ConfigurationError("tail tests need r > 0")
     check_kappa(kappa)
     env = functools.partial(_variant_envelope, density)
+    a, b = 2.0 * kappa - d + 1.0, kappa + 1.0
 
-    def split(which):
-        def G(rhos):
-            denom = rhos ** 2 * env("tm", which, rhos) + env("t3", which, rhos)
-            return rhos ** (2.0 * kappa - d + 1.0) / denom ** (kappa + 1.0)
-        return G
+    def t1_split(which):
+        return lambda rhos: rhos ** 2 * env("tm", which, rhos) \
+            + env("t3", which, rhos)
 
-    weak_split = verdict_from_radial_integrand(split("sup"), r, K=K, band=band,
-                                               singularity=AT_INFINITY)
-    strong_split = verdict_from_radial_integrand(split("inf"), r, K=K, band=band,
-                                                 singularity=AT_INFINITY)
-
-    def G_mass(rhos):
-        return rhos ** (-d - 1.0) / env("tm", "sup", rhos) ** (kappa + 1.0)
-
-    strong_tail_mass = verdict_from_radial_integrand(
-        G_mass, r, K=K, band=band, singularity=AT_INFINITY)
-
-    def G_moment(rhos):
-        return rhos ** (2.0 * kappa - d + 1.0) \
-            / env("t3", "inf", rhos) ** (kappa + 1.0)
-
-    strong_second_moment = verdict_from_radial_integrand(
-        G_moment, r, K=K, band=band, singularity=AT_INFINITY)
-    return SplitTailVerdicts(weak_split, strong_split, strong_tail_mass,
-                             strong_second_moment)
+    return SplitTailVerdicts(
+        _power_test(a, b, t1_split("sup"), r, K, band),
+        _power_test(a, b, t1_split("inf"), r, K, band),
+        _power_test(-d - 1.0, b, functools.partial(env, "tm", "sup"), r, K,
+                    band),
+        _power_test(a, b, functools.partial(env, "t3", "inf"), r, K, band))
 
 
 def density_floor_test(density: RadialLevyDensity, d: int, kappa: float,
@@ -301,16 +287,22 @@ def density_floor_test(density: RadialLevyDensity, d: int, kappa: float,
     if not density.monotone_beyond_u0 or not density.monotone_verified():
         raise NotApplicableError(
             "density-floor test needs a density decreasing beyond the cutoff")
-
-    def G(rhos):
-        floor = density.envelope(rhos, which="inf")
-        if np.any(floor <= 0.0):
-            raise NotApplicableError("density floor vanishes on the ladder")
-        return rhos ** (-d * kappa - 2.0 * d - 1.0) / floor ** (kappa + 1.0)
-
+    floor = _density_floor(density, "density floor vanishes on the ladder")
     start = max(r, 2.0 * density.u0 if density.u0 > 0 else r)
-    return verdict_from_radial_integrand(G, start, K=K, band=band,
-                                         singularity=AT_INFINITY)
+    return _power_test(-d * kappa - 2.0 * d - 1.0, kappa + 1.0, floor, start,
+                       K, band)
+
+
+def _density_floor(density, message):
+    """rho -> inf over the variants of n(., rho), which must be positive
+    (NotApplicableError with `message` otherwise)."""
+    def floor(rhos):
+        vals = density.envelope(rhos, which="inf")
+        if np.any(vals <= 0.0):
+            raise NotApplicableError(message)
+        return vals
+
+    return floor
 
 
 @model_memo
@@ -538,15 +530,8 @@ def borderline_index_test(density: RadialLevyDensity, r=None, K=24,
     d = density.d
     if r is None:
         r = 2.0 * max(density.u0, 1.0)
-
-    def G(rhos):
-        vals = density.envelope(rhos, which="inf")
-        if np.any(vals <= 0.0):
-            raise NotApplicableError("density vanishes on the test ladder")
-        return 1.0 / (rhos ** (2.0 * d + 1.0) * vals)
-
-    return verdict_from_radial_integrand(G, r, K=K, band=band,
-                                         singularity=AT_INFINITY)
+    floor = _density_floor(density, "density vanishes on the test ladder")
+    return _power_test(-2.0 * d - 1.0, 1.0, floor, r, K, band)
 
 
 @dataclass(frozen=True)

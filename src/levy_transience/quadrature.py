@@ -31,6 +31,10 @@ _CHUNK = 64
 #: meets its stop rule within the first batch
 _OCTAVE_BATCH = 8
 
+#: largest ratio of consecutive octave blocks whose geometric remainder is
+#: extrapolated; a block sequence that shrinks more slowly diverges
+MAX_BLOCK_RATIO = 0.9999
+
 
 #: surface area of the unit sphere in R^d, S_d = 2 pi^{d/2} / Gamma(d/2)
 def sphere_surface(d: int) -> float:
@@ -126,18 +130,19 @@ def integrate_log(f, a, b, breakpoints=(), n=16):
     return float(_log_integrals(lambda u, _: f(u), [a], [b], breakpoints, n)[0])
 
 
-def _octave_sum(g, start, step, breakpoints, rel_tol, max_octaves,
-                min_octaves, on_divergence, message):
+def _octave_sum(g, start, step, breakpoints, rel_tol, message):
     """Sums of g over geometric octave blocks, one row per start[j]: each
     block `step` times the last (2 toward infinity, 1/2 toward the origin),
     with the remainder extrapolated from the block ratio.
 
     Octaves are integrated _OCTAVE_BATCH at a time for all rows still
     running, with one g(u, j) call (see _log_integrals); the stop rule then
-    finds the first octave of the batch at which each row is done. A row
-    whose block sequence fails to decay diverges; then DivergentIntegralError
-    (with `message`) is raised, or the row reads inf.
+    finds the first octave of the batch (from the 6th on) at which each row
+    is done. A row whose block sequence fails to decay within 260 octaves
+    toward infinity or 220 toward the origin diverges: DivergentIntegralError
+    "<message> within <n> octaves" is raised.
     """
+    max_octaves, min_octaves = (260 if step > 1.0 else 220), 6
     start = np.asarray(start, dtype=float)
     m = start.size
     out = np.full(m, math.inf)
@@ -171,7 +176,7 @@ def _octave_sum(g, start, step, breakpoints, rel_tol, max_octaves,
         with np.errstate(invalid="ignore"):   # inf/inf: a diverging row
             ratio = np.divide(block, before, out=np.ones_like(block),
                               where=check)
-        decays = check & (ratio < 0.995)
+        decays = check & (ratio < MAX_BLOCK_RATIO)
         rem = np.divide(block * ratio, 1.0 - ratio,
                         out=np.zeros_like(block), where=decays)
         ok = decays & (rem <= rel_tol * np.maximum(tot, 1e-300))
@@ -201,40 +206,31 @@ def _octave_sum(g, start, step, breakpoints, rel_tol, max_octaves,
         rows = rows[~done]
         if rows.size == 0:
             return out
-    if on_divergence != "inf":
-        raise DivergentIntegralError(message, partial=float(total[rows[0]]))
-    return out
+    raise DivergentIntegralError(f"{message} within {max_octaves} octaves",
+                                 partial=float(total[rows[0]]))
 
 
-def integrate_tail(f, a, breakpoints=(), rel_tol=1e-11, max_octaves=260,
-                   min_octaves=6, on_divergence="raise"):
+def integrate_tail(f, a, breakpoints=(), rel_tol=1e-11):
     """Integral of f over [a, infinity) for nonnegative power-like-tailed f.
 
     Sums geometric octave blocks and extrapolates the remainder from the
-    last block ratio. Detects divergence when the block sequence fails to
-    decay; then either raises DivergentIntegralError or returns inf.
+    last block ratio. Raises DivergentIntegralError when the block sequence
+    fails to decay.
     """
     if a <= 0:
         raise QuadratureError(f"tail integral needs a > 0, got {a}")
-    return float(_octave_sum(
-        lambda u, _: f(u), [a], 2.0, breakpoints, rel_tol, max_octaves,
-        min_octaves, on_divergence,
-        f"tail integral from {a} did not converge within {max_octaves} octaves"
-    )[0])
+    return float(_octave_sum(lambda u, _: f(u), [a], 2.0, breakpoints, rel_tol,
+                             f"tail integral from {a} did not converge")[0])
 
 
-def integrate_origin(f, b, breakpoints=(), rel_tol=1e-11, max_octaves=220,
-                     min_octaves=6, support_lo=0.0, on_divergence="raise"):
+def integrate_origin(f, b, breakpoints=(), support_lo=0.0):
     """Integral of f over (0, b] (or [support_lo, b]) with extrapolation at 0."""
     if b <= 0:
         return 0.0
     if support_lo > 0.0:
         return integrate_log(f, support_lo, b, breakpoints)
-    return float(_octave_sum(
-        lambda u, _: f(u), [b], 0.5, breakpoints, rel_tol, max_octaves,
-        min_octaves, on_divergence,
-        f"integral near 0 below {b} did not converge within {max_octaves} "
-        "octaves")[0])
+    return float(_octave_sum(lambda u, _: f(u), [b], 0.5, breakpoints, 1e-11,
+                             f"integral near 0 below {b} did not converge")[0])
 
 
 def segment_integrals(f, edges, breakpoints=(), n=16):
@@ -245,17 +241,14 @@ def segment_integrals(f, edges, breakpoints=(), n=16):
                           breakpoints, n)
 
 
-def tail_cumulative(f, us, breakpoints=(), rel_tol=1e-11, on_divergence="raise"):
+def tail_cumulative(f, us, breakpoints=(), rel_tol=1e-11):
     """F(u_i) = integral of f over [u_i, infinity) for sorted ascending us.
 
     One tail integral from the largest node plus exact Gauss blocks over the
     gaps; a single vectorized sweep, accurate to quadrature precision.
     """
     us = np.asarray(us, dtype=float)
-    top = integrate_tail(f, us[-1], breakpoints, rel_tol=rel_tol,
-                         on_divergence=on_divergence)
-    if not math.isfinite(top):
-        return np.full_like(us, math.inf)
+    top = integrate_tail(f, us[-1], breakpoints, rel_tol=rel_tol)
     gaps = segment_integrals(f, us, breakpoints)
     out = np.empty_like(us)
     out[-1] = top
@@ -263,12 +256,11 @@ def tail_cumulative(f, us, breakpoints=(), rel_tol=1e-11, on_divergence="raise")
     return out
 
 
-def origin_cumulative(f, us, breakpoints=(), rel_tol=1e-11, support_lo=0.0):
+def origin_cumulative(f, us, breakpoints=(), support_lo=0.0):
     """F(u_i) = integral of f over (0, u_i] (or [support_lo, u_i]) for sorted
     ascending us: the origin-side mirror of tail_cumulative."""
     us = np.asarray(us, dtype=float)
-    bottom = integrate_origin(f, us[0], breakpoints, rel_tol=rel_tol,
-                              support_lo=support_lo)
+    bottom = integrate_origin(f, us[0], breakpoints, support_lo=support_lo)
     out = np.empty_like(us)
     out[0] = bottom
     out[1:] = bottom + np.cumsum(segment_integrals(f, us, breakpoints))
@@ -348,7 +340,7 @@ def oscillatory_tail_integral(f, a, rho, d, breakpoints=(), n_blocks=48, n=10):
     return _accelerated_limit(sums[:, n_blocks // 2:])
 
 
-def jump_symbol_value(f, rho, d, breakpoints=(), support_lo=0.0, rel_tol=1e-10):
+def jump_symbol_value(f, rho, d, breakpoints=(), support_lo=0.0):
     """Integral of (1 - psi_d(rho*u)) * f(u) over (0, infinity), at one
     radius rho or at each radius of an array rho (then an array of the same
     shape is returned).
@@ -358,7 +350,7 @@ def jump_symbol_value(f, rho, d, breakpoints=(), support_lo=0.0, rel_tol=1e-10):
     the symbol at |xi| = rho. Splits at the oscillation scale pi/rho into the
     near part below it and the plain and wave tails above it. A ladder is
     evaluated _CHUNK radii at a time, every part for all radii of a chunk
-    at once.
+    at once. The octave sums stop at a relative tolerance of 1e-10.
     """
     rhos = np.asarray(rho, dtype=float)
     flat = rhos.ravel()
@@ -367,11 +359,11 @@ def jump_symbol_value(f, rho, d, breakpoints=(), support_lo=0.0, rel_tol=1e-10):
     for first in range(0, nonzero.size, _CHUNK):
         rows = nonzero[first:first + _CHUNK]
         out[rows] = _jump_symbol_rows(f, flat[rows], d, tuple(breakpoints),
-                                      support_lo, rel_tol)
+                                      support_lo)
     return out.reshape(rhos.shape) if rhos.ndim else float(out[0])
 
 
-def _jump_symbol_rows(f, rho, d, bps, support_lo, rel_tol):
+def _jump_symbol_rows(f, rho, d, bps, support_lo):
     """jump_symbol_value at one chunk of nonzero radii."""
     u_c = math.pi / rho
     lo_end = max(support_lo, 0.0)
@@ -387,11 +379,11 @@ def _jump_symbol_rows(f, rho, d, bps, support_lo, rel_tol):
         near[inner] = _log_integrals(smooth_part, np.full(rho_in.size, lo_end),
                                      u_c[inner], bps)
     elif rho_in.size:
-        near[inner] = _octave_sum(
-            smooth_part, u_c[inner], 0.5, bps, rel_tol, 220, 6, "raise",
-            "integral near 0 below pi/rho did not converge within 220 octaves")
+        near[inner] = _octave_sum(smooth_part, u_c[inner], 0.5, bps, 1e-10,
+                                  "integral near 0 below pi/rho did not "
+                                  "converge")
     osc_start = np.where(inner, u_c, lo_end)
     starts, where = np.unique(osc_start, return_inverse=True)
-    plain_tail = tail_cumulative(f, starts, bps, rel_tol=rel_tol)[where]
+    plain_tail = tail_cumulative(f, starts, bps, rel_tol=1e-10)[where]
     wave_tail = oscillatory_tail_integral(f, osc_start, rho, d, bps)
     return near + plain_tail - wave_tail

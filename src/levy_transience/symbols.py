@@ -187,7 +187,8 @@ class SymbolModel:
     envelope_mode: str = "closed_form"   # or "grid_sampled"
     state_grid: StateGrid = StateGrid()
     assumptions: dict = field(default_factory=dict)
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:

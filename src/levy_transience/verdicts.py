@@ -1,12 +1,12 @@
 """Divergence/convergence verdicts for one-dimensional radial integrals.
 
 A verdict is a numerical surrogate for "this integral is infinite/finite":
-the radial integrand is sampled on a geometric ladder toward the singular
-end (the origin or infinity), a local power exponent is fitted, and the
-state follows from comparing the exponent with -1. Exponents inside a
-tolerance band give an honest Inconclusive; a secondary logarithmic
-refinement (exact for power-law integrands) records which side a boundary
-case falls on.
+the log of the radial integrand is sampled on a geometric ladder toward
+the singular end (the origin or infinity), a local power exponent is
+fitted, and the state follows from comparing the exponent with -1.
+Exponents inside a tolerance band give an honest Inconclusive; a secondary
+logarithmic refinement (exact for power-law integrands) records which side
+a boundary case falls on.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,7 +49,6 @@ class DivergenceVerdict:
     partials: tuple
     singularity: str = AT_ORIGIN
     refined_state: str | None = None
-    refinement: dict = field(default_factory=dict)
     notes: tuple = ()
 
     @property
@@ -71,42 +70,27 @@ class DivergenceVerdict:
         }
 
 
-def _fit_slope(x, y):
-    slope, intercept = np.polyfit(np.log(x), np.log(y), 1)
-    return float(slope), float(intercept)
-
-
-def _refine(rhos, g, singularity):
+def _refine(log_rhos, log_y, singularity):
     """Boundary refinement: behavior of y = G(rho) * rho near the singular end.
 
     For power integrands y ~ rho^s with s = exponent + 1; the sign of s
     decides the integral, and s ~ 0 (the genuinely logarithmic case) is
     decided by the level: a positive limit of y means a log-divergent
     integral. The level is estimated as the intercept of a regression of y
-    against 1 / log-distance to the singularity.
+    (scaled to max 1) against 1 / log-distance to the singularity.
     """
-    y = g * rhos
-    s, _ = _fit_slope(rhos, y)
-    with np.errstate(divide="ignore"):
-        logdist = np.log(1.0 / rhos) if singularity == AT_ORIGIN else np.log(rhos)
+    s = np.polyfit(log_rhos, log_y, 1)[0]
+    if s < -_REFINE_TOL:
+        return DIVERGES if singularity == AT_ORIGIN else CONVERGES
+    if s > _REFINE_TOL:
+        return CONVERGES if singularity == AT_ORIGIN else DIVERGES
+    y = np.exp(log_y - np.max(log_y))
+    logdist = -log_rhos if singularity == AT_ORIGIN else log_rhos
     usable = logdist > 0.3
-    intercept = float("nan")
+    level = float(np.mean(y))
     if np.count_nonzero(usable) >= 3:
-        z = 1.0 / logdist[usable]
-        coef = np.polyfit(z, y[usable], 1)
-        intercept = float(coef[1])
-    info = {"slope": s, "level_intercept": intercept,
-            "level_scale": float(np.max(y))}
-    grows_toward_singularity = s < -_REFINE_TOL if singularity == AT_ORIGIN \
-        else s > _REFINE_TOL
-    decays_toward_singularity = s > _REFINE_TOL if singularity == AT_ORIGIN \
-        else s < -_REFINE_TOL
-    if grows_toward_singularity:
-        return DIVERGES, info
-    if decays_toward_singularity:
-        return CONVERGES, info
-    level = intercept if math.isfinite(intercept) else float(np.mean(y))
-    return (DIVERGES if level > 0.25 * np.max(y) else CONVERGES), info
+        level = float(np.polyfit(1.0 / logdist[usable], y[usable], 1)[1])
+    return DIVERGES if level > 0.25 else CONVERGES
 
 
 def model_memo(fn):
@@ -150,40 +134,47 @@ def memoized_profile(cache, compute):
     return profile
 
 
-def verdict_from_radial_integrand(G, r, K=DEFAULT_LADDER, band=DEFAULT_BAND,
-                                  singularity=AT_ORIGIN, n_gl=16,
-                                  notes=()) -> DivergenceVerdict:
-    """Verdict for the integral of G over (0, r] or [r, infinity).
+def verdict_from_radial_integrand(log_G, r, K=DEFAULT_LADDER,
+                                  band=DEFAULT_BAND, singularity=AT_ORIGIN,
+                                  n_gl=16, notes=()) -> DivergenceVerdict:
+    """Verdict for the integral of G over (0, r] or [r, infinity), given
+    log G: the verdict depends only on the slope of log G against log rho,
+    so a G far outside the float range is tested as well.
 
-    G must be vectorized, positive and finite on the ladder. Partial
-    integrals run from r toward the singular end over the dyadic ladder
+    log_G must be vectorized and finite on the ladder. Partial integrals
+    run from r toward the singular end over the dyadic ladder
     eps_k = r * 2^{-k} (origin) or rho_k = r * 2^k (infinity).
     """
     k = np.arange(K + 1)
     rhos = r * 2.0 ** (-k) if singularity == AT_ORIGIN else r * 2.0 ** k
-    g = np.asarray(G(rhos), dtype=float)
-    if np.any(~np.isfinite(g)):
+    lg = np.asarray(log_G(rhos), dtype=float)
+    if np.any(np.isnan(lg) | (lg == math.inf)):
         raise QuadratureError("radial integrand is not finite on the ladder")
-    if np.any(g < 0):
-        raise QuadratureError("radial integrand must be nonnegative")
-    if np.any(g == 0.0):
+    if np.any(lg == -math.inf):
         raise DegenerateModelError(
             "radial integrand vanishes at positive radius; model degenerate")
 
-    # cumulative partial integrals octave by octave, single vectorized G call
+    # cumulative partial integrals octave by octave, single vectorized call,
+    # summed relative to the largest G on the ladder: a partial beyond the
+    # float range reads inf (or 0), never NaN
     lo, hi = (rhos[1:], rhos[:-1]) if singularity == AT_ORIGIN \
         else (rhos[:-1], rhos[1:])
     nodes, weights = log_gauss_blocks(lo, hi, n_gl)
-    contrib = weights.ravel() * np.asarray(G(nodes.ravel()), dtype=float)
-    octave_ints = np.bincount(np.repeat(np.arange(K), n_gl), weights=contrib,
-                              minlength=K)
-    cumulative = np.cumsum(octave_ints)
+    lgn = np.asarray(log_G(nodes.ravel()), dtype=float)
+    top = np.max(lg)
+    with np.errstate(divide="ignore", over="ignore"):
+        contrib = weights.ravel() * np.exp(lgn - top)
+        octave_ints = np.bincount(np.repeat(np.arange(K), n_gl),
+                                  weights=contrib, minlength=K)
+        cumulative = np.exp(np.log(np.cumsum(octave_ints)) + top)
     partials = tuple((float(rhos[j + 1]), float(cumulative[j])) for j in range(K))
 
+    log_rhos = np.log(rhos)
     inner = slice(K // 2, K + 1)
-    exponent, _ = _fit_slope(rhos[inner], g[inner])
+    exponent = float(np.polyfit(log_rhos[inner], lg[inner], 1)[0])
     window = slice(K - 7, K + 1)
-    refined_state, refinement = _refine(rhos[window], g[window], singularity)
+    refined_state = _refine(log_rhos[window], lg[window] + log_rhos[window],
+                            singularity)
 
     # rho^e is integrable at the origin iff e > -1, at infinity iff e < -1
     below, above = exponent <= -1.0 - band, exponent >= -1.0 + band
@@ -197,7 +188,7 @@ def verdict_from_radial_integrand(G, r, K=DEFAULT_LADDER, band=DEFAULT_BAND,
     return DivergenceVerdict(
         state=state, exponent=exponent, band=band, partials=partials,
         singularity=singularity, refined_state=refined_state,
-        refinement=refinement, notes=tuple(notes))
+        notes=tuple(notes))
 
 
 def diverges_verdict(singularity=AT_ORIGIN, notes=()) -> DivergenceVerdict:

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import settings
 
 from levy_transience.densities import stable_density
 from levy_transience.symbols import (
@@ -8,6 +9,12 @@ from levy_transience.symbols import (
     isotropic_stable,
     stable_like,
 )
+
+# property tests draw the same examples on every run and stay within the
+# tier-1 time budget
+settings.register_profile("tier1", deadline=None, derandomize=True,
+                          max_examples=100)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

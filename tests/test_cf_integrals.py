@@ -147,18 +147,18 @@ def test_partials_non_decreasing(bm3, stable_05_d1):
 
 def test_boundary_band_and_refinement():
     # exact boundary: integrand ~ 1/rho -> state inconclusive, refined diverges
-    def G(rhos):
-        return 1.0 / rhos
+    def log_G(rhos):
+        return -np.log(rhos)
 
-    v = verdict_from_radial_integrand(G, 1.0, singularity=AT_ORIGIN)
+    v = verdict_from_radial_integrand(log_G, 1.0, singularity=AT_ORIGIN)
     assert v.state == INCONCLUSIVE
     assert v.refined_state == DIVERGES
     assert v.decided_state == DIVERGES
 
-    def G2(rhos):
-        return rhos ** -0.98   # inside the band but convergent
+    def log_G2(rhos):
+        return -0.98 * np.log(rhos)   # inside the band but convergent
 
-    v = verdict_from_radial_integrand(G2, 1.0, singularity=AT_ORIGIN)
+    v = verdict_from_radial_integrand(log_G2, 1.0, singularity=AT_ORIGIN)
     assert v.state == INCONCLUSIVE
     assert v.refined_state == CONVERGES
 

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -84,12 +85,32 @@ def test_classify_rejects_non_finite_kappa(stable_10_d3, kappa):
     (isotropic_stable(3, 1.0, gamma=1e-200), 1.0, STRONGLY_TRANSIENT),
 ])
 def test_closed_form_decides_when_integrands_overflow(model, kappa, verdict):
-    # (sup|q|)^(kappa+1) under/overflows on the integral and tail ladders;
-    # those bands are skipped with a note and the closed-form rule decides
+    # (sup|q|)^(kappa+1) is far outside the float range on the integral and
+    # tail ladders; the log-space integral and tail tests decide along with
+    # the closed-form rule, and no band is skipped
     rep = classify(model, kappa)
     assert rep.verdict == verdict
-    assert any(n.startswith("integral tests skipped") for n in rep.notes)
-    assert not any(r.method == "integral" for r in rep.fired_rules)
+    assert rep.notes == ()
+    methods = {r.method for r in rep.fired_rules if r.verdict != "info"}
+    assert {"integral", "tail"} <= methods
+
+
+@pytest.fixture(scope="module")
+def power_jump_model():
+    return radial_jump_model(power_density(3, 1.0, u0=1.0))
+
+
+@pytest.mark.parametrize("kappa", [22.0, 60.0, 200.0])
+def test_large_kappa_keeps_integral_and_tail_bands(power_jump_model, kappa):
+    # (sup|q|)^(kappa+1) and T1^(kappa+1) leave the float range on these
+    # ladders; the log-space tests still decide and nothing is skipped
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = classify(power_jump_model, kappa)
+    assert rep.verdict == WEAKLY_TRANSIENT
+    assert rep.notes == ()
+    methods = {r.method for r in rep.fired_rules if r.verdict == "weak"}
+    assert {"integral", "tail"} <= methods
 
 
 _SCALING = ("rotation-invariant stable scaling: weakly transient iff "

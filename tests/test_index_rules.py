@@ -148,3 +148,19 @@ def test_rule_outcome_serialization():
     assert payload["conclusion"] == IMPLIES_WEAK
     import json
     json.dumps(payload)
+
+
+def test_quadratic_floor_counts_atoms():
+    import dataclasses
+
+    from levy_transience.densities import power_density
+    from levy_transience.index_rules import _quadratic_floor
+    from levy_transience.symbols import radial_jump_model
+
+    dens = power_density(3, 1.5, u0=30.0)
+    with_atom = dataclasses.replace(dens, atoms=((30.0, 0.5),))
+    # every radius of the liminf half is beyond the atom, whose |y|^2 mass
+    # 30^2 * 0.5 enters the floor divided by d
+    gain = _quadratic_floor(radial_jump_model(with_atom)) \
+        - _quadratic_floor(radial_jump_model(dens))
+    assert gain == pytest.approx(30.0 ** 2 * 0.5 / 3.0, rel=1e-12)

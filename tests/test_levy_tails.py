@@ -317,3 +317,22 @@ def test_tail_tests_reject_non_finite_kappa(kappa):
                  density_floor_test):
         with pytest.raises(ConfigurationError, match="kappa"):
             test(dens, 1, kappa, 2.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_alpha_near_two_is_a_levy_measure(d):
+    # the second moment near 0 shrinks by only 2^-(2-alpha) per octave; the
+    # block ratio 2^-0.001 of alpha = 1.999 is still extrapolated
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha in (1.995, 1.999):
+            stable_density(d, alpha)
+        power_density(d, 1.998)
+
+
+def test_stable_alpha_near_two_classifies():
+    from levy_transience.symbols import isotropic_stable
+
+    model = isotropic_stable(3, 1.999)      # kappa* = 3/1.999 - 1 = 0.5008
+    assert classify(model, 0.2).verdict == "strongly_transient"
+    assert classify(model, 0.6).verdict == "weakly_transient"

@@ -203,3 +203,21 @@ def test_radial_power_classify_needs_scipy_special_only_for_even_d(
     assert _scipy_special_loaded_after(
         ["classify", "--model", path, "--kappa-grid", grid], tmp_path) \
         == (d == 2)
+
+
+def test_replaced_objects_get_a_fresh_memo():
+    import dataclasses
+
+    from levy_transience.densities import power_density
+    from levy_transience.levy_tails import _variant_envelope, integrated_tail
+
+    base = power_density(2, 1.2, u0=1.0)
+    _variant_envelope(base, "t1", "sup", [0.75])    # warm the base memo
+    with_atoms = dataclasses.replace(base, atoms=((0.5, 0.3), (1.0, 0.1)))
+    assert with_atoms._cache is not base._cache
+    memoized = _variant_envelope(with_atoms, "t1", "sup", [0.75])[0]
+    assert memoized == pytest.approx(integrated_tail(with_atoms, 0.75),
+                                     rel=1e-12)
+    model = isotropic_stable(3, 1.0)
+    transience_gate(model)
+    assert dataclasses.replace(model)._cache == {}
