@@ -83,31 +83,38 @@ class WeightFunction:
 
     def integral_to(self, t0):
         """int_0^{t0} f(t) dt, vectorized over t0."""
+        return np.exp(self.log_integral_to(t0))
+
+    def log_integral_to(self, t0):
+        """log int_0^{t0} f(t) dt, vectorized over t0."""
         t0 = np.asarray(t0, dtype=float)
         if self.tag == "power":
-            return t0 ** (self.kappa + 1.0) / (self.kappa + 1.0)
+            return (self.kappa + 1.0) * np.log(t0) - math.log(self.kappa + 1.0)
         if self.tag == "constant":
-            return t0.copy()
+            return np.log(t0)
         out = np.empty_like(t0)
         for i, b in np.ndenumerate(t0):
             u, w = gauss_linear_nodes(0.0, float(b), n=24)
             out[i] = float(w @ np.asarray([self.fn(x) for x in u]))
-        return out
+        return np.log(out)
 
     def exp_moment(self, m):
         """int_0^infinity f(t) exp(-t m / 16) dt for m > 0, vectorized."""
-        m = np.asarray(m, dtype=float)
+        return np.exp(self.log_exp_moment(m))
+
+    def log_exp_moment(self, m):
+        """log exp_moment(m), vectorized."""
+        log_scale = math.log(16.0) - np.log(np.asarray(m, dtype=float))
         if self.tag == "power":
-            return math.gamma(self.kappa + 1.0) * (16.0 / m) ** (self.kappa + 1.0)
+            return math.lgamma(self.kappa + 1.0) + (self.kappa + 1.0) * log_scale
         if self.tag == "constant":
-            return 16.0 / m
+            return log_scale
         nodes, weights = np.polynomial.laguerre.laggauss(_LAGUERRE_N)
-        out = np.empty_like(m)
-        for i, mm in np.ndenumerate(m):
-            scale = 16.0 / mm
-            out[i] = scale * float(weights @ np.asarray(
-                [self.fn(scale * s) for s in nodes]))
-        return out
+        out = np.empty_like(log_scale)
+        for i, mm in np.ndenumerate(np.asarray(m, dtype=float)):
+            out[i] = float(weights @ np.asarray(
+                [self.fn(16.0 / mm * s) for s in nodes]))
+        return log_scale + np.log(out)
 
 
 def _reduced_envelope(model, kind, n_directions):
@@ -138,10 +145,8 @@ def _frequency_test(model, kind, r, integrand, K, band, n_directions,
         check_kappa(kappa)
     env = _reduced_envelope(model, kind, n_directions)
     log_s_d = math.log(sphere_surface(model.d))
-    d = model.d
     if kind == ENV_INF_RE:
-        probe = env(np.asarray([r / 2.0, r / 8.0, r / 64.0]))
-        if np.any(probe <= 0.0):
+        if np.any(env(np.asarray([r / 2.0, r / 8.0, r / 64.0])) <= 0.0):
             return diverges_verdict(notes=(
                 "inf Re q vanishes on the test set; strong-side integral is "
                 "infinite",))
@@ -153,11 +158,10 @@ def _frequency_test(model, kind, r, integrand, K, band, n_directions,
         if kind == ENV_SUP_ABS and np.any(m == 0.0):
             raise DegenerateModelError(
                 "sup |q| vanishes at positive frequency; model degenerate")
-        # log 0 where inf Re q vanishes at a ladder point, or a general
-        # weight overflowing at a large kappa: +inf log G, which
-        # verdict_from_radial_integrand reports as a QuadratureError
-        with np.errstate(divide="ignore", over="ignore"):
-            return integrand(log_s_d + (d - 1) * np.log(rhos), m)
+        # log 0 where inf Re q vanishes at a ladder point: +inf log G,
+        # which verdict_from_radial_integrand reports as a QuadratureError
+        with np.errstate(divide="ignore"):
+            return integrand(log_s_d + (model.d - 1) * np.log(rhos), m)
 
     return verdict_from_radial_integrand(log_G, r, K=K, band=band,
                                          singularity=AT_ORIGIN)
@@ -168,7 +172,7 @@ def weak_integral_f(model: SymbolModel, f: WeightFunction, r: float,
     """Weak-side test with a general weight; Diverges supports weak transience."""
     return _frequency_test(
         model, ENV_SUP_ABS, r,
-        lambda lrad, m: lrad + np.log(f.integral_to(_LN2 / (4.0 * m))),
+        lambda lrad, m: lrad + f.log_integral_to(_LN2 / (4.0 * m)),
         K, band, n_directions)
 
 
@@ -177,7 +181,7 @@ def strong_integral_f(model: SymbolModel, f: WeightFunction, r: float,
     """Strong-side test with a general weight; Converges supports strong
     transience (given the sector condition, which the caller records)."""
     return _frequency_test(model, ENV_INF_RE, r,
-                           lambda lrad, m: lrad + np.log(f.exp_moment(m)),
+                           lambda lrad, m: lrad + f.log_exp_moment(m),
                            K, band, n_directions)
 
 

@@ -26,7 +26,7 @@ from .symbols import (
     envelope_profile,
     symbol_even_in_xi,
 )
-from .verdicts import model_memo
+from .verdicts import _line, model_memo
 
 IMPLIES_WEAK = "implies_weak_side"       # the weak-side integral diverges
 IMPLIES_STRONG = "implies_strong_side"   # the strong-side integral converges
@@ -97,9 +97,8 @@ def _dyadic_profiles(model, n_directions):
 
 def _slope_and_residual(rhos, vals):
     lx, ly = np.log(rhos), np.log(vals)
-    coef = np.polyfit(lx, ly, 1)
-    resid = float(np.max(np.abs(ly - np.polyval(coef, lx))))
-    return float(coef[0]), resid
+    slope, intercept = _line(lx, ly)
+    return slope, float(np.max(np.abs(ly - (slope * lx + intercept))))
 
 
 def lower_index(model: SymbolModel, n_directions=16) -> float:

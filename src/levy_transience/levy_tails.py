@@ -50,8 +50,10 @@ from .verdicts import (
     DEFAULT_BAND,
     DivergenceVerdict,
     memoized_profile,
+    _line,
     model_memo,
     verdict_from_radial_integrand,
+    verdict_ladder,
 )
 
 _DEEP_OCTAVES = 80
@@ -181,12 +183,16 @@ _SWEEPS = {"t1": _t1_ladder, "tm": _tail_mass_sweep, "t3": _second_moment_sweep}
 
 def _variant_envelope(density, tag, which, rhos):
     """sup or inf over the variants of the tail functional `tag` (T1, tail
-    mass or T3), memoized on the density."""
-    stack = np.stack([memoized_profile(
-        density._cache.setdefault((tag, i), {}),
-        functools.partial(_SWEEPS[tag], density, i))(rhos)
-        for i in range(len(density.variants))])
-    return stack.max(axis=0) if which == "sup" else stack.min(axis=0)
+    mass or T3), memoized on the density per variant and per envelope."""
+    def reduce(radii):
+        stack = np.stack([memoized_profile(
+            density._cache.setdefault((tag, i), {}),
+            functools.partial(_SWEEPS[tag], density, i))(radii)
+            for i in range(len(density.variants))])
+        return stack.max(axis=0) if which == "sup" else stack.min(axis=0)
+
+    return memoized_profile(density._cache.setdefault((tag, which), {}),
+                            reduce)(rhos)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +221,8 @@ def _tail_test(density, d, kappa, r, which, K, band):
             f"dimension mismatch: test d={d}, density d={density.d}")
     check_kappa(kappa)
     env = functools.partial(_variant_envelope, density, "t1", which)
-    if np.all(env([r, 4.0 * r]) == 0.0):
+    # rho = r and 4r are ladder points 0 and 2 of the verdict's radii
+    if np.all(env(verdict_ladder(r, K, AT_INFINITY, 16)[0])[[0, 2]] == 0.0):
         raise NotApplicableError("integrated tail vanishes; no jump tail to test")
     return _power_test(2.0 * kappa - d + 1.0, kappa + 1.0, env, r, K, band)
 
@@ -323,7 +330,7 @@ def cos_moment_condition(density: RadialLevyDensity, k_lo=4, k_hi=16,
     rhos, vals, floor = _quadratic_ladder(density, k_lo, k_hi)
     if np.any(vals <= 0.0):
         return False
-    slope = np.polyfit(np.log(rhos), np.log(vals), 1)[0]
+    slope = _line(np.log(rhos), np.log(vals))[0]
     return bool(floor > 0.0 and slope <= tol)
 
 
@@ -416,7 +423,7 @@ def perturbation_equivalence(density_a: RadialLevyDensity,
     weak_transfer = math.isfinite(dist)
     rhos, lhs_vals, lhs = _quadratic_ladder(density_a)
     lhs = float(lhs)
-    slope = np.polyfit(np.log(rhos), np.log(np.maximum(lhs_vals, 1e-300)), 1)[0]
+    slope = _line(np.log(rhos), np.log(np.maximum(lhs_vals, 1e-300)))[0]
     if slope < -0.05:
         lhs = float("inf")   # ratio grows without bound as xi -> 0
     rhs = 0.5 * diffusion_gap + dist
@@ -510,17 +517,16 @@ def rv_index_fit(density: RadialLevyDensity, u_lo=1e2, n_windows=9,
         vals = v(us)
         if np.any(vals <= 0.0):
             raise NonPowerTailError("density tail vanishes in the fit window")
-        coef = np.polyfit(np.log(us), np.log(vals), 1)
-        slopes.append(coef[0])
+        slopes.append(_line(np.log(us), np.log(vals))[0])
         inv_logs.append(1.0 / math.log(base * math.sqrt(10.0)))
-    coef = np.polyfit(inv_logs, slopes, 1)
-    fitted = np.polyval(coef, inv_logs)
+    slope, index = _line(inv_logs, slopes)
+    fitted = slope * np.asarray(inv_logs) + index
     residual = float(np.max(np.abs(np.asarray(slopes) - fitted)))
     if residual > residual_tol:
         raise NonPowerTailError(
             f"tail is not regularly varying within tolerance "
             f"(residual {residual:.3g})", residual=residual)
-    return float(coef[1])
+    return index
 
 
 def borderline_index_test(density: RadialLevyDensity, r=None, K=24,

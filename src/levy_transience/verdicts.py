@@ -70,6 +70,18 @@ class DivergenceVerdict:
         }
 
 
+def _line(x, y):
+    """(slope, intercept) of the least-squares line through (x, y): the
+    closed form about the means plus one correction from the residuals."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    x_mean, y_mean = x.mean(), y.mean()
+    dx, dy = x - x_mean, y - y_mean
+    sxx = dx @ dx
+    slope = dx @ dy / sxx
+    slope += dx @ (dy - slope * dx) / sxx
+    return float(slope), float(y_mean - slope * x_mean)
+
+
 def _refine(log_rhos, log_y, singularity):
     """Boundary refinement: behavior of y = G(rho) * rho near the singular end.
 
@@ -79,7 +91,7 @@ def _refine(log_rhos, log_y, singularity):
     integral. The level is estimated as the intercept of a regression of y
     (scaled to max 1) against 1 / log-distance to the singularity.
     """
-    s = np.polyfit(log_rhos, log_y, 1)[0]
+    s = _line(log_rhos, log_y)[0]
     if s < -_REFINE_TOL:
         return DIVERGES if singularity == AT_ORIGIN else CONVERGES
     if s > _REFINE_TOL:
@@ -89,7 +101,7 @@ def _refine(log_rhos, log_y, singularity):
     usable = logdist > 0.3
     level = float(np.mean(y))
     if np.count_nonzero(usable) >= 3:
-        level = float(np.polyfit(1.0 / logdist[usable], y[usable], 1)[1])
+        level = _line(1.0 / logdist[usable], y[usable])[1]
     return DIVERGES if level > 0.25 else CONVERGES
 
 
@@ -120,7 +132,7 @@ def model_memo(fn):
 def memoized_profile(cache, compute):
     """rhos -> values of a function of the radius, memoized per radius in the
     dict `cache`; radii not cached yet go to compute(sorted radii) at once.
-    A whole radius array seen before is looked up at once (as a copy)."""
+    A whole radius array seen before is looked up at once (read-only)."""
     def profile(rhos):
         rhos = np.atleast_1d(np.asarray(rhos, dtype=float))
         key = rhos.tobytes()
@@ -129,9 +141,26 @@ def memoized_profile(cache, compute):
             if missing:
                 cache.update(zip(missing, map(float, compute(missing))))
             cache[key] = np.asarray([cache[float(r)] for r in rhos])
-        return cache[key].copy()
+            cache[key].flags.writeable = False
+        return cache[key]
 
     return profile
+
+
+@functools.lru_cache(maxsize=64)
+def verdict_ladder(r, K, singularity, n_gl):
+    """Read-only radii of a verdict (the dyadic ladder r * 2^{-+k}, k = 0..K,
+    then the Gauss nodes of its octaves), node weights, node octaves and
+    log rho on the ladder."""
+    k = np.arange(K + 1)
+    rhos = r * 2.0 ** (-k) if singularity == AT_ORIGIN else r * 2.0 ** k
+    lo, hi = np.minimum(rhos[:-1], rhos[1:]), np.maximum(rhos[:-1], rhos[1:])
+    nodes, weights = log_gauss_blocks(lo, hi, n_gl)
+    arrays = (np.concatenate([rhos, nodes.ravel()]), weights.ravel(),
+              np.repeat(np.arange(K), n_gl), np.log(rhos))
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def verdict_from_radial_integrand(log_G, r, K=DEFAULT_LADDER,
@@ -141,37 +170,29 @@ def verdict_from_radial_integrand(log_G, r, K=DEFAULT_LADDER,
     log G: the verdict depends only on the slope of log G against log rho,
     so a G far outside the float range is tested as well.
 
-    log_G must be vectorized and finite on the ladder. Partial integrals
-    run from r toward the singular end over the dyadic ladder
-    eps_k = r * 2^{-k} (origin) or rho_k = r * 2^k (infinity).
+    log_G must be vectorized and finite on the ladder; it is called once, on
+    the radii of verdict_ladder. Partial integrals run from r toward the
+    singular end over eps_k = r * 2^{-k} (origin) or rho_k = r * 2^k.
     """
-    k = np.arange(K + 1)
-    rhos = r * 2.0 ** (-k) if singularity == AT_ORIGIN else r * 2.0 ** k
-    lg = np.asarray(log_G(rhos), dtype=float)
+    points, weights, owner, log_rhos = verdict_ladder(r, K, singularity, n_gl)
+    lg, lgn = np.split(np.asarray(log_G(points), dtype=float), [K + 1])
     if np.any(np.isnan(lg) | (lg == math.inf)):
         raise QuadratureError("radial integrand is not finite on the ladder")
     if np.any(lg == -math.inf):
         raise DegenerateModelError(
             "radial integrand vanishes at positive radius; model degenerate")
 
-    # cumulative partial integrals octave by octave, single vectorized call,
-    # summed relative to the largest G on the ladder: a partial beyond the
-    # float range reads inf (or 0), never NaN
-    lo, hi = (rhos[1:], rhos[:-1]) if singularity == AT_ORIGIN \
-        else (rhos[:-1], rhos[1:])
-    nodes, weights = log_gauss_blocks(lo, hi, n_gl)
-    lgn = np.asarray(log_G(nodes.ravel()), dtype=float)
+    # partial integrals octave by octave, relative to the largest G on the
+    # ladder: a partial beyond the float range reads inf (or 0), never NaN
     top = np.max(lg)
     with np.errstate(divide="ignore", over="ignore"):
-        contrib = weights.ravel() * np.exp(lgn - top)
-        octave_ints = np.bincount(np.repeat(np.arange(K), n_gl),
-                                  weights=contrib, minlength=K)
+        contrib = weights * np.exp(lgn - top)
+        octave_ints = np.bincount(owner, weights=contrib, minlength=K)
         cumulative = np.exp(np.log(np.cumsum(octave_ints)) + top)
-    partials = tuple((float(rhos[j + 1]), float(cumulative[j])) for j in range(K))
+    partials = tuple(zip(points[1:K + 1].tolist(), cumulative.tolist()))
 
-    log_rhos = np.log(rhos)
     inner = slice(K // 2, K + 1)
-    exponent = float(np.polyfit(log_rhos[inner], lg[inner], 1)[0])
+    exponent = _line(log_rhos[inner], lg[inner])[0]
     window = slice(K - 7, K + 1)
     refined_state = _refine(log_rhos[window], lg[window] + log_rhos[window],
                             singularity)

@@ -101,6 +101,20 @@ def test_power_weight_consistency():
         assert direct == weighted
 
 
+@pytest.mark.parametrize("kappa", [60.0, 200.0])
+def test_power_weight_tests_decide_at_large_kappa(stable_10_d3, kappa):
+    # t^kappa weights in log form: no overflow of Gamma(kappa + 1) or of
+    # the weight integrals, so the verdicts match the kappa tests
+    f = WeightFunction.power(kappa)
+    assert weak_integral_f(stable_10_d3, f, 1.0).state \
+        == weak_integral_kappa(stable_10_d3, kappa, 1.0).state == DIVERGES
+    assert strong_integral_f(stable_10_d3, f, 1.0).state \
+        == strong_integral_kappa(stable_10_d3, kappa, 1.0).state
+    assert np.isfinite(f.log_exp_moment(1.0))
+    assert f.log_integral_to(2.0) == pytest.approx(
+        (kappa + 1.0) * math.log(2.0) - math.log(kappa + 1.0), rel=1e-12)
+
+
 def test_r_independence_examples(bm3):
     assert r_independence_report(
         isotropic_stable(2, 1.0),

@@ -221,3 +221,46 @@ def test_replaced_objects_get_a_fresh_memo():
     model = isotropic_stable(3, 1.0)
     transience_gate(model)
     assert dataclasses.replace(model)._cache == {}
+
+
+def test_kappa_probes_sweep_each_tail_functional_once(tmp_path, monkeypatch):
+    from levy_transience import levy_tails, verdicts
+
+    sweeps, ladders = [], []
+    t1 = levy_tails._SWEEPS["t1"]
+    gauss = verdicts.log_gauss_blocks
+
+    def counted_t1(density, variant, rhos):
+        sweeps.append(variant)
+        return t1(density, variant, rhos)
+
+    def counted_gauss(lo, hi, n=16):
+        ladders.append((float(lo[0]), float(hi[0]), len(lo), n))
+        return gauss(lo, hi, n)
+
+    monkeypatch.setitem(levy_tails._SWEEPS, "t1", counted_t1)
+    monkeypatch.setattr(verdicts, "log_gauss_blocks", counted_gauss)
+    verdicts.verdict_ladder.cache_clear()
+    models = [load_model(p) for p in _kappa_star_model_files(tmp_path)]
+    for model in models:
+        kappa_boundary(model)
+    # one T1 sweep per density variant (13 at the default seed), however
+    # many kappa probes and verdicts read it
+    variants = sum(len(m.triplet.jump_density.variants) for m in models
+                   if m.triplet.jump_density is not None)
+    assert len(sweeps) == variants == 13
+    # each (r, K, singularity, n_gl) ladder is built once
+    assert ladders and len(ladders) == len(set(ladders))
+
+
+def test_cached_ladders_and_envelopes_are_read_only():
+    from levy_transience.levy_tails import _variant_envelope
+    from levy_transience.verdicts import AT_INFINITY, verdict_ladder
+
+    radii = verdict_ladder(1.0, 24, AT_INFINITY, 16)[0]
+    for array in verdict_ladder(1.0, 24, AT_INFINITY, 16):
+        with pytest.raises(ValueError):
+            array[0] = 2.0
+    env = _variant_envelope(stable_density(2, 1.2), "t1", "inf", radii)
+    with pytest.raises(ValueError):
+        env[0] = 0.0
