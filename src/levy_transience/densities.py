@@ -21,7 +21,7 @@ from .quadrature import (
     jump_symbol_value,
     sphere_surface,
 )
-from .verdicts import model_memo
+from .verdicts import memoized_profile, model_memo
 
 
 def stable_coefficient(d: int, alpha: float) -> float:
@@ -150,27 +150,22 @@ class RadialLevyDensity:
     def jump_symbol(self, rho, variant=0):
         """Jump part of the symbol at |xi| = rho: int (1-cos<xi,y>) nu(dy).
 
-        rho is one radius or an array of radii (then an array comes back).
-        A variant with a closed form (gamma) is evaluated directly; otherwise
-        values are cached per radius, and the radii not cached yet are
-        computed in one jump_symbol_value call.
+        rho is one radius or an array of radii (then a read-only array comes
+        back). A variant with a closed form (gamma) is evaluated directly;
+        otherwise values are memoized per radius, and the radii not cached
+        yet are computed in one jump_symbol_value call.
         """
         rhos = np.asarray(rho, dtype=float)
         v = self.variants[variant]
         if v.gamma is not None:
             out = v.gamma * rhos ** v.alpha
             return out if rhos.ndim else float(out)
-        keys = [("jsym", variant, r) for r in map(float, rhos.ravel())]
-        missing = sorted({key[2] for key in keys
-                          if key[2] != 0.0 and key not in self._cache})
-        if missing:
-            vals = jump_symbol_value(
-                self.radial_weight(variant), np.asarray(missing), self.d,
+        out = memoized_profile(
+            self._cache.setdefault(("jsym", variant), {}),
+            lambda radii: jump_symbol_value(
+                self.radial_weight(variant), np.asarray(radii), self.d,
                 breakpoints=self.all_breakpoints(),
-                support_lo=self.support_lo(variant))
-            self._cache.update(
-                (("jsym", variant, r), float(v)) for r, v in zip(missing, vals))
-        out = np.asarray([self._cache.get(key, 0.0) for key in keys])
+                support_lo=self.support_lo(variant)))(rhos)
         return out.reshape(rhos.shape) if rhos.ndim else float(out[0])
 
     # -- validation ---------------------------------------------------------

@@ -130,84 +130,85 @@ def integrate_log(f, a, b, breakpoints=(), n=16):
     return float(_log_integrals(lambda u, _: f(u), [a], [b], breakpoints, n)[0])
 
 
+def _octave_stop(blocks, min_octaves, rel_tol):
+    """Stop rule of octave sums, judged at every octave of their block
+    histories (one row per sum, one column per octave): (stop, value), each
+    of the shape of blocks. Column j depends on columns 0..j alone.
+
+    Octave j >= min_octaves stops a row when it ends a run of 24 zero blocks
+    (the integrand vanishes toward the open end; value: the sum so far), or
+    when the block ratio q = b_j / b_{j-1} is below MAX_BLOCK_RATIO and the
+    geometric remainder b_j q / (1 - q) is within rel_tol of the sum, or
+    moves by less than that with the drift of q since the last octave at
+    which a ratio was taken (value: the sum plus the remainder).
+    """
+    col = np.arange(blocks.shape[1])
+    late = col >= min_octaves
+    total = np.cumsum(blocks, axis=1)
+
+    zero = blocks == 0.0
+    seen = np.cumsum(zero, axis=1)
+    run = seen - np.maximum.accumulate(np.where(zero, 0, seen), axis=1)
+    stop = (run >= 24) & late
+
+    before = np.column_stack([np.zeros(len(blocks)), blocks[:, :-1]])
+    check = (before > 0.0) & (blocks > 0.0) & late
+    with np.errstate(invalid="ignore"):   # inf/inf: a diverging row
+        ratio = np.divide(blocks, before, out=np.ones_like(blocks),
+                          where=check)
+    decays = check & (ratio < MAX_BLOCK_RATIO)
+    rem = np.divide(blocks * ratio, 1.0 - ratio,
+                    out=np.zeros_like(blocks), where=decays)
+    ok = decays & (rem <= rel_tol * np.maximum(total, 1e-300))
+    # geometric extrapolation is exact once the ratio settles; compare
+    # with the ratio of the last checked octave before this one
+    last = np.maximum.accumulate(np.where(check, col, -1), axis=1)
+    last_before = np.column_stack([np.full(len(blocks), -1), last[:, :-1]])
+    ratio_before = np.take_along_axis(ratio, np.maximum(last_before, 0),
+                                      axis=1)
+    drift = decays & ~ok & (last_before >= 0)
+    ok[drift] = (np.abs(ratio - ratio_before)[drift]
+                 / (1.0 - ratio[drift]) * rem[drift]
+                 <= rel_tol * np.maximum(total + rem, 1e-300)[drift])
+    return stop | ok, total + np.where(ok, rem, 0.0)
+
+
 def _octave_sum(g, start, step, breakpoints, rel_tol, message):
     """Sums of g over geometric octave blocks, one row per start[j]: each
     block `step` times the last (2 toward infinity, 1/2 toward the origin),
     with the remainder extrapolated from the block ratio.
 
     Octaves are integrated _OCTAVE_BATCH at a time for all rows still
-    running, with one g(u, j) call (see _log_integrals); the stop rule then
-    finds the first octave of the batch (from the 6th on) at which each row
-    is done. A row whose block sequence fails to decay within 260 octaves
-    toward infinity or 220 toward the origin diverges: DivergentIntegralError
-    "<message> within <n> octaves" is raised.
+    running, with one g(u, j) call (see _log_integrals); each row stops at
+    the first new octave at which _octave_stop, judging its block history
+    from the 6th octave on, says it is done. A row whose block sequence
+    fails to decay within 260 octaves toward infinity or 220 toward the
+    origin diverges: DivergentIntegralError "<message> within <n> octaves"
+    is raised.
     """
     max_octaves, min_octaves = (260 if step > 1.0 else 220), 6
     start = np.asarray(start, dtype=float)
-    m = start.size
-    out = np.full(m, math.inf)
-    # running state per row: total, last block, ratio at the last checked
-    # octave (and whether there is one), length of the current zero run
-    total, prev, prev_ratio = np.zeros(m), np.zeros(m), np.zeros(m)
-    has_ratio = np.zeros(m, dtype=bool)
-    zero_run = np.zeros(m, dtype=int)
-    rows = np.arange(m)
+    out = np.full(start.size, math.inf)
+    history = np.zeros((start.size, max_octaves))
+    rows = np.arange(start.size)
     for j0 in range(0, max_octaves, _OCTAVE_BATCH):
-        jj = np.arange(j0, min(j0 + _OCTAVE_BATCH, max_octaves))
-        n_oct = jj.size
-        edges = start[rows, None] * step ** np.append(jj, jj[-1] + 1)
+        j1 = min(j0 + _OCTAVE_BATCH, max_octaves)
+        edges = start[rows, None] * step ** np.arange(j0, j1 + 1)
         lo, hi = (edges[:, :-1], edges[:, 1:]) if step > 1.0 \
             else (edges[:, 1:], edges[:, :-1])
-        block = _log_integrals(lambda u, i: g(u, rows[i // n_oct]),
-                               lo.ravel(), hi.ravel(),
-                               breakpoints).reshape(rows.size, n_oct)
-        before = np.column_stack([prev[rows], block[:, :-1]])
-        tot = np.cumsum(np.column_stack([total[rows], block]), axis=1)[:, 1:]
-        col = np.arange(n_oct)
-
-        # the integrand vanishes toward the open end after 24 zero blocks
-        zero = block == 0.0
-        seen = np.cumsum(zero, axis=1)
-        run = seen - np.maximum.accumulate(np.where(zero, 0, seen), axis=1)
-        run += np.where(np.cumsum(~zero, axis=1) == 0, zero_run[rows, None], 0)
-        stop = (run >= 24) & (jj >= min_octaves)
-
-        check = (before > 0.0) & (block > 0.0) & (jj >= min_octaves)
-        with np.errstate(invalid="ignore"):   # inf/inf: a diverging row
-            ratio = np.divide(block, before, out=np.ones_like(block),
-                              where=check)
-        decays = check & (ratio < MAX_BLOCK_RATIO)
-        rem = np.divide(block * ratio, 1.0 - ratio,
-                        out=np.zeros_like(block), where=decays)
-        ok = decays & (rem <= rel_tol * np.maximum(tot, 1e-300))
-        # geometric extrapolation is exact once the ratio settles; compare
-        # with the ratio of the last checked octave before this one
-        last = np.maximum.accumulate(np.where(check, col, -1), axis=1)
-        last_before = np.column_stack([np.full(rows.size, -1), last[:, :-1]])
-        ratio_before = np.where(
-            last_before >= 0,
-            np.take_along_axis(ratio, np.maximum(last_before, 0), axis=1),
-            prev_ratio[rows, None])
-        drift = decays & ~ok & ((last_before >= 0) | has_ratio[rows, None])
-        ok[drift] = (np.abs(ratio - ratio_before)[drift]
-                     / (1.0 - ratio[drift]) * rem[drift]
-                     <= rel_tol * np.maximum(tot + rem, 1e-300)[drift])
-        stop |= ok
-
-        pick = np.arange(rows.size), np.argmax(stop, axis=1)
+        history[rows, j0:j1] = _log_integrals(
+            lambda u, i: g(u, rows[i // (j1 - j0)]), lo.ravel(), hi.ravel(),
+            breakpoints).reshape(rows.size, j1 - j0)
+        stop, value = _octave_stop(history[rows, :j1], min_octaves, rel_tol)
+        pick = np.arange(rows.size), j0 + np.argmax(stop[:, j0:], axis=1)
         done = stop[pick]
-        out[rows[done]] = (tot + np.where(ok, rem, 0.0))[pick][done]
-        total[rows] = tot[:, -1]
-        prev[rows] = block[:, -1]
-        zero_run[rows] = run[:, -1]
-        checked = last[:, -1] >= 0
-        prev_ratio[rows[checked]] = ratio[checked, last[checked, -1]]
-        has_ratio[rows[checked]] = True
+        out[rows[done]] = value[pick][done]
         rows = rows[~done]
         if rows.size == 0:
             return out
-    raise DivergentIntegralError(f"{message} within {max_octaves} octaves",
-                                 partial=float(total[rows[0]]))
+    raise DivergentIntegralError(
+        f"{message} within {max_octaves} octaves",
+        partial=float(np.cumsum(history[rows[0]])[-1]))
 
 
 def integrate_tail(f, a, breakpoints=(), rel_tol=1e-11):

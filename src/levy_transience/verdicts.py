@@ -31,6 +31,8 @@ AT_INFINITY = "infinity"
 DEFAULT_BAND = 0.05
 DEFAULT_LADDER = 24
 _REFINE_TOL = 1e-3
+#: Gauss-Legendre nodes per octave of a verdict's partial integrals
+_N_GL = 16
 
 
 @dataclass(frozen=True)
@@ -148,24 +150,24 @@ def memoized_profile(cache, compute):
 
 
 @functools.lru_cache(maxsize=64)
-def verdict_ladder(r, K, singularity, n_gl):
+def verdict_ladder(r, K, singularity):
     """Read-only radii of a verdict (the dyadic ladder r * 2^{-+k}, k = 0..K,
     then the Gauss nodes of its octaves), node weights, node octaves and
     log rho on the ladder."""
     k = np.arange(K + 1)
     rhos = r * 2.0 ** (-k) if singularity == AT_ORIGIN else r * 2.0 ** k
     lo, hi = np.minimum(rhos[:-1], rhos[1:]), np.maximum(rhos[:-1], rhos[1:])
-    nodes, weights = log_gauss_blocks(lo, hi, n_gl)
+    nodes, weights = log_gauss_blocks(lo, hi, _N_GL)
     arrays = (np.concatenate([rhos, nodes.ravel()]), weights.ravel(),
-              np.repeat(np.arange(K), n_gl), np.log(rhos))
+              np.repeat(np.arange(K), _N_GL), np.log(rhos))
     for a in arrays:
         a.flags.writeable = False
     return arrays
 
 
 def verdict_from_radial_integrand(log_G, r, K=DEFAULT_LADDER,
-                                  band=DEFAULT_BAND, singularity=AT_ORIGIN,
-                                  n_gl=16, notes=()) -> DivergenceVerdict:
+                                  band=DEFAULT_BAND,
+                                  singularity=AT_ORIGIN) -> DivergenceVerdict:
     """Verdict for the integral of G over (0, r] or [r, infinity), given
     log G: the verdict depends only on the slope of log G against log rho,
     so a G far outside the float range is tested as well.
@@ -174,7 +176,7 @@ def verdict_from_radial_integrand(log_G, r, K=DEFAULT_LADDER,
     the radii of verdict_ladder. Partial integrals run from r toward the
     singular end over eps_k = r * 2^{-k} (origin) or rho_k = r * 2^k.
     """
-    points, weights, owner, log_rhos = verdict_ladder(r, K, singularity, n_gl)
+    points, weights, owner, log_rhos = verdict_ladder(r, K, singularity)
     lg, lgn = np.split(np.asarray(log_G(points), dtype=float), [K + 1])
     if np.any(np.isnan(lg) | (lg == math.inf)):
         raise QuadratureError("radial integrand is not finite on the ladder")
@@ -208,13 +210,12 @@ def verdict_from_radial_integrand(log_G, r, K=DEFAULT_LADDER,
 
     return DivergenceVerdict(
         state=state, exponent=exponent, band=band, partials=partials,
-        singularity=singularity, refined_state=refined_state,
-        notes=tuple(notes))
+        singularity=singularity, refined_state=refined_state)
 
 
-def diverges_verdict(singularity=AT_ORIGIN, notes=()) -> DivergenceVerdict:
+def diverges_verdict(notes=()) -> DivergenceVerdict:
     """Annotation verdict used when the integrand is +infinity by inspection
     (e.g. a vanishing denominator on a set of positive measure)."""
     return DivergenceVerdict(
         state=DIVERGES, exponent=float("nan"), band=DEFAULT_BAND, partials=(),
-        singularity=singularity, refined_state=DIVERGES, notes=tuple(notes))
+        refined_state=DIVERGES, notes=tuple(notes))

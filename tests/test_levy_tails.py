@@ -77,13 +77,14 @@ def test_parts_identity_randomized():
         assert tf.parts_identity_gap <= 1e-8, (d, kind, rho)
 
 
-def test_integrated_tail_closed_form():
-    d, alpha = 2, 1.2
+@pytest.mark.parametrize("rho", [0.3, 3.7, 50.0])
+@pytest.mark.parametrize("alpha", [1.2, 1.999])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_integrated_tail_closed_form(d, alpha, rho):
     dens = stable_density(d, alpha)
     coef = stable_coefficient(d, alpha)
-    rho = 3.7
     want = sphere_surface(d) * coef * rho ** (2 - alpha) / (alpha * (2 - alpha))
-    assert integrated_tail(dens, rho) == pytest.approx(want, rel=1e-10)
+    assert integrated_tail(dens, rho) == pytest.approx(want, rel=5e-12)
 
 
 def test_tail_tests_on_stable_density(stable_density_d1):

@@ -254,13 +254,16 @@ def test_kappa_probes_sweep_each_tail_functional_once(tmp_path, monkeypatch):
 
 
 def test_cached_ladders_and_envelopes_are_read_only():
+    from levy_transience.densities import power_density
     from levy_transience.levy_tails import _variant_envelope
     from levy_transience.verdicts import AT_INFINITY, verdict_ladder
 
-    radii = verdict_ladder(1.0, 24, AT_INFINITY, 16)[0]
-    for array in verdict_ladder(1.0, 24, AT_INFINITY, 16):
+    radii = verdict_ladder(1.0, 24, AT_INFINITY)[0]
+    for array in verdict_ladder(1.0, 24, AT_INFINITY):
         with pytest.raises(ValueError):
             array[0] = 2.0
     env = _variant_envelope(stable_density(2, 1.2), "t1", "inf", radii)
-    with pytest.raises(ValueError):
-        env[0] = 0.0
+    jump_symbol = power_density(3, 0.5, u0=1.0).jump_symbol(radii[:4])
+    for array in (env, jump_symbol):
+        with pytest.raises(ValueError):
+            array[0] = 0.0

@@ -6,10 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import levy_transience
 from levy_transience.errors import DivergentIntegralError
 from levy_transience.quadrature import (
+    _octave_stop,
     integrate_log,
     integrate_origin,
     integrate_tail,
@@ -228,3 +231,51 @@ def test_import_leaves_scipy_special_unloaded():
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout.strip() == "False"
+
+
+def _first_stop(blocks, rel_tol=1e-11):
+    stop, value = _octave_stop(np.asarray([blocks], dtype=float), 6, rel_tol)
+    j = int(np.argmax(stop[0]))
+    return (j, float(value[0, j])) if stop[0, j] else (None, None)
+
+
+@pytest.mark.parametrize("q", [0.01, 0.02])
+def test_octave_stop_extrapolates_a_geometric_sequence(q):
+    # the remainder q^7 / (1 - q) is already within tolerance at octave 6
+    j, value = _first_stop(q ** np.arange(12.0))
+    assert j == 6
+    assert value == pytest.approx(1.0 / (1.0 - q), rel=1e-15)
+
+
+def test_octave_stop_takes_a_settled_ratio_one_octave_later():
+    # at q = 1/2 the remainder is large, but the ratio at octave 7 equals
+    # the one at octave 6: the extrapolation is exact
+    j, value = _first_stop(0.5 ** np.arange(12.0))
+    assert j == 7 and value == pytest.approx(2.0, rel=1e-15)
+
+
+def test_octave_stop_ends_a_run_of_zero_blocks():
+    blocks = np.concatenate([np.ones(8), np.zeros(30)])
+    assert _first_stop(blocks) == (8 + 23, 8.0)
+
+
+def test_octave_stop_never_stops_a_growing_sequence():
+    stop, _ = _octave_stop(2.0 ** np.arange(260.0)[None, :], 6, 1e-11)
+    assert not stop.any()
+
+
+@given(q=st.floats(0.0, 1.5), min_octaves=st.integers(0, 8),
+       wobble=st.lists(st.floats(-0.1, 0.1), min_size=1, max_size=60),
+       zeros=st.sets(st.integers(0, 59)), cut=st.integers(1, 60),
+       rel_tol=st.sampled_from([1e-11, 1e-6, 1e-2]))
+def test_octave_stop_at_an_octave_ignores_later_octaves(q, min_octaves, wobble,
+                                                        zeros, cut, rel_tol):
+    # the property that lets a block history replace carried state
+    row = q ** np.arange(len(wobble)) * (1.0 + np.asarray(wobble))
+    row[[z for z in zeros if z < row.size]] = 0.0
+    blocks = np.stack([row, row[::-1]])
+    cut = min(cut, row.size)
+    stop, value = _octave_stop(blocks, min_octaves, rel_tol)
+    stop_cut, value_cut = _octave_stop(blocks[:, :cut], min_octaves, rel_tol)
+    assert np.array_equal(stop[:, :cut], stop_cut)
+    assert np.array_equal(value[:, :cut], value_cut, equal_nan=True)
