@@ -202,12 +202,14 @@ def uniform_second_moment(model: SymbolModel) -> float:
     if dens is None:
         return 0.0
     worst = 0.0
-    for i in range(len(dens.variants)):
+    bps = dens.all_breakpoints()
+    for i, variant in enumerate(dens.variants):
         g = dens.second_moment_weight(i)
-        bps = dens.all_breakpoints()
-        lo = dens.support_lo(i)
         try:
-            small = integrate_origin(g, 1.0, bps, support_lo=lo)
+            small = integrate_origin(g, 1.0, bps, support_lo=variant.support_lo)
+            # alpha <= 2: infinite tail (a tail sum underflows at tiny scales)
+            if variant.alpha is not None and variant.alpha <= 2.0:
+                return float("inf")
             big = integrate_tail(g, 1.0, bps)
         except QuadratureError:    # DivergentIntegralError among them
             return float("inf")

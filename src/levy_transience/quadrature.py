@@ -15,16 +15,15 @@ one-row case.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from .errors import DivergentIntegralError, QuadratureError
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-#: radii per chunk of a jump-symbol ladder; keeps the (radius, block, node)
-#: arrays of the wave tail at a few hundred kB
+#: radii per chunk of a wave tail, which keeps its (radius, block, node)
+#: arrays at a few hundred kB; the rest of a jump symbol runs once per call
 _CHUNK = 64
 
 #: octaves integrated per step of an octave sum; a power-law integral
@@ -41,10 +40,9 @@ def sphere_surface(d: int) -> float:
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
+@functools.lru_cache(maxsize=None)
 def _gl(n: int):
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
+    return np.polynomial.legendre.leggauss(n)
 
 
 def _ranks(counts):
@@ -316,19 +314,25 @@ def _accelerated_limit(partial_sums):
     return s[..., 0]
 
 
-def oscillatory_tail_integral(f, a, rho, d, breakpoints=(), n_blocks=48, n=10):
-    """Integral of psi_d(rho * u) * f(u) over [a, infinity), for each pair
-    (a[j], rho[j]) of the equal-length vectors a and rho.
+@functools.lru_cache(maxsize=None)
+def _wave_functional(d, n_blocks, n):
+    """Read-only nodes s_i on [pi, (n_blocks + 1) pi] and coefficients c_i
+    (Gauss weight x psi_d(s_i) x averaging weight of the block of s_i): for
+    every rho, the wave tail from pi/rho is sum_i c_i f(s_i / rho) / rho."""
+    k = np.arange(1.0, n_blocks + 1.0)
+    s, w = _linear_gauss_blocks(math.pi * k, math.pi * (k + 1.0), n)
+    # the averaged limit is linear in the blocks: block i weighs the limit
+    # of the partial sums of the i-th unit block
+    weight = _accelerated_limit(np.tri(n_blocks).T[:, n_blocks // 2:])
+    s, c = s.ravel(), (w * wave_kernel(s, d) * weight[:, None]).ravel()
+    s.setflags(write=False)
+    c.setflags(write=False)
+    return s, c
 
-    Blocks of half-period length pi/rho give (asymptotically) alternating
-    contributions; the limit of the partial sums is taken with iterated
-    averaging. f must have an integrable power-like tail. The blocks of all
-    rows, split at breakpoints, are one flat piece list: one f call, one
-    kernel call and a bincount for the block sums.
-    """
-    a, rho = np.atleast_1d(a).astype(float), np.atleast_1d(rho).astype(float)
-    if np.any(rho <= 0):
-        raise QuadratureError("oscillatory integral needs rho > 0")
+
+def _blockwise_wave_tail(f, a, rho, d, breakpoints, n_blocks, n):
+    """oscillatory_tail_integral on each row's own blocks, cut at the
+    breakpoints: one f call, one kernel call and one bincount per chunk."""
     edges = a[:, None] + (math.pi / rho)[:, None] * np.arange(n_blocks + 1)
     owner, lo, hi = _split(edges[:, :-1].ravel(), edges[:, 1:].ravel(),
                            breakpoints)
@@ -341,6 +345,40 @@ def oscillatory_tail_integral(f, a, rho, d, breakpoints=(), n_blocks=48, n=10):
     return _accelerated_limit(sums[:, n_blocks // 2:])
 
 
+def oscillatory_tail_integral(f, a, rho, d, breakpoints=(), n_blocks=48, n=10):
+    """Integral of psi_d(rho[j] * u) * f(u) over [a[j], infinity) for each j;
+    a is a scalar, a vector as long as rho, or None for a[j] = pi / rho[j].
+
+    Blocks of half-period length pi/rho give (asymptotically) alternating
+    contributions; the limit of the partial sums is taken with iterated
+    averaging. f must have an integrable power-like tail. Rows run _CHUNK
+    at a time. From a = None, rows with no breakpoint in their window use
+    _wave_functional, built once per dimension: one f call and one dot
+    product per chunk. Other rows take _blockwise_wave_tail.
+    """
+    rho = np.atleast_1d(rho).astype(float)
+    if np.any(rho <= 0):
+        raise QuadratureError("oscillatory integral needs rho > 0")
+    shared = np.zeros(rho.size, dtype=bool)
+    if a is None:
+        a = math.pi / rho
+        pieces = np.bincount(_split(a, a * (n_blocks + 1), breakpoints)[0])
+        shared = pieces == 1         # no breakpoint inside the window
+    a = np.broadcast_to(np.asarray(a, dtype=float), rho.shape)
+    out = np.empty(rho.size)
+    for rows in (np.flatnonzero(shared), np.flatnonzero(~shared)):
+        for first in range(0, rows.size, _CHUNK):
+            j = rows[first:first + _CHUNK]
+            if shared[j[0]]:
+                s, c = _wave_functional(d, n_blocks, n)
+                out[j] = np.asarray(f(s / rho[j, None]), dtype=float) @ c \
+                    / rho[j]
+            else:
+                out[j] = _blockwise_wave_tail(f, a[j], rho[j], d,
+                                              breakpoints, n_blocks, n)
+    return out
+
+
 def jump_symbol_value(f, rho, d, breakpoints=(), support_lo=0.0):
     """Integral of (1 - psi_d(rho*u)) * f(u) over (0, infinity), at one
     radius rho or at each radius of an array rho (then an array of the same
@@ -349,23 +387,22 @@ def jump_symbol_value(f, rho, d, breakpoints=(), support_lo=0.0):
     This is the radial reduction of int (1 - cos<xi, y>) nu(dy) for a radial
     jump weight: f(u) = S_d * u^{d-1} * n(u) yields the (real) jump part of
     the symbol at |xi| = rho. Splits at the oscillation scale pi/rho into the
-    near part below it and the plain and wave tails above it. A ladder is
-    evaluated _CHUNK radii at a time, every part for all radii of a chunk
-    at once. The octave sums stop at a relative tolerance of 1e-10.
+    near part below it and the plain and wave tails above it. The near part
+    and the plain tail run once per call; the wave tail runs per _CHUNK
+    radii, from pi/rho on a functional built once per dimension (see
+    oscillatory_tail_integral). Octave sums stop at relative tolerance 1e-10.
     """
     rhos = np.asarray(rho, dtype=float)
-    flat = rhos.ravel()
-    out = np.zeros(flat.size)
-    nonzero = np.flatnonzero(flat)
-    for first in range(0, nonzero.size, _CHUNK):
-        rows = nonzero[first:first + _CHUNK]
-        out[rows] = _jump_symbol_rows(f, flat[rows], d, tuple(breakpoints),
-                                      support_lo)
+    out = np.zeros(rhos.size)
+    nonzero = np.flatnonzero(rhos)
+    if nonzero.size:
+        out[nonzero] = _jump_symbol_rows(f, rhos.ravel()[nonzero], d,
+                                         tuple(breakpoints), support_lo)
     return out.reshape(rhos.shape) if rhos.ndim else float(out[0])
 
 
 def _jump_symbol_rows(f, rho, d, bps, support_lo):
-    """jump_symbol_value at one chunk of nonzero radii."""
+    """jump_symbol_value at a vector of nonzero radii."""
     u_c = math.pi / rho
     lo_end = max(support_lo, 0.0)
     inner = u_c > lo_end             # rows with a part below pi/rho
@@ -385,6 +422,7 @@ def _jump_symbol_rows(f, rho, d, bps, support_lo):
                                   "converge")
     osc_start = np.where(inner, u_c, lo_end)
     starts, where = np.unique(osc_start, return_inverse=True)
-    plain_tail = tail_cumulative(f, starts, bps, rel_tol=1e-10)[where]
-    wave_tail = oscillatory_tail_integral(f, osc_start, rho, d, bps)
-    return near + plain_tail - wave_tail
+    out = near + tail_cumulative(f, starts, bps, rel_tol=1e-10)[where]
+    out[inner] -= oscillatory_tail_integral(f, None, rho_in, d, bps)
+    out[~inner] -= oscillatory_tail_integral(f, lo_end, rho[~inner], d, bps)
+    return out

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from levy_transience.cf_integrals import strong_integral_kappa, weak_integral_kappa
+from levy_transience.densities import power_density
 from levy_transience.index_rules import (
     IMPLIES_STRONG,
     IMPLIES_WEAK,
@@ -18,10 +19,12 @@ from levy_transience.index_rules import (
     upper_index,
     uniform_second_moment,
 )
+from levy_transience.quadrature import sphere_surface
 from levy_transience.symbols import (
     brownian_drift,
     finite_jump_model,
     isotropic_stable,
+    radial_jump_model,
     stable_like,
 )
 from levy_transience.verdicts import CONVERGES, DIVERGES
@@ -102,6 +105,28 @@ def test_moment_rules_cases(bm3, bm5):
 
 def test_second_moment_infinite_for_stable():
     assert uniform_second_moment(isotropic_stable(2, 1.2)) == math.inf
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1e-50, 1e-100, 1e-200, 1e-300])
+def test_second_moment_infinite_for_stable_at_any_scale(gamma):
+    # a tiny scale makes the tail integrand underflow; the tail index alone
+    # says the second moment is infinite
+    assert uniform_second_moment(isotropic_stable(3, 1.0, gamma=gamma)) \
+        == math.inf
+
+
+def test_second_moment_rule_silent_for_a_tiny_scale_stable():
+    first, _ = moment_rules(isotropic_stable(3, 1.0, gamma=1e-100), d=3,
+                            kappa=0.5)
+    assert first.conclusion == NOT_APPLICABLE
+
+
+def test_second_moment_of_a_cut_off_power_tail_with_alpha_above_two():
+    # int_{u0}^inf u^2 * S_3 u^2 * c u^{-3-alpha} du = S_3 c u0^{2-alpha}/(alpha-2)
+    alpha, c, u0 = 2.5, 1.0, 1.0
+    model = radial_jump_model(power_density(3, alpha, coeff=c, u0=u0))
+    want = sphere_surface(3) * c * u0 ** (2.0 - alpha) / (alpha - 2.0)
+    assert uniform_second_moment(model) == pytest.approx(want, rel=1e-10)
 
 
 def test_shape_diagnostic_cases():

@@ -1,5 +1,5 @@
-"""Property-based tests of the verdict layer and of the kappa ordering of
-classify and kappa_boundary."""
+"""Property-based tests of the radial jump symbol, of the verdict layer and
+of the kappa ordering of classify and kappa_boundary."""
 
 import math
 from unittest import mock
@@ -18,6 +18,8 @@ from levy_transience.classifier import (
     kappa_boundary,
     transience_gate,
 )
+from levy_transience.densities import stable_coefficient
+from levy_transience.quadrature import jump_symbol_value, sphere_surface
 from levy_transience.symbols import brownian_drift, isotropic_stable
 from levy_transience.verdicts import (
     AT_INFINITY,
@@ -25,6 +27,26 @@ from levy_transience.verdicts import (
     _line,
     verdict_from_radial_integrand,
 )
+
+
+@given(alpha=st.floats(0.2, 1.8), d=st.sampled_from([1, 3]),
+       log_rho=st.floats(math.log(1e-7), math.log(1e3)))
+def test_stable_jump_symbol_is_rho_to_the_alpha_alone_or_in_a_ladder(
+        alpha, d, log_rho):
+    # the radial weight of the isotropic stable measure has the jump symbol
+    # rho^alpha; inside a 100-radius ladder (second wave-tail chunk, shared
+    # near part and plain tail) it keeps its lone-radius value
+    rho = math.exp(log_rho)
+    coef = sphere_surface(d) * stable_coefficient(d, alpha)
+
+    def weight(u):
+        return coef * u ** (-1.0 - alpha)
+
+    lone = jump_symbol_value(weight, rho, d)
+    assert math.isclose(lone, rho ** alpha, rel_tol=1e-8)
+    ladder = jump_symbol_value(weight,
+                               np.append(np.geomspace(1e-7, 1e3, 99), rho), d)
+    assert math.isclose(ladder[-1], lone, rel_tol=1e-13)
 
 
 @given(exponent=st.floats(-3.0, 1.0), shift=st.floats(-3000.0, 3000.0),

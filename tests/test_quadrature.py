@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import levy_transience
+from levy_transience import quadrature
 from levy_transience.errors import DivergentIntegralError
 from levy_transience.quadrature import (
     _octave_stop,
@@ -18,6 +19,7 @@ from levy_transience.quadrature import (
     integrate_tail,
     jump_symbol_value,
     one_minus_wave_kernel,
+    oscillatory_tail_integral,
     segment_integrals,
     sphere_surface,
     tail_cumulative,
@@ -206,6 +208,62 @@ def test_jump_symbol_value_stable_closed_form_on_a_radius_vector():
         rhos = np.array([2.0 ** -20, 1e-3, 0.1, 1.0, 30.0])
         np.testing.assert_allclose(jump_symbol_value(w, rhos, d),
                                    rhos ** alpha, rtol=1e-8)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_shared_wave_tail_matches_the_per_row_blocks(d, monkeypatch):
+    # from pi/rho (a = None) a window free of breakpoints reads the shared
+    # s-space functional; an explicit lower limit always takes the per-row
+    # blocks. The table knots and the power cutoff fall inside the windows
+    # of some radii, which then take the per-row blocks in both calls.
+    from levy_transience.densities import (
+        power_density,
+        stable_density,
+        table_density,
+    )
+
+    blockwise_rows = []
+    blockwise = quadrature._blockwise_wave_tail
+
+    def counted(f, a, rho, *args):
+        blockwise_rows.append(rho.size)
+        return blockwise(f, a, rho, *args)
+
+    monkeypatch.setattr(quadrature, "_blockwise_wave_tail", counted)
+    rhos = np.geomspace(1e-6, 1e2, 97)
+    for dens in (power_density(d, 1.1, u0=1.0), stable_density(d, 0.7),
+                 table_density(d, [0.5, 3.0, 40.0], [1e-1, 1e-3, 1e-12])):
+        f, bps = dens.radial_weight(0), dens.all_breakpoints()
+        blockwise_rows.clear()
+        shared = oscillatory_tail_integral(f, None, rhos, d, bps)
+        fallback_rows = sum(blockwise_rows)
+        per_row = oscillatory_tail_integral(f, np.pi / rhos, rhos, d, bps)
+        assert sum(blockwise_rows) - fallback_rows == rhos.size
+        assert (fallback_rows > 0) == bool(bps)
+        np.testing.assert_allclose(shared, per_row, rtol=1e-13, atol=0.0)
+
+
+def test_wave_tail_of_a_ladder_evaluates_the_kernel_once(monkeypatch):
+    # 400 radii below pi/u0: the wave tail evaluates psi_d only to build
+    # its n_blocks * n = 480-node functional, not 480 nodes per radius
+    from levy_transience.densities import power_density
+
+    nodes = []
+    kernel = quadrature.wave_kernel
+
+    def counted(s, d):
+        if sys._getframe(1).f_code.co_name != "one_minus_wave_kernel":
+            nodes.append(np.size(s))     # not the near part's 1 - psi_d
+        return kernel(s, d)
+
+    monkeypatch.setattr(quadrature, "wave_kernel", counted)
+    quadrature._wave_functional.cache_clear()
+    dens = power_density(3, 1.1, u0=1.0)
+    rhos = np.geomspace(6e-8, 3.0, 400)
+    jump_symbol_value(dens.radial_weight(0), rhos, 3,
+                      breakpoints=dens.all_breakpoints(),
+                      support_lo=dens.support_lo(0))
+    assert 0 < sum(nodes) <= 48 * 10
 
 
 def test_origin_cumulative_matches_direct():
