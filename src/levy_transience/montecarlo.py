@@ -31,6 +31,7 @@ from .symbols import SymbolModel, eval_symbol
 
 _DOMAIN_MARGINAL = 0x6D415247
 _DOMAIN_PATH = 0x70415448
+_NORMAL_BLOCK = 250_000   # normals an Euler chunk holds at a time
 
 EXACT_MARGINAL = "exact_marginal"
 EULER_PATH = "euler_path"
@@ -87,19 +88,24 @@ class SimConfig:
 # Exact marginal samplers.
 # ---------------------------------------------------------------------------
 
-def _kanter(a, u, w):
+def _kanter_angles(u, w):
+    """In place, the alpha-free half of the Kanter (1975) sampler: uniforms
+    u become angles pi * u in (0, pi), exponentials w are floored."""
+    np.multiply(np.clip(u, 1e-12, 1.0 - 1e-12, out=u), np.pi, out=u)
+    return u, np.maximum(w, 1e-300, out=w)
+
+
+def _kanter(a, th, w):
     """One-sided stable variates with Laplace transform exp(-lambda^a),
-    0 < a < 1, from uniforms u and standard exponentials w (Kanter 1975)."""
-    u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    w = np.maximum(w, 1e-300)
-    th = np.pi * u
+    0 < a < 1, from the angles th and exponentials w of _kanter_angles."""
     return (np.sin(a * th) / np.sin(th) ** (1.0 / a)
             * (np.sin((1.0 - a) * th) / w) ** ((1.0 - a) / a))
 
 
 def _positive_stable(alpha_half, gen, n):
-    u = gen.random(n)     # the uniforms are drawn before the exponentials
-    return _kanter(alpha_half, u, gen.standard_exponential(n))
+    # the uniforms are drawn before the exponentials
+    return _kanter(alpha_half, *_kanter_angles(gen.random(n),
+                                               gen.standard_exponential(n)))
 
 
 def _stable_sample(d, alpha, scale_c, gen, n):
@@ -108,6 +114,15 @@ def _stable_sample(d, alpha, scale_c, gen, n):
     s = scale_c ** (2.0 / alpha) * _positive_stable(0.5 * alpha, gen, n)
     z = gen.standard_normal((n, d))
     return np.sqrt(2.0 * s)[:, None] * z
+
+
+def _diffusion_factor(C):
+    """L L^T = C: Cholesky, or for a singular C the eigh root clipped at 0."""
+    try:
+        return np.linalg.cholesky(C + 1e-300 * np.eye(len(C)))
+    except np.linalg.LinAlgError:
+        lam, V = np.linalg.eigh(C)
+        return V * np.sqrt(np.clip(lam, 0.0, None))
 
 
 def _constant_param(model, key):
@@ -127,8 +142,7 @@ def sample_levy_marginal(model: SymbolModel, t: float,
     d = model.d
     if model.family == "brownian_drift":
         if model.triplet.diffusion_matrix is not None:
-            L = np.linalg.cholesky(model.triplet.diffusion_matrix
-                                   + 1e-300 * np.eye(d))
+            L = _diffusion_factor(model.triplet.diffusion_matrix)
         else:
             L = math.sqrt(_constant_param(model, "c")) * np.eye(d)
         x = math.sqrt(t) * gen.standard_normal((n, d)) @ L.T
@@ -152,9 +166,8 @@ def _family_step_fields(model):
     p = model.params
     if model.family == "brownian_drift":
         if "c" not in p:
-            C = model.triplet.diffusion_matrix
-            L = np.linalg.cholesky(C + 1e-300 * np.eye(model.d))
-            return ("brownian_matrix", L)
+            return ("brownian_matrix",
+                    _diffusion_factor(model.triplet.diffusion_matrix))
         return ("brownian", p["c"])
     if model.family == "stable_like":
         return ("stable", p["alpha"], p["gamma"])
@@ -163,7 +176,11 @@ def _family_step_fields(model):
 
 
 def _euler_sweep(model, T, h, seed, path_indices, x0, observer):
-    """Advance one chunk of paths, calling observer(step, t, X) each step."""
+    """Advance one chunk of paths, calling observer(step, t, X) each step.
+
+    Path i's stream gives m uniforms and m exponentials (stable only), then
+    m x d normals, drawn a block of steps at a time: a chunk of n paths
+    holds 2 n m Kanter doubles and at most _NORMAL_BLOCK normals."""
     kind, *fields = _family_step_fields(model)
     d = model.d
     m = int(round(T / h))
@@ -171,37 +188,44 @@ def _euler_sweep(model, T, h, seed, path_indices, x0, observer):
         raise ConfigurationError("horizon shorter than one step")
     n = len(path_indices)
     drift = model.triplet.drift
-    need_stable = kind == "stable"
-    us = np.empty((n, m)) if need_stable else None
-    ws = np.empty((n, m)) if need_stable else None
-    zs = np.empty((n, m, d))
-    for row, idx in enumerate(path_indices):
-        gen = substream(seed, int(idx), _DOMAIN_PATH)
-        if need_stable:
-            us[row] = gen.random(m)
-            ws[row] = gen.standard_exponential(m)
-        zs[row] = gen.standard_normal((m, d))
+    gens = [substream(seed, int(idx), _DOMAIN_PATH) for idx in path_indices]
+    if kind == "stable":
+        ths, ws = np.empty((n, m)), np.empty((n, m))
+        for gen, th, w in zip(gens, ths, ws):
+            gen.random(out=th)
+            gen.standard_exponential(out=w)
+        _kanter_angles(ths, ws)
     X = np.zeros((n, d)) if x0 is None else np.tile(
         np.asarray(x0, dtype=float), (n, 1))
-    for j in range(m):
-        if kind == "brownian":
-            c = fields[0](X)
-            X = X + np.sqrt(c * h)[:, None] * zs[:, j, :]
-        elif kind == "brownian_matrix":
-            X = X + math.sqrt(h) * zs[:, j, :] @ fields[0].T
-        else:
-            alpha_f, gamma_f = fields
-            alpha = alpha_f(X)
-            gamma = gamma_f(X)
-            if np.any(alpha <= 0.0) or np.any(alpha >= 2.0):
-                raise ModelInvariantError(
-                    "stability index left (0,2) at a visited state")
-            s0 = _kanter(0.5 * alpha, us[:, j], ws[:, j])
-            zeta = np.sqrt(2.0 * s0)[:, None] * zs[:, j, :]
-            X = X + ((gamma * h) ** (1.0 / alpha))[:, None] * zeta
-        if drift is not None:
-            X = X + h * drift
-        observer(j, (j + 1) * h, X)
+    if kind != "brownian_matrix":   # a constant field is evaluated once
+        fields = [f if f.kind != "const" else (lambda X, v=f(X): v)
+                  for f in fields]
+    block = max(1, _NORMAL_BLOCK // (n * d))
+    zs = np.empty((n, min(block, m), d))
+    for j0 in range(0, m, block):
+        b = min(block, m - j0)
+        for gen, row in zip(gens, zs):
+            gen.standard_normal(out=row[:b])
+        for j in range(j0, j0 + b):
+            z = zs[:, j - j0, :]
+            if kind == "brownian":
+                c = fields[0](X)
+                X = X + np.sqrt(c * h)[:, None] * z
+            elif kind == "brownian_matrix":
+                X = X + math.sqrt(h) * z @ fields[0].T
+            else:
+                alpha_f, gamma_f = fields
+                alpha = alpha_f(X)
+                gamma = gamma_f(X)
+                if alpha.min() <= 0.0 or alpha.max() >= 2.0:
+                    raise ModelInvariantError(
+                        "stability index left (0,2) at a visited state")
+                s0 = _kanter(0.5 * alpha, ths[:, j], ws[:, j])
+                zeta = np.sqrt(2.0 * s0)[:, None] * z
+                X = X + ((gamma * h) ** (1.0 / alpha))[:, None] * zeta
+            if drift is not None:
+                X = X + h * drift
+            observer(j, (j + 1) * h, X)
     return X
 
 
@@ -209,6 +233,11 @@ def _chunks(n_paths, m, d):
     per = max(1, int(4e6 / max(1, m * (d + 2))))
     return [range(lo, min(lo + per, n_paths))
             for lo in range(0, n_paths, per)]
+
+
+def _in_ball(X, r):
+    """Rows of X in the closed ball B(0, r); numpy's norm formula, axis 1."""
+    return np.sqrt(np.add.reduce(X * X, axis=1)) <= r
 
 
 def _run_chunks(chunks, fn):
@@ -328,7 +357,7 @@ def occupation_integral_estimate(model: SymbolModel, config: SimConfig,
             for j, t in enumerate(grid):
                 gen = substream(config.seed, j, _DOMAIN_MARGINAL)
                 x = sample_levy_marginal(model, float(t), gen, n)
-                hit = np.linalg.norm(x, axis=1) <= r
+                hit = _in_ball(x, r)
                 p = float(np.mean(hit))
                 probs[j] = p
                 variances[j] = p * (1.0 - p) / n
@@ -341,7 +370,7 @@ def occupation_integral_estimate(model: SymbolModel, config: SimConfig,
         h, n = config.step, config.paths
 
         def occupy(acc, t, X):
-            inside = np.linalg.norm(X, axis=1) <= r
+            inside = _in_ball(X, r)
             acc += t ** kappa * inside * h
 
         sums = _euler_snapshots(model, config, 4.0 * T, [
@@ -443,7 +472,7 @@ def last_exit_estimate(model: SymbolModel, radius: float,
     horizons = (0.25 * T, 0.5 * T, T)
 
     def last_visit(acc, t, X):
-        acc[np.linalg.norm(X, axis=1) <= radius] = t
+        acc[_in_ball(X, radius)] = t
 
     last_at = _euler_snapshots(model, config, T,
                                [int(round(H / h)) for H in horizons],

@@ -141,6 +141,18 @@ def test_simulate_euler_trace_dump(runner, model_file, tmp_path):
     assert len(lines) == 1 + 3 * 40
 
 
+@pytest.mark.parametrize("mode", ["exact_marginal", "euler_path"])
+def test_simulate_singular_psd_diffusion_matrix(runner, model_file, tmp_path,
+                                                mode):
+    path = model_file({"family": "brownian_drift", "d": 2,
+                       "parameters": {"C": [[1, 1], [1, 1]]}}, "bm.json")
+    result = runner.invoke(main, [
+        "simulate", "--model", path, "--kappa", "0.5", "--horizon", "2",
+        "--paths", "200", "--step", "0.02", "--seed", "5", "--mode", mode,
+        "--out", str(tmp_path / "o")])
+    assert result.exit_code in (0, 2), result.output
+
+
 def test_classify_dimension_check(runner, model_file, tmp_path):
     path = model_file(BM3, "bm3.json")
     result = runner.invoke(main, ["classify", "--model", path,

@@ -1,16 +1,22 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from levy_transience import montecarlo
 from levy_transience.errors import ConfigurationError, EstimateRefusedError
 from levy_transience.montecarlo import (
+    _DOMAIN_PATH,
     CONVERGENT_TREND,
     DIVERGENT_TREND,
     EULER_PATH,
     INCONCLUSIVE_TREND,
     SimConfig,
+    _chunks,
+    _euler_sweep,
+    _family_step_fields,
     _positive_stable,
     ecf_check,
     euler_terminal_states,
@@ -276,3 +282,114 @@ def test_positivity_diagnostic_symmetric():
 def test_sim_config_rejects_non_finite_kappa(kappa):
     with pytest.raises(ConfigurationError, match="kappa"):
         SimConfig(horizon=1.0, paths=10, seed=1, radius=1.0, kappa=kappa)
+
+
+def test_singular_psd_diffusion_matrix_samples():
+    # C = [[1, 1], [1, 1]] is PSD but has no Cholesky factor
+    C = np.array([[1.0, 1.0], [1.0, 1.0]])
+    model = brownian_drift(2, C=C)
+    t, n = 3.0, 100_000
+    x = sample_levy_marginal(model, t, substream(12, 0, 0xABCD), n)
+    cov = x.T @ x / n
+    # se of a zero-mean Gaussian sample covariance: sqrt(C_ii C_jj + C_ij^2)/n
+    se = t * np.sqrt((np.outer(np.diag(C), np.diag(C)) + C * C) / n)
+    assert np.all(np.abs(cov - t * C) <= 3.0 * se), cov
+    X = euler_terminal_states(model, 1.0, 0.01, 200, seed=3)
+    np.testing.assert_allclose(X[:, 0], X[:, 1], rtol=1e-12, atol=1e-12)
+
+
+# -- the blocked Euler sweep against the sweep that draws everything first --
+
+def _reference_sweep(model, T, h, seed, path_indices, x0, observer):
+    """Each path's m uniforms, m exponentials and m x d normals drawn up
+    front, then the step loop; the blocked sweep must match it bit for bit."""
+    kind, *fields = _family_step_fields(model)
+    d, m, n = model.d, int(round(T / h)), len(path_indices)
+    drift = model.triplet.drift
+    us, ws, zs = np.empty((n, m)), np.empty((n, m)), np.empty((n, m, d))
+    for row, idx in enumerate(path_indices):
+        gen = substream(seed, int(idx), _DOMAIN_PATH)
+        if kind == "stable":
+            us[row] = gen.random(m)
+            ws[row] = gen.standard_exponential(m)
+        zs[row] = gen.standard_normal((m, d))
+    X = np.zeros((n, d)) if x0 is None else np.tile(
+        np.asarray(x0, dtype=float), (n, 1))
+    for j in range(m):
+        if kind == "brownian":
+            X = X + np.sqrt(fields[0](X) * h)[:, None] * zs[:, j, :]
+        elif kind == "brownian_matrix":
+            X = X + math.sqrt(h) * zs[:, j, :] @ fields[0].T
+        else:
+            alpha, gamma = fields[0](X), fields[1](X)
+            a = 0.5 * alpha
+            u = np.clip(us[:, j], 1e-12, 1.0 - 1e-12)
+            w = np.maximum(ws[:, j], 1e-300)
+            th = np.pi * u
+            s0 = (np.sin(a * th) / np.sin(th) ** (1.0 / a)
+                  * (np.sin((1.0 - a) * th) / w) ** ((1.0 - a) / a))
+            zeta = np.sqrt(2.0 * s0)[:, None] * zs[:, j, :]
+            X = X + ((gamma * h) ** (1.0 / alpha))[:, None] * zeta
+        if drift is not None:
+            X = X + h * drift
+        observer(j, (j + 1) * h, X)
+    return X
+
+
+_SWEEP_MODELS = {
+    "interval_d1": (stable_like(1, alpha=(0.6, 1.4), beta=[0.3]), [0.5]),
+    "interval_d2": (stable_like(2, alpha=(0.6, 1.4), beta=[0.3, -0.2],
+                                gamma=0.7), [0.5, -1.0]),
+    "constant": (stable_like(2, alpha=1.3, gamma=2.0), None),
+    "brownian_field": (brownian_drift(2, c={"lo": 0.5, "hi": 2.0}), [1.0, 0.0]),
+    "brownian_matrix": (brownian_drift(2, drift=[0.1, 0.0],
+                                       C=[[2.0, 0.5], [0.5, 1.0]]), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SWEEP_MODELS))
+@pytest.mark.parametrize("m", [3, 10, 12])
+def test_blocked_sweep_matches_the_reference_bit_for_bit(monkeypatch, name, m):
+    # 7 paths and a block of 5 steps: m below, a multiple of, and not a
+    # multiple of the block
+    model, x0 = _SWEEP_MODELS[name]
+    n, h = 7, 0.05
+    monkeypatch.setattr(montecarlo, "_NORMAL_BLOCK", 5 * n * model.d)
+    paths = list(range(3, 3 + n))
+    seen = {"new": [], "ref": []}
+    new = _euler_sweep(model, m * h, h, 41, paths, x0,
+                       lambda j, t, X: seen["new"].append((j, t, X.copy())))
+    ref = _reference_sweep(model, m * h, h, 41, paths, x0,
+                           lambda j, t, X: seen["ref"].append((j, t, X.copy())))
+    assert np.array_equal(new, ref)
+    assert len(seen["new"]) == len(seen["ref"]) == m
+    for (j, t, X), (j_ref, t_ref, X_ref) in zip(seen["new"], seen["ref"]):
+        assert (j, t) == (j_ref, t_ref) and np.array_equal(X, X_ref)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_euler_terminal_states_match_the_reference(monkeypatch, threads):
+    # 520 paths x 2100 steps make two chunks (476 + 44 paths)
+    monkeypatch.setenv("LEVY_TRANSIENCE_THREADS", threads)
+    model, x0 = _SWEEP_MODELS["interval_d2"]
+    T, h, n = 21.0, 0.01, 520
+    chunks = _chunks(n, int(round(T / h)), model.d)
+    assert len(chunks) == 2
+    ref = np.concatenate([
+        _reference_sweep(model, T, h, 17, list(ch), x0, lambda j, t, X: None)
+        for ch in chunks])
+    assert np.array_equal(euler_terminal_states(model, T, h, n, 17, x0), ref)
+
+
+def test_euler_sweep_memory_is_bounded(monkeypatch):
+    # 1000 paths x 2000 steps run as two chunks of 500 paths, each holding
+    # 16 MB of Kanter variates and one 2 MB block of normals
+    monkeypatch.delenv("LEVY_TRANSIENCE_THREADS", raising=False)
+    model = stable_like(2, alpha=(0.6, 1.4))
+    tracemalloc.start()
+    try:
+        euler_terminal_states(model, 20.0, 0.01, 1000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20e6, peak
