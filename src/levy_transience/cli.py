@@ -345,7 +345,7 @@ def compare_cmd(model_paths, out_dir, fmt, kappa_grid, u0):
 def validate_sampler_cmd(model_paths, out_dir, fmt, paths, seed, t_value):
     """Empirical characteristic function check of the marginal sampler."""
     model = load_model(model_paths[0])
-    cfg = SimConfig(horizon=t_value, paths=paths, seed=seed, radius=1.0,
+    cfg = SimConfig(horizon=1.0, paths=paths, seed=seed, radius=1.0,
                     kappa=0.0)
     dirs = np.eye(model.d)[0]
     xi_set = [s * dirs for s in (0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0)]

@@ -43,10 +43,19 @@ INCONCLUSIVE_TREND = "inconclusive"
 
 def worker_count() -> int:
     """Worker cap from LEVY_TRANSIENCE_THREADS (default 1, serial)."""
+    value = os.environ.get("LEVY_TRANSIENCE_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("LEVY_TRANSIENCE_THREADS", "1")))
+        return max(1, int(value))
     except ValueError:
-        return 1
+        raise ConfigurationError(f"LEVY_TRANSIENCE_THREADS must be an "
+                                 f"integer, got {value!r}") from None
+
+
+def _check_positive(name, value):
+    """Raise ConfigurationError unless value is finite and > 0."""
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigurationError(
+            f"{name} must be finite and positive, got {value}")
 
 
 def substream(seed: int, index: int, domain: int) -> np.random.Generator:
@@ -71,14 +80,10 @@ class SimConfig:
     trend_margin: float = 0.05
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ConfigurationError("horizon must be positive")
-        if self.step <= 0:
-            raise ConfigurationError("step must be positive")
+        for name in ("horizon", "step", "radius"):
+            _check_positive(name, getattr(self, name))
         if self.paths < 1:
             raise ConfigurationError("need at least one path")
-        if self.radius <= 0:
-            raise ConfigurationError("ball radius must be positive")
         check_kappa(self.kappa)
         if self.mode not in (EXACT_MARGINAL, EULER_PATH):
             raise ConfigurationError(f"unknown simulation mode {self.mode!r}")
@@ -98,22 +103,15 @@ def _kanter_angles(u, w):
 def _kanter(a, th, w):
     """One-sided stable variates with Laplace transform exp(-lambda^a),
     0 < a < 1, from the angles th and exponentials w of _kanter_angles."""
+    b = 1.0 - a
     return (np.sin(a * th) / np.sin(th) ** (1.0 / a)
-            * (np.sin((1.0 - a) * th) / w) ** ((1.0 - a) / a))
+            * (np.sin(b * th) / w) ** (b / a))
 
 
 def _positive_stable(alpha_half, gen, n):
     # the uniforms are drawn before the exponentials
     return _kanter(alpha_half, *_kanter_angles(gen.random(n),
                                                gen.standard_exponential(n)))
-
-
-def _stable_sample(d, alpha, scale_c, gen, n):
-    """Samples with characteristic function exp(-scale_c * |xi|^alpha),
-    via a positive-stable subordinated Gaussian."""
-    s = scale_c ** (2.0 / alpha) * _positive_stable(0.5 * alpha, gen, n)
-    z = gen.standard_normal((n, d))
-    return np.sqrt(2.0 * s)[:, None] * z
 
 
 def _diffusion_factor(C):
@@ -137,8 +135,7 @@ def sample_levy_marginal(model: SymbolModel, t: float,
                          gen: np.random.Generator, n: int) -> np.ndarray:
     """n samples of X_t started at 0, for a state-independent Brownian or
     stable-like model, drifted or not."""
-    if t <= 0:
-        raise ConfigurationError("marginal time must be positive")
+    _check_positive("t", t)
     d = model.d
     if model.family == "brownian_drift":
         if model.triplet.diffusion_matrix is not None:
@@ -148,8 +145,11 @@ def sample_levy_marginal(model: SymbolModel, t: float,
         x = math.sqrt(t) * gen.standard_normal((n, d)) @ L.T
     elif model.family == "stable_like":
         alpha = _constant_param(model, "alpha")
-        gamma = _constant_param(model, "gamma")
-        x = _stable_sample(d, alpha, t * gamma, gen, n)
+        scale = (t * _constant_param(model, "gamma")) ** (2.0 / alpha)
+        # a positive-stable subordinated Gaussian, exp(-t gamma |xi|^alpha)
+        s = scale * _positive_stable(0.5 * alpha, gen, n)
+        z = gen.standard_normal((n, d))
+        x = np.sqrt(2.0 * s)[:, None] * z
     else:
         raise ConfigurationError(
             f"family {model.family!r} has no exact marginal sampler")
@@ -175,58 +175,74 @@ def _family_step_fields(model):
         f"family {model.family!r} has no Euler path scheme")
 
 
-def _euler_sweep(model, T, h, seed, path_indices, x0, observer):
-    """Advance one chunk of paths, calling observer(step, t, X) each step.
+def _step_field(f, X, h=None):
+    """X -> f(X), times h when given; a constant f is evaluated once."""
+    g = f if h is None else (lambda X: f(X) * h)
+    return g if f.kind != "const" else (lambda X, v=g(X): v)
 
-    Path i's stream gives m uniforms and m exponentials (stable only), then
-    m x d normals, drawn a block of steps at a time: a chunk of n paths
-    holds 2 n m Kanter doubles and at most _NORMAL_BLOCK normals."""
+
+def _by_step(gens, out, fill):
+    """Returns out, with out[..., i] filled by fill(gens[i], row); paths go
+    through a buffer of 65,536 doubles (512 KB), so out is written in runs."""
+    size = max(1, min(len(gens), 65_536 // out[..., 0].size))
+    buf = np.empty((size,) + out.shape[:-1])
+    for i0 in range(0, len(gens), size):
+        group = gens[i0:i0 + size]
+        for gen, row in zip(group, buf):
+            fill(gen, row)
+        out[..., i0:i0 + len(group)] = np.moveaxis(buf[:len(group)], 0, -1)
+    return out
+
+
+def _euler_sweep(model, T, h, seed, path_indices, x0, observer):
+    """Advance one chunk of n paths, calling observer(step, t, X) each step.
+
+    Path i's own stream gives m uniforms and m exponentials (stable only),
+    then m x d normals, drawn a block of steps at a time. Arrays are
+    time-major: step j reads the rows ths[j], ws[j] of 2 n m Kanter doubles,
+    the (d, n) normals zs[j] (at most _NORMAL_BLOCK) and the (d, n) state."""
     kind, *fields = _family_step_fields(model)
     d = model.d
     m = int(round(T / h))
     if m < 1:
         raise ConfigurationError("horizon shorter than one step")
     n = len(path_indices)
-    drift = model.triplet.drift
+    drift = None if model.triplet.drift is None else h * model.triplet.drift
     gens = [substream(seed, int(idx), _DOMAIN_PATH) for idx in path_indices]
     if kind == "stable":
-        ths, ws = np.empty((n, m)), np.empty((n, m))
-        for gen, th, w in zip(gens, ths, ws):
-            gen.random(out=th)
-            gen.standard_exponential(out=w)
+        ths = _by_step(gens, np.empty((m, n)), lambda g, u: g.random(out=u))
+        ws = _by_step(gens, np.empty((m, n)),
+                      lambda g, w: g.standard_exponential(out=w))
         _kanter_angles(ths, ws)
-    X = np.zeros((n, d)) if x0 is None else np.tile(
-        np.asarray(x0, dtype=float), (n, 1))
-    if kind != "brownian_matrix":   # a constant field is evaluated once
-        fields = [f if f.kind != "const" else (lambda X, v=f(X): v)
-                  for f in fields]
+    Xt = np.zeros((d, n)) if x0 is None else np.tile(
+        np.asarray(x0, dtype=float)[:, None], (1, n))
+    if kind != "brownian_matrix":   # as fields of X: c h, or alpha, gamma h
+        fields = [_step_field(f, Xt.T, s) for f, s in zip(
+            fields, (h,) if kind == "brownian" else (None, h))]
     block = max(1, _NORMAL_BLOCK // (n * d))
-    zs = np.empty((n, min(block, m), d))
+    zs = np.empty((min(block, m), d, n))
     for j0 in range(0, m, block):
         b = min(block, m - j0)
-        for gen, row in zip(gens, zs):
-            gen.standard_normal(out=row[:b])
+        _by_step(gens, zs[:b], lambda g, z: g.standard_normal(out=z))
         for j in range(j0, j0 + b):
-            z = zs[:, j - j0, :]
+            z = zs[j - j0]
             if kind == "brownian":
-                c = fields[0](X)
-                X = X + np.sqrt(c * h)[:, None] * z
-            elif kind == "brownian_matrix":
-                X = X + math.sqrt(h) * z @ fields[0].T
+                Xt = Xt + np.sqrt(fields[0](Xt.T)) * z
+            elif kind == "brownian_matrix":   # BLAS gets C-ordered (n, d)
+                Xt = Xt + (np.multiply(math.sqrt(h), z.T, order="C")
+                           @ fields[0].T).T
             else:
-                alpha_f, gamma_f = fields
-                alpha = alpha_f(X)
-                gamma = gamma_f(X)
+                alpha = fields[0](Xt.T)
                 if alpha.min() <= 0.0 or alpha.max() >= 2.0:
                     raise ModelInvariantError(
                         "stability index left (0,2) at a visited state")
-                s0 = _kanter(0.5 * alpha, ths[:, j], ws[:, j])
-                zeta = np.sqrt(2.0 * s0)[:, None] * z
-                X = X + ((gamma * h) ** (1.0 / alpha))[:, None] * zeta
+                s0 = _kanter(0.5 * alpha, ths[j], ws[j])
+                Xt = Xt + fields[1](Xt.T) ** (1.0 / alpha) * (
+                    np.sqrt(2.0 * s0) * z)
             if drift is not None:
-                X = X + h * drift
-            observer(j, (j + 1) * h, X)
-    return X
+                Xt = Xt + drift[:, None]
+            observer(j, (j + 1) * h, Xt.T)
+    return Xt.T
 
 
 def _chunks(n_paths, m, d):
@@ -236,8 +252,15 @@ def _chunks(n_paths, m, d):
 
 
 def _in_ball(X, r):
-    """Rows of X in the closed ball B(0, r); numpy's norm formula, axis 1."""
-    return np.sqrt(np.add.reduce(X * X, axis=1)) <= r
+    """Rows of X in the closed ball B(0, r): numpy's norm formula on axis 1,
+    whose bits a column sum repeats for d < 8 (numpy adds those in order)."""
+    if X.shape[1] >= 8:   # the order of this reduce follows the layout
+        X = np.ascontiguousarray(X)
+        return np.sqrt(np.add.reduce(X * X, axis=1)) <= r
+    sq = X[:, 0] * X[:, 0]
+    for x in X.T[1:]:
+        sq += x * x
+    return np.sqrt(sq, out=sq) <= r
 
 
 def _run_chunks(chunks, fn):
@@ -266,8 +289,7 @@ def simulate_stable_like_path(model: SymbolModel, T: float, h: float,
         states[j + 1] = X[0]
 
     _euler_sweep(model, T, h, seed, [path_index], x0, observer)
-    times = h * np.arange(m + 1)
-    return times, states
+    return h * np.arange(m + 1), states
 
 
 def euler_terminal_states(model: SymbolModel, T: float, h: float,
@@ -279,9 +301,8 @@ def euler_terminal_states(model: SymbolModel, T: float, h: float,
 
     def work(chunk):
         idx = list(chunk)
-        final = _euler_sweep(model, T, h, seed, idx, x0,
-                             lambda j, t, X: None)
-        out[idx[0]:idx[-1] + 1] = final
+        out[idx[0]:idx[-1] + 1] = _euler_sweep(model, T, h, seed, idx, x0,
+                                               lambda j, t, X: None)
 
     _run_chunks(_chunks(n_paths, m, d), work)
     return out
@@ -369,9 +390,8 @@ def occupation_integral_estimate(model: SymbolModel, config: SimConfig,
     else:
         h, n = config.step, config.paths
 
-        def occupy(acc, t, X):
-            inside = _in_ball(X, r)
-            acc += t ** kappa * inside * h
+        def occupy(acc, t, X):   # acc >= 0, so acc + 0 * ... is acc
+            acc += _in_ball(X, r) * (t ** kappa * h)
 
         sums = _euler_snapshots(model, config, 4.0 * T, [
             int(round(c * T / h)) for c in (1.0, 2.0, 4.0)], occupy)
@@ -419,6 +439,7 @@ def _euler_snapshots(model, config, T, marks, update):
     every Euler step on [0, T], at the step counts in `marks`."""
     h, n = config.step, config.paths
     out = np.zeros((n, len(marks)))
+    marked = set(marks)
 
     def work(chunk):
         idx = list(chunk)
@@ -426,9 +447,8 @@ def _euler_snapshots(model, config, T, marks, update):
 
         def observer(j, t, X):
             update(acc, t, X)
-            for k, mark in enumerate(marks):
-                if j + 1 == mark:
-                    out[idx[0]:idx[-1] + 1, k] = acc
+            if j + 1 in marked:
+                out[idx[0]:idx[-1] + 1, np.equal(marks, j + 1)] = acc[:, None]
 
         _euler_sweep(model, T, h, config.seed, idx, None, observer)
 

@@ -276,3 +276,22 @@ def test_non_finite_kappa_exit_code(runner, model_file, tmp_path, kappa):
                                   "--out", str(tmp_path / "o")])
     assert result.exit_code == 1
     assert "error: kappa must be finite" in result.stderr
+
+
+@pytest.mark.parametrize("args, field", [
+    (["simulate", "--horizon", "nan"], "horizon"),
+    (["simulate", "--horizon", "inf"], "horizon"),
+    (["simulate", "--mode", "euler_path", "--step", "nan"], "step"),
+    (["simulate", "--r", "nan"], "radius"),
+    (["simulate", "--r", "inf"], "radius"),
+    (["validate-sampler", "--t", "nan"], "t"),
+])
+def test_non_finite_simulation_inputs_exit_1(runner, model_file, tmp_path,
+                                            args, field):
+    path = model_file(STABLE_05_D1, "stable.json")
+    kappa = ["--kappa", "1.0"] if args[0] == "simulate" else []
+    result = runner.invoke(main, args + kappa + [
+        "--model", path, "--paths", "10", "--out", str(tmp_path / "o")])
+    assert result.exit_code == 1, result.output
+    assert result.stderr.startswith(f"error: {field} must be finite")
+    assert "Traceback" not in result.output

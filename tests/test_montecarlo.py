@@ -393,3 +393,117 @@ def test_euler_sweep_memory_is_bounded(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 20e6, peak
+
+
+# -- the ball test, the observers and the input checks --
+
+@pytest.mark.parametrize("d", range(1, 10))
+@pytest.mark.parametrize("n", [1, 7, 500])
+def test_in_ball_matches_numpys_norm_formula_bit_for_bit(d, n):
+    rng = np.random.default_rng(1000 * d + n)
+    # one magnitude in 1e-160..1e160 per row (terms of one size, so the
+    # order of the sum shows), and per entry in every third row
+    X = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-160, 160, (n, 1))
+    X[::3] *= 10.0 ** rng.uniform(-20, 20, X[::3].shape)
+    if n > 1:
+        X[0, rng.integers(d)] = rng.choice([np.inf, -np.inf])
+        X[-1, rng.integers(d)] = np.nan
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.add.reduce(X * X, axis=1))
+        # radii at and one ulp either side of every finite norm, so a row
+        # whose norm moves by one ulp flips
+        finite = norms[np.isfinite(norms) & (norms > 0)]
+        radii = [1.0, *finite, *np.nextafter(finite, 0.0),
+                 *np.nextafter(finite, np.inf)]
+        for layout in (X, np.asfortranarray(X)):   # the sweep's is (d, n).T
+            for r in radii:
+                assert np.array_equal(montecarlo._in_ball(layout, r),
+                                      norms <= r), (layout.flags, r)
+
+
+def _reference_snapshots(model, config, T, marks, update):
+    # the per-step mark loop over the reference sweep
+    h, n = config.step, config.paths
+    out = np.zeros((n, len(marks)))
+    for chunk in montecarlo._chunks(n, int(round(T / h)), model.d):
+        idx = list(chunk)
+        acc = np.zeros(len(idx))
+
+        def observer(j, t, X):
+            update(acc, t, X)
+            for k, mark in enumerate(marks):
+                if j + 1 == mark:
+                    out[idx[0]:idx[-1] + 1, k] = acc
+
+        _reference_sweep(model, T, h, config.seed, idx, None, observer)
+    return out
+
+
+def _reference_in_ball(X, r):
+    X = np.ascontiguousarray(X)
+    return np.sqrt(np.add.reduce(X * X, axis=1)) <= r
+
+
+@pytest.mark.parametrize("name", ["interval_d1", "interval_d2", "bm3"])
+def test_euler_estimates_match_the_reference_observers(monkeypatch, name):
+    model = (brownian_drift(3) if name == "bm3"
+             else _SWEEP_MODELS[name][0])
+    # chunks of 16 paths and blocks of 5 steps, so marks fall inside blocks
+    monkeypatch.setattr(montecarlo, "_chunks", lambda n, m, d: [
+        range(lo, min(lo + 16, n)) for lo in range(0, n, 16)])
+    monkeypatch.setattr(montecarlo, "_NORMAL_BLOCK", 5 * 16 * model.d)
+    cfg = SimConfig(horizon=1.0, paths=40, seed=29, radius=0.7, kappa=0.6,
+                    step=0.01, mode=EULER_PATH, censor_limit=1.0)
+    T, h, kappa, r, n = cfg.horizon, cfg.step, cfg.kappa, cfg.radius, 40
+
+    def occupy(acc, t, X):
+        acc += t ** kappa * _reference_in_ball(X, r) * h
+
+    sums = _reference_snapshots(model, cfg, 4.0 * T, [
+        int(round(c * T / h)) for c in (1.0, 2.0, 4.0)], occupy)
+    est = occupation_integral_estimate(model, cfg)
+    assert est.values == tuple(float(np.mean(sums[:, k])) for k in range(3))
+    assert est.stderrs == tuple(float(np.std(sums[:, k], ddof=1)
+                                      / math.sqrt(n)) for k in range(3))
+
+    def last_visit(acc, t, X):
+        acc[_reference_in_ball(X, r)] = t
+
+    horizons = (0.25 * T, 0.5 * T, T)
+    last_at = _reference_snapshots(model, cfg, T, [
+        int(round(H / h)) for H in horizons], last_visit)
+    rep = last_exit_estimate(model, r, cfg)
+    assert rep.censor_fraction == float(np.mean(last_at[:, 2] > 0.5 * T))
+    assert rep.censored_moments == tuple(
+        float(np.mean(np.minimum(last_at[:, k], horizons[k]) ** kappa))
+        for k in range(3))
+    assert 0.0 < rep.censored_moments[0] and est.values[0] > 0.0
+
+
+@pytest.mark.parametrize("field", ["horizon", "step", "radius"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
+def test_sim_config_rejects_non_finite_fields(field, value):
+    kwargs = dict(horizon=1.0, paths=10, seed=1, radius=1.0, kappa=1.0)
+    with pytest.raises(ConfigurationError, match=f"^{field} must be finite"):
+        SimConfig(**dict(kwargs, **{field: value}))
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, 0.0, -1.0])
+def test_ecf_check_rejects_a_bad_time(t):
+    cfg = SimConfig(horizon=1.0, paths=10, seed=1, radius=1.0, kappa=0.0)
+    with pytest.raises(ConfigurationError, match="^t must be finite"):
+        ecf_check(isotropic_stable(1, 1.0), t, [np.ones(1)], cfg)
+
+
+def test_worker_count_reads_the_thread_variable(monkeypatch):
+    # worker_count only parses the variable; no thread is started here
+    monkeypatch.delenv("LEVY_TRANSIENCE_THREADS", raising=False)
+    assert montecarlo.worker_count() == 1
+    for value, workers in (("3", 3), ("0", 1), ("-2", 1)):
+        monkeypatch.setenv("LEVY_TRANSIENCE_THREADS", value)
+        assert montecarlo.worker_count() == workers
+    for value in ("two", "", "1.5"):
+        monkeypatch.setenv("LEVY_TRANSIENCE_THREADS", value)
+        with pytest.raises(ConfigurationError,
+                           match="LEVY_TRANSIENCE_THREADS"):
+            montecarlo.worker_count()
