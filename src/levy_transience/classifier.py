@@ -31,20 +31,14 @@ from .index_rules import (
 )
 from .levy_tails import (
     cos_moment_condition,
-    rv_classify,
-    borderline_index_test,
     split_tail_tests,
     quadratic_growth_floor,
-    rv_index_fit,
     tail_test_strong,
     tail_test_weak,
 )
-from .symbols import SymbolModel, sector_check, symmetry_check
+from .symbols import FAMILIES, SymbolModel, sector_check, symmetry_check
+from .symbols import GATE_RECURRENT, GATE_TRANSIENT, GATE_UNKNOWN
 from .verdicts import CONVERGES, DIVERGES, model_memo
-
-GATE_TRANSIENT = "transient"
-GATE_RECURRENT = "recurrent"
-GATE_UNKNOWN = "unknown"
 
 WEAKLY_TRANSIENT = "weakly_transient"
 STRONGLY_TRANSIENT = "strongly_transient"
@@ -104,9 +98,7 @@ def _default_assumptions(model):
     a.setdefault("weak_test_hypothesis", False)
     a.setdefault("sector_constant", None)
     a.setdefault("perturbation_margin", False)
-    # open-set irreducibility is established in the literature for the
-    # built-in families; custom models must assert it
-    a.setdefault("irreducible", model.family != "custom")
+    a.setdefault("irreducible", FAMILIES[model.family].irreducible)
     return a
 
 
@@ -119,7 +111,7 @@ def transience_gate(model: SymbolModel, r=1.0, use_structural=True) -> str:
     """Transient / Recurrent / Unknown from structural family facts plus the
     constant-weight integral tests."""
     if use_structural:
-        s = _structural_gate(model)
+        s = FAMILIES[model.family].gate(model)
         if s is not None:
             return s
     strong = strong_integral_kappa(model, 0.0, r)
@@ -131,137 +123,6 @@ def transience_gate(model: SymbolModel, r=1.0, use_structural=True) -> str:
             and assumptions["irreducible"]:
         return GATE_RECURRENT
     return GATE_UNKNOWN
-
-
-def _structural_gate(model):
-    fam, d, p = model.family, model.d, model.params
-    if fam == "brownian_drift" and model.drift_vector is None:
-        if model.triplet.diffusion_bounds[0] > 0:
-            return GATE_TRANSIENT if d >= 3 else GATE_RECURRENT
-        return None
-    if fam == "stable_like":
-        a_lo, a_hi = p["alpha"].bounds
-        if d >= 2:
-            return GATE_TRANSIENT
-        if a_hi < 1.0:
-            return GATE_TRANSIENT
-        if model.drift_vector is None and a_lo >= 1.0:
-            return GATE_RECURRENT
-        return None
-    if fam == "finite_jump":
-        a_lo, a_hi = p["alpha"].bounds
-        if d >= 3:
-            return GATE_TRANSIENT
-        if a_hi < d:
-            return GATE_TRANSIENT
-        return None
-    if fam == "radial_jump":
-        delta, borderline = _rv_index(model.triplet.jump_density, d)
-        if delta is None:
-            return None
-        if d >= 3:
-            return GATE_TRANSIENT
-        if -2.0 * d < delta <= -float(d):
-            return GATE_TRANSIENT
-        if delta == -2.0 * d:
-            return GATE_TRANSIENT if borderline else GATE_RECURRENT
-        return GATE_RECURRENT
-    return None
-
-
-def _rv_index(dens, d, tol=0.02):
-    """(index, borderline) of a state-independent density: the fitted
-    regular-variation index snapped onto the case boundaries (None when no
-    power-law tail index exists) and, at index -2d in dimension <= 2,
-    whether the borderline integral test converges (else None)."""
-    if not dens.x_independent:
-        return None, None
-    try:
-        delta = rv_index_fit(dens)
-    except (NonPowerTailError, ConfigurationError):
-        return None, None
-    for boundary in (-float(d), -float(d) - 2.0, -2.0 * float(d)):
-        if abs(delta - boundary) <= tol:
-            delta = boundary
-            break
-    borderline = None
-    if delta == -2.0 * d and d <= 2:
-        borderline = borderline_index_test(dens).decided_state == CONVERGES
-    return delta, borderline
-
-
-# ---------------------------------------------------------------------------
-# Closed-form family rules.
-# ---------------------------------------------------------------------------
-
-def _closed_form_rules(model, d, kappa):
-    """The family's closed-form rules that fire, as (side, rule_id,
-    statement, detail) tuples."""
-    fam, p = model.family, model.params
-    if fam == "brownian_drift" and model.drift_vector is None:
-        if model.triplet.diffusion_bounds[0] > 0:
-            weak = d <= 2.0 * (kappa + 1.0)
-            yield ("weak" if weak else "strong", "elliptic-moment-rule",
-                   "driftless uniformly elliptic diffusion: weakly "
-                   "transient iff d <= 2(kappa+1)",
-                   {"d": d, "kappa": kappa, "threshold": 2.0 * (kappa + 1.0)})
-    elif fam == "stable_like" and model.drift_vector is None \
-            and p["alpha"].is_constant:
-        alpha = p["alpha"].bounds[0]
-        weak = d <= alpha * (kappa + 1.0)
-        yield ("weak" if weak else "strong", "stable-scaling-rule",
-               "rotation-invariant stable scaling: weakly transient "
-               "iff d/(kappa+1) <= alpha",
-               {"d": d, "kappa": kappa, "alpha": alpha})
-    elif fam == "stable_like":
-        a_lo, a_hi = p["alpha"].bounds
-        has_drift = model.drift_vector is not None
-        if has_drift and a_lo < 1.0 and d <= (kappa + 1.0) * a_lo:
-            yield ("weak", "stable-like-drift-low",
-                   "drifted, lower index < 1: d <= (kappa+1)*alpha_lo "
-                   "gives the weak side", {"alpha_lo": a_lo})
-        if has_drift and a_lo >= 1.0 and d <= (kappa + 1.0):
-            yield ("weak", "stable-like-drift-unit",
-                   "drifted, lower index >= 1: d <= kappa+1 gives the "
-                   "weak side", {})
-        if not has_drift and d <= (kappa + 1.0) * a_lo:
-            yield ("weak", "stable-like-driftless",
-                   "driftless: d <= (kappa+1)*alpha_lo gives the weak side",
-                   {"alpha_lo": a_lo})
-        if d > (kappa + 1.0) * a_hi:
-            yield ("strong", "stable-like-strong",
-                   "d > (kappa+1)*alpha_hi gives the strong side",
-                   {"alpha_hi": a_hi})
-    elif fam == "finite_jump":
-        a_lo, a_hi = p["alpha"].bounds
-        if a_hi < 2.0:
-            weak = a_lo * (kappa + 1.0) >= d
-            strong = a_hi * (kappa + 1.0) < d
-            case = "tail index below 2"
-        elif a_lo > 2.0:
-            weak = 2.0 * (kappa + 1.0) >= d
-            strong = 2.0 * (kappa + 1.0) < d
-            case = "tail index above 2 (finite second moment)"
-        elif a_lo == a_hi == 2.0:
-            weak = 2.0 * (kappa + 1.0) > d
-            strong = 2.0 * (kappa + 1.0) <= d
-            case = "tail index exactly 2"
-        else:
-            return
-        for side, fired in (("weak", weak), ("strong", strong)):
-            if fired:
-                yield (side, "bounded-jump-rule",
-                       f"unit-mass power jump kernel, {case}: {side} side",
-                       {"alpha_lo": a_lo, "alpha_hi": a_hi})
-    elif fam == "radial_jump":
-        delta, borderline = _rv_index(model.triplet.jump_density, d)
-        if delta is None:
-            return
-        cls = rv_classify(d, delta, kappa, borderline_converges=borderline)
-        if cls.transient and cls.weakly_transient is not None:
-            yield ("weak" if cls.weakly_transient else "strong",
-                   f"rv-case-{cls.case}", cls.statement,
-                   {"index": delta, "kappa": kappa})
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +154,7 @@ def classify(model: SymbolModel, kappa: float, d=None, r=1.0,
             evidence.setdefault(method, set()).add(side)
 
     if "closed_form" in methods:
-        for rule in _closed_form_rules(model, d, kappa):
+        for rule in FAMILIES[model.family].rules(model, d, kappa):
             fire("closed_form", *rule)
 
     if "integral" in methods:

@@ -33,6 +33,7 @@ from .montecarlo import (
     EULER_PATH,
     EXACT_MARGINAL,
     SimConfig,
+    _step_count,
     ecf_check,
     occupation_integral_estimate,
 )
@@ -253,7 +254,7 @@ def simulate_cmd(model_paths, out_dir, fmt, kappa, radius, horizon, paths,
     if trace_paths > 0 and mode == EULER_PATH:
         from .montecarlo import _euler_sweep
 
-        m = int(round(horizon / step))
+        m = _step_count(horizon, step)
         store = np.zeros((trace_paths, m, model.d))
         _euler_sweep(model, horizon, step, seed, list(range(trace_paths)),
                      None, lambda j, t, X: store.__setitem__(

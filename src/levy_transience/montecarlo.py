@@ -27,7 +27,8 @@ from .errors import (
     ModelInvariantError,
     check_kappa,
 )
-from .symbols import SymbolModel, eval_symbol
+from .symbols import FAMILIES, SymbolModel, eval_symbol
+from .symbols import _kanter, _kanter_angles, _positive_stable  # noqa: F401
 
 _DOMAIN_MARGINAL = 0x6D415247
 _DOMAIN_PATH = 0x70415448
@@ -58,6 +59,16 @@ def _check_positive(name, value):
             f"{name} must be finite and positive, got {value}")
 
 
+def _step_count(T, h):
+    """The number of Euler steps of size h on [0, T]."""
+    _check_positive("horizon", T)
+    _check_positive("step", h)
+    m = int(round(T / h))
+    if m < 1:
+        raise ConfigurationError("horizon shorter than one step")
+    return m
+
+
 def substream(seed: int, index: int, domain: int) -> np.random.Generator:
     """Independent counter-based stream for one work unit."""
     key = [np.uint64(seed) ^ np.uint64(domain), np.uint64(index)]
@@ -85,6 +96,13 @@ class SimConfig:
         if self.paths < 1:
             raise ConfigurationError("need at least one path")
         check_kappa(self.kappa)
+        # S(4T) and its squared sums hold t^(kappa+1) up to t = 4T
+        limit = math.log(np.finfo(float).max)
+        if 2.0 * (self.kappa + 1.0) * math.log(4.0 * self.horizon) > limit:
+            raise ConfigurationError(
+                f"kappa {self.kappa} is too large for horizon "
+                f"{self.horizon}: (4 horizon)^(2 (kappa + 1)) overflows a "
+                f"float; need 2 (kappa + 1) ln(4 horizon) <= {limit:.2f}")
         if self.mode not in (EXACT_MARGINAL, EULER_PATH):
             raise ConfigurationError(f"unknown simulation mode {self.mode!r}")
 
@@ -93,66 +111,19 @@ class SimConfig:
 # Exact marginal samplers.
 # ---------------------------------------------------------------------------
 
-def _kanter_angles(u, w):
-    """In place, the alpha-free half of the Kanter (1975) sampler: uniforms
-    u become angles pi * u in (0, pi), exponentials w are floored."""
-    np.multiply(np.clip(u, 1e-12, 1.0 - 1e-12, out=u), np.pi, out=u)
-    return u, np.maximum(w, 1e-300, out=w)
-
-
-def _kanter(a, th, w):
-    """One-sided stable variates with Laplace transform exp(-lambda^a),
-    0 < a < 1, from the angles th and exponentials w of _kanter_angles."""
-    b = 1.0 - a
-    return (np.sin(a * th) / np.sin(th) ** (1.0 / a)
-            * (np.sin(b * th) / w) ** (b / a))
-
-
-def _positive_stable(alpha_half, gen, n):
-    # the uniforms are drawn before the exponentials
-    return _kanter(alpha_half, *_kanter_angles(gen.random(n),
-                                               gen.standard_exponential(n)))
-
-
-def _diffusion_factor(C):
-    """L L^T = C: Cholesky, or for a singular C the eigh root clipped at 0."""
-    try:
-        return np.linalg.cholesky(C + 1e-300 * np.eye(len(C)))
-    except np.linalg.LinAlgError:
-        lam, V = np.linalg.eigh(C)
-        return V * np.sqrt(np.clip(lam, 0.0, None))
-
-
-def _constant_param(model, key):
-    f = model.params.get(key)
-    if f is None or not f.is_constant:
-        raise ConfigurationError(
-            "exact marginals need a state-independent family")
-    return f.bounds[0]
-
-
 def sample_levy_marginal(model: SymbolModel, t: float,
                          gen: np.random.Generator, n: int) -> np.ndarray:
     """n samples of X_t started at 0, for a state-independent Brownian or
     stable-like model, drifted or not."""
     _check_positive("t", t)
-    d = model.d
-    if model.family == "brownian_drift":
-        if model.triplet.diffusion_matrix is not None:
-            L = _diffusion_factor(model.triplet.diffusion_matrix)
-        else:
-            L = math.sqrt(_constant_param(model, "c")) * np.eye(d)
-        x = math.sqrt(t) * gen.standard_normal((n, d)) @ L.T
-    elif model.family == "stable_like":
-        alpha = _constant_param(model, "alpha")
-        scale = (t * _constant_param(model, "gamma")) ** (2.0 / alpha)
-        # a positive-stable subordinated Gaussian, exp(-t gamma |xi|^alpha)
-        s = scale * _positive_stable(0.5 * alpha, gen, n)
-        z = gen.standard_normal((n, d))
-        x = np.sqrt(2.0 * s)[:, None] * z
-    else:
+    sample = FAMILIES[model.family].sample
+    if sample is None:
         raise ConfigurationError(
             f"family {model.family!r} has no exact marginal sampler")
+    if not model.is_state_independent:
+        raise ConfigurationError(
+            "exact marginals need a state-independent family")
+    x = sample(model, t, gen, n)
     if model.triplet.drift is not None:
         x = x + t * model.triplet.drift
     return x
@@ -163,16 +134,11 @@ def sample_levy_marginal(model: SymbolModel, t: float,
 # ---------------------------------------------------------------------------
 
 def _family_step_fields(model):
-    p = model.params
-    if model.family == "brownian_drift":
-        if "c" not in p:
-            return ("brownian_matrix",
-                    _diffusion_factor(model.triplet.diffusion_matrix))
-        return ("brownian", p["c"])
-    if model.family == "stable_like":
-        return ("stable", p["alpha"], p["gamma"])
-    raise ConfigurationError(
-        f"family {model.family!r} has no Euler path scheme")
+    step_fields = FAMILIES[model.family].step_fields
+    if step_fields is None:
+        raise ConfigurationError(
+            f"family {model.family!r} has no Euler path scheme")
+    return step_fields(model)
 
 
 def _step_field(f, X, h=None):
@@ -203,9 +169,7 @@ def _euler_sweep(model, T, h, seed, path_indices, x0, observer):
     the (d, n) normals zs[j] (at most _NORMAL_BLOCK) and the (d, n) state."""
     kind, *fields = _family_step_fields(model)
     d = model.d
-    m = int(round(T / h))
-    if m < 1:
-        raise ConfigurationError("horizon shorter than one step")
+    m = _step_count(T, h)
     n = len(path_indices)
     drift = None if model.triplet.drift is None else h * model.triplet.drift
     gens = [substream(seed, int(idx), _DOMAIN_PATH) for idx in path_indices]
@@ -280,9 +244,9 @@ def _run_chunks(chunks, fn):
 def simulate_stable_like_path(model: SymbolModel, T: float, h: float,
                               seed: int, path_index=0, x0=None):
     """One Euler path (time grid, states); deterministic given the seed."""
+    m = _step_count(T, h)
     if h > 0.01 * T:
         raise ConfigurationError("step must satisfy h <= T/100")
-    m = int(round(T / h))
     states = np.zeros((m + 1, model.d))
 
     def observer(j, t, X):
@@ -296,7 +260,7 @@ def euler_terminal_states(model: SymbolModel, T: float, h: float,
                           n_paths: int, seed: int, x0=None) -> np.ndarray:
     """Terminal states of n_paths Euler paths (chunked, deterministic)."""
     d = model.d
-    m = int(round(T / h))
+    m = _step_count(T, h)
     out = np.empty((n_paths, d))
 
     def work(chunk):
@@ -394,7 +358,7 @@ def occupation_integral_estimate(model: SymbolModel, config: SimConfig,
             acc += _in_ball(X, r) * (t ** kappa * h)
 
         sums = _euler_snapshots(model, config, 4.0 * T, [
-            int(round(c * T / h)) for c in (1.0, 2.0, 4.0)], occupy)
+            _step_count(c * T, h) for c in (1.0, 2.0, 4.0)], occupy)
         values = [float(np.mean(sums[:, k])) for k in range(3)]
         errs = [float(np.std(sums[:, k], ddof=1) / math.sqrt(n))
                 for k in range(3)]
@@ -452,7 +416,7 @@ def _euler_snapshots(model, config, T, marks, update):
 
         _euler_sweep(model, T, h, config.seed, idx, None, observer)
 
-    _run_chunks(_chunks(n, int(round(T / h)), model.d), work)
+    _run_chunks(_chunks(n, _step_count(T, h), model.d), work)
     return out
 
 
@@ -495,7 +459,7 @@ def last_exit_estimate(model: SymbolModel, radius: float,
         acc[_in_ball(X, radius)] = t
 
     last_at = _euler_snapshots(model, config, T,
-                               [int(round(H / h)) for H in horizons],
+                               [_step_count(H, h) for H in horizons],
                                last_visit)
     censored = float(np.mean(last_at[:, 2] > 0.5 * T))
     if censored > config.censor_limit:

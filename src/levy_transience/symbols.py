@@ -28,17 +28,31 @@ from .densities import (
     stable_density,
     table_density,
 )
-from .errors import ConfigurationError, DegenerateModelError, ModelInvariantError
-from .verdicts import model_memo
+from .errors import (
+    ConfigurationError,
+    DegenerateModelError,
+    ModelInvariantError,
+    NonPowerTailError,
+)
+from .levy_tails import borderline_index_test, rv_classify, rv_index_fit
+from .verdicts import CONVERGES, model_memo
 
 ENV_SUP_ABS = "sup_abs"
 ENV_INF_RE = "inf_re"
 ENV_SUP_ABS_IM = "sup_abs_im"
 
+ENVELOPE_MODES = ("closed_form", "grid_sampled")
+
 
 # ---------------------------------------------------------------------------
 # Scalar coefficient fields x -> value.
 # ---------------------------------------------------------------------------
+
+#: profile name -> weight in [0, 1] of the first state coordinate
+_PROFILES = {"cos": lambda x1: 0.5 * (1.0 + np.cos(x1)),
+             "sin": lambda x1: 0.5 * (1.0 + np.sin(x1)),
+             "step": lambda x1: (x1 > 0).astype(float)}
+
 
 @dataclass(frozen=True)
 class ScalarField:
@@ -54,6 +68,16 @@ class ScalarField:
     lo: float = 0.0
     hi: float = 0.0
     profile: str = "cos"
+
+    def __post_init__(self):
+        lo, hi = self.bounds
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ConfigurationError(
+                f"field bounds must be finite, got [{lo}, {hi}]")
+        if lo > hi:
+            raise ConfigurationError(f"interval has lo {lo} > hi {hi}")
+        if self.kind != "const" and self.profile not in _PROFILES:
+            raise ConfigurationError(f"unknown field profile {self.profile!r}")
 
     @staticmethod
     def make(spec):
@@ -87,15 +111,7 @@ class ScalarField:
         x1 = X[..., 0]
         if self.kind == "const":
             return np.full_like(x1, self.value)
-        if self.profile == "cos":
-            w = 0.5 * (1.0 + np.cos(x1))
-        elif self.profile == "sin":
-            w = 0.5 * (1.0 + np.sin(x1))
-        elif self.profile == "step":
-            w = (x1 > 0).astype(float)
-        else:
-            raise ConfigurationError(f"unknown field profile {self.profile!r}")
-        return self.lo + (self.hi - self.lo) * w
+        return self.lo + (self.hi - self.lo) * _PROFILES[self.profile](x1)
 
     def to_json(self):
         if self.kind == "const":
@@ -174,10 +190,6 @@ class LevyTriplet:
 # The model.
 # ---------------------------------------------------------------------------
 
-FAMILIES = ("brownian_drift", "stable_like", "radial_jump", "finite_jump",
-            "custom")
-
-
 @dataclass(frozen=True)
 class SymbolModel:
     family: str
@@ -193,7 +205,7 @@ class SymbolModel:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ConfigurationError(f"unknown family {self.family!r}")
-        if self.envelope_mode not in ("closed_form", "grid_sampled"):
+        if self.envelope_mode not in ENVELOPE_MODES:
             raise ConfigurationError(f"unknown envelope mode {self.envelope_mode!r}")
         probe = max(abs(eval_symbol(self, None, 0.7 * _unit(self.d))),
                     abs(eval_symbol(self, None, 1.3 * _unit(self.d))))
@@ -262,25 +274,11 @@ def eval_symbol_batch(model: SymbolModel, X, xi) -> np.ndarray:
 
 def _symbol_table(model, X, XI):
     """q(x, xi) for states X (n, d) and nonzero frequencies XI (m, d), as an
-    (n, m) array; a radial density's jump symbol is one ladder per variant."""
-    fam = model.family
-    p = model.params
-    if fam == "custom":
-        fn = p["eval_fn"]
+    (n, m) array."""
+    if model.family == "custom":
+        fn = model.params["eval_fn"]
         return np.asarray([[complex(fn(xrow, xi)) for xi in XI] for xrow in X])
-    rho = _norms(XI)
-    if fam == "brownian_drift":
-        re = np.stack([model.triplet.diffusion_quadratic(X, xi) for xi in XI],
-                      axis=1)
-    elif fam == "stable_like":
-        re = np.stack([p["gamma"](X) * r ** p["alpha"](X) for r in rho], axis=1)
-    else:
-        dens = model.triplet.jump_density
-        idx = _variant_for_state(model, X)
-        if idx is None:
-            idx = np.zeros(X.shape[0], dtype=int)   # pointwise: first variant
-        used, where = np.unique(idx, return_inverse=True)
-        re = np.stack([dens.jump_symbol(rho, v) for v in used])[where]
+    re = FAMILIES[model.family].real_part(model, X, XI, _norms(XI))
     im = np.zeros(XI.shape[0])
     if model.triplet.drift is not None:
         im = -np.asarray([float(xi @ model.triplet.drift) for xi in XI])
@@ -351,36 +349,18 @@ def _closed_envelope(model, kind, XI):
     """Closed-form envelope at each frequency row of XI, or None when the
     family has none. Scalar terms are Python floats per frequency, as for a
     single one (numpy rounds vector powers and hypot differently)."""
-    fam = model.family
-    p = model.params
-    if fam == "custom":
-        fn = (p.get("envelopes") or {}).get(kind)
+    if model.family == "custom":
+        fn = (model.params.get("envelopes") or {}).get(kind)
         return None if fn is None else np.asarray([float(fn(xi)) for xi in XI])
     drift = model.triplet.drift
     drift_term = [abs(float(xi @ drift)) if drift is not None else 0.0
                   for xi in XI]
     if kind == ENV_SUP_ABS_IM:
         return np.asarray(drift_term)   # b is constant: sup|Im q| = |<xi, b>|
-    rho = _norms(XI)
-    if fam == "brownian_drift":
-        C = model.triplet.diffusion_matrix
-        if C is not None:
-            lo = hi = [0.5 * float(xi @ C @ xi) for xi in XI]
-        else:
-            c_lo, c_hi = p["c"].bounds
-            lo = [0.5 * c_lo * r ** 2 for r in rho]
-            hi = [0.5 * c_hi * r ** 2 for r in rho]
-    elif fam == "stable_like":
-        if not (p["alpha"].is_constant or p["gamma"].is_constant):
-            return None   # joint variation: fall back to the state grid
-        a_lo, a_hi = p["alpha"].bounds
-        g_lo, g_hi = p["gamma"].bounds
-        lo = [g_lo * min(r ** a_lo, r ** a_hi) for r in rho]
-        hi = [g_hi * max(r ** a_lo, r ** a_hi) for r in rho]
-    else:
-        dens = model.triplet.jump_density
-        vals = [dens.jump_symbol(rho, i) for i in range(len(dens.variants))]
-        lo, hi = np.min(vals, axis=0), np.max(vals, axis=0)
+    bounds = FAMILIES[model.family].envelope(model, XI, _norms(XI))
+    if bounds is None:
+        return None
+    lo, hi = bounds
     if kind == ENV_INF_RE:
         return np.asarray(lo, dtype=float)
     return np.asarray([math.hypot(t, h) for t, h in zip(drift_term, hi)])
@@ -501,8 +481,7 @@ def sector_check(model: SymbolModel, c: float, n_directions=16,
 def radiality_check(model: SymbolModel) -> bool:
     """True when b = 0, C(x) = c(x) I and the jump kernel is rotation
     invariant; structural for built-in families, sampled for custom ones."""
-    fam = model.family
-    if fam == "custom":
+    if model.family == "custom":
         return _numeric_radial(model, ENV_SUP_ABS)
     if model.drift_vector is not None:
         return False
@@ -541,6 +520,289 @@ def symbol_even_in_xi(model: SymbolModel, n_samples=16, tol=1e-8) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Family records: what the package knows about each family.
+# ---------------------------------------------------------------------------
+
+GATE_TRANSIENT = "transient"
+GATE_RECURRENT = "recurrent"
+GATE_UNKNOWN = "unknown"
+
+
+class _Family:
+    """What the package knows about one family. A slot the family lacks is
+    None or returns nothing; the defaults serve a radial jump density."""
+
+    # open-set irreducibility when a model does not assert it: established
+    # in the literature for the built-in families
+    irreducible = True
+    # sample(model, t, gen, n): n exact draws of X_t - t b, started at 0;
+    # step_fields(model): the Euler step kind and its fields;
+    # parse(d, param, **common): the model of a JSON `parameters` object,
+    # read through param(key, convert, default)
+    sample = step_fields = parse = None
+
+    # Re q(x, xi) at states X (n, d) and frequencies XI (m, d) of norms rho,
+    # as an (n, m) array: one jump-symbol ladder per variant
+    def real_part(self, model, X, XI, rho):
+        dens = model.triplet.jump_density
+        idx = _variant_for_state(model, X)
+        if idx is None:
+            idx = np.zeros(X.shape[0], dtype=int)   # pointwise: first variant
+        used, where = np.unique(idx, return_inverse=True)
+        return np.stack([dens.jump_symbol(rho, v) for v in used])[where]
+
+    # closed-form (inf, sup) over states of Re q at each frequency, or None
+    def envelope(self, model, XI, rho):
+        dens = model.triplet.jump_density
+        vals = [dens.jump_symbol(rho, i) for i in range(len(dens.variants))]
+        return np.min(vals, axis=0), np.max(vals, axis=0)
+
+    # the structural transience gate, or None
+    def gate(self, model):
+        return None
+
+    # the closed-form rules that fire, as (side, rule_id, statement, detail)
+    def rules(self, model, d, kappa):
+        return ()
+
+
+class _BrownianDrift(_Family):
+    def real_part(self, model, X, XI, rho):
+        return np.stack([model.triplet.diffusion_quadratic(X, xi)
+                         for xi in XI], axis=1)
+
+    def envelope(self, model, XI, rho):
+        C = model.triplet.diffusion_matrix
+        if C is not None:
+            lo = [0.5 * float(xi @ C @ xi) for xi in XI]
+            return lo, lo
+        c_lo, c_hi = model.params["c"].bounds
+        return ([0.5 * c_lo * r ** 2 for r in rho],
+                [0.5 * c_hi * r ** 2 for r in rho])
+
+    def gate(self, model):
+        if model.drift_vector is None \
+                and model.triplet.diffusion_bounds[0] > 0:
+            return GATE_TRANSIENT if model.d >= 3 else GATE_RECURRENT
+        return None
+
+    def rules(self, model, d, kappa):
+        if model.drift_vector is None \
+                and model.triplet.diffusion_bounds[0] > 0:
+            weak = d <= 2.0 * (kappa + 1.0)
+            yield ("weak" if weak else "strong", "elliptic-moment-rule",
+                   "driftless uniformly elliptic diffusion: weakly "
+                   "transient iff d <= 2(kappa+1)",
+                   {"d": d, "kappa": kappa, "threshold": 2.0 * (kappa + 1.0)})
+
+    def sample(self, model, t, gen, n):
+        C = model.triplet.diffusion_matrix
+        L = _diffusion_factor(C) if C is not None else math.sqrt(
+            model.params["c"].bounds[0]) * np.eye(model.d)
+        return math.sqrt(t) * gen.standard_normal((n, model.d)) @ L.T
+
+    def step_fields(self, model):
+        if "c" not in model.params:
+            return ("brownian_matrix",
+                    _diffusion_factor(model.triplet.diffusion_matrix))
+        return ("brownian", model.params["c"])
+
+    def parse(self, d, param, **common):
+        return brownian_drift(d, drift=param("b", _floats(d), None),
+                              c=param("c", ScalarField.make, 1.0),
+                              C=param("C", _floats(d, d), None), **common)
+
+
+class _StableLike(_Family):
+    def real_part(self, model, X, XI, rho):
+        p = model.params
+        return np.stack([p["gamma"](X) * r ** p["alpha"](X) for r in rho],
+                        axis=1)
+
+    def envelope(self, model, XI, rho):
+        alpha, gamma = model.params["alpha"], model.params["gamma"]
+        if not (alpha.is_constant or gamma.is_constant):
+            return None   # joint variation: fall back to the state grid
+        (a_lo, a_hi), (g_lo, g_hi) = alpha.bounds, gamma.bounds
+        return ([g_lo * min(r ** a_lo, r ** a_hi) for r in rho],
+                [g_hi * max(r ** a_lo, r ** a_hi) for r in rho])
+
+    def gate(self, model):
+        a_lo, a_hi = model.params["alpha"].bounds
+        if model.d >= 2 or a_hi < 1.0:
+            return GATE_TRANSIENT
+        if model.drift_vector is None and a_lo >= 1.0:
+            return GATE_RECURRENT
+        return None
+
+    def rules(self, model, d, kappa):
+        a_lo, a_hi = model.params["alpha"].bounds
+        has_drift = model.drift_vector is not None
+        if not has_drift and a_lo == a_hi:
+            weak = d <= a_lo * (kappa + 1.0)
+            yield ("weak" if weak else "strong", "stable-scaling-rule",
+                   "rotation-invariant stable scaling: weakly transient "
+                   "iff d/(kappa+1) <= alpha",
+                   {"d": d, "kappa": kappa, "alpha": a_lo})
+            return
+        if has_drift and a_lo < 1.0 and d <= (kappa + 1.0) * a_lo:
+            yield ("weak", "stable-like-drift-low",
+                   "drifted, lower index < 1: d <= (kappa+1)*alpha_lo "
+                   "gives the weak side", {"alpha_lo": a_lo})
+        if has_drift and a_lo >= 1.0 and d <= (kappa + 1.0):
+            yield ("weak", "stable-like-drift-unit",
+                   "drifted, lower index >= 1: d <= kappa+1 gives the "
+                   "weak side", {})
+        if not has_drift and d <= (kappa + 1.0) * a_lo:
+            yield ("weak", "stable-like-driftless",
+                   "driftless: d <= (kappa+1)*alpha_lo gives the weak side",
+                   {"alpha_lo": a_lo})
+        if d > (kappa + 1.0) * a_hi:
+            yield ("strong", "stable-like-strong",
+                   "d > (kappa+1)*alpha_hi gives the strong side",
+                   {"alpha_hi": a_hi})
+
+    def sample(self, model, t, gen, n):
+        alpha, gamma = (model.params[k].bounds[0] for k in ("alpha", "gamma"))
+        scale = (t * gamma) ** (2.0 / alpha)
+        # a positive-stable subordinated Gaussian, exp(-t gamma |xi|^alpha)
+        s = scale * _positive_stable(0.5 * alpha, gen, n)
+        z = gen.standard_normal((n, model.d))
+        return np.sqrt(2.0 * s)[:, None] * z
+
+    def step_fields(self, model):
+        return ("stable", model.params["alpha"], model.params["gamma"])
+
+    def parse(self, d, param, **common):
+        beta = param("beta", _floats(d), None)
+        if beta is not None and not np.any(beta):
+            beta = None
+        return stable_like(d, alpha=param("alpha", ScalarField.make),
+                           beta=beta,
+                           gamma=param("gamma", ScalarField.make, 1.0),
+                           **common)
+
+
+def _rv_index(dens, d, tol=0.02):
+    """(index, borderline) of a state-independent density: the fitted
+    regular-variation index snapped onto the case boundaries (None when no
+    power-law tail index exists) and, at index -2d in dimension <= 2,
+    whether the borderline integral test converges (else None)."""
+    if not dens.x_independent:
+        return None, None
+    try:
+        delta = rv_index_fit(dens)
+    except (NonPowerTailError, ConfigurationError):
+        return None, None
+    for boundary in (-float(d), -float(d) - 2.0, -2.0 * float(d)):
+        if abs(delta - boundary) <= tol:
+            delta = boundary
+            break
+    borderline = None
+    if delta == -2.0 * d and d <= 2:
+        borderline = borderline_index_test(dens).decided_state == CONVERGES
+    return delta, borderline
+
+
+class _RadialJump(_Family):
+    def gate(self, model):
+        d = model.d
+        delta, borderline = _rv_index(model.triplet.jump_density, d)
+        if delta is None:
+            return None
+        if d >= 3 or -2.0 * d < delta <= -float(d):
+            return GATE_TRANSIENT
+        if delta == -2.0 * d:
+            return GATE_TRANSIENT if borderline else GATE_RECURRENT
+        return GATE_RECURRENT
+
+    def rules(self, model, d, kappa):
+        delta, borderline = _rv_index(model.triplet.jump_density, d)
+        if delta is None:
+            return
+        cls = rv_classify(d, delta, kappa, borderline_converges=borderline)
+        if cls.transient and cls.weakly_transient is not None:
+            yield ("weak" if cls.weakly_transient else "strong",
+                   f"rv-case-{cls.case}", cls.statement,
+                   {"index": delta, "kappa": kappa})
+
+    def parse(self, d, param, **common):
+        return radial_jump_model(density_from_spec(d, param("density", dict)),
+                                 **common)
+
+
+class _FiniteJump(_Family):
+    def gate(self, model):
+        a_hi = model.params["alpha"].bounds[1]
+        return GATE_TRANSIENT if model.d >= 3 or a_hi < model.d else None
+
+    def rules(self, model, d, kappa):
+        a_lo, a_hi = model.params["alpha"].bounds
+        if a_hi < 2.0:
+            weak = a_lo * (kappa + 1.0) >= d
+            strong = a_hi * (kappa + 1.0) < d
+            case = "tail index below 2"
+        elif a_lo > 2.0:
+            weak = 2.0 * (kappa + 1.0) >= d
+            strong = 2.0 * (kappa + 1.0) < d
+            case = "tail index above 2 (finite second moment)"
+        elif a_lo == a_hi == 2.0:
+            weak = 2.0 * (kappa + 1.0) > d
+            strong = 2.0 * (kappa + 1.0) <= d
+            case = "tail index exactly 2"
+        else:
+            return
+        for side, fired in (("weak", weak), ("strong", strong)):
+            if fired:
+                yield (side, "bounded-jump-rule",
+                       f"unit-mass power jump kernel, {case}: {side} side",
+                       {"alpha_lo": a_lo, "alpha_hi": a_hi})
+
+    def parse(self, d, param, **common):
+        return finite_jump_model(d, alpha=param("alpha", ScalarField.make),
+                                 **common)
+
+
+class _Custom(_Family):
+    irreducible = False   # a custom model must assert it
+
+
+FAMILIES = {"brownian_drift": _BrownianDrift(), "stable_like": _StableLike(),
+            "radial_jump": _RadialJump(), "finite_jump": _FiniteJump(),
+            "custom": _Custom()}
+
+
+def _kanter_angles(u, w):
+    """In place, the alpha-free half of the Kanter (1975) sampler: uniforms
+    u become angles pi * u in (0, pi), exponentials w are floored."""
+    np.multiply(np.clip(u, 1e-12, 1.0 - 1e-12, out=u), np.pi, out=u)
+    return u, np.maximum(w, 1e-300, out=w)
+
+
+def _kanter(a, th, w):
+    """One-sided stable variates with Laplace transform exp(-lambda^a),
+    0 < a < 1, from the angles th and exponentials w of _kanter_angles."""
+    b = 1.0 - a
+    return (np.sin(a * th) / np.sin(th) ** (1.0 / a)
+            * (np.sin(b * th) / w) ** (b / a))
+
+
+def _positive_stable(alpha_half, gen, n):
+    # the uniforms are drawn before the exponentials
+    return _kanter(alpha_half, *_kanter_angles(gen.random(n),
+                                               gen.standard_exponential(n)))
+
+
+def _diffusion_factor(C):
+    """L L^T = C: Cholesky, or for a singular C the eigh root clipped at 0."""
+    try:
+        return np.linalg.cholesky(C + 1e-300 * np.eye(len(C)))
+    except np.linalg.LinAlgError:
+        lam, V = np.linalg.eigh(C)
+        return V * np.sqrt(np.clip(lam, 0.0, None))
+
+
+# ---------------------------------------------------------------------------
 # Family constructors.
 # ---------------------------------------------------------------------------
 
@@ -561,7 +823,7 @@ def brownian_drift(d, drift=None, c=1.0, C=None, envelope_mode="closed_form",
 
 
 def isotropic_stable(d, alpha, gamma=1.0, envelope_mode="closed_form",
-                     assumptions=None):
+                     state_grid=StateGrid(), assumptions=None):
     """Rotation-invariant alpha-stable process: the stable_like model with
     constant alpha and gamma and no drift."""
     if not (0.0 < alpha < 2.0):
@@ -569,7 +831,8 @@ def isotropic_stable(d, alpha, gamma=1.0, envelope_mode="closed_form",
     if gamma <= 0:
         raise ModelInvariantError(f"stable scale must be positive, got {gamma}")
     return stable_like(d, float(alpha), gamma=float(gamma),
-                       envelope_mode=envelope_mode, assumptions=assumptions)
+                       envelope_mode=envelope_mode, state_grid=state_grid,
+                       assumptions=assumptions)
 
 
 def stable_like(d, alpha, beta=None, gamma=1.0, envelope_mode="closed_form",
@@ -584,7 +847,7 @@ def stable_like(d, alpha, beta=None, gamma=1.0, envelope_mode="closed_form",
         raise ModelInvariantError("stable-like scale must be bounded away from 0")
     b = None if beta is None else np.asarray(beta, dtype=float).reshape(d)
     dens = stable_density(d, af.bounds if not af.is_constant else a_lo,
-                          gf.bounds if not gf.is_constant else gf.value)
+                          gf.bounds if not gf.is_constant else gf.bounds[0])
     triplet = LevyTriplet(d=d, drift=b, jump_density=dens)
     params = {"alpha": af, "gamma": gf}
     return SymbolModel(family="stable_like", d=d, triplet=triplet,
@@ -593,20 +856,22 @@ def stable_like(d, alpha, beta=None, gamma=1.0, envelope_mode="closed_form",
 
 
 def radial_jump_model(density: RadialLevyDensity, envelope_mode="closed_form",
-                      params=None, assumptions=None):
+                      params=None, state_grid=StateGrid(), assumptions=None):
     triplet = LevyTriplet(d=density.d, jump_density=density)
     return SymbolModel(family="radial_jump", d=density.d, triplet=triplet,
                        params=params or {}, envelope_mode=envelope_mode,
-                       assumptions=assumptions or {})
+                       state_grid=state_grid, assumptions=assumptions or {})
 
 
-def finite_jump_model(d, alpha, envelope_mode="closed_form", assumptions=None):
+def finite_jump_model(d, alpha, envelope_mode="closed_form",
+                      state_grid=StateGrid(), assumptions=None):
     af = ScalarField.make(alpha)
-    dens = finite_range_density(d, af.bounds if not af.is_constant else af.value)
+    dens = finite_range_density(
+        d, af.bounds if not af.is_constant else af.bounds[0])
     triplet = LevyTriplet(d=d, jump_density=dens)
     return SymbolModel(family="finite_jump", d=d, triplet=triplet,
                        params={"alpha": af}, envelope_mode=envelope_mode,
-                       assumptions=assumptions or {})
+                       state_grid=state_grid, assumptions=assumptions or {})
 
 
 def custom_model(d, eval_fn, envelopes=None, x_samples=None,
@@ -641,48 +906,66 @@ def _field(obj, key, convert=lambda v: v, default=_REQUIRED, root=""):
         return default
     try:
         return convert(obj[key])
-    except (ConfigurationError, IndexError, KeyError, TypeError,
-            ValueError) as exc:
+    except (ConfigurationError, IndexError, KeyError, OverflowError,
+            TypeError, ValueError) as exc:
         raise ConfigurationError(f"model field {root + key!r} is malformed "
                                  f"({obj[key]!r}): {exc}") from None
 
 
 def _floats(*shape):
-    """Converter to a float array of the given shape; None stays None."""
-    return lambda v: None if v is None else np.asarray(
-        v, dtype=float).reshape(shape)
+    """Converter to a finite float array of the given shape; None stays
+    None."""
+    def convert(v):
+        if v is None:
+            return None
+        a = np.asarray(v, dtype=float).reshape(shape)
+        if not np.all(np.isfinite(a)):
+            raise ValueError("entries must be finite")
+        return a
+    return convert
+
+
+def _real(v):
+    """Converter to a finite float."""
+    return float(_floats()(v))
+
+
+def _member(names):
+    """Converter that accepts one of `names`."""
+    def convert(v):
+        if v not in names:
+            raise ValueError(f"expected one of {', '.join(names)}")
+        return v
+    return convert
 
 
 def density_from_spec(d, spec):
     def get(key, convert, default=_REQUIRED):
         return _field(spec, key, convert, default, root="parameters.density.")
 
-    kind = spec.get("kind", "power")
+    kind = get("kind", _member(("power", "radial_density", "stable",
+                                "power_log", "table")), "power")
     if kind in ("power", "radial_density"):
         return power_density(d, alpha=get("alpha", _range_or_const),
                              coeff=get("coeff", _range_or_const, 1.0),
-                             u0=get("u0", float, 0.0))
+                             u0=get("u0", _real, 0.0))
     if kind == "stable":
         return stable_density(d, alpha=get("alpha", _range_or_const),
                               gamma=get("gamma", _range_or_const, 1.0))
     if kind == "power_log":
-        return power_log_density(d, exponent=get("exponent", float),
-                                 log_exponent=get("log_exponent", float),
-                                 coeff=get("coeff", float, 1.0),
-                                 u_start=get("u_start", float, math.e))
-    if kind == "table":
-        return table_density(d, get("u", _floats(-1)), get("n", _floats(-1)),
-                             u0=get("u0", float, 0.0),
-                             monotone=bool(spec.get("monotone", True)))
-    raise ConfigurationError(f"unknown density kind {kind!r}")
+        return power_log_density(d, exponent=get("exponent", _real),
+                                 log_exponent=get("log_exponent", _real),
+                                 coeff=get("coeff", _real, 1.0),
+                                 u_start=get("u_start", _real, math.e))
+    return table_density(d, get("u", _floats(-1)), get("n", _floats(-1)),
+                         u0=get("u0", _real, 0.0),
+                         monotone=bool(spec.get("monotone", True)))
 
 
 def _range_or_const(v):
-    if isinstance(v, dict):
-        return (float(v["lo"]), float(v["hi"]))
-    if isinstance(v, (list, tuple)):
-        return (float(v[0]), float(v[1]))
-    return float(v)
+    """Converter to a constant or an (lo, hi) interval."""
+    f = ScalarField.make(v)
+    return f.bounds if f.kind == "interval" else f.value
 
 
 def model_from_config(cfg: dict) -> SymbolModel:
@@ -692,14 +975,15 @@ def model_from_config(cfg: dict) -> SymbolModel:
     """
     if not isinstance(cfg, dict):
         raise ConfigurationError("model config must be a JSON object")
-    family = _field(cfg, "family")
+    parsers = {name: f.parse for name, f in FAMILIES.items() if f.parse}
+    parsers["isotropic_stable"] = _parse_isotropic
+    parse = parsers[_field(cfg, "family", _member(parsers))]
     d = _field(cfg, "d", float)
     if not (d >= 1 and d.is_integer()):
         raise ConfigurationError(f"model field 'd' must be a positive "
                                  f"integer, got {cfg['d']!r}")
-    d = int(d)
     params = _field(cfg, "parameters", dict, {})
-    mode = cfg.get("envelope_mode", "closed_form")
+    mode = _field(cfg, "envelope_mode", _member(ENVELOPE_MODES), "closed_form")
     sg = _field(cfg, "state_grid", lambda v: dict(v or {}), {})
     grid = StateGrid(
         tuple(_field(sg, "box", _floats(2), root="state_grid.").tolist()),
@@ -710,33 +994,15 @@ def model_from_config(cfg: dict) -> SymbolModel:
     def param(key, convert, default=_REQUIRED):
         return _field(params, key, convert, default, root="parameters.")
 
-    if family == "brownian_drift":
-        return brownian_drift(d, drift=param("b", _floats(d), None),
-                              c=param("c", ScalarField.make, 1.0)
-                              if "C" not in params else 1.0,
-                              C=param("C", _floats(d, d), None),
-                              envelope_mode=mode,
-                              state_grid=grid, assumptions=assumptions)
-    if family == "isotropic_stable":
-        return isotropic_stable(d, param("alpha", float),
-                                param("gamma", float, 1.0),
-                                envelope_mode=mode, assumptions=assumptions)
-    if family == "stable_like":
-        beta = param("beta", _floats(d), None)
-        if beta is not None and not np.any(beta):
-            beta = None
-        return stable_like(d, alpha=param("alpha", ScalarField.make), beta=beta,
-                           gamma=param("gamma", ScalarField.make, 1.0),
-                           envelope_mode=mode,
-                           state_grid=grid, assumptions=assumptions)
-    if family == "radial_jump":
-        dens = density_from_spec(d, param("density", dict))
-        return radial_jump_model(dens, envelope_mode=mode,
-                                 assumptions=assumptions)
-    if family == "finite_jump":
-        return finite_jump_model(d, alpha=param("alpha", ScalarField.make),
-                                 envelope_mode=mode, assumptions=assumptions)
-    raise ConfigurationError(f"family {family!r} is not loadable from JSON")
+    return parse(int(d), param, envelope_mode=mode, state_grid=grid,
+                 assumptions=assumptions)
+
+
+def _parse_isotropic(d, param, **common):
+    """The JSON family isotropic_stable: stable_like with constant alpha and
+    gamma and no drift."""
+    return isotropic_stable(d, param("alpha", _real),
+                            param("gamma", _real, 1.0), **common)
 
 
 def load_model(path) -> SymbolModel:

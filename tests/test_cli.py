@@ -295,3 +295,31 @@ def test_non_finite_simulation_inputs_exit_1(runner, model_file, tmp_path,
     assert result.exit_code == 1, result.output
     assert result.stderr.startswith(f"error: {field} must be finite")
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("mode, kappa", [
+    ("exact_marginal", "130"), ("euler_path", "200"), ("euler_path", "300")])
+def test_simulate_kappa_too_large_for_the_horizon_exit_1(model_file, tmp_path,
+                                                        mode, kappa):
+    # a fresh process, so numpy's RuntimeWarnings would reach stderr
+    src = str(Path(levy_transience.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "levy_transience.cli", "simulate", "--model",
+         model_file(BM3, "bm3.json"), "--mode", mode, "--kappa", kappa,
+         "--horizon", "5", "--paths", "10", "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"error: kappa {float(kappa)} is too "
+                                    f"large for horizon 5.0")
+    assert "Traceback" not in result.stderr
+    assert "RuntimeWarning" not in result.stderr
+
+
+def test_simulate_kappa_100_at_horizon_5_still_runs(runner, model_file,
+                                                    tmp_path):
+    result = runner.invoke(main, [
+        "simulate", "--model", model_file(BM3, "bm3.json"), "--kappa", "100",
+        "--horizon", "5", "--paths", "200", "--seed", "3",
+        "--out", str(tmp_path / "o")])
+    assert result.exit_code in (0, 2), result.output
+    assert "trend:" in result.output

@@ -507,3 +507,23 @@ def test_worker_count_reads_the_thread_variable(monkeypatch):
         with pytest.raises(ConfigurationError,
                            match="LEVY_TRANSIENCE_THREADS"):
             montecarlo.worker_count()
+
+
+@pytest.mark.parametrize("T, h, field", [
+    (math.nan, 0.01, "horizon"), (math.inf, 0.01, "horizon"),
+    (1.0, math.nan, "step"), (1.0, math.inf, "step")])
+def test_euler_entry_points_name_a_non_finite_horizon_or_step(T, h, field):
+    model = stable_like(1, alpha=(0.6, 1.4))
+    for run in (lambda: euler_terminal_states(model, T, h, 5, seed=1),
+                lambda: simulate_stable_like_path(model, T, h, seed=1)):
+        with pytest.raises(ConfigurationError,
+                           match=f"^{field} must be finite and positive"):
+            run()
+
+
+def test_sim_config_rejects_a_kappa_whose_weight_overflows():
+    # 2 (kappa + 1) ln(4 T) against ln(max float) = 709.78: 605.1 at
+    # kappa = 100, T = 5 and 785.0 at kappa = 130
+    SimConfig(horizon=5.0, paths=10, seed=1, radius=1.0, kappa=100.0)
+    with pytest.raises(ConfigurationError, match="kappa 130.0 .* horizon 5.0"):
+        SimConfig(horizon=5.0, paths=10, seed=1, radius=1.0, kappa=130.0)

@@ -1,11 +1,13 @@
 """Property-based tests of the radial jump symbol, of the verdict layer and
 of the kappa ordering of classify and kappa_boundary."""
 
+import copy
 import math
 from unittest import mock
 
 import numpy as np
-from hypothesis import assume, example, given
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from levy_transience import classifier
@@ -19,8 +21,13 @@ from levy_transience.classifier import (
     transience_gate,
 )
 from levy_transience.densities import stable_coefficient
+from levy_transience.errors import ConfigurationError, LevyTransienceError
 from levy_transience.quadrature import jump_symbol_value, sphere_surface
-from levy_transience.symbols import brownian_drift, isotropic_stable
+from levy_transience.symbols import (
+    brownian_drift,
+    isotropic_stable,
+    model_from_config,
+)
 from levy_transience.verdicts import (
     AT_INFINITY,
     AT_ORIGIN,
@@ -143,3 +150,184 @@ def test_kappa_boundary_lies_between_a_strong_and_a_weak_probe(model):
     weak = [k for k, v in probes if v == WEAKLY_TRANSIENT]
     assert max(strong) <= kappa_star <= min(weak)
     assert min(weak) - max(strong) <= tol
+
+
+# -- model files: valid configs classify, a corrupted field is named --------
+
+_PROFILES = ("cos", "sin", "step")
+
+
+def _scalar(draw, lo, hi):
+    """A constant in [lo, hi], or an interval inside it in one of its three
+    JSON forms: {lo, hi, profile}, [lo, hi] or [lo, hi, profile]."""
+    a, b = sorted(draw(st.floats(lo, hi)) for _ in range(2))
+    profile = draw(st.sampled_from(_PROFILES))
+    return draw(st.sampled_from([a, {"lo": a, "hi": b, "profile": profile},
+                                 [a, b], [a, b, profile]]))
+
+
+def _density(draw, d):
+    kind = draw(st.sampled_from(["power", "radial_density", "stable",
+                                 "power_log", "table"]))
+    if kind in ("power", "radial_density"):
+        u0 = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+        return {"kind": kind, "alpha": _scalar(draw, 0.1, 1.9 if u0 == 0.0
+                                               else 3.0),
+                "coeff": _scalar(draw, 0.5, 2.0), "u0": u0}
+    if kind == "stable":
+        return {"kind": kind, "alpha": _scalar(draw, 0.1, 1.9),
+                "gamma": _scalar(draw, 0.2, 3.0)}
+    if kind == "power_log":
+        return {"kind": kind, "exponent": -d - draw(st.floats(0.1, 3.0)),
+                "log_exponent": draw(st.floats(-2.0, 2.0)),
+                "u_start": draw(st.floats(1.5, 4.0))}
+    u = np.cumsum([draw(st.floats(0.5, 20.0)) for _ in range(
+        draw(st.integers(2, 4)))])
+    slope = d + draw(st.floats(0.1, 3.0))
+    return {"kind": kind, "u": u.tolist(), "n": (u ** -slope).tolist(),
+            "u0": draw(st.sampled_from([0.0, 1.0]))}
+
+
+@st.composite
+def model_configs(draw):
+    """A JSON model config of every loadable family in d = 1..5, with
+    optional drift, envelope mode, state grid and assumptions. A
+    grid-sampled model always gets a small grid: the default 21 points per
+    axis make a d = 5 grid envelope take minutes."""
+    d = draw(st.integers(1, 5))
+    family = draw(st.sampled_from(["brownian_drift", "isotropic_stable",
+                                   "stable_like", "radial_jump",
+                                   "finite_jump"]))
+
+    def vector():
+        return [draw(st.floats(-1.0, 1.0)) for _ in range(d)]
+
+    params = {}
+    if family == "brownian_drift":
+        if draw(st.booleans()):
+            params["c"] = _scalar(draw, 0.1, 4.0)
+        else:
+            A = np.reshape([draw(st.floats(-1.0, 1.0)) for _ in range(d * d)],
+                           (d, d))
+            params["C"] = (A @ A.T).tolist()
+        if draw(st.booleans()):
+            params["b"] = vector()
+    elif family == "isotropic_stable":
+        params = {"alpha": draw(st.floats(0.1, 1.9)),
+                  "gamma": draw(st.floats(0.2, 3.0))}
+    elif family == "stable_like":
+        params = {"alpha": _scalar(draw, 0.1, 1.9),
+                  "gamma": _scalar(draw, 0.2, 3.0)}
+        if draw(st.booleans()):
+            params["beta"] = vector()
+    elif family == "radial_jump":
+        params["density"] = _density(draw, d)
+    else:
+        params["alpha"] = _scalar(draw, 0.2, 3.0)
+    cfg = {"family": family, "d": d, "parameters": params}
+    mode = draw(st.sampled_from([None, "closed_form", "grid_sampled"]))
+    if mode is not None:
+        cfg["envelope_mode"] = mode
+    if mode == "grid_sampled" or draw(st.booleans()):
+        half = draw(st.floats(1.0, 10.0))
+        cfg["state_grid"] = {"box": [-half, half],
+                             "points_per_axis": draw(st.integers(2, 5))}
+    if draw(st.booleans()):
+        cfg["assumptions"] = {"weak_test_hypothesis": draw(st.booleans())}
+    return cfg
+
+
+@settings(max_examples=40)
+@given(cfg=model_configs(), kappa=st.floats(0.0, 4.0))
+def test_a_valid_config_classifies_or_raises_a_package_error(cfg, kappa):
+    try:
+        classify(model_from_config(cfg), kappa)
+    except LevyTransienceError:
+        pass
+
+
+# a field of a section is named by its path; the values below it (interval
+# bounds, vector entries) are named by the field's path
+_SECTIONS = {(): "", ("parameters",): "parameters.",
+             ("parameters", "density"): "parameters.density.",
+             ("state_grid",): "state_grid."}
+
+
+def _corruptions(cfg, keys=()):
+    """(keys to a value, the field path an error must name, bad value) for
+    every value of a config: a wrong type, NaN or inf for numbers, lo > hi
+    for intervals, an unknown name, a fixed-length vector one too long."""
+    for key, value in cfg.items():
+        here = keys + (key,)
+        name = _SECTIONS[keys] + key
+        if here in _SECTIONS:
+            yield here, name, "x"
+            yield from _corruptions(value, here)
+        elif isinstance(value, str):   # family, kind, envelope_mode
+            yield from ((here, name, bad) for bad in ("zigzag", 7))
+        elif key != "assumptions":
+            yield from _value_corruptions(here, name, value)
+            if key in ("b", "beta", "box"):
+                yield here, name, value + [0.0]
+        else:
+            yield here, name, "x"
+
+
+def _value_corruptions(keys, name, value):
+    yield keys, name, "x"
+    if isinstance(value, (int, float)):
+        yield from ((keys, name, bad) for bad in (math.nan, math.inf))
+        return
+    entries = value.items() if isinstance(value, dict) else enumerate(value)
+    for k, v in entries:
+        if isinstance(v, str):   # an interval's profile
+            yield from ((keys + (k,), name, bad) for bad in ("zigzag", 7))
+        else:
+            yield from _value_corruptions(keys + (k,), name, v)
+    lo, hi = ("lo", "hi") if isinstance(value, dict) else (0, 1)
+    if name.endswith(("alpha", "gamma", "c", "coeff")) \
+            and isinstance(value[lo], float):
+        yield keys + (lo,), name, value[hi] + 0.5
+
+
+def _replaced(cfg, keys, bad):
+    cfg = copy.deepcopy(cfg)
+    node = cfg
+    for k in keys[:-1]:
+        node = node[k]
+    node[keys[-1]] = bad
+    return cfg
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_a_corrupted_config_field_is_named_in_the_error(data):
+    cfg = data.draw(model_configs())
+    keys, name, bad = data.draw(st.sampled_from(list(_corruptions(cfg))))
+    with pytest.raises(ConfigurationError) as err:
+        model_from_config(_replaced(cfg, keys, bad))
+    assert f"'{name}'" in str(err.value)
+
+
+@pytest.mark.parametrize("cfg, name", [
+    ({"family": "brownian_drift", "d": 3, "parameters": {"c": math.nan}},
+     "parameters.c"),
+    ({"family": "brownian_drift", "d": 3, "parameters": {"c": math.inf}},
+     "parameters.c"),
+    ({"family": "brownian_drift", "d": 3,
+      "parameters": {"b": [math.nan, 0.0, 0.0]}}, "parameters.b"),
+    ({"family": "finite_jump", "d": 1,
+      "parameters": {"alpha": {"lo": 1.5, "hi": 0.5}}}, "parameters.alpha"),
+    ({"family": "stable_like", "d": 1,
+      "parameters": {"alpha": {"lo": 0.5, "hi": 1.5, "profile": "tan"}}},
+     "parameters.alpha"),
+    ({"family": "stable_like", "d": 1, "parameters": {"alpha": 1.0},
+      "envelope_mode": "closed"}, "envelope_mode"),
+    ({"family": "finite_jump", "d": 1, "parameters": {"alpha": 1.0},
+      "state_grid": {"box": [-1, 1], "points_per_axis": math.inf}},
+     "state_grid.points_per_axis"),
+])
+def test_corruptions_the_loader_once_accepted_are_named(cfg, name):
+    with pytest.raises(ConfigurationError) as err:
+        model_from_config(cfg)
+    assert f"'{name}'" in str(err.value)

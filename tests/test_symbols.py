@@ -294,3 +294,30 @@ def test_grid_envelope_of_untied_variants_is_the_variant_envelope():
     assert sup_abs_symbol(grid, xi) == pytest.approx(0.01 ** 0.614, rel=1e-8)
     assert classify(grid, 1.5).verdict == classify(closed, 1.5).verdict \
         == "inconclusive"
+
+
+@pytest.mark.parametrize("family, parameters", [
+    ("brownian_drift", {"c": 1.0}),
+    ("isotropic_stable", {"alpha": 1.0}),
+    ("stable_like", {"alpha": {"lo": 0.6, "hi": 1.4}}),
+    ("radial_jump", {"density": {"kind": "stable", "alpha": 1.2}}),
+    ("finite_jump", {"alpha": 1.5}),
+])
+def test_json_state_grid_reaches_every_family(family, parameters):
+    model = model_from_config({
+        "family": family, "d": 2, "parameters": parameters,
+        "state_grid": {"box": [-1, 1], "points_per_axis": 5}})
+    assert model.state_grid == StateGrid((-1.0, 1.0), 5)
+
+
+def test_only_symbols_compares_a_family_name():
+    # what the package knows about a family lives in its record in
+    # symbols.py; other modules look the record up
+    src = Path(__file__).resolve().parents[1] / "src" / "levy_transience"
+    pattern = re.compile(r"\b(family|fam)\s*[!=]=\s*['\"]|['\"]\s*[!=]=\s*"
+                         r"(\w+\.)*(family|fam)\b")
+    found = [f"{path.name}:{n}: {line.strip()}"
+             for path in sorted(src.glob("*.py")) if path.name != "symbols.py"
+             for n, line in enumerate(path.read_text().splitlines(), 1)
+             if pattern.search(line)]
+    assert not found, found
