@@ -62,7 +62,6 @@ class RadialLevyDensity:
     monotone_beyond_u0: bool = True
     x_independent: bool = True
     atoms: tuple = ()
-    meta: dict = field(default_factory=dict)
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -244,8 +243,7 @@ def power_density(d, alpha, coeff=1.0, u0=0.0, n_variants=9):
     return RadialLevyDensity(
         d=d, u0=u0, variants=tuple(variants),
         monotone_beyond_u0=True,
-        x_independent=(len(pairs) == 1),
-        meta={"kind": "power", "alpha": alpha, "coeff": coeff, "u0": u0})
+        x_independent=(len(pairs) == 1))
 
 
 def stable_density(d, alpha, gamma=1.0, n_variants=9):
@@ -273,8 +271,7 @@ def stable_density(d, alpha, gamma=1.0, n_variants=9):
                                        profile=prof, alpha=a, gamma=g))
     return RadialLevyDensity(
         d=d, u0=0.0, variants=tuple(variants),
-        monotone_beyond_u0=True, x_independent=(len(pairs) == 1),
-        meta={"kind": "stable", "alpha": alpha, "gamma": gamma})
+        monotone_beyond_u0=True, x_independent=(len(pairs) == 1))
 
 
 def finite_range_density(d, alpha, n_variants=9):
@@ -298,8 +295,7 @@ def finite_range_density(d, alpha, n_variants=9):
                                        alpha=a))
     return RadialLevyDensity(
         d=d, u0=1.0, variants=tuple(variants),
-        monotone_beyond_u0=True, x_independent=(len(alphas) == 1),
-        meta={"kind": "finite", "alpha": alpha})
+        monotone_beyond_u0=True, x_independent=(len(alphas) == 1))
 
 
 def power_log_density(d, exponent, log_exponent, coeff=1.0, u_start=math.e):
@@ -321,10 +317,7 @@ def power_log_density(d, exponent, log_exponent, coeff=1.0, u_start=math.e):
                              support_lo=u_start, breakpoints=(u_start,))
     return RadialLevyDensity(
         d=d, u0=u_start, variants=(variant,),
-        monotone_beyond_u0=True, x_independent=True,
-        meta={"kind": "power_log", "exponent": exponent,
-              "log_exponent": log_exponent, "coeff": coeff,
-              "u_start": u_start})
+        monotone_beyond_u0=True, x_independent=True)
 
 
 def table_density(d, u_knots, n_values, u0=0.0, monotone=True):
@@ -359,7 +352,7 @@ def table_density(d, u_knots, n_values, u0=0.0, monotone=True):
                              breakpoints=tuple(u_knots))
     return RadialLevyDensity(
         d=d, u0=u0, variants=(variant,), monotone_beyond_u0=monotone,
-        x_independent=True, meta={"kind": "table"})
+        x_independent=True)
 
 
 def modified_density(base: RadialLevyDensity, radius, factor=None, replacement=None):
@@ -389,5 +382,4 @@ def modified_density(base: RadialLevyDensity, radius, factor=None, replacement=N
     return RadialLevyDensity(
         d=base.d, u0=max(base.u0, radius), variants=tuple(variants),
         monotone_beyond_u0=base.monotone_beyond_u0,
-        x_independent=base.x_independent,
-        meta=dict(base.meta, modified_below=radius))
+        x_independent=base.x_independent)

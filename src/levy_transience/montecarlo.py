@@ -144,7 +144,7 @@ def _family_step_fields(model):
 def _step_field(f, X, h=None):
     """X -> f(X), times h when given; a constant f is evaluated once."""
     g = f if h is None else (lambda X: f(X) * h)
-    return g if f.kind != "const" else (lambda X, v=g(X): v)
+    return (lambda X, v=g(X): v) if f.is_constant else g
 
 
 def _by_step(gens, out, fill):

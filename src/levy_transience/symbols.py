@@ -58,15 +58,13 @@ _PROFILES = {"cos": lambda x1: 0.5 * (1.0 + np.cos(x1)),
 class ScalarField:
     """State-dependent scalar coefficient with known exact bounds.
 
-    kind "const" or "interval"; interval fields vary through a bounded smooth
-    (or step) profile of the first coordinate, so sup/inf over all states are
-    exactly `hi`/`lo`.
+    lo + (hi - lo) w(x1), for a bounded smooth (or step) profile w of the
+    first coordinate with values in [0, 1], so sup/inf over all states are
+    exactly `hi`/`lo`. A constant is a field with lo == hi.
     """
 
-    kind: str
-    value: float = 0.0
-    lo: float = 0.0
-    hi: float = 0.0
+    lo: float
+    hi: float
     profile: str = "cos"
 
     def __post_init__(self):
@@ -76,7 +74,7 @@ class ScalarField:
                 f"field bounds must be finite, got [{lo}, {hi}]")
         if lo > hi:
             raise ConfigurationError(f"interval has lo {lo} > hi {hi}")
-        if self.kind != "const" and self.profile not in _PROFILES:
+        if self.profile not in _PROFILES:
             raise ConfigurationError(f"unknown field profile {self.profile!r}")
 
     @staticmethod
@@ -84,39 +82,27 @@ class ScalarField:
         if isinstance(spec, ScalarField):
             return spec
         if isinstance(spec, (int, float)):
-            return ScalarField(kind="const", value=float(spec))
+            return ScalarField(float(spec), float(spec))
         if isinstance(spec, dict):
-            return ScalarField(kind="interval", lo=float(spec["lo"]),
-                               hi=float(spec["hi"]),
-                               profile=spec.get("profile", "cos"))
+            return ScalarField(float(spec["lo"]), float(spec["hi"]),
+                               spec.get("profile", "cos"))
         if isinstance(spec, (tuple, list)) and len(spec) in (2, 3):
-            profile = spec[2] if len(spec) == 3 else "cos"
-            return ScalarField(kind="interval", lo=float(spec[0]),
-                               hi=float(spec[1]), profile=profile)
+            return ScalarField(float(spec[0]), float(spec[1]), *spec[2:])
         raise ConfigurationError(f"cannot interpret scalar field spec {spec!r}")
 
     @property
     def bounds(self):
-        if self.kind == "const":
-            return (self.value, self.value)
         return (self.lo, self.hi)
 
     @property
     def is_constant(self):
-        lo, hi = self.bounds
-        return lo == hi
+        return self.lo == self.hi
 
     def __call__(self, X):
-        X = np.asarray(X, dtype=float)
-        x1 = X[..., 0]
-        if self.kind == "const":
-            return np.full_like(x1, self.value)
+        x1 = np.asarray(X, dtype=float)[..., 0]
+        if self.lo == self.hi:
+            return np.full_like(x1, self.lo)
         return self.lo + (self.hi - self.lo) * _PROFILES[self.profile](x1)
-
-    def to_json(self):
-        if self.kind == "const":
-            return self.value
-        return {"lo": self.lo, "hi": self.hi, "profile": self.profile}
 
 
 @dataclass(frozen=True)
@@ -216,12 +202,7 @@ class SymbolModel:
 
     @property
     def is_state_independent(self):
-        if self.family == "custom":
-            return bool(self.params.get("x_independent", False))
-        dens = self.triplet.jump_density
-        fields = (self.params.get(key) for key in ("alpha", "gamma", "c"))
-        return (dens is None or dens.x_independent) and all(
-            f.is_constant for f in fields if isinstance(f, ScalarField))
+        return FAMILIES[self.family].state_independent(self)
 
     @property
     def drift_vector(self):
@@ -269,20 +250,7 @@ def eval_symbol_batch(model: SymbolModel, X, xi) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if not np.any(xi):
         return np.zeros(X.shape[0], dtype=complex)
-    return _symbol_table(model, X, xi[None, :])[:, 0]
-
-
-def _symbol_table(model, X, XI):
-    """q(x, xi) for states X (n, d) and nonzero frequencies XI (m, d), as an
-    (n, m) array."""
-    if model.family == "custom":
-        fn = model.params["eval_fn"]
-        return np.asarray([[complex(fn(xrow, xi)) for xi in XI] for xrow in X])
-    re = FAMILIES[model.family].real_part(model, X, XI, _norms(XI))
-    im = np.zeros(XI.shape[0])
-    if model.triplet.drift is not None:
-        im = -np.asarray([float(xi @ model.triplet.drift) for xi in XI])
-    return re + 1j * im[None, :]
+    return FAMILIES[model.family].symbol(model, X, xi[None, :])[:, 0]
 
 
 def _norms(XI):
@@ -339,31 +307,11 @@ def _envelopes(model, kind, XI):
     if np.any(nonzero):
         val = None
         if model.envelope_mode == "closed_form":
-            val = _closed_envelope(model, kind, XI[nonzero])
+            val = FAMILIES[model.family].closed_envelope(model, kind,
+                                                         XI[nonzero])
         out[nonzero] = _grid_envelope(model, kind, XI[nonzero]) \
             if val is None else val
     return out
-
-
-def _closed_envelope(model, kind, XI):
-    """Closed-form envelope at each frequency row of XI, or None when the
-    family has none. Scalar terms are Python floats per frequency, as for a
-    single one (numpy rounds vector powers and hypot differently)."""
-    if model.family == "custom":
-        fn = (model.params.get("envelopes") or {}).get(kind)
-        return None if fn is None else np.asarray([float(fn(xi)) for xi in XI])
-    drift = model.triplet.drift
-    drift_term = [abs(float(xi @ drift)) if drift is not None else 0.0
-                  for xi in XI]
-    if kind == ENV_SUP_ABS_IM:
-        return np.asarray(drift_term)   # b is constant: sup|Im q| = |<xi, b>|
-    bounds = FAMILIES[model.family].envelope(model, XI, _norms(XI))
-    if bounds is None:
-        return None
-    lo, hi = bounds
-    if kind == ENV_INF_RE:
-        return np.asarray(lo, dtype=float)
-    return np.asarray([math.hypot(t, h) for t, h in zip(drift_term, hi)])
 
 
 #: states x frequencies per block of a grid envelope (1 MB of complex q)
@@ -371,21 +319,17 @@ _GRID_BLOCK = 1 << 16
 
 
 def _grid_envelope(model, kind, XI):
-    if model.family == "custom" and "x_samples" in model.params:
-        X = np.atleast_2d(np.asarray(model.params["x_samples"], dtype=float))
-    else:
-        X = model.state_points()
+    family = FAMILIES[model.family]
+    X = family.states(model)
+    if X is None:
+        return family.closed_envelope(model, kind, XI)
     if X.size == 0:
         raise ConfigurationError("empty state grid")
-    if model.family == "radial_jump" and _variant_for_state(model, X) is None:
-        # variants not tied to states: the sup/inf over states is the one
-        # over all variants
-        return _closed_envelope(model, kind, XI)
     reduce = {ENV_SUP_ABS: lambda q: np.max(np.abs(q), axis=0),
               ENV_INF_RE: lambda q: np.min(q.real, axis=0),
               ENV_SUP_ABS_IM: lambda q: np.max(np.abs(q.imag), axis=0)}[kind]
     step = max(1, _GRID_BLOCK // X.shape[0])
-    return np.concatenate([reduce(_symbol_table(model, X, XI[j:j + step]))
+    return np.concatenate([reduce(family.symbol(model, X, XI[j:j + step]))
                            for j in range(0, XI.shape[0], step)])
 
 
@@ -403,12 +347,7 @@ def direction_set(d, n):
 
 def envelope_is_radial(model: SymbolModel, kind) -> bool:
     """Whether the envelope, as a function of xi, is rotation invariant."""
-    if model.family == "custom":
-        return _numeric_radial(model, kind)   # sampled over rotations
-    C = model.triplet.diffusion_matrix
-    iso = C is None or _matrix_isotropic(C)
-    return iso and (kind == ENV_INF_RE or model.drift_vector is None
-                    or model.d == 1)
+    return FAMILIES[model.family].radial(model, kind)
 
 
 def _matrix_isotropic(C):
@@ -481,14 +420,8 @@ def sector_check(model: SymbolModel, c: float, n_directions=16,
 def radiality_check(model: SymbolModel) -> bool:
     """True when b = 0, C(x) = c(x) I and the jump kernel is rotation
     invariant; structural for built-in families, sampled for custom ones."""
-    if model.family == "custom":
-        return _numeric_radial(model, ENV_SUP_ABS)
-    if model.drift_vector is not None:
-        return False
-    if model.triplet.diffusion_matrix is not None and not _matrix_isotropic(
-            model.triplet.diffusion_matrix):
-        return False
-    return True
+    return (model.drift_vector is None
+            and envelope_is_radial(model, ENV_SUP_ABS))
 
 
 @model_memo
@@ -541,6 +474,15 @@ class _Family:
     # read through param(key, convert, default)
     sample = step_fields = parse = None
 
+    # q(x, xi) at states X (n, d) and nonzero frequencies XI (m, d), as an
+    # (n, m) array: the real part and the drift term
+    def symbol(self, model, X, XI):
+        re = self.real_part(model, X, XI, _norms(XI))
+        im = np.zeros(XI.shape[0])
+        if model.triplet.drift is not None:
+            im = -np.asarray([float(xi @ model.triplet.drift) for xi in XI])
+        return re + 1j * im[None, :]
+
     # Re q(x, xi) at states X (n, d) and frequencies XI (m, d) of norms rho,
     # as an (n, m) array: one jump-symbol ladder per variant
     def real_part(self, model, X, XI, rho):
@@ -556,6 +498,44 @@ class _Family:
         dens = model.triplet.jump_density
         vals = [dens.jump_symbol(rho, i) for i in range(len(dens.variants))]
         return np.min(vals, axis=0), np.max(vals, axis=0)
+
+    # the `kind` envelope at each nonzero frequency row of XI, or None when
+    # the family has no closed form. Scalar terms are Python floats per
+    # frequency, as for a single one (numpy rounds vector powers and hypot
+    # differently)
+    def closed_envelope(self, model, kind, XI):
+        drift = model.triplet.drift
+        drift_term = [abs(float(xi @ drift)) if drift is not None else 0.0
+                      for xi in XI]
+        if kind == ENV_SUP_ABS_IM:
+            return np.asarray(drift_term)   # b constant: sup|Im q| = |<xi, b>|
+        bounds = self.envelope(model, XI, _norms(XI))
+        if bounds is None:
+            return None
+        lo, hi = bounds
+        if kind == ENV_INF_RE:
+            return np.asarray(lo, dtype=float)
+        return np.asarray([math.hypot(t, h) for t, h in zip(drift_term, hi)])
+
+    # the states a grid envelope samples, or None when sampling states
+    # cannot see the state dependence (then the envelope is the closed one)
+    def states(self, model):
+        return model.state_points()
+
+    # whether the `kind` envelope is rotation invariant in xi
+    def radial(self, model, kind):
+        C = model.triplet.diffusion_matrix
+        iso = C is None or _matrix_isotropic(C)
+        return iso and (kind == ENV_INF_RE or model.drift_vector is None
+                        or model.d == 1)
+
+    # whether q(x, xi) does not depend on x
+    def state_independent(self, model):
+        dens = model.triplet.jump_density
+        fields = (model.params.get("alpha"), model.params.get("gamma"),
+                  model.triplet.diffusion_field)
+        return (dens is None or dens.x_independent) and all(
+            f.is_constant for f in fields if isinstance(f, ScalarField))
 
     # the structural transience gate, or None
     def gate(self, model):
@@ -576,7 +556,7 @@ class _BrownianDrift(_Family):
         if C is not None:
             lo = [0.5 * float(xi @ C @ xi) for xi in XI]
             return lo, lo
-        c_lo, c_hi = model.params["c"].bounds
+        c_lo, c_hi = model.triplet.diffusion_bounds
         return ([0.5 * c_lo * r ** 2 for r in rho],
                 [0.5 * c_hi * r ** 2 for r in rho])
 
@@ -598,14 +578,14 @@ class _BrownianDrift(_Family):
     def sample(self, model, t, gen, n):
         C = model.triplet.diffusion_matrix
         L = _diffusion_factor(C) if C is not None else math.sqrt(
-            model.params["c"].bounds[0]) * np.eye(model.d)
+            model.triplet.diffusion_bounds[0]) * np.eye(model.d)
         return math.sqrt(t) * gen.standard_normal((n, model.d)) @ L.T
 
     def step_fields(self, model):
-        if "c" not in model.params:
-            return ("brownian_matrix",
-                    _diffusion_factor(model.triplet.diffusion_matrix))
-        return ("brownian", model.params["c"])
+        C = model.triplet.diffusion_matrix
+        if C is not None:
+            return ("brownian_matrix", _diffusion_factor(C))
+        return ("brownian", model.triplet.diffusion_field)
 
     def parse(self, d, param, **common):
         return brownian_drift(d, drift=param("b", _floats(d), None),
@@ -705,6 +685,12 @@ def _rv_index(dens, d, tol=0.02):
 
 
 class _RadialJump(_Family):
+    def states(self, model):
+        # variants not tied to states: the sup/inf over states is the one
+        # over all variants
+        X = model.state_points()
+        return None if _variant_for_state(model, X) is None else X
+
     def gate(self, model):
         d = model.d
         delta, borderline = _rv_index(model.triplet.jump_density, d)
@@ -766,6 +752,26 @@ class _FiniteJump(_Family):
 class _Custom(_Family):
     irreducible = False   # a custom model must assert it
 
+    def symbol(self, model, X, XI):
+        fn = model.params["eval_fn"]
+        return np.asarray([[complex(fn(xrow, xi)) for xi in XI] for xrow in X])
+
+    def closed_envelope(self, model, kind, XI):
+        fn = (model.params.get("envelopes") or {}).get(kind)
+        return None if fn is None else np.asarray([float(fn(xi)) for xi in XI])
+
+    def states(self, model):
+        if "x_samples" not in model.params:
+            return model.state_points()
+        return np.atleast_2d(np.asarray(model.params["x_samples"],
+                                        dtype=float))
+
+    def radial(self, model, kind):
+        return _numeric_radial(model, kind)   # sampled over rotations
+
+    def state_independent(self, model):
+        return bool(model.params.get("x_independent", False))
+
 
 FAMILIES = {"brownian_drift": _BrownianDrift(), "stable_like": _StableLike(),
             "radial_jump": _RadialJump(), "finite_jump": _FiniteJump(),
@@ -809,16 +815,14 @@ def _diffusion_factor(C):
 def brownian_drift(d, drift=None, c=1.0, C=None, envelope_mode="closed_form",
                    state_grid=StateGrid(), assumptions=None):
     b = None if drift is None else np.asarray(drift, dtype=float).reshape(d)
-    params = {}
     if C is not None:
         triplet = LevyTriplet(d=d, drift=b,
                               diffusion_matrix=np.asarray(C, dtype=float))
     else:
-        cf = ScalarField.make(c)
-        params["c"] = cf
-        triplet = LevyTriplet(d=d, drift=b, diffusion_field=cf)
+        triplet = LevyTriplet(d=d, drift=b,
+                              diffusion_field=ScalarField.make(c))
     return SymbolModel(family="brownian_drift", d=d, triplet=triplet,
-                       params=params, envelope_mode=envelope_mode,
+                       params={}, envelope_mode=envelope_mode,
                        state_grid=state_grid, assumptions=assumptions or {})
 
 
@@ -913,12 +917,16 @@ def _field(obj, key, convert=lambda v: v, default=_REQUIRED, root=""):
 
 
 def _floats(*shape):
-    """Converter to a finite float array of the given shape; None stays
-    None."""
+    """Converter to a finite float array of the given shape, nested as that
+    shape is; None stays None."""
     def convert(v):
         if v is None:
             return None
-        a = np.asarray(v, dtype=float).reshape(shape)
+        a = np.asarray(v, dtype=float)
+        if a.ndim != len(shape):
+            raise ValueError(f"has {a.ndim} levels of nesting, expected "
+                             f"{len(shape)}")
+        a = a.reshape(shape)
         if not np.all(np.isfinite(a)):
             raise ValueError("entries must be finite")
         return a
@@ -928,6 +936,14 @@ def _floats(*shape):
 def _real(v):
     """Converter to a finite float."""
     return float(_floats()(v))
+
+
+def _count(v):
+    """Converter to an integer of at least 1."""
+    n = int(v)
+    if n < 1:
+        raise ValueError("must be at least 1")
+    return n
 
 
 def _member(names):
@@ -965,7 +981,7 @@ def density_from_spec(d, spec):
 def _range_or_const(v):
     """Converter to a constant or an (lo, hi) interval."""
     f = ScalarField.make(v)
-    return f.bounds if f.kind == "interval" else f.value
+    return f.lo if f.is_constant else f.bounds
 
 
 def model_from_config(cfg: dict) -> SymbolModel:
@@ -987,7 +1003,7 @@ def model_from_config(cfg: dict) -> SymbolModel:
     sg = _field(cfg, "state_grid", lambda v: dict(v or {}), {})
     grid = StateGrid(
         tuple(_field(sg, "box", _floats(2), root="state_grid.").tolist()),
-        _field(sg, "points_per_axis", int, 21, root="state_grid.")) \
+        _field(sg, "points_per_axis", _count, 21, root="state_grid.")) \
         if sg else StateGrid()
     assumptions = _field(cfg, "assumptions", dict, {})
 

@@ -312,12 +312,63 @@ def test_json_state_grid_reaches_every_family(family, parameters):
 
 def test_only_symbols_compares_a_family_name():
     # what the package knows about a family lives in its record in
-    # symbols.py; other modules look the record up
+    # symbols.py; every module, symbols.py included, looks the record up
     src = Path(__file__).resolve().parents[1] / "src" / "levy_transience"
     pattern = re.compile(r"\b(family|fam)\s*[!=]=\s*['\"]|['\"]\s*[!=]=\s*"
                          r"(\w+\.)*(family|fam)\b")
     found = [f"{path.name}:{n}: {line.strip()}"
-             for path in sorted(src.glob("*.py")) if path.name != "symbols.py"
+             for path in sorted(src.glob("*.py"))
              for n, line in enumerate(path.read_text().splitlines(), 1)
              if pattern.search(line)]
     assert not found, found
+
+
+@pytest.mark.parametrize("points", [0, -3])
+def test_config_rejects_a_state_grid_without_points(points):
+    cfg = {"family": "stable_like", "d": 1,
+           "parameters": {"alpha": {"lo": 0.5, "hi": 1.5}},
+           "envelope_mode": "grid_sampled",
+           "state_grid": {"box": [-1, 1], "points_per_axis": points}}
+    with pytest.raises(ConfigurationError,
+                       match="'state_grid.points_per_axis' is malformed"):
+        model_from_config(cfg)
+
+
+@pytest.mark.parametrize("key", ["u", "n"])
+def test_config_rejects_a_nested_table_knot_list(key):
+    density = {"kind": "table", "u": [1, 10, 100, 1000],
+               "n": [1e-1, 1e-3, 1e-5, 1e-7]}
+    density[key] = [density[key][:2], density[key][2:]]
+    cfg = {"family": "radial_jump", "d": 1,
+           "parameters": {"density": density}}
+    with pytest.raises(ConfigurationError,
+                       match=f"'parameters.density.{key}' is malformed"):
+        model_from_config(cfg)
+
+
+@pytest.mark.parametrize("family, d, parameters, key", [
+    ("brownian_drift", 3, {"c": 1.3}, "c"),
+    ("stable_like", 2, {"alpha": 1.2, "gamma": 0.8}, "alpha"),
+    ("stable_like", 2, {"alpha": 1.2, "gamma": 0.8}, "gamma"),
+    ("finite_jump", 2, {"alpha": 1.5}, "alpha"),
+])
+def test_a_constant_reads_the_same_in_every_json_form(family, d, parameters,
+                                                      key):
+    from levy_transience.classifier import classify
+    from levy_transience.montecarlo import euler_terminal_states
+
+    v = parameters[key]
+    models = [model_from_config({"family": family, "d": d,
+                                 "parameters": {**parameters, key: form}})
+              for form in (v, {"lo": v, "hi": v}, [v, v])]
+    assert all(m.is_state_independent for m in models)
+    assert all("c" not in m.params for m in models)
+    reports = {json.dumps([classify(m, kappa).to_json()
+                           for kappa in (0.2, 1.5)], sort_keys=True)
+               for m in models}
+    assert len(reports) == 1
+    if family == "stable_like":
+        first, *others = (euler_terminal_states(m, 1.0, 0.05, 16, seed=3)
+                          for m in models)
+        for other in others:
+            assert np.array_equal(first, other)
