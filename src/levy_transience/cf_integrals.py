@@ -40,7 +40,6 @@ from .symbols import (
 )
 from .verdicts import (
     AT_ORIGIN,
-    DEFAULT_BAND,
     DivergenceVerdict,
     diverges_verdict,
     memoized_profile,
@@ -49,6 +48,8 @@ from .verdicts import (
 
 _LN2 = math.log(2.0)
 _LAGUERRE_N = 64
+#: directions a non-radial envelope is reduced over
+_N_DIRECTIONS = 64
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,7 @@ class WeightFunction:
             return np.log(t0)
         out = np.empty_like(t0)
         for i, b in np.ndenumerate(t0):
-            u, w = gauss_linear_nodes(0.0, float(b), n=24)
+            u, w = gauss_linear_nodes(0.0, float(b))
             out[i] = float(w @ np.asarray([self.fn(x) for x in u]))
         return np.log(out)
 
@@ -117,12 +118,12 @@ class WeightFunction:
         return log_scale + np.log(out)
 
 
-def _reduced_envelope(model, kind, n_directions):
+def _reduced_envelope(model, kind):
     """Vectorized rho -> envelope, reduced over directions toward the largest
     integrand (the smallest envelope value), with per-model caching."""
-    n = 1 if envelope_is_radial(model, kind) else n_directions
+    n = 1 if envelope_is_radial(model, kind) else _N_DIRECTIONS
     return memoized_profile(
-        model._cache.setdefault(("profile", kind, n_directions), {}),
+        model, ("profile", kind),
         lambda rhos: envelope_profile(model, kind, rhos, reduce="min",
                                       n_directions=n))
 
@@ -130,8 +131,7 @@ def _reduced_envelope(model, kind, n_directions):
 _WHAT = {ENV_SUP_ABS: "sup |q|", ENV_INF_RE: "inf Re q"}
 
 
-def _frequency_test(model, kind, r, integrand, K, band, n_directions,
-                    kappa=None):
+def _frequency_test(model, kind, r, integrand, kappa=None):
     """Verdict on int_B(0,r) exp(integrand(log(S_d rho^{d-1}), m(rho))) drho,
     where m is the `kind` envelope reduced over directions and the integrand
     returns the log of the radial integrand.
@@ -143,7 +143,7 @@ def _frequency_test(model, kind, r, integrand, K, band, n_directions,
         raise ConfigurationError(f"radius must be positive, got {r}")
     if kappa is not None:
         check_kappa(kappa)
-    env = _reduced_envelope(model, kind, n_directions)
+    env = _reduced_envelope(model, kind)
     log_s_d = math.log(sphere_surface(model.d))
     if kind == ENV_INF_RE:
         if np.any(env(np.asarray([r / 2.0, r / 8.0, r / 64.0])) <= 0.0):
@@ -163,43 +163,40 @@ def _frequency_test(model, kind, r, integrand, K, band, n_directions,
         with np.errstate(divide="ignore"):
             return integrand(log_s_d + (model.d - 1) * np.log(rhos), m)
 
-    return verdict_from_radial_integrand(log_G, r, K=K, band=band,
-                                         singularity=AT_ORIGIN)
+    return verdict_from_radial_integrand(log_G, r, singularity=AT_ORIGIN)
 
 
-def weak_integral_f(model: SymbolModel, f: WeightFunction, r: float,
-                    K=24, band=DEFAULT_BAND, n_directions=64) -> DivergenceVerdict:
+def weak_integral_f(model: SymbolModel, f: WeightFunction,
+                    r: float) -> DivergenceVerdict:
     """Weak-side test with a general weight; Diverges supports weak transience."""
     return _frequency_test(
         model, ENV_SUP_ABS, r,
-        lambda lrad, m: lrad + f.log_integral_to(_LN2 / (4.0 * m)),
-        K, band, n_directions)
+        lambda lrad, m: lrad + f.log_integral_to(_LN2 / (4.0 * m)))
 
 
-def strong_integral_f(model: SymbolModel, f: WeightFunction, r: float,
-                      K=24, band=DEFAULT_BAND, n_directions=64) -> DivergenceVerdict:
+def strong_integral_f(model: SymbolModel, f: WeightFunction,
+                      r: float) -> DivergenceVerdict:
     """Strong-side test with a general weight; Converges supports strong
     transience (given the sector condition, which the caller records)."""
     return _frequency_test(model, ENV_INF_RE, r,
-                           lambda lrad, m: lrad + f.log_exp_moment(m),
-                           K, band, n_directions)
+                           lambda lrad, m: lrad + f.log_exp_moment(m))
 
 
-def weak_integral_kappa(model: SymbolModel, kappa: float, r: float,
-                        K=24, band=DEFAULT_BAND, n_directions=64) -> DivergenceVerdict:
+def weak_integral_kappa(model: SymbolModel, kappa: float,
+                        r: float) -> DivergenceVerdict:
     """int_B(0,r) dxi / (sup_x |q|)^{kappa+1}; Diverges supports weak transience."""
     return _frequency_test(model, ENV_SUP_ABS, r,
                            lambda lrad, m: lrad - (kappa + 1.0) * np.log(m),
-                           K, band, n_directions, kappa)
+                           kappa)
 
 
-def strong_integral_kappa(model: SymbolModel, kappa: float, r: float,
-                          K=24, band=DEFAULT_BAND, n_directions=64) -> DivergenceVerdict:
+def strong_integral_kappa(model: SymbolModel, kappa: float,
+                          r: float) -> DivergenceVerdict:
     """int_B(0,r) dxi / (inf_x Re q)^{kappa+1}; Converges supports strong
     transience."""
     return _frequency_test(model, ENV_INF_RE, r,
                            lambda lrad, m: lrad - (kappa + 1.0) * np.log(m),
-                           K, band, n_directions, kappa)
+                           kappa)
 
 
 def r_independence_report(model: SymbolModel, test, r_list) -> bool:

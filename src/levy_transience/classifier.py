@@ -191,7 +191,7 @@ def classify(model: SymbolModel, kappa: float, d=None, r=1.0,
             if ts.decided_state == CONVERGES:
                 iff_ok = dens.monotone_beyond_u0 \
                     and dens.monotone_verified() and (
-                        quadratic_growth_floor(dens, extra_floor=0.0)
+                        quadratic_growth_floor(dens)
                         or assumptions["perturbation_margin"])
                 if iff_ok:
                     fire("tail", "strong", "tail-strong",

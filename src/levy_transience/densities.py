@@ -130,14 +130,14 @@ class RadialLevyDensity:
         return out
 
     @model_memo
-    def monotone_verified(self, n_grid=64) -> bool:
+    def monotone_verified(self) -> bool:
         """Numerical check of the decreasing-beyond-u0 hypothesis.
 
         When this fails, the measure-side strong test loses its equivalence
         status and is reported as a necessary condition only.
         """
         lo = max(self.u0, 1e-3)
-        grid = np.geomspace(lo * 1.001, lo * 1e6, n_grid)
+        grid = np.geomspace(lo * 1.001, lo * 1e6, 64)
         for v in self.variants:
             vals = v(grid)
             if np.any(np.diff(vals) > 1e-12 * np.maximum(vals[:-1], 1e-300)):
@@ -160,7 +160,7 @@ class RadialLevyDensity:
             out = v.gamma * rhos ** v.alpha
             return out if rhos.ndim else float(out)
         out = memoized_profile(
-            self._cache.setdefault(("jsym", variant), {}),
+            self, ("jsym", variant),
             lambda radii: jump_symbol_value(
                 self.radial_weight(variant), np.asarray(radii), self.d,
                 breakpoints=self.all_breakpoints(),

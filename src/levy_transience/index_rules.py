@@ -84,15 +84,15 @@ def _jsonable(obj):
     return obj
 
 
-def _dyadic_profiles(model, n_directions):
+def _dyadic_profiles(model):
     """Dyadic radii 2^-_K_LO .. 2^-_K_HI with the sup-envelope (max over
     directions) and the inf-envelope (min over directions) on them."""
     rhos = 2.0 ** (-np.arange(_K_LO, _K_HI + 1).astype(float))
     return (rhos,
             envelope_profile(model, ENV_SUP_ABS, rhos, reduce="max",
-                             n_directions=n_directions),
+                             n_directions=16),
             envelope_profile(model, ENV_INF_RE, rhos, reduce="min",
-                             n_directions=n_directions))
+                             n_directions=16))
 
 
 def _slope_and_residual(rhos, vals):
@@ -101,19 +101,19 @@ def _slope_and_residual(rhos, vals):
     return slope, float(np.max(np.abs(ly - (slope * lx + intercept))))
 
 
-def lower_index(model: SymbolModel, n_directions=16) -> float:
+def lower_index(model: SymbolModel) -> float:
     """Scaling exponent of the sup-envelope at small frequencies."""
-    return pruitt_indices(model, n_directions).lower
+    return pruitt_indices(model).lower
 
 
-def upper_index(model: SymbolModel, n_directions=16) -> float:
+def upper_index(model: SymbolModel) -> float:
     """Scaling exponent of the inf-envelope at small frequencies."""
-    return pruitt_indices(model, n_directions).upper
+    return pruitt_indices(model).upper
 
 
 @model_memo
-def pruitt_indices(model: SymbolModel, n_directions=16) -> PruittIndices:
-    rhos, sup_prof, inf_prof = _dyadic_profiles(model, n_directions)
+def pruitt_indices(model: SymbolModel) -> PruittIndices:
+    rhos, sup_prof, inf_prof = _dyadic_profiles(model)
     if np.any(sup_prof <= 0.0):
         raise DegenerateModelError("sup-envelope vanishes on the dyadic ladder")
     lo, res_lo = _slope_and_residual(rhos, sup_prof)
@@ -156,8 +156,8 @@ def index_bound_rules(d: int, kappa: float, indices: PruittIndices):
     return first, second
 
 
-def scaling_rules(model: SymbolModel, gamma_exp: float, d: int, kappa: float,
-                  n_directions=16, tol=0.02):
+def scaling_rules(model: SymbolModel, gamma_exp: float, d: int,
+                  kappa: float):
     """Power-comparison rules against a candidate scaling exponent gamma.
 
     (i) sup |q| = O(|xi|^gamma) near 0 and d <= (kappa+1) gamma implies the
@@ -167,9 +167,9 @@ def scaling_rules(model: SymbolModel, gamma_exp: float, d: int, kappa: float,
     """
     if gamma_exp <= 0:
         raise NotApplicableError("scaling exponent must be positive")
-    rhos, sup_prof, inf_prof = _dyadic_profiles(model, n_directions)
+    rhos, sup_prof, inf_prof = _dyadic_profiles(model)
     slope_sup, _ = _slope_and_residual(rhos, sup_prof)
-    bounded_above = slope_sup >= gamma_exp - tol
+    bounded_above = slope_sup >= gamma_exp - 0.02
     first = RuleOutcome(
         rule="scaling-bound-weak",
         conclusion=IMPLIES_WEAK if bounded_above and d <= (kappa + 1) * gamma_exp
@@ -183,7 +183,7 @@ def scaling_rules(model: SymbolModel, gamma_exp: float, d: int, kappa: float,
         slope_inf = float("inf")
     else:
         slope_inf, _ = _slope_and_residual(rhos, inf_prof)
-        bounded_below = slope_inf <= gamma_exp + tol
+        bounded_below = slope_inf <= gamma_exp + 0.02
     second = RuleOutcome(
         rule="scaling-bound-strong",
         conclusion=IMPLIES_STRONG if bounded_below and d > (kappa + 1) * gamma_exp
@@ -197,12 +197,14 @@ def scaling_rules(model: SymbolModel, gamma_exp: float, d: int, kappa: float,
 
 @model_memo
 def uniform_second_moment(model: SymbolModel) -> float:
-    """sup over states of int |y|^2 nu(x, dy); +inf when not integrable."""
+    """sup over states of int |y|^2 nu(x, dy), atoms included; +inf when
+    not integrable."""
     dens = model.triplet.jump_density
     if dens is None:
         return 0.0
     worst = 0.0
     bps = dens.all_breakpoints()
+    atoms = sum(radius * radius * mass for radius, mass in dens.atoms)
     for i, variant in enumerate(dens.variants):
         g = dens.second_moment_weight(i)
         try:
@@ -213,7 +215,7 @@ def uniform_second_moment(model: SymbolModel) -> float:
             big = integrate_tail(g, 1.0, bps)
         except QuadratureError:    # DivergentIntegralError among them
             return float("inf")
-        worst = max(worst, small + big)
+        worst = max(worst, small + big + atoms)
     return worst
 
 
@@ -269,7 +271,7 @@ def moment_rules(model: SymbolModel, d: int, kappa: float):
 # ---------------------------------------------------------------------------
 
 @model_memo
-def _shape_flags(model, kind, n_points=12, tol=1e-8):
+def _shape_flags(model, kind):
     """(is_convex, is_concave, window) of the radial `kind` envelope profile
     near 0.
 
@@ -277,12 +279,12 @@ def _shape_flags(model, kind, n_points=12, tol=1e-8):
     sign pattern is stable across the window and its half.
     """
     def classify(eps):
-        rho = eps * np.arange(1, n_points + 1) / n_points
+        rho = eps * np.arange(1, 13) / 12
         vals = envelope_profile(model, kind, rho, reduce="min",
                                 n_directions=1)
         d2 = vals[2:] - 2.0 * vals[1:-1] + vals[:-2]
-        scale = max(float(np.max(np.abs(vals))), 1e-300)
-        return bool(np.all(d2 >= -tol * scale)), bool(np.all(d2 <= tol * scale))
+        tol = 1e-8 * max(float(np.max(np.abs(vals))), 1e-300)
+        return bool(np.all(d2 >= -tol)), bool(np.all(d2 <= tol))
 
     for j in range(2, 17):
         eps = 2.0 ** (-j)
@@ -293,8 +295,7 @@ def _shape_flags(model, kind, n_points=12, tol=1e-8):
     return False, False, 0.0
 
 
-def shape_diagnostic(model: SymbolModel, kappa: float, d: int,
-                     tol=1e-8):
+def shape_diagnostic(model: SymbolModel, kappa: float, d: int):
     """Convexity/concavity rules for the radial envelope profiles.
 
     Convex sup-profile with kappa+1 >= d bounds the lower index from below;
@@ -313,7 +314,7 @@ def shape_diagnostic(model: SymbolModel, kappa: float, d: int,
                 statement="profile shape rules need a radial envelope"))
             continue
 
-        convex, concave, window = _shape_flags(model, kind, tol=tol)
+        convex, concave, window = _shape_flags(model, kind)
         index_name = "lower_index" if label == "sup" else "upper_index"
         if convex and kappa + 1.0 >= d:
             extras = {}

@@ -45,7 +45,6 @@ from .verdicts import (
     AT_INFINITY,
     CONVERGES,
     DIVERGES,
-    DEFAULT_BAND,
     DivergenceVerdict,
     memoized_profile,
     _line,
@@ -146,14 +145,13 @@ def _variant_envelope(density, tag, which, rhos):
     """sup or inf over the variants of the tail functional `tag` (T1, tail
     mass or T3), memoized on the density per variant and per envelope."""
     def reduce(radii):
-        stack = np.stack([memoized_profile(
-            density._cache.setdefault((tag, i), {}),
-            functools.partial(_SWEEPS[tag], density, i))(radii)
+        stack = np.stack([
+            memoized_profile(density, (tag, i),
+                             functools.partial(_SWEEPS[tag], density, i))(radii)
             for i in range(len(density.variants))])
         return stack.max(axis=0) if which == "sup" else stack.min(axis=0)
 
-    return memoized_profile(density._cache.setdefault((tag, which), {}),
-                            reduce)(rhos)
+    return memoized_profile(density, (tag, which), reduce)(rhos)
 
 
 # ---------------------------------------------------------------------------
@@ -161,39 +159,43 @@ def _variant_envelope(density, tag, which, rhos):
 # ---------------------------------------------------------------------------
 
 def tail_test_weak(density: RadialLevyDensity, d: int, kappa: float,
-                   r: float, K=24, band=DEFAULT_BAND) -> DivergenceVerdict:
+                   r: float) -> DivergenceVerdict:
     """Divergence of the T1 sup-envelope integral supports weak transience."""
-    return _tail_test(density, d, kappa, r, which="sup", K=K, band=band)
+    return _tail_test(density, d, kappa, r, which="sup")
 
 
 def tail_test_strong(density: RadialLevyDensity, d: int, kappa: float,
-                     r: float, K=24, band=DEFAULT_BAND) -> DivergenceVerdict:
+                     r: float) -> DivergenceVerdict:
     """Convergence of the T1 inf-envelope integral is the strong-side
     criterion (an equivalence under a decreasing density plus quadratic
     growth of the symbol; otherwise one-directional)."""
-    return _tail_test(density, d, kappa, r, which="inf", K=K, band=band)
+    return _tail_test(density, d, kappa, r, which="inf")
 
 
-def _tail_test(density, d, kappa, r, which, K, band):
-    if r <= 0:
-        raise ConfigurationError("tail test needs r > 0")
+def _check_dimension(density, d):
     if d != density.d:
         raise ConfigurationError(
             f"dimension mismatch: test d={d}, density d={density.d}")
+
+
+def _tail_test(density, d, kappa, r, which):
+    if r <= 0:
+        raise ConfigurationError("tail test needs r > 0")
+    _check_dimension(density, d)
     check_kappa(kappa)
     env = functools.partial(_variant_envelope, density, "t1", which)
     # rho = r and 4r are ladder points 0 and 2 of the verdict's radii
-    if np.all(env(verdict_ladder(r, K, AT_INFINITY)[0])[[0, 2]] == 0.0):
+    if np.all(env(verdict_ladder(r, AT_INFINITY)[0])[[0, 2]] == 0.0):
         raise NotApplicableError("integrated tail vanishes; no jump tail to test")
-    return _power_test(2.0 * kappa - d + 1.0, kappa + 1.0, env, r, K, band)
+    return _power_test(2.0 * kappa - d + 1.0, kappa + 1.0, env, r)
 
 
-def _power_test(a, b, env, r, K, band):
+def _power_test(a, b, env, r):
     """Verdict on int_r^infinity rho^a / env(rho)^b drho, taken in log space
     (env positive on the ladder)."""
     return verdict_from_radial_integrand(
-        lambda rhos: a * np.log(rhos) - b * np.log(env(rhos)), r, K=K,
-        band=band, singularity=AT_INFINITY)
+        lambda rhos: a * np.log(rhos) - b * np.log(env(rhos)), r,
+        singularity=AT_INFINITY)
 
 
 @dataclass(frozen=True)
@@ -218,8 +220,8 @@ class SplitTailVerdicts:
         return out
 
 
-def split_tail_tests(density: RadialLevyDensity, d: int, kappa: float, r: float,
-                 K=24, band=DEFAULT_BAND) -> SplitTailVerdicts:
+def split_tail_tests(density: RadialLevyDensity, d: int, kappa: float,
+                     r: float) -> SplitTailVerdicts:
     """Sufficient tests with T1 split into T2/2 + T3/2.
 
     The split integrands replace T1 by rho^2 * tail-mass plus truncated
@@ -228,6 +230,7 @@ def split_tail_tests(density: RadialLevyDensity, d: int, kappa: float, r: float,
     """
     if r <= 0:
         raise ConfigurationError("tail tests need r > 0")
+    _check_dimension(density, d)
     check_kappa(kappa)
     env = functools.partial(_variant_envelope, density)
     a, b = 2.0 * kappa - d + 1.0, kappa + 1.0
@@ -237,28 +240,27 @@ def split_tail_tests(density: RadialLevyDensity, d: int, kappa: float, r: float,
             + env("t3", which, rhos)
 
     return SplitTailVerdicts(
-        _power_test(a, b, t1_split("sup"), r, K, band),
-        _power_test(a, b, t1_split("inf"), r, K, band),
-        _power_test(-d - 1.0, b, functools.partial(env, "tm", "sup"), r, K,
-                    band),
-        _power_test(a, b, functools.partial(env, "t3", "inf"), r, K, band))
+        _power_test(a, b, t1_split("sup"), r),
+        _power_test(a, b, t1_split("inf"), r),
+        _power_test(-d - 1.0, b, functools.partial(env, "tm", "sup"), r),
+        _power_test(a, b, functools.partial(env, "t3", "inf"), r))
 
 
 def density_floor_test(density: RadialLevyDensity, d: int, kappa: float,
-                       r: float, K=24, band=DEFAULT_BAND) -> DivergenceVerdict:
+                       r: float) -> DivergenceVerdict:
     """Strong-side test directly on the density floor: convergence of
     int_r^infinity rho^{-d kappa - 2d - 1} / (inf_x n(x, rho))^{kappa+1} drho.
 
     Requires the density decreasing beyond its cutoff.
     """
+    _check_dimension(density, d)
     check_kappa(kappa)
     if not density.monotone_beyond_u0 or not density.monotone_verified():
         raise NotApplicableError(
             "density-floor test needs a density decreasing beyond the cutoff")
     floor = _density_floor(density, "density floor vanishes on the ladder")
     start = max(r, 2.0 * density.u0 if density.u0 > 0 else r)
-    return _power_test(-d * kappa - 2.0 * d - 1.0, kappa + 1.0, floor, start,
-                       K, band)
+    return _power_test(-d * kappa - 2.0 * d - 1.0, kappa + 1.0, floor, start)
 
 
 def _density_floor(density, message):
@@ -274,36 +276,34 @@ def _density_floor(density, message):
 
 
 @model_memo
-def _quadratic_ladder(density, k_lo=4, k_hi=16):
-    """Dyadic radii 2^-k_lo .. 2^-k_hi, inf over variants of
-    jump_symbol(rho) / rho^2 on them, and the minimum over the smaller half
-    of the radii (the liminf surrogate as xi -> 0)."""
-    rhos = 2.0 ** (-np.arange(k_lo, k_hi + 1).astype(float))
+def _quadratic_ladder(density):
+    """Dyadic radii 2^-4 .. 2^-16, inf over variants of jump_symbol(rho) /
+    rho^2 on them, and the minimum over the smaller half of the radii (the
+    liminf surrogate as xi -> 0)."""
+    rhos = 2.0 ** (-np.arange(4, 17).astype(float))
     vals = np.min([density.jump_symbol(rhos, i)
                    for i in range(len(density.variants))], axis=0) / rhos ** 2
     return rhos, vals, np.min(vals[len(vals) // 2:])
 
 
-def cos_moment_condition(density: RadialLevyDensity, k_lo=4, k_hi=16,
-                         tol=0.05) -> bool:
+def cos_moment_condition(density: RadialLevyDensity) -> bool:
     """Whether inf_x int (1 - cos<xi, y>) nu(x, dy) / |xi|^2 stays bounded
     away from 0 as xi -> 0 (dyadic liminf surrogate)."""
-    rhos, vals, floor = _quadratic_ladder(density, k_lo, k_hi)
+    rhos, vals, floor = _quadratic_ladder(density)
     if np.any(vals <= 0.0):
         return False
     slope = _line(np.log(rhos), np.log(vals))[0]
-    return bool(floor > 0.0 and slope <= tol)
+    return bool(floor > 0.0 and slope <= 0.05)
 
 
-def quadratic_growth_floor(density: RadialLevyDensity, extra_floor=0.0,
-                           k_lo=4, k_hi=16) -> bool:
-    """liminf surrogate of inf_x q(x, xi) / |xi|^2 > extra_floor, where q is
-    the jump symbol of the density (plus any diffusion floor the caller adds).
+def quadratic_growth_floor(density: RadialLevyDensity) -> bool:
+    """liminf surrogate of inf_x q(x, xi) / |xi|^2 > 0, where q is the jump
+    symbol of the density.
 
     This is the nondegeneracy hypothesis under which the strong-side T1 test
     becomes an equivalence for decreasing densities.
     """
-    return bool(_quadratic_ladder(density, k_lo, k_hi)[2] > extra_floor)
+    return bool(_quadratic_ladder(density)[2] > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +426,7 @@ class ComparisonReport:
 
 def comparison_transfer(density_a: RadialLevyDensity,
                         density_b: RadialLevyDensity,
-                        u0: float, n_grid=64) -> ComparisonReport:
+                        u0: float) -> ComparisonReport:
     """Tail-domination transfer: when density A is decreasing beyond u0 and
     its tail mass dominates B's there, weak-side divergence for A implies the
     same for B, and strong-side convergence for B implies it for A (the
@@ -436,7 +436,7 @@ def comparison_transfer(density_a: RadialLevyDensity,
     if not density_a.monotone_beyond_u0:
         raise NotApplicableError(
             "comparison needs the dominating density decreasing beyond u0")
-    us = np.geomspace(max(u0, 1e-6) * 1.02, max(u0, 1e-6) * 2.0 ** 20, n_grid)
+    us = np.geomspace(max(u0, 1e-6) * 1.02, max(u0, 1e-6) * 2.0 ** 20, 64)
     fails = np.flatnonzero(_variant_envelope(density_a, "tm", "inf", us)
                            < _variant_envelope(density_b, "tm", "sup", us)
                            * (1.0 - 1e-9))
@@ -457,8 +457,11 @@ def comparison_transfer(density_a: RadialLevyDensity,
 # Regular-variation classification of state-independent radial tails.
 # ---------------------------------------------------------------------------
 
-def rv_index_fit(density: RadialLevyDensity, u_lo=1e2, n_windows=9,
-                 residual_tol=0.05) -> float:
+#: an index this close to a case boundary of rv_classify is on it
+_BOUNDARY_TOL = 1e-9
+
+
+def rv_index_fit(density: RadialLevyDensity) -> float:
     """Regular-variation index of the tail of a state-independent density.
 
     Fits the local log-log slope on a ladder of windows [U, 10U] and
@@ -469,9 +472,9 @@ def rv_index_fit(density: RadialLevyDensity, u_lo=1e2, n_windows=9,
     if not density.x_independent:
         raise ConfigurationError("index fit needs a state-independent density")
     v = density.variants[0]
-    u_lo = max(u_lo, 4.0 * max(density.u0, 1.0))
+    u_lo = max(1e2, 4.0 * max(density.u0, 1.0))
     slopes, inv_logs = [], []
-    for j in range(n_windows):
+    for j in range(9):
         base = u_lo * 10.0 ** j
         us = np.geomspace(base, 10.0 * base, 12)
         vals = v(us)
@@ -482,22 +485,19 @@ def rv_index_fit(density: RadialLevyDensity, u_lo=1e2, n_windows=9,
     slope, index = _line(inv_logs, slopes)
     fitted = slope * np.asarray(inv_logs) + index
     residual = float(np.max(np.abs(np.asarray(slopes) - fitted)))
-    if residual > residual_tol:
+    if residual > 0.05:
         raise NonPowerTailError(
             f"tail is not regularly varying within tolerance "
             f"(residual {residual:.3g})", residual=residual)
     return index
 
 
-def borderline_index_test(density: RadialLevyDensity, r=None, K=24,
-                  band=DEFAULT_BAND) -> DivergenceVerdict:
+def borderline_index_test(density: RadialLevyDensity) -> DivergenceVerdict:
     """Borderline transience test at index -2d: convergence of
-    int_r^infinity drho / (rho^{2d+1} n(rho))."""
-    d = density.d
-    if r is None:
-        r = 2.0 * max(density.u0, 1.0)
+    int_r^infinity drho / (rho^{2d+1} n(rho)) with r = 2 max(u0, 1)."""
     floor = _density_floor(density, "density vanishes on the test ladder")
-    return _power_test(-2.0 * d - 1.0, 1.0, floor, r, K, band)
+    return _power_test(-2.0 * density.d - 1.0, 1.0, floor,
+                       2.0 * max(density.u0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -512,21 +512,20 @@ class RvClassification:
 
 
 def rv_classify(d: int, delta: float, kappa: float,
-                borderline_converges: bool | None = None,
-                boundary_tol=1e-9) -> RvClassification:
+                borderline_converges: bool | None = None) -> RvClassification:
     """Classification table for regularly varying radial tails with index
     delta <= -d. Returns the case label, the transience flag and, when
     transient, whether the process is kappa-weakly transient.
     """
-    if delta > -d + boundary_tol:
+    if delta > -d + _BOUNDARY_TOL:
         raise ConfigurationError(
             f"regular-variation index must be <= -d, got {delta}")
-    if abs(delta + d) <= boundary_tol:
+    if abs(delta + d) <= _BOUNDARY_TOL:
         return RvClassification(
             case="vi", transient=True, weakly_transient=False,
             statement="index -d: always kappa-strongly transient")
     if d >= 3:
-        if abs(delta + d + 2.0) <= boundary_tol:
+        if abs(delta + d + 2.0) <= _BOUNDARY_TOL:
             weak = 2.0 * (kappa + 1.0) > d
             return RvClassification(
                 case="iii", transient=True, weakly_transient=weak,
@@ -542,7 +541,7 @@ def rv_classify(d: int, delta: float, kappa: float,
             statement="-d-2 < index < -d: weak iff "
                       "d(kappa+2) + index*(kappa+1) <= 0")
     # d in {1, 2}
-    if abs(delta + 2.0 * d) <= boundary_tol:
+    if abs(delta + 2.0 * d) <= _BOUNDARY_TOL:
         if not borderline_converges:
             return RvClassification(
                 case="ii", transient=False, weakly_transient=None,

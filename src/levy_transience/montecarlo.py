@@ -40,6 +40,9 @@ EULER_PATH = "euler_path"
 DIVERGENT_TREND = "divergent_trend"
 CONVERGENT_TREND = "convergent_trend"
 INCONCLUSIVE_TREND = "inconclusive"
+_TREND_BAND = 0.05     # least growth exponent of a divergent trend
+_TREND_MARGIN = 0.05   # least distance of a trend's increment ratio from 1
+_T_FLOOR = 0.01        # the marginal time grid starts by min(this, T / 100)
 
 
 def worker_count() -> int:
@@ -85,10 +88,7 @@ class SimConfig:
     step: float = 0.01
     mode: str = EXACT_MARGINAL
     nodes_per_decade: int = 64
-    t_floor: float = 0.01
     censor_limit: float = 0.5
-    trend_band: float = 0.05
-    trend_margin: float = 0.05
 
     def __post_init__(self):
         for name in ("horizon", "step", "radius"):
@@ -298,7 +298,7 @@ class OccupationEstimate:
         return rows
 
 
-def _trend_verdict(values, stderrs, band, margin, notes):
+def _trend_verdict(values, stderrs, notes):
     s1, s2, s4 = values
     d1, d2 = s2 - s1, s4 - s2
     if s1 <= 0.0 or d1 <= 0.0:
@@ -311,9 +311,9 @@ def _trend_verdict(values, stderrs, band, margin, notes):
     if noise > 0.25 * d1:
         notes.append("increment uncertainty too large to call a trend")
         return INCONCLUSIVE_TREND, ghat, ratio
-    if ratio >= 1.0 + margin and ghat >= band:
+    if ratio >= 1.0 + _TREND_MARGIN and ghat >= _TREND_BAND:
         return DIVERGENT_TREND, ghat, ratio
-    if ratio <= 1.0 - margin:
+    if ratio <= 1.0 - _TREND_MARGIN:
         return CONVERGENT_TREND, ghat, ratio
     notes.append("increments neither grow nor shrink geometrically "
                  "(logarithmic boundary behavior)")
@@ -362,8 +362,7 @@ def occupation_integral_estimate(model: SymbolModel, config: SimConfig,
         values = [float(np.mean(sums[:, k])) for k in range(3)]
         errs = [float(np.std(sums[:, k], ddof=1) / math.sqrt(n))
                 for k in range(3)]
-    verdict, ghat, ratio = _trend_verdict(values, errs, config.trend_band,
-                                          config.trend_margin, notes)
+    verdict, ghat, ratio = _trend_verdict(values, errs, notes)
     return OccupationEstimate(
         horizons=(T, 2.0 * T, 4.0 * T), values=tuple(values),
         stderrs=tuple(errs), growth_exponent=ghat, increment_ratio=ratio,
@@ -372,7 +371,7 @@ def occupation_integral_estimate(model: SymbolModel, config: SimConfig,
 
 
 def _marginal_grid(config):
-    lo = min(config.t_floor, config.horizon / 100.0)
+    lo = min(_T_FLOOR, config.horizon / 100.0)
     hi = 4.0 * config.horizon
     n = max(8, int(math.ceil(math.log10(hi / lo) * config.nodes_per_decade)))
     grid = np.geomspace(lo, hi, n)

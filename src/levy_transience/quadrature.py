@@ -34,6 +34,9 @@ _OCTAVE_BATCH = 8
 #: extrapolated; a block sequence that shrinks more slowly diverges
 MAX_BLOCK_RATIO = 0.9999
 
+#: half-period blocks of a wave tail, and Gauss-Legendre nodes per block
+_WAVE_BLOCKS, _WAVE_N = 48, 10
+
 
 #: surface area of the unit sphere in R^d, S_d = 2 pi^{d/2} / Gamma(d/2)
 def sphere_surface(d: int) -> float:
@@ -87,14 +90,13 @@ def _linear_gauss_blocks(lo, hi, n):
     return mid + half * base_x, half * base_w
 
 
-def gauss_linear_nodes(a, b, breakpoints=(), n=10):
-    """Plain Gauss-Legendre nodes/weights on [a, b] split at breakpoints."""
-    _, lo, hi = _split([a], [b], breakpoints)
-    u, w = _linear_gauss_blocks(lo, hi, n)
+def gauss_linear_nodes(a, b):
+    """Plain 24-point Gauss-Legendre nodes/weights on [a, b]."""
+    u, w = _linear_gauss_blocks(*np.array([[a], [b]], dtype=float), 24)
     return u.ravel(), w.ravel()
 
 
-def _log_integrals(g, a, b, breakpoints=(), n=16):
+def _log_integrals(g, a, b, breakpoints=()):
     """Integral of g over [a[j], b[j]] for every j (0 where b[j] <= a[j]).
 
     Each interval is split at interior breakpoints and each piece covered
@@ -116,16 +118,16 @@ def _log_integrals(g, a, b, breakpoints=(), n=16):
     k, owner = _ranks(count), np.repeat(owner, count)
     lo, ratio, count = (np.repeat(x, count) for x in (lo, hi / lo, count))
     u, w = log_gauss_blocks(lo * ratio ** (k / count),
-                            lo * ratio ** ((k + 1) / count), n)
+                            lo * ratio ** ((k + 1) / count))
     vals = np.asarray(g(u, live[owner, None]), dtype=float)
     out[live] = np.bincount(owner, weights=np.einsum("ij,ij->i", w, vals),
                             minlength=live.size)
     return out
 
 
-def integrate_log(f, a, b, breakpoints=(), n=16):
+def integrate_log(f, a, b, breakpoints=()):
     """Integral of f over [a, b] with log-spaced Gauss blocks."""
-    return float(_log_integrals(lambda u, _: f(u), [a], [b], breakpoints, n)[0])
+    return float(_log_integrals(lambda u, _: f(u), [a], [b], breakpoints)[0])
 
 
 def _octave_stop(blocks, min_octaves, rel_tol):
@@ -232,12 +234,12 @@ def integrate_origin(f, b, breakpoints=(), support_lo=0.0):
                              f"integral near 0 below {b} did not converge")[0])
 
 
-def segment_integrals(f, edges, breakpoints=(), n=16):
+def segment_integrals(f, edges, breakpoints=()):
     """Integrals of f over each consecutive [edges[j], edges[j+1]], split at
     breakpoints, in one f call."""
     edges = np.asarray(edges, dtype=float)
     return _log_integrals(lambda u, _: f(u), edges[:-1], edges[1:],
-                          breakpoints, n)
+                          breakpoints)
 
 
 def tail_cumulative(f, us, breakpoints=(), rel_tol=1e-11):
@@ -315,37 +317,37 @@ def _accelerated_limit(partial_sums):
 
 
 @functools.lru_cache(maxsize=None)
-def _wave_functional(d, n_blocks, n):
-    """Read-only nodes s_i on [pi, (n_blocks + 1) pi] and coefficients c_i
-    (Gauss weight x psi_d(s_i) x averaging weight of the block of s_i): for
-    every rho, the wave tail from pi/rho is sum_i c_i f(s_i / rho) / rho."""
-    k = np.arange(1.0, n_blocks + 1.0)
-    s, w = _linear_gauss_blocks(math.pi * k, math.pi * (k + 1.0), n)
+def _wave_functional(d):
+    """Read-only nodes s_i on [pi, (_WAVE_BLOCKS + 1) pi] and coefficients
+    c_i (Gauss weight x psi_d(s_i) x averaging weight of the block of s_i):
+    for every rho, the wave tail from pi/rho is sum_i c_i f(s_i / rho) / rho."""
+    k = np.arange(1.0, _WAVE_BLOCKS + 1.0)
+    s, w = _linear_gauss_blocks(math.pi * k, math.pi * (k + 1.0), _WAVE_N)
     # the averaged limit is linear in the blocks: block i weighs the limit
     # of the partial sums of the i-th unit block
-    weight = _accelerated_limit(np.tri(n_blocks).T[:, n_blocks // 2:])
+    weight = _accelerated_limit(np.tri(_WAVE_BLOCKS).T[:, _WAVE_BLOCKS // 2:])
     s, c = s.ravel(), (w * wave_kernel(s, d) * weight[:, None]).ravel()
     s.setflags(write=False)
     c.setflags(write=False)
     return s, c
 
 
-def _blockwise_wave_tail(f, a, rho, d, breakpoints, n_blocks, n):
+def _blockwise_wave_tail(f, a, rho, d, breakpoints):
     """oscillatory_tail_integral on each row's own blocks, cut at the
     breakpoints: one f call, one kernel call and one bincount per chunk."""
-    edges = a[:, None] + (math.pi / rho)[:, None] * np.arange(n_blocks + 1)
+    edges = a[:, None] + (math.pi / rho)[:, None] * np.arange(_WAVE_BLOCKS + 1)
     owner, lo, hi = _split(edges[:, :-1].ravel(), edges[:, 1:].ravel(),
                            breakpoints)
-    u, w = _linear_gauss_blocks(lo, hi, n)
-    vals = wave_kernel(rho[owner // n_blocks, None] * u, d) \
+    u, w = _linear_gauss_blocks(lo, hi, _WAVE_N)
+    vals = wave_kernel(rho[owner // _WAVE_BLOCKS, None] * u, d) \
         * np.asarray(f(u), dtype=float)
     blocks = np.bincount(owner, weights=np.einsum("ij,ij->i", w, vals),
-                         minlength=rho.size * n_blocks)
-    sums = np.cumsum(blocks.reshape(rho.size, n_blocks), axis=1)
-    return _accelerated_limit(sums[:, n_blocks // 2:])
+                         minlength=rho.size * _WAVE_BLOCKS)
+    sums = np.cumsum(blocks.reshape(rho.size, _WAVE_BLOCKS), axis=1)
+    return _accelerated_limit(sums[:, _WAVE_BLOCKS // 2:])
 
 
-def oscillatory_tail_integral(f, a, rho, d, breakpoints=(), n_blocks=48, n=10):
+def oscillatory_tail_integral(f, a, rho, d, breakpoints=()):
     """Integral of psi_d(rho[j] * u) * f(u) over [a[j], infinity) for each j;
     a is a scalar, a vector as long as rho, or None for a[j] = pi / rho[j].
 
@@ -362,7 +364,7 @@ def oscillatory_tail_integral(f, a, rho, d, breakpoints=(), n_blocks=48, n=10):
     shared = np.zeros(rho.size, dtype=bool)
     if a is None:
         a = math.pi / rho
-        pieces = np.bincount(_split(a, a * (n_blocks + 1), breakpoints)[0])
+        pieces = np.bincount(_split(a, a * (_WAVE_BLOCKS + 1), breakpoints)[0])
         shared = pieces == 1         # no breakpoint inside the window
     a = np.broadcast_to(np.asarray(a, dtype=float), rho.shape)
     out = np.empty(rho.size)
@@ -370,12 +372,12 @@ def oscillatory_tail_integral(f, a, rho, d, breakpoints=(), n_blocks=48, n=10):
         for first in range(0, rows.size, _CHUNK):
             j = rows[first:first + _CHUNK]
             if shared[j[0]]:
-                s, c = _wave_functional(d, n_blocks, n)
+                s, c = _wave_functional(d)
                 out[j] = np.asarray(f(s / rho[j, None]), dtype=float) @ c \
                     / rho[j]
             else:
                 out[j] = _blockwise_wave_tail(f, a[j], rho[j], d,
-                                              breakpoints, n_blocks, n)
+                                              breakpoints)
     return out
 
 

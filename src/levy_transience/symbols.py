@@ -355,14 +355,14 @@ def _matrix_isotropic(C):
     return np.allclose(C, C[0, 0] * np.eye(C.shape[0]), atol=1e-12)
 
 
-def _numeric_radial(model, kind, n_rotations=6, tol=1e-6):
+def _numeric_radial(model, kind):
     gen = np.random.Generator(np.random.Philox(key=[0xA5A5A5A5, model.d]))
     for rho in (0.25, 1.0, 3.0):
         base = _envelope(model, kind, rho * _unit(model.d))
-        for _ in range(n_rotations):
+        for _ in range(6):
             O = _random_rotation(model.d, gen)
             val = _envelope(model, kind, rho * (O @ _unit(model.d)))
-            if abs(val - base) > tol * (1.0 + abs(base)):
+            if abs(val - base) > 1e-6 * (1.0 + abs(base)):
                 return False
     return True
 
@@ -398,19 +398,16 @@ def envelope_profile(model: SymbolModel, kind, rhos, reduce="min",
 # ---------------------------------------------------------------------------
 
 @model_memo
-def sector_check(model: SymbolModel, c: float, n_directions=16,
-                 radii=None):
+def sector_check(model: SymbolModel, c: float):
     """Check sup|Im q| <= c * inf Re q on a frequency grid.
 
     Returns (ok, witness): witness is a violating xi when ok is False.
     """
     if not 0.0 <= c < 1.0:
         raise ConfigurationError(f"sector constant must lie in [0,1), got {c}")
-    if radii is None:
-        radii = 2.0 ** np.arange(-10, 4).astype(float)
-    dirs = direction_set(model.d, n_directions)
-    XI = (np.asarray(radii, dtype=float)[:, None, None]
-          * dirs[None, :, :]).reshape(-1, model.d)
+    radii = 2.0 ** np.arange(-10, 4).astype(float)
+    dirs = direction_set(model.d, 16)
+    XI = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, model.d)
     im = _envelopes(model, ENV_SUP_ABS_IM, XI)
     re = _envelopes(model, ENV_INF_RE, XI)
     bad = np.flatnonzero(im > c * re + 1e-12 * (1.0 + re))
@@ -425,29 +422,29 @@ def radiality_check(model: SymbolModel) -> bool:
 
 
 @model_memo
-def symmetry_check(model: SymbolModel, n_samples=24, tol=1e-8) -> bool:
+def symmetry_check(model: SymbolModel) -> bool:
     """Sampled check of q(x, xi) = q(-x, -xi)."""
     gen = np.random.Generator(np.random.Philox(key=[0xC0FFEE, model.d]))
     lo, hi = model.state_grid.box
-    for _ in range(n_samples):
+    for _ in range(24):
         x = gen.uniform(lo, hi, size=model.d)
         xi = gen.standard_normal(model.d) * gen.choice([0.1, 1.0, 3.0])
         a = eval_symbol(model, x, xi)
         b = eval_symbol(model, -x, -xi)
-        if abs(a - b) > tol * (1.0 + abs(a)):
+        if abs(a - b) > 1e-8 * (1.0 + abs(a)):
             return False
     return True
 
 
 @model_memo
-def symbol_even_in_xi(model: SymbolModel, n_samples=16, tol=1e-8) -> bool:
+def symbol_even_in_xi(model: SymbolModel) -> bool:
     """Sampled check of q(x, xi) = q(x, -xi) (zero drift, symmetric jumps)."""
     gen = np.random.Generator(np.random.Philox(key=[0xBEEF, model.d]))
     lo, hi = model.state_grid.box
-    for _ in range(n_samples):
+    for _ in range(16):
         x = gen.uniform(lo, hi, size=model.d)
         xi = gen.standard_normal(model.d)
-        if abs(eval_symbol(model, x, xi) - eval_symbol(model, x, -xi)) > tol:
+        if abs(eval_symbol(model, x, xi) - eval_symbol(model, x, -xi)) > 1e-8:
             return False
     return True
 
@@ -663,11 +660,11 @@ class _StableLike(_Family):
                            **common)
 
 
-def _rv_index(dens, d, tol=0.02):
+def _rv_index(dens, d):
     """(index, borderline) of a state-independent density: the fitted
-    regular-variation index snapped onto the case boundaries (None when no
-    power-law tail index exists) and, at index -2d in dimension <= 2,
-    whether the borderline integral test converges (else None)."""
+    regular-variation index snapped onto a case boundary within 0.02 (None
+    when no power-law tail index exists) and, at index -2d in dimension
+    <= 2, whether the borderline integral test converges (else None)."""
     if not dens.x_independent:
         return None, None
     try:
@@ -675,7 +672,7 @@ def _rv_index(dens, d, tol=0.02):
     except (NonPowerTailError, ConfigurationError):
         return None, None
     for boundary in (-float(d), -float(d) - 2.0, -2.0 * float(d)):
-        if abs(delta - boundary) <= tol:
+        if abs(delta - boundary) <= 0.02:
             delta = boundary
             break
     borderline = None
@@ -939,11 +936,12 @@ def _real(v):
 
 
 def _count(v):
-    """Converter to an integer of at least 1."""
-    n = int(v)
-    if n < 1:
-        raise ValueError("must be at least 1")
-    return n
+    """Converter to an integer of at least 1 from a JSON number (not a bool
+    or a string) with no fractional part."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not (
+            v >= 1 and (isinstance(v, int) or v.is_integer())):
+        raise ValueError("must be an integer of at least 1")
+    return int(v)
 
 
 def _member(names):
@@ -994,10 +992,11 @@ def model_from_config(cfg: dict) -> SymbolModel:
     parsers = {name: f.parse for name, f in FAMILIES.items() if f.parse}
     parsers["isotropic_stable"] = _parse_isotropic
     parse = parsers[_field(cfg, "family", _member(parsers))]
-    d = _field(cfg, "d", float)
-    if not (d >= 1 and d.is_integer()):
+    try:
+        d = _count(_field(cfg, "d"))
+    except ValueError:
         raise ConfigurationError(f"model field 'd' must be a positive "
-                                 f"integer, got {cfg['d']!r}")
+                                 f"integer, got {cfg['d']!r}") from None
     params = _field(cfg, "parameters", dict, {})
     mode = _field(cfg, "envelope_mode", _member(ENVELOPE_MODES), "closed_form")
     sg = _field(cfg, "state_grid", lambda v: dict(v or {}), {})
@@ -1010,7 +1009,7 @@ def model_from_config(cfg: dict) -> SymbolModel:
     def param(key, convert, default=_REQUIRED):
         return _field(params, key, convert, default, root="parameters.")
 
-    return parse(int(d), param, envelope_mode=mode, state_grid=grid,
+    return parse(d, param, envelope_mode=mode, state_grid=grid,
                  assumptions=assumptions)
 
 

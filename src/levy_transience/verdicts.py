@@ -39,15 +39,14 @@ _N_GL = 16
 class DivergenceVerdict:
     """Tri-state verdict with the fitted local exponent and partial integrals.
 
-    `state` honors the band: exponents within `band` of the critical value -1
-    are Inconclusive. `refined_state` records the logarithmic-refinement
-    resolution of boundary cases; `decided_state` prefers it when the primary
-    state is Inconclusive.
+    `state` honors the band: exponents within DEFAULT_BAND of the critical
+    value -1 are Inconclusive. `refined_state` records the logarithmic-
+    refinement resolution of boundary cases; `decided_state` prefers it
+    when the primary state is Inconclusive.
     """
 
     state: str
     exponent: float
-    band: float
     partials: tuple
     singularity: str = AT_ORIGIN
     refined_state: str | None = None
@@ -64,7 +63,7 @@ class DivergenceVerdict:
         return {
             "state": self.state,
             "exponent": None if not math.isfinite(exp) else exp,
-            "band": self.band,
+            "band": DEFAULT_BAND,
             "partials": [{"eps": e, "value": v} for e, v in self.partials],
             "singularity": self.singularity,
             "refined_state": self.refined_state,
@@ -131,10 +130,13 @@ def model_memo(fn):
     return memo
 
 
-def memoized_profile(cache, compute):
-    """rhos -> values of a function of the radius, memoized per radius in the
-    dict `cache`; radii not cached yet go to compute(sorted radii) at once.
-    A whole radius array seen before is looked up at once (read-only)."""
+def memoized_profile(obj, key, compute):
+    """rhos -> values of a function of the radius, memoized per radius under
+    `key` in the `_cache` dict of the frozen obj; radii not cached yet go to
+    compute(sorted radii) at once. A whole radius array seen before is
+    looked up at once (read-only)."""
+    cache = obj._cache.setdefault(key, {})
+
     def profile(rhos):
         rhos = np.atleast_1d(np.asarray(rhos, dtype=float))
         key = rhos.tobytes()
@@ -150,23 +152,22 @@ def memoized_profile(cache, compute):
 
 
 @functools.lru_cache(maxsize=64)
-def verdict_ladder(r, K, singularity):
-    """Read-only radii of a verdict (the dyadic ladder r * 2^{-+k}, k = 0..K,
-    then the Gauss nodes of its octaves), node weights, node octaves and
-    log rho on the ladder."""
-    k = np.arange(K + 1)
+def verdict_ladder(r, singularity):
+    """Read-only radii of a verdict (the dyadic ladder r * 2^{-+k}, k = 0..K
+    for K = DEFAULT_LADDER, then the Gauss nodes of its octaves), node
+    weights, node octaves and log rho on the ladder."""
+    k = np.arange(DEFAULT_LADDER + 1)
     rhos = r * 2.0 ** (-k) if singularity == AT_ORIGIN else r * 2.0 ** k
     lo, hi = np.minimum(rhos[:-1], rhos[1:]), np.maximum(rhos[:-1], rhos[1:])
     nodes, weights = log_gauss_blocks(lo, hi, _N_GL)
     arrays = (np.concatenate([rhos, nodes.ravel()]), weights.ravel(),
-              np.repeat(np.arange(K), _N_GL), np.log(rhos))
+              np.repeat(np.arange(DEFAULT_LADDER), _N_GL), np.log(rhos))
     for a in arrays:
         a.flags.writeable = False
     return arrays
 
 
-def verdict_from_radial_integrand(log_G, r, K=DEFAULT_LADDER,
-                                  band=DEFAULT_BAND,
+def verdict_from_radial_integrand(log_G, r,
                                   singularity=AT_ORIGIN) -> DivergenceVerdict:
     """Verdict for the integral of G over (0, r] or [r, infinity), given
     log G: the verdict depends only on the slope of log G against log rho,
@@ -176,7 +177,8 @@ def verdict_from_radial_integrand(log_G, r, K=DEFAULT_LADDER,
     the radii of verdict_ladder. Partial integrals run from r toward the
     singular end over eps_k = r * 2^{-k} (origin) or rho_k = r * 2^k.
     """
-    points, weights, owner, log_rhos = verdict_ladder(r, K, singularity)
+    K = DEFAULT_LADDER
+    points, weights, owner, log_rhos = verdict_ladder(r, singularity)
     lg, lgn = np.split(np.asarray(log_G(points), dtype=float), [K + 1])
     if np.any(np.isnan(lg) | (lg == math.inf)):
         raise QuadratureError("radial integrand is not finite on the ladder")
@@ -200,7 +202,8 @@ def verdict_from_radial_integrand(log_G, r, K=DEFAULT_LADDER,
                             singularity)
 
     # rho^e is integrable at the origin iff e > -1, at infinity iff e < -1
-    below, above = exponent <= -1.0 - band, exponent >= -1.0 + band
+    below = exponent <= -1.0 - DEFAULT_BAND
+    above = exponent >= -1.0 + DEFAULT_BAND
     if below if singularity == AT_ORIGIN else above:
         state = DIVERGES
     elif above if singularity == AT_ORIGIN else below:
@@ -209,7 +212,7 @@ def verdict_from_radial_integrand(log_G, r, K=DEFAULT_LADDER,
         state = INCONCLUSIVE
 
     return DivergenceVerdict(
-        state=state, exponent=exponent, band=band, partials=partials,
+        state=state, exponent=exponent, partials=partials,
         singularity=singularity, refined_state=refined_state)
 
 
@@ -217,5 +220,5 @@ def diverges_verdict(notes=()) -> DivergenceVerdict:
     """Annotation verdict used when the integrand is +infinity by inspection
     (e.g. a vanishing denominator on a set of positive measure)."""
     return DivergenceVerdict(
-        state=DIVERGES, exponent=float("nan"), band=DEFAULT_BAND, partials=(),
+        state=DIVERGES, exponent=float("nan"), partials=(),
         refined_state=DIVERGES, notes=tuple(notes))

@@ -189,3 +189,18 @@ def test_quadratic_floor_counts_atoms():
     gain = _quadratic_floor(radial_jump_model(with_atom)) \
         - _quadratic_floor(radial_jump_model(dens))
     assert gain == pytest.approx(30.0 ** 2 * 0.5 / 3.0, rel=1e-12)
+
+
+def test_uniform_second_moment_counts_atoms():
+    import dataclasses
+
+    from levy_transience.densities import power_density
+    from levy_transience.index_rules import uniform_second_moment
+    from levy_transience.symbols import radial_jump_model
+
+    dens = power_density(3, 2.5, u0=1.0)
+    with_atom = dataclasses.replace(dens, atoms=((0.5, 2.0),))
+    # the atom adds its |y|^2 mass 0.5^2 * 2
+    gain = uniform_second_moment(radial_jump_model(with_atom)) \
+        - uniform_second_moment(radial_jump_model(dens))
+    assert gain == pytest.approx(0.5 ** 2 * 2.0, rel=1e-12)

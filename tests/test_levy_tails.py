@@ -337,3 +337,12 @@ def test_stable_alpha_near_two_classifies():
     model = isotropic_stable(3, 1.999)      # kappa* = 3/1.999 - 1 = 0.5008
     assert classify(model, 0.2).verdict == "strongly_transient"
     assert classify(model, 0.6).verdict == "weakly_transient"
+
+
+@pytest.mark.parametrize("test", [tail_test_weak, tail_test_strong,
+                                  split_tail_tests, density_floor_test])
+def test_tail_tests_reject_a_dimension_other_than_the_densitys(test):
+    # the exponents of every tail test depend on d, so a d that differs
+    # from the density's would test the wrong integral
+    with pytest.raises(ConfigurationError, match="dimension mismatch"):
+        test(power_density(3, 1.0, u0=1.0), 2, 1.0, 2.0)

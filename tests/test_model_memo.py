@@ -258,8 +258,8 @@ def test_cached_ladders_and_envelopes_are_read_only():
     from levy_transience.levy_tails import _variant_envelope
     from levy_transience.verdicts import AT_INFINITY, verdict_ladder
 
-    radii = verdict_ladder(1.0, 24, AT_INFINITY)[0]
-    for array in verdict_ladder(1.0, 24, AT_INFINITY):
+    radii = verdict_ladder(1.0, AT_INFINITY)[0]
+    for array in verdict_ladder(1.0, AT_INFINITY):
         with pytest.raises(ValueError):
             array[0] = 2.0
     env = _variant_envelope(stable_density(2, 1.2), "t1", "inf", radii)

@@ -334,6 +334,26 @@ def test_config_rejects_a_state_grid_without_points(points):
         model_from_config(cfg)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("points_per_axis", 2.5), ("points_per_axis", "7"),
+    ("points_per_axis", True), ("d", "2"), ("d", True), ("d", 2.5),
+])
+def test_config_rejects_a_count_that_is_not_a_whole_number(field, value):
+    # a count is a JSON number with no fractional part, not a string or a
+    # bool that would convert to one
+    cfg = {"family": "stable_like", "d": 1,
+           "parameters": {"alpha": {"lo": 0.5, "hi": 1.5}},
+           "state_grid": {"box": [-1, 1], "points_per_axis": 3}}
+    if field == "d":
+        cfg["d"] = value
+        match = "model field 'd' must be a positive integer"
+    else:
+        cfg["state_grid"]["points_per_axis"] = value
+        match = "'state_grid.points_per_axis' is malformed"
+    with pytest.raises(ConfigurationError, match=match):
+        model_from_config(cfg)
+
+
 @pytest.mark.parametrize("key", ["u", "n"])
 def test_config_rejects_a_nested_table_knot_list(key):
     density = {"kind": "table", "u": [1, 10, 100, 1000],
