@@ -24,37 +24,26 @@ from .symbols import (
     custom_model,
     eval_symbol,
     finite_jump_model,
-    inf_re_symbol,
     isotropic_stable,
     load_model,
     model_from_config,
     radial_jump_model,
-    radiality_check,
     sector_check,
     stable_like,
-    sup_abs_im_symbol,
-    sup_abs_symbol,
     symmetry_check,
 )
 from .verdicts import CONVERGES, DIVERGES, INCONCLUSIVE, DivergenceVerdict
 from .cf_integrals import (
-    WeightFunction,
-    r_independence_report,
-    strong_integral_f,
     strong_integral_kappa,
-    weak_integral_f,
     weak_integral_kappa,
 )
 from .index_rules import (
     PruittIndices,
     RuleOutcome,
     index_bound_rules,
-    lower_index,
     moment_rules,
     pruitt_indices,
-    scaling_rules,
     shape_diagnostic,
-    upper_index,
 )
 from .levy_tails import (
     comparison_transfer,
@@ -63,7 +52,6 @@ from .levy_tails import (
     rv_classify,
     borderline_index_test,
     integrated_tail,
-    model_perturbation_report,
     perturbation_distance,
     perturbation_equivalence,
     split_tail_tests,
@@ -84,9 +72,7 @@ from .montecarlo import (
     OccupationEstimate,
     SimConfig,
     ecf_check,
-    last_exit_estimate,
     occupation_integral_estimate,
-    positivity_diagnostic,
     sample_levy_marginal,
     simulate_stable_like_path,
 )

@@ -19,6 +19,7 @@ from .errors import (
     NotApplicableError,
     QuadratureError,
     check_kappa,
+    check_positive,
 )
 from .index_rules import (
     IMPLIES_STRONG,
@@ -277,6 +278,7 @@ def _aggregate(model, evidence, assumptions, notes):
 def kappa_boundary(model: SymbolModel, tol=0.01, lo=0.0, hi=8.0, r=1.0,
                    methods=ALL_METHODS) -> float:
     """Bisection for the kappa separating strong from weak transience."""
+    check_positive("tol", tol)
     gate = transience_gate(model, r)
     if gate == GATE_RECURRENT:
         raise NotTransientError("process is not transient; no boundary exists")
@@ -298,6 +300,8 @@ def kappa_boundary(model: SymbolModel, tol=0.01, lo=0.0, hi=8.0, r=1.0,
             "expected strong transience at the low end of the kappa range")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):   # no float left between the ends
+            break
         if probe(mid) == WEAKLY_TRANSIENT:
             hi = mid
         else:

@@ -2,7 +2,7 @@
 simulation and comparison pipelines with JSON reports and CSV plot data.
 
 Exit codes: 0 for conclusive results, 2 for an honest Inconclusive, 1 for
-errors (bad config, violated model invariants, refused estimates).
+errors (bad config or options, violated model invariants).
 """
 
 from __future__ import annotations
@@ -64,10 +64,20 @@ def emit_plotdata(objects) -> list:
 
 
 def _parse_kappa_grid(spec):
-    if ":" in spec:
-        lo, hi, n = spec.split(":")
-        return list(np.linspace(float(lo), float(hi), int(n)))
-    return [float(x) for x in spec.split(",") if x.strip()]
+    """The kappas of a comma list, or of lo:hi:n for n >= 1 evenly spaced."""
+    try:
+        if ":" in spec:
+            lo, hi, n = spec.split(":")
+            kappas = list(np.linspace(float(lo), float(hi), int(n)))
+        else:
+            kappas = [float(x) for x in spec.split(",") if x.strip()]
+    except ValueError:   # a non-number, a wrong field count or n < 0
+        kappas = []
+    if not kappas:
+        raise ConfigurationError(
+            f"--kappa-grid must be a comma list of numbers or lo:hi:n with "
+            f"an integer n >= 1, got {spec!r}")
+    return kappas
 
 
 def _report_format(fmt, out, payload, rows):
@@ -304,6 +314,7 @@ def compare_cmd(model_paths, out_dir, fmt, kappa_grid, u0):
     """Perturbation/comparison transfer report for two models."""
     if len(model_paths) != 2:
         raise ConfigurationError("compare needs exactly two --model files")
+    kappas = _parse_kappa_grid(kappa_grid)
     a = load_model(model_paths[0])
     b = load_model(model_paths[1])
     da, db = a.triplet.jump_density, b.triplet.jump_density
@@ -314,7 +325,6 @@ def compare_cmd(model_paths, out_dir, fmt, kappa_grid, u0):
         comp = comparison_transfer(da, db, u0).to_json()
     except NotApplicableError as exc:
         comp = {"not_applicable": str(exc), "witness": exc.witness}
-    kappas = _parse_kappa_grid(kappa_grid)
     verdicts = {}
     for label, model in (("a", a), ("b", b)):
         row = []

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the shared kappa check."""
+"""Exception types shared across the package, and the shared input checks."""
 
 import math
 
@@ -51,12 +51,15 @@ class NonPowerTailError(LevyTransienceError):
         self.residual = residual
 
 
-class EstimateRefusedError(LevyTransienceError):
-    """A Monte Carlo estimate was refused (e.g. censoring fraction too high)."""
-
-
 def check_kappa(kappa):
     """Raise ConfigurationError unless the moment order kappa is finite and
     >= 0 (a nan compares false with everything, so `kappa < 0` lets it by)."""
     if not (math.isfinite(kappa) and kappa >= 0):
         raise ConfigurationError(f"kappa must be finite and >= 0, got {kappa}")
+
+
+def check_positive(name, value):
+    """Raise ConfigurationError unless value is finite and > 0."""
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigurationError(
+            f"{name} must be finite and positive, got {value}")

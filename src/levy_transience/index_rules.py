@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateModelError, NotApplicableError, QuadratureError
+from .errors import DegenerateModelError, QuadratureError
 from .levy_tails import _variant_envelope
 from .quadrature import integrate_origin, integrate_tail
 from .symbols import (
@@ -101,16 +101,6 @@ def _slope_and_residual(rhos, vals):
     return slope, float(np.max(np.abs(ly - (slope * lx + intercept))))
 
 
-def lower_index(model: SymbolModel) -> float:
-    """Scaling exponent of the sup-envelope at small frequencies."""
-    return pruitt_indices(model).lower
-
-
-def upper_index(model: SymbolModel) -> float:
-    """Scaling exponent of the inf-envelope at small frequencies."""
-    return pruitt_indices(model).upper
-
-
 @model_memo
 def pruitt_indices(model: SymbolModel) -> PruittIndices:
     rhos, sup_prof, inf_prof = _dyadic_profiles(model)
@@ -153,45 +143,6 @@ def index_bound_rules(d: int, kappa: float, indices: PruittIndices):
                   "threshold": rhs},
         statement="the strong-side condition requires d >= (kappa+1) * "
                   "upper_index")
-    return first, second
-
-
-def scaling_rules(model: SymbolModel, gamma_exp: float, d: int,
-                  kappa: float):
-    """Power-comparison rules against a candidate scaling exponent gamma.
-
-    (i) sup |q| = O(|xi|^gamma) near 0 and d <= (kappa+1) gamma implies the
-        weak-side condition; (ii) inf Re q bounded below by |xi|^gamma and
-        d > (kappa+1) gamma implies the strong-side condition. Limit
-        behavior is surrogated by the fitted dyadic slope.
-    """
-    if gamma_exp <= 0:
-        raise NotApplicableError("scaling exponent must be positive")
-    rhos, sup_prof, inf_prof = _dyadic_profiles(model)
-    slope_sup, _ = _slope_and_residual(rhos, sup_prof)
-    bounded_above = slope_sup >= gamma_exp - 0.02
-    first = RuleOutcome(
-        rule="scaling-bound-weak",
-        conclusion=IMPLIES_WEAK if bounded_above and d <= (kappa + 1) * gamma_exp
-        else NOT_APPLICABLE,
-        premises={"gamma": gamma_exp, "sup_slope": slope_sup,
-                  "bounded_above": bounded_above, "d": d, "kappa": kappa},
-        statement="sup|q| = O(|xi|^gamma) and d <= (kappa+1)*gamma give the "
-                  "weak-side condition")
-    if np.any(inf_prof <= 0.0):
-        bounded_below = False
-        slope_inf = float("inf")
-    else:
-        slope_inf, _ = _slope_and_residual(rhos, inf_prof)
-        bounded_below = slope_inf <= gamma_exp + 0.02
-    second = RuleOutcome(
-        rule="scaling-bound-strong",
-        conclusion=IMPLIES_STRONG if bounded_below and d > (kappa + 1) * gamma_exp
-        else NOT_APPLICABLE,
-        premises={"gamma": gamma_exp, "inf_slope": slope_inf,
-                  "bounded_below": bounded_below, "d": d, "kappa": kappa},
-        statement="inf Re q >= c |xi|^gamma and d > (kappa+1)*gamma give the "
-                  "strong-side condition")
     return first, second
 
 

@@ -33,6 +33,7 @@ from .errors import (
     NonPowerTailError,
     NotApplicableError,
     check_kappa,
+    check_positive,
 )
 from .quadrature import (
     integrate_origin,
@@ -179,8 +180,7 @@ def _check_dimension(density, d):
 
 
 def _tail_test(density, d, kappa, r, which):
-    if r <= 0:
-        raise ConfigurationError("tail test needs r > 0")
+    check_positive("radius", r)
     _check_dimension(density, d)
     check_kappa(kappa)
     env = functools.partial(_variant_envelope, density, "t1", which)
@@ -228,8 +228,7 @@ def split_tail_tests(density: RadialLevyDensity, d: int, kappa: float,
     moment (sup-envelopes for the weak side, inf for the strong side), and
     the two 'in particular' strong-side tests keep only one of the pieces.
     """
-    if r <= 0:
-        raise ConfigurationError("tail tests need r > 0")
+    check_positive("radius", r)
     _check_dimension(density, d)
     check_kappa(kappa)
     env = functools.partial(_variant_envelope, density)
@@ -371,14 +370,14 @@ def _num(v):
 
 
 def perturbation_equivalence(density_a: RadialLevyDensity,
-                             density_b: RadialLevyDensity,
-                             diffusion_gap=0.0) -> PerturbationReport:
-    """Transfer report between two radial models.
+                             density_b: RadialLevyDensity
+                             ) -> PerturbationReport:
+    """Transfer report between two radial jump densities.
 
     A finite weighted total-variation distance between the jump measures
     transfers the weak-side classification; the strong-side classification
     additionally needs the quadratic growth of the first symbol to dominate
-    half the diffusion gap plus the distance.
+    the distance.
     """
     dist = perturbation_distance(density_a, density_b)
     weak_transfer = math.isfinite(dist)
@@ -387,30 +386,14 @@ def perturbation_equivalence(density_a: RadialLevyDensity,
     slope = _line(np.log(rhos), np.log(np.maximum(lhs_vals, 1e-300)))[0]
     if slope < -0.05:
         lhs = float("inf")   # ratio grows without bound as xi -> 0
-    rhs = 0.5 * diffusion_gap + dist
-    strong_transfer = weak_transfer and lhs > rhs
+    strong_transfer = weak_transfer and lhs > dist
     notes = ()
     if not weak_transfer:
         notes = ("distance integral diverges; no transfer claimed",)
     return PerturbationReport(distance=dist, weak_side_transfer=weak_transfer,
-                              margin_lhs=lhs, margin_rhs=rhs,
+                              margin_lhs=lhs, margin_rhs=dist,
                               strong_side_transfer=strong_transfer,
                               notes=notes)
-
-
-def model_perturbation_report(model_a, model_b) -> "PerturbationReport":
-    """Perturbation transfer between two radial models, including the
-    diffusion-coefficient gap in the margin condition."""
-    da = model_a.triplet.jump_density
-    db = model_b.triplet.jump_density
-    if da is None or db is None:
-        raise ConfigurationError(
-            "perturbation report needs radial jump densities on both models")
-
-    lo_a, hi_a = model_a.triplet.diffusion_bounds
-    lo_b, hi_b = model_b.triplet.diffusion_bounds
-    gap = max(abs(hi_a - lo_b), abs(hi_b - lo_a))
-    return perturbation_equivalence(da, db, diffusion_gap=gap)
 
 
 @dataclass(frozen=True)
@@ -433,6 +416,8 @@ def comparison_transfer(density_a: RadialLevyDensity,
     latter under A's quadratic-growth margin)."""
     if density_a.d != density_b.d:
         raise ConfigurationError("comparison needs equal dimensions")
+    if not math.isfinite(u0):
+        raise ConfigurationError(f"u0 must be finite, got {u0}")
     if not density_a.monotone_beyond_u0:
         raise NotApplicableError(
             "comparison needs the dominating density decreasing beyond u0")

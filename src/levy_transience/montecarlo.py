@@ -17,18 +17,18 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     ConfigurationError,
-    EstimateRefusedError,
     ModelInvariantError,
     check_kappa,
+    check_positive,
 )
 from .symbols import FAMILIES, SymbolModel, eval_symbol
-from .symbols import _kanter, _kanter_angles, _positive_stable  # noqa: F401
+from .symbols import _kanter, _kanter_angles
 
 _DOMAIN_MARGINAL = 0x6D415247
 _DOMAIN_PATH = 0x70415448
@@ -55,17 +55,10 @@ def worker_count() -> int:
                                  f"integer, got {value!r}") from None
 
 
-def _check_positive(name, value):
-    """Raise ConfigurationError unless value is finite and > 0."""
-    if not (math.isfinite(value) and value > 0):
-        raise ConfigurationError(
-            f"{name} must be finite and positive, got {value}")
-
-
 def _step_count(T, h):
     """The number of Euler steps of size h on [0, T]."""
-    _check_positive("horizon", T)
-    _check_positive("step", h)
+    check_positive("horizon", T)
+    check_positive("step", h)
     m = int(round(T / h))
     if m < 1:
         raise ConfigurationError("horizon shorter than one step")
@@ -88,11 +81,10 @@ class SimConfig:
     step: float = 0.01
     mode: str = EXACT_MARGINAL
     nodes_per_decade: int = 64
-    censor_limit: float = 0.5
 
     def __post_init__(self):
         for name in ("horizon", "step", "radius"):
-            _check_positive(name, getattr(self, name))
+            check_positive(name, getattr(self, name))
         if self.paths < 1:
             raise ConfigurationError("need at least one path")
         check_kappa(self.kappa)
@@ -115,7 +107,7 @@ def sample_levy_marginal(model: SymbolModel, t: float,
                          gen: np.random.Generator, n: int) -> np.ndarray:
     """n samples of X_t started at 0, for a state-independent Brownian or
     stable-like model, drifted or not."""
-    _check_positive("t", t)
+    check_positive("t", t)
     sample = FAMILIES[model.family].sample
     if sample is None:
         raise ConfigurationError(
@@ -420,69 +412,6 @@ def _euler_snapshots(model, config, T, marks, update):
 
 
 # ---------------------------------------------------------------------------
-# Censored last-exit moments.
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LastExitReport:
-    horizons: tuple
-    censored_moments: tuple
-    censor_fraction: float
-    divergence_flag: bool
-    kappa: float
-    radius: float
-    notes: tuple = ()
-
-    def to_json(self):
-        return {"horizons": list(self.horizons),
-                "censored_moments": list(self.censored_moments),
-                "censor_fraction": self.censor_fraction,
-                "divergence_flag": self.divergence_flag,
-                "kappa": self.kappa, "radius": self.radius,
-                "notes": list(self.notes)}
-
-
-def last_exit_estimate(model: SymbolModel, radius: float,
-                       config: SimConfig) -> LastExitReport:
-    """Censored last-exit moment estimates at T/4, T/2 and T.
-
-    Per path, the last grid time spent inside the ball before each horizon
-    (0 when never inside). The estimate is refused when more than the
-    configured fraction of paths is right-censored (last visit in the final
-    half of the horizon), since the moment would then be badly truncated.
-    """
-    T, h, kappa = config.horizon, config.step, config.kappa
-    horizons = (0.25 * T, 0.5 * T, T)
-
-    def last_visit(acc, t, X):
-        acc[_in_ball(X, radius)] = t
-
-    last_at = _euler_snapshots(model, config, T,
-                               [_step_count(H, h) for H in horizons],
-                               last_visit)
-    censored = float(np.mean(last_at[:, 2] > 0.5 * T))
-    if censored > config.censor_limit:
-        raise EstimateRefusedError(
-            f"censoring fraction {censored:.2f} exceeds "
-            f"{config.censor_limit:.2f}; horizon too short for a last-exit "
-            f"moment estimate")
-    moments = tuple(float(np.mean(np.minimum(last_at[:, k], horizons[k])
-                                  ** kappa)) for k in range(3))
-    # a divergent moment grows like a power of the horizon; a finite moment
-    # stabilizes, so its doubling exponent decays toward 0
-    if moments[1] > 0 and moments[2] > 0:
-        doubling_exp = math.log2(moments[2] / moments[1])
-    else:
-        doubling_exp = 0.0
-    growing = doubling_exp >= 0.2
-    return LastExitReport(
-        horizons=horizons, censored_moments=moments,
-        censor_fraction=censored, divergence_flag=bool(growing),
-        kappa=kappa, radius=radius,
-        notes=(f"doubling exponent {doubling_exp:.3f}",))
-
-
-# ---------------------------------------------------------------------------
 # Sampler validation via the empirical characteristic function.
 # ---------------------------------------------------------------------------
 
@@ -529,13 +458,3 @@ def ecf_check(model: SymbolModel, t: float, xi_set, config: SimConfig) -> EcfRep
     return EcfReport(rows=tuple(rows), all_pass=bool(all_pass),
                      min_real=min_real, min_real_stderr=min_err)
 
-
-def positivity_diagnostic(model: SymbolModel, t: float, xi_set,
-                          config: SimConfig) -> dict:
-    """Minimum of the real part of the empirical characteristic function
-    over the frequency set (diagnostic only)."""
-    report = ecf_check(model, t, xi_set, config)
-    return {"min_real": report.min_real,
-            "stderr": report.min_real_stderr,
-            "nonnegative_within_3se":
-                report.min_real >= -3.0 * report.min_real_stderr}

@@ -90,12 +90,6 @@ def _linear_gauss_blocks(lo, hi, n):
     return mid + half * base_x, half * base_w
 
 
-def gauss_linear_nodes(a, b):
-    """Plain 24-point Gauss-Legendre nodes/weights on [a, b]."""
-    u, w = _linear_gauss_blocks(*np.array([[a], [b]], dtype=float), 24)
-    return u.ravel(), w.ravel()
-
-
 def _log_integrals(g, a, b, breakpoints=()):
     """Integral of g over [a[j], b[j]] for every j (0 where b[j] <= a[j]).
 

@@ -281,22 +281,9 @@ def _variant_for_state(model, x):
 # Envelopes.
 # ---------------------------------------------------------------------------
 
-def sup_abs_symbol(model: SymbolModel, xi) -> float:
-    """sup over states of |q(x, xi)|."""
-    return _envelope(model, ENV_SUP_ABS, xi)
-
-
-def inf_re_symbol(model: SymbolModel, xi) -> float:
-    """inf over states of Re q(x, xi)."""
-    return _envelope(model, ENV_INF_RE, xi)
-
-
-def sup_abs_im_symbol(model: SymbolModel, xi) -> float:
-    """sup over states of |Im q(x, xi)|."""
-    return _envelope(model, ENV_SUP_ABS_IM, xi)
-
-
 def _envelope(model, kind, xi):
+    """The `kind` envelope at one frequency xi: sup over states of |q|
+    (ENV_SUP_ABS) or |Im q| (ENV_SUP_ABS_IM), or inf of Re q (ENV_INF_RE)."""
     return float(_envelopes(model, kind, _as_xi(xi, model.d)[None, :])[0])
 
 
@@ -412,13 +399,6 @@ def sector_check(model: SymbolModel, c: float):
     re = _envelopes(model, ENV_INF_RE, XI)
     bad = np.flatnonzero(im > c * re + 1e-12 * (1.0 + re))
     return (True, None) if bad.size == 0 else (False, XI[bad[0]])
-
-
-def radiality_check(model: SymbolModel) -> bool:
-    """True when b = 0, C(x) = c(x) I and the jump kernel is rotation
-    invariant; structural for built-in families, sampled for custom ones."""
-    return (model.drift_vector is None
-            and envelope_is_radial(model, ENV_SUP_ABS))
 
 
 @model_memo

@@ -5,17 +5,14 @@ import numpy as np
 import pytest
 
 from levy_transience.cf_integrals import (
-    WeightFunction,
-    r_independence_report,
-    strong_integral_f,
     strong_integral_kappa,
-    weak_integral_f,
     weak_integral_kappa,
 )
 from levy_transience.errors import ConfigurationError
 from levy_transience.symbols import (
-    brownian_drift,
+    ENV_SUP_ABS,
     custom_model,
+    envelope_is_radial,
     isotropic_stable,
     stable_like,
 )
@@ -29,42 +26,33 @@ from levy_transience.verdicts import (
 
 
 def test_weak_f_brownian_diverges(bm3):
-    v = weak_integral_f(bm3, WeightFunction.power(1.0), 1.0)
+    v = weak_integral_kappa(bm3, 1.0, 1.0)
     assert v.state == DIVERGES
     assert v.exponent == pytest.approx(-2.0, abs=0.02)
 
 
 def test_weak_f_stable_converges(stable_05_d1):
-    v = weak_integral_f(stable_05_d1, WeightFunction.power(0.5), 1.0)
+    v = weak_integral_kappa(stable_05_d1, 0.5, 1.0)
     assert v.state == CONVERGES
     assert v.exponent == pytest.approx(-0.75, abs=0.02)
 
 
 def test_weak_constant_weight_matches_closed_form(stable_15_d1):
-    v = weak_integral_f(stable_15_d1, WeightFunction.constant(), 1.0)
+    v = weak_integral_kappa(stable_15_d1, 0.0, 1.0)
     assert v.state == DIVERGES
     assert v.exponent == pytest.approx(-1.5, abs=0.02)
     # partial integrals against the closed form
-    # I(eps) = S_1 * (ln2/4) * int_eps^1 rho^{-1.5} drho
+    # I(eps) = S_1 * int_eps^1 rho^{-1.5} drho
     for eps, value in v.partials[5:10]:
-        want = 2.0 * (math.log(2.0) / 4.0) * 2.0 * (eps ** -0.5 - 1.0)
+        want = 2.0 * 2.0 * (eps ** -0.5 - 1.0)
         assert value == pytest.approx(want, rel=1e-9)
 
 
-def test_strong_inner_integral_identity():
-    w = WeightFunction.power(1.0)
-    assert w.exp_moment(1.0) == pytest.approx(256.0, rel=1e-12)
-    w = WeightFunction.power(0.5)
-    assert w.exp_moment(1.0) == pytest.approx(
-        math.gamma(1.5) * 16.0 ** 1.5, rel=1e-12)
-    assert WeightFunction.constant().exp_moment(4.0) == pytest.approx(4.0)
-
-
 def test_strong_f_examples(bm5, stable_10_d3):
-    v = strong_integral_f(bm5, WeightFunction.power(1.0), 1.0)
+    v = strong_integral_kappa(bm5, 1.0, 1.0)
     assert v.state == CONVERGES
     assert v.exponent == pytest.approx(0.0, abs=0.02)
-    v = strong_integral_f(stable_10_d3, WeightFunction.power(0.5), 1.0)
+    v = strong_integral_kappa(stable_10_d3, 0.5, 1.0)
     assert v.state == CONVERGES
     assert v.exponent == pytest.approx(0.5, abs=0.02)
 
@@ -75,55 +63,23 @@ def test_kappa_specializations(bm3):
     assert strong_integral_kappa(bm3, 0.4, 1.0).state == CONVERGES
 
 
-def test_kappa_zero_matches_constant_weight(bm3, stable_05_d1, stable_15_d1):
-    for model in (bm3, stable_05_d1, stable_15_d1):
-        a = weak_integral_kappa(model, 0.0, 1.0).decided_state
-        b = weak_integral_f(model, WeightFunction.constant(), 1.0).decided_state
-        assert a == b
-        a = strong_integral_kappa(model, 0.0, 1.0).decided_state
-        b = strong_integral_f(model, WeightFunction.constant(), 1.0).decided_state
-        assert a == b
-
-
-def test_power_weight_consistency():
-    fixtures = [
-        (brownian_drift(3), 1.0), (brownian_drift(3), 0.4),
-        (isotropic_stable(1, 0.5), 0.5), (isotropic_stable(1, 0.5), 2.0),
-        (isotropic_stable(3, 1.0), 0.5),
-        (stable_like(2, alpha=(0.5, 1.5), gamma=1.0), 1.0),
-    ]
-    for model, kappa in fixtures:
-        direct = weak_integral_kappa(model, kappa, 1.0).state
-        weighted = weak_integral_f(model, WeightFunction.power(kappa), 1.0).state
-        assert direct == weighted
-        direct = strong_integral_kappa(model, kappa, 1.0).state
-        weighted = strong_integral_f(model, WeightFunction.power(kappa), 1.0).state
-        assert direct == weighted
-
-
 @pytest.mark.parametrize("kappa", [60.0, 200.0])
 def test_power_weight_tests_decide_at_large_kappa(stable_10_d3, kappa):
-    # t^kappa weights in log form: no overflow of Gamma(kappa + 1) or of
-    # the weight integrals, so the verdicts match the kappa tests
-    f = WeightFunction.power(kappa)
-    assert weak_integral_f(stable_10_d3, f, 1.0).state \
-        == weak_integral_kappa(stable_10_d3, kappa, 1.0).state == DIVERGES
-    assert strong_integral_f(stable_10_d3, f, 1.0).state \
-        == strong_integral_kappa(stable_10_d3, kappa, 1.0).state
-    assert np.isfinite(f.log_exp_moment(1.0))
-    assert f.log_integral_to(2.0) == pytest.approx(
-        (kappa + 1.0) * math.log(2.0) - math.log(kappa + 1.0), rel=1e-12)
+    # the integrands are formed in log space, so |q|^(kappa + 1) does not
+    # overflow; rho^2 / rho^(kappa + 1) diverges at 0 on both sides
+    assert weak_integral_kappa(stable_10_d3, kappa, 1.0).state == DIVERGES
+    assert strong_integral_kappa(stable_10_d3, kappa, 1.0).state == DIVERGES
 
 
 def test_r_independence_examples(bm3):
-    assert r_independence_report(
-        isotropic_stable(2, 1.0),
-        lambda m, r: weak_integral_kappa(m, 1.0, r), [0.5, 1.0, 2.0])
-    assert r_independence_report(
-        bm3, lambda m, r: weak_integral_kappa(m, 0.0, r), [0.1, 1.0])
-    assert r_independence_report(
-        stable_like(2, alpha=(0.5, 1.5), gamma=1.0),
-        lambda m, r: weak_integral_kappa(m, 2.0, r), [0.5, 1.0])
+    for model, kappa, radii in (
+            (isotropic_stable(2, 1.0), 1.0, [0.5, 1.0, 2.0]),
+            (bm3, 0.0, [0.1, 1.0]),
+            (stable_like(2, alpha=(0.5, 1.5), gamma=1.0), 2.0, [0.5, 1.0])):
+        assert envelope_is_radial(model, ENV_SUP_ABS)
+        states = {weak_integral_kappa(model, kappa, r).decided_state
+                  for r in radii}
+        assert len(states) == 1, (model.family, kappa)
 
 
 def test_monotone_in_kappa():
@@ -185,13 +141,6 @@ def test_verdict_serialization(bm3):
     json.dumps(payload)
 
 
-def test_custom_weight_requires_attestation():
-    with pytest.raises(ConfigurationError):
-        WeightFunction.custom(lambda t: t)
-    w = WeightFunction.custom(lambda t: t, attested_smooth=True)
-    assert w.integral_to(np.array([2.0]))[0] == pytest.approx(2.0)
-
-
 def test_oscillatory_envelope_is_inconclusive():
     # log-periodic prefactor around the critical power: honest inconclusive
     def sup_env(xi):
@@ -209,8 +158,6 @@ def test_oscillatory_envelope_is_inconclusive():
 
 @pytest.mark.parametrize("kappa", [math.nan, math.inf, -1.0])
 def test_non_finite_or_negative_kappa_rejected(bm3, kappa):
-    with pytest.raises(ConfigurationError, match="kappa"):
-        WeightFunction.power(kappa)
     for test in (weak_integral_kappa, strong_integral_kappa):
         with pytest.raises(ConfigurationError, match="kappa"):
             test(bm3, kappa, 1.0)

@@ -65,6 +65,8 @@ def test_kappa_boundary_examples(bm3, stable_05_d1, stable_10_d3):
     assert kappa_boundary(bm3, tol=0.01) == pytest.approx(0.5, abs=0.02)
     assert kappa_boundary(stable_05_d1, tol=0.01) == pytest.approx(1.0, abs=0.02)
     assert kappa_boundary(stable_10_d3, tol=0.01) == pytest.approx(2.0, abs=0.02)
+    # a tol below the float spacing ends once no float is left between ends
+    assert kappa_boundary(bm3, tol=1e-300) == pytest.approx(0.5, abs=0.02)
 
 
 def test_kappa_boundary_integral_only(bm3, stable_05_d1):

@@ -297,6 +297,34 @@ def test_non_finite_simulation_inputs_exit_1(runner, model_file, tmp_path,
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("args, field", [
+    *((["classify", "--kappa-grid", grid], "--kappa-grid")
+      for grid in ("0.5:2:x", "a,b", "1:2", "0.5:2:0", ",")),
+    (["compare", "--kappa-grid", "0.5:2:x"], "--kappa-grid"),
+    *((["kappa-star", "--tol", tol], "tol")
+      for tol in ("0", "-1", "nan", "inf")),
+    (["classify", "--kappa", "1", "--r", "nan"], "radius"),
+    (["classify", "--kappa", "1", "--r", "inf"], "radius"),
+    (["kappa-star", "--r", "nan"], "radius"),
+    (["tails", "--kappa", "1", "--r", "nan"], "radius"),
+    (["tails", "--kappa", "1", "--r", "inf"], "radius"),
+    (["compare", "--u0", "nan"], "u0"),
+])
+def test_bad_analytic_options_exit_1(runner, model_file, tmp_path, args,
+                                     field):
+    if args[0] in ("tails", "compare"):
+        models = ["--model", model_file(STABLE_JUMP_A, "a.json")]
+        if args[0] == "compare":
+            models += ["--model", model_file(STABLE_JUMP_B, "b.json")]
+    else:
+        models = ["--model", model_file(BM3, "bm3.json")]
+    result = runner.invoke(main, args + models
+                           + ["--out", str(tmp_path / "o")])
+    assert result.exit_code == 1, result.output
+    assert result.stderr.startswith(f"error: {field} must be")
+    assert "Traceback" not in result.output
+
+
 @pytest.mark.parametrize("mode, kappa", [
     ("exact_marginal", "130"), ("euler_path", "200"), ("euler_path", "300")])
 def test_simulate_kappa_too_large_for_the_horizon_exit_1(model_file, tmp_path,

@@ -11,12 +11,9 @@ from levy_transience.index_rules import (
     NOT_APPLICABLE,
     PruittIndices,
     index_bound_rules,
-    lower_index,
     moment_rules,
     pruitt_indices,
-    scaling_rules,
     shape_diagnostic,
-    upper_index,
     uniform_second_moment,
 )
 from levy_transience.quadrature import sphere_surface
@@ -31,14 +28,15 @@ from levy_transience.verdicts import CONVERGES, DIVERGES
 
 
 def test_stable_index_recovery():
-    model = isotropic_stable(2, 1.3)
-    assert lower_index(model) == pytest.approx(1.3, abs=0.02)
-    assert upper_index(model) == pytest.approx(1.3, abs=0.02)
+    idx = pruitt_indices(isotropic_stable(2, 1.3))
+    assert idx.lower == pytest.approx(1.3, abs=0.02)
+    assert idx.upper == pytest.approx(1.3, abs=0.02)
 
 
 def test_brownian_index_two(bm3):
-    assert lower_index(bm3) == pytest.approx(2.0, abs=0.02)
-    assert upper_index(bm3) == pytest.approx(2.0, abs=0.02)
+    idx = pruitt_indices(bm3)
+    assert idx.lower == pytest.approx(2.0, abs=0.02)
+    assert idx.upper == pytest.approx(2.0, abs=0.02)
 
 
 def test_interval_stable_like_indices():
@@ -76,20 +74,6 @@ def test_index_bound_rules_cases():
     # boundary d = (kappa+1)*lower is excluded (strict inequality)
     first, _ = index_bound_rules(2, 1.0, PruittIndices(1.0, 1.0))
     assert first.conclusion == NOT_APPLICABLE
-
-
-def test_scaling_rules_cases():
-    drifted = stable_like(1, alpha=1.2, beta=[0.5], gamma=1.0)
-    first, _ = scaling_rules(drifted, 1.0, d=1, kappa=0.5)
-    assert first.conclusion == IMPLIES_WEAK
-
-    stable = isotropic_stable(2, 0.8)
-    _, second = scaling_rules(stable, 0.8, d=2, kappa=1.0)
-    assert second.conclusion == IMPLIES_STRONG
-
-    bm = brownian_drift(4)
-    first, _ = scaling_rules(bm, 2.0, d=4, kappa=1.0)
-    assert first.conclusion == IMPLIES_WEAK
 
 
 def test_moment_rules_cases(bm3, bm5):

@@ -177,16 +177,6 @@ def test_perturbation_invariance_of_verdicts():
         assert va == vb, kappa
 
 
-def test_model_level_perturbation_report():
-    from levy_transience.levy_tails import model_perturbation_report
-
-    a = radial_jump_model(stable_density(2, 1.2))
-    b = radial_jump_model(modified_density(stable_density(2, 1.2), 2.0,
-                                           factor=1.5))
-    rep = model_perturbation_report(a, b)
-    assert rep.weak_side_transfer and rep.strong_side_transfer
-
-
 def test_comparison_transfer_cases():
     a = stable_density(1, 0.5)   # fatter tail dominates
     b = stable_density(1, 0.8)

@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from levy_transience import montecarlo
-from levy_transience.errors import ConfigurationError, EstimateRefusedError
+from levy_transience.errors import ConfigurationError
 from levy_transience.montecarlo import (
     _DOMAIN_PATH,
     CONVERGENT_TREND,
@@ -17,17 +17,19 @@ from levy_transience.montecarlo import (
     _chunks,
     _euler_sweep,
     _family_step_fields,
-    _positive_stable,
     ecf_check,
     euler_terminal_states,
-    last_exit_estimate,
     occupation_integral_estimate,
-    positivity_diagnostic,
     sample_levy_marginal,
     simulate_stable_like_path,
     substream,
 )
-from levy_transience.symbols import brownian_drift, isotropic_stable, stable_like
+from levy_transience.symbols import (
+    _positive_stable,
+    brownian_drift,
+    isotropic_stable,
+    stable_like,
+)
 
 
 def test_positive_stable_laplace_transform():
@@ -214,23 +216,6 @@ def test_occupation_ball_never_hit():
     assert any("never hit" in n for n in est.notes)
 
 
-def test_last_exit_stabilizes_vs_grows():
-    cfg = SimConfig(horizon=32.0, paths=3000, seed=9, radius=1.0, kappa=1.0,
-                    step=0.02, mode=EULER_PATH)
-    strongly = last_exit_estimate(brownian_drift(5), 1.0, cfg)
-    weakly = last_exit_estimate(brownian_drift(3), 1.0, cfg)
-    assert not strongly.divergence_flag
-    assert weakly.divergence_flag
-    assert strongly.censor_fraction < 0.5
-
-
-def test_last_exit_censoring_refusal():
-    cfg = SimConfig(horizon=2.0, paths=500, seed=4, radius=4.0, kappa=1.0,
-                    step=0.01, mode=EULER_PATH)
-    with pytest.raises(EstimateRefusedError):
-        last_exit_estimate(brownian_drift(1), 4.0, cfg)
-
-
 def test_trend_agrees_with_classifier_on_validation_suite():
     # six-fixture suite, probed half a unit on each side of the boundary
     # kappa*; exact-marginal sampling cannot resolve the divergent side of
@@ -274,8 +259,8 @@ def test_positivity_diagnostic_symmetric():
     cfg = SimConfig(horizon=1.0, paths=50_000, seed=21, radius=1.0, kappa=0.0)
     model = isotropic_stable(2, 1.2)
     xi_set = [s * np.array([1.0, 0.0]) for s in (0.5, 1.0, 2.0, 4.0)]
-    diag = positivity_diagnostic(model, 1.0, xi_set, cfg)
-    assert diag["nonnegative_within_3se"]
+    rep = ecf_check(model, 1.0, xi_set, cfg)
+    assert rep.min_real >= -3.0 * rep.min_real_stderr
 
 
 @pytest.mark.parametrize("kappa", [math.nan, math.inf])
@@ -453,7 +438,7 @@ def test_euler_estimates_match_the_reference_observers(monkeypatch, name):
         range(lo, min(lo + 16, n)) for lo in range(0, n, 16)])
     monkeypatch.setattr(montecarlo, "_NORMAL_BLOCK", 5 * 16 * model.d)
     cfg = SimConfig(horizon=1.0, paths=40, seed=29, radius=0.7, kappa=0.6,
-                    step=0.01, mode=EULER_PATH, censor_limit=1.0)
+                    step=0.01, mode=EULER_PATH)
     T, h, kappa, r, n = cfg.horizon, cfg.step, cfg.kappa, cfg.radius, 40
 
     def occupy(acc, t, X):
@@ -465,19 +450,7 @@ def test_euler_estimates_match_the_reference_observers(monkeypatch, name):
     assert est.values == tuple(float(np.mean(sums[:, k])) for k in range(3))
     assert est.stderrs == tuple(float(np.std(sums[:, k], ddof=1)
                                       / math.sqrt(n)) for k in range(3))
-
-    def last_visit(acc, t, X):
-        acc[_reference_in_ball(X, r)] = t
-
-    horizons = (0.25 * T, 0.5 * T, T)
-    last_at = _reference_snapshots(model, cfg, T, [
-        int(round(H / h)) for H in horizons], last_visit)
-    rep = last_exit_estimate(model, r, cfg)
-    assert rep.censor_fraction == float(np.mean(last_at[:, 2] > 0.5 * T))
-    assert rep.censored_moments == tuple(
-        float(np.mean(np.minimum(last_at[:, k], horizons[k]) ** kappa))
-        for k in range(3))
-    assert 0.0 < rep.censored_moments[0] and est.values[0] > 0.0
+    assert est.values[0] > 0.0
 
 
 @pytest.mark.parametrize("field", ["horizon", "step", "radius"])

@@ -57,12 +57,10 @@ ALLOWED = {
     ),
     "the integral-only gate is the reference the structural gate is "
     "tested against": ("transience_gate.use_structural",),
-    "an input the caller has or not: a borderline test result, an exact "
-    "marginal probability, a diffusion gap, a smoothness attestation": (
+    "an input the caller has or not: a borderline test result or an exact "
+    "marginal probability": (
         "rv_classify.borderline_converges",
         "occupation_integral_estimate.probability_fn",
-        "perturbation_equivalence.diffusion_gap",
-        "WeightFunction.custom.attested_smooth",
     ),
     "simulation input: which path and where it starts": (
         "simulate_stable_like_path.path_index", "simulate_stable_like_path.x0",
@@ -70,10 +68,8 @@ ALLOWED = {
     "simulation settings the simulate command takes from its options": (
         "SimConfig(step)", "SimConfig(mode)",
     ),
-    "simulation resolutions tests set to other values (48 nodes per "
-    "decade, a censor limit of 1)": (
-        "SimConfig(nodes_per_decade)", "SimConfig(censor_limit)",
-    ),
+    "simulation resolution tests set to another value (48 nodes per "
+    "decade)": ("SimConfig(nodes_per_decade)",),
     "result records: fields a producer fills only in some cases": (
         "DivergenceVerdict(singularity)", "DivergenceVerdict(refined_state)",
         "DivergenceVerdict(notes)", "OccupationEstimate(notes)",
@@ -81,8 +77,6 @@ ALLOWED = {
         "PruittIndices(residual_upper)", "RuleOutcome(premises)",
         "RuleOutcome(statement)", "TransienceReport(kappa_star)",
         "TransienceReport(conditional)", "TransienceReport(notes)",
-        "WeightFunction(kappa)", "WeightFunction(fn)",
-        "WeightFunction(user_attested_smooth)",
     ),
 }
 

@@ -20,23 +20,24 @@ from levy_transience.errors import (
     ModelInvariantError,
 )
 from levy_transience.symbols import (
+    ENV_INF_RE,
+    ENV_SUP_ABS,
+    ENV_SUP_ABS_IM,
     StateGrid,
     brownian_drift,
     custom_model,
     density_from_spec,
+    envelope_is_radial,
     eval_symbol,
     eval_symbol_batch,
     finite_jump_model,
-    inf_re_symbol,
     isotropic_stable,
     model_from_config,
     radial_jump_model,
-    radiality_check,
     sector_check,
     stable_like,
-    sup_abs_im_symbol,
-    sup_abs_symbol,
     symmetry_check,
+    _envelope,
     _variant_for_state,
 )
 
@@ -51,7 +52,7 @@ def test_symbol_vanishes_at_zero_frequency(bm3, stable_05_d1):
     rj = radial_jump_model(power_density(1, 0.5, u0=1.0))
     for model in (bm3, stable_05_d1, rj):
         assert eval_symbol(model, None, np.zeros(model.d)) == 0j
-        assert sup_abs_symbol(model, np.zeros(model.d)) == 0.0
+        assert _envelope(model, ENV_SUP_ABS, np.zeros(model.d)) == 0.0
 
 
 def test_radial_jump_symbol_against_riemann_oracle():
@@ -71,21 +72,23 @@ def test_radial_jump_symbol_against_riemann_oracle():
 def test_stable_like_envelopes_quarter():
     model = stable_like(2, alpha=(0.5, 1.5), gamma=1.0)
     xi = np.array([0.25, 0.0])
-    assert sup_abs_symbol(model, xi) == pytest.approx(0.5, rel=1e-12)
-    assert inf_re_symbol(model, xi) == pytest.approx(0.125, rel=1e-12)
+    assert _envelope(model, ENV_SUP_ABS, xi) == pytest.approx(0.5,
+                                                              rel=1e-12)
+    assert _envelope(model, ENV_INF_RE, xi) == pytest.approx(0.125,
+                                                             rel=1e-12)
     # dense-alpha oracle: rho^alpha is monotone in alpha for rho < 1
     alphas = np.linspace(0.5, 1.5, 2001)
-    assert sup_abs_symbol(model, xi) == pytest.approx(
+    assert _envelope(model, ENV_SUP_ABS, xi) == pytest.approx(
         np.max(0.25 ** alphas), rel=1e-9)
-    assert inf_re_symbol(model, xi) == pytest.approx(
+    assert _envelope(model, ENV_INF_RE, xi) == pytest.approx(
         np.min(0.25 ** alphas), rel=1e-9)
 
 
 def test_brownian_envelopes(bm3):
     xi = np.array([2.0, 0.0, 0.0])
-    assert sup_abs_symbol(bm3, xi) == pytest.approx(2.0)
-    assert inf_re_symbol(bm3, xi) == pytest.approx(2.0)
-    assert sup_abs_im_symbol(bm3, xi) == 0.0
+    assert _envelope(bm3, ENV_SUP_ABS, xi) == pytest.approx(2.0)
+    assert _envelope(bm3, ENV_INF_RE, xi) == pytest.approx(2.0)
+    assert _envelope(bm3, ENV_SUP_ABS_IM, xi) == 0.0
 
 
 def test_grid_envelope_bounds_and_attainment():
@@ -95,8 +98,8 @@ def test_grid_envelope_bounds_and_attainment():
     X = model.state_points()
     for xi in ([0.3], [1.7]):
         q = eval_symbol_batch(model, X, xi)
-        sup = sup_abs_symbol(model, xi)
-        inf = inf_re_symbol(model, xi)
+        sup = _envelope(model, ENV_SUP_ABS, xi)
+        inf = _envelope(model, ENV_INF_RE, xi)
         assert np.all(np.abs(q) <= sup + 1e-12)
         assert np.all(q.real >= inf - 1e-12)
         assert np.max(np.abs(q)) == pytest.approx(sup)
@@ -119,8 +122,8 @@ def test_scaling_of_stable_envelope():
     model = isotropic_stable(2, 1.3)
     xi = np.array([0.4, 0.3])
     for lam in (0.5, 2.0, 7.0):
-        assert sup_abs_symbol(model, lam * xi) == pytest.approx(
-            lam ** 1.3 * sup_abs_symbol(model, xi), rel=1e-10)
+        assert _envelope(model, ENV_SUP_ABS, lam * xi) == pytest.approx(
+            lam ** 1.3 * _envelope(model, ENV_SUP_ABS, xi), rel=1e-10)
 
 
 def test_sector_check_cases():
@@ -129,14 +132,15 @@ def test_sector_check_cases():
     drifted = stable_like(2, alpha=1.2, beta=[0.5, 0.0], gamma=1.0)
     ok, witness = sector_check(drifted, 0.0)
     assert not ok and witness is not None
-    assert sup_abs_im_symbol(drifted, witness) > 0.0
+    assert _envelope(drifted, ENV_SUP_ABS_IM, witness) > 0.0
     ok, _ = sector_check(isotropic_stable(2, 1.2), 0.0)
     assert ok
 
 
 def test_radiality_check_cases(stable_05_d1):
-    assert radiality_check(stable_05_d1)
-    assert not radiality_check(stable_like(2, alpha=1.2, beta=[0.5, 0.0]))
+    assert envelope_is_radial(stable_05_d1, ENV_SUP_ABS)
+    drifted = stable_like(2, alpha=1.2, beta=[0.5, 0.0])
+    assert not envelope_is_radial(drifted, ENV_SUP_ABS)
 
     # a one-axis jump measure is caught by rotation sampling
     def axis_symbol(x, xi):
@@ -144,7 +148,7 @@ def test_radiality_check_cases(stable_05_d1):
 
     axis = custom_model(2, axis_symbol, x_independent=True,
                         x_samples=np.zeros((1, 2)))
-    assert not radiality_check(axis)
+    assert not envelope_is_radial(axis, ENV_SUP_ABS)
 
 
 def test_symmetry_check_cases(stable_05_d1):
@@ -206,8 +210,8 @@ def test_model_from_config_round_trip(model_file):
     path = model_file(cfg)
     loaded = load_model(path)
     xi = np.array([0.25, 0.0])
-    assert sup_abs_symbol(loaded, xi) == pytest.approx(
-        sup_abs_symbol(model, xi))
+    assert _envelope(loaded, ENV_SUP_ABS, xi) == pytest.approx(
+        _envelope(model, ENV_SUP_ABS, xi))
 
 
 def test_isotropic_stable_config_is_constant_stable_like():
@@ -287,11 +291,13 @@ def test_grid_envelope_of_untied_variants_is_the_variant_envelope():
     grid = model_from_config(cfg("grid_sampled"))
     for rho in (0.01, 0.3, 5.0):
         xi = np.array([0.6, 0.8]) * rho
-        assert inf_re_symbol(grid, xi) == inf_re_symbol(closed, xi)
-        assert sup_abs_symbol(grid, xi) == sup_abs_symbol(closed, xi)
+        for kind in (ENV_INF_RE, ENV_SUP_ABS):
+            assert _envelope(grid, kind, xi) == _envelope(closed, kind, xi)
     xi = np.array([0.01, 0.0])
-    assert inf_re_symbol(grid, xi) == pytest.approx(0.01 ** 1.411, rel=1e-8)
-    assert sup_abs_symbol(grid, xi) == pytest.approx(0.01 ** 0.614, rel=1e-8)
+    assert _envelope(grid, ENV_INF_RE, xi) == pytest.approx(0.01 ** 1.411,
+                                                            rel=1e-8)
+    assert _envelope(grid, ENV_SUP_ABS, xi) == pytest.approx(0.01 ** 0.614,
+                                                             rel=1e-8)
     assert classify(grid, 1.5).verdict == classify(closed, 1.5).verdict \
         == "inconclusive"
 
