@@ -20,8 +20,9 @@ from .quadrature import (
     integrate_tail,
     jump_symbol_value,
     sphere_surface,
+    stacked_weight,
 )
-from .verdicts import memoized_profile, model_memo
+from .verdicts import memoized_profiles, model_memo
 
 
 def stable_coefficient(d: int, alpha: float) -> float:
@@ -150,22 +151,34 @@ class RadialLevyDensity:
         """Jump part of the symbol at |xi| = rho: int (1-cos<xi,y>) nu(dy).
 
         rho is one radius or an array of radii (then a read-only array comes
-        back). A variant with a closed form (gamma) is evaluated directly;
-        otherwise values are memoized per radius, and the radii not cached
-        yet are computed in one jump_symbol_value call.
+        back). variant is one index, or a sequence of them: then the rows of
+        the listed variants come back stacked. A variant with a closed form
+        (gamma) is evaluated directly; the others are memoized per variant
+        and radius, and the radii each of them lacks are computed in one
+        jump_symbol_value call, one row group per variant.
         """
         rhos = np.asarray(rho, dtype=float)
-        v = self.variants[variant]
-        if v.gamma is not None:
-            out = v.gamma * rhos ** v.alpha
-            return out if rhos.ndim else float(out)
-        out = memoized_profile(
-            self, ("jsym", variant),
-            lambda radii: jump_symbol_value(
-                self.radial_weight(variant), np.asarray(radii), self.d,
-                breakpoints=self.all_breakpoints(),
-                support_lo=self.support_lo(variant)))(rhos)
-        return out.reshape(rhos.shape) if rhos.ndim else float(out[0])
+        picked = [int(i) for i in np.atleast_1d(variant)]
+        quad = [i for i in picked if self.variants[i].gamma is None]
+        memo = memoized_profiles(
+            self, [("jsym", i) for i in quad],
+            lambda rows, radii: jump_symbol_value(
+                stacked_weight([self.radial_weight(quad[i]) for i in rows]),
+                radii, self.d, breakpoints=self.all_breakpoints(),
+                support_lo=[self.support_lo(quad[i]) for i in rows]))
+        found = dict(zip(quad, memo(rhos)))
+        out = [found[i].reshape(rhos.shape) if i in found
+               else self.variants[i].gamma * rhos ** self.variants[i].alpha
+               for i in picked]
+        if np.ndim(variant):
+            return np.stack(out)
+        return out[0] if rhos.ndim else float(out[0])
+
+    def jump_symbols(self, rho):
+        """jump_symbol of every variant at the radii rho, as an (n_variants,
+        n_radii) array: one stacked quadrature call for the radii the
+        variants lack."""
+        return self.jump_symbol(rho, range(len(self.variants)))
 
     # -- validation ---------------------------------------------------------
 

@@ -39,7 +39,10 @@ from .quadrature import (
     integrate_origin,
     integrate_tail,
     origin_cumulative,
+    row_groups,
+    segment_integrals,
     sphere_surface,
+    stacked_weight,
     tail_cumulative,
 )
 from .verdicts import (
@@ -48,6 +51,7 @@ from .verdicts import (
     DIVERGES,
     DivergenceVerdict,
     memoized_profile,
+    memoized_profiles,
     _line,
     model_memo,
     verdict_from_radial_integrand,
@@ -65,7 +69,7 @@ def tail_mass(density: RadialLevyDensity, u: float, variant=0) -> float:
     if u <= 0:
         raise ConfigurationError("tail mass needs u > 0")
     try:
-        return float(_tail_mass_sweep(density, variant, [u])[0])
+        return float(_tail_mass_sweep(density, [variant], [[u]])[0][0])
     except DivergentIntegralError as exc:
         raise LevyMeasureError(
             "tail mass is infinite: the jump measure violates "
@@ -77,28 +81,40 @@ def truncated_second_moment(density: RadialLevyDensity, rho: float,
     """int_{B(0, rho)} |y|^2 nu(dy) = S_d int_0^rho u^{d+1} n(u) du."""
     if rho <= 0:
         raise ConfigurationError("truncated second moment needs rho > 0")
-    return float(_second_moment_sweep(density, variant, [rho])[0])
+    return float(_second_moment_sweep(density, [variant], [[rho]])[0][0])
 
 
-def _t1_ladder(density, variant, rhos):
-    """T1 at each (ascending) rho: the origin-side octave sum of
-    u * nu(B^c(0, u)). Each call of that integrand takes the tail masses
-    at its nodes from one tail-mass sweep over them."""
-    def integrand(u):
-        flat = u.ravel()
-        order = np.argsort(flat)
-        tm = np.empty_like(flat)
-        tm[order] = _tail_mass_sweep(density, variant, flat[order])
-        return u * tm.reshape(u.shape)
+def _t1_ladder(density, variants, radii):
+    """T1 at the (ascending) radii of each listed variant: the origin-side
+    integral of u * nu(B^c(0, u)). Its integrand takes the tail masses at
+    the nodes of a call from one tail-mass sweep over them, so a variant's
+    nodes must share a call as they do alone: the octave sums below the
+    ladders are rows of one sweep (a call holds whole rows), and the gaps of
+    a ladder, a few hundred Gauss blocks of 16 tail-mass blocks each, are
+    one call per variant."""
+    def integrand(picked):
+        def masses(groups, blocks):
+            nodes = [np.unique(u, return_inverse=True) for u in blocks]
+            tm = _tail_mass_sweep(density, [picked[i] for i in groups],
+                                  [x for x, _ in nodes])
+            return [u * m[back].reshape(u.shape)
+                    for u, (_, back), m in zip(blocks, nodes, tm)]
 
-    return origin_cumulative(integrand, rhos, density.all_breakpoints())
+        return row_groups(masses)
+
+    bps = density.all_breakpoints()
+    bottoms = origin_cumulative(integrand(variants), [r[:1] for r in radii],
+                                bps, [0.0] * len(radii))
+    return [np.append(b, b + np.cumsum(
+        segment_integrals(integrand([i]), [r], bps)[0]))
+        for b, i, r in zip(bottoms, variants, radii)]
 
 
 def integrated_tail(density: RadialLevyDensity, rho: float, variant=0) -> float:
     """T1(rho) = int_0^rho u * nu(B^c(0, u)) du by nested quadrature."""
     if rho <= 0:
         raise ConfigurationError("integrated tail needs rho > 0")
-    return float(_t1_ladder(density, variant, np.asarray([float(rho)]))[0])
+    return float(_t1_ladder(density, [variant], [[rho]])[0][0])
 
 
 @dataclass(frozen=True)
@@ -124,35 +140,38 @@ def tail_functionals(density: RadialLevyDensity, rho: float,
         truncated_moment=truncated_second_moment(density, rho, variant))
 
 
-def _tail_mass_sweep(density, variant, rhos):
-    w = density.radial_weight(variant)
-    return tail_cumulative(w, rhos, density.all_breakpoints()) \
-        + density.atom_tail_mass(rhos)
+def _tail_mass_sweep(density, variants, radii):
+    """Tail mass at the (ascending) radii of each listed variant: one
+    cumulative sweep, one row group per variant."""
+    w = stacked_weight([density.radial_weight(i) for i in variants])
+    return [m + density.atom_tail_mass(r) for m, r in zip(
+        tail_cumulative(w, radii, density.all_breakpoints()), radii)]
 
 
-def _second_moment_sweep(density, variant, rhos):
-    """T3 at each (ascending) rho: one origin-side cumulative sweep."""
-    return origin_cumulative(density.second_moment_weight(variant), rhos,
-                             density.all_breakpoints(),
-                             support_lo=density.support_lo(variant)) \
-        + density.atom_second_moment(rhos)
+def _second_moment_sweep(density, variants, radii):
+    """T3 at the (ascending) radii of each listed variant: one origin-side
+    cumulative sweep, one row group per variant."""
+    w = stacked_weight([density.second_moment_weight(i) for i in variants])
+    return [m + density.atom_second_moment(r) for m, r in zip(
+        origin_cumulative(w, radii, density.all_breakpoints(),
+                          [density.support_lo(i) for i in variants]), radii)]
 
 
-# Tail functional tag -> (density, variant, ascending radii) -> values.
+# Tail functional tag -> (density, variants, ascending radii of each) ->
+# one array of values per variant.
 _SWEEPS = {"t1": _t1_ladder, "tm": _tail_mass_sweep, "t3": _second_moment_sweep}
 
 
 def _variant_envelope(density, tag, which, rhos):
     """sup or inf over the variants of the tail functional `tag` (T1, tail
-    mass or T3), memoized on the density per variant and per envelope."""
-    def reduce(radii):
-        stack = np.stack([
-            memoized_profile(density, (tag, i),
-                             functools.partial(_SWEEPS[tag], density, i))(radii)
-            for i in range(len(density.variants))])
-        return stack.max(axis=0) if which == "sup" else stack.min(axis=0)
-
-    return memoized_profile(density, (tag, which), reduce)(rhos)
+    mass or T3), memoized on the density per variant and per envelope. The
+    variants that lack radii run as row groups of one sweep."""
+    variants = memoized_profiles(
+        density, [(tag, i) for i in range(len(density.variants))],
+        functools.partial(_SWEEPS[tag], density))
+    reduce = np.max if which == "sup" else np.min
+    return memoized_profile(density, (tag, which),
+                            lambda radii: reduce(variants(radii), axis=0))(rhos)
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +299,7 @@ def _quadratic_ladder(density):
     rho^2 on them, and the minimum over the smaller half of the radii (the
     liminf surrogate as xi -> 0)."""
     rhos = 2.0 ** (-np.arange(4, 17).astype(float))
-    vals = np.min([density.jump_symbol(rhos, i)
-                   for i in range(len(density.variants))], axis=0) / rhos ** 2
+    vals = np.min(density.jump_symbols(rhos), axis=0) / rhos ** 2
     return rhos, vals, np.min(vals[len(vals) // 2:])
 
 

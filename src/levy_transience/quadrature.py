@@ -10,7 +10,9 @@ unbounded ends, including divergence detection.
 The block machinery works on rows: many intervals (or many octave sums) at
 once, cut at the breakpoints into one flat piece list, with one integrand
 call per step and np.bincount for the per-row sums. A scalar integral is the
-one-row case.
+one-row case. The sweeps below take row groups (the variants of a density):
+one node array per group and a row-aware weight f(u, k), k the group of each
+row of u, give one array per group, equal bit for bit to the group alone.
 """
 
 from __future__ import annotations
@@ -25,6 +27,10 @@ from .errors import DivergentIntegralError, QuadratureError
 #: radii per chunk of a wave tail, which keeps its (radius, block, node)
 #: arrays at a few hundred kB; the rest of a jump symbol runs once per call
 _CHUNK = 64
+
+#: Gauss blocks per integrand call of a sweep: its arrays stay about those
+#: of one variant's sweep, however many row groups are stacked
+_STEP_BLOCKS = 4096
 
 #: octaves integrated per step of an octave sum; a power-law integral
 #: meets its stop rule within the first batch
@@ -90,13 +96,14 @@ def _linear_gauss_blocks(lo, hi, n):
     return mid + half * base_x, half * base_w
 
 
-def _log_integrals(g, a, b, breakpoints=()):
+def _log_integrals(g, a, b, breakpoints, unit):
     """Integral of g over [a[j], b[j]] for every j (0 where b[j] <= a[j]).
 
     Each interval is split at interior breakpoints and each piece covered
-    with one Gauss-Legendre block per octave in log space. g is called once,
-    as g(u, j): u holds one block of nodes per row, and j (one column) the
-    interval of each block.
+    with one Gauss-Legendre block per octave in log space. g is called as
+    g(u, j): u holds one block of nodes per row, and j (one column) the
+    interval of each block. A call holds whole units of about _STEP_BLOCKS
+    blocks in all, unit[j] (ascending) being the unit of interval j.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     out = np.zeros(a.shape)
@@ -109,19 +116,29 @@ def _log_integrals(g, a, b, breakpoints=()):
             f"invalid log-quadrature interval [{a[bad[0]]}, {b[bad[0]]}]")
     owner, lo, hi = _split(a[live], b[live], breakpoints)
     count = np.maximum(1, np.ceil(np.log2(hi / lo))).astype(int)
-    k, owner = _ranks(count), np.repeat(owner, count)
-    lo, ratio, count = (np.repeat(x, count) for x in (lo, hi / lo, count))
-    u, w = log_gauss_blocks(lo * ratio ** (k / count),
-                            lo * ratio ** ((k + 1) / count))
-    vals = np.asarray(g(u, live[owner, None]), dtype=float)
-    out[live] = np.bincount(owner, weights=np.einsum("ij,ij->i", w, vals),
+    unit = np.asarray(unit)[live][owner]
+    blocks = np.bincount(unit, weights=count)
+    cuts = np.flatnonzero(np.diff(
+        ((np.cumsum(blocks) - blocks) // _STEP_BLOCKS)[unit])) + 1
+    sums = np.zeros(live.size)
+    for p in map(slice, np.append(0, cuts), np.append(cuts, unit.size)):
+        n = count[p]
+        k, piece = _ranks(n), np.repeat(owner[p], n)
+        left, ratio, n = (np.repeat(x, n) for x in (lo[p], hi[p] / lo[p], n))
+        u, w = log_gauss_blocks(left * ratio ** (k / n),
+                                left * ratio ** ((k + 1) / n))
+        vals = np.asarray(g(u, live[piece, None]), dtype=float)
+        sums += np.bincount(piece, weights=np.einsum("ij,ij->i", w, vals),
                             minlength=live.size)
+        del u, w, vals                   # before the next step's arrays
+    out[live] = sums
     return out
 
 
 def integrate_log(f, a, b, breakpoints=()):
     """Integral of f over [a, b] with log-spaced Gauss blocks."""
-    return float(_log_integrals(lambda u, _: f(u), [a], [b], breakpoints)[0])
+    return float(_log_integrals(lambda u, _: f(u), [a], [b], breakpoints,
+                                [0])[0])
 
 
 def _octave_stop(blocks, min_octaves, rel_tol):
@@ -173,27 +190,30 @@ def _octave_sum(g, start, step, breakpoints, rel_tol, message):
     with the remainder extrapolated from the block ratio.
 
     Octaves are integrated _OCTAVE_BATCH at a time for all rows still
-    running, with one g(u, j) call (see _log_integrals); each row stops at
-    the first new octave at which _octave_stop, judging its block history
-    from the 6th octave on, says it is done. A row whose block sequence
+    running, in g(u, j) calls of whole rows (see _log_integrals); each row
+    stops at the first new octave at which _octave_stop, judging its block
+    history from the 6th octave on, says it is done. A row whose block sequence
     fails to decay within 260 octaves toward infinity or 220 toward the
     origin diverges: DivergentIntegralError "<message> within <n> octaves"
-    is raised.
+    is raised for the first such row, with its start filled in for a {}
+    in the message.
     """
     max_octaves, min_octaves = (260 if step > 1.0 else 220), 6
     start = np.asarray(start, dtype=float)
     out = np.full(start.size, math.inf)
-    history = np.zeros((start.size, max_octaves))
+    # octave-major, so that a batch touches only its own columns' pages
+    history = np.zeros((max_octaves, start.size))
     rows = np.arange(start.size)
     for j0 in range(0, max_octaves, _OCTAVE_BATCH):
         j1 = min(j0 + _OCTAVE_BATCH, max_octaves)
         edges = start[rows, None] * step ** np.arange(j0, j1 + 1)
         lo, hi = (edges[:, :-1], edges[:, 1:]) if step > 1.0 \
             else (edges[:, 1:], edges[:, :-1])
-        history[rows, j0:j1] = _log_integrals(
+        history[j0:j1, rows] = _log_integrals(
             lambda u, i: g(u, rows[i // (j1 - j0)]), lo.ravel(), hi.ravel(),
-            breakpoints).reshape(rows.size, j1 - j0)
-        stop, value = _octave_stop(history[rows, :j1], min_octaves, rel_tol)
+            breakpoints, np.repeat(np.arange(rows.size), j1 - j0)
+        ).reshape(rows.size, j1 - j0).T
+        stop, value = _octave_stop(history[:j1, rows].T, min_octaves, rel_tol)
         pick = np.arange(rows.size), j0 + np.argmax(stop[:, j0:], axis=1)
         done = stop[pick]
         out[rows[done]] = value[pick][done]
@@ -201,8 +221,8 @@ def _octave_sum(g, start, step, breakpoints, rel_tol, message):
         if rows.size == 0:
             return out
     raise DivergentIntegralError(
-        f"{message} within {max_octaves} octaves",
-        partial=float(np.cumsum(history[rows[0]])[-1]))
+        f"{message.format(start[rows[0]])} within {max_octaves} octaves",
+        partial=float(np.cumsum(history[:, rows[0]])[-1]))
 
 
 def integrate_tail(f, a, breakpoints=(), rel_tol=1e-11):
@@ -228,38 +248,88 @@ def integrate_origin(f, b, breakpoints=(), support_lo=0.0):
                              f"integral near 0 below {b} did not converge")[0])
 
 
-def segment_integrals(f, edges, breakpoints=()):
-    """Integrals of f over each consecutive [edges[j], edges[j+1]], split at
-    breakpoints, in one f call."""
-    edges = np.asarray(edges, dtype=float)
-    return _log_integrals(lambda u, _: f(u), edges[:-1], edges[1:],
-                          breakpoints)
+def row_groups(f):
+    """Row-aware weight g(u, k) from f(groups, blocks): f gets the groups in
+    k (one per row of u, or one for all rows) and the rows of u of each, and
+    returns one value array per group."""
+    def g(u, k):
+        k = np.broadcast_to(np.ravel(k), u.shape[:1])
+        if np.all(k == k[0]):        # most calls: no copy of u
+            return f([k[0]], [u])[0]
+        order = np.argsort(k, kind="stable")
+        rows = np.split(order, np.flatnonzero(np.diff(k[order])) + 1)
+        out = np.empty(u.shape)
+        for r, vals in zip(rows, f([k[r[0]] for r in rows],
+                                   [u[r] for r in rows])):
+            out[r] = vals
+        return out
+
+    return g
 
 
-def tail_cumulative(f, us, breakpoints=(), rel_tol=1e-11):
-    """F(u_i) = integral of f over [u_i, infinity) for sorted ascending us.
+def stacked_weight(weights):
+    """Row-aware weight: weights[k] on the rows of group k, one call each."""
+    return row_groups(lambda groups, blocks: [
+        weights[i](u) for i, u in zip(groups, blocks)])
 
-    One tail integral from the largest node plus exact Gauss blocks over the
-    gaps; a single vectorized sweep, accurate to quadrature precision.
+
+def _flat(groups):
+    """The groups concatenated, the group of each element, the cuts."""
+    groups = [np.asarray(x, dtype=float).ravel() for x in groups]
+    sizes = [x.size for x in groups]
+    return (np.concatenate(groups), np.repeat(np.arange(len(groups)), sizes),
+            np.cumsum(sizes)[:-1])
+
+
+def _toward_origin(g, b, lo, breakpoints, rel_tol, message):
+    """Integrals of g(u, j) over [lo[j], b[j]] where lo[j] > 0, else over
+    (0, b[j]] (an octave sum)."""
+    out = np.zeros(b.size)
+    cut, free = np.flatnonzero(lo > 0.0), np.flatnonzero(lo <= 0.0)
+    out[cut] = _log_integrals(lambda u, j: g(u, cut[j]), lo[cut], b[cut],
+                              breakpoints, np.arange(cut.size))
+    if free.size:
+        out[free] = _octave_sum(lambda u, j: g(u, free[j]), b[free], 0.5,
+                                breakpoints, rel_tol, message)
+    return out
+
+
+def segment_integrals(f, edges, breakpoints):
+    """Integrals of f over each consecutive [x[j], x[j+1]] of each group's
+    edge array x, split at the breakpoints: one array per row group."""
+    lo, k, cuts = _flat([x[:-1] for x in edges])
+    hi = _flat([x[1:] for x in edges])[0]
+    return np.split(_log_integrals(lambda u, j: f(u, k[j]), lo, hi,
+                                   breakpoints, np.arange(lo.size)), cuts)
+
+
+def tail_cumulative(f, us, breakpoints, rel_tol=1e-11):
+    """F(u_i) = integral of f over [u_i, infinity) for each row group's
+    sorted ascending nodes us[k]: one array per group.
+
+    Per group, one tail integral from its largest node (a row of one octave
+    sum for all groups) plus exact Gauss blocks over the gaps, accurate to
+    quadrature precision.
     """
-    us = np.asarray(us, dtype=float)
-    top = integrate_tail(f, us[-1], breakpoints, rel_tol=rel_tol)
-    gaps = segment_integrals(f, us, breakpoints)
-    out = np.empty_like(us)
-    out[-1] = top
-    out[:-1] = top + np.cumsum(gaps[::-1])[::-1]
-    return out
+    tops = np.asarray([x[-1] for x in us], dtype=float)
+    if np.any(tops <= 0.0):
+        raise QuadratureError(f"tail integral needs a > 0, got {tops.min()}")
+    tops = _octave_sum(f, tops, 2.0, breakpoints, rel_tol,
+                       "tail integral from {} did not converge")
+    return [top + np.append(np.cumsum(gaps[::-1])[::-1], 0.0) for top, gaps
+            in zip(tops, segment_integrals(f, us, breakpoints))]
 
 
-def origin_cumulative(f, us, breakpoints=(), support_lo=0.0):
-    """F(u_i) = integral of f over (0, u_i] (or [support_lo, u_i]) for sorted
-    ascending us: the origin-side mirror of tail_cumulative."""
-    us = np.asarray(us, dtype=float)
-    bottom = integrate_origin(f, us[0], breakpoints, support_lo=support_lo)
-    out = np.empty_like(us)
-    out[0] = bottom
-    out[1:] = bottom + np.cumsum(segment_integrals(f, us, breakpoints))
-    return out
+def origin_cumulative(f, us, breakpoints, support_lo):
+    """F(u_i) = integral of f over (0, u_i] (or [support_lo[k], u_i]) for
+    each row group's sorted ascending nodes us[k]: the origin-side mirror of
+    tail_cumulative."""
+    bottoms = _toward_origin(f, np.asarray([x[0] for x in us], dtype=float),
+                             np.asarray(support_lo, dtype=float), breakpoints,
+                             1e-11,
+                             "integral near 0 below {} did not converge")
+    return [np.append(bottom, bottom + np.cumsum(gaps)) for bottom, gaps
+            in zip(bottoms, segment_integrals(f, us, breakpoints))]
 
 
 # ---------------------------------------------------------------------------
@@ -328,31 +398,34 @@ def _wave_functional(d):
 
 def _blockwise_wave_tail(f, a, rho, d, breakpoints):
     """oscillatory_tail_integral on each row's own blocks, cut at the
-    breakpoints: one f call, one kernel call and one bincount per chunk."""
+    breakpoints: one f(u, row) call, one kernel call and one bincount per
+    chunk."""
     edges = a[:, None] + (math.pi / rho)[:, None] * np.arange(_WAVE_BLOCKS + 1)
     owner, lo, hi = _split(edges[:, :-1].ravel(), edges[:, 1:].ravel(),
                            breakpoints)
     u, w = _linear_gauss_blocks(lo, hi, _WAVE_N)
-    vals = wave_kernel(rho[owner // _WAVE_BLOCKS, None] * u, d) \
-        * np.asarray(f(u), dtype=float)
+    row = owner[:, None] // _WAVE_BLOCKS
+    vals = wave_kernel(rho[row] * u, d) * np.asarray(f(u, row), dtype=float)
     blocks = np.bincount(owner, weights=np.einsum("ij,ij->i", w, vals),
                          minlength=rho.size * _WAVE_BLOCKS)
     sums = np.cumsum(blocks.reshape(rho.size, _WAVE_BLOCKS), axis=1)
     return _accelerated_limit(sums[:, _WAVE_BLOCKS // 2:])
 
 
-def oscillatory_tail_integral(f, a, rho, d, breakpoints=()):
-    """Integral of psi_d(rho[j] * u) * f(u) over [a[j], infinity) for each j;
-    a is a scalar, a vector as long as rho, or None for a[j] = pi / rho[j].
+def oscillatory_tail_integral(f, a, rho, d, breakpoints):
+    """Integral of psi_d(rho[j] * u) * f(u, k) over [a[j], infinity) at each
+    radius of each row group's radius array rho[k]: one array per group. a
+    is one array per group too, or None for a[j] = pi / rho[j].
 
     Blocks of half-period length pi/rho give (asymptotically) alternating
     contributions; the limit of the partial sums is taken with iterated
     averaging. f must have an integrable power-like tail. Rows run _CHUNK
     at a time. From a = None, rows with no breakpoint in their window use
     _wave_functional, built once per dimension: one f call and one dot
-    product per chunk. Other rows take _blockwise_wave_tail.
+    product per chunk, and a chunk holds one group (the bits of a dot
+    product depend on its rows). Other rows take _blockwise_wave_tail.
     """
-    rho = np.atleast_1d(rho).astype(float)
+    rho, k, cuts = _flat(rho)
     if np.any(rho <= 0):
         raise QuadratureError("oscillatory integral needs rho > 0")
     shared = np.zeros(rho.size, dtype=bool)
@@ -360,65 +433,70 @@ def oscillatory_tail_integral(f, a, rho, d, breakpoints=()):
         a = math.pi / rho
         pieces = np.bincount(_split(a, a * (_WAVE_BLOCKS + 1), breakpoints)[0])
         shared = pieces == 1         # no breakpoint inside the window
-    a = np.broadcast_to(np.asarray(a, dtype=float), rho.shape)
+    else:
+        a = _flat(a)[0]
     out = np.empty(rho.size)
-    for rows in (np.flatnonzero(shared), np.flatnonzero(~shared)):
+    by_group = [np.flatnonzero(shared & (k == i)) for i in range(cuts.size + 1)]
+    for rows in by_group + [np.flatnonzero(~shared)]:
         for first in range(0, rows.size, _CHUNK):
             j = rows[first:first + _CHUNK]
             if shared[j[0]]:
                 s, c = _wave_functional(d)
-                out[j] = np.asarray(f(s / rho[j, None]), dtype=float) @ c \
-                    / rho[j]
+                out[j] = np.asarray(f(s / rho[j, None], k[j[0]]),
+                                    dtype=float) @ c / rho[j]
             else:
-                out[j] = _blockwise_wave_tail(f, a[j], rho[j], d,
-                                              breakpoints)
-    return out
+                out[j] = _blockwise_wave_tail(lambda u, r: f(u, k[j][r]), a[j],
+                                              rho[j], d, breakpoints)
+    return np.split(out, cuts)
 
 
-def jump_symbol_value(f, rho, d, breakpoints=(), support_lo=0.0):
-    """Integral of (1 - psi_d(rho*u)) * f(u) over (0, infinity), at one
-    radius rho or at each radius of an array rho (then an array of the same
-    shape is returned).
+def jump_symbol_value(f, rho, d, breakpoints, support_lo):
+    """Integral of (1 - psi_d(rho*u)) * f(u, k) over (0, infinity) (from
+    support_lo[k] where that is positive) at each radius of each row
+    group's radius array rho[k]: one array per group.
 
     This is the radial reduction of int (1 - cos<xi, y>) nu(dy) for a radial
     jump weight: f(u) = S_d * u^{d-1} * n(u) yields the (real) jump part of
     the symbol at |xi| = rho. Splits at the oscillation scale pi/rho into the
     near part below it and the plain and wave tails above it. The near part
-    and the plain tail run once per call; the wave tail runs per _CHUNK
-    radii, from pi/rho on a functional built once per dimension (see
+    and the plain tail run once per call, for all groups; the wave tail runs
+    per group, from pi/rho on a functional built once per dimension (see
     oscillatory_tail_integral). Octave sums stop at relative tolerance 1e-10.
     """
-    rhos = np.asarray(rho, dtype=float)
-    out = np.zeros(rhos.size)
-    nonzero = np.flatnonzero(rhos)
+    rhos, k, cuts = _flat(rho)
+    out, nonzero = np.zeros(rhos.size), np.flatnonzero(rhos)
     if nonzero.size:
-        out[nonzero] = _jump_symbol_rows(f, rhos.ravel()[nonzero], d,
-                                         tuple(breakpoints), support_lo)
-    return out.reshape(rhos.shape) if rhos.ndim else float(out[0])
+        lo = np.asarray(support_lo, dtype=float)[k[nonzero]]
+        out[nonzero] = _jump_symbol_rows(f, rhos[nonzero], k[nonzero], lo, d,
+                                         tuple(breakpoints))
+    return np.split(out, cuts)
 
 
-def _jump_symbol_rows(f, rho, d, bps, support_lo):
-    """jump_symbol_value at a vector of nonzero radii."""
+def _jump_symbol_rows(f, rho, k, lo, d, bps):
+    """jump_symbol_value at nonzero radii rho, in ascending groups k."""
     u_c = math.pi / rho
-    lo_end = max(support_lo, 0.0)
+    lo_end = np.maximum(lo, 0.0)
     inner = u_c > lo_end             # rows with a part below pi/rho
-    near = np.zeros(rho.size)
-    rho_in = rho[inner]
+    near = np.flatnonzero(inner)
 
     def smooth_part(u, j):
-        return one_minus_wave_kernel(rho_in[j] * u, d) \
-            * np.asarray(f(u), dtype=float)
+        return one_minus_wave_kernel(rho[near[j]] * u, d) \
+            * np.asarray(f(u, k[near[j]]), dtype=float)
 
-    if support_lo > 0.0:
-        near[inner] = _log_integrals(smooth_part, np.full(rho_in.size, lo_end),
-                                     u_c[inner], bps)
-    elif rho_in.size:
-        near[inner] = _octave_sum(smooth_part, u_c[inner], 0.5, bps, 1e-10,
-                                  "integral near 0 below pi/rho did not "
-                                  "converge")
-    osc_start = np.where(inner, u_c, lo_end)
-    starts, where = np.unique(osc_start, return_inverse=True)
-    out = near + tail_cumulative(f, starts, bps, rel_tol=1e-10)[where]
-    out[inner] -= oscillatory_tail_integral(f, None, rho_in, d, bps)
-    out[~inner] -= oscillatory_tail_integral(f, lo_end, rho[~inner], d, bps)
+    out = np.zeros(rho.size)
+    out[near] = _toward_origin(smooth_part, u_c[near], lo[near], bps, 1e-10,
+                               "integral near 0 below pi/rho did not converge")
+    groups, first = np.unique(k, return_index=True)
+    starts = [np.unique(x, return_inverse=True)
+              for x in np.split(np.where(inner, u_c, lo_end), first[1:])]
+    out += np.concatenate([tail[where] for tail, (_, where) in zip(
+        tail_cumulative(lambda u, j: f(u, groups[j]), [x for x, _ in starts],
+                        bps, rel_tol=1e-10), starts)])
+
+    def by_group(x, sel):
+        return np.split(x[sel], np.searchsorted(k[sel], groups[1:]))
+
+    for sel, a in ((inner, None), (~inner, by_group(lo_end, ~inner))):
+        out[sel] -= np.concatenate(oscillatory_tail_integral(
+            lambda u, j: f(u, groups[j]), a, by_group(rho, sel), d, bps))
     return out

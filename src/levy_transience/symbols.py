@@ -461,19 +461,19 @@ class _Family:
         return re + 1j * im[None, :]
 
     # Re q(x, xi) at states X (n, d) and frequencies XI (m, d) of norms rho,
-    # as an (n, m) array: one jump-symbol ladder per variant
+    # as an (n, m) array: the jump-symbol ladders of the variants in use,
+    # stacked
     def real_part(self, model, X, XI, rho):
         dens = model.triplet.jump_density
         idx = _variant_for_state(model, X)
         if idx is None:
             idx = np.zeros(X.shape[0], dtype=int)   # pointwise: first variant
         used, where = np.unique(idx, return_inverse=True)
-        return np.stack([dens.jump_symbol(rho, v) for v in used])[where]
+        return dens.jump_symbol(rho, used)[where]
 
     # closed-form (inf, sup) over states of Re q at each frequency, or None
     def envelope(self, model, XI, rho):
-        dens = model.triplet.jump_density
-        vals = [dens.jump_symbol(rho, i) for i in range(len(dens.variants))]
+        vals = model.triplet.jump_density.jump_symbols(rho)
         return np.min(vals, axis=0), np.max(vals, axis=0)
 
     # the `kind` envelope at each nonzero frequency row of XI, or None when

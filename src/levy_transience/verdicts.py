@@ -130,25 +130,46 @@ def model_memo(fn):
     return memo
 
 
-def memoized_profile(obj, key, compute):
-    """rhos -> values of a function of the radius, memoized per radius under
-    `key` in the `_cache` dict of the frozen obj; radii not cached yet go to
-    compute(sorted radii) at once. A whole radius array seen before is
-    looked up at once (read-only)."""
-    cache = obj._cache.setdefault(key, {})
+def memoized_profiles(obj, keys, compute):
+    """rhos -> one read-only array per key: functions of the radius, each
+    memoized per radius under its key in the `_cache` dict of the frozen
+    obj. The radii the keys lack go to one compute(rows, radii) call (rows:
+    the positions of the keys that lack some, radii: their sorted missing
+    radii; one array back per row), or, should it raise a QuadratureError,
+    to one call per row: the error is then the first a loop over the keys
+    meets. A whole radius array seen before is looked up at once."""
+    caches = [obj._cache.setdefault(key, {}) for key in keys]
 
-    def profile(rhos):
+    def profiles(rhos):
         rhos = np.atleast_1d(np.asarray(rhos, dtype=float))
-        key = rhos.tobytes()
-        if key not in cache:
-            missing = sorted({float(r) for r in rhos} - cache.keys())
-            if missing:
-                cache.update(zip(missing, map(float, compute(missing))))
-            cache[key] = np.asarray([cache[float(r)] for r in rhos])
-            cache[key].flags.writeable = False
-        return cache[key]
+        whole = rhos.tobytes()
+        new = [i for i, cache in enumerate(caches) if whole not in cache]
+        radii = rhos.tolist() if new else []
+        wanted = set(radii)
+        missing = {i: np.asarray(sorted(wanted - caches[i].keys()))
+                   for i in new}
+        rows = [i for i in new if missing[i].size]
+        try:
+            values = compute(rows, [missing[i] for i in rows]) if rows else []
+        except QuadratureError:
+            if len(rows) < 2:
+                raise
+            values = [compute([i], [missing[i]])[0] for i in rows]
+        for i, vals in zip(rows, values):
+            caches[i].update(zip(missing[i].tolist(), map(float, vals)))
+        for i in new:
+            caches[i][whole] = np.asarray([caches[i][r] for r in radii])
+            caches[i][whole].flags.writeable = False
+        return [cache[whole] for cache in caches]
 
-    return profile
+    return profiles
+
+
+def memoized_profile(obj, key, compute):
+    """memoized_profiles for one key: rhos -> read-only values, with
+    compute(sorted missing radii)."""
+    rows = memoized_profiles(obj, [key], lambda _, radii: [compute(radii[0])])
+    return lambda rhos: rows(rhos)[0]
 
 
 @functools.lru_cache(maxsize=64)

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import stacked_density_cases
 from levy_transience.classifier import classify, kappa_boundary
 from levy_transience.densities import (
     finite_range_density,
@@ -296,9 +297,28 @@ def test_second_moment_sweep_matches_single_radii(dens):
     # octave sum (or one log integral above the support cut)
     rhos = np.concatenate([np.geomspace(0.05, 80.0, 40), [0.5, 1.0, 3.0]])
     rhos.sort()
-    got = _SWEEPS["t3"](dens, 0, rhos)
+    got = _SWEEPS["t3"](dens, [0], [rhos])[0]
     want = [truncated_second_moment(dens, r) for r in rhos]
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-300)
+
+
+@pytest.mark.parametrize("name, dens", list(stacked_density_cases()))
+def test_stacked_tail_sweeps_equal_each_variant_alone_bit_for_bit(name, dens):
+    # T1 (with its nested tail-mass sweeps), tail mass and T3 with a row
+    # group per variant: each group's values are those of its variant
+    # alone, whatever radii (a verdict ladder, one radius, more than 64)
+    # and variants share the sweep
+    from levy_transience.verdicts import AT_INFINITY, AT_ORIGIN, verdict_ladder
+
+    n = len(dens.variants)
+    picked = [n - 1, 0, n // 2, 0]
+    radii = [np.sort(verdict_ladder(1.0, AT_INFINITY)[0]), np.array([0.75]),
+             np.sort(verdict_ladder(0.5, AT_ORIGIN)[0][:90]),
+             np.geomspace(0.01, 50.0, 70)]
+    for tag, sweep in _SWEEPS.items():
+        for i, rhos, row in zip(picked, radii, sweep(dens, picked, radii)):
+            assert row.tobytes() == sweep(dens, [i], [rhos])[0].tobytes(), \
+                (tag, i)
 
 
 @pytest.mark.parametrize("kappa", [math.nan, math.inf])

@@ -21,7 +21,7 @@ from levy_transience.densities import (
 )
 from levy_transience.errors import LevyTransienceError
 from levy_transience.index_rules import uniform_second_moment
-from levy_transience.quadrature import jump_symbol_value
+from levy_transience.quadrature import jump_symbol_value, stacked_weight
 from levy_transience.symbols import (
     isotropic_stable,
     load_model,
@@ -166,7 +166,8 @@ def test_stable_closed_form_matches_quadrature(d, alpha, gamma):
     for i in range(len(dens.variants)):
         np.testing.assert_allclose(
             dens.jump_symbol(rhos, i),
-            jump_symbol_value(dens.radial_weight(i), rhos, d), rtol=1e-9)
+            jump_symbol_value(stacked_weight([dens.radial_weight(i)]),
+                              [rhos], d, (), [0.0])[0], rtol=1e-9)
 
 
 def _scipy_special_loaded_after(args, tmp_path):
@@ -230,9 +231,9 @@ def test_kappa_probes_sweep_each_tail_functional_once(tmp_path, monkeypatch):
     t1 = levy_tails._SWEEPS["t1"]
     gauss = verdicts.log_gauss_blocks
 
-    def counted_t1(density, variant, rhos):
-        sweeps.append(variant)
-        return t1(density, variant, rhos)
+    def counted_t1(density, variants, radii):
+        sweeps.append(list(variants))
+        return t1(density, variants, radii)
 
     def counted_gauss(lo, hi, n=16):
         ladders.append((float(lo[0]), float(hi[0]), len(lo), n))
@@ -244,11 +245,16 @@ def test_kappa_probes_sweep_each_tail_functional_once(tmp_path, monkeypatch):
     models = [load_model(p) for p in _kappa_star_model_files(tmp_path)]
     for model in models:
         kappa_boundary(model)
-    # one T1 sweep per density variant (13 at the default seed), however
-    # many kappa probes and verdicts read it
-    variants = sum(len(m.triplet.jump_density.variants) for m in models
-                   if m.triplet.jump_density is not None)
-    assert len(sweeps) == variants == 13
+    # one stacked T1 sweep per density (5 of the 7 models at the default
+    # seed have one), carrying every variant of it as a row group (13 in
+    # all), however many kappa probes and verdicts read it
+    densities = [m.triplet.jump_density for m in models
+                 if m.triplet.jump_density is not None]
+    assert len(sweeps) == len(densities) == 5
+    assert sorted(map(len, sweeps)) \
+        == sorted(len(dens.variants) for dens in densities)
+    assert sum(map(len, sweeps)) == 13
+    assert all(rows == list(range(len(rows))) for rows in sweeps)
     # each (r, K, singularity, n_gl) ladder is built once
     assert ladders and len(ladders) == len(set(ladders))
 

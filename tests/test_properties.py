@@ -22,7 +22,11 @@ from levy_transience.classifier import (
 )
 from levy_transience.densities import stable_coefficient
 from levy_transience.errors import ConfigurationError, LevyTransienceError
-from levy_transience.quadrature import jump_symbol_value, sphere_surface
+from levy_transience.quadrature import (
+    jump_symbol_value,
+    sphere_surface,
+    stacked_weight,
+)
 from levy_transience.symbols import (
     brownian_drift,
     isotropic_stable,
@@ -49,10 +53,13 @@ def test_stable_jump_symbol_is_rho_to_the_alpha_alone_or_in_a_ladder(
     def weight(u):
         return coef * u ** (-1.0 - alpha)
 
-    lone = jump_symbol_value(weight, rho, d)
+    def symbol(rhos):
+        return jump_symbol_value(stacked_weight([weight]), [rhos], d, (),
+                                 [0.0])[0]
+
+    lone = symbol([rho])[0]
     assert math.isclose(lone, rho ** alpha, rel_tol=1e-8)
-    ladder = jump_symbol_value(weight,
-                               np.append(np.geomspace(1e-7, 1e3, 99), rho), d)
+    ladder = symbol(np.append(np.geomspace(1e-7, 1e3, 99), rho))
     assert math.isclose(ladder[-1], lone, rel_tol=1e-13)
 
 

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import levy_transience
+from conftest import stacked_density_cases
 from levy_transience import quadrature
 from levy_transience.errors import DivergentIntegralError
 from levy_transience.quadrature import (
@@ -19,9 +20,11 @@ from levy_transience.quadrature import (
     integrate_tail,
     jump_symbol_value,
     one_minus_wave_kernel,
+    origin_cumulative,
     oscillatory_tail_integral,
     segment_integrals,
     sphere_surface,
+    stacked_weight,
     tail_cumulative,
 )
 
@@ -108,6 +111,11 @@ def test_wave_kernel_small_argument_scale():
         assert val == pytest.approx(s * s / (2.0 * d), rel=1e-9)
 
 
+def lone(sweep, w, xs, *args):
+    """The sweep of one row group with the plain weight w: its one array."""
+    return sweep(stacked_weight([w]), [xs], *args)[0]
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_jump_symbol_value_stable_closed_form(d):
     # weight of an isotropic stable measure gives exactly rho^alpha
@@ -121,7 +129,7 @@ def test_jump_symbol_value_stable_closed_form(d):
         return s_d * c * u ** (d - 1.0 - d - alpha)
 
     for rho in (2.0 ** -20, 0.1, 1.0, 30.0):
-        got = jump_symbol_value(w, rho, d)
+        got = lone(jump_symbol_value, w, [rho], d, (), [0.0])[0]
         assert got == pytest.approx(rho ** alpha, rel=1e-8)
 
 
@@ -130,7 +138,7 @@ def test_tail_cumulative_matches_direct():
         return u ** -2.2
 
     us = np.geomspace(0.05, 40.0, 17)
-    got = tail_cumulative(w, us)
+    got = lone(tail_cumulative, w, us, ())
     want = -us ** -1.2 / -1.2
     np.testing.assert_allclose(got, want, rtol=1e-10)
 
@@ -140,7 +148,7 @@ def test_segment_integrals_with_breakpoint():
         return np.where(u < 1.0, 0.0, u ** -2.0)
 
     edges = np.array([0.5, 0.9, 1.5, 3.0])
-    got = segment_integrals(f, edges, breakpoints=(1.0,))
+    got = lone(segment_integrals, f, edges, (1.0,))
     assert got[0] == pytest.approx(0.0, abs=1e-15)
     assert got[1] == pytest.approx(1.0 - 1.0 / 1.5, rel=1e-12)
     assert got[2] == pytest.approx(1.0 / 1.5 - 1.0 / 3.0, rel=1e-12)
@@ -174,10 +182,9 @@ def test_jump_symbol_value_ladder_matches_single_radii(name, dens):
                            np.pi * np.array([0.999, 1.0, 1.001])])
     for i in range(len(dens.variants)):
         f = dens.radial_weight(i)
-        kw = dict(breakpoints=dens.all_breakpoints(),
-                  support_lo=dens.support_lo(i))
-        ladder = jump_symbol_value(f, rhos, dens.d, **kw)
-        single = np.array([jump_symbol_value(f, r, dens.d, **kw)
+        kw = (dens.all_breakpoints(), [dens.support_lo(i)])
+        ladder = lone(jump_symbol_value, f, rhos, dens.d, *kw)
+        single = np.array([lone(jump_symbol_value, f, [r], dens.d, *kw)[0]
                            for r in rhos])
         assert ladder.shape == rhos.shape
         np.testing.assert_allclose(ladder, single, rtol=1e-13, atol=0.0)
@@ -188,10 +195,10 @@ def test_jump_symbol_value_ladder_chunks_and_zero_radius():
 
     dens = stable_density(3, 1.3)
     f = dens.radial_weight(0)
-    # more radii than one chunk, a zero radius and a 2-d shape
-    rhos = np.append(np.geomspace(1e-4, 10.0, 149), 0.0).reshape(10, 15)
-    got = jump_symbol_value(f, rhos, 3)
-    assert got.shape == (10, 15) and got[-1, -1] == 0.0
+    # more radii than one chunk and a zero radius
+    rhos = np.append(np.geomspace(1e-4, 10.0, 149), 0.0)
+    got = lone(jump_symbol_value, f, rhos, 3, (), [0.0])
+    assert got.shape == (150,) and got[-1] == 0.0
     np.testing.assert_allclose(got, rhos ** 1.3, rtol=1e-10)
 
 
@@ -206,8 +213,9 @@ def test_jump_symbol_value_stable_closed_form_on_a_radius_vector():
             return s_d * c * u ** (-1.0 - alpha)
 
         rhos = np.array([2.0 ** -20, 1e-3, 0.1, 1.0, 30.0])
-        np.testing.assert_allclose(jump_symbol_value(w, rhos, d),
-                                   rhos ** alpha, rtol=1e-8)
+        np.testing.assert_allclose(
+            lone(jump_symbol_value, w, rhos, d, (), [0.0]), rhos ** alpha,
+            rtol=1e-8)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
@@ -233,11 +241,13 @@ def test_shared_wave_tail_matches_the_per_row_blocks(d, monkeypatch):
     rhos = np.geomspace(1e-6, 1e2, 97)
     for dens in (power_density(d, 1.1, u0=1.0), stable_density(d, 0.7),
                  table_density(d, [0.5, 3.0, 40.0], [1e-1, 1e-3, 1e-12])):
-        f, bps = dens.radial_weight(0), dens.all_breakpoints()
+        f = stacked_weight([dens.radial_weight(0)])
+        bps = dens.all_breakpoints()
         blockwise_rows.clear()
-        shared = oscillatory_tail_integral(f, None, rhos, d, bps)
+        shared = oscillatory_tail_integral(f, None, [rhos], d, bps)[0]
         fallback_rows = sum(blockwise_rows)
-        per_row = oscillatory_tail_integral(f, np.pi / rhos, rhos, d, bps)
+        per_row = oscillatory_tail_integral(f, [np.pi / rhos], [rhos], d,
+                                            bps)[0]
         assert sum(blockwise_rows) - fallback_rows == rhos.size
         assert (fallback_rows > 0) == bool(bps)
         np.testing.assert_allclose(shared, per_row, rtol=1e-13, atol=0.0)
@@ -260,25 +270,141 @@ def test_wave_tail_of_a_ladder_evaluates_the_kernel_once(monkeypatch):
     quadrature._wave_functional.cache_clear()
     dens = power_density(3, 1.1, u0=1.0)
     rhos = np.geomspace(6e-8, 3.0, 400)
-    jump_symbol_value(dens.radial_weight(0), rhos, 3,
-                      breakpoints=dens.all_breakpoints(),
-                      support_lo=dens.support_lo(0))
+    lone(jump_symbol_value, dens.radial_weight(0), rhos, 3,
+         dens.all_breakpoints(), [dens.support_lo(0)])
     assert 0 < sum(nodes) <= 48 * 10
 
 
 def test_origin_cumulative_matches_direct():
-    from levy_transience.quadrature import origin_cumulative
-
     us = np.geomspace(0.05, 40.0, 17)
-    np.testing.assert_allclose(origin_cumulative(lambda u: u ** -0.4, us),
-                               us ** 0.6 / 0.6, rtol=1e-10)
+    np.testing.assert_allclose(
+        lone(origin_cumulative, lambda u: u ** -0.4, us, (), [0.0]),
+        us ** 0.6 / 0.6, rtol=1e-10)
     # support cut at 0.5, kink at 2: blocks split at both breakpoints
-    got = origin_cumulative(
-        lambda u: np.where(u < 0.5, 0.0, np.where(u < 2.0, u, 2.0)), us,
-        breakpoints=(0.5, 2.0), support_lo=0.5)
+    got = lone(origin_cumulative,
+               lambda u: np.where(u < 0.5, 0.0, np.where(u < 2.0, u, 2.0)),
+               us, (0.5, 2.0), [0.5])
     want = np.where(us < 0.5, 0.0, np.where(
         us < 2.0, (us ** 2 - 0.25) / 2.0, 1.875 + 2.0 * (us - 2.0)))
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("name, dens", list(stacked_density_cases()))
+def test_stacked_sweeps_equal_each_group_alone_bit_for_bit(name, dens):
+    # row groups of other variants, other radii (a zero radius, more than
+    # one wave-tail chunk) and a repeated variant do not change one bit of
+    # a group's values
+    n = len(dens.variants)
+    picked = [n - 1, 0, n // 2, 0]
+    radii = [np.sort(np.append(np.geomspace(1e-6, 1e2, 150),
+                               np.pi * np.array([0.999, 1.0, 1.001]))),
+             np.array([0.0, 0.37]), np.geomspace(3e-3, 40.0, 23),
+             np.geomspace(1e-5, 1e3, 70)]
+    weights = [dens.radial_weight(i) for i in picked]
+    lows = [dens.support_lo(i) for i in picked]
+    bps = dens.all_breakpoints()
+    stacked = stacked_weight(weights)
+    got = jump_symbol_value(stacked, radii, dens.d, bps, lows)
+    for row, w, rho, lo in zip(got, weights, radii, lows):
+        assert row.tobytes() == lone(jump_symbol_value, w, rho, dens.d, bps,
+                                     [lo]).tobytes()
+    nodes = [rho[rho > 0.0] for rho in radii]
+    for sweep in (tail_cumulative, segment_integrals):
+        for row, w, us in zip(sweep(stacked, nodes, bps), weights, nodes):
+            assert row.tobytes() == lone(sweep, w, us, bps).tobytes()
+    # the T3 weight u^2 S_d u^{d-1} n(u) is integrable at the origin
+    moments = [dens.second_moment_weight(i) for i in picked]
+    for row, w, us, lo in zip(
+            origin_cumulative(stacked_weight(moments), nodes, bps, lows),
+            moments, nodes, lows):
+        assert row.tobytes() \
+            == lone(origin_cumulative, w, us, bps, [lo]).tobytes()
+
+
+def _variants_with_divergent_integrals():
+    # d = 1, n = u^-2 with two changes that the Levy-measure check, whose
+    # integrals from 1 stop near 1e-11 and 1e11, does not reach: n falls
+    # only like u^-1 beyond 1e15 ("far": the plain tail of a jump symbol
+    # diverges for rho below pi/1e15) or rises like u^-3 below 1e-15
+    # ("near": the part below pi/rho diverges for large rho)
+    from levy_transience.densities import DensityVariant, RadialLevyDensity
+
+    def power(u):
+        return u ** -2.0
+
+    def far(u):
+        return np.where(u > 1e15, u ** -1.0 / 1e15, u ** -2.0)
+
+    def near(u):
+        return np.where(u < 1e-15, u ** -3.0 * 1e-15, u ** -2.0)
+
+    return lambda: RadialLevyDensity(d=1, u0=0.0, variants=(
+        DensityVariant("power", power, alpha=1.0),
+        DensityVariant("far", far, breakpoints=(1e15,)),
+        DensityVariant("near", near, breakpoints=(1e-15,))))
+
+
+def _raised(call):
+    with pytest.raises(DivergentIntegralError) as info:
+        call()
+    return type(info.value), str(info.value), info.value.partial
+
+
+def test_a_stacked_jump_symbol_raises_what_a_loop_over_variants_raises():
+    # a loop over the variants meets the far variant's diverging tail
+    # first, although the near variant diverges in an earlier stage of
+    # the stacked sweep
+    fresh = _variants_with_divergent_integrals()
+    rhos = np.array([1e-16, 1e12])
+    loop = fresh()
+    want = _raised(lambda: [loop.jump_symbol(rhos, i) for i in range(3)])
+    assert want[1] == (f"tail integral from {math.pi / 1e-16} did not "
+                       "converge within 260 octaves")
+    assert _raised(lambda: fresh().jump_symbols(rhos)) == want
+    # alone, the near variant's error is the one of its own stage
+    assert "integral near 0 below pi/rho" \
+        in _raised(lambda: fresh().jump_symbol(rhos, 2))[1]
+
+
+def test_jump_symbols_fill_each_memo_as_a_loop_over_variants_would():
+    # variant 0 already holds some radii (the pointwise symbol path fills
+    # it alone); the stacked call computes each variant's missing radii,
+    # so every value equals that of the per-variant loop
+    from levy_transience.densities import power_density
+
+    def fresh():
+        dens = power_density(3, (0.8, 1.2), u0=1.0)
+        dens.jump_symbol(np.geomspace(1e-3, 3.0, 5), 0)
+        return dens
+
+    rhos = np.geomspace(1e-4, 10.0, 90)
+    loop = fresh()
+    want = np.stack([loop.jump_symbol(rhos, i) for i in range(9)])
+    stacked = fresh()
+    got = stacked.jump_symbols(rhos)
+    assert got.shape == (9, 90) and got.tobytes() == want.tobytes()
+    for i in range(9):
+        assert stacked._cache[("jsym", i)].keys() \
+            == loop._cache[("jsym", i)].keys()
+    assert stacked.jump_symbol(0.5, [4, 0]).tolist() \
+        == [loop.jump_symbol(0.5, 4), loop.jump_symbol(0.5, 0)]
+
+
+def test_jump_symbols_over_many_steps_equal_a_loop_over_variants():
+    # 9 variants without a support cut share 406 radii: the near parts are
+    # octave sums of about 30,000 blocks per batch, run in several steps of
+    # whole rows, and each row equals its variant's call alone
+    from levy_transience.densities import modified_density, stable_density
+
+    def fresh():
+        return modified_density(stable_density(3, (0.8, 1.2)), 2.0,
+                                factor=3.0)
+
+    rhos = np.geomspace(1e-3, 10.0, 406)
+    loop = fresh()
+    want = np.stack([loop.jump_symbol(rhos, i) for i in range(9)])
+    got = fresh().jump_symbols(rhos)
+    assert got.shape == (9, 406) and got.tobytes() == want.tobytes()
 
 
 def test_import_leaves_scipy_special_unloaded():
