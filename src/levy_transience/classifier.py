@@ -135,15 +135,45 @@ def classify(model: SymbolModel, kappa: float, d=None, r=1.0,
     """Full per-kappa classification with rule provenance."""
     if d is None:
         d = model.d
+    gate = _checked_gate(model, d, kappa, r, gate)
+    assumptions = _default_assumptions(model)
+    records, evidence, notes = _evidence(model, d, kappa, r, methods,
+                                         assumptions)
+    verdict, conditional = _aggregate(model, evidence, assumptions, notes)
+    return TransienceReport(
+        gate=gate, kappa=kappa, verdict=verdict,
+        fired_rules=tuple(records), assumptions=assumptions,
+        conditional=tuple(conditional), notes=tuple(notes))
+
+
+def classify_verdict(model: SymbolModel, kappa: float, r, methods, gate):
+    """The verdict classify reports; the bands below the highest precedence
+    level with evidence are never computed."""
+    _checked_gate(model, model.d, kappa, r, gate)
+    assumptions = _default_assumptions(model)
+    for level in (3, 2, 1):
+        band = [m for m in methods if _PRECEDENCE.get(m) == level]
+        evidence = _evidence(model, model.d, kappa, r, band, assumptions)[1]
+        if evidence:
+            return _decide(evidence)
+    return INCONCLUSIVE
+
+
+def _checked_gate(model, d, kappa, r, gate):
     if d != model.d:
         raise ConfigurationError(f"model dimension {model.d} != requested {d}")
     check_kappa(kappa)
+    check_positive("radius", r)
     if gate is None:
         gate = transience_gate(model, r)
     if gate == GATE_RECURRENT:
         raise NotTransientError(
             "process is not transient; weak/strong transience is undefined")
-    assumptions = _default_assumptions(model)
+    return gate
+
+
+def _evidence(model, d, kappa, r, methods, assumptions):
+    """Run the method bands: (rule records, method band -> sides, notes)."""
     records: list[RuleRecord] = []
     evidence = {}   # method band -> set of sides
     notes = []
@@ -221,11 +251,7 @@ def classify(model: SymbolModel, kappa: float, d=None, r=1.0,
         except LevyTransienceError as exc:
             notes.append(f"index rules skipped: {exc}")
 
-    verdict, conditional = _aggregate(model, evidence, assumptions, notes)
-    return TransienceReport(
-        gate=gate, kappa=kappa, verdict=verdict,
-        fired_rules=tuple(records), assumptions=assumptions,
-        conditional=tuple(conditional), notes=tuple(notes))
+    return records, evidence, notes
 
 
 def _index_outcomes(model, d, kappa):
@@ -245,48 +271,50 @@ def _sector_constant(model, assumptions):
     return None
 
 
+def _decide(evidence):
+    """The highest precedence level with evidence fixes the verdict; weak
+    and strong evidence at that level give Inconclusive."""
+    top = max(map(_PRECEDENCE.get, evidence), default=None)
+    sides = {s for m in evidence if _PRECEDENCE[m] == top for s in evidence[m]}
+    if sides == {"weak"}:
+        return WEAKLY_TRANSIENT
+    return STRONGLY_TRANSIENT if sides == {"strong"} else INCONCLUSIVE
+
+
 def _aggregate(model, evidence, assumptions, notes):
-    order = sorted(evidence, key=lambda m: _PRECEDENCE[m], reverse=True)
+    verdict = _decide(evidence)
     conditional = []
-    for band_level in (3, 2, 1):
-        sides = set()
-        for m in order:
-            if _PRECEDENCE[m] == band_level:
-                sides |= evidence[m]
-        if not sides:
-            continue
-        if sides == {"weak", "strong"}:
-            notes.append("conflicting weak and strong evidence at the same "
-                         "precedence; reporting inconclusive")
-            return INCONCLUSIVE, conditional
-        side = sides.pop()
-        if side == "weak":
-            unconditional = model.is_state_independent and symmetry_check(model)
-            if not unconditional and not assumptions["weak_test_hypothesis"]:
-                conditional.append(
-                    "weak verdict is conditional on the weak-test hypothesis "
-                    "for state-dependent symbols")
-            return WEAKLY_TRANSIENT, conditional
-        sector = _sector_constant(model, assumptions)
-        if sector is None:
+    if verdict == INCONCLUSIVE and evidence:
+        notes.append("conflicting weak and strong evidence at the same "
+                     "precedence; reporting inconclusive")
+    elif verdict == WEAKLY_TRANSIENT:
+        unconditional = model.is_state_independent and symmetry_check(model)
+        if not unconditional and not assumptions["weak_test_hypothesis"]:
             conditional.append(
-                "strong verdict is conditional on the sector condition")
-        return STRONGLY_TRANSIENT, conditional
-    return INCONCLUSIVE, conditional
+                "weak verdict is conditional on the weak-test hypothesis "
+                "for state-dependent symbols")
+    elif verdict == STRONGLY_TRANSIENT \
+            and _sector_constant(model, assumptions) is None:
+        conditional.append(
+            "strong verdict is conditional on the sector condition")
+    return verdict, conditional
 
 
 def kappa_boundary(model: SymbolModel, tol=0.01, lo=0.0, hi=8.0, r=1.0,
                    methods=ALL_METHODS) -> float:
     """Bisection for the kappa separating strong from weak transience."""
     check_positive("tol", tol)
+    check_kappa(lo)
+    check_kappa(hi)
+    check_positive("radius", r)
     gate = transience_gate(model, r)
     if gate == GATE_RECURRENT:
         raise NotTransientError("process is not transient; no boundary exists")
 
     def probe(kappa):
-        rep = classify(model, kappa, r=r, methods=methods, gate=gate)
-        if rep.verdict != INCONCLUSIVE:
-            return rep.verdict
+        verdict = classify_verdict(model, kappa, r, methods, gate)
+        if verdict != INCONCLUSIVE:
+            return verdict
         refined = weak_integral_kappa(model, kappa, r).decided_state
         return WEAKLY_TRANSIENT if refined == DIVERGES else STRONGLY_TRANSIENT
 

@@ -330,7 +330,8 @@ def compare_cmd(model_paths, out_dir, fmt, kappa_grid, u0):
         row = []
         for k in kappas:
             try:
-                row.append(clf.classify(model, k).verdict)
+                row.append(clf.classify_verdict(
+                    model, k, 1.0, clf.ALL_METHODS, None))
             except LevyTransienceError as exc:
                 row.append(f"error: {exc}")
         verdicts[label] = row

@@ -368,7 +368,8 @@ def _marginal_grid(config):
     n = max(8, int(math.ceil(math.log10(hi / lo) * config.nodes_per_decade)))
     grid = np.geomspace(lo, hi, n)
     anchors = np.asarray([config.horizon, 2.0 * config.horizon, hi])
-    return np.unique(np.concatenate([grid, anchors]))
+    grid = np.sort(np.concatenate([grid, anchors]))  # np.unique loads numpy.ma
+    return grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
 
 
 def _log_trapezoid(grid, probs, variances, kappa, horizon):

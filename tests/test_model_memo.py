@@ -23,6 +23,7 @@ from levy_transience.errors import LevyTransienceError
 from levy_transience.index_rules import uniform_second_moment
 from levy_transience.quadrature import jump_symbol_value, stacked_weight
 from levy_transience.symbols import (
+    brownian_drift,
     isotropic_stable,
     load_model,
     model_from_config,
@@ -232,7 +233,7 @@ def test_kappa_probes_sweep_each_tail_functional_once(tmp_path, monkeypatch):
     gauss = verdicts.log_gauss_blocks
 
     def counted_t1(density, variants, radii):
-        sweeps.append(list(variants))
+        sweeps.append((density, list(variants)))
         return t1(density, variants, radii)
 
     def counted_gauss(lo, hi, n=16):
@@ -242,21 +243,46 @@ def test_kappa_probes_sweep_each_tail_functional_once(tmp_path, monkeypatch):
     monkeypatch.setitem(levy_tails._SWEEPS, "t1", counted_t1)
     monkeypatch.setattr(verdicts, "log_gauss_blocks", counted_gauss)
     verdicts.verdict_ladder.cache_clear()
-    models = [load_model(p) for p in _kappa_star_model_files(tmp_path)]
-    for model in models:
+    models = {Path(p).stem: load_model(p)
+              for p in _kappa_star_model_files(tmp_path)}
+    for model in models.values():
         kappa_boundary(model)
-    # one stacked T1 sweep per density (5 of the 7 models at the default
-    # seed have one), carrying every variant of it as a row group (13 in
-    # all), however many kappa probes and verdicts read it
-    densities = [m.triplet.jump_density for m in models
-                 if m.triplet.jump_density is not None]
-    assert len(sweeps) == len(densities) == 5
-    assert sorted(map(len, sweeps)) \
-        == sorted(len(dens.variants) for dens in densities)
-    assert sum(map(len, sweeps)) == 13
-    assert all(rows == list(range(len(rows))) for rows in sweeps)
+    # the four isotropic stable models are decided by the closed-form band
+    # alone, so only stable_like2 sweeps T1: once, with its 9 variants as
+    # the row groups of one sweep, however many kappa probes read it
+    stable = [m for name, m in models.items() if name.startswith("iso")]
+    assert len(stable) == 4
+    assert all(m.triplet.jump_density is not None for m in stable)
+    assert [(dens is models["stable_like2"].triplet.jump_density, rows)
+            for dens, rows in sweeps] == [(True, list(range(9)))]
     # each (r, K, singularity, n_gl) ladder is built once
     assert ladders and len(ladders) == len(set(ladders))
+
+
+@pytest.mark.parametrize("model, kappa_star", [
+    (isotropic_stable(3, 1.0), 2.0), (brownian_drift(3), 0.5)],
+    ids=["stable", "bm"])
+def test_closed_form_kappa_probes_run_no_lower_band(model, kappa_star,
+                                                    monkeypatch):
+    # the closed-form band decides every probe of these Levy processes, so
+    # no integral, tail or index band is computed
+    from levy_transience import cf_integrals, levy_tails, verdicts
+
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    verdict = counted("verdict", verdicts.verdict_from_radial_integrand)
+    for module in (verdicts, cf_integrals, levy_tails):
+        monkeypatch.setattr(module, "verdict_from_radial_integrand", verdict)
+    monkeypatch.setitem(levy_tails._SWEEPS, "t1",
+                        counted("t1", levy_tails._SWEEPS["t1"]))
+    assert kappa_boundary(model) == pytest.approx(kappa_star, abs=0.01)
+    assert calls == []
 
 
 def test_cached_ladders_and_envelopes_are_read_only():

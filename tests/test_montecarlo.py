@@ -1,10 +1,16 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import levy_transience
 from levy_transience import montecarlo
 from levy_transience.errors import ConfigurationError
 from levy_transience.montecarlo import (
@@ -17,6 +23,7 @@ from levy_transience.montecarlo import (
     _chunks,
     _euler_sweep,
     _family_step_fields,
+    _marginal_grid,
     ecf_check,
     euler_terminal_states,
     occupation_integral_estimate,
@@ -500,3 +507,41 @@ def test_sim_config_rejects_a_kappa_whose_weight_overflows():
     SimConfig(horizon=5.0, paths=10, seed=1, radius=1.0, kappa=100.0)
     with pytest.raises(ConfigurationError, match="kappa 130.0 .* horizon 5.0"):
         SimConfig(horizon=5.0, paths=10, seed=1, radius=1.0, kappa=130.0)
+
+
+def test_exact_marginal_simulate_leaves_numpy_ma_unimported(model_file,
+                                                            tmp_path):
+    # np.unique would import numpy.ma (about 1.3 MB) in every exact-marginal
+    # simulate; a fresh interpreter, so nothing else has imported it yet
+    src = str(Path(levy_transience.__file__).resolve().parents[1])
+    args = ["simulate", "--model",
+            model_file({"family": "brownian_drift", "d": 3,
+                        "parameters": {"c": 1.0}}),
+            "--mode", "exact_marginal", "--kappa", "0.2", "--paths", "50",
+            "--horizon", "5", "--out", str(tmp_path / "o")]
+    code = ("import sys\n"
+            "from levy_transience.cli import main\n"
+            "try:\n"
+            f"    main({args!r})\n"
+            "except SystemExit as exc:\n"
+            "    print('numpy.ma' in sys.modules)\n"
+            "    sys.exit(exc.code)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.returncode in (0, 2), out.stderr
+    assert out.stdout.splitlines()[-1] == "False"
+    assert json.loads((tmp_path / "o" / "report.json").read_text())
+
+
+@pytest.mark.parametrize("horizon", [1e-3, 0.04, 1.0, 5.0, 200.0, 1e6])
+def test_marginal_grid_is_the_sorted_unique_grid_byte_for_byte(horizon):
+    cfg = SimConfig(horizon=horizon, paths=10, seed=1, radius=1.0,
+                    kappa=0.0)
+    grid = _marginal_grid(cfg)
+    lo = min(montecarlo._T_FLOOR, horizon / 100.0)
+    n = max(8, int(math.ceil(math.log10(4.0 * horizon / lo)
+                             * cfg.nodes_per_decade)))
+    want = np.unique(np.concatenate([
+        np.geomspace(lo, 4.0 * horizon, n),
+        [horizon, 2.0 * horizon, 4.0 * horizon]]))
+    assert grid.tobytes() == want.tobytes()

@@ -17,6 +17,7 @@ from levy_transience.classifier import (
     STRONGLY_TRANSIENT,
     WEAKLY_TRANSIENT,
     classify,
+    classify_verdict,
     kappa_boundary,
     transience_gate,
 )
@@ -141,17 +142,42 @@ def test_weak_at_a_kappa_is_never_strong_at_a_larger_one(model, kappas,
                 == STRONGLY_TRANSIENT)
 
 
+def _verdict_or_error(call):
+    try:
+        return call()
+    except LevyTransienceError as exc:
+        return type(exc)
+
+
+@given(model=transient_candidates(), kappa=st.floats(0.0, 64.0),
+       methods=st.lists(st.sampled_from(ALL_METHODS), unique=True).map(tuple))
+def test_classify_verdict_is_the_verdict_classify_reports(model, kappa,
+                                                          methods):
+    want = _verdict_or_error(
+        lambda: classify(model, kappa, methods=methods).verdict)
+    got = _verdict_or_error(
+        lambda: classify_verdict(model, kappa, 1.0, methods, None))
+    if got == want:
+        return
+    # classify raised in some band; the verdict path stopped above it
+    assert isinstance(want, type) and isinstance(got, str)
+    assert any(got == _verdict_or_error(lambda: classify(
+        model, kappa, methods=tuple(m for m in methods
+                                    if classifier._PRECEDENCE[m] > level))
+        .verdict) for level in (1, 2))
+
+
 @given(model=transient_candidates())
 def test_kappa_boundary_lies_between_a_strong_and_a_weak_probe(model):
     probes = []
 
-    def recorded(*args, **kwargs):
-        report = classify(*args, **kwargs)
-        probes.append((args[1], report.verdict))
-        return report
+    def recorded(*args):
+        verdict = classify_verdict(*args)
+        probes.append((args[1], verdict))
+        return verdict
 
     tol = 0.01
-    with mock.patch.object(classifier, "classify", recorded):
+    with mock.patch.object(classifier, "classify_verdict", recorded):
         kappa_star = kappa_boundary(model, tol=tol, hi=64.0)
     strong = [k for k, v in probes if v == STRONGLY_TRANSIENT]
     weak = [k for k, v in probes if v == WEAKLY_TRANSIENT]
