@@ -39,7 +39,6 @@ from .cf_integrals import (
 )
 from .index_rules import (
     PruittIndices,
-    RuleOutcome,
     index_bound_rules,
     moment_rules,
     pruitt_indices,
@@ -52,6 +51,7 @@ from .levy_tails import (
     rv_classify,
     borderline_index_test,
     integrated_tail,
+    moment_tail_test,
     perturbation_distance,
     perturbation_equivalence,
     split_tail_tests,

@@ -36,6 +36,7 @@ from .verdicts import (
     AT_ORIGIN,
     DivergenceVerdict,
     diverges_verdict,
+    log_power_law,
     memoized_profile,
     verdict_from_radial_integrand,
 )
@@ -85,8 +86,7 @@ def _frequency_test(model, kind, r, kappa):
         # log 0 where inf Re q vanishes at a ladder point: +inf log G,
         # which verdict_from_radial_integrand reports as a QuadratureError
         with np.errstate(divide="ignore"):
-            return (log_s_d + (model.d - 1) * np.log(rhos)
-                    - (kappa + 1.0) * np.log(m))
+            return log_power_law(log_s_d, model.d - 1, kappa + 1.0, rhos, m)
 
     return verdict_from_radial_integrand(log_G, r, singularity=AT_ORIGIN)
 

@@ -3,13 +3,18 @@
 Evidence is collected in three bands with fixed precedence: closed-form
 family rules (two-sided where the family admits an exact threshold), the
 frequency-side and measure-side integral tests (co-equal), and the one-sided
-index rules. Within the winning band, weak-side and strong-side evidence
-must not conflict; a conflict is reported as Inconclusive with full trace.
+index rules. A rule of every band is a (side, rule_id, statement, detail)
+record of a rule that fired, and every test reads the dimension from the
+model. Within the winning band, weak-side and strong-side evidence must not
+conflict; a conflict is reported as Inconclusive with full trace.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .cf_integrals import strong_integral_kappa, weak_integral_kappa
 from .errors import (
@@ -21,18 +26,10 @@ from .errors import (
     check_kappa,
     check_positive,
 )
-from .index_rules import (
-    IMPLIES_STRONG,
-    IMPLIES_WEAK,
-    _jsonable,
-    index_bound_rules,
-    moment_rules,
-    pruitt_indices,
-    shape_diagnostic,
-)
+from .index_rules import index_bound_rules, moment_rules, shape_diagnostic
 from .levy_tails import (
     cos_moment_condition,
-    split_tail_tests,
+    moment_tail_test,
     quadratic_growth_floor,
     tail_test_strong,
     tail_test_weak,
@@ -49,11 +46,21 @@ ALL_METHODS = ("closed_form", "integral", "tail", "index")
 
 _PRECEDENCE = {"closed_form": 3, "integral": 2, "tail": 2, "index": 1}
 
-_INDEX_SIDES = {IMPLIES_WEAK: "weak", IMPLIES_STRONG: "strong"}
-
 
 class NotTransientError(LevyTransienceError):
     """classify() was called on a process the gate declares recurrent."""
+
+
+def _jsonable(obj):
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, (np.floating, np.integer)):
+        return float(obj)
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -133,11 +140,11 @@ def transience_gate(model: SymbolModel, r=1.0, use_structural=True) -> str:
 def classify(model: SymbolModel, kappa: float, d=None, r=1.0,
              methods=ALL_METHODS, gate=None) -> TransienceReport:
     """Full per-kappa classification with rule provenance."""
-    if d is None:
-        d = model.d
-    gate = _checked_gate(model, d, kappa, r, gate)
+    if d is not None and d != model.d:
+        raise ConfigurationError(f"model dimension {model.d} != requested {d}")
+    gate = _checked_gate(model, kappa, r, methods, gate)
     assumptions = _default_assumptions(model)
-    records, evidence, notes = _evidence(model, d, kappa, r, methods,
+    records, evidence, notes = _evidence(model, kappa, r, methods,
                                          assumptions)
     verdict, conditional = _aggregate(model, evidence, assumptions, notes)
     return TransienceReport(
@@ -149,21 +156,26 @@ def classify(model: SymbolModel, kappa: float, d=None, r=1.0,
 def classify_verdict(model: SymbolModel, kappa: float, r, methods, gate):
     """The verdict classify reports; the bands below the highest precedence
     level with evidence are never computed."""
-    _checked_gate(model, model.d, kappa, r, gate)
+    _checked_gate(model, kappa, r, methods, gate)
     assumptions = _default_assumptions(model)
     for level in (3, 2, 1):
-        band = [m for m in methods if _PRECEDENCE.get(m) == level]
-        evidence = _evidence(model, model.d, kappa, r, band, assumptions)[1]
+        band = [m for m in methods if _PRECEDENCE[m] == level]
+        evidence = _evidence(model, kappa, r, band, assumptions)[1]
         if evidence:
             return _decide(evidence)
     return INCONCLUSIVE
 
 
-def _checked_gate(model, d, kappa, r, gate):
-    if d != model.d:
-        raise ConfigurationError(f"model dimension {model.d} != requested {d}")
+def _check_methods(methods):
+    if not set(methods) <= set(ALL_METHODS):
+        raise ConfigurationError(
+            f"methods must be names from {ALL_METHODS}, got {methods!r}")
+
+
+def _checked_gate(model, kappa, r, methods, gate):
     check_kappa(kappa)
     check_positive("radius", r)
+    _check_methods(methods)
     if gate is None:
         gate = transience_gate(model, r)
     if gate == GATE_RECURRENT:
@@ -172,7 +184,7 @@ def _checked_gate(model, d, kappa, r, gate):
     return gate
 
 
-def _evidence(model, d, kappa, r, methods, assumptions):
+def _evidence(model, kappa, r, methods, assumptions):
     """Run the method bands: (rule records, method band -> sides, notes)."""
     records: list[RuleRecord] = []
     evidence = {}   # method band -> set of sides
@@ -185,7 +197,7 @@ def _evidence(model, d, kappa, r, methods, assumptions):
             evidence.setdefault(method, set()).add(side)
 
     if "closed_form" in methods:
-        for rule in FAMILIES[model.family].rules(model, d, kappa):
+        for rule in FAMILIES[model.family].rules(model, kappa):
             fire("closed_form", *rule)
 
     if "integral" in methods:
@@ -214,11 +226,11 @@ def _evidence(model, d, kappa, r, methods, assumptions):
         dens = model.triplet.jump_density
         r_tail = max(r, 2.0 * dens.u0, 1.0)
         try:
-            tw = tail_test_weak(dens, d, kappa, r_tail)
+            tw = tail_test_weak(dens, kappa, r_tail)
             if tw.decided_state == DIVERGES:
                 fire("tail", "weak", "tail-weak",
                      "integrated-tail sup test diverges", tw.to_json())
-            ts = tail_test_strong(dens, d, kappa, r_tail)
+            ts = tail_test_strong(dens, kappa, r_tail)
             if ts.decided_state == CONVERGES:
                 iff_ok = dens.monotone_beyond_u0 \
                     and dens.monotone_verified() and (
@@ -232,33 +244,24 @@ def _evidence(model, d, kappa, r, methods, assumptions):
                     fire("tail", "info", "tail-strong-consistent",
                          "integrated-tail inf test converges "
                          "(necessary for the strong side)", ts.to_json())
-            split = split_tail_tests(dens, d, kappa, r_tail)
-            if split.strong_second_moment.decided_state == CONVERGES \
-                    and cos_moment_condition(dens):
+            tm = moment_tail_test(dens, kappa, r_tail)
+            if tm.decided_state == CONVERGES and cos_moment_condition(dens):
                 fire("tail", "strong", "cos-moment-strong",
                      "truncated-moment tail test converges and the "
-                     "cosine-moment floor is positive",
-                     split.strong_second_moment.to_json())
+                     "cosine-moment floor is positive", tm.to_json())
         except (NotApplicableError, NonPowerTailError, QuadratureError) as exc:
             notes.append(f"tail tests not applicable: {exc}")
 
     if "index" in methods:
         try:
-            for out in _index_outcomes(model, d, kappa):
-                side = _INDEX_SIDES.get(out.conclusion)
-                if side is not None:
-                    fire("index", side, out.rule, out.statement, out.premises)
+            # lazy, so the records of the rules before a failing one are kept
+            for rules in (index_bound_rules, moment_rules, shape_diagnostic):
+                for rule in rules(model, kappa):
+                    fire("index", *rule)
         except LevyTransienceError as exc:
             notes.append(f"index rules skipped: {exc}")
 
     return records, evidence, notes
-
-
-def _index_outcomes(model, d, kappa):
-    # lazy, so the records of the rules before a failing one are kept
-    yield from index_bound_rules(d, kappa, pruitt_indices(model))
-    yield from moment_rules(model, d, kappa)
-    yield from shape_diagnostic(model, kappa, d)
 
 
 def _sector_constant(model, assumptions):
@@ -307,6 +310,7 @@ def kappa_boundary(model: SymbolModel, tol=0.01, lo=0.0, hi=8.0, r=1.0,
     check_kappa(lo)
     check_kappa(hi)
     check_positive("radius", r)
+    _check_methods(methods)
     gate = transience_gate(model, r)
     if gate == GATE_RECURRENT:
         raise NotTransientError("process is not transient; no boundary exists")

@@ -212,13 +212,12 @@ def tails_cmd(model_paths, out_dir, fmt, kappa, radius):
     dens = model.triplet.jump_density
     if dens is None:
         raise NotApplicableError("model carries no radial jump density")
-    d = model.d
     r0 = max(radius, 2.0 * dens.u0, 1.0)
-    weak = tail_test_weak(dens, d, kappa, r0)
-    strong = tail_test_strong(dens, d, kappa, r0)
-    split = split_tail_tests(dens, d, kappa, r0)
+    weak = tail_test_weak(dens, kappa, r0)
+    strong = tail_test_strong(dens, kappa, r0)
+    split = split_tail_tests(dens, kappa, r0)
     try:
-        floor = density_floor_test(dens, d, kappa, r0).to_json()
+        floor = density_floor_test(dens, kappa, r0).to_json()
     except NotApplicableError as exc:
         floor = {"not_applicable": str(exc)}
     cosmoment = cos_moment_condition(dens)

@@ -1,17 +1,21 @@
-"""Pruitt-type scaling indices and the dimension-based sufficiency rules.
+"""Pruitt-type scaling indices and the index rules of the classifier.
 
 The lower index is the small-frequency scaling exponent of sup_x |q(x, xi)|,
 the upper index that of inf_x Re q(x, xi). Both are estimated as regression
 slopes over a dyadic frequency ladder, reducing over directions with max for
-the sup-envelope and min for the inf-envelope. The rules below convert index
-and moment information into one-sided conclusions about the weak-side and
-strong-side integral conditions.
+the sup-envelope and min for the inf-envelope.
+
+Each rule below is a generator over (model, kappa) that yields the
+(side, rule_id, statement, detail) of every rule that fires, as the
+closed-form rules of a family do: the lower-index dimension rule, the
+second-moment and quadratic-growth rules, and the concave inf-profile rule.
+A rule computes a premise only after its cheaper conditions hold.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,11 +31,6 @@ from .symbols import (
     symbol_even_in_xi,
 )
 from .verdicts import _line, model_memo
-
-IMPLIES_WEAK = "implies_weak_side"       # the weak-side integral diverges
-IMPLIES_STRONG = "implies_strong_side"   # the strong-side integral converges
-NECESSARY_VIOLATED = "necessary_violated"
-NOT_APPLICABLE = "not_applicable"
 
 _K_LO, _K_HI = 4, 20
 
@@ -53,48 +52,6 @@ class PruittIndices:
                 "residual_upper": self.residual_upper}
 
 
-@dataclass(frozen=True)
-class RuleOutcome:
-    """One applied rule: id, conclusion and the premises that were checked."""
-
-    rule: str
-    conclusion: str
-    premises: dict = field(default_factory=dict)
-    statement: str = ""
-
-    @property
-    def fired(self):
-        return self.conclusion in (IMPLIES_WEAK, IMPLIES_STRONG)
-
-    def to_json(self):
-        return {"id": self.rule, "conclusion": self.conclusion,
-                "premises": _jsonable(self.premises),
-                "statement": self.statement}
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return float(obj)
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
-    return obj
-
-
-def _dyadic_profiles(model):
-    """Dyadic radii 2^-_K_LO .. 2^-_K_HI with the sup-envelope (max over
-    directions) and the inf-envelope (min over directions) on them."""
-    rhos = 2.0 ** (-np.arange(_K_LO, _K_HI + 1).astype(float))
-    return (rhos,
-            envelope_profile(model, ENV_SUP_ABS, rhos, reduce="max",
-                             n_directions=16),
-            envelope_profile(model, ENV_INF_RE, rhos, reduce="min",
-                             n_directions=16))
-
-
 def _slope_and_residual(rhos, vals):
     lx, ly = np.log(rhos), np.log(vals)
     slope, intercept = _line(lx, ly)
@@ -103,7 +60,13 @@ def _slope_and_residual(rhos, vals):
 
 @model_memo
 def pruitt_indices(model: SymbolModel) -> PruittIndices:
-    rhos, sup_prof, inf_prof = _dyadic_profiles(model)
+    """Slopes over the dyadic radii 2^-_K_LO .. 2^-_K_HI of the sup-envelope
+    (max over directions) and of the inf-envelope (min over directions)."""
+    rhos = 2.0 ** (-np.arange(_K_LO, _K_HI + 1).astype(float))
+    sup_prof = envelope_profile(model, ENV_SUP_ABS, rhos, reduce="max",
+                                n_directions=16)
+    inf_prof = envelope_profile(model, ENV_INF_RE, rhos, reduce="min",
+                                n_directions=16)
     if np.any(sup_prof <= 0.0):
         raise DegenerateModelError("sup-envelope vanishes on the dyadic ladder")
     lo, res_lo = _slope_and_residual(rhos, sup_prof)
@@ -119,31 +82,16 @@ def pruitt_indices(model: SymbolModel) -> PruittIndices:
 # Rules.
 # ---------------------------------------------------------------------------
 
-def index_bound_rules(d: int, kappa: float, indices: PruittIndices):
-    """Sufficiency from the lower index; necessity check against the upper.
-
-    (i) d < (kappa+1) * lower  implies the weak-side condition.
-    (ii) the strong-side condition forces d >= (kappa+1) * upper, so
-         d < (kappa+1) * upper marks any strong-side claim as violating a
-         necessary condition.
-    """
-    lhs = (kappa + 1.0) * indices.lower
-    first = RuleOutcome(
-        rule="index-lower-sufficient",
-        conclusion=IMPLIES_WEAK if d < lhs else NOT_APPLICABLE,
-        premises={"d": d, "kappa": kappa, "lower_index": indices.lower,
-                  "threshold": lhs},
-        statement="d < (kappa+1) * lower_index forces the weak-side integral "
-                  "to diverge")
-    rhs = (kappa + 1.0) * indices.upper
-    second = RuleOutcome(
-        rule="index-upper-necessary",
-        conclusion=NECESSARY_VIOLATED if d < rhs else NOT_APPLICABLE,
-        premises={"d": d, "kappa": kappa, "upper_index": indices.upper,
-                  "threshold": rhs},
-        statement="the strong-side condition requires d >= (kappa+1) * "
-                  "upper_index")
-    return first, second
+def index_bound_rules(model: SymbolModel, kappa: float):
+    """d < (kappa+1) * lower_index gives the weak-side condition."""
+    lower = pruitt_indices(model).lower
+    threshold = (kappa + 1.0) * lower
+    if model.d < threshold:
+        yield ("weak", "index-lower-sufficient",
+               "d < (kappa+1) * lower_index forces the weak-side integral "
+               "to diverge",
+               {"d": model.d, "kappa": kappa, "lower_index": lower,
+                "threshold": threshold})
 
 
 @model_memo
@@ -185,7 +133,7 @@ def _quadratic_floor(model: SymbolModel) -> float:
     return float(np.min(floors[len(floors) // 2:]))
 
 
-def moment_rules(model: SymbolModel, d: int, kappa: float):
+def moment_rules(model: SymbolModel, kappa: float):
     """Second-moment sufficiency and quadratic nondegeneracy.
 
     (i) an even symbol with uniformly finite jump second moment and
@@ -194,31 +142,27 @@ def moment_rules(model: SymbolModel, d: int, kappa: float):
         inf_x (<xi, C xi> + int_{|y| <= pi/(2|xi|)} <xi, y>^2 nu) / |xi|^2
         gives the strong-side condition.
     """
-    even = symbol_even_in_xi(model)
-    m2 = uniform_second_moment(model)
-    first = RuleOutcome(
-        rule="second-moment-weak",
-        conclusion=IMPLIES_WEAK if even and math.isfinite(m2)
-        and d <= 2.0 * (kappa + 1.0) else NOT_APPLICABLE,
-        premises={"even_symbol": even, "second_moment": m2, "d": d,
-                  "kappa": kappa, "threshold": 2.0 * (kappa + 1.0)},
-        statement="even symbol, finite uniform second moment and "
-                  "d <= 2(kappa+1) give the weak-side condition")
-    tail_min = _quadratic_floor(model)
-    nondegenerate = tail_min > 1e-12
-    second = RuleOutcome(
-        rule="nondegeneracy-strong",
-        conclusion=IMPLIES_STRONG if nondegenerate and d > 2.0 * (kappa + 1.0)
-        else NOT_APPLICABLE,
-        premises={"quadratic_floor": tail_min, "d": d, "kappa": kappa,
-                  "threshold": 2.0 * (kappa + 1.0)},
-        statement="nondegenerate quadratic growth and d > 2(kappa+1) give "
-                  "the strong-side condition")
-    return first, second
+    d, threshold = model.d, 2.0 * (kappa + 1.0)
+    if d <= threshold:
+        m2 = uniform_second_moment(model)
+        if math.isfinite(m2) and symbol_even_in_xi(model):
+            yield ("weak", "second-moment-weak",
+                   "even symbol, finite uniform second moment and "
+                   "d <= 2(kappa+1) give the weak-side condition",
+                   {"even_symbol": True, "second_moment": m2, "d": d,
+                    "kappa": kappa, "threshold": threshold})
+        return
+    floor = _quadratic_floor(model)
+    if floor > 1e-12:
+        yield ("strong", "nondegeneracy-strong",
+               "nondegenerate quadratic growth and d > 2(kappa+1) give "
+               "the strong-side condition",
+               {"quadratic_floor": floor, "d": d, "kappa": kappa,
+                "threshold": threshold})
 
 
 # ---------------------------------------------------------------------------
-# Convexity/concavity diagnostics of the radial envelope profiles.
+# Concavity of the radial inf-envelope profile.
 # ---------------------------------------------------------------------------
 
 @model_memo
@@ -246,61 +190,14 @@ def _shape_flags(model, kind):
     return False, False, 0.0
 
 
-def shape_diagnostic(model: SymbolModel, kappa: float, d: int):
-    """Convexity/concavity rules for the radial envelope profiles.
-
-    Convex sup-profile with kappa+1 >= d bounds the lower index from below;
-    concave sup-profile with kappa+1 <= d bounds it from above (and the
-    weak-side condition then forces d = kappa+1). The same dichotomy for the
-    inf-profile bounds the upper index; in the concave case kappa+1 < d is
-    already sufficient for the strong-side condition. Returns the list of
-    applicable outcomes (an affine profile fires both bounds).
-    """
-    outcomes = []
-    for kind, label in ((ENV_SUP_ABS, "sup"), (ENV_INF_RE, "inf")):
-        if not envelope_is_radial(model, kind):
-            outcomes.append(RuleOutcome(
-                rule=f"shape-{label}", conclusion=NOT_APPLICABLE,
-                premises={"radial": False},
-                statement="profile shape rules need a radial envelope"))
-            continue
-
-        convex, concave, window = _shape_flags(model, kind)
-        index_name = "lower_index" if label == "sup" else "upper_index"
-        if convex and kappa + 1.0 >= d:
-            extras = {}
-            if label == "inf":
-                extras["equality_forced"] = \
-                    "the strong-side condition would force d = kappa+1"
-            outcomes.append(RuleOutcome(
-                rule=f"shape-convex-{label}", conclusion=NOT_APPLICABLE,
-                premises={"window": window, "kappa": kappa, "d": d,
-                          "bound": f"{index_name} * (kappa+1) >= d", **extras},
-                statement=f"convex radial {label}-profile near 0 bounds "
-                          f"{index_name} below by d/(kappa+1)"))
-        if concave and kappa + 1.0 <= d:
-            if label == "inf" and kappa + 1.0 < d:
-                outcomes.append(RuleOutcome(
-                    rule="shape-concave-inf", conclusion=IMPLIES_STRONG,
-                    premises={"window": window, "kappa": kappa, "d": d,
-                              "bound": f"{index_name} * (kappa+1) <= d"},
-                    statement="concave radial inf-profile near 0 with "
-                              "kappa+1 < d gives the strong-side condition"))
-            else:
-                extras = {}
-                if label == "sup":
-                    extras["equality_forced"] = \
-                        "the weak-side condition would force d = kappa+1"
-                outcomes.append(RuleOutcome(
-                    rule=f"shape-concave-{label}", conclusion=NOT_APPLICABLE,
-                    premises={"window": window, "kappa": kappa, "d": d,
-                              "bound": f"{index_name} * (kappa+1) <= d", **extras},
-                    statement=f"concave radial {label}-profile near 0 bounds "
-                              f"{index_name} above by d/(kappa+1)"))
-        if not convex and not concave:
-            outcomes.append(RuleOutcome(
-                rule=f"shape-{label}", conclusion=NOT_APPLICABLE,
-                premises={"window": window, "convex": False, "concave": False},
-                statement="profile is neither convex nor concave within "
-                          "tolerance near 0"))
-    return outcomes
+def shape_diagnostic(model: SymbolModel, kappa: float):
+    """A concave radial inf-profile near 0 bounds the upper index above by
+    d/(kappa+1); with kappa+1 < d that gives the strong-side condition."""
+    if kappa + 1.0 < model.d and envelope_is_radial(model, ENV_INF_RE):
+        _, concave, window = _shape_flags(model, ENV_INF_RE)
+        if concave:
+            yield ("strong", "shape-concave-inf",
+                   "concave radial inf-profile near 0 with kappa+1 < d "
+                   "gives the strong-side condition",
+                   {"window": window, "kappa": kappa, "d": model.d,
+                    "bound": "upper_index * (kappa+1) <= d"})

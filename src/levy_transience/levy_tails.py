@@ -53,6 +53,7 @@ from .verdicts import (
     memoized_profile,
     memoized_profiles,
     _line,
+    log_power_law,
     model_memo,
     verdict_from_radial_integrand,
     verdict_ladder,
@@ -178,42 +179,35 @@ def _variant_envelope(density, tag, which, rhos):
 # Measure-side divergence tests.
 # ---------------------------------------------------------------------------
 
-def tail_test_weak(density: RadialLevyDensity, d: int, kappa: float,
+def tail_test_weak(density: RadialLevyDensity, kappa: float,
                    r: float) -> DivergenceVerdict:
     """Divergence of the T1 sup-envelope integral supports weak transience."""
-    return _tail_test(density, d, kappa, r, which="sup")
+    return _tail_test(density, kappa, r, which="sup")
 
 
-def tail_test_strong(density: RadialLevyDensity, d: int, kappa: float,
+def tail_test_strong(density: RadialLevyDensity, kappa: float,
                      r: float) -> DivergenceVerdict:
     """Convergence of the T1 inf-envelope integral is the strong-side
     criterion (an equivalence under a decreasing density plus quadratic
     growth of the symbol; otherwise one-directional)."""
-    return _tail_test(density, d, kappa, r, which="inf")
+    return _tail_test(density, kappa, r, which="inf")
 
 
-def _check_dimension(density, d):
-    if d != density.d:
-        raise ConfigurationError(
-            f"dimension mismatch: test d={d}, density d={density.d}")
-
-
-def _tail_test(density, d, kappa, r, which):
+def _tail_test(density, kappa, r, which):
     check_positive("radius", r)
-    _check_dimension(density, d)
     check_kappa(kappa)
     env = functools.partial(_variant_envelope, density, "t1", which)
     # rho = r and 4r are ladder points 0 and 2 of the verdict's radii
     if np.all(env(verdict_ladder(r, AT_INFINITY)[0])[[0, 2]] == 0.0):
         raise NotApplicableError("integrated tail vanishes; no jump tail to test")
-    return _power_test(2.0 * kappa - d + 1.0, kappa + 1.0, env, r)
+    return _power_test(2.0 * kappa - density.d + 1.0, kappa + 1.0, env, r)
 
 
 def _power_test(a, b, env, r):
     """Verdict on int_r^infinity rho^a / env(rho)^b drho, taken in log space
     (env positive on the ladder)."""
     return verdict_from_radial_integrand(
-        lambda rhos: a * np.log(rhos) - b * np.log(env(rhos)), r,
+        lambda rhos: log_power_law(0.0, a, b, rhos, env(rhos)), r,
         singularity=AT_INFINITY)
 
 
@@ -239,7 +233,7 @@ class SplitTailVerdicts:
         return out
 
 
-def split_tail_tests(density: RadialLevyDensity, d: int, kappa: float,
+def split_tail_tests(density: RadialLevyDensity, kappa: float,
                      r: float) -> SplitTailVerdicts:
     """Sufficient tests with T1 split into T2/2 + T3/2.
 
@@ -248,10 +242,9 @@ def split_tail_tests(density: RadialLevyDensity, d: int, kappa: float,
     the two 'in particular' strong-side tests keep only one of the pieces.
     """
     check_positive("radius", r)
-    _check_dimension(density, d)
     check_kappa(kappa)
     env = functools.partial(_variant_envelope, density)
-    a, b = 2.0 * kappa - d + 1.0, kappa + 1.0
+    a, b = 2.0 * kappa - density.d + 1.0, kappa + 1.0
 
     def t1_split(which):
         return lambda rhos: rhos ** 2 * env("tm", which, rhos) \
@@ -260,18 +253,30 @@ def split_tail_tests(density: RadialLevyDensity, d: int, kappa: float,
     return SplitTailVerdicts(
         _power_test(a, b, t1_split("sup"), r),
         _power_test(a, b, t1_split("inf"), r),
-        _power_test(-d - 1.0, b, functools.partial(env, "tm", "sup"), r),
-        _power_test(a, b, functools.partial(env, "t3", "inf"), r))
+        _power_test(-density.d - 1.0, b, functools.partial(env, "tm", "sup"),
+                    r),
+        moment_tail_test(density, kappa, r))
 
 
-def density_floor_test(density: RadialLevyDensity, d: int, kappa: float,
+def moment_tail_test(density: RadialLevyDensity, kappa: float,
+                     r: float) -> DivergenceVerdict:
+    """The truncated-moment strong-side test: convergence of
+    int_r^infinity rho^{2 kappa - d + 1} / (inf_x T3(x, rho))^{kappa+1} drho
+    (T1 >= T3/2, so it implies the strong-side T1 test)."""
+    check_positive("radius", r)
+    check_kappa(kappa)
+    env = functools.partial(_variant_envelope, density, "t3", "inf")
+    return _power_test(2.0 * kappa - density.d + 1.0, kappa + 1.0, env, r)
+
+
+def density_floor_test(density: RadialLevyDensity, kappa: float,
                        r: float) -> DivergenceVerdict:
     """Strong-side test directly on the density floor: convergence of
     int_r^infinity rho^{-d kappa - 2d - 1} / (inf_x n(x, rho))^{kappa+1} drho.
 
     Requires the density decreasing beyond its cutoff.
     """
-    _check_dimension(density, d)
+    d = density.d
     check_kappa(kappa)
     if not density.monotone_beyond_u0 or not density.monotone_verified():
         raise NotApplicableError(

@@ -150,6 +150,8 @@ class LevyTriplet:
         if self.diffusion_field is not None:
             if self.diffusion_field.bounds[0] < 0:
                 raise ModelInvariantError("diffusion coefficient must be >= 0")
+        if self.jump_density is not None and self.jump_density.d != self.d:
+            raise ModelInvariantError("jump density has another dimension")
 
     @property
     def diffusion_bounds(self):
@@ -519,7 +521,7 @@ class _Family:
         return None
 
     # the closed-form rules that fire, as (side, rule_id, statement, detail)
-    def rules(self, model, d, kappa):
+    def rules(self, model, kappa):
         return ()
 
 
@@ -543,9 +545,10 @@ class _BrownianDrift(_Family):
             return GATE_TRANSIENT if model.d >= 3 else GATE_RECURRENT
         return None
 
-    def rules(self, model, d, kappa):
+    def rules(self, model, kappa):
         if model.drift_vector is None \
                 and model.triplet.diffusion_bounds[0] > 0:
+            d = model.d
             weak = d <= 2.0 * (kappa + 1.0)
             yield ("weak" if weak else "strong", "elliptic-moment-rule",
                    "driftless uniformly elliptic diffusion: weakly "
@@ -592,7 +595,8 @@ class _StableLike(_Family):
             return GATE_RECURRENT
         return None
 
-    def rules(self, model, d, kappa):
+    def rules(self, model, kappa):
+        d = model.d
         a_lo, a_hi = model.params["alpha"].bounds
         has_drift = model.drift_vector is not None
         if not has_drift and a_lo == a_hi:
@@ -640,13 +644,14 @@ class _StableLike(_Family):
                            **common)
 
 
-def _rv_index(dens, d):
+def _rv_index(dens):
     """(index, borderline) of a state-independent density: the fitted
     regular-variation index snapped onto a case boundary within 0.02 (None
     when no power-law tail index exists) and, at index -2d in dimension
     <= 2, whether the borderline integral test converges (else None)."""
     if not dens.x_independent:
         return None, None
+    d = dens.d
     try:
         delta = rv_index_fit(dens)
     except (NonPowerTailError, ConfigurationError):
@@ -670,7 +675,7 @@ class _RadialJump(_Family):
 
     def gate(self, model):
         d = model.d
-        delta, borderline = _rv_index(model.triplet.jump_density, d)
+        delta, borderline = _rv_index(model.triplet.jump_density)
         if delta is None:
             return None
         if d >= 3 or -2.0 * d < delta <= -float(d):
@@ -679,11 +684,11 @@ class _RadialJump(_Family):
             return GATE_TRANSIENT if borderline else GATE_RECURRENT
         return GATE_RECURRENT
 
-    def rules(self, model, d, kappa):
-        delta, borderline = _rv_index(model.triplet.jump_density, d)
+    def rules(self, model, kappa):
+        delta, borderline = _rv_index(model.triplet.jump_density)
         if delta is None:
             return
-        cls = rv_classify(d, delta, kappa, borderline_converges=borderline)
+        cls = rv_classify(model.d, delta, kappa, borderline)
         if cls.transient and cls.weakly_transient is not None:
             yield ("weak" if cls.weakly_transient else "strong",
                    f"rv-case-{cls.case}", cls.statement,
@@ -699,7 +704,8 @@ class _FiniteJump(_Family):
         a_hi = model.params["alpha"].bounds[1]
         return GATE_TRANSIENT if model.d >= 3 or a_hi < model.d else None
 
-    def rules(self, model, d, kappa):
+    def rules(self, model, kappa):
+        d = model.d
         a_lo, a_hi = model.params["alpha"].bounds
         if a_hi < 2.0:
             weak = a_lo * (kappa + 1.0) >= d

@@ -188,6 +188,13 @@ def verdict_ladder(r, singularity):
     return arrays
 
 
+def log_power_law(log_c, a, b, rhos, env):
+    """log G for the power-law integrand G = c rho^a / env^b of a radial
+    test, formed in log space so that G may lie far outside the float
+    range; env holds the envelope values at rhos."""
+    return log_c + a * np.log(rhos) - b * np.log(env)
+
+
 def verdict_from_radial_integrand(log_G, r,
                                   singularity=AT_ORIGIN) -> DivergenceVerdict:
     """Verdict for the integral of G over (0, r] or [r, infinity), given

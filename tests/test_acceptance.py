@@ -86,8 +86,8 @@ def test_criterion_3_tail_symbol_agreement():
             assert abs(d - alpha * (kappa + 1.0)) > band
             weak_cf = weak_integral_kappa(model, kappa, 1.0).decided_state
             strong_cf = strong_integral_kappa(model, kappa, 1.0).decided_state
-            weak_tail = tail_test_weak(dens, d, kappa, 1.0).decided_state
-            strong_tail = tail_test_strong(dens, d, kappa, 1.0).decided_state
+            weak_tail = tail_test_weak(dens, kappa, 1.0).decided_state
+            strong_tail = tail_test_strong(dens, kappa, 1.0).decided_state
             assert weak_cf == weak_tail, (alpha, kappa)
             assert strong_cf == strong_tail, (alpha, kappa)
             checked += 1

@@ -13,6 +13,7 @@ from levy_transience.classifier import (
     WEAKLY_TRANSIENT,
     NotTransientError,
     classify,
+    classify_verdict,
     kappa_boundary,
     transience_gate,
 )
@@ -222,3 +223,43 @@ def test_conditional_marking_for_state_dependent_weak_verdict():
 def test_boundary_kappa_is_weak_for_brownian(bm3):
     # d = 2(kappa+1) sits on the weak side
     assert classify(bm3, 0.5).verdict == WEAKLY_TRANSIENT
+
+
+def test_unknown_methods_are_rejected_naming_methods(bm3):
+    with pytest.raises(ConfigurationError, match="methods"):
+        classify(bm3, 0.2, methods=("closed_fom",))
+    with pytest.raises(ConfigurationError, match="methods"):
+        classify_verdict(bm3, 0.2, 1.0, ("closed_fom",), None)
+    with pytest.raises(ConfigurationError, match="methods"):
+        kappa_boundary(bm3, methods=("closed_fom",))
+    # no band at all is a valid question with no evidence
+    assert classify(bm3, 0.2, methods=()).verdict == INCONCLUSIVE
+    assert classify_verdict(bm3, 0.2, 1.0, (), None) == INCONCLUSIVE
+
+
+def test_classify_computes_only_premises_of_rules_that_can_fire(monkeypatch):
+    # the radial_cold power model on a kappa grid across its band: the tail
+    # band runs only the truncated-moment verdict, the concavity rule reads
+    # only the inf envelope, and the second moment is infinite, so the
+    # symbol is never tested for evenness
+    from levy_transience import index_rules
+    from levy_transience.symbols import ENV_SUP_ABS
+
+    model = radial_jump_model(power_density(3, (0.8, 1.2), u0=1.0))
+    kinds = []
+    shape_flags = index_rules._shape_flags
+
+    def spy(model, kind):
+        kinds.append(kind)
+        return shape_flags(model, kind)
+
+    def never(model):
+        raise AssertionError("symbol_even_in_xi was called")
+
+    monkeypatch.setattr(index_rules, "_shape_flags", spy)
+    monkeypatch.setattr(index_rules, "symbol_even_in_xi", never)
+    for kappa in (0.3, 0.8, 3.4, 4.1):
+        classify(model, kappa)
+    assert kinds and ENV_SUP_ABS not in kinds
+    assert not [key for key in model.triplet.jump_density._cache
+                if isinstance(key, tuple) and key[0] == "tm"]

@@ -1,15 +1,11 @@
+import json
 import math
 
 import pytest
 
 from levy_transience.cf_integrals import strong_integral_kappa, weak_integral_kappa
-from levy_transience.densities import power_density
+from levy_transience.densities import power_density, stable_density
 from levy_transience.index_rules import (
-    IMPLIES_STRONG,
-    IMPLIES_WEAK,
-    NECESSARY_VIOLATED,
-    NOT_APPLICABLE,
-    PruittIndices,
     index_bound_rules,
     moment_rules,
     pruitt_indices,
@@ -18,6 +14,7 @@ from levy_transience.index_rules import (
 )
 from levy_transience.quadrature import sphere_surface
 from levy_transience.symbols import (
+    FAMILIES,
     brownian_drift,
     finite_jump_model,
     isotropic_stable,
@@ -25,6 +22,10 @@ from levy_transience.symbols import (
     stable_like,
 )
 from levy_transience.verdicts import CONVERGES, DIVERGES
+
+
+def _fired(rules, model, kappa):
+    return {rule_id: side for side, rule_id, _, _ in rules(model, kappa)}
 
 
 def test_stable_index_recovery():
@@ -67,24 +68,22 @@ def test_scale_invariance_of_indices():
 
 
 def test_index_bound_rules_cases():
-    first, second = index_bound_rules(1, 2.0, PruittIndices(0.5, 0.5))
-    assert first.conclusion == IMPLIES_WEAK
-    first, second = index_bound_rules(3, 1.0, PruittIndices(2.0, 2.0))
-    assert second.conclusion == NECESSARY_VIOLATED
+    # d = 1 < (2 + 1) * 0.5: the lower index gives the weak side
+    assert _fired(index_bound_rules, isotropic_stable(1, 0.5), 2.0) \
+        == {"index-lower-sufficient": "weak"}
+    # d = 3 < (1 + 1) * 2
+    assert _fired(index_bound_rules, brownian_drift(3), 1.0) \
+        == {"index-lower-sufficient": "weak"}
     # boundary d = (kappa+1)*lower is excluded (strict inequality)
-    first, _ = index_bound_rules(2, 1.0, PruittIndices(1.0, 1.0))
-    assert first.conclusion == NOT_APPLICABLE
+    assert _fired(index_bound_rules, isotropic_stable(2, 1.0), 1.0) == {}
 
 
 def test_moment_rules_cases(bm3, bm5):
-    first, _ = moment_rules(bm3, d=3, kappa=1.0)
-    assert first.conclusion == IMPLIES_WEAK
-    _, second = moment_rules(bm5, d=5, kappa=1.0)
-    assert second.conclusion == IMPLIES_STRONG
+    assert _fired(moment_rules, bm3, 1.0) == {"second-moment-weak": "weak"}
+    assert _fired(moment_rules, bm5, 1.0) == {"nondegeneracy-strong": "strong"}
     fj = finite_jump_model(2, alpha=3.0)
     assert math.isfinite(uniform_second_moment(fj))
-    first, _ = moment_rules(fj, d=2, kappa=1.0)
-    assert first.conclusion == IMPLIES_WEAK
+    assert _fired(moment_rules, fj, 1.0) == {"second-moment-weak": "weak"}
 
 
 def test_second_moment_infinite_for_stable():
@@ -100,9 +99,8 @@ def test_second_moment_infinite_for_stable_at_any_scale(gamma):
 
 
 def test_second_moment_rule_silent_for_a_tiny_scale_stable():
-    first, _ = moment_rules(isotropic_stable(3, 1.0, gamma=1e-100), d=3,
-                            kappa=0.5)
-    assert first.conclusion == NOT_APPLICABLE
+    assert _fired(moment_rules, isotropic_stable(3, 1.0, gamma=1e-100),
+                  0.5) == {}
 
 
 def test_second_moment_of_a_cut_off_power_tail_with_alpha_above_two():
@@ -114,17 +112,11 @@ def test_second_moment_of_a_cut_off_power_tail_with_alpha_above_two():
 
 
 def test_shape_diagnostic_cases():
-    # convex radial profile, kappa+1 >= d: lower-index bound recorded
-    outs = shape_diagnostic(isotropic_stable(1, 1.5), kappa=1.0, d=1)
-    assert any(o.rule == "shape-convex-sup" for o in outs)
+    # convex radial profile, kappa+1 >= d: no rule fires
+    assert _fired(shape_diagnostic, isotropic_stable(1, 1.5), 1.0) == {}
     # concave inf-profile with kappa+1 < d: strong side implied
-    outs = shape_diagnostic(isotropic_stable(3, 0.7), kappa=1.0, d=3)
-    assert any(o.rule == "shape-concave-inf"
-               and o.conclusion == IMPLIES_STRONG for o in outs)
-    # affine profile fires both bounds
-    outs = shape_diagnostic(isotropic_stable(2, 1.0), kappa=1.0, d=2)
-    rules = {o.rule for o in outs}
-    assert "shape-convex-sup" in rules and "shape-concave-sup" in rules
+    assert _fired(shape_diagnostic, isotropic_stable(3, 0.7), 1.0) \
+        == {"shape-concave-inf": "strong"}
 
 
 def test_rule_soundness_against_integral_tests():
@@ -137,26 +129,43 @@ def test_rule_soundness_against_integral_tests():
         (finite_jump_model(2, alpha=3.0), 2, 1.0),
     ]
     for model, d, kappa in cases:
-        idx = pruitt_indices(model)
-        outcomes = list(index_bound_rules(d, kappa, idx))
-        outcomes += list(moment_rules(model, d, kappa))
-        outcomes += shape_diagnostic(model, kappa, d)
-        for out in outcomes:
-            if out.conclusion == IMPLIES_WEAK:
-                assert weak_integral_kappa(model, kappa, 1.0).decided_state \
-                    == DIVERGES, (model.family, d, kappa, out.rule)
-            if out.conclusion == IMPLIES_STRONG:
-                assert strong_integral_kappa(model, kappa, 1.0).decided_state \
-                    == CONVERGES, (model.family, d, kappa, out.rule)
+        assert model.d == d
+        for rules in (index_bound_rules, moment_rules, shape_diagnostic):
+            for side, rule_id, _, _ in rules(model, kappa):
+                if side == "weak":
+                    assert weak_integral_kappa(model, kappa, 1.0) \
+                        .decided_state == DIVERGES, \
+                        (model.family, d, kappa, rule_id)
+                else:
+                    assert strong_integral_kappa(model, kappa, 1.0) \
+                        .decided_state == CONVERGES, \
+                        (model.family, d, kappa, rule_id)
 
 
-def test_rule_outcome_serialization():
-    first, _ = index_bound_rules(1, 2.0, PruittIndices(0.5, 0.5))
-    payload = first.to_json()
-    assert payload["id"] == "index-lower-sufficient"
-    assert payload["conclusion"] == IMPLIES_WEAK
-    import json
-    json.dumps(payload)
+def test_every_rule_of_every_band_is_a_fired_side_record():
+    # the Monte Carlo validation suite, a finite-jump and a radial-jump
+    # model: closed-form and index rules alike yield (side, rule_id,
+    # statement, detail) for the rules that fire, and the detail goes into
+    # report.json
+    models = [brownian_drift(3), brownian_drift(5), isotropic_stable(1, 0.5),
+              isotropic_stable(3, 1.0), isotropic_stable(3, 1.5),
+              isotropic_stable(3, 0.5), finite_jump_model(2, alpha=3.0),
+              radial_jump_model(stable_density(3, 1.2))]
+    fired = set()
+    for model in models:
+        for kappa in (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0):
+            for rules in (FAMILIES[model.family].rules, index_bound_rules,
+                          moment_rules, shape_diagnostic):
+                for rule in rules(model, kappa):
+                    assert isinstance(rule, tuple) and len(rule) == 4
+                    side, rule_id, statement, detail = rule
+                    assert side in ("weak", "strong")
+                    assert isinstance(rule_id, str) and statement
+                    json.dumps(detail)
+                    fired.add(rule_id)
+    assert {"index-lower-sufficient", "second-moment-weak",
+            "nondegeneracy-strong", "shape-concave-inf", "elliptic-moment-rule",
+            "stable-scaling-rule", "bounded-jump-rule"} <= fired
 
 
 def test_quadratic_floor_counts_atoms():

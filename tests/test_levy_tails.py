@@ -18,6 +18,7 @@ from levy_transience.densities import (
 )
 from levy_transience.errors import (
     ConfigurationError,
+    LevyTransienceError,
     NonPowerTailError,
     NotApplicableError,
 )
@@ -29,6 +30,7 @@ from levy_transience.levy_tails import (
     rv_classify,
     borderline_index_test,
     integrated_tail,
+    moment_tail_test,
     perturbation_distance,
     perturbation_equivalence,
     split_tail_tests,
@@ -90,35 +92,35 @@ def test_integrated_tail_closed_form(d, alpha, rho):
 
 def test_tail_tests_on_stable_density(stable_density_d1):
     # d=1, alpha=0.5: boundary at kappa = d/alpha - 1 = 1
-    v = tail_test_weak(stable_density_d1, 1, 1.0, 1.0)
+    v = tail_test_weak(stable_density_d1, 1.0, 1.0)
     assert v.state == INCONCLUSIVE and v.decided_state == DIVERGES
-    v = tail_test_weak(stable_density_d1, 1, 2.0, 1.0)
+    v = tail_test_weak(stable_density_d1, 2.0, 1.0)
     assert v.decided_state == DIVERGES
     assert v.exponent == pytest.approx(-0.5, abs=0.02)
-    v = tail_test_strong(stable_density_d1, 1, 0.2, 1.0)
+    v = tail_test_strong(stable_density_d1, 0.2, 1.0)
     assert v.decided_state == CONVERGES
     assert v.exponent == pytest.approx(-1.4, abs=0.02)
 
 
 def test_split_tests():
     dens = stable_density(3, 1.0)
-    split = split_tail_tests(dens, 3, 0.5, 1.0)
+    split = split_tail_tests(dens, 0.5, 1.0)
     assert split.strong_tail_mass.decided_state == CONVERGES
     assert split.strong_tail_mass.exponent == pytest.approx(-2.5, abs=0.02)
     assert "tail-mass-strong" in split.fired()
 
     # bounded second moment: the moment-only test converges iff d > 2(kappa+1)
     heavy = finite_range_density(5, 3.0)
-    split = split_tail_tests(heavy, 5, 1.0, 2.0)
+    split = split_tail_tests(heavy, 1.0, 2.0)
     assert split.strong_second_moment.decided_state == CONVERGES
-    split = split_tail_tests(heavy, 5, 2.0, 2.0)
+    split = split_tail_tests(heavy, 2.0, 2.0)
     assert split.strong_second_moment.decided_state == DIVERGES
 
 
 def test_density_floor_test_exponent():
     d, alpha, kappa = 2, 1.2, 0.2
     dens = stable_density(d, alpha)
-    v = density_floor_test(dens, d, kappa, 1.0)
+    v = density_floor_test(dens, kappa, 1.0)
     want = -d * kappa - 2 * d - 1 + (d + alpha) * (kappa + 1)
     assert v.exponent == pytest.approx(want, abs=0.02)
     assert v.decided_state == CONVERGES
@@ -128,8 +130,8 @@ def test_density_floor_agrees_with_strong_test():
     # identical exponents for pure powers; verdicts must match off-boundary
     for alpha, kappa in [(1.2, 0.2), (1.2, 2.0), (0.6, 0.5), (1.8, 3.0)]:
         dens = stable_density(2, alpha)
-        a = density_floor_test(dens, 2, kappa, 1.0).decided_state
-        b = tail_test_strong(dens, 2, kappa, 1.0).decided_state
+        a = density_floor_test(dens, kappa, 1.0).decided_state
+        b = tail_test_strong(dens, kappa, 1.0).decided_state
         assert a == b, (alpha, kappa)
 
 
@@ -227,8 +229,8 @@ def test_e3_classification_against_tail_tests():
         for kappa in (0.3, 0.75, 1.6, 2.6, 3.5):
             cls = rv_classify(d, delta, kappa)
             assert cls.transient
-            weak_state = tail_test_weak(dens, d, kappa, 1.0).decided_state
-            strong_state = tail_test_strong(dens, d, kappa, 1.0).decided_state
+            weak_state = tail_test_weak(dens, kappa, 1.0).decided_state
+            strong_state = tail_test_strong(dens, kappa, 1.0).decided_state
             if cls.weakly_transient:
                 assert weak_state == DIVERGES, (alpha, kappa)
             else:
@@ -260,8 +262,8 @@ def test_atoms_enter_functionals_but_not_verdicts():
         tail_mass(base, 2.0), rel=1e-10)
     # verdicts beyond the cutoff are unchanged
     for kappa in (0.5, 2.0):
-        a = tail_test_weak(base, 2, kappa, 2.0).decided_state
-        b = tail_test_weak(with_atoms, 2, kappa, 2.0).decided_state
+        a = tail_test_weak(base, kappa, 2.0).decided_state
+        b = tail_test_weak(with_atoms, kappa, 2.0).decided_state
         assert a == b
 
 
@@ -273,7 +275,7 @@ def test_monotone_verification_and_downgrade():
     tab = table_density(2, u, bumpy, u0=1.0, monotone=True)
     assert not tab.monotone_verified()
     with pytest.raises(NotApplicableError):
-        density_floor_test(tab, 2, 0.5, 2.0)
+        density_floor_test(tab, 0.5, 2.0)
 
 
 def test_truncated_second_moment_power():
@@ -327,7 +329,7 @@ def test_tail_tests_reject_non_finite_kappa(kappa):
     for test in (tail_test_weak, tail_test_strong, split_tail_tests,
                  density_floor_test):
         with pytest.raises(ConfigurationError, match="kappa"):
-            test(dens, 1, kappa, 2.0)
+            test(dens, kappa, 2.0)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -349,10 +351,29 @@ def test_stable_alpha_near_two_classifies():
     assert classify(model, 0.6).verdict == "weakly_transient"
 
 
-@pytest.mark.parametrize("test", [tail_test_weak, tail_test_strong,
-                                  split_tail_tests, density_floor_test])
-def test_tail_tests_reject_a_dimension_other_than_the_densitys(test):
-    # the exponents of every tail test depend on d, so a d that differs
-    # from the density's would test the wrong integral
-    with pytest.raises(ConfigurationError, match="dimension mismatch"):
-        test(power_density(3, 1.0, u0=1.0), 2, 1.0, 2.0)
+
+def test_split_tail_tests_read_the_moment_tail_test():
+    dens = power_density(3, (0.8, 1.2), u0=1.0, n_variants=2)
+    for kappa in (0.5, 3.0):
+        split = split_tail_tests(dens, kappa, 2.0)
+        assert split.strong_second_moment.to_json() \
+            == moment_tail_test(dens, kappa, 2.0).to_json()
+
+
+def test_classify_keeps_the_tail_band_where_the_tail_mass_underflows():
+    # at gamma 1e-280 in d = 5 the tail mass underflows to 0 on the far
+    # ladder (log 0 warns: the tail functionals are formed in linear
+    # space), so the split verdicts cannot be formed; classify reads only
+    # the truncated-moment verdict, which still decides
+    from levy_transience.symbols import isotropic_stable
+
+    model = isotropic_stable(5, 1.0, gamma=1e-280)
+    dens = model.triplet.jump_density
+    try:
+        split_tail_tests(dens, 0.0, 1.0)
+    except LevyTransienceError:
+        pass
+    assert moment_tail_test(dens, 0.0, 1.0).decided_state == CONVERGES
+    report = classify(model, 0.0)
+    assert "cos-moment-strong" in {rec.rule_id for rec in report.fired_rules}
+    assert report.notes == ()

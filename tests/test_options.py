@@ -74,8 +74,7 @@ ALLOWED = {
         "DivergenceVerdict(singularity)", "DivergenceVerdict(refined_state)",
         "DivergenceVerdict(notes)", "OccupationEstimate(notes)",
         "PruittIndices(window)", "PruittIndices(residual_lower)",
-        "PruittIndices(residual_upper)", "RuleOutcome(premises)",
-        "RuleOutcome(statement)", "TransienceReport(kappa_star)",
+        "PruittIndices(residual_upper)", "TransienceReport(kappa_star)",
         "TransienceReport(conditional)", "TransienceReport(notes)",
     ),
 }

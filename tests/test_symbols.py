@@ -398,3 +398,12 @@ def test_a_constant_reads_the_same_in_every_json_form(family, d, parameters,
                           for m in models)
         for other in others:
             assert np.array_equal(first, other)
+
+
+def test_a_jump_density_of_another_dimension_is_rejected():
+    # the tail tests read the dimension from the density and the other
+    # bands from the model, so the two must agree
+    from levy_transience.symbols import LevyTriplet
+
+    with pytest.raises(ModelInvariantError, match="dimension"):
+        LevyTriplet(d=2, jump_density=power_density(3, 1.0, u0=1.0))
