@@ -224,8 +224,7 @@ def tails_cmd(model_paths, out_dir, fmt, kappa, radius):
     payload = {
         "command": "tails", "model": str(model_paths[0]), "kappa": kappa,
         "weak": weak.to_json(), "strong": strong.to_json(),
-        "split": dict({name: v.to_json() for name, v in vars(split).items()},
-                      fired=split.fired()),
+        "split": split.to_json(),
         "density_floor": floor,
         "cos_moment_condition": cosmoment,
     }

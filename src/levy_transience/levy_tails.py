@@ -12,8 +12,8 @@ measure-side weak/strong tests: divergence of
     int_r^infinity rho^{2 kappa - d + 1} / (env_x T1(x, rho))^{kappa+1} drho
 
 with the sup-envelope supports weak transience; with the inf-envelope, its
-convergence is the strong-side criterion. T1 is computed here by genuinely
-nested quadrature (the identity stays an independent cross-check).
+convergence is the strong-side criterion. T1 is formed here from the tail
+mass and T3 by that identity, so it needs no quadrature of its own.
 """
 
 from __future__ import annotations
@@ -30,8 +30,10 @@ from .errors import (
     ConfigurationError,
     DivergentIntegralError,
     LevyMeasureError,
+    LevyTransienceError,
     NonPowerTailError,
     NotApplicableError,
+    QuadratureError,
     check_kappa,
     check_positive,
 )
@@ -39,8 +41,6 @@ from .quadrature import (
     integrate_origin,
     integrate_tail,
     origin_cumulative,
-    row_groups,
-    segment_integrals,
     sphere_surface,
     stacked_weight,
     tail_cumulative,
@@ -85,37 +85,17 @@ def truncated_second_moment(density: RadialLevyDensity, rho: float,
     return float(_second_moment_sweep(density, [variant], [[rho]])[0][0])
 
 
-def _t1_ladder(density, variants, radii):
-    """T1 at the (ascending) radii of each listed variant: the origin-side
-    integral of u * nu(B^c(0, u)). Its integrand takes the tail masses at
-    the nodes of a call from one tail-mass sweep over them, so a variant's
-    nodes must share a call as they do alone: the octave sums below the
-    ladders are rows of one sweep (a call holds whole rows), and the gaps of
-    a ladder, a few hundred Gauss blocks of 16 tail-mass blocks each, are
-    one call per variant."""
-    def integrand(picked):
-        def masses(groups, blocks):
-            nodes = [np.unique(u, return_inverse=True) for u in blocks]
-            tm = _tail_mass_sweep(density, [picked[i] for i in groups],
-                                  [x for x, _ in nodes])
-            return [u * m[back].reshape(u.shape)
-                    for u, (_, back), m in zip(blocks, nodes, tm)]
-
-        return row_groups(masses)
-
-    bps = density.all_breakpoints()
-    bottoms = origin_cumulative(integrand(variants), [r[:1] for r in radii],
-                                bps, [0.0] * len(radii))
-    return [np.append(b, b + np.cumsum(
-        segment_integrals(integrand([i]), [r], bps)[0]))
-        for b, i, r in zip(bottoms, variants, radii)]
+def _integrated_tail(rho, tm, t3):
+    """T1 = T2/2 + T3/2 from the tail mass and T3 at rho."""
+    return 0.5 * rho ** 2 * tm + 0.5 * t3
 
 
 def integrated_tail(density: RadialLevyDensity, rho: float, variant=0) -> float:
-    """T1(rho) = int_0^rho u * nu(B^c(0, u)) du by nested quadrature."""
+    """T1(rho) = int_0^rho u * nu(B^c(0, u)) du, from the tail mass and T3
+    at rho by the integration-by-parts identity."""
     if rho <= 0:
         raise ConfigurationError("integrated tail needs rho > 0")
-    return float(_t1_ladder(density, [variant], [[rho]])[0][0])
+    return tail_functionals(density, rho, variant).integrated_tail
 
 
 @dataclass(frozen=True)
@@ -135,10 +115,11 @@ class TailFunctionals:
 
 def tail_functionals(density: RadialLevyDensity, rho: float,
                      variant=0) -> TailFunctionals:
-    return TailFunctionals(
-        integrated_tail=integrated_tail(density, rho, variant),
-        scaled_tail_mass=rho ** 2 * tail_mass(density, rho, variant),
-        truncated_moment=truncated_second_moment(density, rho, variant))
+    tm = tail_mass(density, rho, variant)
+    t3 = truncated_second_moment(density, rho, variant)
+    return TailFunctionals(integrated_tail=_integrated_tail(rho, tm, t3),
+                           scaled_tail_mass=rho ** 2 * tm,
+                           truncated_moment=t3)
 
 
 def _tail_mass_sweep(density, variants, radii):
@@ -160,19 +141,28 @@ def _second_moment_sweep(density, variants, radii):
 
 # Tail functional tag -> (density, variants, ascending radii of each) ->
 # one array of values per variant.
-_SWEEPS = {"t1": _t1_ladder, "tm": _tail_mass_sweep, "t3": _second_moment_sweep}
+_SWEEPS = {"tm": _tail_mass_sweep, "t3": _second_moment_sweep}
+
+
+def _variant_profiles(density, tag, rhos):
+    """The tail functional `tag` (T1, tail mass or T3) of every variant at
+    rhos, one row per variant. Tail mass and T3 are memoized on the density
+    per variant, and the variants that lack radii run as row groups of one
+    sweep; T1 is formed from them by the identity."""
+    if tag == "t1":
+        return _integrated_tail(rhos, _variant_profiles(density, "tm", rhos),
+                                _variant_profiles(density, "t3", rhos))
+    return np.asarray(memoized_profiles(
+        density, [(tag, i) for i in range(len(density.variants))],
+        functools.partial(_SWEEPS[tag], density))(rhos))
 
 
 def _variant_envelope(density, tag, which, rhos):
     """sup or inf over the variants of the tail functional `tag` (T1, tail
-    mass or T3), memoized on the density per variant and per envelope. The
-    variants that lack radii run as row groups of one sweep."""
-    variants = memoized_profiles(
-        density, [(tag, i) for i in range(len(density.variants))],
-        functools.partial(_SWEEPS[tag], density))
+    mass or T3), memoized on the density per envelope."""
     reduce = np.max if which == "sup" else np.min
-    return memoized_profile(density, (tag, which),
-                            lambda radii: reduce(variants(radii), axis=0))(rhos)
+    return memoized_profile(density, (tag, which), lambda radii: reduce(
+        _variant_profiles(density, tag, radii), axis=0))(rhos)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +203,8 @@ def _power_test(a, b, env, r):
 
 @dataclass(frozen=True)
 class SplitTailVerdicts:
-    """The four decomposed sufficient tests (tail-mass / truncated-moment)."""
+    """The four decomposed sufficient tests (tail-mass / truncated-moment);
+    a test that cannot be formed holds the error that says why."""
 
     weak_split: DivergenceVerdict        # diverges -> weak-side T1 test holds
     strong_split: DivergenceVerdict      # converges -> strong-side T1 test holds
@@ -221,16 +212,17 @@ class SplitTailVerdicts:
     strong_second_moment: DivergenceVerdict  # converges -> strong side
 
     def fired(self):
-        out = []
-        if self.weak_split.decided_state == DIVERGES:
-            out.append("split-weak")
-        if self.strong_split.decided_state == CONVERGES:
-            out.append("split-strong")
-        if self.strong_tail_mass.decided_state == CONVERGES:
-            out.append("tail-mass-strong")
-        if self.strong_second_moment.decided_state == CONVERGES:
-            out.append("moment-strong")
-        return out
+        tests = (("split-weak", self.weak_split, DIVERGES),
+                 ("split-strong", self.strong_split, CONVERGES),
+                 ("tail-mass-strong", self.strong_tail_mass, CONVERGES),
+                 ("moment-strong", self.strong_second_moment, CONVERGES))
+        return [name for name, v, state in tests
+                if getattr(v, "decided_state", None) == state]
+
+    def to_json(self):
+        return dict({name: {"not_applicable": str(v)}
+                     if isinstance(v, LevyTransienceError) else v.to_json()
+                     for name, v in vars(self).items()}, fired=self.fired())
 
 
 def split_tail_tests(density: RadialLevyDensity, kappa: float,
@@ -240,6 +232,8 @@ def split_tail_tests(density: RadialLevyDensity, kappa: float,
     The split integrands replace T1 by rho^2 * tail-mass plus truncated
     moment (sup-envelopes for the weak side, inf for the strong side), and
     the two 'in particular' strong-side tests keep only one of the pieces.
+    A test that cannot be formed (the tail mass vanishing on the ladder, a
+    verdict failing) is kept as its NotApplicableError or QuadratureError.
     """
     check_positive("radius", r)
     check_kappa(kappa)
@@ -250,12 +244,19 @@ def split_tail_tests(density: RadialLevyDensity, kappa: float,
         return lambda rhos: rhos ** 2 * env("tm", which, rhos) \
             + env("t3", which, rhos)
 
+    def attempt(test, *args):
+        try:
+            return test(*args)
+        except (NotApplicableError, QuadratureError) as exc:
+            return exc
+
     return SplitTailVerdicts(
-        _power_test(a, b, t1_split("sup"), r),
-        _power_test(a, b, t1_split("inf"), r),
-        _power_test(-density.d - 1.0, b, functools.partial(env, "tm", "sup"),
-                    r),
-        moment_tail_test(density, kappa, r))
+        attempt(_power_test, a, b, t1_split("sup"), r),
+        attempt(_power_test, a, b, t1_split("inf"), r),
+        attempt(_power_test, -density.d - 1.0, b, _positive(
+            functools.partial(env, "tm", "sup"),
+            "tail mass vanishes on the ladder"), r),
+        attempt(moment_tail_test, density, kappa, r))
 
 
 def moment_tail_test(density: RadialLevyDensity, kappa: float,
@@ -281,21 +282,22 @@ def density_floor_test(density: RadialLevyDensity, kappa: float,
     if not density.monotone_beyond_u0 or not density.monotone_verified():
         raise NotApplicableError(
             "density-floor test needs a density decreasing beyond the cutoff")
-    floor = _density_floor(density, "density floor vanishes on the ladder")
+    floor = _positive(functools.partial(density.envelope, which="inf"),
+                      "density floor vanishes on the ladder")
     start = max(r, 2.0 * density.u0 if density.u0 > 0 else r)
     return _power_test(-d * kappa - 2.0 * d - 1.0, kappa + 1.0, floor, start)
 
 
-def _density_floor(density, message):
-    """rho -> inf over the variants of n(., rho), which must be positive
+def _positive(env, message):
+    """env, which must be positive on the radii it is given
     (NotApplicableError with `message` otherwise)."""
-    def floor(rhos):
-        vals = density.envelope(rhos, which="inf")
+    def positive(rhos):
+        vals = env(rhos)
         if np.any(vals <= 0.0):
             raise NotApplicableError(message)
         return vals
 
-    return floor
+    return positive
 
 
 @model_memo
@@ -503,7 +505,8 @@ def rv_index_fit(density: RadialLevyDensity) -> float:
 def borderline_index_test(density: RadialLevyDensity) -> DivergenceVerdict:
     """Borderline transience test at index -2d: convergence of
     int_r^infinity drho / (rho^{2d+1} n(rho)) with r = 2 max(u0, 1)."""
-    floor = _density_floor(density, "density vanishes on the test ladder")
+    floor = _positive(functools.partial(density.envelope, which="inf"),
+                      "density vanishes on the test ladder")
     return _power_test(-2.0 * density.d - 1.0, 1.0, floor,
                        2.0 * max(density.u0, 1.0))
 

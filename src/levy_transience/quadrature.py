@@ -248,29 +248,20 @@ def integrate_origin(f, b, breakpoints=(), support_lo=0.0):
                              f"integral near 0 below {b} did not converge")[0])
 
 
-def row_groups(f):
-    """Row-aware weight g(u, k) from f(groups, blocks): f gets the groups in
-    k (one per row of u, or one for all rows) and the rows of u of each, and
-    returns one value array per group."""
+def stacked_weight(weights):
+    """Row-aware weight g(u, k): weights[i] on the rows of u whose group in
+    k (one per row, or one for all rows) is i, one call per group."""
     def g(u, k):
         k = np.broadcast_to(np.ravel(k), u.shape[:1])
         if np.all(k == k[0]):        # most calls: no copy of u
-            return f([k[0]], [u])[0]
+            return weights[k[0]](u)
         order = np.argsort(k, kind="stable")
-        rows = np.split(order, np.flatnonzero(np.diff(k[order])) + 1)
         out = np.empty(u.shape)
-        for r, vals in zip(rows, f([k[r[0]] for r in rows],
-                                   [u[r] for r in rows])):
-            out[r] = vals
+        for r in np.split(order, np.flatnonzero(np.diff(k[order])) + 1):
+            out[r] = weights[k[r[0]]](u[r])
         return out
 
     return g
-
-
-def stacked_weight(weights):
-    """Row-aware weight: weights[k] on the rows of group k, one call each."""
-    return row_groups(lambda groups, blocks: [
-        weights[i](u) for i, u in zip(groups, blocks)])
 
 
 def _flat(groups):

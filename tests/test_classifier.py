@@ -262,4 +262,4 @@ def test_classify_computes_only_premises_of_rules_that_can_fire(monkeypatch):
         classify(model, kappa)
     assert kinds and ENV_SUP_ABS not in kinds
     assert not [key for key in model.triplet.jump_density._cache
-                if isinstance(key, tuple) and key[0] == "tm"]
+                if key in (("tm", "sup"), ("tm", "inf"))]

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -91,6 +92,30 @@ def test_tails_command(runner, model_file, tmp_path):
     assert result.exit_code == 0, result.output
     report = json.loads((out / "report.json").read_text())
     assert report["weak"]["refined_state"] == "diverges"
+
+
+def test_tails_reports_each_split_verdict_that_cannot_be_formed(
+        runner, model_file, tmp_path):
+    # at gamma 1e-280 in d = 5 the tail mass underflows to 0 on the far
+    # ladder: only the tail-mass split verdict is not applicable, and the
+    # decided T1 and moment verdicts are still reported
+    path = model_file({"family": "isotropic_stable", "d": 5, "parameters": {
+        "alpha": 1.0, "gamma": 1e-280}})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = runner.invoke(main, ["tails", "--model", path, "--kappa",
+                                      "0", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    report = json.loads((out / "report.json").read_text())
+    assert report["weak"]["refined_state"] == "converges"
+    assert report["strong"]["refined_state"] == "converges"
+    split = report["split"]
+    assert split["strong_tail_mass"] == {
+        "not_applicable": "tail mass vanishes on the ladder"}
+    for name in ("weak_split", "strong_split", "strong_second_moment"):
+        assert split[name]["refined_state"] == "converges", name
+    assert split["fired"] == ["split-strong", "moment-strong"]
 
 
 def test_compare_transfer_pair(runner, model_file, tmp_path):

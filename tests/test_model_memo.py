@@ -229,18 +229,20 @@ def test_kappa_probes_sweep_each_tail_functional_once(tmp_path, monkeypatch):
     from levy_transience import levy_tails, verdicts
 
     sweeps, ladders = [], []
-    t1 = levy_tails._SWEEPS["t1"]
     gauss = verdicts.log_gauss_blocks
 
-    def counted_t1(density, variants, radii):
-        sweeps.append((density, list(variants)))
-        return t1(density, variants, radii)
+    def counted(tag, sweep):
+        def wrapper(density, variants, radii):
+            sweeps.append((tag, density, list(variants)))
+            return sweep(density, variants, radii)
+        return wrapper
 
     def counted_gauss(lo, hi, n=16):
         ladders.append((float(lo[0]), float(hi[0]), len(lo), n))
         return gauss(lo, hi, n)
 
-    monkeypatch.setitem(levy_tails._SWEEPS, "t1", counted_t1)
+    for tag, sweep in list(levy_tails._SWEEPS.items()):
+        monkeypatch.setitem(levy_tails._SWEEPS, tag, counted(tag, sweep))
     monkeypatch.setattr(verdicts, "log_gauss_blocks", counted_gauss)
     verdicts.verdict_ladder.cache_clear()
     models = {Path(p).stem: load_model(p)
@@ -248,13 +250,15 @@ def test_kappa_probes_sweep_each_tail_functional_once(tmp_path, monkeypatch):
     for model in models.values():
         kappa_boundary(model)
     # the four isotropic stable models are decided by the closed-form band
-    # alone, so only stable_like2 sweeps T1: once, with its 9 variants as
-    # the row groups of one sweep, however many kappa probes read it
+    # alone, so only stable_like2 sweeps the tail mass and T3 behind T1:
+    # each once, with its 9 variants as the row groups of one sweep, however
+    # many kappa probes read it
     stable = [m for name, m in models.items() if name.startswith("iso")]
     assert len(stable) == 4
     assert all(m.triplet.jump_density is not None for m in stable)
-    assert [(dens is models["stable_like2"].triplet.jump_density, rows)
-            for dens, rows in sweeps] == [(True, list(range(9)))]
+    assert sorted((tag, dens is models["stable_like2"].triplet.jump_density,
+                   rows) for tag, dens, rows in sweeps) \
+        == [("t3", True, list(range(9))), ("tm", True, list(range(9)))]
     # each (r, K, singularity, n_gl) ladder is built once
     assert ladders and len(ladders) == len(set(ladders))
 
@@ -279,10 +283,49 @@ def test_closed_form_kappa_probes_run_no_lower_band(model, kappa_star,
     verdict = counted("verdict", verdicts.verdict_from_radial_integrand)
     for module in (verdicts, cf_integrals, levy_tails):
         monkeypatch.setattr(module, "verdict_from_radial_integrand", verdict)
-    monkeypatch.setitem(levy_tails._SWEEPS, "t1",
-                        counted("t1", levy_tails._SWEEPS["t1"]))
+    for tag, sweep in list(levy_tails._SWEEPS.items()):
+        monkeypatch.setitem(levy_tails._SWEEPS, tag, counted(tag, sweep))
     assert kappa_boundary(model) == pytest.approx(kappa_star, abs=0.01)
     assert calls == []
+
+
+def test_classify_forms_the_t1_envelopes_from_one_sweep_per_functional(
+        monkeypatch):
+    # the radial_cold power model: the tail mass and T3 of its 9 variants
+    # on the tail band's verdict ladder run as one sweep each, and each T1
+    # envelope is the identity T1 = rho^2 tm / 2 + T3 / 2 applied to the
+    # memoized rows (the index band's quadratic floor sweeps T3 on its own
+    # 17 radii)
+    from levy_transience import levy_tails
+    from levy_transience.densities import power_density
+    from levy_transience.verdicts import AT_INFINITY, verdict_ladder
+
+    sweeps = []
+
+    def counted(tag, sweep):
+        def wrapper(density, variants, radii):
+            sweeps.append((tag, list(variants), {len(r) for r in radii}))
+            return sweep(density, variants, radii)
+        return wrapper
+
+    for tag, sweep in list(levy_tails._SWEEPS.items()):
+        monkeypatch.setitem(levy_tails._SWEEPS, tag, counted(tag, sweep))
+    dens = power_density(3, (0.8, 1.2), u0=1.0)
+    model = radial_jump_model(dens)
+    for kappa in (0.3, 0.8, 3.4, 4.1):
+        classify(model, kappa)
+    ladder = {verdict_ladder(2.0, AT_INFINITY)[0].size}
+    assert sorted(sweeps, key=str) == [("t3", list(range(9)), {17}),
+                                       ("t3", list(range(9)), ladder),
+                                       ("tm", list(range(9)), ladder)]
+    for which, reduce in (("sup", np.max), ("inf", np.min)):
+        env = dens._cache[("t1", which)]
+        radii = sorted(r for r in env if isinstance(r, float))
+        rows = {tag: np.array([[dens._cache[(tag, i)][r] for r in radii]
+                               for i in range(9)]) for tag in ("tm", "t3")}
+        rhos = np.asarray(radii)
+        want = reduce(0.5 * rhos ** 2 * rows["tm"] + 0.5 * rows["t3"], axis=0)
+        assert np.asarray([env[r] for r in radii]).tobytes() == want.tobytes()
 
 
 def test_cached_ladders_and_envelopes_are_read_only():
