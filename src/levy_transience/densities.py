@@ -32,15 +32,81 @@ def stable_coefficient(d: int, alpha: float) -> float:
 
 
 @dataclass(frozen=True)
+class LogLogTable:
+    """A piecewise power: on piece k, log n(u) = values[k] + slopes[k] *
+    (log u - anchors[k]). Piece 0 covers (0, knots[0]), piece k
+    [knots[k-1], knots[k]) and the last [knots[-1], inf): pieces are
+    left-closed and the edge pieces carry the edge slopes. A value of -inf
+    is a zero piece (below support_lo); a value that moves at a knot is a
+    jump (a factor below a radius)."""
+
+    knots: tuple      # radii where pieces 1, 2, ... start, ascending
+    anchors: tuple    # log u where each piece takes its value
+    values: tuple     # log n at each anchor
+    slopes: tuple     # d log n / d log u on each piece
+
+    def _line(self, k, x):
+        """log n on piece k at the log radii x, written over x."""
+        value, slope = self.values[k], self.slopes[k]
+        if slope == 0.0 or value == -math.inf:   # no 0 * inf at u = 0 or inf
+            x[...] = value
+        else:
+            np.subtract(x, self.anchors[k], out=x)
+            np.add(np.multiply(x, slope, out=x), value, out=x)
+        return x
+
+    def __call__(self, u):
+        """n(u), in one buffer: the pieces' lines, the last one first."""
+        shape = np.shape(u)
+        u = np.asarray(u, dtype=float).reshape(-1)
+        with np.errstate(divide="ignore"):   # log 0 = -inf: the left edge
+            y = np.log(u)
+        lower = [(below, self._line(k, y[below]))
+                 for k, knot in enumerate(self.knots)
+                 if (below := u < knot).any()]
+        self._line(-1, y)
+        for below, values in reversed(lower):
+            y[below] = values
+        return np.exp(y, out=y).reshape(shape)
+
+    def below(self, radius, log_factor):
+        """This table with log_factor added to log n below radius (a knot
+        is added there if needed); -inf zeroes it there."""
+        cut = sum(knot < radius for knot in self.knots)
+        knots, pieces = list(self.knots), list(zip(self.anchors, self.values,
+                                                    self.slopes))
+        if radius not in knots:
+            knots.insert(cut, radius)
+            pieces.insert(cut, pieces[cut])
+        pieces[:cut + 1] = [(a, v + log_factor, s)
+                            for a, v, s in pieces[:cut + 1]]
+        return LogLogTable(tuple(knots), *zip(*pieces))
+
+
+def _log(factor):
+    """log of a nonnegative density factor, -inf at 0."""
+    if not factor >= 0:
+        raise ModelInvariantError(f"density factor must be >= 0, got {factor}")
+    return math.log(factor) if factor > 0 else -math.inf
+
+
+@dataclass(frozen=True)
 class DensityVariant:
-    """One single-state radial profile: u -> n(u), vectorized."""
+    """One single-state radial profile: u -> n(u), vectorized. The profile
+    is a LogLogTable, whose knots are the breakpoints and whose last slope
+    is the tail slope, or a callable that may state both."""
 
     label: str
-    profile: object                      # callable, u array -> density array
+    profile: object                      # LogLogTable or u array -> n array
     support_lo: float = 0.0              # density vanishes below this radius
     breakpoints: tuple = ()
-    alpha: float | None = None           # tail index of a power-law variant
-    gamma: float | None = None           # jump symbol gamma * rho^alpha, if set
+    tail_slope: float | None = None      # last slope of log n vs log u
+    gamma: float | None = None           # jump symbol gamma * rho^(-d-slope)
+
+    def __post_init__(self):
+        if isinstance(self.profile, LogLogTable):
+            object.__setattr__(self, "breakpoints", self.profile.knots)
+            object.__setattr__(self, "tail_slope", self.profile.slopes[-1])
 
     def __call__(self, u):
         return np.asarray(self.profile(np.asarray(u, dtype=float)), dtype=float)
@@ -82,15 +148,8 @@ class RadialLevyDensity:
 
     def radial_weight(self, variant):
         """u -> S_d * u^{d-1} * n(u), the weight for radial integrals."""
-        v = self.variants[variant]
-        s_d = sphere_surface(self.d)
-        dd = self.d
-
-        def w(u):
-            u = np.asarray(u, dtype=float)
-            return s_d * u ** (dd - 1) * v(u)
-
-        return w
+        v, s_d, d = self.variants[variant], sphere_surface(self.d), self.d
+        return lambda u: s_d * np.asarray(u, dtype=float) ** (d - 1) * v(u)
 
     def second_moment_weight(self, variant):
         """u -> u^2 * S_d * u^{d-1} * n(u), the weight of |y|^2 nu(dy)."""
@@ -100,12 +159,8 @@ class RadialLevyDensity:
     def all_breakpoints(self):
         pts = set()
         for v in self.variants:
-            pts.update(v.breakpoints)
-            if v.support_lo > 0:
-                pts.add(v.support_lo)
-        if self.u0 > 0:
-            pts.add(self.u0)
-        pts.update(radius for radius, _ in self.atoms)
+            pts.update(v.breakpoints, [v.support_lo] * (v.support_lo > 0))
+        pts.update([self.u0] * (self.u0 > 0), (r for r, _ in self.atoms))
         return tuple(sorted(pts))
 
     def support_lo(self, variant=0):
@@ -113,22 +168,16 @@ class RadialLevyDensity:
 
     def atom_tail_mass(self, u):
         """Mass of atoms at radii >= u (vectorized over u)."""
-        if not self.atoms:
-            return np.zeros_like(np.asarray(u, dtype=float))
         u = np.asarray(u, dtype=float)
-        out = np.zeros_like(u)
-        for radius, mass in self.atoms:
-            out += np.where(u <= radius, mass, 0.0)
-        return out
+        return sum((np.where(u <= radius, mass, 0.0)
+                    for radius, mass in self.atoms), np.zeros_like(u))
 
     def atom_second_moment(self, rho):
         """Sum of radius^2 * mass over atoms inside B(0, rho) (vectorized
         over rho)."""
         rho = np.asarray(rho, dtype=float)
-        out = np.zeros_like(rho)
-        for radius, mass in self.atoms:
-            out += np.where(radius < rho, radius * radius * mass, 0.0)
-        return out
+        return sum((np.where(radius < rho, radius * radius * mass, 0.0)
+                    for radius, mass in self.atoms), np.zeros_like(rho))
 
     @model_memo
     def monotone_verified(self) -> bool:
@@ -139,11 +188,9 @@ class RadialLevyDensity:
         """
         lo = max(self.u0, 1e-3)
         grid = np.geomspace(lo * 1.001, lo * 1e6, 64)
-        for v in self.variants:
-            vals = v(grid)
-            if np.any(np.diff(vals) > 1e-12 * np.maximum(vals[:-1], 1e-300)):
-                return False
-        return True
+        vals = np.stack([v(grid) for v in self.variants])
+        return not np.any(np.diff(vals)
+                          > 1e-12 * np.maximum(vals[:, :-1], 1e-300))
 
     # -- symbol contribution ------------------------------------------------
 
@@ -152,8 +199,8 @@ class RadialLevyDensity:
 
         rho is one radius or an array of radii (then a read-only array comes
         back). variant is one index, or a sequence of them: then the rows of
-        the listed variants come back stacked. A variant with a closed form
-        (gamma) is evaluated directly; the others are memoized per variant
+        the listed variants come back stacked. A variant with gamma set is
+        gamma * rho^(-d - tail slope); the others are memoized per variant
         and radius, and the radii each of them lacks are computed in one
         jump_symbol_value call, one row group per variant.
         """
@@ -168,7 +215,8 @@ class RadialLevyDensity:
                 support_lo=[self.support_lo(quad[i]) for i in rows]))
         found = dict(zip(quad, memo(rhos)))
         out = [found[i].reshape(rhos.shape) if i in found
-               else self.variants[i].gamma * rhos ** self.variants[i].alpha
+               else self.variants[i].gamma
+               * rhos ** (-self.variants[i].tail_slope - self.d)
                for i in picked]
         if np.ndim(variant):
             return np.stack(out)
@@ -190,14 +238,12 @@ class RadialLevyDensity:
             if self.u0 > 0 and radius > self.u0:
                 raise ModelInvariantError(
                     "atom mass must sit at or below the density cutoff")
+        bps = self.all_breakpoints()
         for idx, v in enumerate(self.variants):
-            lo = max(v.support_lo, self.u0, 1e-12)
-            grid = np.geomspace(max(lo, 1e-6) * 1.001, max(lo, 1e-6) * 1e3, 16)
-            vals = v(grid)
-            if np.any(vals < 0):
+            lo = max(v.support_lo, self.u0, 1e-6)
+            if np.any(v(np.geomspace(lo * 1.001, lo * 1e3, 16)) < 0):
                 raise ModelInvariantError(
                     f"density variant {v.label!r} takes negative values")
-            bps = self.all_breakpoints()
             try:
                 small = integrate_origin(self.second_moment_weight(idx), 1.0,
                                          bps, support_lo=v.support_lo)
@@ -216,12 +262,25 @@ class RadialLevyDensity:
 # ---------------------------------------------------------------------------
 
 def _interval_values(spec, n=9):
-    if isinstance(spec, (int, float)):
-        return [float(spec)]
-    lo, hi = float(spec[0]), float(spec[1])
-    if lo == hi:
-        return [lo]
-    return list(np.linspace(lo, hi, n))
+    """[spec] for a constant or an (lo, hi) with lo == hi, else n values
+    evenly spaced over [lo, hi]."""
+    lo, hi = map(float, (spec, spec) if np.ndim(spec) == 0 else spec)
+    return [lo] if lo == hi else list(np.linspace(lo, hi, n))
+
+
+def _power_density(d, u0, rows):
+    """The density with variants coeff * u^{-d-alpha} from u0 on (from 0
+    when u0 is 0), one per (label, alpha, coeff, gamma) row."""
+    variants = []
+    for label, a, c, g in rows:
+        if a <= 0:
+            raise ModelInvariantError(f"alpha must be positive, got {a}")
+        table = LogLogTable((), (0.0,), (_log(c),), (-(d + a),))
+        if u0 > 0:
+            table = table.below(u0, -math.inf)
+        variants.append(DensityVariant(label, table, u0, gamma=g))
+    return RadialLevyDensity(d=d, u0=u0, variants=tuple(variants),
+                             x_independent=(len(variants) == 1))
 
 
 def power_density(d, alpha, coeff=1.0, u0=0.0, n_variants=9):
@@ -231,32 +290,13 @@ def power_density(d, alpha, coeff=1.0, u0=0.0, n_variants=9):
     parameters produce variants at evenly spaced values.
     """
     alphas = _interval_values(alpha, n_variants)
-    coeffs = _interval_values(coeff, n_variants)
     for a in alphas:
         if u0 <= 0 and not (0.0 < a < 2.0):
             raise ModelInvariantError(
                 f"pure-power density on (0,inf) needs alpha in (0,2), got {a}")
-        if a <= 0:
-            raise ModelInvariantError(f"alpha must be positive, got {a}")
-    variants = []
-    pairs = [(a, c) for a in alphas for c in coeffs]
-    for a, c in pairs:
-        p = -(d + a)
-
-        def prof(u, _c=c, _p=p):
-            u = np.asarray(u, dtype=float)
-            out = _c * u ** _p
-            if u0 > 0:
-                out = np.where(u >= u0, out, 0.0)
-            return out
-
-        variants.append(DensityVariant(
-            label=f"alpha={a:g},coeff={c:g}", profile=prof,
-            support_lo=u0, breakpoints=(u0,) if u0 > 0 else (), alpha=a))
-    return RadialLevyDensity(
-        d=d, u0=u0, variants=tuple(variants),
-        monotone_beyond_u0=True,
-        x_independent=(len(pairs) == 1))
+    return _power_density(d, u0, [
+        (f"alpha={a:g},coeff={c:g}", a, c, None)
+        for a in alphas for c in _interval_values(coeff, n_variants)])
 
 
 def stable_density(d, alpha, gamma=1.0, n_variants=9):
@@ -266,7 +306,6 @@ def stable_density(d, alpha, gamma=1.0, n_variants=9):
     """
     alphas = _interval_values(alpha, n_variants)
     gammas = _interval_values(gamma, n_variants)
-    variants = []
     pairs = list(zip(alphas, gammas)) if len(alphas) == len(gammas) else [
         (a, g) for a in alphas for g in gammas]
     for a, g in pairs:
@@ -274,41 +313,17 @@ def stable_density(d, alpha, gamma=1.0, n_variants=9):
             raise ModelInvariantError(f"stable index must lie in (0,2), got {a}")
         if g <= 0:
             raise ModelInvariantError(f"stable scale must be positive, got {g}")
-        coef = g * stable_coefficient(d, a)
-        p = -(d + a)
-
-        def prof(u, _c=coef, _p=p):
-            return _c * np.asarray(u, dtype=float) ** _p
-
-        variants.append(DensityVariant(label=f"alpha={a:g},gamma={g:g}",
-                                       profile=prof, alpha=a, gamma=g))
-    return RadialLevyDensity(
-        d=d, u0=0.0, variants=tuple(variants),
-        monotone_beyond_u0=True, x_independent=(len(pairs) == 1))
+    return _power_density(d, 0.0, [
+        (f"alpha={a:g},gamma={g:g}", a, g * stable_coefficient(d, a), g)
+        for a, g in pairs])
 
 
 def finite_range_density(d, alpha, n_variants=9):
     """Unit-total-mass density n(x,u) = gamma(x) u^{-d-alpha(x)} 1{u >= 1}
     with gamma(x) = alpha(x) / S_d so the measure is a probability."""
-    alphas = _interval_values(alpha, n_variants)
-    s_d = sphere_surface(d)
-    variants = []
-    for a in alphas:
-        if a <= 0:
-            raise ModelInvariantError(f"alpha must be positive, got {a}")
-        c = a / s_d
-        p = -(d + a)
-
-        def prof(u, _c=c, _p=p):
-            u = np.asarray(u, dtype=float)
-            return np.where(u >= 1.0, _c * u ** _p, 0.0)
-
-        variants.append(DensityVariant(label=f"alpha={a:g}", profile=prof,
-                                       support_lo=1.0, breakpoints=(1.0,),
-                                       alpha=a))
-    return RadialLevyDensity(
-        d=d, u0=1.0, variants=tuple(variants),
-        monotone_beyond_u0=True, x_independent=(len(alphas) == 1))
+    return _power_density(d, 1.0, [
+        (f"alpha={a:g}", a, a / sphere_surface(d), None)
+        for a in _interval_values(alpha, n_variants)])
 
 
 def power_log_density(d, exponent, log_exponent, coeff=1.0, u_start=math.e):
@@ -321,21 +336,17 @@ def power_log_density(d, exponent, log_exponent, coeff=1.0, u_start=math.e):
         raise ModelInvariantError("log-corrected density needs u_start > 1")
 
     def prof(u):
-        u = np.asarray(u, dtype=float)
         safe = np.maximum(u, u_start)
         val = coeff * safe ** exponent * np.log(safe) ** log_exponent
         return np.where(u >= u_start, val, 0.0)
 
-    variant = DensityVariant(label="power_log", profile=prof,
-                             support_lo=u_start, breakpoints=(u_start,))
-    return RadialLevyDensity(
-        d=d, u0=u_start, variants=(variant,),
-        monotone_beyond_u0=True, x_independent=True)
+    return RadialLevyDensity(d=d, u0=u_start, variants=(DensityVariant(
+        "power_log", prof, u_start, breakpoints=(u_start,)),))
 
 
 def table_density(d, u_knots, n_values, u0=0.0, monotone=True):
     """Tabulated density, interpolated linearly in log-log coordinates and
-    extrapolated with the edge slopes."""
+    extrapolated with the edge slopes; zero below u0."""
     u_knots = np.asarray(u_knots, dtype=float)
     n_values = np.asarray(n_values, dtype=float)
     if np.any(u_knots <= 0) or np.any(n_values <= 0):
@@ -347,25 +358,14 @@ def table_density(d, u_knots, n_values, u0=0.0, monotone=True):
     if np.any(np.diff(u_knots) <= 0):
         raise ModelInvariantError("table radii must be strictly increasing")
     lu, ln = np.log(u_knots), np.log(n_values)
-    slope_lo = (ln[1] - ln[0]) / (lu[1] - lu[0])
-    slope_hi = (ln[-1] - ln[-2]) / (lu[-1] - lu[-2])
-
-    def prof(u):
-        u = np.asarray(u, dtype=float)
-        x = np.log(np.maximum(u, 1e-300))
-        inner = np.interp(x, lu, ln)
-        inner = np.where(x < lu[0], ln[0] + slope_lo * (x - lu[0]), inner)
-        inner = np.where(x > lu[-1], ln[-1] + slope_hi * (x - lu[-1]), inner)
-        out = np.exp(inner)
-        if u0 > 0:
-            out = np.where(u >= u0, out, 0.0)
-        return out
-
-    variant = DensityVariant(label="table", profile=prof, support_lo=u0,
-                             breakpoints=tuple(u_knots))
-    return RadialLevyDensity(
-        d=d, u0=u0, variants=(variant,), monotone_beyond_u0=monotone,
-        x_independent=True)
+    slopes = np.diff(ln) / np.diff(lu)
+    # the edge pieces extend the first and the last segment
+    table = LogLogTable(tuple(u_knots), (lu[0], *lu), (ln[0], *ln),
+                        (slopes[0], *slopes, slopes[-1]))
+    if u0 > 0:
+        table = table.below(u0, -math.inf)
+    return RadialLevyDensity(d=d, u0=u0, variants=(
+        DensityVariant("table", table, u0),), monotone_beyond_u0=monotone)
 
 
 def modified_density(base: RadialLevyDensity, radius, factor=None, replacement=None):
@@ -376,23 +376,24 @@ def modified_density(base: RadialLevyDensity, radius, factor=None, replacement=N
     """
     if factor is None and replacement is None:
         raise ModelInvariantError("modification needs a factor or a replacement")
-    variants = []
-    for v in base.variants:
-        def prof(u, _v=v):
-            u = np.asarray(u, dtype=float)
-            out = _v(u)
-            inside = u < radius
-            if factor is not None:
-                return np.where(inside, factor * out, out)
-            rep = np.asarray(replacement(u), dtype=float)
-            return np.where(inside, rep, out)
 
-        variants.append(DensityVariant(
-            label=v.label + f"|mod<{radius:g}", profile=prof,
-            support_lo=0.0 if replacement is not None else v.support_lo,
-            breakpoints=tuple(sorted(set(v.breakpoints) | {radius})),
-            alpha=v.alpha))
+    def modify(v):
+        label = v.label + f"|mod<{radius:g}"
+        if factor is not None and isinstance(v.profile, LogLogTable):
+            return DensityVariant(
+                label, v.profile.below(radius, _log(factor)), v.support_lo)
+
+        def prof(u):
+            out = v(u)
+            inside = factor * out if factor is not None else replacement(u)
+            return np.where(u < radius, inside, out)
+
+        return DensityVariant(
+            label, prof, 0.0 if replacement is not None else v.support_lo,
+            tuple(sorted(set(v.breakpoints) | {radius})), v.tail_slope)
+
     return RadialLevyDensity(
-        d=base.d, u0=max(base.u0, radius), variants=tuple(variants),
+        d=base.d, u0=max(base.u0, radius),
+        variants=tuple(map(modify, base.variants)),
         monotone_beyond_u0=base.monotone_beyond_u0,
         x_independent=base.x_independent)

@@ -108,8 +108,9 @@ def uniform_second_moment(model: SymbolModel) -> float:
         g = dens.second_moment_weight(i)
         try:
             small = integrate_origin(g, 1.0, bps, support_lo=variant.support_lo)
-            # alpha <= 2: infinite tail (a tail sum underflows at tiny scales)
-            if variant.alpha is not None and variant.alpha <= 2.0:
+            # an infinite tail, however early the profile underflows
+            if variant.tail_slope is not None \
+                    and variant.tail_slope >= -(dens.d + 2.0):
                 return float("inf")
             big = integrate_tail(g, 1.0, bps)
         except QuadratureError:    # DivergentIntegralError among them

@@ -263,9 +263,9 @@ def _norms(XI):
 
 def _variant_for_state(model, x):
     """Density variant at state x, or at each state of a batch x (n, d): the
-    one whose alpha is nearest alpha(x). None when a state-dependent density
-    has no alpha field tying its variants to states; then only the envelope
-    over all variants is defined."""
+    one whose tail index -d - tail slope is nearest alpha(x). None when a
+    state-dependent density has no alpha field tying its variants to states;
+    then only the envelope over all variants is defined."""
     dens = model.triplet.jump_density
     X = np.atleast_2d(np.asarray(x, dtype=float))
     if dens.x_independent or len(dens.variants) == 1:
@@ -274,7 +274,7 @@ def _variant_for_state(model, x):
         alpha = model.params.get("alpha")
         if not isinstance(alpha, ScalarField) or alpha.is_constant:
             return None
-        alphas = np.asarray([v.alpha for v in dens.variants])
+        alphas = -np.asarray([v.tail_slope for v in dens.variants]) - model.d
         idx = np.argmin(np.abs(alphas[None, :] - alpha(X)[:, None]), axis=1)
     return idx if np.ndim(x) == 2 else int(idx[0])
 
@@ -833,9 +833,8 @@ def stable_like(d, alpha, beta=None, gamma=1.0, envelope_mode="closed_form",
     if gf.bounds[0] <= 0:
         raise ModelInvariantError("stable-like scale must be bounded away from 0")
     b = None if beta is None else np.asarray(beta, dtype=float).reshape(d)
-    dens = stable_density(d, af.bounds if not af.is_constant else a_lo,
-                          gf.bounds if not gf.is_constant else gf.bounds[0])
-    triplet = LevyTriplet(d=d, drift=b, jump_density=dens)
+    triplet = LevyTriplet(d=d, drift=b,
+                          jump_density=stable_density(d, af.bounds, gf.bounds))
     params = {"alpha": af, "gamma": gf}
     return SymbolModel(family="stable_like", d=d, triplet=triplet,
                        params=params, envelope_mode=envelope_mode,
@@ -853,9 +852,7 @@ def radial_jump_model(density: RadialLevyDensity, envelope_mode="closed_form",
 def finite_jump_model(d, alpha, envelope_mode="closed_form",
                       state_grid=StateGrid(), assumptions=None):
     af = ScalarField.make(alpha)
-    dens = finite_range_density(
-        d, af.bounds if not af.is_constant else af.bounds[0])
-    triplet = LevyTriplet(d=d, jump_density=dens)
+    triplet = LevyTriplet(d=d, jump_density=finite_range_density(d, af.bounds))
     return SymbolModel(family="finite_jump", d=d, triplet=triplet,
                        params={"alpha": af}, envelope_mode=envelope_mode,
                        state_grid=state_grid, assumptions=assumptions or {})

@@ -75,8 +75,9 @@ def model_file(tmp_path):
 
 def stacked_density_cases():
     """(id, density) pairs for the row-group tests: power, finite_range,
-    power_log and table densities and a modified density whose variants
-    differ in support_lo (with an atom), in d = 1, 2, 3, 5."""
+    power_log and table densities, a stable density with a factor below a
+    radius and a modified density whose variants differ in support_lo (with
+    an atom), in d = 1, 2, 3, 5."""
     def cut_power(d, lo):
         return lambda u: np.where(u >= lo, u ** (-d - 1.2), 0.0)
 
@@ -89,7 +90,11 @@ def stacked_density_cases():
                                            [1e-1, 1e-3, 1e-12])
         base = RadialLevyDensity(d=d, u0=0.5, variants=tuple(
             DensityVariant(label=f"lo={lo}", profile=cut_power(d, lo),
-                           support_lo=lo, breakpoints=(lo,), alpha=1.2)
+                           support_lo=lo, breakpoints=(lo,),
+                           tail_slope=-d - 1.2)
             for lo in (0.25, 0.5)))
         yield f"modified-support-d{d}", dataclasses.replace(
             modified_density(base, 2.0, factor=3.0), atoms=((0.1, 0.3),))
+    for d in (1, 2, 3, 5):
+        yield f"factor-stable-d{d}", modified_density(
+            stable_density(d, (0.7, 1.4), n_variants=2), 2.0, factor=3.0)

@@ -4,7 +4,12 @@ import math
 import pytest
 
 from levy_transience.cf_integrals import strong_integral_kappa, weak_integral_kappa
-from levy_transience.densities import power_density, stable_density
+from levy_transience.classifier import classify
+from levy_transience.densities import (
+    power_density,
+    stable_density,
+    table_density,
+)
 from levy_transience.index_rules import (
     index_bound_rules,
     moment_rules,
@@ -101,6 +106,32 @@ def test_second_moment_infinite_for_stable_at_any_scale(gamma):
 def test_second_moment_rule_silent_for_a_tiny_scale_stable():
     assert _fired(moment_rules, isotropic_stable(3, 1.0, gamma=1e-100),
                   0.5) == {}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_second_moment_of_a_table_reads_its_tail_slope(d):
+    # tail slope -(d + a): the second moment is infinite for a <= 2, also
+    # where the profile underflows before the octave sum sees it diverge
+    # (d >= 3); finite for a > 2
+    def model(a):
+        tail = 1e-3 * (40.0 / 3.0) ** -(d + a)
+        return radial_jump_model(
+            table_density(d, [0.5, 3.0, 40.0], [1e-1, 1e-3, tail]))
+
+    for a in (0.4, 1.2, 1.95):
+        assert uniform_second_moment(model(a)) == math.inf
+    assert math.isfinite(uniform_second_moment(model(2.5)))
+
+
+def test_index_band_of_a_fast_decaying_table_stays_on_the_strong_side():
+    # tail slope -6.2 in d = 5: kappa* = 5 / 1.2 - 1 = 3.17, and below it
+    # no weak-side index rule may fire
+    model = radial_jump_model(table_density(
+        5, [0.5, 3.0, 40.0], [1e-1, 1e-3, 1e-3 * (40.0 / 3.0) ** -6.2]))
+    for kappa in (1.5, 2.0, 3.0):
+        report = classify(model, kappa, methods=("index",))
+        assert "weak" not in {r.verdict for r in report.fired_rules}
+        assert report.verdict != "weakly_transient"
 
 
 def test_second_moment_of_a_cut_off_power_tail_with_alpha_above_two():

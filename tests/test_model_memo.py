@@ -151,7 +151,7 @@ def test_uniform_second_moment_lets_profile_bugs_through():
         return np.asarray(u, dtype=float) ** -3.5
 
     dens = RadialLevyDensity(d=3, u0=0.0, variants=(
-        DensityVariant(label="power", profile=profile, alpha=0.5),))
+        DensityVariant(label="power", profile=profile, tail_slope=-3.5),))
     model = radial_jump_model(dens)
     broken["on"] = True
     with pytest.raises(TypeError, match="profile bug"):

@@ -185,6 +185,27 @@ def test_kappa_boundary_lies_between_a_strong_and_a_weak_probe(model):
     assert min(weak) - max(strong) <= tol
 
 
+@given(d=st.integers(1, 4), step=st.integers(1, 2),
+       brownian=st.booleans(), alpha=st.floats(0.1, 1.9),
+       scale=st.floats(-300.0, 250.0).map(lambda e: 10.0 ** e),
+       kappa=st.floats(0.0, 3.0),
+       methods=st.sampled_from([ALL_METHODS, ("integral", "tail", "index")]))
+def test_raising_the_dimension_never_turns_strong_into_weak(
+        d, step, brownian, alpha, scale, kappa, methods):
+    # transience with respect to the dimension: kappa* = d/alpha - 1 (alpha
+    # = 2 for Brownian motion) grows with d, so a process strongly
+    # transient in d is not weakly transient in a higher dimension
+    def verdict(dim):
+        model = brownian_drift(dim, c=scale) if brownian \
+            else isotropic_stable(dim, alpha, gamma=scale)
+        if transience_gate(model) == GATE_RECURRENT:
+            return None
+        return classify(model, kappa, methods=methods).verdict
+
+    assert not (verdict(d) == STRONGLY_TRANSIENT
+                and verdict(d + step) == WEAKLY_TRANSIENT)
+
+
 # -- model files: valid configs classify, a corrupted field is named --------
 
 _PROFILES = ("cos", "sin", "step")

@@ -339,7 +339,7 @@ def _variants_with_divergent_integrals():
         return np.where(u < 1e-15, u ** -3.0 * 1e-15, u ** -2.0)
 
     return lambda: RadialLevyDensity(d=1, u0=0.0, variants=(
-        DensityVariant("power", power, alpha=1.0),
+        DensityVariant("power", power, tail_slope=-2.0),
         DensityVariant("far", far, breakpoints=(1e15,)),
         DensityVariant("near", near, breakpoints=(1e-15,))))
 

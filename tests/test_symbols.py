@@ -177,7 +177,7 @@ def test_density_validation_lets_profile_bugs_through():
 
     with pytest.raises(TypeError, match="profile bug"):
         RadialLevyDensity(d=3, u0=0.0, variants=(
-            DensityVariant(label="power", profile=profile, alpha=0.5),))
+            DensityVariant(label="power", profile=profile, tail_slope=-3.5),))
 
 
 @pytest.mark.parametrize("power", [-5.5, -3.0])
@@ -271,8 +271,8 @@ def test_variant_for_state_picks_nearest_stored_alpha():
     # labels of modified variants no longer carry a parsable alpha
     modified = radial_jump_model(modified_density(dens, 2.0, factor=0.5),
                                  params={"alpha": model.params["alpha"]})
-    assert [v.alpha for v in modified.triplet.jump_density.variants] \
-        == [v.alpha for v in dens.variants]
+    assert [v.tail_slope for v in modified.triplet.jump_density.variants] \
+        == [v.tail_slope for v in dens.variants]
     assert _variant_for_state(modified, np.array([1.0, 0.0])) == 6
 
 

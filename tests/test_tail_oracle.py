@@ -1,0 +1,120 @@
+"""Tail mass and truncated second moment of piecewise-power densities
+against sums of elementary power integrals.
+
+On a piece n(u) = C (u / a)^s, S_d int u^k n(u) du over [lo, hi] is
+S_d C a^-s (hi^q - lo^q) / q with q = s + k + 1 (k = d - 1 for the tail
+mass, d + 1 for T3). The oracle builds its pieces from the parameters of
+each constructor, not from the package's table form.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from levy_transience.densities import (
+    finite_range_density,
+    modified_density,
+    power_density,
+    table_density,
+)
+from levy_transience.levy_tails import tail_mass, truncated_second_moment
+from levy_transience.quadrature import sphere_surface
+
+
+def _power_pieces(c, p, u0):
+    return [(u0, math.inf, c, 1.0, p)]
+
+
+def _table_pieces(u_knots, n_values, u0=0.0):
+    """(lo, hi, n_a, a, s): n = n_a (u / a)^s on [lo, hi). Each segment's
+    line between its knots, the first one's from 0 on and the last slope
+    beyond the last knot; cut at u0."""
+    slopes = np.diff(np.log(n_values)) / np.diff(np.log(u_knots))
+    pieces = [(u_knots[j] if j else 0.0, u_knots[j + 1], n_values[j],
+               u_knots[j], slopes[j]) for j in range(len(u_knots) - 1)]
+    pieces.append((u_knots[-1], math.inf, n_values[-1], u_knots[-1],
+                   slopes[-1]))
+    return _cut(pieces, u0)
+
+
+def _cut(pieces, u0):
+    return [(max(lo, u0), hi, n, a, s) for lo, hi, n, a, s in pieces
+            if hi > u0]
+
+
+def _scaled_below(pieces, radius, factor):
+    out = []
+    for lo, hi, n, a, s in pieces:
+        if lo < radius < hi:
+            out += [(lo, radius, factor * n, a, s), (radius, hi, n, a, s)]
+        else:
+            out.append((lo, hi, factor * n if hi <= radius else n, a, s))
+    return out
+
+
+def _integral(pieces, d, k, lo_cap, hi_cap):
+    """S_d int u^k n(u) du over [lo_cap, hi_cap], piece by piece."""
+    total = 0.0
+    for lo, hi, n, a, s in pieces:
+        lo, hi = max(lo, lo_cap), min(hi, hi_cap)
+        if hi <= lo:
+            continue
+        q = s + k + 1.0
+        if hi == math.inf:
+            part = -lo ** q / q
+        elif lo == 0.0:
+            part = hi ** q / q
+        else:
+            part = lo ** q * math.expm1(q * math.log(hi / lo)) / q
+        total += n * a ** -s * part
+    return sphere_surface(d) * total
+
+
+def _cases():
+    """(id, density, oracle pieces, atoms) in d = 1-5."""
+    for d in range(1, 6):
+        a = 0.3 + 0.35 * d
+        yield (f"power-d{d}", power_density(d, a, coeff=0.7, u0=0.8),
+               _power_pieces(0.7, -(d + a), 0.8), ())
+        yield (f"finite-d{d}", finite_range_density(d, 2.5),
+               _power_pieces(2.5 / sphere_surface(d), -(d + 2.5), 1.0), ())
+        tail = 1e-3 * (40.0 / 3.0) ** -(d + 1.2)
+        knots, values = [0.5, 3.0, 40.0], [1e-1, 1e-3, tail]
+        yield (f"table-d{d}", table_density(d, knots, values),
+               _table_pieces(knots, values), ())
+        yield (f"table-cut-d{d}", table_density(d, knots, values, u0=1.0),
+               _table_pieces(knots, values, 1.0), ())
+        base = power_density(d, a, coeff=0.7, u0=0.8)
+        atoms = ((0.3, 0.2), (0.8, 0.05))
+        yield (f"factor-atoms-d{d}", dataclasses.replace(
+            modified_density(base, 2.0, factor=3.0), atoms=atoms),
+            _scaled_below(_power_pieces(0.7, -(d + a), 0.8), 2.0, 3.0), atoms)
+        yield (f"factor-table-d{d}", modified_density(
+            table_density(d, knots, values), 10.0, factor=0.25),
+            _scaled_below(_table_pieces(knots, values), 10.0, 0.25), ())
+
+
+CASES = list(_cases())
+
+
+def _radii(dens):
+    """Below, at and above every breakpoint and atom radius."""
+    kinks = set(dens.all_breakpoints()) | {r for r, _ in dens.atoms}
+    return sorted({k * f for k in kinks for f in (1 / 1.5, 1.0, 1.5)})
+
+
+@pytest.mark.parametrize("name, dens, pieces, atoms", CASES,
+                         ids=[c[0] for c in CASES])
+def test_tail_mass_and_t3_match_the_power_integrals(name, dens, pieces,
+                                                    atoms):
+    d = dens.d
+    for r in _radii(dens):
+        want_mass = _integral(pieces, d, d - 1, r, math.inf) \
+            + sum(m for radius, m in atoms if radius >= r)
+        want_t3 = _integral(pieces, d, d + 1, 0.0, r) \
+            + sum(radius ** 2 * m for radius, m in atoms if radius < r)
+        assert tail_mass(dens, r) == pytest.approx(want_mass, rel=1e-11), r
+        assert truncated_second_moment(dens, r) \
+            == pytest.approx(want_t3, rel=1e-11, abs=1e-300), r
