@@ -16,13 +16,13 @@ import numpy as np
 
 from .errors import LevyMeasureError, ModelInvariantError, QuadratureError
 from .quadrature import (
-    integrate_origin,
-    integrate_tail,
     jump_symbol_value,
+    origin_cumulative,
     sphere_surface,
     stacked_weight,
+    tail_cumulative,
 )
-from .verdicts import memoized_profiles, model_memo
+from .verdicts import memoized_profile, memoized_profiles, model_memo
 
 
 def stable_coefficient(d: int, alpha: float) -> float:
@@ -127,7 +127,6 @@ class RadialLevyDensity:
     u0: float
     variants: tuple
     monotone_beyond_u0: bool = True
-    x_independent: bool = True
     atoms: tuple = ()
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
@@ -138,6 +137,10 @@ class RadialLevyDensity:
         if not self.variants:
             raise ModelInvariantError("density needs at least one variant")
         self._validate()
+
+    @property
+    def x_independent(self):
+        return len(self.variants) == 1
 
     # -- basic evaluation ---------------------------------------------------
 
@@ -166,19 +169,6 @@ class RadialLevyDensity:
     def support_lo(self, variant=0):
         return self.variants[variant].support_lo
 
-    def atom_tail_mass(self, u):
-        """Mass of atoms at radii >= u (vectorized over u)."""
-        u = np.asarray(u, dtype=float)
-        return sum((np.where(u <= radius, mass, 0.0)
-                    for radius, mass in self.atoms), np.zeros_like(u))
-
-    def atom_second_moment(self, rho):
-        """Sum of radius^2 * mass over atoms inside B(0, rho) (vectorized
-        over rho)."""
-        rho = np.asarray(rho, dtype=float)
-        return sum((np.where(radius < rho, radius * radius * mass, 0.0)
-                    for radius, mass in self.atoms), np.zeros_like(rho))
-
     @model_memo
     def monotone_verified(self) -> bool:
         """Numerical check of the decreasing-beyond-u0 hypothesis.
@@ -192,7 +182,81 @@ class RadialLevyDensity:
         return not np.any(np.diff(vals)
                           > 1e-12 * np.maximum(vals[:, :-1], 1e-300))
 
-    # -- symbol contribution ------------------------------------------------
+    # -- functionals of the variants ----------------------------------------
+
+    def sweep(self, tag, variants, radii):
+        """The functional `tag` of each listed variant at its ascending
+        radii, not memoized, as row groups of one quadrature call: "jsym"
+        the jump symbol, "tm" the tail mass nu(B^c(0, u)) and "t3" the
+        truncated second moment int_{B(0, rho)} |y|^2 nu(dy), both with
+        atoms."""
+        bps = self.all_breakpoints()
+        lows = [self.support_lo(i) for i in variants]
+        weight = self.second_moment_weight if tag == "t3" else self.radial_weight
+        w = stacked_weight([weight(i) for i in variants])
+        if tag == "jsym":
+            return jump_symbol_value(w, radii, self.d, bps, lows)
+
+        def atoms(u):   # tm: mass at radii >= u; t3: r^2 mass inside B(0, u)
+            return sum((np.where(u <= r, m, 0.0) if tag == "tm"
+                        else np.where(r < u, r * r * m, 0.0)
+                        for r, m in self.atoms), np.zeros_like(u))
+
+        rows = tail_cumulative(w, radii, bps) if tag == "tm" \
+            else origin_cumulative(w, radii, bps, lows)
+        return [row + atoms(u) for row, u in zip(rows, radii)]
+
+    def functional(self, tag, variants, rhos):
+        """sweep(tag) of each listed variant at rhos, one read-only array
+        each, memoized per variant and radius on the density: the radii
+        the variants lack run in one sweep."""
+        return memoized_profiles(
+            self, [(tag, i) for i in variants],
+            lambda rows, radii: self.sweep(tag, [variants[i] for i in rows],
+                                           radii))(rhos)
+
+    @staticmethod
+    def by_parts(rho, tm, t3):
+        """T1(rho) = int_0^rho u nu(B^c(0, u)) du = T2/2 + T3/2 from the
+        tail mass tm and T3 at rho, with T2 = rho^2 tm (by parts)."""
+        return 0.5 * rho ** 2 * tm + 0.5 * t3
+
+    def functional_envelope(self, tag, which, rhos):
+        """sup or inf over the variants of the functional `tag` at rhos
+        ("tm", "t3", or "t1" by_parts from them), memoized per envelope."""
+        every = range(len(self.variants))
+        reduce = np.max if which == "sup" else np.min
+
+        def rows(radii):
+            if tag != "t1":
+                return self.functional(tag, every, radii)
+            tm, t3 = (np.asarray(self.functional(t, every, radii))
+                      for t in ("tm", "t3"))
+            return self.by_parts(radii, tm, t3)
+
+        return memoized_profile(self, (tag, which), lambda radii: reduce(
+            rows(radii), axis=0))(rhos)
+
+    @model_memo
+    def second_moment(self):
+        """sup over the variants of int |y|^2 nu(dy), atoms included: the
+        "t3" sweep at radius 1 plus one stacked tail sweep. +inf when not
+        integrable, at once when a tail slope is >= -(d+2) (however early
+        the profile underflows)."""
+        every = range(len(self.variants))
+        ones = [np.ones(1)] * len(every)
+        try:
+            small = self.sweep("t3", every, ones)
+            if any(v.tail_slope is not None and v.tail_slope >= -(self.d + 2.0)
+                   for v in self.variants):
+                return math.inf
+            big = tail_cumulative(stacked_weight([self.second_moment_weight(i)
+                                                  for i in every]),
+                                  ones, self.all_breakpoints())
+        except QuadratureError:    # DivergentIntegralError among them
+            return math.inf
+        return max(float(s[0] + b[0]) for s, b in zip(small, big)) \
+            + sum(r * r * m for r, m in self.atoms if r >= 1.0)
 
     def jump_symbol(self, rho, variant=0):
         """Jump part of the symbol at |xi| = rho: int (1-cos<xi,y>) nu(dy).
@@ -200,20 +264,12 @@ class RadialLevyDensity:
         rho is one radius or an array of radii (then a read-only array comes
         back). variant is one index, or a sequence of them: then the rows of
         the listed variants come back stacked. A variant with gamma set is
-        gamma * rho^(-d - tail slope); the others are memoized per variant
-        and radius, and the radii each of them lacks are computed in one
-        jump_symbol_value call, one row group per variant.
+        gamma * rho^(-d - tail slope); the others read the "jsym" functional.
         """
         rhos = np.asarray(rho, dtype=float)
         picked = [int(i) for i in np.atleast_1d(variant)]
         quad = [i for i in picked if self.variants[i].gamma is None]
-        memo = memoized_profiles(
-            self, [("jsym", i) for i in quad],
-            lambda rows, radii: jump_symbol_value(
-                stacked_weight([self.radial_weight(quad[i]) for i in rows]),
-                radii, self.d, breakpoints=self.all_breakpoints(),
-                support_lo=[self.support_lo(quad[i]) for i in rows]))
-        found = dict(zip(quad, memo(rhos)))
+        found = dict(zip(quad, self.functional("jsym", quad, rhos)))
         out = [found[i].reshape(rhos.shape) if i in found
                else self.variants[i].gamma
                * rhos ** (-self.variants[i].tail_slope - self.d)
@@ -238,23 +294,35 @@ class RadialLevyDensity:
             if self.u0 > 0 and radius > self.u0:
                 raise ModelInvariantError(
                     "atom mass must sit at or below the density cutoff")
-        bps = self.all_breakpoints()
-        for idx, v in enumerate(self.variants):
+        for v in self.variants:
             lo = max(v.support_lo, self.u0, 1e-6)
             if np.any(v(np.geomspace(lo * 1.001, lo * 1e3, 16)) < 0):
                 raise ModelInvariantError(
                     f"density variant {v.label!r} takes negative values")
-            try:
-                small = integrate_origin(self.second_moment_weight(idx), 1.0,
-                                         bps, support_lo=v.support_lo)
-                integrate_tail(self.radial_weight(idx), max(1.0, v.support_lo),
-                               bps)
-            except QuadratureError as exc:  # DivergentIntegralError among them
-                raise LevyMeasureError(
-                    "jump measure fails int min(1,|y|^2) nu(dy) < infinity "
-                    f"for variant {v.label!r}: {exc}") from exc
-            if small < 0:
-                raise LevyMeasureError("negative small-jump mass")
+
+        def levy_integrals(picked):
+            """T3 at 1, then the tail mass from max(1, support_lo)."""
+            small = self.sweep("t3", picked, [np.ones(1)] * len(picked))
+            self.sweep("tm", picked, [np.array([max(1.0, self.support_lo(i))])
+                                      for i in picked])
+            return small
+
+        every = range(len(self.variants))
+        try:
+            small = levy_integrals(every)
+        except QuadratureError as exc:
+            failed, error = 0, exc
+            for i in every if len(every) > 1 else ():   # the first variant
+                try:                                      # that fails alone
+                    levy_integrals([i])
+                except QuadratureError as alone:
+                    failed, error = i, alone
+                    break
+            raise LevyMeasureError(
+                "jump measure fails int min(1,|y|^2) nu(dy) < infinity for "
+                f"variant {self.variants[failed].label!r}: {error}") from error
+        if any(s[0] < 0 for s in small):
+            raise LevyMeasureError("negative small-jump mass")
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +347,7 @@ def _power_density(d, u0, rows):
         if u0 > 0:
             table = table.below(u0, -math.inf)
         variants.append(DensityVariant(label, table, u0, gamma=g))
-    return RadialLevyDensity(d=d, u0=u0, variants=tuple(variants),
-                             x_independent=(len(variants) == 1))
+    return RadialLevyDensity(d=d, u0=u0, variants=tuple(variants))
 
 
 def power_density(d, alpha, coeff=1.0, u0=0.0, n_variants=9):
@@ -330,7 +397,9 @@ def power_log_density(d, exponent, log_exponent, coeff=1.0, u_start=math.e):
     """n(u) = coeff * u^exponent * (ln u)^log_exponent for u > u_start (> 1).
 
     Used for regularly varying tails whose index sits exactly on a boundary
-    where a slowly varying correction decides the integral tests.
+    where a slowly varying correction decides the integral tests. The tail
+    slope is the exponent, except at -(d+2), where the log factor decides
+    whether the second moment is finite.
     """
     if u_start <= 1.0:
         raise ModelInvariantError("log-corrected density needs u_start > 1")
@@ -340,8 +409,9 @@ def power_log_density(d, exponent, log_exponent, coeff=1.0, u_start=math.e):
         val = coeff * safe ** exponent * np.log(safe) ** log_exponent
         return np.where(u >= u_start, val, 0.0)
 
+    slope = None if exponent == -(d + 2) else exponent
     return RadialLevyDensity(d=d, u0=u_start, variants=(DensityVariant(
-        "power_log", prof, u_start, breakpoints=(u_start,)),))
+        "power_log", prof, u_start, (u_start,), slope),))
 
 
 def table_density(d, u_knots, n_values, u0=0.0, monotone=True):
@@ -372,7 +442,8 @@ def modified_density(base: RadialLevyDensity, radius, factor=None, replacement=N
     """Copy of `base` with the profile changed only below `radius`.
 
     Either multiply by `factor` below the radius or substitute a callable
-    `replacement(u)` there. Tail behavior beyond `radius` is untouched.
+    `replacement(u)` there. Tail behavior beyond `radius` is untouched, and
+    the atoms of `base` (at or below its cutoff, so below the new one) stay.
     """
     if factor is None and replacement is None:
         raise ModelInvariantError("modification needs a factor or a replacement")
@@ -395,5 +466,4 @@ def modified_density(base: RadialLevyDensity, radius, factor=None, replacement=N
     return RadialLevyDensity(
         d=base.d, u0=max(base.u0, radius),
         variants=tuple(map(modify, base.variants)),
-        monotone_beyond_u0=base.monotone_beyond_u0,
-        x_independent=base.x_independent)
+        monotone_beyond_u0=base.monotone_beyond_u0, atoms=base.atoms)

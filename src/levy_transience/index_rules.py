@@ -19,9 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateModelError, QuadratureError
-from .levy_tails import _variant_envelope
-from .quadrature import integrate_origin, integrate_tail
+from .errors import DegenerateModelError
 from .symbols import (
     ENV_INF_RE,
     ENV_SUP_ABS,
@@ -94,29 +92,11 @@ def index_bound_rules(model: SymbolModel, kappa: float):
                 "threshold": threshold})
 
 
-@model_memo
 def uniform_second_moment(model: SymbolModel) -> float:
     """sup over states of int |y|^2 nu(x, dy), atoms included; +inf when
     not integrable."""
     dens = model.triplet.jump_density
-    if dens is None:
-        return 0.0
-    worst = 0.0
-    bps = dens.all_breakpoints()
-    atoms = sum(radius * radius * mass for radius, mass in dens.atoms)
-    for i, variant in enumerate(dens.variants):
-        g = dens.second_moment_weight(i)
-        try:
-            small = integrate_origin(g, 1.0, bps, support_lo=variant.support_lo)
-            # an infinite tail, however early the profile underflows
-            if variant.tail_slope is not None \
-                    and variant.tail_slope >= -(dens.d + 2.0):
-                return float("inf")
-            big = integrate_tail(g, 1.0, bps)
-        except QuadratureError:    # DivergentIntegralError among them
-            return float("inf")
-        worst = max(worst, small + big + atoms)
-    return worst
+    return 0.0 if dens is None else dens.second_moment()
 
 
 @model_memo
@@ -129,7 +109,7 @@ def _quadratic_floor(model: SymbolModel) -> float:
     radii = math.pi / (2.0 * rhos)
     dens = model.triplet.jump_density
     jumps = np.zeros(len(radii)) if dens is None \
-        else _variant_envelope(dens, "t3", "inf", radii) / model.d
+        else dens.functional_envelope("t3", "inf", radii) / model.d
     floors = model.triplet.diffusion_bounds[0] + jumps
     return float(np.min(floors[len(floors) // 2:]))
 

@@ -12,8 +12,9 @@ measure-side weak/strong tests: divergence of
     int_r^infinity rho^{2 kappa - d + 1} / (env_x T1(x, rho))^{kappa+1} drho
 
 with the sup-envelope supports weak transience; with the inf-envelope, its
-convergence is the strong-side criterion. T1 is formed here from the tail
-mass and T3 by that identity, so it needs no quadrature of its own.
+convergence is the strong-side criterion. The density sweeps the tail mass
+and T3 of its variants and forms T1 from them by that identity, so T1 needs
+no quadrature of its own.
 """
 
 from __future__ import annotations
@@ -37,21 +38,12 @@ from .errors import (
     check_kappa,
     check_positive,
 )
-from .quadrature import (
-    integrate_origin,
-    integrate_tail,
-    origin_cumulative,
-    sphere_surface,
-    stacked_weight,
-    tail_cumulative,
-)
+from .quadrature import integrate_origin, integrate_tail, sphere_surface
 from .verdicts import (
     AT_INFINITY,
     CONVERGES,
     DIVERGES,
     DivergenceVerdict,
-    memoized_profile,
-    memoized_profiles,
     _line,
     log_power_law,
     model_memo,
@@ -70,7 +62,7 @@ def tail_mass(density: RadialLevyDensity, u: float, variant=0) -> float:
     if u <= 0:
         raise ConfigurationError("tail mass needs u > 0")
     try:
-        return float(_tail_mass_sweep(density, [variant], [[u]])[0][0])
+        return float(density.sweep("tm", [variant], [np.array([u])])[0][0])
     except DivergentIntegralError as exc:
         raise LevyMeasureError(
             "tail mass is infinite: the jump measure violates "
@@ -82,12 +74,7 @@ def truncated_second_moment(density: RadialLevyDensity, rho: float,
     """int_{B(0, rho)} |y|^2 nu(dy) = S_d int_0^rho u^{d+1} n(u) du."""
     if rho <= 0:
         raise ConfigurationError("truncated second moment needs rho > 0")
-    return float(_second_moment_sweep(density, [variant], [[rho]])[0][0])
-
-
-def _integrated_tail(rho, tm, t3):
-    """T1 = T2/2 + T3/2 from the tail mass and T3 at rho."""
-    return 0.5 * rho ** 2 * tm + 0.5 * t3
+    return float(density.sweep("t3", [variant], [np.array([rho])])[0][0])
 
 
 def integrated_tail(density: RadialLevyDensity, rho: float, variant=0) -> float:
@@ -117,52 +104,9 @@ def tail_functionals(density: RadialLevyDensity, rho: float,
                      variant=0) -> TailFunctionals:
     tm = tail_mass(density, rho, variant)
     t3 = truncated_second_moment(density, rho, variant)
-    return TailFunctionals(integrated_tail=_integrated_tail(rho, tm, t3),
+    return TailFunctionals(integrated_tail=density.by_parts(rho, tm, t3),
                            scaled_tail_mass=rho ** 2 * tm,
                            truncated_moment=t3)
-
-
-def _tail_mass_sweep(density, variants, radii):
-    """Tail mass at the (ascending) radii of each listed variant: one
-    cumulative sweep, one row group per variant."""
-    w = stacked_weight([density.radial_weight(i) for i in variants])
-    return [m + density.atom_tail_mass(r) for m, r in zip(
-        tail_cumulative(w, radii, density.all_breakpoints()), radii)]
-
-
-def _second_moment_sweep(density, variants, radii):
-    """T3 at the (ascending) radii of each listed variant: one origin-side
-    cumulative sweep, one row group per variant."""
-    w = stacked_weight([density.second_moment_weight(i) for i in variants])
-    return [m + density.atom_second_moment(r) for m, r in zip(
-        origin_cumulative(w, radii, density.all_breakpoints(),
-                          [density.support_lo(i) for i in variants]), radii)]
-
-
-# Tail functional tag -> (density, variants, ascending radii of each) ->
-# one array of values per variant.
-_SWEEPS = {"tm": _tail_mass_sweep, "t3": _second_moment_sweep}
-
-
-def _variant_profiles(density, tag, rhos):
-    """The tail functional `tag` (T1, tail mass or T3) of every variant at
-    rhos, one row per variant. Tail mass and T3 are memoized on the density
-    per variant, and the variants that lack radii run as row groups of one
-    sweep; T1 is formed from them by the identity."""
-    if tag == "t1":
-        return _integrated_tail(rhos, _variant_profiles(density, "tm", rhos),
-                                _variant_profiles(density, "t3", rhos))
-    return np.asarray(memoized_profiles(
-        density, [(tag, i) for i in range(len(density.variants))],
-        functools.partial(_SWEEPS[tag], density))(rhos))
-
-
-def _variant_envelope(density, tag, which, rhos):
-    """sup or inf over the variants of the tail functional `tag` (T1, tail
-    mass or T3), memoized on the density per envelope."""
-    reduce = np.max if which == "sup" else np.min
-    return memoized_profile(density, (tag, which), lambda radii: reduce(
-        _variant_profiles(density, tag, radii), axis=0))(rhos)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +130,7 @@ def tail_test_strong(density: RadialLevyDensity, kappa: float,
 def _tail_test(density, kappa, r, which):
     check_positive("radius", r)
     check_kappa(kappa)
-    env = functools.partial(_variant_envelope, density, "t1", which)
+    env = functools.partial(density.functional_envelope, "t1", which)
     # rho = r and 4r are ladder points 0 and 2 of the verdict's radii
     if np.all(env(verdict_ladder(r, AT_INFINITY)[0])[[0, 2]] == 0.0):
         raise NotApplicableError("integrated tail vanishes; no jump tail to test")
@@ -237,7 +181,7 @@ def split_tail_tests(density: RadialLevyDensity, kappa: float,
     """
     check_positive("radius", r)
     check_kappa(kappa)
-    env = functools.partial(_variant_envelope, density)
+    env = density.functional_envelope
     a, b = 2.0 * kappa - density.d + 1.0, kappa + 1.0
 
     def t1_split(which):
@@ -266,7 +210,7 @@ def moment_tail_test(density: RadialLevyDensity, kappa: float,
     (T1 >= T3/2, so it implies the strong-side T1 test)."""
     check_positive("radius", r)
     check_kappa(kappa)
-    env = functools.partial(_variant_envelope, density, "t3", "inf")
+    env = functools.partial(density.functional_envelope, "t3", "inf")
     return _power_test(2.0 * kappa - density.d + 1.0, kappa + 1.0, env, r)
 
 
@@ -447,8 +391,8 @@ def comparison_transfer(density_a: RadialLevyDensity,
         raise NotApplicableError(
             "comparison needs the dominating density decreasing beyond u0")
     us = np.geomspace(max(u0, 1e-6) * 1.02, max(u0, 1e-6) * 2.0 ** 20, 64)
-    fails = np.flatnonzero(_variant_envelope(density_a, "tm", "inf", us)
-                           < _variant_envelope(density_b, "tm", "sup", us)
+    fails = np.flatnonzero(density_a.functional_envelope("tm", "inf", us)
+                           < density_b.functional_envelope("tm", "sup", us)
                            * (1.0 - 1e-9))
     if fails.size:
         u = float(us[fails[0]])

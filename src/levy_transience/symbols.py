@@ -268,7 +268,7 @@ def _variant_for_state(model, x):
     then only the envelope over all variants is defined."""
     dens = model.triplet.jump_density
     X = np.atleast_2d(np.asarray(x, dtype=float))
-    if dens.x_independent or len(dens.variants) == 1:
+    if dens.x_independent:
         idx = np.zeros(X.shape[0], dtype=int)
     else:
         alpha = model.params.get("alpha")

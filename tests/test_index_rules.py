@@ -7,6 +7,7 @@ from levy_transience.cf_integrals import strong_integral_kappa, weak_integral_ka
 from levy_transience.classifier import classify
 from levy_transience.densities import (
     power_density,
+    power_log_density,
     stable_density,
     table_density,
 )
@@ -132,6 +133,41 @@ def test_index_band_of_a_fast_decaying_table_stays_on_the_strong_side():
         report = classify(model, kappa, methods=("index",))
         assert "weak" not in {r.verdict for r in report.fired_rules}
         assert report.verdict != "weakly_transient"
+
+
+@pytest.mark.parametrize("d, exponent", [(4, -5.5), (5, -6.2)])
+def test_second_moment_of_a_power_log_tail_reads_its_exponent(d, exponent):
+    # tail u^exponent above u^-(d+2): the second moment is infinite, also
+    # where the profile underflows before the octave sum sees it diverge
+    dens = power_log_density(d, exponent, 0.0, coeff=1e-3)
+    assert dens.variants[0].tail_slope == exponent
+    assert uniform_second_moment(radial_jump_model(dens)) == math.inf
+
+
+def test_second_moment_of_a_boundary_power_log_tail_is_left_to_the_log():
+    # at u^-(d+2) the log factor decides, so no tail slope is stated:
+    # (ln u)^-2 gives the finite second moment int t^-2 dt
+    dens = power_log_density(3, -5.0, -2.0)
+    assert dens.variants[0].tail_slope is None
+    assert math.isfinite(uniform_second_moment(radial_jump_model(dens)))
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 2: the profile underflows past u ~ 2^215 and the zero-run "
+    "stop of the octave sum ends the divergent sum there"))
+def test_second_moment_of_a_log_divergent_boundary_tail_is_infinite():
+    # n = u^-5 (ln u)^-0.5 in d = 3: int u^4 n du = int t^-0.5 dt diverges
+    model = radial_jump_model(power_log_density(3, -5.0, -0.5))
+    assert uniform_second_moment(model) == math.inf
+
+
+def test_index_band_of_a_power_log_tail_fires_no_wrong_side_rule():
+    # tail u^-5.5 in d = 4: kappa* = 4 / 1.5 - 1 = 1.67, and at kappa 1
+    # the infinite second moment leaves the index band without a rule
+    model = radial_jump_model(power_log_density(4, -5.5, 0.0, coeff=1e-3))
+    report = classify(model, 1.0, methods=("index",))
+    assert report.fired_rules == ()
+    assert report.verdict != "weakly_transient"
 
 
 def test_second_moment_of_a_cut_off_power_tail_with_alpha_above_two():

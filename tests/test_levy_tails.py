@@ -23,7 +23,6 @@ from levy_transience.errors import (
     NotApplicableError,
 )
 from levy_transience.levy_tails import (
-    _SWEEPS,
     comparison_transfer,
     cos_moment_condition,
     density_floor_test,
@@ -337,6 +336,22 @@ def test_atoms_enter_functionals_but_not_verdicts():
         assert a == b
 
 
+def test_modified_density_keeps_the_atoms_of_its_base():
+    # the atom sits below the base cutoff, so below the new one; a factor
+    # of 1 leaves the measure, its tail mass and T3 as they are
+    base = dataclasses.replace(power_density(3, 1.2, u0=1.0),
+                               atoms=((0.5, 0.2),))
+    same = modified_density(base, 2.0, factor=1.0)
+    assert same.atoms == base.atoms
+    for r in (0.3, 0.5, 0.7, 3.0):     # below, at and above the atom
+        assert tail_mass(same, r) == pytest.approx(tail_mass(base, r),
+                                                   rel=1e-12), r
+        assert truncated_second_moment(same, r) == pytest.approx(
+            truncated_second_moment(base, r), rel=1e-12, abs=1e-300), r
+    assert tail_mass(same, 0.3) - tail_mass(same, 0.7) \
+        == pytest.approx(0.2, rel=1e-12)
+
+
 def test_monotone_verification_and_downgrade():
     ok = stable_density(2, 1.2)
     assert ok.monotone_verified()
@@ -369,17 +384,17 @@ def test_second_moment_sweep_matches_single_radii(dens):
     # octave sum (or one log integral above the support cut)
     rhos = np.concatenate([np.geomspace(0.05, 80.0, 40), [0.5, 1.0, 3.0]])
     rhos.sort()
-    got = _SWEEPS["t3"](dens, [0], [rhos])[0]
+    got = dens.sweep("t3", [0], [rhos])[0]
     want = [truncated_second_moment(dens, r) for r in rhos]
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-300)
 
 
 @pytest.mark.parametrize("name, dens", list(stacked_density_cases()))
 def test_stacked_tail_sweeps_equal_each_variant_alone_bit_for_bit(name, dens):
-    # T1 (with its nested tail-mass sweeps), tail mass and T3 with a row
-    # group per variant: each group's values are those of its variant
-    # alone, whatever radii (a verdict ladder, one radius, more than 64)
-    # and variants share the sweep
+    # tail mass and T3 (the parts T1 is formed from) with a row group per
+    # variant: each group's values are those of its variant alone,
+    # whatever radii (a verdict ladder, one radius, more than 64) and
+    # variants share the sweep
     from levy_transience.verdicts import AT_INFINITY, AT_ORIGIN, verdict_ladder
 
     n = len(dens.variants)
@@ -387,10 +402,11 @@ def test_stacked_tail_sweeps_equal_each_variant_alone_bit_for_bit(name, dens):
     radii = [np.sort(verdict_ladder(1.0, AT_INFINITY)[0]), np.array([0.75]),
              np.sort(verdict_ladder(0.5, AT_ORIGIN)[0][:90]),
              np.geomspace(0.01, 50.0, 70)]
-    for tag, sweep in _SWEEPS.items():
-        for i, rhos, row in zip(picked, radii, sweep(dens, picked, radii)):
-            assert row.tobytes() == sweep(dens, [i], [rhos])[0].tobytes(), \
-                (tag, i)
+    for tag in ("tm", "t3"):
+        rows = dens.sweep(tag, picked, radii)
+        for i, rhos, row in zip(picked, radii, rows):
+            alone = dens.sweep(tag, [i], [rhos])[0]
+            assert row.tobytes() == alone.tobytes(), (tag, i)
 
 
 @pytest.mark.parametrize("kappa", [math.nan, math.inf])

@@ -211,13 +211,13 @@ def test_replaced_objects_get_a_fresh_memo():
     import dataclasses
 
     from levy_transience.densities import power_density
-    from levy_transience.levy_tails import _variant_envelope, integrated_tail
+    from levy_transience.levy_tails import integrated_tail
 
     base = power_density(2, 1.2, u0=1.0)
-    _variant_envelope(base, "t1", "sup", [0.75])    # warm the base memo
+    base.functional_envelope("t1", "sup", [0.75])    # warm the base memo
     with_atoms = dataclasses.replace(base, atoms=((0.5, 0.3), (1.0, 0.1)))
     assert with_atoms._cache is not base._cache
-    memoized = _variant_envelope(with_atoms, "t1", "sup", [0.75])[0]
+    memoized = with_atoms.functional_envelope("t1", "sup", [0.75])[0]
     assert memoized == pytest.approx(integrated_tail(with_atoms, 0.75),
                                      rel=1e-12)
     model = isotropic_stable(3, 1.0)
@@ -226,39 +226,48 @@ def test_replaced_objects_get_a_fresh_memo():
 
 
 def test_kappa_probes_sweep_each_tail_functional_once(tmp_path, monkeypatch):
-    from levy_transience import levy_tails, verdicts
+    from levy_transience import verdicts
 
     sweeps, ladders = [], []
     gauss = verdicts.log_gauss_blocks
 
-    def counted(tag, sweep):
-        def wrapper(density, variants, radii):
-            sweeps.append((tag, density, list(variants)))
-            return sweep(density, variants, radii)
-        return wrapper
+    def counted(density, tag, variants, radii):
+        sweeps.append((tag, density, list(variants), {len(r) for r in radii}))
+        return sweep(density, tag, variants, radii)
 
     def counted_gauss(lo, hi, n=16):
         ladders.append((float(lo[0]), float(hi[0]), len(lo), n))
         return gauss(lo, hi, n)
 
-    for tag, sweep in list(levy_tails._SWEEPS.items()):
-        monkeypatch.setitem(levy_tails._SWEEPS, tag, counted(tag, sweep))
+    sweep = RadialLevyDensity.sweep
+    monkeypatch.setattr(RadialLevyDensity, "sweep", counted)
     monkeypatch.setattr(verdicts, "log_gauss_blocks", counted_gauss)
     verdicts.verdict_ladder.cache_clear()
     models = {Path(p).stem: load_model(p)
               for p in _kappa_star_model_files(tmp_path)}
+    built = sweeps[:]
+    sweeps.clear()
     for model in models.values():
         kappa_boundary(model)
-    # the four isotropic stable models are decided by the closed-form band
-    # alone, so only stable_like2 sweeps the tail mass and T3 behind T1:
-    # each once, with its 9 variants as the row groups of one sweep, however
-    # many kappa probes read it
+    # each density checks the Levy-measure condition once, at construction:
+    # one T3 and one tail-mass sweep of all its variants, at one radius each
     stable = [m for name, m in models.items() if name.startswith("iso")]
     assert len(stable) == 4
-    assert all(m.triplet.jump_density is not None for m in stable)
-    assert sorted((tag, dens is models["stable_like2"].triplet.jump_density,
-                   rows) for tag, dens, rows in sweeps) \
-        == [("t3", True, list(range(9))), ("tm", True, list(range(9)))]
+    densities = [m.triplet.jump_density
+                 for m in (*stable, models["stable_like2"])]
+    assert built == [(tag, dens, list(range(len(dens.variants))), {1})
+                     for dens in densities for tag in ("t3", "tm")]
+    # the four isotropic stable models are decided by the closed-form band
+    # alone, so only stable_like2 sweeps the tail mass and T3 behind T1:
+    # each once on the verdict ladder, with its 9 variants as the row
+    # groups of one sweep, however many kappa probes read it; its second
+    # moment adds T3 at radius 1
+    ladder = {verdicts.verdict_ladder(1.0, verdicts.AT_INFINITY)[0].size}
+    assert sorted(((tag, dens is densities[-1], rows, sizes)
+                   for tag, dens, rows, sizes in sweeps), key=str) \
+        == [("t3", True, list(range(9)), {1}),
+            ("t3", True, list(range(9)), ladder),
+            ("tm", True, list(range(9)), ladder)]
     # each (r, K, singularity, n_gl) ladder is built once
     assert ladders and len(ladders) == len(set(ladders))
 
@@ -283,8 +292,8 @@ def test_closed_form_kappa_probes_run_no_lower_band(model, kappa_star,
     verdict = counted("verdict", verdicts.verdict_from_radial_integrand)
     for module in (verdicts, cf_integrals, levy_tails):
         monkeypatch.setattr(module, "verdict_from_radial_integrand", verdict)
-    for tag, sweep in list(levy_tails._SWEEPS.items()):
-        monkeypatch.setitem(levy_tails._SWEEPS, tag, counted(tag, sweep))
+    monkeypatch.setattr(RadialLevyDensity, "sweep",
+                        counted("sweep", RadialLevyDensity.sweep))
     assert kappa_boundary(model) == pytest.approx(kappa_star, abs=0.01)
     assert calls == []
 
@@ -295,28 +304,30 @@ def test_classify_forms_the_t1_envelopes_from_one_sweep_per_functional(
     # on the tail band's verdict ladder run as one sweep each, and each T1
     # envelope is the identity T1 = rho^2 tm / 2 + T3 / 2 applied to the
     # memoized rows (the index band's quadratic floor sweeps T3 on its own
-    # 17 radii)
-    from levy_transience import levy_tails
+    # 17 radii, its second moment at radius 1; construction checks the
+    # Levy-measure condition with T3 and the tail mass at radius 1)
     from levy_transience.densities import power_density
     from levy_transience.verdicts import AT_INFINITY, verdict_ladder
 
     sweeps = []
 
-    def counted(tag, sweep):
-        def wrapper(density, variants, radii):
+    def counted(density, tag, variants, radii):
+        if tag != "jsym":
             sweeps.append((tag, list(variants), {len(r) for r in radii}))
-            return sweep(density, variants, radii)
-        return wrapper
+        return sweep(density, tag, variants, radii)
 
-    for tag, sweep in list(levy_tails._SWEEPS.items()):
-        monkeypatch.setitem(levy_tails._SWEEPS, tag, counted(tag, sweep))
+    sweep = RadialLevyDensity.sweep
+    monkeypatch.setattr(RadialLevyDensity, "sweep", counted)
     dens = power_density(3, (0.8, 1.2), u0=1.0)
     model = radial_jump_model(dens)
     for kappa in (0.3, 0.8, 3.4, 4.1):
         classify(model, kappa)
     ladder = {verdict_ladder(2.0, AT_INFINITY)[0].size}
     assert sorted(sweeps, key=str) == [("t3", list(range(9)), {17}),
+                                       ("t3", list(range(9)), {1}),
+                                       ("t3", list(range(9)), {1}),
                                        ("t3", list(range(9)), ladder),
+                                       ("tm", list(range(9)), {1}),
                                        ("tm", list(range(9)), ladder)]
     for which, reduce in (("sup", np.max), ("inf", np.min)):
         env = dens._cache[("t1", which)]
@@ -330,14 +341,13 @@ def test_classify_forms_the_t1_envelopes_from_one_sweep_per_functional(
 
 def test_cached_ladders_and_envelopes_are_read_only():
     from levy_transience.densities import power_density
-    from levy_transience.levy_tails import _variant_envelope
     from levy_transience.verdicts import AT_INFINITY, verdict_ladder
 
     radii = verdict_ladder(1.0, AT_INFINITY)[0]
     for array in verdict_ladder(1.0, AT_INFINITY):
         with pytest.raises(ValueError):
             array[0] = 2.0
-    env = _variant_envelope(stable_density(2, 1.2), "t1", "inf", radii)
+    env = stable_density(2, 1.2).functional_envelope("t1", "inf", radii)
     jump_symbol = power_density(3, 0.5, u0=1.0).jump_symbol(radii[:4])
     for array in (env, jump_symbol):
         with pytest.raises(ValueError):

@@ -35,8 +35,7 @@ ALLOWED = {
         "power_log_density.coeff", "power_log_density.u_start",
         "stable_density.gamma", "table_density.u0", "table_density.monotone",
         "modified_density.factor", "modified_density.replacement",
-        "RadialLevyDensity(monotone_beyond_u0)",
-        "RadialLevyDensity(x_independent)", "RadialLevyDensity(atoms)",
+        "RadialLevyDensity(monotone_beyond_u0)", "RadialLevyDensity(atoms)",
     ),
     "variants an interval parameter spreads over; tests use 2 and 9": (
         "power_density.n_variants", "stable_density.n_variants",

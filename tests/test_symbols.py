@@ -189,6 +189,24 @@ def test_non_integrable_density_is_not_a_levy_measure(power):
             DensityVariant(label="bad", profile=lambda u: u ** power),))
 
 
+def test_levy_measure_error_names_the_first_variant_that_fails():
+    # the variants are checked in one stacked sweep per functional; when
+    # it fails, the error is the one the first failing variant raises
+    # alone, although the origin-side sweep meets the third one first
+    def variant(label, power):
+        return DensityVariant(label=label, profile=lambda u: u ** power)
+
+    good, tail, origin = (variant("good", -4.0), variant("tail", -3.0),
+                          variant("origin", -5.5))
+    with np.errstate(over="ignore"):
+        with pytest.raises(LevyMeasureError) as alone:
+            RadialLevyDensity(d=3, u0=0.0, variants=(tail,))
+        with pytest.raises(LevyMeasureError) as stacked:
+            RadialLevyDensity(d=3, u0=0.0, variants=(good, tail, origin))
+    assert "variant 'tail'" in str(stacked.value)
+    assert str(stacked.value) == str(alone.value)
+
+
 def test_invalid_family_parameters():
     with pytest.raises(Exception):
         isotropic_stable(2, 2.5)

@@ -1,5 +1,5 @@
-"""Tail mass and truncated second moment of piecewise-power densities
-against sums of elementary power integrals.
+"""Tail mass, truncated second moment, integrated tail and second moment
+of piecewise-power densities against sums of elementary power integrals.
 
 On a piece n(u) = C (u / a)^s, S_d int u^k n(u) du over [lo, hi] is
 S_d C a^-s (hi^q - lo^q) / q with q = s + k + 1 (k = d - 1 for the tail
@@ -19,8 +19,14 @@ from levy_transience.densities import (
     power_density,
     table_density,
 )
-from levy_transience.levy_tails import tail_mass, truncated_second_moment
+from levy_transience.index_rules import uniform_second_moment
+from levy_transience.levy_tails import (
+    integrated_tail,
+    tail_mass,
+    truncated_second_moment,
+)
 from levy_transience.quadrature import sphere_surface
+from levy_transience.symbols import radial_jump_model
 
 
 def _power_pieces(c, p, u0):
@@ -118,3 +124,56 @@ def test_tail_mass_and_t3_match_the_power_integrals(name, dens, pieces,
         assert tail_mass(dens, r) == pytest.approx(want_mass, rel=1e-11), r
         assert truncated_second_moment(dens, r) \
             == pytest.approx(want_t3, rel=1e-11, abs=1e-300), r
+
+
+def _power_integral(p, x, y):
+    """int_x^y u^p du for p != -1 (x = 0 when p > -1)."""
+    if x == 0.0:
+        return y ** (p + 1.0) / (p + 1.0)
+    return x ** (p + 1.0) * math.expm1((p + 1.0) * math.log(y / x)) / (p + 1.0)
+
+
+def _integrated_tail(pieces, d, atoms, rho):
+    """T1(rho) = int_0^rho u nu(B^c(0, u)) du from its definition: on each
+    u-interval [x, y] that lies in one piece (or below every piece) and
+    holds no atom radius inside, nu(B^c(0, u)) is the mass beyond y plus
+    the piece's S_d C a^-s (y^q - u^q) / q with q = s + d (no piece of
+    these densities has s = -d or -d-2), so u times it integrates in
+    closed form."""
+    cuts = sorted({0.0, rho} | {e for lo, hi, *_ in pieces for e in (lo, hi)
+                                if e < rho}
+                  | {r for r, _ in atoms if r < rho})
+    total = 0.0
+    for x, y in zip(cuts, cuts[1:]):
+        beyond = _integral(pieces, d, d - 1, y, math.inf) \
+            + sum(m for r, m in atoms if r >= y)
+        total += beyond * (y * y - x * x) / 2.0
+        for lo, hi, n, a, s in pieces:
+            if lo <= x and y <= hi:
+                q = s + d
+                total += sphere_surface(d) * n * a ** -s / q * (
+                    y ** q * (y * y - x * x) / 2.0
+                    - _power_integral(q + 1.0, x, y))
+    return total
+
+
+@pytest.mark.parametrize("name, dens, pieces, atoms", CASES,
+                         ids=[c[0] for c in CASES])
+def test_integrated_tail_matches_its_definition(name, dens, pieces, atoms):
+    for r in _radii(dens):
+        assert integrated_tail(dens, r) == pytest.approx(
+            _integrated_tail(pieces, dens.d, atoms, r), rel=1e-11), r
+
+
+@pytest.mark.parametrize("name, dens, pieces, atoms", CASES,
+                         ids=[c[0] for c in CASES])
+def test_second_moment_is_finite_below_the_last_slope_minus_d_minus_2(
+        name, dens, pieces, atoms):
+    d = dens.d
+    got = uniform_second_moment(radial_jump_model(dens))
+    if pieces[-1][4] < -(d + 2.0):
+        want = _integral(pieces, d, d + 1, 0.0, math.inf) \
+            + sum(r ** 2 * m for r, m in atoms)
+        assert got == pytest.approx(want, rel=1e-11)
+    else:
+        assert got == math.inf
