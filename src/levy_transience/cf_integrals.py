@@ -29,7 +29,6 @@ from .symbols import (
     ENV_INF_RE,
     ENV_SUP_ABS,
     SymbolModel,
-    envelope_is_radial,
     envelope_profile,
 )
 from .verdicts import (
@@ -48,11 +47,10 @@ _N_DIRECTIONS = 64
 def _reduced_envelope(model, kind):
     """Vectorized rho -> envelope, reduced over directions toward the largest
     integrand (the smallest envelope value), with per-model caching."""
-    n = 1 if envelope_is_radial(model, kind) else _N_DIRECTIONS
     return memoized_profile(
         model, ("profile", kind),
         lambda rhos: envelope_profile(model, kind, rhos, reduce="min",
-                                      n_directions=n))
+                                      n_directions=_N_DIRECTIONS))
 
 
 _WHAT = {ENV_SUP_ABS: "sup |q|", ENV_INF_RE: "inf Re q"}

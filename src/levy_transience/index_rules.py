@@ -61,10 +61,8 @@ def pruitt_indices(model: SymbolModel) -> PruittIndices:
     """Slopes over the dyadic radii 2^-_K_LO .. 2^-_K_HI of the sup-envelope
     (max over directions) and of the inf-envelope (min over directions)."""
     rhos = 2.0 ** (-np.arange(_K_LO, _K_HI + 1).astype(float))
-    sup_prof = envelope_profile(model, ENV_SUP_ABS, rhos, reduce="max",
-                                n_directions=16)
-    inf_prof = envelope_profile(model, ENV_INF_RE, rhos, reduce="min",
-                                n_directions=16)
+    sup_prof = envelope_profile(model, ENV_SUP_ABS, rhos, reduce="max")
+    inf_prof = envelope_profile(model, ENV_INF_RE, rhos, reduce="min")
     if np.any(sup_prof <= 0.0):
         raise DegenerateModelError("sup-envelope vanishes on the dyadic ladder")
     lo, res_lo = _slope_and_residual(rhos, sup_prof)
@@ -156,8 +154,7 @@ def _shape_flags(model, kind):
     """
     def classify(eps):
         rho = eps * np.arange(1, 13) / 12
-        vals = envelope_profile(model, kind, rho, reduce="min",
-                                n_directions=1)
+        vals = envelope_profile(model, kind, rho, reduce="min")
         d2 = vals[2:] - 2.0 * vals[1:-1] + vals[:-2]
         tol = 1e-8 * max(float(np.max(np.abs(vals))), 1e-300)
         return bool(np.all(d2 >= -tol)), bool(np.all(d2 <= tol))

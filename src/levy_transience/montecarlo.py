@@ -85,8 +85,9 @@ class SimConfig:
     def __post_init__(self):
         for name in ("horizon", "step", "radius"):
             check_positive(name, getattr(self, name))
-        if self.paths < 1:
-            raise ConfigurationError("need at least one path")
+        if self.paths < 2:   # a standard error needs two
+            raise ConfigurationError(
+                f"paths must be at least 2, got {self.paths}")
         check_kappa(self.kappa)
         # S(4T) and its squared sums hold t^(kappa+1) up to t = 4T
         limit = math.log(np.finfo(float).max)

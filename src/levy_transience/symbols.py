@@ -41,8 +41,6 @@ ENV_SUP_ABS = "sup_abs"
 ENV_INF_RE = "inf_re"
 ENV_SUP_ABS_IM = "sup_abs_im"
 
-ENVELOPE_MODES = ("closed_form", "grid_sampled")
-
 
 # ---------------------------------------------------------------------------
 # Scalar coefficient fields x -> value.
@@ -81,13 +79,13 @@ class ScalarField:
     def make(spec):
         if isinstance(spec, ScalarField):
             return spec
-        if isinstance(spec, (int, float)):
+        if isinstance(spec, (int, float)) and not isinstance(spec, bool):
             return ScalarField(float(spec), float(spec))
         if isinstance(spec, dict):
-            return ScalarField(float(spec["lo"]), float(spec["hi"]),
+            return ScalarField(_number(spec["lo"]), _number(spec["hi"]),
                                spec.get("profile", "cos"))
         if isinstance(spec, (tuple, list)) and len(spec) in (2, 3):
-            return ScalarField(float(spec[0]), float(spec[1]), *spec[2:])
+            return ScalarField(_number(spec[0]), _number(spec[1]), *spec[2:])
         raise ConfigurationError(f"cannot interpret scalar field spec {spec!r}")
 
     @property
@@ -118,7 +116,7 @@ class StateGrid:
             raise ConfigurationError("state grid needs at least one point per axis")
         # cap the product grid so high-dimensional boxes stay tractable
         while m > 1 and m ** d > 200_000:
-            m -= 2
+            m = max(m - 2, 1)
         axis = np.linspace(self.box[0], self.box[1], m)
         mesh = np.meshgrid(*([axis] * d), indexing="ij")
         return np.stack([g.ravel() for g in mesh], axis=-1)
@@ -184,7 +182,6 @@ class SymbolModel:
     d: int
     triplet: LevyTriplet
     params: dict
-    envelope_mode: str = "closed_form"   # or "grid_sampled"
     state_grid: StateGrid = StateGrid()
     assumptions: dict = field(default_factory=dict)
     _cache: dict = field(default_factory=dict, init=False, repr=False,
@@ -193,8 +190,6 @@ class SymbolModel:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ConfigurationError(f"unknown family {self.family!r}")
-        if self.envelope_mode not in ENVELOPE_MODES:
-            raise ConfigurationError(f"unknown envelope mode {self.envelope_mode!r}")
         probe = max(abs(eval_symbol(self, None, 0.7 * _unit(self.d))),
                     abs(eval_symbol(self, None, 1.3 * _unit(self.d))))
         if probe == 0.0:
@@ -290,14 +285,12 @@ def _envelope(model, kind, xi):
 
 
 def _envelopes(model, kind, XI):
-    """The `kind` envelope at each frequency row of XI (0 at xi = 0)."""
+    """The `kind` envelope at each frequency row of XI (0 at xi = 0): the
+    family's closed form, or the state grid's where the family has none."""
     out = np.zeros(XI.shape[0])
     nonzero = np.any(XI != 0.0, axis=1)
     if np.any(nonzero):
-        val = None
-        if model.envelope_mode == "closed_form":
-            val = FAMILIES[model.family].closed_envelope(model, kind,
-                                                         XI[nonzero])
+        val = FAMILIES[model.family].closed_envelope(model, kind, XI[nonzero])
         out[nonzero] = _grid_envelope(model, kind, XI[nonzero]) \
             if val is None else val
     return out
@@ -308,10 +301,10 @@ _GRID_BLOCK = 1 << 16
 
 
 def _grid_envelope(model, kind, XI):
+    """The `kind` envelope sampled over the family's states: a sup that may
+    be too small and an inf that may be too large between grid points."""
     family = FAMILIES[model.family]
     X = family.states(model)
-    if X is None:
-        return family.closed_envelope(model, kind, XI)
     if X.size == 0:
         raise ConfigurationError("empty state grid")
     reduce = {ENV_SUP_ABS: lambda q: np.max(np.abs(q), axis=0),
@@ -496,8 +489,8 @@ class _Family:
             return np.asarray(lo, dtype=float)
         return np.asarray([math.hypot(t, h) for t, h in zip(drift_term, hi)])
 
-    # the states a grid envelope samples, or None when sampling states
-    # cannot see the state dependence (then the envelope is the closed one)
+    # the states a grid envelope samples; read only when closed_envelope
+    # returns None (stable_like with alpha and gamma both varying)
     def states(self, model):
         return model.state_points()
 
@@ -667,12 +660,6 @@ def _rv_index(dens):
 
 
 class _RadialJump(_Family):
-    def states(self, model):
-        # variants not tied to states: the sup/inf over states is the one
-        # over all variants
-        X = model.state_points()
-        return None if _variant_for_state(model, X) is None else X
-
     def gate(self, model):
         d = model.d
         delta, borderline = _rv_index(model.triplet.jump_density)
@@ -740,14 +727,12 @@ class _Custom(_Family):
         return np.asarray([[complex(fn(xrow, xi)) for xi in XI] for xrow in X])
 
     def closed_envelope(self, model, kind, XI):
-        fn = (model.params.get("envelopes") or {}).get(kind)
+        fn = model.params["envelopes"].get(kind)
         return None if fn is None else np.asarray([float(fn(xi)) for xi in XI])
 
     def states(self, model):
-        if "x_samples" not in model.params:
-            return model.state_points()
-        return np.atleast_2d(np.asarray(model.params["x_samples"],
-                                        dtype=float))
+        X = model.params.get("x_samples")
+        return model.state_points() if X is None else np.atleast_2d(X)
 
     def radial(self, model, kind):
         return _numeric_radial(model, kind)   # sampled over rotations
@@ -795,8 +780,8 @@ def _diffusion_factor(C):
 # Family constructors.
 # ---------------------------------------------------------------------------
 
-def brownian_drift(d, drift=None, c=1.0, C=None, envelope_mode="closed_form",
-                   state_grid=StateGrid(), assumptions=None):
+def brownian_drift(d, drift=None, c=1.0, C=None, state_grid=StateGrid(),
+                   assumptions=None):
     b = None if drift is None else np.asarray(drift, dtype=float).reshape(d)
     if C is not None:
         triplet = LevyTriplet(d=d, drift=b,
@@ -805,12 +790,12 @@ def brownian_drift(d, drift=None, c=1.0, C=None, envelope_mode="closed_form",
         triplet = LevyTriplet(d=d, drift=b,
                               diffusion_field=ScalarField.make(c))
     return SymbolModel(family="brownian_drift", d=d, triplet=triplet,
-                       params={}, envelope_mode=envelope_mode,
-                       state_grid=state_grid, assumptions=assumptions or {})
+                       params={}, state_grid=state_grid,
+                       assumptions=assumptions or {})
 
 
-def isotropic_stable(d, alpha, gamma=1.0, envelope_mode="closed_form",
-                     state_grid=StateGrid(), assumptions=None):
+def isotropic_stable(d, alpha, gamma=1.0, state_grid=StateGrid(),
+                     assumptions=None):
     """Rotation-invariant alpha-stable process: the stable_like model with
     constant alpha and gamma and no drift."""
     if not (0.0 < alpha < 2.0):
@@ -818,12 +803,11 @@ def isotropic_stable(d, alpha, gamma=1.0, envelope_mode="closed_form",
     if gamma <= 0:
         raise ModelInvariantError(f"stable scale must be positive, got {gamma}")
     return stable_like(d, float(alpha), gamma=float(gamma),
-                       envelope_mode=envelope_mode, state_grid=state_grid,
-                       assumptions=assumptions)
+                       state_grid=state_grid, assumptions=assumptions)
 
 
-def stable_like(d, alpha, beta=None, gamma=1.0, envelope_mode="closed_form",
-                state_grid=StateGrid(), assumptions=None):
+def stable_like(d, alpha, beta=None, gamma=1.0, state_grid=StateGrid(),
+                assumptions=None):
     af = ScalarField.make(alpha)
     gf = ScalarField.make(gamma)
     a_lo, a_hi = af.bounds
@@ -837,39 +821,35 @@ def stable_like(d, alpha, beta=None, gamma=1.0, envelope_mode="closed_form",
                           jump_density=stable_density(d, af.bounds, gf.bounds))
     params = {"alpha": af, "gamma": gf}
     return SymbolModel(family="stable_like", d=d, triplet=triplet,
-                       params=params, envelope_mode=envelope_mode,
-                       state_grid=state_grid, assumptions=assumptions or {})
+                       params=params, state_grid=state_grid,
+                       assumptions=assumptions or {})
 
 
-def radial_jump_model(density: RadialLevyDensity, envelope_mode="closed_form",
-                      params=None, state_grid=StateGrid(), assumptions=None):
+def radial_jump_model(density: RadialLevyDensity, params=None,
+                      state_grid=StateGrid(), assumptions=None):
     triplet = LevyTriplet(d=density.d, jump_density=density)
     return SymbolModel(family="radial_jump", d=density.d, triplet=triplet,
-                       params=params or {}, envelope_mode=envelope_mode,
-                       state_grid=state_grid, assumptions=assumptions or {})
+                       params=params or {}, state_grid=state_grid,
+                       assumptions=assumptions or {})
 
 
-def finite_jump_model(d, alpha, envelope_mode="closed_form",
-                      state_grid=StateGrid(), assumptions=None):
+def finite_jump_model(d, alpha, state_grid=StateGrid(), assumptions=None):
     af = ScalarField.make(alpha)
     triplet = LevyTriplet(d=d, jump_density=finite_range_density(d, af.bounds))
     return SymbolModel(family="finite_jump", d=d, triplet=triplet,
-                       params={"alpha": af}, envelope_mode=envelope_mode,
-                       state_grid=state_grid, assumptions=assumptions or {})
+                       params={"alpha": af}, state_grid=state_grid,
+                       assumptions=assumptions or {})
 
 
 def custom_model(d, eval_fn, envelopes=None, x_samples=None,
-                 envelope_mode="grid_sampled", state_grid=StateGrid(),
-                 assumptions=None, x_independent=False):
-    params = {"eval_fn": eval_fn, "x_independent": x_independent}
-    if envelopes:
-        params["envelopes"] = envelopes
+                 state_grid=StateGrid(), assumptions=None,
+                 x_independent=False):
+    params = {"eval_fn": eval_fn, "envelopes": envelopes or {},
+              "x_independent": x_independent}
     if x_samples is not None:
         params["x_samples"] = np.asarray(x_samples, dtype=float)
-    triplet = LevyTriplet(d=d)
-    mode = "closed_form" if envelopes else envelope_mode
-    return SymbolModel(family="custom", d=d, triplet=triplet, params=params,
-                       envelope_mode=mode, state_grid=state_grid,
+    return SymbolModel(family="custom", d=d, triplet=LevyTriplet(d=d),
+                       params=params, state_grid=state_grid,
                        assumptions=assumptions or {})
 
 
@@ -896,13 +876,23 @@ def _field(obj, key, convert=lambda v: v, default=_REQUIRED, root=""):
                                  f"({obj[key]!r}): {exc}") from None
 
 
+def _number(v):
+    """float(v) of a JSON number, entry by entry in nested lists: float()
+    would also read a bool (JSON true as 1) or a numeric string."""
+    if isinstance(v, list):
+        return [_number(x) for x in v]
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigurationError(f"expected a number, got {v!r}")
+    return float(v)
+
+
 def _floats(*shape):
     """Converter to a finite float array of the given shape, nested as that
     shape is; None stays None."""
     def convert(v):
         if v is None:
             return None
-        a = np.asarray(v, dtype=float)
+        a = np.asarray(_number(v), dtype=float)
         if a.ndim != len(shape):
             raise ValueError(f"has {a.ndim} levels of nesting, expected "
                              f"{len(shape)}")
@@ -925,6 +915,13 @@ def _count(v):
             v >= 1 and (isinstance(v, int) or v.is_integer())):
         raise ValueError("must be an integer of at least 1")
     return int(v)
+
+
+def _boolean(v):
+    """Converter that accepts only a JSON boolean."""
+    if not isinstance(v, bool):
+        raise ValueError("must be true or false")
+    return v
 
 
 def _member(names):
@@ -956,7 +953,7 @@ def density_from_spec(d, spec):
                                  u_start=get("u_start", _real, math.e))
     return table_density(d, get("u", _floats(-1)), get("n", _floats(-1)),
                          u0=get("u0", _real, 0.0),
-                         monotone=bool(spec.get("monotone", True)))
+                         monotone=get("monotone", _boolean, True))
 
 
 def _range_or_const(v):
@@ -968,10 +965,15 @@ def _range_or_const(v):
 def model_from_config(cfg: dict) -> SymbolModel:
     """Build a model from a parsed JSON config (schema in the README).
 
-    A missing or malformed field raises ConfigurationError naming it.
+    A missing or malformed field, or an unknown top-level one, raises
+    ConfigurationError naming it.
     """
     if not isinstance(cfg, dict):
         raise ConfigurationError("model config must be a JSON object")
+    for key in cfg:
+        if key not in ("family", "d", "parameters", "state_grid",
+                       "assumptions"):
+            raise ConfigurationError(f"model config has unknown field {key!r}")
     parsers = {name: f.parse for name, f in FAMILIES.items() if f.parse}
     parsers["isotropic_stable"] = _parse_isotropic
     parse = parsers[_field(cfg, "family", _member(parsers))]
@@ -981,7 +983,6 @@ def model_from_config(cfg: dict) -> SymbolModel:
         raise ConfigurationError(f"model field 'd' must be a positive "
                                  f"integer, got {cfg['d']!r}") from None
     params = _field(cfg, "parameters", dict, {})
-    mode = _field(cfg, "envelope_mode", _member(ENVELOPE_MODES), "closed_form")
     sg = _field(cfg, "state_grid", lambda v: dict(v or {}), {})
     grid = StateGrid(
         tuple(_field(sg, "box", _floats(2), root="state_grid.").tolist()),
@@ -992,8 +993,7 @@ def model_from_config(cfg: dict) -> SymbolModel:
     def param(key, convert, default=_REQUIRED):
         return _field(params, key, convert, default, root="parameters.")
 
-    return parse(d, param, envelope_mode=mode, state_grid=grid,
-                 assumptions=assumptions)
+    return parse(d, param, state_grid=grid, assumptions=assumptions)
 
 
 def _parse_isotropic(d, param, **common):

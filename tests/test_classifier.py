@@ -207,13 +207,13 @@ def test_report_provenance_and_serialization(bm3):
 
 def test_conditional_marking_for_state_dependent_weak_verdict():
     lopsided = stable_like(1, alpha={"lo": 0.5, "hi": 0.9, "profile": "step"},
-                           gamma=1.0, envelope_mode="grid_sampled")
+                           gamma=1.0)
     rep = classify(lopsided, 3.0)
     assert rep.verdict == WEAKLY_TRANSIENT
     assert any("weak-test hypothesis" in c for c in rep.conditional)
 
     asserted = stable_like(1, alpha={"lo": 0.5, "hi": 0.9, "profile": "step"},
-                           gamma=1.0, envelope_mode="grid_sampled",
+                           gamma=1.0,
                            assumptions={"weak_test_hypothesis": True})
     rep = classify(asserted, 3.0)
     assert rep.verdict == WEAKLY_TRANSIENT

@@ -242,6 +242,11 @@ def test_report_json_round_trip(runner, model_file, tmp_path):
      "parameters.density.n"),
     ({"family": "brownian_drift", "d": 2,
       "parameters": {"c": 1.0}, "state_grid": {"box": [0]}}, "state_grid.box"),
+    # a field the loader does not read is named, not ignored
+    ({"family": "finite_jump", "d": 2, "parameters": {"alpha": [0.5, 1.5]},
+      "envelope_mode": "grid_sampled"}, "'envelope_mode'"),
+    ({"family": "brownian_drift", "d": 2, "parameters": {"c": 1.0},
+      "stategrid": {"box": [-1, 1]}}, "'stategrid'"),
 ])
 def test_malformed_model_file_names_the_field(runner, model_file, tmp_path,
                                                cfg, field):
@@ -348,6 +353,22 @@ def test_bad_analytic_options_exit_1(runner, model_file, tmp_path, args,
     assert result.exit_code == 1, result.output
     assert result.stderr.startswith(f"error: {field} must be")
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("command", [
+    ["validate-sampler"], ["simulate", "--mode", "euler_path", "--kappa", "1"]])
+def test_one_path_is_an_error_naming_paths(model_file, tmp_path, command):
+    # a standard error needs two paths; a fresh process, so numpy's
+    # RuntimeWarnings would reach stderr
+    src = str(Path(levy_transience.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "levy_transience.cli", *command, "--model",
+         model_file(STABLE_05_D1, "stable.json"), "--paths", "1",
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert result.returncode == 1
+    assert result.stderr == "error: paths must be at least 2, got 1\n"
+    assert not (tmp_path / "o" / "report.json").exists()
 
 
 @pytest.mark.parametrize("mode, kappa", [

@@ -46,24 +46,22 @@ def _kappa_star_model_files(tmp_path):
     return sorted({op["args"][2] for op in ops})
 
 
-# the model file and the radial_jump density examples of the README
+_README_TEXT = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+_README_DENSITIES = {spec["kind"]: spec for spec in (
+    json.loads(line) for line in _README_TEXT.splitlines()
+    if line.startswith('{"kind":'))}
+
+# the model file and the radial_jump density examples of the README, read
+# as written there, and the models of its CLI examples
 _README = [
-    {"family": "stable_like", "d": 2,
-     "parameters": {"alpha": {"lo": 0.6, "hi": 1.4, "profile": "cos"},
-                    "gamma": 1.0, "beta": [0.5, 0.0]},
-     "envelope_mode": "closed_form",
-     "state_grid": {"box": [-10, 10], "points_per_axis": 21},
-     "assumptions": {"weak_test_hypothesis": False, "irreducible": True}},
+    json.loads(re.search(r"^## Model files\n+```json\n(.*?)^```",
+                         _README_TEXT, re.M | re.S).group(1)),
     {"family": "brownian_drift", "d": 3, "parameters": {"c": 1.0}},
     {"family": "isotropic_stable", "d": 3, "parameters": {"alpha": 1.0}},
-] + [{"family": "radial_jump", "d": d, "parameters": {"density": density}}
-     for d, density in (
-         (3, {"kind": "power", "alpha": 0.5, "coeff": 1.0, "u0": 1.0}),
-         (2, {"kind": "stable", "alpha": 1.2, "gamma": 1.0}),
-         (1, {"kind": "power_log", "exponent": -2.0, "log_exponent": 2.0,
-              "u_start": 2.718281828}),
-         (3, {"kind": "table", "u": [1, 10, 100], "n": [1e-1, 1e-5, 1e-9],
-              "u0": 1.0, "monotone": True}))]
+] + [{"family": "radial_jump", "d": d,
+      "parameters": {"density": _README_DENSITIES[kind]}}
+     for d, kind in ((3, "power"), (2, "stable"), (1, "power_log"),
+                     (3, "table"))]
 
 _KAPPAS = (0.0, 0.7, 2.5)
 _DECIMAL = re.compile(r"-?\d+\.\d*(?:[eE][-+]?\d+)?|-?\d+[eE][-+]?\d+")

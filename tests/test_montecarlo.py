@@ -136,7 +136,7 @@ def test_exit_ordering_state_dependent_index():
     # step-profile index: heavier jumps (smaller alpha) on the negative side,
     # so paths started there leave a large ball sooner
     model = stable_like(1, alpha={"lo": 0.6, "hi": 1.4, "profile": "step"},
-                        gamma=1.0, envelope_mode="grid_sampled")
+                        gamma=1.0)
     T, h, n, R = 8.0, 0.02, 2000, 8.0
     from levy_transience.montecarlo import _euler_sweep
 

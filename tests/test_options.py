@@ -12,13 +12,13 @@ import types
 
 import levy_transience
 
-_MODEL = ("envelope_mode", "state_grid", "assumptions")
+_MODEL = ("state_grid", "assumptions")
 
 # reason -> the defaulted parameters it covers, as function.parameter,
 # Class.method.parameter or Class(field)
 ALLOWED = {
-    "model data: a coefficient, drift, envelope mode, state grid or "
-    "assumption the caller describes": (
+    "model data: a coefficient, drift, state grid or assumption the caller "
+    "describes": (
         *(f"{fn}.{p}" for fn in ("brownian_drift", "finite_jump_model",
                                  "isotropic_stable", "radial_jump_model",
                                  "stable_like", "custom_model")

@@ -245,9 +245,10 @@ def _density(draw, d):
 @st.composite
 def model_configs(draw):
     """A JSON model config of every loadable family in d = 1..5, with
-    optional drift, envelope mode, state grid and assumptions. A
-    grid-sampled model always gets a small grid: the default 21 points per
-    axis make a d = 5 grid envelope take minutes."""
+    optional drift, state grid and assumptions. A stable_like model always
+    gets a small grid, as its alpha and gamma may both vary and then its
+    envelopes sample the grid: the default 21 points per axis make a d = 5
+    grid envelope take minutes."""
     d = draw(st.integers(1, 5))
     family = draw(st.sampled_from(["brownian_drift", "isotropic_stable",
                                    "stable_like", "radial_jump",
@@ -279,10 +280,7 @@ def model_configs(draw):
     else:
         params["alpha"] = _scalar(draw, 0.2, 3.0)
     cfg = {"family": family, "d": d, "parameters": params}
-    mode = draw(st.sampled_from([None, "closed_form", "grid_sampled"]))
-    if mode is not None:
-        cfg["envelope_mode"] = mode
-    if mode == "grid_sampled" or draw(st.booleans()):
+    if family == "stable_like" or draw(st.booleans()):
         half = draw(st.floats(1.0, 10.0))
         cfg["state_grid"] = {"box": [-half, half],
                              "points_per_axis": draw(st.integers(2, 5))}
@@ -309,7 +307,8 @@ _SECTIONS = {(): "", ("parameters",): "parameters.",
 
 def _corruptions(cfg, keys=()):
     """(keys to a value, the field path an error must name, bad value) for
-    every value of a config: a wrong type, NaN or inf for numbers, lo > hi
+    every value of a config: a wrong type, NaN, inf or a bool for numbers,
+    lo > hi
     for intervals, an unknown name, a fixed-length vector one too long."""
     for key, value in cfg.items():
         here = keys + (key,)
@@ -317,7 +316,7 @@ def _corruptions(cfg, keys=()):
         if here in _SECTIONS:
             yield here, name, "x"
             yield from _corruptions(value, here)
-        elif isinstance(value, str):   # family, kind, envelope_mode
+        elif isinstance(value, str):   # family, kind
             yield from ((here, name, bad) for bad in ("zigzag", 7))
         elif key != "assumptions":
             yield from _value_corruptions(here, name, value)
@@ -330,7 +329,7 @@ def _corruptions(cfg, keys=()):
 def _value_corruptions(keys, name, value):
     yield keys, name, "x"
     if isinstance(value, (int, float)):
-        yield from ((keys, name, bad) for bad in (math.nan, math.inf))
+        yield from ((keys, name, bad) for bad in (math.nan, math.inf, True))
         return
     entries = value.items() if isinstance(value, dict) else enumerate(value)
     for k, v in entries:
@@ -380,6 +379,19 @@ def test_a_corrupted_config_field_is_named_in_the_error(data):
     ({"family": "finite_jump", "d": 1, "parameters": {"alpha": 1.0},
       "state_grid": {"box": [-1, 1], "points_per_axis": math.inf}},
      "state_grid.points_per_axis"),
+    # a JSON bool is not a number, and a string is not a bool
+    ({"family": "stable_like", "d": 1, "parameters": {"alpha": True}},
+     "parameters.alpha"),
+    ({"family": "brownian_drift", "d": 2, "parameters": {"c": True}},
+     "parameters.c"),
+    ({"family": "brownian_drift", "d": 2,
+      "parameters": {"b": [True, False]}}, "parameters.b"),
+    ({"family": "radial_jump", "d": 2, "parameters": {"density": {
+        "kind": "power", "alpha": 0.5, "u0": True}}},
+     "parameters.density.u0"),
+    ({"family": "radial_jump", "d": 3, "parameters": {"density": {
+        "kind": "table", "u": [1, 10, 100], "n": [1e-1, 1e-5, 1e-9],
+        "u0": 1.0, "monotone": "false"}}}, "parameters.density.monotone"),
 ])
 def test_corruptions_the_loader_once_accepted_are_named(cfg, name):
     with pytest.raises(ConfigurationError) as err:

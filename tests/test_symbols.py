@@ -92,8 +92,8 @@ def test_brownian_envelopes(bm3):
 
 
 def test_grid_envelope_bounds_and_attainment():
-    model = stable_like(1, alpha=(0.6, 1.4), gamma=1.0,
-                        envelope_mode="grid_sampled",
+    # alpha and gamma both vary: the one family without a closed envelope
+    model = stable_like(1, alpha=(0.6, 1.4), gamma=(0.5, 2.0),
                         state_grid=StateGrid((-10, 10), 41))
     X = model.state_points()
     for xi in ([0.3], [1.7]):
@@ -157,7 +157,7 @@ def test_symmetry_check_cases(stable_05_d1):
                            gamma=1.0)
     assert symmetry_check(mirrored)
     lopsided = stable_like(2, alpha={"lo": 0.6, "hi": 1.4, "profile": "step"},
-                           gamma=1.0, envelope_mode="grid_sampled")
+                           gamma=1.0)
     assert not symmetry_check(lopsided)
 
 
@@ -217,8 +217,7 @@ def test_invalid_family_parameters():
 def test_model_from_config_round_trip(model_file):
     cfg = {"family": "stable_like", "d": 2,
            "parameters": {"alpha": {"lo": 0.6, "hi": 1.4, "profile": "cos"},
-                          "gamma": 1.0},
-           "envelope_mode": "closed_form"}
+                          "gamma": 1.0}}
     model = model_from_config(cfg)
     assert model.family == "stable_like"
     assert model.d == 2
@@ -294,30 +293,22 @@ def test_variant_for_state_picks_nearest_stored_alpha():
     assert _variant_for_state(modified, np.array([1.0, 0.0])) == 6
 
 
-def test_grid_envelope_of_untied_variants_is_the_variant_envelope():
+def test_envelope_of_untied_variants_is_the_variant_envelope():
     # a radial_jump density from JSON has 9 alpha variants and no state
-    # field tying them to states: the grid envelopes must be the sup/inf
-    # over all variants, not variant 0 at every state
+    # field tying them to states: the envelopes must be the sup/inf over all
+    # variants, not variant 0 at every state
     from levy_transience.classifier import classify
 
-    def cfg(mode):
-        return {"family": "radial_jump", "d": 2, "envelope_mode": mode,
-                "parameters": {"density": {"kind": "stable",
-                                           "alpha": [0.614, 1.411]}}}
-
-    closed = model_from_config(cfg("closed_form"))
-    grid = model_from_config(cfg("grid_sampled"))
-    for rho in (0.01, 0.3, 5.0):
-        xi = np.array([0.6, 0.8]) * rho
-        for kind in (ENV_INF_RE, ENV_SUP_ABS):
-            assert _envelope(grid, kind, xi) == _envelope(closed, kind, xi)
+    model = model_from_config({
+        "family": "radial_jump", "d": 2,
+        "parameters": {"density": {"kind": "stable",
+                                   "alpha": [0.614, 1.411]}}})
     xi = np.array([0.01, 0.0])
-    assert _envelope(grid, ENV_INF_RE, xi) == pytest.approx(0.01 ** 1.411,
-                                                            rel=1e-8)
-    assert _envelope(grid, ENV_SUP_ABS, xi) == pytest.approx(0.01 ** 0.614,
+    assert _envelope(model, ENV_INF_RE, xi) == pytest.approx(0.01 ** 1.411,
                                                              rel=1e-8)
-    assert classify(grid, 1.5).verdict == classify(closed, 1.5).verdict \
-        == "inconclusive"
+    assert _envelope(model, ENV_SUP_ABS, xi) == pytest.approx(0.01 ** 0.614,
+                                                              rel=1e-8)
+    assert classify(model, 1.5).verdict == "inconclusive"
 
 
 @pytest.mark.parametrize("family, parameters", [
@@ -351,11 +342,25 @@ def test_only_symbols_compares_a_family_name():
 def test_config_rejects_a_state_grid_without_points(points):
     cfg = {"family": "stable_like", "d": 1,
            "parameters": {"alpha": {"lo": 0.5, "hi": 1.5}},
-           "envelope_mode": "grid_sampled",
            "state_grid": {"box": [-1, 1], "points_per_axis": points}}
     with pytest.raises(ConfigurationError,
                        match="'state_grid.points_per_axis' is malformed"):
         model_from_config(cfg)
+
+
+@pytest.mark.parametrize("points", [20, 21])
+def test_state_grid_thinning_keeps_a_point(points):
+    # above 200,000 states the grid drops two points per axis at a time; an
+    # even count once stepped from 2 to 0 points in d >= 18
+    assert StateGrid((-10, 10), points).points(18).shape == (1, 18)
+    model = model_from_config({
+        "family": "stable_like", "d": 18,
+        "parameters": {"alpha": {"lo": 0.5, "hi": 1.5},
+                       "gamma": {"lo": 1, "hi": 2}},
+        "state_grid": {"box": [-10, 10], "points_per_axis": points}})
+    xi = np.zeros(18)
+    xi[0] = 0.5
+    assert _envelope(model, ENV_SUP_ABS, xi) > 0.0
 
 
 @pytest.mark.parametrize("field, value", [

@@ -106,8 +106,7 @@ def snapshot_cases():
             ("stable_like-d2", stable_like(2, alpha=(0.6, 1.4)), (0.3, 1.5)),
             ("finite_jump-d3", finite_jump_model(3, alpha=(0.5, 1.5)),
              (0.3, 1.5)),
-            ("finite_jump-grid-d2", finite_jump_model(
-                2, alpha=(0.5, 1.5), envelope_mode="grid_sampled"),
+            ("finite_jump-grid-d2", finite_jump_model(2, alpha=(0.5, 1.5)),
              (0.3, 1.5)),
             ("table-tail6.2-d5", radial_jump_model(slow), (1.5, 3.0, 3.5))):
         for kappa in kappas:
