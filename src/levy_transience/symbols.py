@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -104,25 +105,6 @@ class ScalarField:
 
 
 @dataclass(frozen=True)
-class StateGrid:
-    """Sampling box for grid-based envelopes: [lo, hi]^d, m points per axis."""
-
-    box: tuple = (-10.0, 10.0)
-    points_per_axis: int = 21
-
-    def points(self, d):
-        m = self.points_per_axis
-        if m < 1:
-            raise ConfigurationError("state grid needs at least one point per axis")
-        # cap the product grid so high-dimensional boxes stay tractable
-        while m > 1 and m ** d > 200_000:
-            m = max(m - 2, 1)
-        axis = np.linspace(self.box[0], self.box[1], m)
-        mesh = np.meshgrid(*([axis] * d), indexing="ij")
-        return np.stack([g.ravel() for g in mesh], axis=-1)
-
-
-@dataclass(frozen=True)
 class LevyTriplet:
     """Drift, diffusion and jump data of a model.
 
@@ -182,7 +164,6 @@ class SymbolModel:
     d: int
     triplet: LevyTriplet
     params: dict
-    state_grid: StateGrid = StateGrid()
     assumptions: dict = field(default_factory=dict)
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
@@ -205,9 +186,6 @@ class SymbolModel:
     def drift_vector(self):
         b = self.triplet.drift
         return None if b is None or not np.any(b) else b
-
-    def state_points(self):
-        return self.state_grid.points(self.d)
 
 
 def _unit(d):
@@ -234,20 +212,9 @@ def eval_symbol(model: SymbolModel, x, xi) -> complex:
     xi = _as_xi(xi, model.d)
     if not np.any(xi):
         return 0j
-    if x is None:
-        X = np.zeros((1, model.d))
-    else:
-        X = np.atleast_2d(np.asarray(x, dtype=float))
-    return complex(eval_symbol_batch(model, X, xi)[0])
-
-
-def eval_symbol_batch(model: SymbolModel, X, xi) -> np.ndarray:
-    """q(x, xi) for a batch of states X with shape (n, d)."""
-    xi = _as_xi(xi, model.d)
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if not np.any(xi):
-        return np.zeros(X.shape[0], dtype=complex)
-    return FAMILIES[model.family].symbol(model, X, xi[None, :])[:, 0]
+    X = np.zeros((1, model.d)) if x is None \
+        else np.atleast_2d(np.asarray(x, dtype=float))
+    return complex(FAMILIES[model.family].symbol(model, X, xi[None, :])[0, 0])
 
 
 def _norms(XI):
@@ -285,34 +252,14 @@ def _envelope(model, kind, xi):
 
 
 def _envelopes(model, kind, XI):
-    """The `kind` envelope at each frequency row of XI (0 at xi = 0): the
-    family's closed form, or the state grid's where the family has none."""
+    """The `kind` envelope at each frequency row of XI (0 at xi = 0), in the
+    family's closed form."""
     out = np.zeros(XI.shape[0])
     nonzero = np.any(XI != 0.0, axis=1)
     if np.any(nonzero):
-        val = FAMILIES[model.family].closed_envelope(model, kind, XI[nonzero])
-        out[nonzero] = _grid_envelope(model, kind, XI[nonzero]) \
-            if val is None else val
+        out[nonzero] = FAMILIES[model.family].closed_envelope(
+            model, kind, XI[nonzero])
     return out
-
-
-#: states x frequencies per block of a grid envelope (1 MB of complex q)
-_GRID_BLOCK = 1 << 16
-
-
-def _grid_envelope(model, kind, XI):
-    """The `kind` envelope sampled over the family's states: a sup that may
-    be too small and an inf that may be too large between grid points."""
-    family = FAMILIES[model.family]
-    X = family.states(model)
-    if X.size == 0:
-        raise ConfigurationError("empty state grid")
-    reduce = {ENV_SUP_ABS: lambda q: np.max(np.abs(q), axis=0),
-              ENV_INF_RE: lambda q: np.min(q.real, axis=0),
-              ENV_SUP_ABS_IM: lambda q: np.max(np.abs(q.imag), axis=0)}[kind]
-    step = max(1, _GRID_BLOCK // X.shape[0])
-    return np.concatenate([reduce(family.symbol(model, X, XI[j:j + step]))
-                           for j in range(0, XI.shape[0], step)])
 
 
 def direction_set(d, n):
@@ -379,6 +326,10 @@ def envelope_profile(model: SymbolModel, kind, rhos, reduce="min",
 # Structural checks.
 # ---------------------------------------------------------------------------
 
+#: the box [lo, hi]^d of states the sampled symmetry checks draw from
+_SAMPLE_BOX = (-10.0, 10.0)
+
+
 @model_memo
 def sector_check(model: SymbolModel, c: float):
     """Check sup|Im q| <= c * inf Re q on a frequency grid.
@@ -400,7 +351,7 @@ def sector_check(model: SymbolModel, c: float):
 def symmetry_check(model: SymbolModel) -> bool:
     """Sampled check of q(x, xi) = q(-x, -xi)."""
     gen = np.random.Generator(np.random.Philox(key=[0xC0FFEE, model.d]))
-    lo, hi = model.state_grid.box
+    lo, hi = _SAMPLE_BOX
     for _ in range(24):
         x = gen.uniform(lo, hi, size=model.d)
         xi = gen.standard_normal(model.d) * gen.choice([0.1, 1.0, 3.0])
@@ -415,7 +366,7 @@ def symmetry_check(model: SymbolModel) -> bool:
 def symbol_even_in_xi(model: SymbolModel) -> bool:
     """Sampled check of q(x, xi) = q(x, -xi) (zero drift, symmetric jumps)."""
     gen = np.random.Generator(np.random.Philox(key=[0xBEEF, model.d]))
-    lo, hi = model.state_grid.box
+    lo, hi = _SAMPLE_BOX
     for _ in range(16):
         x = gen.uniform(lo, hi, size=model.d)
         xi = gen.standard_normal(model.d)
@@ -442,8 +393,8 @@ class _Family:
     irreducible = True
     # sample(model, t, gen, n): n exact draws of X_t - t b, started at 0;
     # step_fields(model): the Euler step kind and its fields;
-    # parse(d, param, **common): the model of a JSON `parameters` object,
-    # read through param(key, convert, default)
+    # parse(d, param): the model of a JSON `parameters` object, read through
+    # param(key, convert, default), as a partial call that takes assumptions
     sample = step_fields = parse = None
 
     # q(x, xi) at states X (n, d) and nonzero frequencies XI (m, d), as an
@@ -466,33 +417,25 @@ class _Family:
         used, where = np.unique(idx, return_inverse=True)
         return dens.jump_symbol(rho, used)[where]
 
-    # closed-form (inf, sup) over states of Re q at each frequency, or None
+    # closed-form (inf, sup) over states of Re q at each frequency: exact,
+    # or a safe-side bound (an inf no larger, a sup no smaller)
     def envelope(self, model, XI, rho):
         vals = model.triplet.jump_density.jump_symbols(rho)
         return np.min(vals, axis=0), np.max(vals, axis=0)
 
-    # the `kind` envelope at each nonzero frequency row of XI, or None when
-    # the family has no closed form. Scalar terms are Python floats per
-    # frequency, as for a single one (numpy rounds vector powers and hypot
-    # differently)
+    # the `kind` envelope at each nonzero frequency row of XI. Scalar terms
+    # are Python floats per frequency, as for a single one (numpy rounds
+    # vector powers and hypot differently)
     def closed_envelope(self, model, kind, XI):
         drift = model.triplet.drift
         drift_term = [abs(float(xi @ drift)) if drift is not None else 0.0
                       for xi in XI]
         if kind == ENV_SUP_ABS_IM:
             return np.asarray(drift_term)   # b constant: sup|Im q| = |<xi, b>|
-        bounds = self.envelope(model, XI, _norms(XI))
-        if bounds is None:
-            return None
-        lo, hi = bounds
+        lo, hi = self.envelope(model, XI, _norms(XI))
         if kind == ENV_INF_RE:
             return np.asarray(lo, dtype=float)
         return np.asarray([math.hypot(t, h) for t, h in zip(drift_term, hi)])
-
-    # the states a grid envelope samples; read only when closed_envelope
-    # returns None (stable_like with alpha and gamma both varying)
-    def states(self, model):
-        return model.state_points()
 
     # whether the `kind` envelope is rotation invariant in xi
     def radial(self, model, kind):
@@ -560,10 +503,10 @@ class _BrownianDrift(_Family):
             return ("brownian_matrix", _diffusion_factor(C))
         return ("brownian", model.triplet.diffusion_field)
 
-    def parse(self, d, param, **common):
-        return brownian_drift(d, drift=param("b", _floats(d), None),
-                              c=param("c", ScalarField.make, 1.0),
-                              C=param("C", _floats(d, d), None), **common)
+    def parse(self, d, param):
+        return partial(brownian_drift, d, drift=param("b", _floats(d), None),
+                       c=param("c", ScalarField.make, 1.0),
+                       C=param("C", _floats(d, d), None))
 
 
 class _StableLike(_Family):
@@ -572,11 +515,11 @@ class _StableLike(_Family):
         return np.stack([p["gamma"](X) * r ** p["alpha"](X) for r in rho],
                         axis=1)
 
+    # gamma(x) rho^alpha(x) is monotone in each field: its corner values are
+    # exact where the profiles reach them together, a safe bound elsewhere
     def envelope(self, model, XI, rho):
-        alpha, gamma = model.params["alpha"], model.params["gamma"]
-        if not (alpha.is_constant or gamma.is_constant):
-            return None   # joint variation: fall back to the state grid
-        (a_lo, a_hi), (g_lo, g_hi) = alpha.bounds, gamma.bounds
+        (a_lo, a_hi), (g_lo, g_hi) = (model.params[k].bounds
+                                      for k in ("alpha", "gamma"))
         return ([g_lo * min(r ** a_lo, r ** a_hi) for r in rho],
                 [g_hi * max(r ** a_lo, r ** a_hi) for r in rho])
 
@@ -627,14 +570,12 @@ class _StableLike(_Family):
     def step_fields(self, model):
         return ("stable", model.params["alpha"], model.params["gamma"])
 
-    def parse(self, d, param, **common):
+    def parse(self, d, param):
         beta = param("beta", _floats(d), None)
         if beta is not None and not np.any(beta):
             beta = None
-        return stable_like(d, alpha=param("alpha", ScalarField.make),
-                           beta=beta,
-                           gamma=param("gamma", ScalarField.make, 1.0),
-                           **common)
+        return partial(stable_like, d, alpha=param("alpha", ScalarField.make),
+                       beta=beta, gamma=param("gamma", ScalarField.make, 1.0))
 
 
 def _rv_index(dens):
@@ -681,9 +622,9 @@ class _RadialJump(_Family):
                    f"rv-case-{cls.case}", cls.statement,
                    {"index": delta, "kappa": kappa})
 
-    def parse(self, d, param, **common):
-        return radial_jump_model(density_from_spec(d, param("density", dict)),
-                                 **common)
+    def parse(self, d, param):
+        return partial(radial_jump_model,
+                       density_from_spec(d, param("density", dict)))
 
 
 class _FiniteJump(_Family):
@@ -714,9 +655,9 @@ class _FiniteJump(_Family):
                        f"unit-mass power jump kernel, {case}: {side} side",
                        {"alpha_lo": a_lo, "alpha_hi": a_hi})
 
-    def parse(self, d, param, **common):
-        return finite_jump_model(d, alpha=param("alpha", ScalarField.make),
-                                 **common)
+    def parse(self, d, param):
+        return partial(finite_jump_model, d,
+                       alpha=param("alpha", ScalarField.make))
 
 
 class _Custom(_Family):
@@ -726,13 +667,18 @@ class _Custom(_Family):
         fn = model.params["eval_fn"]
         return np.asarray([[complex(fn(xrow, xi)) for xi in XI] for xrow in X])
 
+    # the `kind` envelope the model supplies; else, for an x-independent
+    # model, its symbol at x = 0 (a state-dependent one must supply it)
     def closed_envelope(self, model, kind, XI):
         fn = model.params["envelopes"].get(kind)
-        return None if fn is None else np.asarray([float(fn(xi)) for xi in XI])
-
-    def states(self, model):
-        X = model.params.get("x_samples")
-        return model.state_points() if X is None else np.atleast_2d(X)
+        if fn is not None:
+            return np.asarray([float(fn(xi)) for xi in XI])
+        if not self.state_independent(model):
+            raise ConfigurationError(f"a state-dependent custom model needs "
+                                     f"its {kind!r} envelope")
+        q = self.symbol(model, np.zeros((1, model.d)), XI)[0]
+        return {ENV_SUP_ABS: np.abs(q), ENV_INF_RE: q.real,
+                ENV_SUP_ABS_IM: np.abs(q.imag)}[kind]
 
     def radial(self, model, kind):
         return _numeric_radial(model, kind)   # sampled over rotations
@@ -780,8 +726,7 @@ def _diffusion_factor(C):
 # Family constructors.
 # ---------------------------------------------------------------------------
 
-def brownian_drift(d, drift=None, c=1.0, C=None, state_grid=StateGrid(),
-                   assumptions=None):
+def brownian_drift(d, drift=None, c=1.0, C=None, assumptions=None):
     b = None if drift is None else np.asarray(drift, dtype=float).reshape(d)
     if C is not None:
         triplet = LevyTriplet(d=d, drift=b,
@@ -790,12 +735,10 @@ def brownian_drift(d, drift=None, c=1.0, C=None, state_grid=StateGrid(),
         triplet = LevyTriplet(d=d, drift=b,
                               diffusion_field=ScalarField.make(c))
     return SymbolModel(family="brownian_drift", d=d, triplet=triplet,
-                       params={}, state_grid=state_grid,
-                       assumptions=assumptions or {})
+                       params={}, assumptions=assumptions or {})
 
 
-def isotropic_stable(d, alpha, gamma=1.0, state_grid=StateGrid(),
-                     assumptions=None):
+def isotropic_stable(d, alpha, gamma=1.0, assumptions=None):
     """Rotation-invariant alpha-stable process: the stable_like model with
     constant alpha and gamma and no drift."""
     if not (0.0 < alpha < 2.0):
@@ -803,11 +746,10 @@ def isotropic_stable(d, alpha, gamma=1.0, state_grid=StateGrid(),
     if gamma <= 0:
         raise ModelInvariantError(f"stable scale must be positive, got {gamma}")
     return stable_like(d, float(alpha), gamma=float(gamma),
-                       state_grid=state_grid, assumptions=assumptions)
+                       assumptions=assumptions)
 
 
-def stable_like(d, alpha, beta=None, gamma=1.0, state_grid=StateGrid(),
-                assumptions=None):
+def stable_like(d, alpha, beta=None, gamma=1.0, assumptions=None):
     af = ScalarField.make(alpha)
     gf = ScalarField.make(gamma)
     a_lo, a_hi = af.bounds
@@ -821,36 +763,29 @@ def stable_like(d, alpha, beta=None, gamma=1.0, state_grid=StateGrid(),
                           jump_density=stable_density(d, af.bounds, gf.bounds))
     params = {"alpha": af, "gamma": gf}
     return SymbolModel(family="stable_like", d=d, triplet=triplet,
-                       params=params, state_grid=state_grid,
-                       assumptions=assumptions or {})
+                       params=params, assumptions=assumptions or {})
 
 
 def radial_jump_model(density: RadialLevyDensity, params=None,
-                      state_grid=StateGrid(), assumptions=None):
+                      assumptions=None):
     triplet = LevyTriplet(d=density.d, jump_density=density)
     return SymbolModel(family="radial_jump", d=density.d, triplet=triplet,
-                       params=params or {}, state_grid=state_grid,
-                       assumptions=assumptions or {})
+                       params=params or {}, assumptions=assumptions or {})
 
 
-def finite_jump_model(d, alpha, state_grid=StateGrid(), assumptions=None):
+def finite_jump_model(d, alpha, assumptions=None):
     af = ScalarField.make(alpha)
     triplet = LevyTriplet(d=d, jump_density=finite_range_density(d, af.bounds))
     return SymbolModel(family="finite_jump", d=d, triplet=triplet,
-                       params={"alpha": af}, state_grid=state_grid,
-                       assumptions=assumptions or {})
+                       params={"alpha": af}, assumptions=assumptions or {})
 
 
-def custom_model(d, eval_fn, envelopes=None, x_samples=None,
-                 state_grid=StateGrid(), assumptions=None,
+def custom_model(d, eval_fn, envelopes=None, assumptions=None,
                  x_independent=False):
     params = {"eval_fn": eval_fn, "envelopes": envelopes or {},
               "x_independent": x_independent}
-    if x_samples is not None:
-        params["x_samples"] = np.asarray(x_samples, dtype=float)
     return SymbolModel(family="custom", d=d, triplet=LevyTriplet(d=d),
-                       params=params, state_grid=state_grid,
-                       assumptions=assumptions or {})
+                       params=params, assumptions=assumptions or {})
 
 
 # ---------------------------------------------------------------------------
@@ -860,20 +795,35 @@ def custom_model(d, eval_fn, envelopes=None, x_samples=None,
 _REQUIRED = object()
 
 
-def _field(obj, key, convert=lambda v: v, default=_REQUIRED, root=""):
-    """obj[key] of a JSON object in a model file, passed through `convert`.
-    A missing required field or a value `convert` rejects raises
-    ConfigurationError naming the field (`root` + `key`)."""
-    if key not in obj:
-        if default is _REQUIRED:
-            raise ConfigurationError(f"model config missing field {root + key!r}")
-        return default
-    try:
-        return convert(obj[key])
-    except (ConfigurationError, IndexError, KeyError, OverflowError,
-            TypeError, ValueError) as exc:
-        raise ConfigurationError(f"model field {root + key!r} is malformed "
-                                 f"({obj[key]!r}): {exc}") from None
+class _Section:
+    """A JSON object of a model file, read field by field: a call returns
+    obj[key] through `convert`, and `done` rejects a key no call read. An
+    error is a ConfigurationError naming the field (`root` + key)."""
+
+    def __init__(self, obj, root=""):
+        self.obj, self.root, self.read = obj, root, set()
+
+    def __call__(self, key, convert=lambda v: v, default=_REQUIRED):
+        self.read.add(key)
+        name = self.root + key
+        if key not in self.obj:
+            if default is _REQUIRED:
+                raise ConfigurationError(f"model config missing field {name!r}")
+            return default
+        try:
+            return convert(self.obj[key])
+        except (ConfigurationError, IndexError, KeyError, OverflowError,
+                TypeError, ValueError) as exc:
+            raise ConfigurationError(f"model field {name!r} is malformed "
+                                     f"({self.obj[key]!r}): {exc}") from None
+
+    def done(self, value=None):
+        """`value`, once every key of the object has been read."""
+        for key in self.obj:
+            if key not in self.read:
+                raise ConfigurationError(
+                    f"model config has unknown field {self.root + key!r}")
+        return value
 
 
 def _number(v):
@@ -908,20 +858,24 @@ def _real(v):
     return float(_floats()(v))
 
 
-def _count(v):
-    """Converter to an integer of at least 1 from a JSON number (not a bool
-    or a string) with no fractional part."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not (
-            v >= 1 and (isinstance(v, int) or v.is_integer())):
-        raise ValueError("must be an integer of at least 1")
-    return int(v)
-
-
 def _boolean(v):
     """Converter that accepts only a JSON boolean."""
     if not isinstance(v, bool):
         raise ValueError("must be true or false")
     return v
+
+
+def _sector(v):
+    """Converter to a sector constant: a number in [0, 1), or None."""
+    c = None if v is None else _real(v)
+    if c is not None and not 0.0 <= c < 1.0:
+        raise ValueError("must lie in [0, 1)")
+    return c
+
+
+#: the assumptions a model file may set, with their converters
+_ASSUMPTIONS = {"weak_test_hypothesis": _boolean, "sector_constant": _sector,
+                "perturbation_margin": _boolean, "irreducible": _boolean}
 
 
 def _member(names):
@@ -934,26 +888,27 @@ def _member(names):
 
 
 def density_from_spec(d, spec):
-    def get(key, convert, default=_REQUIRED):
-        return _field(spec, key, convert, default, root="parameters.density.")
-
+    """The density of a JSON density object; an unknown key is an error
+    before the density is built."""
+    get = _Section(spec, "parameters.density.")
     kind = get("kind", _member(("power", "radial_density", "stable",
                                 "power_log", "table")), "power")
     if kind in ("power", "radial_density"):
-        return power_density(d, alpha=get("alpha", _range_or_const),
-                             coeff=get("coeff", _range_or_const, 1.0),
-                             u0=get("u0", _real, 0.0))
-    if kind == "stable":
-        return stable_density(d, alpha=get("alpha", _range_or_const),
-                              gamma=get("gamma", _range_or_const, 1.0))
-    if kind == "power_log":
-        return power_log_density(d, exponent=get("exponent", _real),
-                                 log_exponent=get("log_exponent", _real),
-                                 coeff=get("coeff", _real, 1.0),
-                                 u_start=get("u_start", _real, math.e))
-    return table_density(d, get("u", _floats(-1)), get("n", _floats(-1)),
-                         u0=get("u0", _real, 0.0),
-                         monotone=get("monotone", _boolean, True))
+        make, args = power_density, (get("alpha", _range_or_const),
+                                     get("coeff", _range_or_const, 1.0),
+                                     get("u0", _real, 0.0))
+    elif kind == "stable":
+        make, args = stable_density, (get("alpha", _range_or_const),
+                                      get("gamma", _range_or_const, 1.0))
+    elif kind == "power_log":
+        make, args = power_log_density, (
+            get("exponent", _real), get("log_exponent", _real),
+            get("coeff", _real, 1.0), get("u_start", _real, math.e))
+    else:
+        make, args = table_density, (
+            get("u", _floats(-1)), get("n", _floats(-1)),
+            get("u0", _real, 0.0), get("monotone", _boolean, True))
+    return make(d, *get.done(args))
 
 
 def _range_or_const(v):
@@ -965,42 +920,34 @@ def _range_or_const(v):
 def model_from_config(cfg: dict) -> SymbolModel:
     """Build a model from a parsed JSON config (schema in the README).
 
-    A missing or malformed field, or an unknown top-level one, raises
-    ConfigurationError naming it.
+    A missing or malformed field, or one the loader does not read at any
+    level, raises ConfigurationError naming it before a model is built.
     """
     if not isinstance(cfg, dict):
         raise ConfigurationError("model config must be a JSON object")
-    for key in cfg:
-        if key not in ("family", "d", "parameters", "state_grid",
-                       "assumptions"):
-            raise ConfigurationError(f"model config has unknown field {key!r}")
+    top = _Section(cfg)
     parsers = {name: f.parse for name, f in FAMILIES.items() if f.parse}
     parsers["isotropic_stable"] = _parse_isotropic
-    parse = parsers[_field(cfg, "family", _member(parsers))]
-    try:
-        d = _count(_field(cfg, "d"))
-    except ValueError:
+    parse = parsers[top("family", _member(parsers))]
+    d = top("d")
+    # a JSON number with no fractional part, not a bool or a string
+    if isinstance(d, bool) or not isinstance(d, (int, float)) or not (
+            d >= 1 and (isinstance(d, int) or d.is_integer())):
         raise ConfigurationError(f"model field 'd' must be a positive "
-                                 f"integer, got {cfg['d']!r}") from None
-    params = _field(cfg, "parameters", dict, {})
-    sg = _field(cfg, "state_grid", lambda v: dict(v or {}), {})
-    grid = StateGrid(
-        tuple(_field(sg, "box", _floats(2), root="state_grid.").tolist()),
-        _field(sg, "points_per_axis", _count, 21, root="state_grid.")) \
-        if sg else StateGrid()
-    assumptions = _field(cfg, "assumptions", dict, {})
-
-    def param(key, convert, default=_REQUIRED):
-        return _field(params, key, convert, default, root="parameters.")
-
-    return parse(d, param, state_grid=grid, assumptions=assumptions)
+                                 f"integer, got {d!r}")
+    param = _Section(top("parameters", dict, {}), "parameters.")
+    given = _Section(top("assumptions", dict, {}), "assumptions.")
+    assumptions = given.done({key: given(key, convert) for key, convert
+                              in _ASSUMPTIONS.items() if key in given.obj})
+    top.done()
+    return param.done(parse(int(d), param))(assumptions=assumptions)
 
 
-def _parse_isotropic(d, param, **common):
+def _parse_isotropic(d, param):
     """The JSON family isotropic_stable: stable_like with constant alpha and
     gamma and no drift."""
-    return isotropic_stable(d, param("alpha", _real),
-                            param("gamma", _real, 1.0), **common)
+    return partial(isotropic_stable, d, param("alpha", _real),
+                   param("gamma", _real, 1.0))
 
 
 def load_model(path) -> SymbolModel:

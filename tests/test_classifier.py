@@ -19,6 +19,7 @@ from levy_transience.classifier import (
 )
 from levy_transience.densities import power_density
 from levy_transience.errors import ConfigurationError
+from levy_transience.index_rules import pruitt_indices
 from levy_transience.symbols import (
     brownian_drift,
     finite_jump_model,
@@ -263,3 +264,35 @@ def test_classify_computes_only_premises_of_rules_that_can_fire(monkeypatch):
     assert kinds and ENV_SUP_ABS not in kinds
     assert not [key for key in model.triplet.jump_density._cache
                 if key in (("tm", "sup"), ("tm", "inf"))]
+
+
+# stable_like with alpha and gamma both varying, as (d, alpha, gamma), and
+# its verdicts at kappa 0, 0.3, 0.8, 1.5, 2.5, 4 and 6 (S strong, W weak, I
+# inconclusive): the corner envelopes give the verdicts a sampled state grid
+# gave
+_JOINT = [
+    ((1, (0.6, 1.4, "cos"), (0.5, 2.0, "cos")), "I I W W W W W"),
+    ((2, (0.6, 1.4, "cos"), (0.5, 2.0, "sin")), "S S I I W W W"),
+    ((3, (0.8, 1.2, "cos"), (1.0, 3.0, "step")), "S S S I I W W"),
+    ((2, (0.5, 1.5, "sin"), (1.0, 2.0, "cos")), "S S I I I W W"),
+]
+
+
+@pytest.mark.parametrize("spec, verdicts", _JOINT)
+def test_joint_stable_like_verdicts(spec, verdicts):
+    d, alpha, gamma = spec
+    model = stable_like(d, alpha, gamma=gamma)
+    letter = {STRONGLY_TRANSIENT: "S", WEAKLY_TRANSIENT: "W",
+              INCONCLUSIVE: "I"}
+    assert " ".join(letter[classify(model, kappa).verdict]
+                    for kappa in (0, 0.3, 0.8, 1.5, 2.5, 4, 6)) == verdicts
+
+
+@pytest.mark.parametrize("spec", [spec for spec, _ in _JOINT])
+def test_joint_stable_like_pruitt_indices_are_the_index_bounds(spec):
+    # the corner envelopes scale as rho^alpha_lo and rho^alpha_hi exactly;
+    # a sampled grid read 0.605 for alpha_lo = 0.6
+    d, alpha, gamma = spec
+    idx = pruitt_indices(stable_like(d, alpha, gamma=gamma))
+    assert abs(idx.lower - alpha[0]) <= 1e-12
+    assert abs(idx.upper - alpha[1]) <= 1e-12

@@ -240,9 +240,18 @@ def test_report_json_round_trip(runner, model_file, tmp_path):
     ({"family": "radial_jump", "d": 2, "parameters": {"density": {
         "kind": "table", "u": [1, 10], "n": ["a", 1]}}},
      "parameters.density.n"),
+    # a field the loader does not read is named, not ignored, at any level
     ({"family": "brownian_drift", "d": 2,
-      "parameters": {"c": 1.0}, "state_grid": {"box": [0]}}, "state_grid.box"),
-    # a field the loader does not read is named, not ignored
+      "parameters": {"c": 1.0}, "state_grid": {"box": [0]}}, "'state_grid'"),
+    ({"family": "stable_like", "d": 2,
+      "parameters": {"alpha": 1.2, "gama": 2.0}}, "'parameters.gama'"),
+    ({"family": "radial_jump", "d": 2, "parameters": {"density": {
+        "kind": "stable", "alpha": 1.2, "u0": 1.0}}},
+     "'parameters.density.u0'"),
+    # an assumption of the wrong type once reached sector_check
+    ({"family": "isotropic_stable", "d": 3, "parameters": {"alpha": 1.0},
+      "assumptions": {"sector_constant": "0.5"}},
+     "'assumptions.sector_constant'"),
     ({"family": "finite_jump", "d": 2, "parameters": {"alpha": [0.5, 1.5]},
       "envelope_mode": "grid_sampled"}, "'envelope_mode'"),
     ({"family": "brownian_drift", "d": 2, "parameters": {"c": 1.0},

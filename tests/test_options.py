@@ -12,22 +12,20 @@ import types
 
 import levy_transience
 
-_MODEL = ("state_grid", "assumptions")
 
 # reason -> the defaulted parameters it covers, as function.parameter,
 # Class.method.parameter or Class(field)
 ALLOWED = {
-    "model data: a coefficient, drift, state grid or assumption the caller "
+    "model data: a coefficient, drift or assumption the caller "
     "describes": (
-        *(f"{fn}.{p}" for fn in ("brownian_drift", "finite_jump_model",
-                                 "isotropic_stable", "radial_jump_model",
-                                 "stable_like", "custom_model")
-          for p in _MODEL),
-        *(f"SymbolModel({p})" for p in _MODEL),
+        *(f"{fn}.assumptions" for fn in (
+            "brownian_drift", "finite_jump_model", "isotropic_stable",
+            "radial_jump_model", "stable_like", "custom_model")),
+        "SymbolModel(assumptions)",
         "brownian_drift.drift", "brownian_drift.c", "brownian_drift.C",
         "isotropic_stable.gamma", "stable_like.beta", "stable_like.gamma",
         "radial_jump_model.params", "custom_model.envelopes",
-        "custom_model.x_samples", "custom_model.x_independent",
+        "custom_model.x_independent",
     ),
     "density data: a scale, cutoff, shape or local change of the jump "
     "density": (

@@ -29,9 +29,14 @@ from levy_transience.quadrature import (
     stacked_weight,
 )
 from levy_transience.symbols import (
+    ENV_INF_RE,
+    ENV_SUP_ABS,
+    ENV_SUP_ABS_IM,
     brownian_drift,
+    eval_symbol,
     isotropic_stable,
     model_from_config,
+    _envelope,
 )
 from levy_transience.verdicts import (
     AT_INFINITY,
@@ -245,10 +250,7 @@ def _density(draw, d):
 @st.composite
 def model_configs(draw):
     """A JSON model config of every loadable family in d = 1..5, with
-    optional drift, state grid and assumptions. A stable_like model always
-    gets a small grid, as its alpha and gamma may both vary and then its
-    envelopes sample the grid: the default 21 points per axis make a d = 5
-    grid envelope take minutes."""
+    optional drift and assumptions."""
     d = draw(st.integers(1, 5))
     family = draw(st.sampled_from(["brownian_drift", "isotropic_stable",
                                    "stable_like", "radial_jump",
@@ -280,13 +282,36 @@ def model_configs(draw):
     else:
         params["alpha"] = _scalar(draw, 0.2, 3.0)
     cfg = {"family": family, "d": d, "parameters": params}
-    if family == "stable_like" or draw(st.booleans()):
-        half = draw(st.floats(1.0, 10.0))
-        cfg["state_grid"] = {"box": [-half, half],
-                             "points_per_axis": draw(st.integers(2, 5))}
     if draw(st.booleans()):
         cfg["assumptions"] = {"weak_test_hypothesis": draw(st.booleans())}
     return cfg
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_envelopes_bound_the_symbol_on_the_safe_side(data):
+    # every test reads q only through sup|q|, inf Re q and sup|Im q| over
+    # states; each must be exact or err on the safe side at every state
+    try:
+        model = model_from_config(data.draw(model_configs()))
+    except LevyTransienceError:
+        assume(False)
+    coordinate = st.one_of(st.sampled_from([0.0, math.pi, -math.pi]),
+                           st.floats(-10.0, 10.0))
+    for _ in range(3):
+        x = np.array([data.draw(coordinate) for _ in range(model.d)])
+        direction = np.array([data.draw(st.floats(-1.0, 1.0))
+                              for _ in range(model.d)])
+        assume(np.linalg.norm(direction) > 1e-3)
+        xi = direction / np.linalg.norm(direction) \
+            * 10.0 ** data.draw(st.floats(-3.0, 2.0))
+        q = eval_symbol(model, x, xi)
+        sup = _envelope(model, ENV_SUP_ABS, xi)
+        inf = _envelope(model, ENV_INF_RE, xi)
+        sup_im = _envelope(model, ENV_SUP_ABS_IM, xi)
+        assert abs(q) <= sup * (1.0 + 1e-12)
+        assert q.real >= inf - 1e-12 * abs(inf)
+        assert abs(q.imag) <= sup_im * (1.0 + 1e-12)
 
 
 @settings(max_examples=40)
@@ -302,14 +327,16 @@ def test_a_valid_config_classifies_or_raises_a_package_error(cfg, kappa):
 # bounds, vector entries) are named by the field's path
 _SECTIONS = {(): "", ("parameters",): "parameters.",
              ("parameters", "density"): "parameters.density.",
-             ("state_grid",): "state_grid."}
+             ("assumptions",): "assumptions."}
 
 
 def _corruptions(cfg, keys=()):
     """(keys to a value, the field path an error must name, bad value) for
     every value of a config: a wrong type, NaN, inf or a bool for numbers,
-    lo > hi
-    for intervals, an unknown name, a fixed-length vector one too long."""
+    lo > hi for intervals, an unknown name, a string or a number for a
+    bool, a fixed-length vector one too long, and in every section a key
+    the loader does not read."""
+    yield keys + ("zigzag",), _SECTIONS[keys] + "zigzag", 1.0
     for key, value in cfg.items():
         here = keys + (key,)
         name = _SECTIONS[keys] + key
@@ -318,12 +345,12 @@ def _corruptions(cfg, keys=()):
             yield from _corruptions(value, here)
         elif isinstance(value, str):   # family, kind
             yield from ((here, name, bad) for bad in ("zigzag", 7))
-        elif key != "assumptions":
-            yield from _value_corruptions(here, name, value)
-            if key in ("b", "beta", "box"):
-                yield here, name, value + [0.0]
+        elif isinstance(value, bool):   # an assumption
+            yield from ((here, name, bad) for bad in ("false", 1))
         else:
-            yield here, name, "x"
+            yield from _value_corruptions(here, name, value)
+            if key in ("b", "beta"):
+                yield here, name, value + [0.0]
 
 
 def _value_corruptions(keys, name, value):
@@ -376,9 +403,6 @@ def test_a_corrupted_config_field_is_named_in_the_error(data):
      "parameters.alpha"),
     ({"family": "stable_like", "d": 1, "parameters": {"alpha": 1.0},
       "envelope_mode": "closed"}, "envelope_mode"),
-    ({"family": "finite_jump", "d": 1, "parameters": {"alpha": 1.0},
-      "state_grid": {"box": [-1, 1], "points_per_axis": math.inf}},
-     "state_grid.points_per_axis"),
     # a JSON bool is not a number, and a string is not a bool
     ({"family": "stable_like", "d": 1, "parameters": {"alpha": True}},
      "parameters.alpha"),
@@ -392,6 +416,26 @@ def test_a_corrupted_config_field_is_named_in_the_error(data):
     ({"family": "radial_jump", "d": 3, "parameters": {"density": {
         "kind": "table", "u": [1, 10, 100], "n": [1e-1, 1e-5, 1e-9],
         "u0": 1.0, "monotone": "false"}}}, "parameters.density.monotone"),
+    # assumptions are typed: a string is not a bool or a sector constant,
+    # the constant lies in [0, 1), and a misspelt key is an error
+    ({"family": "isotropic_stable", "d": 3, "parameters": {"alpha": 1.0},
+      "assumptions": {"sector_constant": "0.5"}},
+     "assumptions.sector_constant"),
+    ({"family": "isotropic_stable", "d": 3, "parameters": {"alpha": 1.0},
+      "assumptions": {"sector_constant": 1.0}},
+     "assumptions.sector_constant"),
+    ({"family": "stable_like", "d": 2,
+      "parameters": {"alpha": [0.6, 1.4, "step"]},
+      "assumptions": {"weak_test_hypothesis": "false"}},
+     "assumptions.weak_test_hypothesis"),
+    ({"family": "radial_jump", "d": 3, "parameters": {"density": {
+        "kind": "power", "alpha": 1.0, "u0": 1.0}},
+      "assumptions": {"perturbation_margin": 1}},
+     "assumptions.perturbation_margin"),
+    ({"family": "brownian_drift", "d": 2, "parameters": {"c": 1.0},
+      "assumptions": {"irreducable": True}}, "assumptions.irreducable"),
+    ({"family": "brownian_drift", "d": 2, "parameters": {"c": 1.0},
+      "assumptions": {"irreducible": "yes"}}, "assumptions.irreducible"),
 ])
 def test_corruptions_the_loader_once_accepted_are_named(cfg, name):
     with pytest.raises(ConfigurationError) as err:

@@ -23,13 +23,11 @@ from levy_transience.symbols import (
     ENV_INF_RE,
     ENV_SUP_ABS,
     ENV_SUP_ABS_IM,
-    StateGrid,
     brownian_drift,
     custom_model,
     density_from_spec,
     envelope_is_radial,
     eval_symbol,
-    eval_symbol_batch,
     finite_jump_model,
     isotropic_stable,
     model_from_config,
@@ -91,19 +89,45 @@ def test_brownian_envelopes(bm3):
     assert _envelope(bm3, ENV_SUP_ABS_IM, xi) == 0.0
 
 
-def test_grid_envelope_bounds_and_attainment():
-    # alpha and gamma both vary: the one family without a closed envelope
-    model = stable_like(1, alpha=(0.6, 1.4), gamma=(0.5, 2.0),
-                        state_grid=StateGrid((-10, 10), 41))
-    X = model.state_points()
+_PROFILE_NAMES = ("cos", "sin", "step")
+
+
+@pytest.mark.parametrize("alpha_profile", _PROFILE_NAMES)
+@pytest.mark.parametrize("gamma_profile", _PROFILE_NAMES)
+def test_joint_stable_like_envelope_bounds_and_attainment(alpha_profile,
+                                                          gamma_profile):
+    # alpha and gamma both vary: the corner formula bounds q at every state
+    # for every profile pair, and where the two profiles reach the corners
+    # together (cos against step) the bounds are attained
+    model = stable_like(1, alpha=(0.6, 1.4, alpha_profile),
+                        gamma=(0.5, 2.0, gamma_profile))
+    states = np.linspace(-10.0, 10.0, 201)
     for xi in ([0.3], [1.7]):
-        q = eval_symbol_batch(model, X, xi)
+        q = np.asarray([eval_symbol(model, [x1], xi) for x1 in states])
         sup = _envelope(model, ENV_SUP_ABS, xi)
         inf = _envelope(model, ENV_INF_RE, xi)
-        assert np.all(np.abs(q) <= sup + 1e-12)
-        assert np.all(q.real >= inf - 1e-12)
-        assert np.max(np.abs(q)) == pytest.approx(sup)
-        assert np.min(q.real) == pytest.approx(inf)
+        assert np.all(np.abs(q) <= sup * (1.0 + 1e-12))
+        assert np.all(q.real >= inf * (1.0 - 1e-12))
+        if {alpha_profile, gamma_profile} == {"cos", "step"}:
+            # x1 = 0, -pi, pi and 2 pi reach the four (alpha, gamma)
+            # corners; for rho < 1 both bounds sit at the first three
+            xs = (0.0, -math.pi, math.pi) + (
+                (2.0 * math.pi,) if xi == [1.7] else ())
+            corners = [eval_symbol(model, [x1], xi) for x1 in xs]
+            assert max(map(abs, corners)) == pytest.approx(sup, rel=1e-12)
+            assert min(c.real for c in corners) == pytest.approx(inf,
+                                                                 rel=1e-12)
+
+
+def test_joint_stable_like_envelope_in_d12():
+    # the sup and inf over states are the corners gamma_hi rho^alpha_lo and
+    # gamma_lo rho^alpha_hi in any dimension
+    model = stable_like(12, alpha=(0.5, 1.5), gamma=(1.0, 2.0))
+    xi = np.zeros(12)
+    xi[0] = 0.01
+    assert _envelope(model, ENV_SUP_ABS, xi) == pytest.approx(0.2, rel=1e-12)
+    assert _envelope(model, ENV_INF_RE, xi) == pytest.approx(0.001,
+                                                             rel=1e-12)
 
 
 def test_rotation_invariance_isotropic_stable():
@@ -146,9 +170,31 @@ def test_radiality_check_cases(stable_05_d1):
     def axis_symbol(x, xi):
         return 1.0 - math.cos(xi[0])
 
-    axis = custom_model(2, axis_symbol, x_independent=True,
-                        x_samples=np.zeros((1, 2)))
+    axis = custom_model(2, axis_symbol, x_independent=True)
     assert not envelope_is_radial(axis, ENV_SUP_ABS)
+
+
+def test_custom_envelope_without_a_function():
+    # an x-independent model reads a missing envelope off its symbol at
+    # x = 0; a state-dependent one cannot, and the error names the kind
+    xi = np.array([0.3, -0.4])
+    fixed = custom_model(2, lambda x, xi: float(xi @ xi) - 0.5j * xi[0],
+                         x_independent=True)
+    q = float(xi @ xi) - 0.5j * xi[0]
+    assert _envelope(fixed, ENV_SUP_ABS, xi) == abs(q)
+    assert _envelope(fixed, ENV_INF_RE, xi) == q.real
+    assert _envelope(fixed, ENV_SUP_ABS_IM, xi) == abs(q.imag)
+
+    def sup(xi):
+        return 1.5 * float(xi @ xi)
+
+    varying = custom_model(
+        2, lambda x, xi: (1.0 + 0.5 * math.cos(x[0])) * float(xi @ xi),
+        envelopes={ENV_SUP_ABS: sup})
+    assert _envelope(varying, ENV_SUP_ABS, xi) == sup(xi)
+    for kind in (ENV_INF_RE, ENV_SUP_ABS_IM):
+        with pytest.raises(ConfigurationError, match=repr(kind)):
+            _envelope(varying, kind, xi)
 
 
 def test_symmetry_check_cases(stable_05_d1):
@@ -318,11 +364,14 @@ def test_envelope_of_untied_variants_is_the_variant_envelope():
     ("radial_jump", {"density": {"kind": "stable", "alpha": 1.2}}),
     ("finite_jump", {"alpha": 1.5}),
 ])
-def test_json_state_grid_reaches_every_family(family, parameters):
-    model = model_from_config({
-        "family": family, "d": 2, "parameters": parameters,
-        "state_grid": {"box": [-1, 1], "points_per_axis": 5}})
-    assert model.state_grid == StateGrid((-1.0, 1.0), 5)
+def test_a_state_grid_is_an_unknown_field_for_every_family(family,
+                                                          parameters):
+    cfg = {"family": family, "d": 2, "parameters": parameters}
+    assert model_from_config(cfg).d == 2
+    cfg["state_grid"] = {"box": [-1, 1], "points_per_axis": 5}
+    with pytest.raises(ConfigurationError) as err:
+        model_from_config(cfg)
+    assert str(err.value) == "model config has unknown field 'state_grid'"
 
 
 def test_only_symbols_compares_a_family_name():
@@ -338,48 +387,48 @@ def test_only_symbols_compares_a_family_name():
     assert not found, found
 
 
-@pytest.mark.parametrize("points", [0, -3])
-def test_config_rejects_a_state_grid_without_points(points):
-    cfg = {"family": "stable_like", "d": 1,
-           "parameters": {"alpha": {"lo": 0.5, "hi": 1.5}},
-           "state_grid": {"box": [-1, 1], "points_per_axis": points}}
-    with pytest.raises(ConfigurationError,
-                       match="'state_grid.points_per_axis' is malformed"):
-        model_from_config(cfg)
+def test_no_module_samples_a_state_grid():
+    # every envelope is a closed form or a safe-side bound: no module
+    # builds a product grid of states to sample the symbol on
+    src = Path(__file__).resolve().parents[1] / "src" / "levy_transience"
+    pattern = re.compile(r"\bmeshgrid\b|\bstate_points\b|\bStateGrid\b")
+    found = [f"{path.name}:{n}: {line.strip()}"
+             for path in sorted(src.glob("*.py"))
+             for n, line in enumerate(path.read_text().splitlines(), 1)
+             if pattern.search(line)]
+    assert not found, found
 
 
-@pytest.mark.parametrize("points", [20, 21])
-def test_state_grid_thinning_keeps_a_point(points):
-    # above 200,000 states the grid drops two points per axis at a time; an
-    # even count once stepped from 2 to 0 points in d >= 18
-    assert StateGrid((-10, 10), points).points(18).shape == (1, 18)
+def test_a_jointly_varying_stable_like_has_an_envelope_in_d18():
     model = model_from_config({
         "family": "stable_like", "d": 18,
         "parameters": {"alpha": {"lo": 0.5, "hi": 1.5},
-                       "gamma": {"lo": 1, "hi": 2}},
-        "state_grid": {"box": [-10, 10], "points_per_axis": points}})
+                       "gamma": {"lo": 1, "hi": 2}}})
     xi = np.zeros(18)
     xi[0] = 0.5
     assert _envelope(model, ENV_SUP_ABS, xi) > 0.0
 
 
-@pytest.mark.parametrize("field, value", [
-    ("points_per_axis", 2.5), ("points_per_axis", "7"),
-    ("points_per_axis", True), ("d", "2"), ("d", True), ("d", 2.5),
-])
-def test_config_rejects_a_count_that_is_not_a_whole_number(field, value):
+def test_config_reads_each_assumption_as_given():
+    cfg = {"family": "brownian_drift", "d": 3, "parameters": {"c": 1.0}}
+    assert model_from_config(cfg).assumptions == {}
+    given = {"weak_test_hypothesis": True, "sector_constant": None,
+             "perturbation_margin": False, "irreducible": True}
+    assert model_from_config(dict(cfg, assumptions=given)).assumptions \
+        == given
+    for c in (0, 0.5):
+        assert model_from_config(dict(cfg, assumptions={
+            "sector_constant": c})).assumptions == {"sector_constant": c}
+
+
+@pytest.mark.parametrize("value", ["2", True, 2.5])
+def test_config_rejects_a_count_that_is_not_a_whole_number(value):
     # a count is a JSON number with no fractional part, not a string or a
     # bool that would convert to one
-    cfg = {"family": "stable_like", "d": 1,
-           "parameters": {"alpha": {"lo": 0.5, "hi": 1.5}},
-           "state_grid": {"box": [-1, 1], "points_per_axis": 3}}
-    if field == "d":
-        cfg["d"] = value
-        match = "model field 'd' must be a positive integer"
-    else:
-        cfg["state_grid"]["points_per_axis"] = value
-        match = "'state_grid.points_per_axis' is malformed"
-    with pytest.raises(ConfigurationError, match=match):
+    cfg = {"family": "stable_like", "d": value,
+           "parameters": {"alpha": {"lo": 0.5, "hi": 1.5}}}
+    with pytest.raises(ConfigurationError,
+                       match="model field 'd' must be a positive integer"):
         model_from_config(cfg)
 
 
