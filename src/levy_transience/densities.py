@@ -25,6 +25,12 @@ from .quadrature import (
 from .verdicts import memoized_profile, memoized_profiles, model_memo
 
 
+#: a table's jump symbol is its series where rho * (largest knot) is at
+#: most _SERIES_REACH (cancellation <= ~50 ulp), in _SERIES_TERMS terms,
+#: unless a piece's slope + d is within _POLE_MARGIN of a pole -2k
+_SERIES_REACH, _SERIES_TERMS, _POLE_MARGIN = 2.0, 16, 0.1
+
+
 def stable_coefficient(d: int, alpha: float) -> float:
     """Coefficient c(d, alpha) with int (1-cos<xi,y>) c|y|^{-d-alpha} dy = |xi|^alpha."""
     return (alpha * 2.0 ** (alpha - 1.0) * math.gamma((alpha + d) / 2.0)
@@ -68,6 +74,39 @@ class LogLogTable:
         for below, values in reversed(lower):
             y[below] = values
         return np.exp(y, out=y).reshape(shape)
+
+    def jump_symbol(self, d, rho):
+        """int (1 - psi_d(rho u)) S_d u^(d-1) n(u) du by its series where
+        0 < rho knots[-1] <= _SERIES_REACH, else nan (everywhere if a piece
+        is near a pole or the last one does not decay). With beta = slope +
+        d, G(x) = sum_k>=1 (-1)^(k+1) x^2k / ((2k + beta) 4^k k! (d/2)_k), a
+        piece c u^slope on [a, b) gives S_d c (b^beta G(rho b) - a^beta
+        G(rho a)) (DLMF 10.16.9), and the last one adds its Mellin constant
+        c rho^-beta / c(d, -beta) (DLMF 10.22.43, continued past -2)."""
+        rho = np.asarray(rho, dtype=float)
+        out, q, edges = np.full(rho.shape, np.nan), 0.0, (0.0, *self.knots,
+                                                          math.inf)
+        at = (rho > 0.0) & (rho * edges[-2] <= _SERIES_REACH)
+        k, r = np.arange(1.0, _SERIES_TERMS + 1.0), rho[at]
+        terms = -sphere_surface(d) * np.cumprod(-0.25 / (k * (d / 2 + k - 1)))
+        for a, b, anchor, value, slope in zip(edges, edges[1:], self.anchors,
+                                              self.values, self.slopes):
+            if value == -math.inf:
+                continue
+            beta, log_c = slope + d, value - slope * anchor
+            if abs(beta + 2 * max(1, round(-beta / 2))) < _POLE_MARGIN \
+                    or b == math.inf and beta >= 0.0:
+                return out
+            g = np.append((terms / (2 * k + beta))[::-1], 0.0)   # G in x^2
+            for e, sign in ((b, 1.0), (a, -1.0)):
+                if 0.0 < e < math.inf:
+                    q = q + sign * np.exp(log_c + beta * math.log(e)) \
+                        * np.polyval(g, (r * e) ** 2)
+            if b == math.inf:
+                q = q + np.exp(log_c - beta * np.log(r)) \
+                    / stable_coefficient(d, -beta)
+        out[at] = q
+        return out
 
     def below(self, radius, log_factor):
         """This table with log_factor added to log n below radius (a knot
@@ -187,15 +226,24 @@ class RadialLevyDensity:
     def sweep(self, tag, variants, radii):
         """The functional `tag` of each listed variant at its ascending
         radii, not memoized, as row groups of one quadrature call: "jsym"
-        the jump symbol, "tm" the tail mass nu(B^c(0, u)) and "t3" the
-        truncated second moment int_{B(0, rho)} |y|^2 nu(dy), both with
-        atoms."""
+        the jump symbol (a table's by its series where that reaches), "tm"
+        the tail mass nu(B^c(0, u)) and "t3" the truncated second moment
+        int_{B(0, rho)} |y|^2 nu(dy), both with atoms."""
         bps = self.all_breakpoints()
         lows = [self.support_lo(i) for i in variants]
         weight = self.second_moment_weight if tag == "t3" else self.radial_weight
         w = stacked_weight([weight(i) for i in variants])
-        if tag == "jsym":
-            return jump_symbol_value(w, radii, self.d, bps, lows)
+        if tag == "jsym":   # a table's series where it reaches, else quadrature
+            rows = [p.jump_symbol(self.d, r) if isinstance(p, LogLogTable)
+                    else np.full(np.shape(r), np.nan) for p, r in zip(
+                        (self.variants[i].profile for i in variants), radii)]
+            rest = [np.isnan(row) for row in rows]
+            if any(m.any() for m in rest):
+                for row, m, q in zip(rows, rest, jump_symbol_value(
+                        w, [np.asarray(r)[m] for r, m in zip(radii, rest)],
+                        self.d, bps, lows)):
+                    row[m] = q
+            return rows
 
         def atoms(u):   # tm: mass at radii >= u; t3: r^2 mass inside B(0, u)
             return sum((np.where(u <= r, m, 0.0) if tag == "tm"

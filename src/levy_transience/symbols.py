@@ -504,9 +504,14 @@ class _BrownianDrift(_Family):
         return ("brownian", model.triplet.diffusion_field)
 
     def parse(self, d, param):
-        return partial(brownian_drift, d, drift=param("b", _floats(d), None),
-                       c=param("c", ScalarField.make, 1.0),
-                       C=param("C", _floats(d, d), None))
+        drift = param("b", _floats(d), None)
+        c = param("c", ScalarField.make, None)
+        C = param("C", _floats(d, d), None)
+        if c is not None and C is not None:
+            raise ConfigurationError("model field 'parameters.c' is given "
+                                     "with 'parameters.C': give one of them")
+        return partial(brownian_drift, d, drift=drift, C=C,
+                       c=1.0 if c is None else c)
 
 
 class _StableLike(_Family):
@@ -624,7 +629,7 @@ class _RadialJump(_Family):
 
     def parse(self, d, param):
         return partial(radial_jump_model,
-                       density_from_spec(d, param("density", dict)))
+                       density_from_spec(d, param("density", _object)))
 
 
 class _FiniteJump(_Family):
@@ -826,6 +831,13 @@ class _Section:
         return value
 
 
+def _object(v):
+    """A JSON object as it is: dict() would also read a list of pairs."""
+    if not isinstance(v, dict):
+        raise ConfigurationError("not a JSON object")
+    return v
+
+
 def _number(v):
     """float(v) of a JSON number, entry by entry in nested lists: float()
     would also read a bool (JSON true as 1) or a numeric string."""
@@ -935,8 +947,8 @@ def model_from_config(cfg: dict) -> SymbolModel:
             d >= 1 and (isinstance(d, int) or d.is_integer())):
         raise ConfigurationError(f"model field 'd' must be a positive "
                                  f"integer, got {d!r}")
-    param = _Section(top("parameters", dict, {}), "parameters.")
-    given = _Section(top("assumptions", dict, {}), "assumptions.")
+    param = _Section(top("parameters", _object, {}), "parameters.")
+    given = _Section(top("assumptions", _object, {}), "assumptions.")
     assumptions = given.done({key: given(key, convert) for key, convert
                               in _ASSUMPTIONS.items() if key in given.obj})
     top.done()

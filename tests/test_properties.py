@@ -436,6 +436,17 @@ def test_a_corrupted_config_field_is_named_in_the_error(data):
       "assumptions": {"irreducable": True}}, "assumptions.irreducable"),
     ({"family": "brownian_drift", "d": 2, "parameters": {"c": 1.0},
       "assumptions": {"irreducible": "yes"}}, "assumptions.irreducible"),
+    # a section is a JSON object, not a list of key-value pairs
+    ({"family": "stable_like", "d": 2, "parameters": [["alpha", 1.2]]},
+     "parameters"),
+    ({"family": "stable_like", "d": 2, "parameters": {"alpha": 1.2},
+      "assumptions": [["irreducible", False]]}, "assumptions"),
+    ({"family": "radial_jump", "d": 3, "parameters": {"density": [
+        ["kind", "power"], ["alpha", 1.0], ["u0", 1.0]]}},
+     "parameters.density"),
+    # c and C both set the diffusion: one of them would be dropped
+    ({"family": "brownian_drift", "d": 2,
+      "parameters": {"c": 5.0, "C": [[1, 0], [0, 1]]}}, "parameters.c"),
 ])
 def test_corruptions_the_loader_once_accepted_are_named(cfg, name):
     with pytest.raises(ConfigurationError) as err:
