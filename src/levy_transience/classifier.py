@@ -20,7 +20,6 @@ from .cf_integrals import strong_integral_kappa, weak_integral_kappa
 from .errors import (
     ConfigurationError,
     LevyTransienceError,
-    NonPowerTailError,
     NotApplicableError,
     QuadratureError,
     check_kappa,
@@ -249,7 +248,7 @@ def _evidence(model, kappa, r, methods, assumptions):
                 fire("tail", "strong", "cos-moment-strong",
                      "truncated-moment tail test converges and the "
                      "cosine-moment floor is positive", tm.to_json())
-        except (NotApplicableError, NonPowerTailError, QuadratureError) as exc:
+        except (NotApplicableError, QuadratureError) as exc:
             notes.append(f"tail tests not applicable: {exc}")
 
     if "index" in methods:

@@ -140,7 +140,7 @@ class DensityVariant:
     support_lo: float = 0.0              # density vanishes below this radius
     breakpoints: tuple = ()
     tail_slope: float | None = None      # last slope of log n vs log u
-    gamma: float | None = None           # jump symbol gamma * rho^(-d-slope)
+    log_exponent: float = 0.0            # the tail's factor (ln u)^this
 
     def __post_init__(self):
         if isinstance(self.profile, LogLogTable):
@@ -289,13 +289,16 @@ class RadialLevyDensity:
     def second_moment(self):
         """sup over the variants of int |y|^2 nu(dy), atoms included: the
         "t3" sweep at radius 1 plus one stacked tail sweep. +inf when not
-        integrable, at once when a tail slope is >= -(d+2) (however early
-        the profile underflows)."""
+        integrable, at once when a tail slope is above -(d+2), or at it
+        with a log exponent >= -1, as int^inf t^q dt (however early the
+        profile underflows)."""
         every = range(len(self.variants))
         ones = [np.ones(1)] * len(every)
+        edge = -(self.d + 2.0)
         try:
             small = self.sweep("t3", every, ones)
-            if any(v.tail_slope is not None and v.tail_slope >= -(self.d + 2.0)
+            if any(v.tail_slope is not None and (v.tail_slope > edge or (
+                    v.tail_slope == edge and v.log_exponent >= -1.0))
                    for v in self.variants):
                 return math.inf
             big = tail_cumulative(stacked_weight([self.second_moment_weight(i)
@@ -311,17 +314,13 @@ class RadialLevyDensity:
 
         rho is one radius or an array of radii (then a read-only array comes
         back). variant is one index, or a sequence of them: then the rows of
-        the listed variants come back stacked. A variant with gamma set is
-        gamma * rho^(-d - tail slope); the others read the "jsym" functional.
+        the listed variants come back stacked. Each reads the "jsym"
+        functional.
         """
         rhos = np.asarray(rho, dtype=float)
         picked = [int(i) for i in np.atleast_1d(variant)]
-        quad = [i for i in picked if self.variants[i].gamma is None]
-        found = dict(zip(quad, self.functional("jsym", quad, rhos)))
-        out = [found[i].reshape(rhos.shape) if i in found
-               else self.variants[i].gamma
-               * rhos ** (-self.variants[i].tail_slope - self.d)
-               for i in picked]
+        out = [row.reshape(rhos.shape)
+               for row in self.functional("jsym", picked, rhos)]
         if np.ndim(variant):
             return np.stack(out)
         return out[0] if rhos.ndim else float(out[0])
@@ -386,15 +385,15 @@ def _interval_values(spec, n=9):
 
 def _power_density(d, u0, rows):
     """The density with variants coeff * u^{-d-alpha} from u0 on (from 0
-    when u0 is 0), one per (label, alpha, coeff, gamma) row."""
+    when u0 is 0), one per (label, alpha, coeff) row."""
     variants = []
-    for label, a, c, g in rows:
+    for label, a, c in rows:
         if a <= 0:
             raise ModelInvariantError(f"alpha must be positive, got {a}")
         table = LogLogTable((), (0.0,), (_log(c),), (-(d + a),))
         if u0 > 0:
             table = table.below(u0, -math.inf)
-        variants.append(DensityVariant(label, table, u0, gamma=g))
+        variants.append(DensityVariant(label, table, u0))
     return RadialLevyDensity(d=d, u0=u0, variants=tuple(variants))
 
 
@@ -410,7 +409,7 @@ def power_density(d, alpha, coeff=1.0, u0=0.0, n_variants=9):
             raise ModelInvariantError(
                 f"pure-power density on (0,inf) needs alpha in (0,2), got {a}")
     return _power_density(d, u0, [
-        (f"alpha={a:g},coeff={c:g}", a, c, None)
+        (f"alpha={a:g},coeff={c:g}", a, c)
         for a in alphas for c in _interval_values(coeff, n_variants)])
 
 
@@ -429,7 +428,7 @@ def stable_density(d, alpha, gamma=1.0, n_variants=9):
         if g <= 0:
             raise ModelInvariantError(f"stable scale must be positive, got {g}")
     return _power_density(d, 0.0, [
-        (f"alpha={a:g},gamma={g:g}", a, g * stable_coefficient(d, a), g)
+        (f"alpha={a:g},gamma={g:g}", a, g * stable_coefficient(d, a))
         for a, g in pairs])
 
 
@@ -437,7 +436,7 @@ def finite_range_density(d, alpha, n_variants=9):
     """Unit-total-mass density n(x,u) = gamma(x) u^{-d-alpha(x)} 1{u >= 1}
     with gamma(x) = alpha(x) / S_d so the measure is a probability."""
     return _power_density(d, 1.0, [
-        (f"alpha={a:g}", a, a / sphere_surface(d), None)
+        (f"alpha={a:g}", a, a / sphere_surface(d))
         for a in _interval_values(alpha, n_variants)])
 
 
@@ -446,8 +445,8 @@ def power_log_density(d, exponent, log_exponent, coeff=1.0, u_start=math.e):
 
     Used for regularly varying tails whose index sits exactly on a boundary
     where a slowly varying correction decides the integral tests. The tail
-    slope is the exponent, except at -(d+2), where the log factor decides
-    whether the second moment is finite.
+    slope is the exponent; at -(d+2) the log exponent decides whether the
+    second moment is finite.
     """
     if u_start <= 1.0:
         raise ModelInvariantError("log-corrected density needs u_start > 1")
@@ -457,9 +456,8 @@ def power_log_density(d, exponent, log_exponent, coeff=1.0, u_start=math.e):
         val = coeff * safe ** exponent * np.log(safe) ** log_exponent
         return np.where(u >= u_start, val, 0.0)
 
-    slope = None if exponent == -(d + 2) else exponent
     return RadialLevyDensity(d=d, u0=u_start, variants=(DensityVariant(
-        "power_log", prof, u_start, (u_start,), slope),))
+        "power_log", prof, u_start, (u_start,), exponent, log_exponent),))
 
 
 def table_density(d, u_knots, n_values, u0=0.0, monotone=True):
@@ -509,7 +507,8 @@ def modified_density(base: RadialLevyDensity, radius, factor=None, replacement=N
 
         return DensityVariant(
             label, prof, 0.0 if replacement is not None else v.support_lo,
-            tuple(sorted(set(v.breakpoints) | {radius})), v.tail_slope)
+            tuple(sorted(set(v.breakpoints) | {radius})), v.tail_slope,
+            v.log_exponent)
 
     return RadialLevyDensity(
         d=base.d, u0=max(base.u0, radius),

@@ -43,14 +43,6 @@ class NotApplicableError(LevyTransienceError):
         self.witness = witness
 
 
-class NonPowerTailError(LevyTransienceError):
-    """Tail of a density is not power-like; index fit is inconclusive."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
-
 def check_kappa(kappa):
     """Raise ConfigurationError unless the moment order kappa is finite and
     >= 0 (a nan compares false with everything, so `kappa < 0` lets it by)."""

@@ -32,7 +32,6 @@ from .errors import (
     DivergentIntegralError,
     LevyMeasureError,
     LevyTransienceError,
-    NonPowerTailError,
     NotApplicableError,
     QuadratureError,
     check_kappa,
@@ -413,37 +412,6 @@ def comparison_transfer(density_a: RadialLevyDensity,
 
 #: an index this close to a case boundary of rv_classify is on it
 _BOUNDARY_TOL = 1e-9
-
-
-def rv_index_fit(density: RadialLevyDensity) -> float:
-    """Regular-variation index of the tail of a state-independent density.
-
-    Fits the local log-log slope on a ladder of windows [U, 10U] and
-    extrapolates the slopes against 1/log U; exact for power tails and for
-    power tails with logarithmic corrections. Raises NonPowerTailError when
-    the extrapolation does not fit.
-    """
-    if not density.x_independent:
-        raise ConfigurationError("index fit needs a state-independent density")
-    v = density.variants[0]
-    u_lo = max(1e2, 4.0 * max(density.u0, 1.0))
-    slopes, inv_logs = [], []
-    for j in range(9):
-        base = u_lo * 10.0 ** j
-        us = np.geomspace(base, 10.0 * base, 12)
-        vals = v(us)
-        if np.any(vals <= 0.0):
-            raise NonPowerTailError("density tail vanishes in the fit window")
-        slopes.append(_line(np.log(us), np.log(vals))[0])
-        inv_logs.append(1.0 / math.log(base * math.sqrt(10.0)))
-    slope, index = _line(inv_logs, slopes)
-    fitted = slope * np.asarray(inv_logs) + index
-    residual = float(np.max(np.abs(np.asarray(slopes) - fitted)))
-    if residual > 0.05:
-        raise NonPowerTailError(
-            f"tail is not regularly varying within tolerance "
-            f"(residual {residual:.3g})", residual=residual)
-    return index
 
 
 def borderline_index_test(density: RadialLevyDensity) -> DivergenceVerdict:

@@ -33,9 +33,8 @@ from .errors import (
     ConfigurationError,
     DegenerateModelError,
     ModelInvariantError,
-    NonPowerTailError,
 )
-from .levy_tails import borderline_index_test, rv_classify, rv_index_fit
+from .levy_tails import _BOUNDARY_TOL, borderline_index_test, rv_classify
 from .verdicts import CONVERGES, model_memo
 
 ENV_SUP_ABS = "sup_abs"
@@ -342,6 +341,9 @@ def sector_check(model: SymbolModel, c: float):
     dirs = direction_set(model.d, 16)
     XI = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, model.d)
     im = _envelopes(model, ENV_SUP_ABS_IM, XI)
+    XI, im = XI[im > 0.0], im[im > 0.0]   # Re q >= 0: no Im q, no violation
+    if im.size == 0:
+        return True, None
     re = _envelopes(model, ENV_INF_RE, XI)
     bad = np.flatnonzero(im > c * re + 1e-12 * (1.0 + re))
     return (True, None) if bad.size == 0 else (False, XI[bad[0]])
@@ -584,23 +586,15 @@ class _StableLike(_Family):
 
 
 def _rv_index(dens):
-    """(index, borderline) of a state-independent density: the fitted
-    regular-variation index snapped onto a case boundary within 0.02 (None
-    when no power-law tail index exists) and, at index -2d in dimension
-    <= 2, whether the borderline integral test converges (else None)."""
-    if not dens.x_independent:
+    """(index, borderline) of a state-independent density: its stated tail
+    slope (None when its variant states none, so no rv-case rule fires)
+    and, at index -2d in dimension <= 2, whether the borderline integral
+    test converges (else None)."""
+    delta = dens.variants[0].tail_slope
+    if not dens.x_independent or delta is None:
         return None, None
-    d = dens.d
-    try:
-        delta = rv_index_fit(dens)
-    except (NonPowerTailError, ConfigurationError):
-        return None, None
-    for boundary in (-float(d), -float(d) - 2.0, -2.0 * float(d)):
-        if abs(delta - boundary) <= 0.02:
-            delta = boundary
-            break
     borderline = None
-    if delta == -2.0 * d and d <= 2:
+    if abs(delta + 2.0 * dens.d) <= _BOUNDARY_TOL and dens.d <= 2:
         borderline = borderline_index_test(dens).decided_state == CONVERGES
     return delta, borderline
 
@@ -611,10 +605,10 @@ class _RadialJump(_Family):
         delta, borderline = _rv_index(model.triplet.jump_density)
         if delta is None:
             return None
+        if borderline is not None:
+            return GATE_TRANSIENT if borderline else GATE_RECURRENT
         if d >= 3 or -2.0 * d < delta <= -float(d):
             return GATE_TRANSIENT
-        if delta == -2.0 * d:
-            return GATE_TRANSIENT if borderline else GATE_RECURRENT
         return GATE_RECURRENT
 
     def rules(self, model, kappa):

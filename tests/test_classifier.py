@@ -17,7 +17,7 @@ from levy_transience.classifier import (
     kappa_boundary,
     transience_gate,
 )
-from levy_transience.densities import power_density
+from levy_transience.densities import power_density, stable_density
 from levy_transience.errors import ConfigurationError
 from levy_transience.index_rules import pruitt_indices
 from levy_transience.symbols import (
@@ -296,3 +296,38 @@ def test_joint_stable_like_pruitt_indices_are_the_index_bounds(spec):
     idx = pruitt_indices(stable_like(d, alpha, gamma=gamma))
     assert abs(idx.lower - alpha[0]) <= 1e-12
     assert abs(idx.upper - alpha[1]) <= 1e-12
+
+
+@pytest.mark.parametrize("d, alpha, kappa", [
+    (3, 1.99, 0.503), (3, 1.99, 0.504), (1, 0.99, 0.005), (1, 0.015, 100.0),
+    (3, 0.01, 400.0)])
+def test_rv_rules_read_the_exact_tail_index_near_a_case_boundary(d, alpha,
+                                                                 kappa):
+    # each index lies within 0.02 of -d-2, -2d or -d, but off it: the rule is
+    # that of the open case, on the side of kappa* = d/alpha - 1
+    report = classify(radial_jump_model(power_density(d, alpha)), kappa)
+    want = WEAKLY_TRANSIENT if kappa > d / alpha - 1.0 else STRONGLY_TRANSIENT
+    assert report.verdict == want
+    assert {r.rule_id for r in report.fired_rules
+            if r.rule_id.startswith("rv-case")} \
+        == {"rv-case-iv" if d == 1 else "rv-case-v"}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("alpha", [0.01, 0.99, 1.0, 1.01, 1.99])
+def test_a_stable_radial_jump_model_is_the_isotropic_stable_process(d, alpha):
+    # the same Levy process in two families: the same gate, the same verdict
+    # on both sides of kappa* = d/alpha - 1, and the same boundary
+    models = (radial_jump_model(stable_density(d, alpha)),
+              isotropic_stable(d, alpha))
+    gates = {transience_gate(m) for m in models}
+    assert len(gates) == 1
+    if d == 1 and alpha >= 1.0:
+        assert gates == {GATE_RECURRENT}
+    if gates != {GATE_TRANSIENT}:
+        return
+    star = d / alpha - 1.0
+    for kappa in (0.9 * star, 1.1 * star):
+        assert len({classify(m, kappa).verdict for m in models}) == 1
+    a, b = (kappa_boundary(m, hi=max(8.0, 2.0 * star)) for m in models)
+    assert a == pytest.approx(b, abs=0.02)

@@ -76,6 +76,19 @@ def test_kappa_star(runner, model_file, tmp_path):
     assert abs(report["kappa_star"] - 1.0) <= 0.02
 
 
+def test_kappa_star_of_a_tail_index_near_a_case_boundary(runner, model_file,
+                                                         tmp_path):
+    # tail index -1.99 lies within 0.02 of -2d, but off it
+    path = model_file({"family": "radial_jump", "d": 1, "parameters": {
+        "density": {"kind": "stable", "alpha": 0.99}}}, "stable.json")
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["kappa-star", "--model", path,
+                                  "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    report = json.loads((out / "report.json").read_text())
+    assert abs(report["kappa_star"] - (1.0 / 0.99 - 1.0)) <= 0.02
+
+
 def test_pruitt(runner, model_file, tmp_path):
     path = model_file(STABLE_05_D1, "stable.json")
     result = runner.invoke(main, ["pruitt", "--model", path,

@@ -1,11 +1,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from levy_transience.cf_integrals import strong_integral_kappa, weak_integral_kappa
 from levy_transience.classifier import classify
 from levy_transience.densities import (
+    modified_density,
     power_density,
     power_log_density,
     stable_density,
@@ -145,18 +147,30 @@ def test_second_moment_of_a_power_log_tail_reads_its_exponent(d, exponent):
 
 
 def test_second_moment_of_a_boundary_power_log_tail_is_left_to_the_log():
-    # at u^-(d+2) the log factor decides, so no tail slope is stated:
+    # the tail slope is the exponent, but the shortcut to an infinite second
+    # moment at u^-(d+2) covers only a log exponent >= -1 (tables have 0):
     # (ln u)^-2 gives the finite second moment int t^-2 dt
     dens = power_log_density(3, -5.0, -2.0)
-    assert dens.variants[0].tail_slope is None
+    assert dens.variants[0].tail_slope == -5.0
     assert math.isfinite(uniform_second_moment(radial_jump_model(dens)))
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 2: the profile underflows past u ~ 2^215 and the zero-run "
-    "stop of the octave sum ends the divergent sum there"))
+@pytest.mark.parametrize("coeff", [1.0, 1e-300])
+def test_second_moment_of_a_boundary_table_tail_is_infinite(coeff):
+    # a table at slope exactly -(d+2): int u^4 n du = int u^-1 du diverges,
+    # although at coeff 1e-300 the quadrature's integrand underflows; a
+    # replacement below a radius, a callable, keeps the table's tail
+    dens = power_density(3, 2.0, coeff=coeff, u0=1.0)
+    replaced = modified_density(dens, 2.0,
+                                replacement=lambda u: np.full_like(u, coeff))
+    for density in (dens, replaced):
+        assert uniform_second_moment(radial_jump_model(density)) == math.inf
+
+
 def test_second_moment_of_a_log_divergent_boundary_tail_is_infinite():
-    # n = u^-5 (ln u)^-0.5 in d = 3: int u^4 n du = int t^-0.5 dt diverges
+    # n = u^-5 (ln u)^-0.5 in d = 3: int u^4 n du = int t^-0.5 dt diverges,
+    # and the stated log exponent says so before any quadrature (the
+    # profile underflows past u ~ 2^215)
     model = radial_jump_model(power_log_density(3, -5.0, -0.5))
     assert uniform_second_moment(model) == math.inf
 

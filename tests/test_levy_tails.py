@@ -19,7 +19,6 @@ from levy_transience.densities import (
 from levy_transience.errors import (
     ConfigurationError,
     LevyTransienceError,
-    NonPowerTailError,
     NotApplicableError,
 )
 from levy_transience.levy_tails import (
@@ -33,7 +32,6 @@ from levy_transience.levy_tails import (
     perturbation_distance,
     perturbation_equivalence,
     split_tail_tests,
-    rv_index_fit,
     tail_functionals,
     tail_mass,
     tail_test_strong,
@@ -264,20 +262,6 @@ def test_comparison_transfer_cases():
     with pytest.raises(NotApplicableError) as err:
         comparison_transfer(b, a, u0=1.0)
     assert err.value.witness is not None
-
-
-def test_rv_index_fit_cases():
-    dens = power_density(1, 1.5, u0=1.0)              # n(u) = u^{-2.5}
-    assert rv_index_fit(dens) == pytest.approx(-2.5, abs=0.01)
-
-    logd = power_log_density(1, exponent=-2.0, log_exponent=2.0)
-    assert rv_index_fit(logd) == pytest.approx(-2.0, abs=0.02)
-
-    u = np.geomspace(1.0, 1e14, 200)
-    wobble = u ** -2.0 * (1.0 + 0.5 * np.sin(3.0 * np.log(u)))
-    tab = table_density(1, u, wobble, u0=1.0, monotone=False)
-    with pytest.raises(NonPowerTailError):
-        rv_index_fit(tab)
 
 
 def test_borderline_index_test():

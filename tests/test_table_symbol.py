@@ -112,7 +112,8 @@ def test_a_pure_power_series_is_the_stable_closed_form(d):
 
 def test_classify_runs_no_quadrature_on_the_series_ladder(monkeypatch):
     # the radial_cold power model: every radius its verdict ladders read
-    # lies in the series' reach, so quadrature sees only larger radii
+    # lies in the series' reach, and the driftless model has no Im q, so
+    # sector_check evaluates no Re q at larger radii
     calls = []
 
     def counted(f, rho, d, bps, lows):
@@ -122,8 +123,7 @@ def test_classify_runs_no_quadrature_on_the_series_ladder(monkeypatch):
     monkeypatch.setattr(densities, "jump_symbol_value", counted)
     u0 = 0.92
     classify(radial_jump_model(power_density(3, (0.8, 1.2), u0=u0)), 0.3)
-    assert len(calls) <= 1
-    assert all(np.all(radii * u0 > REACH) for radii in calls)
+    assert len(calls) == 0
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
