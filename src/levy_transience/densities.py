@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LevyMeasureError, ModelInvariantError, QuadratureError
+from .errors import (DivergentIntegralError, LevyMeasureError,
+                     ModelInvariantError, QuadratureError)
 from .quadrature import (
     jump_symbol_value,
     origin_cumulative,
@@ -107,6 +108,45 @@ class LogLogTable:
                     / stable_coefficient(d, -beta)
         out[at] = q
         return out
+
+    def moment(self, d, k, radii, outward):
+        """S_d int u^(d-1+k) n(u) du over [u, inf) (outward) or (0, u) at
+        each radius u: a piece c u^slope on [a, b) adds S_d c (b^e - a^e) / e
+        (S_d c log(b/a) at e = 0), e = slope + d + k, formed in log space
+        from the end where u^e is larger (inf past the float range); an edge
+        piece that does not decay raises DivergentIntegralError."""
+        r, log_s = np.asarray(radii, dtype=float), math.log(sphere_surface(d))
+        out, edges = np.zeros(r.shape), (0.0, *self.knots, math.inf)
+        for a, b, anchor, value, slope in zip(edges, edges[1:], self.anchors,
+                                              self.values, self.slopes):
+            e = slope + d + k
+            if value == -math.inf:
+                continue
+            if (b == math.inf and e >= 0.0) if outward \
+                    else (a == 0.0 and e <= 0.0):
+                raise DivergentIntegralError(f"the piece from {a:g} to {b:g} "
+                                             "has an infinite integral")
+            lo, hi = (np.maximum(r, a), b) if outward else (a, np.minimum(r, b))
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                x_lo, x_hi = np.log(lo), np.log(hi)
+                span = np.maximum(x_hi - x_lo, 0.0)
+                x = x_hi if e > 0.0 else x_lo    # where u^e is larger
+                top = log_s + value + slope * (x - anchor) + (d + k) * x
+                part = span if e == 0.0 else -np.expm1(-abs(e) * span) / abs(e)
+                out += np.where(span > 0.0, np.exp(top) * part, 0.0)
+        return out
+
+    def decreasing_beyond(self, u0):
+        """Whether n does not increase on (u0, inf): no piece there rises
+        and no knot there steps up by more than 1e-12 in log n (rounding)."""
+        def log_n(j, knot):   # in floats: no warning at a value of -inf
+            return self.values[j] + self.slopes[j] * (math.log(knot)
+                                                      - self.anchors[j])
+
+        ends = (*self.knots, math.inf)
+        return all(s <= 0.0 for s, b in zip(self.slopes, ends) if b > u0) \
+            and not any(log_n(j + 1, knot) - log_n(j, knot) > 1e-12
+                        for j, knot in enumerate(self.knots) if knot > u0)
 
     def below(self, radius, log_factor):
         """This table with log_factor added to log n below radius (a knot
@@ -210,11 +250,14 @@ class RadialLevyDensity:
 
     @model_memo
     def monotone_verified(self) -> bool:
-        """Numerical check of the decreasing-beyond-u0 hypothesis.
+        """Check of the decreasing-beyond-u0 hypothesis (exact on tables).
 
         When this fails, the measure-side strong test loses its equivalence
         status and is reported as a necessary condition only.
         """
+        if all(isinstance(v.profile, LogLogTable) for v in self.variants):
+            return all(v.profile.decreasing_beyond(self.u0)
+                       for v in self.variants)
         lo = max(self.u0, 1e-3)
         grid = np.geomspace(lo * 1.001, lo * 1e6, 64)
         vals = np.stack([v(grid) for v in self.variants])
@@ -225,33 +268,44 @@ class RadialLevyDensity:
 
     def sweep(self, tag, variants, radii):
         """The functional `tag` of each listed variant at its ascending
-        radii, not memoized, as row groups of one quadrature call: "jsym"
-        the jump symbol (a table's by its series where that reaches), "tm"
-        the tail mass nu(B^c(0, u)) and "t3" the truncated second moment
-        int_{B(0, rho)} |y|^2 nu(dy), both with atoms."""
+        radii, not memoized: "jsym" the jump symbol, "tm" the tail mass
+        nu(B^c(0, u)), "t3" int_{B(0, u)} |y|^2 nu(dy) and "m2" the rest of
+        it, all three with atoms; a table's in closed form (its jump symbol
+        where the series reaches), the rest in one quadrature call."""
         bps = self.all_breakpoints()
         lows = [self.support_lo(i) for i in variants]
-        weight = self.second_moment_weight if tag == "t3" else self.radial_weight
-        w = stacked_weight([weight(i) for i in variants])
+        profiles = [self.variants[i].profile for i in variants]
         if tag == "jsym":   # a table's series where it reaches, else quadrature
             rows = [p.jump_symbol(self.d, r) if isinstance(p, LogLogTable)
-                    else np.full(np.shape(r), np.nan) for p, r in zip(
-                        (self.variants[i].profile for i in variants), radii)]
+                    else np.full(np.shape(r), np.nan)
+                    for p, r in zip(profiles, radii)]
             rest = [np.isnan(row) for row in rows]
             if any(m.any() for m in rest):
                 for row, m, q in zip(rows, rest, jump_symbol_value(
-                        w, [np.asarray(r)[m] for r, m in zip(radii, rest)],
+                        stacked_weight([self.radial_weight(i)
+                                        for i in variants]),
+                        [np.asarray(r)[m] for r, m in zip(radii, rest)],
                         self.d, bps, lows)):
                     row[m] = q
             return rows
+        k, outward = {"tm": (0, True), "t3": (2, False), "m2": (2, True)}[tag]
 
-        def atoms(u):   # tm: mass at radii >= u; t3: r^2 mass inside B(0, u)
-            return sum((np.where(u <= r, m, 0.0) if tag == "tm"
-                        else np.where(r < u, r * r * m, 0.0)
+        def atoms(u):   # their mass (tm) or r^2 mass on the same side of u
+            return sum((np.where((u <= r) if outward else (r < u),
+                                 r ** k * m, 0.0)
                         for r, m in self.atoms), np.zeros_like(u))
 
-        rows = tail_cumulative(w, radii, bps) if tag == "tm" \
-            else origin_cumulative(w, radii, bps, lows)
+        rows = [p.moment(self.d, k, r, outward) if isinstance(p, LogLogTable)
+                else None for p, r in zip(profiles, radii)]
+        rest = [j for j, row in enumerate(rows) if row is None]
+        if rest:
+            weight = self.second_moment_weight if k else self.radial_weight
+            w = stacked_weight([weight(variants[j]) for j in rest])
+            us = [radii[j] for j in rest]
+            got = tail_cumulative(w, us, bps) if outward else \
+                origin_cumulative(w, us, bps, [lows[j] for j in rest])
+            for j, row in zip(rest, got):
+                rows[j] = row
         return [row + atoms(u) for row, u in zip(rows, radii)]
 
     def functional(self, tag, variants, rhos):
@@ -288,10 +342,9 @@ class RadialLevyDensity:
     @model_memo
     def second_moment(self):
         """sup over the variants of int |y|^2 nu(dy), atoms included: the
-        "t3" sweep at radius 1 plus one stacked tail sweep. +inf when not
-        integrable, at once when a tail slope is above -(d+2), or at it
-        with a log exponent >= -1, as int^inf t^q dt (however early the
-        profile underflows)."""
+        "t3" and "m2" sweeps at radius 1. +inf when not integrable, at once
+        when a tail slope is above -(d+2), or at it with a log exponent >=
+        -1, as int^inf t^q dt (however early the profile underflows)."""
         every = range(len(self.variants))
         ones = [np.ones(1)] * len(every)
         edge = -(self.d + 2.0)
@@ -301,13 +354,10 @@ class RadialLevyDensity:
                     v.tail_slope == edge and v.log_exponent >= -1.0))
                    for v in self.variants):
                 return math.inf
-            big = tail_cumulative(stacked_weight([self.second_moment_weight(i)
-                                                  for i in every]),
-                                  ones, self.all_breakpoints())
+            big = self.sweep("m2", every, ones)
         except QuadratureError:    # DivergentIntegralError among them
             return math.inf
-        return max(float(s[0] + b[0]) for s, b in zip(small, big)) \
-            + sum(r * r * m for r, m in self.atoms if r >= 1.0)
+        return max(float(s[0] + b[0]) for s, b in zip(small, big))
 
     def jump_symbol(self, rho, variant=0):
         """Jump part of the symbol at |xi| = rho: int (1-cos<xi,y>) nu(dy).
@@ -341,9 +391,10 @@ class RadialLevyDensity:
             if self.u0 > 0 and radius > self.u0:
                 raise ModelInvariantError(
                     "atom mass must sit at or below the density cutoff")
-        for v in self.variants:
+        for v in self.variants:   # a table is positive: the exp of a line
             lo = max(v.support_lo, self.u0, 1e-6)
-            if np.any(v(np.geomspace(lo * 1.001, lo * 1e3, 16)) < 0):
+            if not isinstance(v.profile, LogLogTable) \
+                    and np.any(v(np.geomspace(lo * 1.001, lo * 1e3, 16)) < 0):
                 raise ModelInvariantError(
                     f"density variant {v.label!r} takes negative values")
 

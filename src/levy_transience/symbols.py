@@ -337,6 +337,8 @@ def sector_check(model: SymbolModel, c: float):
     """
     if not 0.0 <= c < 1.0:
         raise ConfigurationError(f"sector constant must lie in [0,1), got {c}")
+    if FAMILIES[model.family].real_symbol(model):   # sup |Im q| = 0
+        return True, None
     radii = 2.0 ** np.arange(-10, 4).astype(float)
     dirs = direction_set(model.d, 16)
     XI = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, model.d)
@@ -438,6 +440,10 @@ class _Family:
         if kind == ENV_INF_RE:
             return np.asarray(lo, dtype=float)
         return np.asarray([math.hypot(t, h) for t, h in zip(drift_term, hi)])
+
+    # whether sup |Im q| is identically 0 (Im q is the drift term)
+    def real_symbol(self, model):
+        return model.drift_vector is None
 
     # whether the `kind` envelope is rotation invariant in xi
     def radial(self, model, kind):
@@ -678,6 +684,9 @@ class _Custom(_Family):
         q = self.symbol(model, np.zeros((1, model.d)), XI)[0]
         return {ENV_SUP_ABS: np.abs(q), ENV_INF_RE: q.real,
                 ENV_SUP_ABS_IM: np.abs(q.imag)}[kind]
+
+    def real_symbol(self, model):
+        return False
 
     def radial(self, model, kind):
         return _numeric_radial(model, kind)   # sampled over rotations

@@ -109,11 +109,12 @@ def test_tails_command(runner, model_file, tmp_path):
 
 def test_tails_reports_each_split_verdict_that_cannot_be_formed(
         runner, model_file, tmp_path):
-    # at gamma 1e-280 in d = 5 the tail mass underflows to 0 on the far
-    # ladder: only the tail-mass split verdict is not applicable, and the
-    # decided T1 and moment verdicts are still reported
+    # at gamma 1e-318 in d = 5 the true tail mass at the far end of the
+    # ladder lies below the smallest subnormal, so it reads 0 there: only
+    # the tail-mass split verdict is not applicable, and the decided T1 and
+    # moment verdicts are still reported
     path = model_file({"family": "isotropic_stable", "d": 5, "parameters": {
-        "alpha": 1.0, "gamma": 1e-280}})
+        "alpha": 1.0, "gamma": 1e-318}})
     out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)

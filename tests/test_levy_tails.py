@@ -8,6 +8,8 @@ import pytest
 from conftest import stacked_density_cases
 from levy_transience.classifier import classify, kappa_boundary
 from levy_transience.densities import (
+    DensityVariant,
+    RadialLevyDensity,
     finite_range_density,
     modified_density,
     power_density,
@@ -126,10 +128,12 @@ def _outer_t1(dens, rho, n=32):
                  id="finite_range"),
     pytest.param(power_log_density(1, -2.0, 2.0), (1.5, math.e, 20.0),
                  id="power_log"),
-    # a table cut at its first knot: below a kink more than 6 octaves
-    # ahead, tail_mass itself is off (test_tail_mass_far_below_a_table_kink)
+    # a table cut at its first knot, and the same table with no cutoff,
+    # whose kinks lie many octaves beyond its smallest radii
     pytest.param(table_density(2, [0.5, 3.0, 40.0], [1e-1, 1e-3, 1e-12],
                                u0=0.5), (0.3, 0.5, 3.0, 100.0), id="table"),
+    pytest.param(table_density(2, [0.5, 3.0, 40.0], [1e-1, 1e-3, 1e-12]),
+                 (0.3, 0.5, 3.0, 100.0), id="table-uncut"),
     pytest.param(dataclasses.replace(power_density(2, 1.2, u0=1.0),
                                      atoms=((0.5, 0.3), (1.0, 0.1))),
                  (0.25, 0.5, 1.0, 5.0), id="power-atoms"),
@@ -143,8 +147,6 @@ def test_integrated_tail_matches_an_outer_quadrature(dens, rhos):
             _outer_t1(dens, rho), rel=1e-8), rho
 
 
-@pytest.mark.xfail(strict=True, reason="an octave sum may stop, extrapolating "
-                   "its block ratio, before it reaches a kink ahead of it")
 def test_tail_mass_far_below_a_table_kink():
     # n = 0.1 (u / 0.5)^p up to the knot at 3 (p the slope of the first
     # segment); from u = 0.01 the first 6 octaves see only that power
@@ -155,6 +157,23 @@ def test_tail_mass_far_below_a_table_kink():
     want = tail_mass(dens, 0.5) \
         + 2.0 * math.pi * c * (0.5 ** (p + 2) - u ** (p + 2)) / (p + 2)
     assert tail_mass(dens, u) == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("gamma", [1e-300, 1e300])
+def test_a_stable_density_at_an_extreme_scale_stays_on_the_strong_side(gamma):
+    # kappa* = d / alpha - 1 = 2: the tail mass and T3 of the table are
+    # closed forms, so neither scale breaks the measure side (at 1e300 the
+    # Levy-measure check rejected the density, at 1e-300 the far tail
+    # masses underflowed and fired tail-weak)
+    from levy_transience.symbols import isotropic_stable
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = classify(isotropic_stable(3, 1.0, gamma), 1.5)
+    assert report.verdict == "strongly_transient"
+    assert [r.rule_id for r in report.fired_rules if r.verdict == "weak"] == []
+    assert [f"{w.filename}:{w.lineno}: {w.message}" for w in caught
+            if issubclass(w.category, RuntimeWarning)
+            and w.filename.endswith(("densities.py", "levy_tails.py"))] == []
 
 
 def test_tail_tests_on_stable_density(stable_density_d1):
@@ -345,6 +364,20 @@ def test_monotone_verification_and_downgrade():
     assert not tab.monotone_verified()
     with pytest.raises(NotApplicableError):
         density_floor_test(tab, 0.5, 2.0)
+
+
+def test_monotone_verification_reads_a_table_exactly():
+    # a rise far beyond the cutoff, and a step up at a knot past it
+    far = table_density(2, [1.0, 1e7, 2e7, 4e7],
+                        [1.0, 1e-21, 2e-21, 2e-21 / 16.0], u0=1.0)
+    assert not far.monotone_verified()
+    table = power_density(2, 1.2).variants[0].profile
+    step = RadialLevyDensity(d=2, u0=1.0, variants=(DensityVariant(
+        "step", table.below(5.0, math.log(0.5))),))
+    assert not step.monotone_verified()
+    # the lines of two segments meet at their knot up to rounding
+    assert table_density(2, [0.5, 3.0, 40.0],
+                         [1e-1, 1e-3, 1e-12]).monotone_verified()
 
 
 def test_truncated_second_moment_power():

@@ -11,14 +11,18 @@ about 1e-11 there.
 """
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from levy_transience import densities
-from levy_transience.classifier import classify
+from levy_transience import densities, quadrature
+from levy_transience.classifier import classify, kappa_boundary
 from levy_transience.densities import (
     finite_range_density,
     modified_density,
@@ -32,7 +36,11 @@ from levy_transience.quadrature import (
     sphere_surface,
     stacked_weight,
 )
-from levy_transience.symbols import radial_jump_model
+from levy_transience.symbols import (
+    isotropic_stable,
+    model_from_config,
+    radial_jump_model,
+)
 
 REACH = densities._SERIES_REACH
 
@@ -124,6 +132,49 @@ def test_classify_runs_no_quadrature_on_the_series_ladder(monkeypatch):
     u0 = 0.92
     classify(radial_jump_model(power_density(3, (0.8, 1.2), u0=u0)), 0.3)
     assert len(calls) == 0
+
+
+#: the power model of the radial_cold benchmark workload
+RADIAL_POWER = {"family": "radial_jump", "d": 3, "parameters": {"density": {
+    "kind": "power", "alpha": {"lo": 0.8, "hi": 1.2}, "u0": 0.92}}}
+
+
+def test_classify_and_kappa_boundary_run_no_tail_quadrature(monkeypatch):
+    # a table's tail mass, T3 and second moment are closed forms, and the
+    # jump symbols these verdicts read are series: no octave sum runs
+    calls = []
+
+    def count(module, name):
+        sweep = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module in (densities, quadrature):
+        count(module, "tail_cumulative")
+        count(module, "origin_cumulative")
+    classify(model_from_config(RADIAL_POWER), 0.3)
+    kappa_boundary(isotropic_stable(3, 1.0))
+    assert calls == []
+
+
+def test_classify_of_a_driftless_model_leaves_numpy_random_unimported():
+    # a driftless model has no Im q, so its sector check samples no
+    # directions; a fresh interpreter, so nothing else has imported it yet
+    src = str(Path(densities.__file__).resolve().parents[1])
+    code = ("import sys\n"
+            "from levy_transience.classifier import classify\n"
+            "from levy_transience.symbols import model_from_config\n"
+            f"print(classify(model_from_config({RADIAL_POWER!r}), 0.3)"
+            ".verdict)\n"
+            "print('numpy.random' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["strongly_transient", "False"]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -3,8 +3,9 @@ of piecewise-power densities against sums of elementary power integrals.
 
 On a piece n(u) = C (u / a)^s, S_d int u^k n(u) du over [lo, hi] is
 S_d C a^-s (hi^q - lo^q) / q with q = s + k + 1 (k = d - 1 for the tail
-mass, d + 1 for T3). The oracle builds its pieces from the parameters of
-each constructor, not from the package's table form.
+mass, d + 1 for T3), or S_d C a^-s log(hi / lo) at q = 0. The oracle
+builds its pieces from the parameters of each constructor, not from the
+package's table form.
 """
 
 import dataclasses
@@ -14,11 +15,15 @@ import numpy as np
 import pytest
 
 from levy_transience.densities import (
+    DensityVariant,
+    LogLogTable,
+    RadialLevyDensity,
     finite_range_density,
     modified_density,
     power_density,
     table_density,
 )
+from levy_transience.errors import LevyMeasureError
 from levy_transience.index_rules import uniform_second_moment
 from levy_transience.levy_tails import (
     integrated_tail,
@@ -68,7 +73,9 @@ def _integral(pieces, d, k, lo_cap, hi_cap):
         if hi <= lo:
             continue
         q = s + k + 1.0
-        if hi == math.inf:
+        if q == 0.0:
+            part = math.log(hi / lo)
+        elif hi == math.inf:
             part = -lo ** q / q
         elif lo == 0.0:
             part = hi ** q / q
@@ -121,9 +128,9 @@ def test_tail_mass_and_t3_match_the_power_integrals(name, dens, pieces,
             + sum(m for radius, m in atoms if radius >= r)
         want_t3 = _integral(pieces, d, d + 1, 0.0, r) \
             + sum(radius ** 2 * m for radius, m in atoms if radius < r)
-        assert tail_mass(dens, r) == pytest.approx(want_mass, rel=1e-11), r
+        assert tail_mass(dens, r) == pytest.approx(want_mass, rel=1e-13), r
         assert truncated_second_moment(dens, r) \
-            == pytest.approx(want_t3, rel=1e-11, abs=1e-300), r
+            == pytest.approx(want_t3, rel=1e-13, abs=1e-300), r
 
 
 def _power_integral(p, x, y):
@@ -162,7 +169,7 @@ def _integrated_tail(pieces, d, atoms, rho):
 def test_integrated_tail_matches_its_definition(name, dens, pieces, atoms):
     for r in _radii(dens):
         assert integrated_tail(dens, r) == pytest.approx(
-            _integrated_tail(pieces, dens.d, atoms, r), rel=1e-11), r
+            _integrated_tail(pieces, dens.d, atoms, r), rel=1e-13), r
 
 
 @pytest.mark.parametrize("name, dens, pieces, atoms", CASES,
@@ -174,6 +181,38 @@ def test_second_moment_is_finite_below_the_last_slope_minus_d_minus_2(
     if pieces[-1][4] < -(d + 2.0):
         want = _integral(pieces, d, d + 1, 0.0, math.inf) \
             + sum(r ** 2 * m for r, m in atoms)
-        assert got == pytest.approx(want, rel=1e-11)
+        assert got == pytest.approx(want, rel=1e-13)
     else:
         assert got == math.inf
+
+
+def _three_pieces(d, middle, tail):
+    """A table of slope -d - 0.5 on (0, 0.5), `middle` on [0.5, 3) and
+    `tail` beyond, 0.1 at 0.5, with its oracle pieces."""
+    value = math.log(0.1) + middle * math.log(6.0)
+    table = LogLogTable((0.5, 3.0), (math.log(0.5),) * 2 + (math.log(3.0),),
+                        (math.log(0.1),) * 2 + (value,),
+                        (-d - 0.5, middle, tail))
+    dens = RadialLevyDensity(d=d, u0=0.0, variants=(
+        DensityVariant("steps", table),))
+    return dens, [(0.0, 0.5, 0.1, 0.5, -d - 0.5),
+                  (0.5, 3.0, 0.1, 0.5, middle),
+                  (3.0, math.inf, math.exp(value), 3.0, tail)]
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_a_piece_of_slope_minus_d_takes_the_log_term(d):
+    # u^(d-1) n(u) = C / u on the middle piece: its tail mass is a log
+    dens, pieces = _three_pieces(d, -float(d), -d - 1.2)
+    for r in _radii(dens):
+        assert tail_mass(dens, r) == pytest.approx(
+            _integral(pieces, d, d - 1, r, math.inf), rel=1e-13), r
+        assert truncated_second_moment(dens, r) == pytest.approx(
+            _integral(pieces, d, d + 1, 0.0, r), rel=1e-13), r
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+@pytest.mark.parametrize("above", [0.0, 0.3])
+def test_a_tail_slope_at_or_above_minus_d_is_not_a_levy_measure(d, above):
+    with pytest.raises(LevyMeasureError, match="variant 'steps'"):
+        _three_pieces(d, -d - 1.0, -d + above)
