@@ -65,10 +65,14 @@ def _step_count(T, h):
     return m
 
 
-def substream(seed: int, index: int, domain: int) -> np.random.Generator:
-    """Independent counter-based stream for one work unit."""
+def substream(seed: int, index: int, domain: int,
+              skip: int = 0) -> np.random.Generator:
+    """Independent counter-based stream for one work unit, opened after its
+    first `skip` raw 64-bit draws (Philox makes four per counter step)."""
     key = [np.uint64(seed) ^ np.uint64(domain), np.uint64(index)]
-    return np.random.Generator(np.random.Philox(key=key))
+    bits = np.random.Philox(key=key, counter=skip // 4)
+    bits.random_raw(skip % 4)
+    return np.random.Generator(bits)
 
 
 @dataclass(frozen=True)
@@ -118,7 +122,7 @@ def sample_levy_marginal(model: SymbolModel, t: float,
             "exact marginals need a state-independent family")
     x = sample(model, t, gen, n)
     if model.triplet.drift is not None:
-        x = x + t * model.triplet.drift
+        x += t * model.triplet.drift
     return x
 
 
@@ -157,29 +161,37 @@ def _euler_sweep(model, T, h, seed, path_indices, x0, observer):
     """Advance one chunk of n paths, calling observer(step, t, X) each step.
 
     Path i's own stream gives m uniforms and m exponentials (stable only),
-    then m x d normals, drawn a block of steps at a time. Arrays are
-    time-major: step j reads the rows ths[j], ws[j] of 2 n m Kanter doubles,
-    the (d, n) normals zs[j] (at most _NORMAL_BLOCK) and the (d, n) state."""
+    then m x d normals. A uniform takes one raw draw, so a second cursor
+    opened m draws in reads the exponentials whole (the ziggurat's draw
+    count depends on the data, so they cannot be split), then the normals
+    a block of steps at a time; the first cursor reads the uniforms by the
+    same blocks. Arrays are time-major: step j reads row j of the (m, n)
+    exponentials and, from its block, the n uniforms, the (d, n) normals
+    (at most _NORMAL_BLOCK per block) and the (d, n) state."""
     kind, *fields = _family_step_fields(model)
     d = model.d
     m = _step_count(T, h)
     n = len(path_indices)
     drift = None if model.triplet.drift is None else h * model.triplet.drift
+    block = max(1, _NORMAL_BLOCK // (n * d))
+    zs = np.empty((min(block, m), d, n))
     gens = [substream(seed, int(idx), _DOMAIN_PATH) for idx in path_indices]
     if kind == "stable":
-        ths = _by_step(gens, np.empty((m, n)), lambda g, u: g.random(out=u))
+        u_gens, gens = gens, [substream(seed, int(idx), _DOMAIN_PATH, m)
+                              for idx in path_indices]
         ws = _by_step(gens, np.empty((m, n)),
                       lambda g, w: g.standard_exponential(out=w))
-        _kanter_angles(ths, ws)
+        ths = np.empty((min(block, m), n))
     Xt = np.zeros((d, n)) if x0 is None else np.tile(
         np.asarray(x0, dtype=float)[:, None], (1, n))
     if kind != "brownian_matrix":   # as fields of X: c h, or alpha, gamma h
         fields = [_step_field(f, Xt.T, s) for f, s in zip(
             fields, (h,) if kind == "brownian" else (None, h))]
-    block = max(1, _NORMAL_BLOCK // (n * d))
-    zs = np.empty((min(block, m), d, n))
     for j0 in range(0, m, block):
         b = min(block, m - j0)
+        if kind == "stable":
+            _by_step(u_gens, ths[:b], lambda g, u: g.random(out=u))
+            _kanter_angles(ths[:b], ws[j0:j0 + b])
         _by_step(gens, zs[:b], lambda g, z: g.standard_normal(out=z))
         for j in range(j0, j0 + b):
             z = zs[j - j0]
@@ -193,7 +205,7 @@ def _euler_sweep(model, T, h, seed, path_indices, x0, observer):
                 if alpha.min() <= 0.0 or alpha.max() >= 2.0:
                     raise ModelInvariantError(
                         "stability index left (0,2) at a visited state")
-                s0 = _kanter(0.5 * alpha, ths[j], ws[j])
+                s0 = _kanter(0.5 * alpha, ths[j - j0], ws[j])
                 Xt = Xt + fields[1](Xt.T) ** (1.0 / alpha) * (
                     np.sqrt(2.0 * s0) * z)
             if drift is not None:
@@ -203,6 +215,8 @@ def _euler_sweep(model, T, h, seed, path_indices, x0, observer):
 
 
 def _chunks(n_paths, m, d):
+    # a stable chunk keeps its m x n exponentials whole: about 4e6 / (d + 2)
+    # doubles at most, and 1000 paths of 2000 steps in d = 2 make two chunks
     per = max(1, int(4e6 / max(1, m * (d + 2))))
     return [range(lo, min(lo + per, n_paths))
             for lo in range(0, n_paths, per)]
@@ -430,22 +444,32 @@ class EcfReport:
                 "min_real_stderr": self.min_real_stderr}
 
 
+def _mean_sd(v):
+    """(np.mean(v), np.std(v, ddof=1)) bit for bit for a 1-d float array v
+    of length >= 2, by the steps of numpy's _var; overwrites v."""
+    n = v.size
+    mean = np.add.reduce(v) / n
+    np.subtract(v, mean, out=v)
+    np.square(v, out=v)
+    return float(mean), math.sqrt(np.add.reduce(v) / (n - 1))
+
+
 def ecf_check(model: SymbolModel, t: float, xi_set, config: SimConfig) -> EcfReport:
     """Empirical characteristic function against exp(-t q(xi)), with
     3-standard-error bands per frequency."""
     n = config.paths
     gen = substream(config.seed, 0, _DOMAIN_MARGINAL)
     x = sample_levy_marginal(model, t, gen, n)
+    phase, trig = np.empty(n), np.empty(n)
     rows = []
     all_pass = True
     min_real, min_err = math.inf, 0.0
     for xi in xi_set:
         xi = np.asarray(xi, dtype=float).reshape(model.d)
-        phase = x @ xi
-        re, im = np.cos(phase), np.sin(phase)
-        re_hat, im_hat = float(np.mean(re)), float(np.mean(im))
-        re_err = float(np.std(re, ddof=1) / math.sqrt(n))
-        im_err = float(np.std(im, ddof=1) / math.sqrt(n))
+        np.matmul(x, xi, out=phase)
+        re_hat, re_sd = _mean_sd(np.cos(phase, out=trig))
+        im_hat, im_sd = _mean_sd(np.sin(phase, out=phase))
+        re_err, im_err = re_sd / math.sqrt(n), im_sd / math.sqrt(n)
         target = np.exp(-t * eval_symbol(model, None, xi))
         ok = bool(abs(re_hat - target.real) <= 3.0 * re_err + 1e-12
                   and abs(im_hat - target.imag) <= 3.0 * im_err + 1e-12)

@@ -49,9 +49,37 @@ def sphere_surface(d: int) -> float:
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
-@functools.lru_cache(maxsize=None)
-def _gl(n: int):
-    return np.polynomial.legendre.leggauss(n)
+#: n-point Gauss-Legendre nodes and weights on [-1, 1] for the two block
+#: sizes in use: the reprs of numpy.polynomial.legendre.leggauss(n), which
+#: a test pins bit for bit, so no command imports numpy.polynomial
+_GL = {
+    10: (np.array([
+        -0.9739065285171717, -0.8650633666889845, -0.6794095682990244,
+        -0.4333953941292472, -0.14887433898163122, 0.14887433898163122,
+        0.4333953941292472, 0.6794095682990244, 0.8650633666889845,
+        0.9739065285171717,
+    ]), np.array([
+        0.06667134430868814, 0.1494513491505804, 0.219086362515982,
+        0.2692667193099965, 0.2955242247147528, 0.2955242247147528,
+        0.2692667193099965, 0.219086362515982, 0.1494513491505804,
+        0.06667134430868814,
+    ])),
+    16: (np.array([
+        -0.9894009349916499, -0.9445750230732326, -0.8656312023878318,
+        -0.755404408355003, -0.6178762444026438, -0.45801677765722737,
+        -0.2816035507792589, -0.09501250983763744, 0.09501250983763744,
+        0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+        0.755404408355003, 0.8656312023878318, 0.9445750230732326,
+        0.9894009349916499,
+    ]), np.array([
+        0.027152459411754176, 0.062253523938647456, 0.0951585116824926,
+        0.12462897125553407, 0.1495959888165767, 0.16915651939500265,
+        0.18260341504492364, 0.18945061045506864, 0.18945061045506864,
+        0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+        0.12462897125553407, 0.0951585116824926, 0.062253523938647456,
+        0.027152459411754176,
+    ])),
+}
 
 
 def _ranks(counts):
@@ -80,7 +108,7 @@ def _split(lo, hi, breakpoints):
 def log_gauss_blocks(lo, hi, n=16):
     """Nodes and weights of one n-point Gauss-Legendre block in log space
     per interval [lo[j], hi[j]]; both arrays have shape (len(lo), n)."""
-    base_x, base_w = _gl(n)
+    base_x, base_w = _GL[n]
     t0, t1 = np.log(lo), np.log(hi)
     mid = 0.5 * (t0 + t1)[:, None]
     half = 0.5 * (t1 - t0)[:, None]
@@ -91,7 +119,7 @@ def log_gauss_blocks(lo, hi, n=16):
 def _linear_gauss_blocks(lo, hi, n):
     """Nodes and weights of one plain n-point Gauss-Legendre block per
     interval [lo[j], hi[j]]; both arrays have shape (len(lo), n)."""
-    base_x, base_w = _gl(n)
+    base_x, base_w = _GL[n]
     mid, half = 0.5 * (lo + hi)[:, None], 0.5 * (hi - lo)[:, None]
     return mid + half * base_x, half * base_w
 

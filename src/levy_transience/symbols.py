@@ -576,9 +576,13 @@ class _StableLike(_Family):
         alpha, gamma = (model.params[k].bounds[0] for k in ("alpha", "gamma"))
         scale = (t * gamma) ** (2.0 / alpha)
         # a positive-stable subordinated Gaussian, exp(-t gamma |xi|^alpha)
-        s = scale * _positive_stable(0.5 * alpha, gen, n)
+        # (in place; a product commutes bit for bit)
+        s = _positive_stable(0.5 * alpha, gen, n)
+        s *= scale
         z = gen.standard_normal((n, model.d))
-        return np.sqrt(2.0 * s)[:, None] * z
+        s *= 2.0
+        z *= np.sqrt(s, out=s)[:, None]
+        return z
 
     def step_fields(self, model):
         return ("stable", model.params["alpha"], model.params["gamma"])
@@ -709,10 +713,21 @@ def _kanter_angles(u, w):
 
 def _kanter(a, th, w):
     """One-sided stable variates with Laplace transform exp(-lambda^a),
-    0 < a < 1, from the angles th and exponentials w of _kanter_angles."""
+    0 < a < 1, from the angles th and exponentials w of _kanter_angles:
+    sin(a th) / sin(th)^(1/a) * (sin(b th) / w)^(b/a) with b = 1 - a, each
+    operation as that expression does it. Overwrites th and w (scratch)."""
     b = 1.0 - a
-    return (np.sin(a * th) / np.sin(th) ** (1.0 / a)
-            * (np.sin(b * th) / w) ** (b / a))
+    out = np.multiply(b, th)
+    np.sin(out, out=out)
+    out /= w
+    out **= b / a
+    np.sin(th, out=w)
+    w **= 1.0 / a
+    np.multiply(a, th, out=th)
+    np.sin(th, out=th)
+    th /= w
+    out *= th   # a product commutes bit for bit
+    return out
 
 
 def _positive_stable(alpha_half, gen, n):

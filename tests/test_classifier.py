@@ -17,7 +17,11 @@ from levy_transience.classifier import (
     kappa_boundary,
     transience_gate,
 )
-from levy_transience.densities import power_density, stable_density
+from levy_transience.densities import (
+    power_density,
+    stable_density,
+    table_density,
+)
 from levy_transience.errors import ConfigurationError
 from levy_transience.index_rules import pruitt_indices
 from levy_transience.symbols import (
@@ -331,3 +335,31 @@ def test_a_stable_radial_jump_model_is_the_isotropic_stable_process(d, alpha):
         assert len({classify(m, kappa).verdict for m in models}) == 1
     a, b = (kappa_boundary(m, hi=max(8.0, 2.0 * star)) for m in models)
     assert a == pytest.approx(b, abs=0.02)
+
+
+_ITEM_16 = pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 16: the band reads an asymptotic premise from a "
+    "pre-asymptotic ladder of the table"))
+
+
+@pytest.mark.parametrize("d, knots, values, kappa, star", [
+    pytest.param(1, [0.233, 16.62, 34.33], [1.0, 5.1e-6, 1.454e-6], 0.30,
+                 0.370, marks=_ITEM_16, id="index-lower-sufficient-d1"),
+    pytest.param(2, [1.065, 36.21, 39.70], [1.0, 0.004575, 0.003374], 0.91,
+                 0.528, marks=_ITEM_16, id="shape-concave-inf-d2"),
+    pytest.param(5, [0.497, 5.376, 9.694], [1.0, 3.381e-4, 5.609e-6], 1.69,
+                 1.561, marks=_ITEM_16, id="cf-strong-integral-d5"),
+])
+def test_no_band_fires_on_the_wrong_side_of_a_table_kappa_star(
+        d, knots, values, kappa, star):
+    # kappa* = d/alpha - 1, with alpha from the stated tail slope; the
+    # tables' knots lie far from 1, so the dyadic ladders stay
+    # pre-asymptotic
+    dens = table_density(d, knots, values)
+    assert dens.variants[0].tail_slope == pytest.approx(
+        -d - d / (star + 1.0), abs=2e-3)
+    report = classify(radial_jump_model(dens), kappa)
+    wrong = "weak" if kappa < star else "strong"
+    assert report.verdict == (STRONGLY_TRANSIENT if wrong == "weak"
+                              else WEAKLY_TRANSIENT)
+    assert [r.rule_id for r in report.fired_rules if r.verdict == wrong] == []

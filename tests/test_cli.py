@@ -321,6 +321,26 @@ def test_classify_overflowing_integrands_print_no_warning(model_file,
         rule["method"] for rule in result0["rules"]}
 
 
+@pytest.mark.parametrize("command, cfg", [
+    (["classify", "--kappa", "0.6"], STABLE_JUMP_A),
+    (["kappa-star"], INTERVAL_SL)])
+def test_analytic_commands_leave_numpy_polynomial_unimported(model_file,
+                                                            tmp_path, command,
+                                                            cfg):
+    # both run Gauss-Legendre blocks, whose nodes are literals; a fresh
+    # process, so nothing else has imported numpy.polynomial yet
+    src = str(Path(levy_transience.__file__).resolve().parents[1])
+    args = [*command, "--model", model_file(cfg), "--out", str(tmp_path / "o")]
+    code = ("import sys\n"
+            "from levy_transience.cli import main\n"
+            f"main({args!r}, standalone_mode=False)\n"
+            "print('numpy.polynomial' in sys.modules)\n")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False"
+
+
 @pytest.mark.parametrize("kappa", ["nan", "inf"])
 def test_non_finite_kappa_exit_code(runner, model_file, tmp_path, kappa):
     path = model_file(BM3, "bm3.json")

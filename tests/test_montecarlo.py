@@ -32,6 +32,8 @@ from levy_transience.montecarlo import (
     substream,
 )
 from levy_transience.symbols import (
+    _kanter,
+    _kanter_angles,
     _positive_stable,
     brownian_drift,
     isotropic_stable,
@@ -48,6 +50,63 @@ def test_positive_stable_laplace_transform():
             z = abs(np.mean(emp) - math.exp(-lam ** a)) \
                 / (np.std(emp) / math.sqrt(len(s)))
             assert z < 4.0, (a, lam, z)
+
+
+@pytest.mark.parametrize("skip", [4000, 4001, 4002, 4003])
+def test_a_substream_opened_after_skip_draws_continues_the_stream(skip):
+    fresh = substream(5, 17, _DOMAIN_PATH)
+    fresh.random(skip)   # one raw draw per double
+    later = substream(5, 17, _DOMAIN_PATH, skip)
+    assert np.array_equal(later.standard_exponential(9),
+                          fresh.standard_exponential(9))
+    assert np.array_equal(later.standard_normal(9), fresh.standard_normal(9))
+
+
+@pytest.mark.parametrize("a", [0.7, 0.5, "array"])
+def test_the_in_place_kanter_is_the_expression_form_bit_for_bit(a):
+    # a = 0.5 (alpha = 1) makes the exponents b/a and 1/a exactly 1 and 2
+    gen = substream(3, 0, 0xABCD)
+    th, w = _kanter_angles(gen.random(1000), gen.standard_exponential(1000))
+    a = gen.uniform(0.05, 0.95, 1000) if a == "array" else a
+    b = 1.0 - a
+    want = (np.sin(a * th) / np.sin(th) ** (1.0 / a)
+            * (np.sin(b * th) / w) ** (b / a))
+    assert _kanter(a, th.copy(), w.copy()).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 7, 8, 9, 127, 128, 129, 4097, 400_003])
+def test_mean_sd_is_numpys_mean_and_std_bit_for_bit(n):
+    # sizes about numpy's pairwise-sum unroll (8) and block (128)
+    v = substream(n, 0, 0xABCD).standard_normal(n) * 3.0 + 0.4
+    want = (float(np.mean(v)), float(np.std(v, ddof=1)))
+    assert montecarlo._mean_sd(v) == want
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_exact_stable_marginals_are_sampled_in_place():
+    # 400,000 draws in d = 2: the Kanter variates in three length-n arrays
+    # (uniforms, exponentials, result), then s and z in (d + 1) n doubles
+    model = isotropic_stable(2, 1.4)
+    peak = _traced_peak(lambda: sample_levy_marginal(
+        model, 1.0, substream(1, 0, 0xABCD), 400_000))
+    assert peak <= 10.5e6, peak
+
+
+def test_ecf_check_reuses_its_buffers():
+    # the (n, d) samples and two length-n buffers: (d + 2) n doubles, 12.8 MB
+    cfg = SimConfig(horizon=1.0, paths=400_000, seed=1, radius=1.0, kappa=0.0)
+    xis = [s * np.eye(2)[0] for s in (0.25, 1.0, 4.0)]
+    peak = _traced_peak(lambda: ecf_check(isotropic_stable(2, 1.4), 1.0, xis,
+                                          cfg))
+    assert peak <= 13.5e6, peak
 
 
 def test_brownian_marginal_variance():
@@ -375,16 +434,13 @@ def test_euler_terminal_states_match_the_reference(monkeypatch, threads):
 
 def test_euler_sweep_memory_is_bounded(monkeypatch):
     # 1000 paths x 2000 steps run as two chunks of 500 paths, each holding
-    # 16 MB of Kanter variates and one 2 MB block of normals
+    # 8 MB of exponentials, one 2 MB block of normals and its 1 MB of
+    # uniforms
     monkeypatch.delenv("LEVY_TRANSIENCE_THREADS", raising=False)
     model = stable_like(2, alpha=(0.6, 1.4))
-    tracemalloc.start()
-    try:
-        euler_terminal_states(model, 20.0, 0.01, 1000, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 20e6, peak
+    peak = _traced_peak(lambda: euler_terminal_states(model, 20.0, 0.01, 1000,
+                                                      seed=1))
+    assert peak <= 14e6, peak
 
 
 # -- the ball test, the observers and the input checks --

@@ -35,6 +35,13 @@ def test_sphere_surface_values():
     assert sphere_surface(3) == pytest.approx(4.0 * math.pi)
 
 
+@pytest.mark.parametrize("n", [10, 16])
+def test_gauss_legendre_literals_are_numpys_leggauss(n):
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    assert quadrature._GL[n][0].tobytes() == nodes.tobytes()
+    assert quadrature._GL[n][1].tobytes() == weights.tobytes()
+
+
 @pytest.mark.parametrize("p", [-0.5, 0.0, 1.7, 3.2])
 def test_integrate_log_power(p):
     got = integrate_log(lambda u: u ** p, 0.5, 8.0)
