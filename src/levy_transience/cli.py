@@ -253,13 +253,18 @@ def tails_cmd(model_paths, out_dir, fmt, kappa, radius):
 def simulate_cmd(model_paths, out_dir, fmt, kappa, radius, horizon, paths,
                  step, seed, mode, trace_paths):
     """Estimate the occupation integral at doubling horizons."""
+    if trace_paths < 0:
+        raise ConfigurationError(
+            f"--trace-paths must be a count >= 0, got {trace_paths}")
+    if trace_paths and mode != EULER_PATH:
+        raise ConfigurationError(f"--trace-paths needs --mode {EULER_PATH}")
     model = load_model(model_paths[0])
     cfg = SimConfig(horizon=horizon, paths=paths, seed=seed,
                     radius=radius, kappa=kappa, step=step, mode=mode)
     est = occupation_integral_estimate(model, cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if trace_paths > 0 and mode == EULER_PATH:
+    if trace_paths:
         from .montecarlo import _euler_sweep
 
         m = _step_count(horizon, step)

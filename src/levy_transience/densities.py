@@ -20,7 +20,6 @@ from .quadrature import (
     jump_symbol_value,
     origin_cumulative,
     sphere_surface,
-    stacked_weight,
     tail_cumulative,
 )
 from .verdicts import memoized_profile, memoized_profiles, model_memo
@@ -271,42 +270,39 @@ class RadialLevyDensity:
         radii, not memoized: "jsym" the jump symbol, "tm" the tail mass
         nu(B^c(0, u)), "t3" int_{B(0, u)} |y|^2 nu(dy) and "m2" the rest of
         it, all three with atoms; a table's in closed form (its jump symbol
-        where the series reaches), the rest in one quadrature call."""
+        where the series reaches), the rest by quadrature, one call per
+        variant in the order listed."""
         bps = self.all_breakpoints()
-        lows = [self.support_lo(i) for i in variants]
-        profiles = [self.variants[i].profile for i in variants]
         if tag == "jsym":   # a table's series where it reaches, else quadrature
-            rows = [p.jump_symbol(self.d, r) if isinstance(p, LogLogTable)
+            rows = []
+            for i, r in zip(variants, radii):
+                p = self.variants[i].profile
+                row = p.jump_symbol(self.d, r) if isinstance(p, LogLogTable) \
                     else np.full(np.shape(r), np.nan)
-                    for p, r in zip(profiles, radii)]
-            rest = [np.isnan(row) for row in rows]
-            if any(m.any() for m in rest):
-                for row, m, q in zip(rows, rest, jump_symbol_value(
-                        stacked_weight([self.radial_weight(i)
-                                        for i in variants]),
-                        [np.asarray(r)[m] for r, m in zip(radii, rest)],
-                        self.d, bps, lows)):
-                    row[m] = q
+                rest = np.isnan(row)
+                if rest.any():
+                    row[rest] = jump_symbol_value(
+                        self.radial_weight(i), np.asarray(r)[rest], self.d,
+                        bps, self.support_lo(i))
+                rows.append(row)
             return rows
         k, outward = {"tm": (0, True), "t3": (2, False), "m2": (2, True)}[tag]
+        weight = self.second_moment_weight if k else self.radial_weight
 
         def atoms(u):   # their mass (tm) or r^2 mass on the same side of u
             return sum((np.where((u <= r) if outward else (r < u),
                                  r ** k * m, 0.0)
                         for r, m in self.atoms), np.zeros_like(u))
 
-        rows = [p.moment(self.d, k, r, outward) if isinstance(p, LogLogTable)
-                else None for p, r in zip(profiles, radii)]
-        rest = [j for j, row in enumerate(rows) if row is None]
-        if rest:
-            weight = self.second_moment_weight if k else self.radial_weight
-            w = stacked_weight([weight(variants[j]) for j in rest])
-            us = [radii[j] for j in rest]
-            got = tail_cumulative(w, us, bps) if outward else \
-                origin_cumulative(w, us, bps, [lows[j] for j in rest])
-            for j, row in zip(rest, got):
-                rows[j] = row
-        return [row + atoms(u) for row, u in zip(rows, radii)]
+        def row(i, u):
+            p = self.variants[i].profile
+            if isinstance(p, LogLogTable):
+                return p.moment(self.d, k, u, outward)
+            if outward:
+                return tail_cumulative(weight(i), u, bps)
+            return origin_cumulative(weight(i), u, bps, self.support_lo(i))
+
+        return [row(i, u) + atoms(u) for i, u in zip(variants, radii)]
 
     def functional(self, tag, variants, rhos):
         """sweep(tag) of each listed variant at rhos, one read-only array
@@ -320,8 +316,10 @@ class RadialLevyDensity:
     @staticmethod
     def by_parts(rho, tm, t3):
         """T1(rho) = int_0^rho u nu(B^c(0, u)) du = T2/2 + T3/2 from the
-        tail mass tm and T3 at rho, with T2 = rho^2 tm (by parts)."""
-        return 0.5 * rho ** 2 * tm + 0.5 * t3
+        tail mass tm and T3 at rho, with T2 = rho^2 tm (by parts); +inf
+        where the sum leaves the float range."""
+        with np.errstate(over="ignore"):
+            return 0.5 * rho ** 2 * tm + 0.5 * t3
 
     def functional_envelope(self, tag, which, rhos):
         """sup or inf over the variants of the functional `tag` at rhos
@@ -377,8 +375,7 @@ class RadialLevyDensity:
 
     def jump_symbols(self, rho):
         """jump_symbol of every variant at the radii rho, as an (n_variants,
-        n_radii) array: one stacked quadrature call for the radii the
-        variants lack."""
+        n_radii) array: one sweep for the radii the variants lack."""
         return self.jump_symbol(rho, range(len(self.variants)))
 
     # -- validation ---------------------------------------------------------

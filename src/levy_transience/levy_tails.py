@@ -138,10 +138,16 @@ def _tail_test(density, kappa, r, which):
 
 def _power_test(a, b, env, r):
     """Verdict on int_r^infinity rho^a / env(rho)^b drho, taken in log space
-    (env positive on the ladder)."""
-    return verdict_from_radial_integrand(
-        lambda rhos: log_power_law(0.0, a, b, rhos, env(rhos)), r,
-        singularity=AT_INFINITY)
+    (env positive on the ladder); a QuadratureError where env is +inf on
+    the ladder, which log space cannot tell from a vanishing integrand."""
+    def log_g(rhos):
+        values = env(rhos)
+        if np.any(values == math.inf):
+            raise QuadratureError("envelope leaves the float range on the "
+                                  "ladder")
+        return log_power_law(0.0, a, b, rhos, values)
+
+    return verdict_from_radial_integrand(log_g, r, singularity=AT_INFINITY)
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,8 @@ unbounded ends, including divergence detection.
 The block machinery works on rows: many intervals (or many octave sums) at
 once, cut at the breakpoints into one flat piece list, with one integrand
 call per step and np.bincount for the per-row sums. A scalar integral is the
-one-row case. The sweeps below take row groups (the variants of a density):
-one node array per group and a row-aware weight f(u, k), k the group of each
-row of u, give one array per group, equal bit for bit to the group alone.
+one-row case. The sweeps below integrate one weight f(u) (one variant of a
+density) per call, at one radius or node array.
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ from .errors import DivergentIntegralError, QuadratureError
 #: arrays at a few hundred kB; the rest of a jump symbol runs once per call
 _CHUNK = 64
 
-#: Gauss blocks per integrand call of a sweep: its arrays stay about those
-#: of one variant's sweep, however many row groups are stacked
+#: Gauss blocks per integrand call of a sweep: 4096 x 16 nodes keep each
+#: node array at 512 kB however many radii the sweep integrates
 _STEP_BLOCKS = 4096
 
 #: octaves integrated per step of an octave sum; a power-law integral
@@ -276,79 +275,45 @@ def integrate_origin(f, b, breakpoints=(), support_lo=0.0):
                              f"integral near 0 below {b} did not converge")[0])
 
 
-def stacked_weight(weights):
-    """Row-aware weight g(u, k): weights[i] on the rows of u whose group in
-    k (one per row, or one for all rows) is i, one call per group."""
-    def g(u, k):
-        k = np.broadcast_to(np.ravel(k), u.shape[:1])
-        if np.all(k == k[0]):        # most calls: no copy of u
-            return weights[k[0]](u)
-        order = np.argsort(k, kind="stable")
-        out = np.empty(u.shape)
-        for r in np.split(order, np.flatnonzero(np.diff(k[order])) + 1):
-            out[r] = weights[k[r[0]]](u[r])
-        return out
-
-    return g
-
-
-def _flat(groups):
-    """The groups concatenated, the group of each element, the cuts."""
-    groups = [np.asarray(x, dtype=float).ravel() for x in groups]
-    sizes = [x.size for x in groups]
-    return (np.concatenate(groups), np.repeat(np.arange(len(groups)), sizes),
-            np.cumsum(sizes)[:-1])
-
-
 def _toward_origin(g, b, lo, breakpoints, rel_tol, message):
-    """Integrals of g(u, j) over [lo[j], b[j]] where lo[j] > 0, else over
-    (0, b[j]] (an octave sum)."""
-    out = np.zeros(b.size)
-    cut, free = np.flatnonzero(lo > 0.0), np.flatnonzero(lo <= 0.0)
-    out[cut] = _log_integrals(lambda u, j: g(u, cut[j]), lo[cut], b[cut],
-                              breakpoints, np.arange(cut.size))
-    if free.size:
-        out[free] = _octave_sum(lambda u, j: g(u, free[j]), b[free], 0.5,
-                                breakpoints, rel_tol, message)
-    return out
+    """Integrals of g(u, j) over [lo, b[j]] where lo > 0, else over (0, b[j]]
+    (an octave sum)."""
+    if lo > 0.0:
+        return _log_integrals(g, np.full(b.size, lo), b, breakpoints,
+                              np.arange(b.size))
+    return _octave_sum(g, b, 0.5, breakpoints, rel_tol, message)
 
 
 def segment_integrals(f, edges, breakpoints):
-    """Integrals of f over each consecutive [x[j], x[j+1]] of each group's
-    edge array x, split at the breakpoints: one array per row group."""
-    lo, k, cuts = _flat([x[:-1] for x in edges])
-    hi = _flat([x[1:] for x in edges])[0]
-    return np.split(_log_integrals(lambda u, j: f(u, k[j]), lo, hi,
-                                   breakpoints, np.arange(lo.size)), cuts)
+    """Integrals of f over each consecutive [x[j], x[j+1]] of the edge array
+    x, split at the breakpoints."""
+    edges = np.asarray(edges, dtype=float)
+    return _log_integrals(lambda u, _: f(u), edges[:-1], edges[1:],
+                          breakpoints, np.arange(edges.size - 1))
 
 
 def tail_cumulative(f, us, breakpoints, rel_tol=1e-11):
-    """F(u_i) = integral of f over [u_i, infinity) for each row group's
-    sorted ascending nodes us[k]: one array per group.
-
-    Per group, one tail integral from its largest node (a row of one octave
-    sum for all groups) plus exact Gauss blocks over the gaps, accurate to
-    quadrature precision.
-    """
-    tops = np.asarray([x[-1] for x in us], dtype=float)
-    if np.any(tops <= 0.0):
-        raise QuadratureError(f"tail integral needs a > 0, got {tops.min()}")
-    tops = _octave_sum(f, tops, 2.0, breakpoints, rel_tol,
-                       "tail integral from {} did not converge")
-    return [top + np.append(np.cumsum(gaps[::-1])[::-1], 0.0) for top, gaps
-            in zip(tops, segment_integrals(f, us, breakpoints))]
+    """F(u_i) = integral of f over [u_i, infinity) at the sorted ascending
+    nodes us: one tail integral from the largest node plus exact Gauss
+    blocks over the gaps, accurate to quadrature precision."""
+    us = np.asarray(us, dtype=float)
+    if us[-1] <= 0.0:
+        raise QuadratureError(f"tail integral needs a > 0, got {us[-1]}")
+    top = _octave_sum(lambda u, _: f(u), us[-1:], 2.0, breakpoints, rel_tol,
+                      "tail integral from {} did not converge")[0]
+    gaps = segment_integrals(f, us, breakpoints)
+    return top + np.append(np.cumsum(gaps[::-1])[::-1], 0.0)
 
 
 def origin_cumulative(f, us, breakpoints, support_lo):
-    """F(u_i) = integral of f over (0, u_i] (or [support_lo[k], u_i]) for
-    each row group's sorted ascending nodes us[k]: the origin-side mirror of
-    tail_cumulative."""
-    bottoms = _toward_origin(f, np.asarray([x[0] for x in us], dtype=float),
-                             np.asarray(support_lo, dtype=float), breakpoints,
-                             1e-11,
-                             "integral near 0 below {} did not converge")
-    return [np.append(bottom, bottom + np.cumsum(gaps)) for bottom, gaps
-            in zip(bottoms, segment_integrals(f, us, breakpoints))]
+    """F(u_i) = integral of f over (0, u_i] (or [support_lo, u_i]) at the
+    sorted ascending nodes us: the origin-side mirror of tail_cumulative."""
+    us = np.asarray(us, dtype=float)
+    bottom = _toward_origin(lambda u, _: f(u), us[:1], support_lo,
+                            breakpoints, 1e-11,
+                            "integral near 0 below {} did not converge")[0]
+    return np.append(bottom, bottom + np.cumsum(
+        segment_integrals(f, us, breakpoints)))
 
 
 # ---------------------------------------------------------------------------
@@ -417,14 +382,13 @@ def _wave_functional(d):
 
 def _blockwise_wave_tail(f, a, rho, d, breakpoints):
     """oscillatory_tail_integral on each row's own blocks, cut at the
-    breakpoints: one f(u, row) call, one kernel call and one bincount per
-    chunk."""
+    breakpoints: one f call, one kernel call and one bincount per chunk."""
     edges = a[:, None] + (math.pi / rho)[:, None] * np.arange(_WAVE_BLOCKS + 1)
     owner, lo, hi = _split(edges[:, :-1].ravel(), edges[:, 1:].ravel(),
                            breakpoints)
     u, w = _linear_gauss_blocks(lo, hi, _WAVE_N)
     row = owner[:, None] // _WAVE_BLOCKS
-    vals = wave_kernel(rho[row] * u, d) * np.asarray(f(u, row), dtype=float)
+    vals = wave_kernel(rho[row] * u, d) * np.asarray(f(u), dtype=float)
     blocks = np.bincount(owner, weights=np.einsum("ij,ij->i", w, vals),
                          minlength=rho.size * _WAVE_BLOCKS)
     sums = np.cumsum(blocks.reshape(rho.size, _WAVE_BLOCKS), axis=1)
@@ -432,19 +396,17 @@ def _blockwise_wave_tail(f, a, rho, d, breakpoints):
 
 
 def oscillatory_tail_integral(f, a, rho, d, breakpoints):
-    """Integral of psi_d(rho[j] * u) * f(u, k) over [a[j], infinity) at each
-    radius of each row group's radius array rho[k]: one array per group. a
-    is one array per group too, or None for a[j] = pi / rho[j].
+    """Integral of psi_d(rho[j] * u) * f(u) over [a[j], infinity) at each
+    radius rho[j]; a is an array like rho, or None for a[j] = pi / rho[j].
 
     Blocks of half-period length pi/rho give (asymptotically) alternating
     contributions; the limit of the partial sums is taken with iterated
     averaging. f must have an integrable power-like tail. Rows run _CHUNK
     at a time. From a = None, rows with no breakpoint in their window use
     _wave_functional, built once per dimension: one f call and one dot
-    product per chunk, and a chunk holds one group (the bits of a dot
-    product depend on its rows). Other rows take _blockwise_wave_tail.
+    product per chunk. Other rows take _blockwise_wave_tail.
     """
-    rho, k, cuts = _flat(rho)
+    rho = np.asarray(rho, dtype=float)
     if np.any(rho <= 0):
         raise QuadratureError("oscillatory integral needs rho > 0")
     shared = np.zeros(rho.size, dtype=bool)
@@ -452,70 +414,57 @@ def oscillatory_tail_integral(f, a, rho, d, breakpoints):
         a = math.pi / rho
         pieces = np.bincount(_split(a, a * (_WAVE_BLOCKS + 1), breakpoints)[0])
         shared = pieces == 1         # no breakpoint inside the window
-    else:
-        a = _flat(a)[0]
     out = np.empty(rho.size)
-    by_group = [np.flatnonzero(shared & (k == i)) for i in range(cuts.size + 1)]
-    for rows in by_group + [np.flatnonzero(~shared)]:
+    for rows in (np.flatnonzero(shared), np.flatnonzero(~shared)):
         for first in range(0, rows.size, _CHUNK):
             j = rows[first:first + _CHUNK]
             if shared[j[0]]:
                 s, c = _wave_functional(d)
-                out[j] = np.asarray(f(s / rho[j, None], k[j[0]]),
-                                    dtype=float) @ c / rho[j]
+                out[j] = np.asarray(f(s / rho[j, None]), dtype=float) @ c \
+                    / rho[j]
             else:
-                out[j] = _blockwise_wave_tail(lambda u, r: f(u, k[j][r]), a[j],
-                                              rho[j], d, breakpoints)
-    return np.split(out, cuts)
+                out[j] = _blockwise_wave_tail(f, a[j], rho[j], d, breakpoints)
+    return out
 
 
 def jump_symbol_value(f, rho, d, breakpoints, support_lo):
-    """Integral of (1 - psi_d(rho*u)) * f(u, k) over (0, infinity) (from
-    support_lo[k] where that is positive) at each radius of each row
-    group's radius array rho[k]: one array per group.
+    """Integral of (1 - psi_d(rho*u)) * f(u) over (0, infinity) (from
+    support_lo where that is positive) at each radius of the array rho.
 
     This is the radial reduction of int (1 - cos<xi, y>) nu(dy) for a radial
     jump weight: f(u) = S_d * u^{d-1} * n(u) yields the (real) jump part of
     the symbol at |xi| = rho. Splits at the oscillation scale pi/rho into the
-    near part below it and the plain and wave tails above it. The near part
-    and the plain tail run once per call, for all groups; the wave tail runs
-    per group, from pi/rho on a functional built once per dimension (see
-    oscillatory_tail_integral). Octave sums stop at relative tolerance 1e-10.
+    near part below it and the plain and wave tails above it, each for all
+    radii at once; the wave tail from pi/rho runs on a functional built once
+    per dimension (see oscillatory_tail_integral). Octave sums stop at
+    relative tolerance 1e-10.
     """
-    rhos, k, cuts = _flat(rho)
-    out, nonzero = np.zeros(rhos.size), np.flatnonzero(rhos)
+    rho = np.ravel(np.asarray(rho, dtype=float))
+    out, nonzero = np.zeros(rho.size), np.flatnonzero(rho)
     if nonzero.size:
-        lo = np.asarray(support_lo, dtype=float)[k[nonzero]]
-        out[nonzero] = _jump_symbol_rows(f, rhos[nonzero], k[nonzero], lo, d,
-                                         tuple(breakpoints))
-    return np.split(out, cuts)
+        out[nonzero] = _jump_symbol_rows(f, rho[nonzero], d,
+                                         tuple(breakpoints), support_lo)
+    return out
 
 
-def _jump_symbol_rows(f, rho, k, lo, d, bps):
-    """jump_symbol_value at nonzero radii rho, in ascending groups k."""
+def _jump_symbol_rows(f, rho, d, bps, lo):
+    """jump_symbol_value at nonzero radii rho."""
     u_c = math.pi / rho
-    lo_end = np.maximum(lo, 0.0)
+    lo_end = max(lo, 0.0)
     inner = u_c > lo_end             # rows with a part below pi/rho
     near = np.flatnonzero(inner)
 
     def smooth_part(u, j):
         return one_minus_wave_kernel(rho[near[j]] * u, d) \
-            * np.asarray(f(u, k[near[j]]), dtype=float)
+            * np.asarray(f(u), dtype=float)
 
     out = np.zeros(rho.size)
-    out[near] = _toward_origin(smooth_part, u_c[near], lo[near], bps, 1e-10,
+    out[near] = _toward_origin(smooth_part, u_c[near], lo, bps, 1e-10,
                                "integral near 0 below pi/rho did not converge")
-    groups, first = np.unique(k, return_index=True)
-    starts = [np.unique(x, return_inverse=True)
-              for x in np.split(np.where(inner, u_c, lo_end), first[1:])]
-    out += np.concatenate([tail[where] for tail, (_, where) in zip(
-        tail_cumulative(lambda u, j: f(u, groups[j]), [x for x, _ in starts],
-                        bps, rel_tol=1e-10), starts)])
-
-    def by_group(x, sel):
-        return np.split(x[sel], np.searchsorted(k[sel], groups[1:]))
-
-    for sel, a in ((inner, None), (~inner, by_group(lo_end, ~inner))):
-        out[sel] -= np.concatenate(oscillatory_tail_integral(
-            lambda u, j: f(u, groups[j]), a, by_group(rho, sel), d, bps))
+    starts, where = np.unique(np.where(inner, u_c, lo_end),
+                              return_inverse=True)
+    out += tail_cumulative(f, starts, bps, rel_tol=1e-10)[where]
+    out[inner] -= oscillatory_tail_integral(f, None, rho[inner], d, bps)
+    out[~inner] -= oscillatory_tail_integral(
+        f, np.full(rho.size - near.size, lo_end), rho[~inner], d, bps)
     return out

@@ -135,9 +135,8 @@ def memoized_profiles(obj, keys, compute):
     memoized per radius under its key in the `_cache` dict of the frozen
     obj. The radii the keys lack go to one compute(rows, radii) call (rows:
     the positions of the keys that lack some, radii: their sorted missing
-    radii; one array back per row), or, should it raise a QuadratureError,
-    to one call per row: the error is then the first a loop over the keys
-    meets. A whole radius array seen before is looked up at once."""
+    radii; one array back per row). A whole radius array seen before is
+    looked up at once."""
     caches = [obj._cache.setdefault(key, {}) for key in keys]
 
     def profiles(rhos):
@@ -149,12 +148,7 @@ def memoized_profiles(obj, keys, compute):
         missing = {i: np.asarray(sorted(wanted - caches[i].keys()))
                    for i in new}
         rows = [i for i in new if missing[i].size]
-        try:
-            values = compute(rows, [missing[i] for i in rows]) if rows else []
-        except QuadratureError:
-            if len(rows) < 2:
-                raise
-            values = [compute([i], [missing[i]])[0] for i in rows]
+        values = compute(rows, [missing[i] for i in rows]) if rows else []
         for i, vals in zip(rows, values):
             caches[i].update(zip(missing[i].tolist(), map(float, vals)))
         for i in new:

@@ -74,10 +74,10 @@ def model_file(tmp_path):
 
 
 def stacked_density_cases():
-    """(id, density) pairs for the row-group tests: power, finite_range,
-    power_log and table densities, a stable density with a factor below a
-    radius and a modified density whose variants differ in support_lo (with
-    an atom), in d = 1, 2, 3, 5."""
+    """(id, density) pairs for the sweeps over several variants: power,
+    finite_range, power_log and table densities, a stable density with a
+    factor below a radius and a modified density whose variants differ in
+    support_lo (with an atom), in d = 1, 2, 3, 5."""
     def cut_power(d, lo):
         return lambda u: np.where(u >= lo, u ** (-d - 1.2), 0.0)
 

@@ -103,6 +103,27 @@ def test_closed_form_decides_when_integrands_overflow(model, kappa, verdict):
     assert {"integral", "tail"} <= methods
 
 
+@pytest.mark.parametrize("make, kappa_star", [
+    *((lambda d=d: isotropic_stable(d, 0.3, gamma=1e300), d / 0.3 - 1.0)
+      for d in (1, 2, 3, 5)),
+    (lambda: stable_like(1, 0.5, gamma=1e298), 1.0),
+], ids=["iso-d1", "iso-d2", "iso-d3", "iso-d5", "stable_like-d1"])
+@pytest.mark.parametrize("kappa", [0.0, 1.0, 4.0])
+def test_a_t1_envelope_beyond_the_float_range_skips_the_tail_band(
+        make, kappa_star, kappa):
+    # T1 = rho^2 tm / 2 + T3 / 2 of a small-alpha stable density at a huge
+    # scale is +inf on the tail ladder although tm and T3 are finite; the
+    # tail band is skipped with a note, and the other bands decide on the
+    # side of kappa* = d/alpha - 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = classify(make(), kappa)
+    assert rep.verdict == (STRONGLY_TRANSIENT if kappa < kappa_star
+                           else WEAKLY_TRANSIENT)
+    assert "tail tests not applicable: envelope leaves the float range on " \
+        "the ladder" in rep.notes
+
+
 @pytest.fixture(scope="module")
 def power_jump_model():
     return radial_jump_model(power_density(3, 1.0, u0=1.0))

@@ -180,6 +180,41 @@ def test_simulate_euler_trace_dump(runner, model_file, tmp_path):
     assert len(lines) == 1 + 3 * 40
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--mode", "euler_path", "--trace-paths", "-1"],
+     "error: --trace-paths must be a count >= 0, got -1"),
+    (["--trace-paths", "3"], "error: --trace-paths needs --mode euler_path"),
+    (["--mode", "exact_marginal", "--trace-paths", "3"],
+     "error: --trace-paths needs --mode euler_path"),
+])
+def test_simulate_rejects_trace_paths_it_cannot_dump(runner, model_file,
+                                                     tmp_path, args, message):
+    path = model_file(STABLE_05_D1, "stable.json")
+    out = tmp_path / "out"
+    result = runner.invoke(main, [
+        "simulate", "--model", path, "--kappa", "1.0", "--horizon", "2",
+        "--paths", "50", "--step", "0.05", "--seed", "5", *args,
+        "--out", str(out)])
+    assert result.exit_code == 1, result.output
+    assert result.stderr == message + "\n"
+    assert not (out / "traces.csv").exists()
+
+
+@pytest.mark.parametrize("mode", ["exact_marginal", "euler_path"])
+def test_simulate_accepts_zero_trace_paths_in_either_mode(runner, model_file,
+                                                          tmp_path, mode):
+    # 0 is the default: it asks for no dump, so no mode rejects it
+    path = model_file(STABLE_05_D1, "stable.json")
+    out = tmp_path / "out"
+    result = runner.invoke(main, [
+        "simulate", "--model", path, "--kappa", "1.0", "--horizon", "2",
+        "--paths", "50", "--step", "0.05", "--seed", "5", "--mode", mode,
+        "--trace-paths", "0", "--out", str(out)])
+    assert result.exit_code in (0, 2), result.output
+    assert (out / "occupation.csv").exists()
+    assert not (out / "traces.csv").exists()
+
+
 @pytest.mark.parametrize("mode", ["exact_marginal", "euler_path"])
 def test_simulate_singular_psd_diffusion_matrix(runner, model_file, tmp_path,
                                                 mode):

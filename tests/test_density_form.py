@@ -111,7 +111,8 @@ def reference_modified_density(base, radius, factor=None, replacement=None):
 
 
 def _cases():
-    """(id, density, reference density) over the stacked catalogue."""
+    """(id, density, reference density) over the stacked_density_cases
+    catalogue."""
     with mock.patch.multiple(
             conftest, power_density=reference_power_density,
             stable_density=reference_stable_density,

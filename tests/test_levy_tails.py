@@ -407,10 +407,11 @@ def test_second_moment_sweep_matches_single_radii(dens):
 
 
 @pytest.mark.parametrize("name, dens", list(stacked_density_cases()))
-def test_stacked_tail_sweeps_equal_each_variant_alone_bit_for_bit(name, dens):
-    # tail mass and T3 (the parts T1 is formed from) with a row group per
-    # variant: each group's values are those of its variant alone,
-    # whatever radii (a verdict ladder, one radius, more than 64) and
+def test_sweeps_equal_each_variant_alone_bit_for_bit(name, dens):
+    # jump symbol, tail mass and T3 (the parts T1 is formed from) of several
+    # variants in one sweep: each row is that of its variant alone,
+    # whatever radii (a verdict ladder, one radius, more than 64, past a
+    # table's series reach, and a zero radius for the jump symbol) and
     # variants share the sweep
     from levy_transience.verdicts import AT_INFINITY, AT_ORIGIN, verdict_ladder
 
@@ -419,9 +420,11 @@ def test_stacked_tail_sweeps_equal_each_variant_alone_bit_for_bit(name, dens):
     radii = [np.sort(verdict_ladder(1.0, AT_INFINITY)[0]), np.array([0.75]),
              np.sort(verdict_ladder(0.5, AT_ORIGIN)[0][:90]),
              np.geomspace(0.01, 50.0, 70)]
-    for tag in ("tm", "t3"):
-        rows = dens.sweep(tag, picked, radii)
-        for i, rhos, row in zip(picked, radii, rows):
+    for tag in ("jsym", "tm", "t3"):
+        swept = [np.append(0.0, r) for r in radii] if tag == "jsym" \
+            else radii
+        rows = dens.sweep(tag, picked, swept)
+        for i, rhos, row in zip(picked, swept, rows):
             alone = dens.sweep(tag, [i], [rhos])[0]
             assert row.tobytes() == alone.tobytes(), (tag, i)
 

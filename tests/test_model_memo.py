@@ -21,7 +21,7 @@ from levy_transience.densities import (
 )
 from levy_transience.errors import LevyTransienceError
 from levy_transience.index_rules import uniform_second_moment
-from levy_transience.quadrature import jump_symbol_value, stacked_weight
+from levy_transience.quadrature import jump_symbol_value
 from levy_transience.symbols import (
     brownian_drift,
     isotropic_stable,
@@ -165,8 +165,8 @@ def test_stable_closed_form_matches_quadrature(d, alpha, gamma):
     for i in range(len(dens.variants)):
         np.testing.assert_allclose(
             dens.jump_symbol(rhos, i),
-            jump_symbol_value(stacked_weight([dens.radial_weight(i)]),
-                              [rhos], d, (), [0.0])[0], rtol=1e-9)
+            jump_symbol_value(dens.radial_weight(i), rhos, d, (), 0.0),
+            rtol=1e-9)
 
 
 def _scipy_special_loaded_after(args, tmp_path):
@@ -257,8 +257,8 @@ def test_kappa_probes_sweep_each_tail_functional_once(tmp_path, monkeypatch):
                      for dens in densities for tag in ("t3", "tm")]
     # the four isotropic stable models are decided by the closed-form band
     # alone, so only stable_like2 sweeps the tail mass and T3 behind T1:
-    # each once on the verdict ladder, with its 9 variants as the row
-    # groups of one sweep, however many kappa probes read it; its second
+    # each once on the verdict ladder, with its 9 variants in one sweep,
+    # however many kappa probes read it; its second
     # moment adds T3 at radius 1
     ladder = {verdicts.verdict_ladder(1.0, verdicts.AT_INFINITY)[0].size}
     assert sorted(((tag, dens is densities[-1], rows, sizes)

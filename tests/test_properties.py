@@ -26,7 +26,6 @@ from levy_transience.errors import ConfigurationError, LevyTransienceError
 from levy_transience.quadrature import (
     jump_symbol_value,
     sphere_surface,
-    stacked_weight,
 )
 from levy_transience.symbols import (
     ENV_INF_RE,
@@ -60,8 +59,7 @@ def test_stable_jump_symbol_is_rho_to_the_alpha_alone_or_in_a_ladder(
         return coef * u ** (-1.0 - alpha)
 
     def symbol(rhos):
-        return jump_symbol_value(stacked_weight([weight]), [rhos], d, (),
-                                 [0.0])[0]
+        return jump_symbol_value(weight, rhos, d, (), 0.0)
 
     lone = symbol([rho])[0]
     assert math.isclose(lone, rho ** alpha, rel_tol=1e-8)

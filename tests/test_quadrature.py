@@ -10,7 +10,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import levy_transience
-from conftest import stacked_density_cases
 from levy_transience import quadrature
 from levy_transience.errors import DivergentIntegralError
 from levy_transience.quadrature import (
@@ -24,7 +23,6 @@ from levy_transience.quadrature import (
     oscillatory_tail_integral,
     segment_integrals,
     sphere_surface,
-    stacked_weight,
     tail_cumulative,
 )
 
@@ -118,11 +116,6 @@ def test_wave_kernel_small_argument_scale():
         assert val == pytest.approx(s * s / (2.0 * d), rel=1e-9)
 
 
-def lone(sweep, w, xs, *args):
-    """The sweep of one row group with the plain weight w: its one array."""
-    return sweep(stacked_weight([w]), [xs], *args)[0]
-
-
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_jump_symbol_value_stable_closed_form(d):
     # weight of an isotropic stable measure gives exactly rho^alpha
@@ -136,7 +129,7 @@ def test_jump_symbol_value_stable_closed_form(d):
         return s_d * c * u ** (d - 1.0 - d - alpha)
 
     for rho in (2.0 ** -20, 0.1, 1.0, 30.0):
-        got = lone(jump_symbol_value, w, [rho], d, (), [0.0])[0]
+        got = jump_symbol_value(w, [rho], d, (), 0.0)[0]
         assert got == pytest.approx(rho ** alpha, rel=1e-8)
 
 
@@ -145,7 +138,7 @@ def test_tail_cumulative_matches_direct():
         return u ** -2.2
 
     us = np.geomspace(0.05, 40.0, 17)
-    got = lone(tail_cumulative, w, us, ())
+    got = tail_cumulative(w, us, ())
     want = -us ** -1.2 / -1.2
     np.testing.assert_allclose(got, want, rtol=1e-10)
 
@@ -155,7 +148,7 @@ def test_segment_integrals_with_breakpoint():
         return np.where(u < 1.0, 0.0, u ** -2.0)
 
     edges = np.array([0.5, 0.9, 1.5, 3.0])
-    got = lone(segment_integrals, f, edges, (1.0,))
+    got = segment_integrals(f, edges, (1.0,))
     assert got[0] == pytest.approx(0.0, abs=1e-15)
     assert got[1] == pytest.approx(1.0 - 1.0 / 1.5, rel=1e-12)
     assert got[2] == pytest.approx(1.0 / 1.5 - 1.0 / 3.0, rel=1e-12)
@@ -189,9 +182,9 @@ def test_jump_symbol_value_ladder_matches_single_radii(name, dens):
                            np.pi * np.array([0.999, 1.0, 1.001])])
     for i in range(len(dens.variants)):
         f = dens.radial_weight(i)
-        kw = (dens.all_breakpoints(), [dens.support_lo(i)])
-        ladder = lone(jump_symbol_value, f, rhos, dens.d, *kw)
-        single = np.array([lone(jump_symbol_value, f, [r], dens.d, *kw)[0]
+        kw = (dens.all_breakpoints(), dens.support_lo(i))
+        ladder = jump_symbol_value(f, rhos, dens.d, *kw)
+        single = np.array([jump_symbol_value(f, [r], dens.d, *kw)[0]
                            for r in rhos])
         assert ladder.shape == rhos.shape
         np.testing.assert_allclose(ladder, single, rtol=1e-13, atol=0.0)
@@ -204,7 +197,7 @@ def test_jump_symbol_value_ladder_chunks_and_zero_radius():
     f = dens.radial_weight(0)
     # more radii than one chunk and a zero radius
     rhos = np.append(np.geomspace(1e-4, 10.0, 149), 0.0)
-    got = lone(jump_symbol_value, f, rhos, 3, (), [0.0])
+    got = jump_symbol_value(f, rhos, 3, (), 0.0)
     assert got.shape == (150,) and got[-1] == 0.0
     np.testing.assert_allclose(got, rhos ** 1.3, rtol=1e-10)
 
@@ -221,7 +214,7 @@ def test_jump_symbol_value_stable_closed_form_on_a_radius_vector():
 
         rhos = np.array([2.0 ** -20, 1e-3, 0.1, 1.0, 30.0])
         np.testing.assert_allclose(
-            lone(jump_symbol_value, w, rhos, d, (), [0.0]), rhos ** alpha,
+            jump_symbol_value(w, rhos, d, (), 0.0), rhos ** alpha,
             rtol=1e-8)
 
 
@@ -248,13 +241,12 @@ def test_shared_wave_tail_matches_the_per_row_blocks(d, monkeypatch):
     rhos = np.geomspace(1e-6, 1e2, 97)
     for dens in (power_density(d, 1.1, u0=1.0), stable_density(d, 0.7),
                  table_density(d, [0.5, 3.0, 40.0], [1e-1, 1e-3, 1e-12])):
-        f = stacked_weight([dens.radial_weight(0)])
+        f = dens.radial_weight(0)
         bps = dens.all_breakpoints()
         blockwise_rows.clear()
-        shared = oscillatory_tail_integral(f, None, [rhos], d, bps)[0]
+        shared = oscillatory_tail_integral(f, None, rhos, d, bps)
         fallback_rows = sum(blockwise_rows)
-        per_row = oscillatory_tail_integral(f, [np.pi / rhos], [rhos], d,
-                                            bps)[0]
+        per_row = oscillatory_tail_integral(f, np.pi / rhos, rhos, d, bps)
         assert sum(blockwise_rows) - fallback_rows == rhos.size
         assert (fallback_rows > 0) == bool(bps)
         np.testing.assert_allclose(shared, per_row, rtol=1e-13, atol=0.0)
@@ -277,55 +269,74 @@ def test_wave_tail_of_a_ladder_evaluates_the_kernel_once(monkeypatch):
     quadrature._wave_functional.cache_clear()
     dens = power_density(3, 1.1, u0=1.0)
     rhos = np.geomspace(6e-8, 3.0, 400)
-    lone(jump_symbol_value, dens.radial_weight(0), rhos, 3,
-         dens.all_breakpoints(), [dens.support_lo(0)])
+    jump_symbol_value(dens.radial_weight(0), rhos, 3, dens.all_breakpoints(),
+                      dens.support_lo(0))
     assert 0 < sum(nodes) <= 48 * 10
 
 
 def test_origin_cumulative_matches_direct():
     us = np.geomspace(0.05, 40.0, 17)
     np.testing.assert_allclose(
-        lone(origin_cumulative, lambda u: u ** -0.4, us, (), [0.0]),
+        origin_cumulative(lambda u: u ** -0.4, us, (), 0.0),
         us ** 0.6 / 0.6, rtol=1e-10)
     # support cut at 0.5, kink at 2: blocks split at both breakpoints
-    got = lone(origin_cumulative,
-               lambda u: np.where(u < 0.5, 0.0, np.where(u < 2.0, u, 2.0)),
-               us, (0.5, 2.0), [0.5])
+    got = origin_cumulative(
+        lambda u: np.where(u < 0.5, 0.0, np.where(u < 2.0, u, 2.0)),
+        us, (0.5, 2.0), 0.5)
     want = np.where(us < 0.5, 0.0, np.where(
         us < 2.0, (us ** 2 - 0.25) / 2.0, 1.875 + 2.0 * (us - 2.0)))
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
 
-@pytest.mark.parametrize("name, dens", list(stacked_density_cases()))
-def test_stacked_sweeps_equal_each_group_alone_bit_for_bit(name, dens):
-    # row groups of other variants, other radii (a zero radius, more than
-    # one wave-tail chunk) and a repeated variant do not change one bit of
-    # a group's values
-    n = len(dens.variants)
-    picked = [n - 1, 0, n // 2, 0]
-    radii = [np.sort(np.append(np.geomspace(1e-6, 1e2, 150),
-                               np.pi * np.array([0.999, 1.0, 1.001]))),
-             np.array([0.0, 0.37]), np.geomspace(3e-3, 40.0, 23),
-             np.geomspace(1e-5, 1e3, 70)]
-    weights = [dens.radial_weight(i) for i in picked]
-    lows = [dens.support_lo(i) for i in picked]
+def _one_call_cases():
+    from levy_transience.densities import (
+        modified_density,
+        power_density,
+        power_log_density,
+        table_density,
+    )
+
+    yield "power_log-d1", power_log_density(1, -2.0, 2.0)
+    yield "power_log-d3", power_log_density(3, -4.5, 1.0)
+    yield "power-u0-d3", power_density(3, (0.8, 1.2), u0=3.0)
+    yield "replacement-d2", modified_density(
+        power_density(2, (0.7, 1.3), n_variants=2), 1.0,
+        replacement=lambda u: u ** -2.5)
+    yield "table-past-reach-d2", table_density(2, [0.5, 3.0, 40.0],
+                                               [1e-1, 1e-3, 1e-6])
+
+
+@pytest.mark.parametrize("name, dens", list(_one_call_cases()))
+def test_sweep_rows_are_one_quadrature_call_per_variant(name, dens):
+    # each variant's row of a sweep over all variants is exactly what one
+    # call of the quadrature entry point on that variant's weight returns;
+    # a table's jump symbol reaches quadrature only past its series' reach
+    from levy_transience.densities import LogLogTable
+
+    rhos = np.sort(np.append(np.geomspace(1e-6, 1e3, 120), np.pi))
+    every = range(len(dens.variants))
     bps = dens.all_breakpoints()
-    stacked = stacked_weight(weights)
-    got = jump_symbol_value(stacked, radii, dens.d, bps, lows)
-    for row, w, rho, lo in zip(got, weights, radii, lows):
-        assert row.tobytes() == lone(jump_symbol_value, w, rho, dens.d, bps,
-                                     [lo]).tobytes()
-    nodes = [rho[rho > 0.0] for rho in radii]
-    for sweep in (tail_cumulative, segment_integrals):
-        for row, w, us in zip(sweep(stacked, nodes, bps), weights, nodes):
-            assert row.tobytes() == lone(sweep, w, us, bps).tobytes()
-    # the T3 weight u^2 S_d u^{d-1} n(u) is integrable at the origin
-    moments = [dens.second_moment_weight(i) for i in picked]
-    for row, w, us, lo in zip(
-            origin_cumulative(stacked_weight(moments), nodes, bps, lows),
-            moments, nodes, lows):
-        assert row.tobytes() \
-            == lone(origin_cumulative, w, us, bps, [lo]).tobytes()
+    jsym = dens.sweep("jsym", every, [rhos] * len(dens.variants))
+    for i, row in zip(every, jsym):
+        p = dens.variants[i].profile
+        table = isinstance(p, LogLogTable)
+        series = p.jump_symbol(dens.d, rhos) if table \
+            else np.full(rhos.shape, np.nan)
+        rest = np.isnan(series)
+        assert rest.any()
+        want = jump_symbol_value(dens.radial_weight(i), rhos[rest], dens.d,
+                                 bps, dens.support_lo(i))
+        assert row[rest].tobytes() == want.tobytes(), i
+        assert row[~rest].tobytes() == series[~rest].tobytes(), i
+        if table:   # its tail mass and T3 are closed forms
+            continue
+        np.testing.assert_array_equal(
+            dens.sweep("tm", [i], [rhos])[0],
+            tail_cumulative(dens.radial_weight(i), rhos, bps))
+        np.testing.assert_array_equal(
+            dens.sweep("t3", [i], [rhos])[0],
+            origin_cumulative(dens.second_moment_weight(i), rhos, bps,
+                              dens.support_lo(i)))
 
 
 def _variants_with_divergent_integrals():
@@ -359,8 +370,8 @@ def _raised(call):
 
 def test_a_stacked_jump_symbol_raises_what_a_loop_over_variants_raises():
     # a loop over the variants meets the far variant's diverging tail
-    # first, although the near variant diverges in an earlier stage of
-    # the stacked sweep
+    # first, and so does the sweep of all variants, although the near
+    # variant diverges in an earlier stage of its own sweep
     fresh = _variants_with_divergent_integrals()
     rhos = np.array([1e-16, 1e12])
     loop = fresh()
@@ -375,8 +386,8 @@ def test_a_stacked_jump_symbol_raises_what_a_loop_over_variants_raises():
 
 def test_jump_symbols_fill_each_memo_as_a_loop_over_variants_would():
     # variant 0 already holds some radii (the pointwise symbol path fills
-    # it alone); the stacked call computes each variant's missing radii,
-    # so every value equals that of the per-variant loop
+    # it alone); the sweep of all variants computes each variant's missing
+    # radii, so every value equals that of the per-variant loop
     from levy_transience.densities import power_density
 
     def fresh():
@@ -387,20 +398,20 @@ def test_jump_symbols_fill_each_memo_as_a_loop_over_variants_would():
     rhos = np.geomspace(1e-4, 10.0, 90)
     loop = fresh()
     want = np.stack([loop.jump_symbol(rhos, i) for i in range(9)])
-    stacked = fresh()
-    got = stacked.jump_symbols(rhos)
+    swept = fresh()
+    got = swept.jump_symbols(rhos)
     assert got.shape == (9, 90) and got.tobytes() == want.tobytes()
     for i in range(9):
-        assert stacked._cache[("jsym", i)].keys() \
+        assert swept._cache[("jsym", i)].keys() \
             == loop._cache[("jsym", i)].keys()
-    assert stacked.jump_symbol(0.5, [4, 0]).tolist() \
+    assert swept.jump_symbol(0.5, [4, 0]).tolist() \
         == [loop.jump_symbol(0.5, 4), loop.jump_symbol(0.5, 0)]
 
 
 def test_jump_symbols_over_many_steps_equal_a_loop_over_variants():
-    # 9 variants without a support cut share 406 radii: the near parts are
-    # octave sums of about 30,000 blocks per batch, run in several steps of
-    # whole rows, and each row equals its variant's call alone
+    # 9 variants without a support cut share 406 radii (a near part of
+    # about 3,300 octave blocks per batch each): the sweep of all of them
+    # equals the per-variant loop bit for bit
     from levy_transience.densities import modified_density, stable_density
 
     def fresh():

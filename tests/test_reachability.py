@@ -99,9 +99,8 @@ def test_no_module_imports_a_name_it_does_not_use():
 
 def test_only_the_density_and_the_quadrature_integrate_variants():
     # how a variant of a radial density is integrated is the density's
-    # question: other modules read its sweeps, not the row-group machinery
-    machinery = {"stacked_weight", "tail_cumulative", "origin_cumulative",
-                 "jump_symbol_value"}
+    # question: other modules read its sweeps, not the quadrature sweeps
+    machinery = {"tail_cumulative", "origin_cumulative", "jump_symbol_value"}
     found = {module: sorted(_names(tree) & machinery)
              for module, tree in _trees().items()
              if module not in ("densities", "quadrature")}

@@ -34,12 +34,12 @@ from levy_transience.quadrature import (
     jump_symbol_value,
     one_minus_wave_kernel,
     sphere_surface,
-    stacked_weight,
 )
 from levy_transience.symbols import (
     isotropic_stable,
     model_from_config,
     radial_jump_model,
+    stable_like,
 )
 
 REACH = densities._SERIES_REACH
@@ -81,14 +81,13 @@ def _origin_piece(dens, i, rho, cut):
 
 
 def _oracle(dens, i, rhos):
-    w = stacked_weight([dens.radial_weight(i)])
+    w = dens.radial_weight(i)
     lo = dens.support_lo(i)
     if lo > 0.0:
-        return jump_symbol_value(w, [rhos], dens.d, dens.all_breakpoints(),
-                                 [lo])[0]
+        return jump_symbol_value(w, rhos, dens.d, dens.all_breakpoints(), lo)
     cut = min(dens.variants[i].profile.knots, default=1.0)
-    above = jump_symbol_value(w, [rhos], dens.d,
-                              sorted({*dens.all_breakpoints(), cut}), [cut])[0]
+    above = jump_symbol_value(w, rhos, dens.d,
+                              sorted({*dens.all_breakpoints(), cut}), cut)
     return above + [_origin_piece(dens, i, r, cut) for r in rhos]
 
 
@@ -124,9 +123,9 @@ def test_classify_runs_no_quadrature_on_the_series_ladder(monkeypatch):
     # sector_check evaluates no Re q at larger radii
     calls = []
 
-    def counted(f, rho, d, bps, lows):
-        calls.append(np.concatenate([np.ravel(r) for r in rho]))
-        return jump_symbol_value(f, rho, d, bps, lows)
+    def counted(f, rho, d, bps, lo):
+        calls.append(np.ravel(rho))
+        return jump_symbol_value(f, rho, d, bps, lo)
 
     monkeypatch.setattr(densities, "jump_symbol_value", counted)
     u0 = 0.92
@@ -134,14 +133,17 @@ def test_classify_runs_no_quadrature_on_the_series_ladder(monkeypatch):
     assert len(calls) == 0
 
 
-#: the power model of the radial_cold benchmark workload
+#: the power and stable models of the radial_cold benchmark workload
 RADIAL_POWER = {"family": "radial_jump", "d": 3, "parameters": {"density": {
     "kind": "power", "alpha": {"lo": 0.8, "hi": 1.2}, "u0": 0.92}}}
+RADIAL_STABLE = {"family": "radial_jump", "d": 2, "parameters": {"density": {
+    "kind": "stable", "alpha": {"lo": 0.6, "hi": 1.4}, "gamma": 1.0}}}
 
 
 def test_classify_and_kappa_boundary_run_no_tail_quadrature(monkeypatch):
     # a table's tail mass, T3 and second moment are closed forms, and the
-    # jump symbols these verdicts read are series: no octave sum runs
+    # jump symbols these verdicts read are series: no octave sum and no
+    # jump-symbol quadrature runs on the radial_cold and kappa_star models
     calls = []
 
     def count(module, name):
@@ -154,10 +156,16 @@ def test_classify_and_kappa_boundary_run_no_tail_quadrature(monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     for module in (densities, quadrature):
-        count(module, "tail_cumulative")
-        count(module, "origin_cumulative")
-    classify(model_from_config(RADIAL_POWER), 0.3)
+        for name in ("tail_cumulative", "origin_cumulative",
+                     "jump_symbol_value"):
+            count(module, name)
+    for cfg, kappas in ((RADIAL_POWER, (0.3, 0.85, 3.4, 4.1)),
+                        (RADIAL_STABLE, (0.03, 0.1, 3.0, 3.6))):
+        model = model_from_config(cfg)
+        for kappa in kappas:
+            classify(model, kappa)
     kappa_boundary(isotropic_stable(3, 1.0))
+    kappa_boundary(stable_like(2, alpha=(0.5, 1.5)))
     assert calls == []
 
 
@@ -188,6 +196,6 @@ def test_a_piece_at_a_pole_of_the_series_stays_on_quadrature(d):
         warnings.simplefilter("error")
         got = dens.sweep("jsym", [0], [rhos])[0]
     assert np.all(np.isfinite(got) & (got > 0.0))
-    want = jump_symbol_value(stacked_weight([dens.radial_weight(0)]), [rhos],
-                             d, dens.all_breakpoints(), [1.0])[0]
+    want = jump_symbol_value(dens.radial_weight(0), rhos, d,
+                             dens.all_breakpoints(), 1.0)
     assert got.tobytes() == want.tobytes()
