@@ -55,7 +55,6 @@ from .levy_tails import (
     perturbation_distance,
     perturbation_equivalence,
     split_tail_tests,
-    tail_functionals,
     tail_mass,
     tail_test_strong,
     tail_test_weak,

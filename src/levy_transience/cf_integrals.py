@@ -19,6 +19,7 @@ use, both reduce, up to constants that cannot affect divergence, to
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -36,7 +37,7 @@ from .verdicts import (
     DivergenceVerdict,
     diverges_verdict,
     log_power_law,
-    memoized_profile,
+    model_memo,
     verdict_from_radial_integrand,
 )
 
@@ -44,13 +45,12 @@ from .verdicts import (
 _N_DIRECTIONS = 64
 
 
-def _reduced_envelope(model, kind):
-    """Vectorized rho -> envelope, reduced over directions toward the largest
-    integrand (the smallest envelope value), with per-model caching."""
-    return memoized_profile(
-        model, ("profile", kind),
-        lambda rhos: envelope_profile(model, kind, rhos, reduce="min",
-                                      n_directions=_N_DIRECTIONS))
+@model_memo
+def _reduced_envelope(model, kind, rhos):
+    """The `kind` envelope at the radii rhos, reduced over directions toward
+    the largest integrand (the smallest envelope value)."""
+    return envelope_profile(model, kind, rhos, reduce="min",
+                            n_directions=_N_DIRECTIONS)
 
 
 _WHAT = {ENV_SUP_ABS: "sup |q|", ENV_INF_RE: "inf Re q"}
@@ -66,7 +66,7 @@ def _frequency_test(model, kind, r, kappa):
     """
     check_positive("radius", r)
     check_kappa(kappa)
-    env = _reduced_envelope(model, kind)
+    env = functools.partial(_reduced_envelope, model, kind)
     log_s_d = math.log(sphere_surface(model.d))
     if kind == ENV_INF_RE:
         if np.any(env(np.asarray([r / 2.0, r / 8.0, r / 64.0])) <= 0.0):

@@ -22,12 +22,13 @@ from .quadrature import (
     sphere_surface,
     tail_cumulative,
 )
-from .verdicts import memoized_profile, memoized_profiles, model_memo
+from .verdicts import memo_key, model_memo
 
 
 #: a table's jump symbol is its series where rho * (largest knot) is at
 #: most _SERIES_REACH (cancellation <= ~50 ulp), in _SERIES_TERMS terms,
-#: unless a piece's slope + d is within _POLE_MARGIN of a pole -2k
+#: unless the slope + d of a piece with a finite positive edge is within
+#: _POLE_MARGIN of a pole -2k
 _SERIES_REACH, _SERIES_TERMS, _POLE_MARGIN = 2.0, 16, 0.1
 
 
@@ -78,7 +79,8 @@ class LogLogTable:
     def jump_symbol(self, d, rho):
         """int (1 - psi_d(rho u)) S_d u^(d-1) n(u) du by its series where
         0 < rho knots[-1] <= _SERIES_REACH, else nan (everywhere if a piece
-        is near a pole or the last one does not decay). With beta = slope +
+        with a finite positive edge is near a pole, where G blows up, or
+        the last one does not decay). With beta = slope +
         d, G(x) = sum_k>=1 (-1)^(k+1) x^2k / ((2k + beta) 4^k k! (d/2)_k), a
         piece c u^slope on [a, b) gives S_d c (b^beta G(rho b) - a^beta
         G(rho a)) (DLMF 10.16.9), and the last one adds its Mellin constant
@@ -94,7 +96,8 @@ class LogLogTable:
             if value == -math.inf:
                 continue
             beta, log_c = slope + d, value - slope * anchor
-            if abs(beta + 2 * max(1, round(-beta / 2))) < _POLE_MARGIN \
+            if (a > 0.0 or b < math.inf) and abs(
+                    beta + 2 * max(1, round(-beta / 2))) < _POLE_MARGIN \
                     or b == math.inf and beta >= 0.0:
                 return out
             g = np.append((terms / (2 * k + beta))[::-1], 0.0)   # G in x^2
@@ -306,12 +309,18 @@ class RadialLevyDensity:
 
     def functional(self, tag, variants, rhos):
         """sweep(tag) of each listed variant at rhos, one read-only array
-        each, memoized per variant and radius on the density: the radii
-        the variants lack run in one sweep."""
-        return memoized_profiles(
-            self, [(tag, i) for i in variants],
-            lambda rows, radii: self.sweep(tag, [variants[i] for i in rows],
-                                           radii))(rhos)
+        each, memoized per (tag, variant, rhos) on the density: the variants
+        that lack rhos run in one sweep of its distinct radii."""
+        rhos = np.asarray(rhos, dtype=float).ravel()
+        keys = {i: (tag, i, memo_key(rhos)) for i in variants}
+        lacking = [i for i, key in keys.items() if key not in self._cache]
+        if lacking:
+            radii, inverse = np.unique(rhos, return_inverse=True)
+            rows = self.sweep(tag, lacking, [radii] * len(lacking))
+            for i, row in zip(lacking, rows):
+                self._cache[keys[i]] = row = row[inverse]
+                row.flags.writeable = False
+        return [self._cache[keys[i]] for i in variants]
 
     @staticmethod
     def by_parts(rho, tm, t3):
@@ -321,21 +330,18 @@ class RadialLevyDensity:
         with np.errstate(over="ignore"):
             return 0.5 * rho ** 2 * tm + 0.5 * t3
 
+    @model_memo
     def functional_envelope(self, tag, which, rhos):
         """sup or inf over the variants of the functional `tag` at rhos
-        ("tm", "t3", or "t1" by_parts from them), memoized per envelope."""
+        ("tm", "t3", or "t1" by_parts from them)."""
         every = range(len(self.variants))
         reduce = np.max if which == "sup" else np.min
-
-        def rows(radii):
-            if tag != "t1":
-                return self.functional(tag, every, radii)
-            tm, t3 = (np.asarray(self.functional(t, every, radii))
-                      for t in ("tm", "t3"))
-            return self.by_parts(radii, tm, t3)
-
-        return memoized_profile(self, (tag, which), lambda radii: reduce(
-            rows(radii), axis=0))(rhos)
+        if tag != "t1":
+            return reduce(self.functional(tag, every, rhos), axis=0)
+        tm, t3 = (np.asarray(self.functional(t, every, rhos))
+                  for t in ("tm", "t3"))
+        return reduce(self.by_parts(np.asarray(rhos, dtype=float).ravel(),
+                                    tm, t3), axis=0)
 
     @model_memo
     def second_moment(self):

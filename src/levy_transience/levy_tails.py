@@ -81,31 +81,8 @@ def integrated_tail(density: RadialLevyDensity, rho: float, variant=0) -> float:
     at rho by the integration-by-parts identity."""
     if rho <= 0:
         raise ConfigurationError("integrated tail needs rho > 0")
-    return tail_functionals(density, rho, variant).integrated_tail
-
-
-@dataclass(frozen=True)
-class TailFunctionals:
-    """The three tail functionals at one (variant, rho)."""
-
-    integrated_tail: float     # T1
-    scaled_tail_mass: float    # T2 = rho^2 * nu(B^c(0, rho))
-    truncated_moment: float    # T3
-
-    @property
-    def parts_identity_gap(self):
-        lhs = self.integrated_tail
-        rhs = 0.5 * self.scaled_tail_mass + 0.5 * self.truncated_moment
-        return abs(lhs - rhs) / max(abs(rhs), 1e-300)
-
-
-def tail_functionals(density: RadialLevyDensity, rho: float,
-                     variant=0) -> TailFunctionals:
-    tm = tail_mass(density, rho, variant)
-    t3 = truncated_second_moment(density, rho, variant)
-    return TailFunctionals(integrated_tail=density.by_parts(rho, tm, t3),
-                           scaled_tail_mass=rho ** 2 * tm,
-                           truncated_moment=t3)
+    return density.by_parts(rho, tail_mass(density, rho, variant),
+                            truncated_second_moment(density, rho, variant))
 
 
 # ---------------------------------------------------------------------------

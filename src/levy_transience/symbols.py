@@ -325,10 +325,6 @@ def envelope_profile(model: SymbolModel, kind, rhos, reduce="min",
 # Structural checks.
 # ---------------------------------------------------------------------------
 
-#: the box [lo, hi]^d of states the sampled symmetry checks draw from
-_SAMPLE_BOX = (-10.0, 10.0)
-
-
 @model_memo
 def sector_check(model: SymbolModel, c: float):
     """Check sup|Im q| <= c * inf Re q on a frequency grid.
@@ -353,30 +349,16 @@ def sector_check(model: SymbolModel, c: float):
 
 @model_memo
 def symmetry_check(model: SymbolModel) -> bool:
-    """Sampled check of q(x, xi) = q(-x, -xi)."""
-    gen = np.random.Generator(np.random.Philox(key=[0xC0FFEE, model.d]))
-    lo, hi = _SAMPLE_BOX
-    for _ in range(24):
-        x = gen.uniform(lo, hi, size=model.d)
-        xi = gen.standard_normal(model.d) * gen.choice([0.1, 1.0, 3.0])
-        a = eval_symbol(model, x, xi)
-        b = eval_symbol(model, -x, -xi)
-        if abs(a - b) > 1e-8 * (1.0 + abs(a)):
-            return False
-    return True
+    """Whether q(x, xi) = q(-x, -xi), from the family record (sampled for a
+    custom model)."""
+    return FAMILIES[model.family].symmetric(model)
 
 
 @model_memo
 def symbol_even_in_xi(model: SymbolModel) -> bool:
-    """Sampled check of q(x, xi) = q(x, -xi) (zero drift, symmetric jumps)."""
-    gen = np.random.Generator(np.random.Philox(key=[0xBEEF, model.d]))
-    lo, hi = _SAMPLE_BOX
-    for _ in range(16):
-        x = gen.uniform(lo, hi, size=model.d)
-        xi = gen.standard_normal(model.d)
-        if abs(eval_symbol(model, x, xi) - eval_symbol(model, x, -xi)) > 1e-8:
-            return False
-    return True
+    """Whether q(x, xi) = q(x, -xi) (zero drift, symmetric jumps), from the
+    family record (sampled for a custom model)."""
+    return FAMILIES[model.family].even_in_xi(model)
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +426,19 @@ class _Family:
     # whether sup |Im q| is identically 0 (Im q is the drift term)
     def real_symbol(self, model):
         return model.drift_vector is None
+
+    # whether q(x, xi) = q(x, -xi): Re q of every built-in family is even
+    # in xi, so q is where Im q (the drift term) vanishes
+    def even_in_xi(self, model):
+        return self.real_symbol(model)
+
+    # whether q(x, xi) = q(-x, -xi): even in xi, and every state-dependent
+    # field has the cos profile, which is even in x
+    def symmetric(self, model):
+        fields = (*model.params.values(), model.triplet.diffusion_field)
+        return self.even_in_xi(model) and all(
+            f.is_constant or f.profile == "cos" for f in fields
+            if isinstance(f, ScalarField))
 
     # whether the `kind` envelope is rotation invariant in xi
     def radial(self, model, kind):
@@ -669,6 +664,10 @@ class _FiniteJump(_Family):
                        alpha=param("alpha", ScalarField.make))
 
 
+#: the box [lo, hi]^d of states the sampled symmetry checks draw from
+_SAMPLE_BOX = (-10.0, 10.0)
+
+
 class _Custom(_Family):
     irreducible = False   # a custom model must assert it
 
@@ -691,6 +690,26 @@ class _Custom(_Family):
 
     def real_symbol(self, model):
         return False
+
+    def even_in_xi(self, model):   # sampled at states of _SAMPLE_BOX
+        gen = np.random.Generator(np.random.Philox(key=[0xBEEF, model.d]))
+        for _ in range(16):
+            x = gen.uniform(*_SAMPLE_BOX, size=model.d)
+            xi = gen.standard_normal(model.d)
+            if abs(eval_symbol(model, x, xi)
+                   - eval_symbol(model, x, -xi)) > 1e-8:
+                return False
+        return True
+
+    def symmetric(self, model):   # sampled at states of _SAMPLE_BOX
+        gen = np.random.Generator(np.random.Philox(key=[0xC0FFEE, model.d]))
+        for _ in range(24):
+            x = gen.uniform(*_SAMPLE_BOX, size=model.d)
+            xi = gen.standard_normal(model.d) * gen.choice([0.1, 1.0, 3.0])
+            a = eval_symbol(model, x, xi)
+            if abs(a - eval_symbol(model, -x, -xi)) > 1e-8 * (1.0 + abs(a)):
+                return False
+        return True
 
     def radial(self, model, kind):
         return _numeric_radial(model, kind)   # sampled over rotations

@@ -6,7 +6,8 @@ the singular end (the origin or infinity), a local power exponent is
 fitted, and the state follows from comparing the exponent with -1.
 Exponents inside a tolerance band give an honest Inconclusive; a secondary
 logarithmic refinement (exact for power-law integrands) records which side
-a boundary case falls on.
+a boundary case falls on. `model_memo` and `memo_key` key every memo on
+a model or density object by all the inputs of the value it holds.
 """
 
 from __future__ import annotations
@@ -106,18 +107,27 @@ def _refine(log_rhos, log_y, singularity):
     return DIVERGES if level > 0.25 else CONVERGES
 
 
+def memo_key(value):
+    """value as a memo key: an array by its dtype, shape and bytes."""
+    if isinstance(value, np.ndarray):
+        return ("array", value.dtype.str, value.shape, value.tobytes())
+    return value
+
+
 def model_memo(fn):
     """Memoize fn(obj, ...) in the `_cache` dict of the frozen obj (a model
-    or a density), keyed by fn and its other arguments, defaults filled in.
-    Calls with an unhashable argument are not memoized. Every caller gets
-    the same result object, so callers must not mutate it."""
+    or a density), keyed by fn and all its other arguments (defaults filled
+    in, an array by memo_key), so a warm obj answers as a fresh one. Calls
+    with another unhashable argument are not memoized. Every caller gets
+    the same result object (an array one read-only), so callers must not
+    mutate it."""
     signature = inspect.signature(fn)
 
     @functools.wraps(fn)
     def memo(obj, *args, **kwargs):
         bound = signature.bind(obj, *args, **kwargs)
         bound.apply_defaults()
-        key = (fn, *list(bound.arguments.values())[1:])
+        key = (fn, *map(memo_key, list(bound.arguments.values())[1:]))
         try:
             return obj._cache[key]
         except KeyError:
@@ -125,45 +135,11 @@ def model_memo(fn):
         except TypeError:
             return fn(obj, *args, **kwargs)
         obj._cache[key] = value = fn(obj, *args, **kwargs)
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
         return value
 
     return memo
-
-
-def memoized_profiles(obj, keys, compute):
-    """rhos -> one read-only array per key: functions of the radius, each
-    memoized per radius under its key in the `_cache` dict of the frozen
-    obj. The radii the keys lack go to one compute(rows, radii) call (rows:
-    the positions of the keys that lack some, radii: their sorted missing
-    radii; one array back per row). A whole radius array seen before is
-    looked up at once."""
-    caches = [obj._cache.setdefault(key, {}) for key in keys]
-
-    def profiles(rhos):
-        rhos = np.atleast_1d(np.asarray(rhos, dtype=float))
-        whole = rhos.tobytes()
-        new = [i for i, cache in enumerate(caches) if whole not in cache]
-        radii = rhos.tolist() if new else []
-        wanted = set(radii)
-        missing = {i: np.asarray(sorted(wanted - caches[i].keys()))
-                   for i in new}
-        rows = [i for i in new if missing[i].size]
-        values = compute(rows, [missing[i] for i in rows]) if rows else []
-        for i, vals in zip(rows, values):
-            caches[i].update(zip(missing[i].tolist(), map(float, vals)))
-        for i in new:
-            caches[i][whole] = np.asarray([caches[i][r] for r in radii])
-            caches[i][whole].flags.writeable = False
-        return [cache[whole] for cache in caches]
-
-    return profiles
-
-
-def memoized_profile(obj, key, compute):
-    """memoized_profiles for one key: rhos -> read-only values, with
-    compute(sorted missing radii)."""
-    rows = memoized_profiles(obj, [key], lambda _, radii: [compute(radii[0])])
-    return lambda rhos: rows(rhos)[0]
 
 
 @functools.lru_cache(maxsize=64)

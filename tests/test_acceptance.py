@@ -18,15 +18,18 @@ from levy_transience.cli import main as cli_main
 from levy_transience.densities import (
     modified_density,
     power_log_density,
+    stable_coefficient,
     stable_density,
 )
 from levy_transience.index_rules import pruitt_indices
 from levy_transience.levy_tails import (
     rv_classify,
     borderline_index_test,
-    tail_functionals,
+    integrated_tail,
+    tail_mass,
     tail_test_strong,
     tail_test_weak,
+    truncated_second_moment,
 )
 from levy_transience.montecarlo import (
     CONVERGENT_TREND,
@@ -35,6 +38,7 @@ from levy_transience.montecarlo import (
     ecf_check,
     occupation_integral_estimate,
 )
+from levy_transience.quadrature import sphere_surface
 from levy_transience.symbols import (
     brownian_drift,
     isotropic_stable,
@@ -127,6 +131,10 @@ def test_criterion_4_regular_variation_table():
 
 
 def test_criterion_5_parts_identity():
+    # the three tail functionals of a stable density n = c u^(-d-alpha)
+    # against their closed forms: tm = S_d c rho^-alpha / alpha, T3 = S_d c
+    # rho^(2-alpha) / (2-alpha) and T1 = T2/2 + T3/2 = S_d c rho^(2-alpha) /
+    # (alpha (2-alpha))
     start = time.monotonic()
     gen = np.random.Generator(np.random.Philox(key=[77, 2024]))
     for _ in range(100):
@@ -134,12 +142,21 @@ def test_criterion_5_parts_identity():
         alpha = float(gen.uniform(0.3, 1.8))
         gamma = float(gen.uniform(0.5, 2.0))
         rho = float(np.exp(gen.uniform(np.log(0.2), np.log(20.0))))
-        tf = tail_functionals(stable_density(d, alpha, gamma), rho)
-        assert tf.parts_identity_gap <= 1e-8
+        dens = stable_density(d, alpha, gamma)
+        scale = sphere_surface(d) * gamma * stable_coefficient(d, alpha)
+        t3 = scale * rho ** (2.0 - alpha) / (2.0 - alpha)
+        assert tail_mass(dens, rho) == pytest.approx(
+            scale * rho ** -alpha / alpha, rel=1e-8)
+        assert truncated_second_moment(dens, rho) == pytest.approx(
+            t3, rel=1e-8)
+        assert integrated_tail(dens, rho) == pytest.approx(t3 / alpha,
+                                                           rel=1e-8)
     elapsed = time.monotonic() - start
     assert elapsed < 5.0, elapsed
-    _report(5, "integrated tail = half scaled tail mass + half truncated "
-               "moment to 1e-8 relative on 100 randomized triples, < 5 s")
+    _report(5, "tail mass, truncated moment and integrated tail = half "
+               "scaled tail mass + half truncated moment match the stable "
+               "closed forms to 1e-8 relative on 100 randomized triples, "
+               "< 5 s")
 
 
 def test_criterion_6_occupation_trend():

@@ -18,6 +18,7 @@ from levy_transience.classifier import (
     transience_gate,
 )
 from levy_transience.densities import (
+    RadialLevyDensity,
     power_density,
     stable_density,
     table_density,
@@ -122,6 +123,20 @@ def test_a_t1_envelope_beyond_the_float_range_skips_the_tail_band(
                            else WEAKLY_TRANSIENT)
     assert "tail tests not applicable: envelope leaves the float range on " \
         "the ladder" in rep.notes
+
+
+@pytest.mark.parametrize("c", [1e307, 1.7e308])
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_a_brownian_motion_at_a_huge_scale_classifies_without_warnings(d, c):
+    # the symmetry facts come from the family record, so no symbol sample
+    # 0.5 c |xi|^2 leaves the float range; kappa* = d/2 - 1
+    model = brownian_drift(d, c=c)
+    for kappa in (0.0, 0.9, 30.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = classify(model, kappa)
+        assert rep.verdict == (STRONGLY_TRANSIENT if kappa < d / 2.0 - 1.0
+                               else WEAKLY_TRANSIENT), kappa
 
 
 @pytest.fixture(scope="module")
@@ -287,8 +302,12 @@ def test_classify_computes_only_premises_of_rules_that_can_fire(monkeypatch):
     for kappa in (0.3, 0.8, 3.4, 4.1):
         classify(model, kappa)
     assert kinds and ENV_SUP_ABS not in kinds
-    assert not [key for key in model.triplet.jump_density._cache
-                if key in (("tm", "sup"), ("tm", "inf"))]
+    # the memo of functional_envelope is keyed (fn, tag, which, radii): the
+    # truncated-moment envelope is there, no tail-mass envelope is
+    envelope = RadialLevyDensity.functional_envelope.__wrapped__
+    tags = {key[1] for key in model.triplet.jump_density._cache
+            if key[0] is envelope}
+    assert "t3" in tags and "tm" not in tags
 
 
 # stable_like with alpha and gamma both varying, as (d, alpha, gamma), and

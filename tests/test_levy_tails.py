@@ -34,7 +34,6 @@ from levy_transience.levy_tails import (
     perturbation_distance,
     perturbation_equivalence,
     split_tail_tests,
-    tail_functionals,
     tail_mass,
     tail_test_strong,
     tail_test_weak,
@@ -75,8 +74,8 @@ def test_parts_identity_randomized():
         else:
             dens = finite_range_density(d, float(gen.uniform(0.5, 3.5)))
         rho = float(np.exp(gen.uniform(np.log(0.2), np.log(20.0))))
-        tf = tail_functionals(dens, rho)
-        assert tf.parts_identity_gap <= 1e-8, (d, kind, rho)
+        assert integrated_tail(dens, rho) == pytest.approx(
+            _outer_t1(dens, rho), rel=1e-8), (d, kind, rho)
 
 
 @pytest.mark.parametrize("rho", [0.3, 3.7, 50.0])
@@ -106,14 +105,15 @@ def test_integrated_tail_closed_form_with_cutoff(d, alpha, rho):
 
 def _outer_t1(dens, rho, n=32):
     """int_0^rho u * tail_mass(u) du by Gauss-Legendre between the
-    breakpoints and atom radii, with u = e s^4 on the first piece [0, e]
-    (the tail mass may blow up like a power at the origin)."""
+    breakpoints and atom radii, with u = e s^16 on the first piece [0, e]
+    (the tail mass may blow up like u^-alpha at the origin: the integrand
+    in s is then s^(16 (2 - alpha) - 1), smooth enough for alpha <= 1.8)."""
     kinks = set(dens.all_breakpoints()) | {r for r, _ in dens.atoms}
     edges = [0.0] + sorted(k for k in kinks if 0.0 < k < rho) + [rho]
     s, w = np.polynomial.legendre.leggauss(n)
     s, w = (s + 1.0) / 2.0, w / 2.0
     e = edges[1]
-    total = sum(wi * 4.0 * e ** 2 * si ** 7 * tail_mass(dens, e * si ** 4)
+    total = sum(wi * 16.0 * e ** 2 * si ** 31 * tail_mass(dens, e * si ** 16)
                 for si, wi in zip(s, w))
     for lo, hi in zip(edges[1:-1], edges[2:]):
         total += sum((hi - lo) * wi * u * tail_mass(dens, u)
@@ -324,9 +324,9 @@ def test_atoms_enter_functionals_but_not_verdicts():
 
     base = power_density(2, 1.2, u0=1.0)
     with_atoms = dataclasses.replace(base, atoms=((0.5, 0.3), (1.0, 0.1)))
-    # parts identity still exact with atom mass
-    tf = tail_functionals(with_atoms, 5.0)
-    assert tf.parts_identity_gap <= 1e-10
+    # T1 by parts matches T1 integrated from the tail mass with atom mass
+    assert integrated_tail(with_atoms, 5.0) == pytest.approx(
+        _outer_t1(with_atoms, 5.0), rel=1e-10)
     # atoms add to the tail mass at small radii only
     assert tail_mass(with_atoms, 0.25) == pytest.approx(
         tail_mass(base, 0.25) + 0.4, rel=1e-10)

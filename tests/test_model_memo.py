@@ -64,7 +64,6 @@ _README = [
                      (3, "table"))]
 
 _KAPPAS = (0.0, 0.7, 2.5)
-_DECIMAL = re.compile(r"-?\d+\.\d*(?:[eE][-+]?\d+)?|-?\d+[eE][-+]?\d+")
 
 
 def _outcome(call):
@@ -91,17 +90,12 @@ def _check_warm_equals_fresh(load):
         for structural in (True, False):
             assert transience_gate(warm, r, structural) \
                 == transience_gate(load(), r, structural)
-    # ... and the whole-ladder lookups the radius ladder. The two ladders
-    # share most radii, and a jump symbol computed by quadrature together
-    # with other radii can differ from a lone one at the quadrature
-    # tolerance, so the numbers are compared to 1e-9 relative here.
+    # ... and the radius ladder: a value comes from the batch of radii it is
+    # keyed by, so the two ladders (which share most radii) answer bit for
+    # bit as on a fresh model
     for r in (0.5, 1.0):
-        got = _outcome(lambda: classify(warm, 1.0, r=r))
-        want = _outcome(lambda: classify(load(), 1.0, r=r))
-        assert _DECIMAL.sub("#", got) == _DECIMAL.sub("#", want)
-        np.testing.assert_allclose(
-            np.asarray(_DECIMAL.findall(got), dtype=float),
-            np.asarray(_DECIMAL.findall(want), dtype=float), rtol=1e-9)
+        assert _outcome(lambda: classify(warm, 1.0, r=r)) \
+            == _outcome(lambda: classify(load(), 1.0, r=r)), r
 
 
 def test_kappa_star_workload_models_answer_the_same_warm(tmp_path):
@@ -133,6 +127,21 @@ def test_memo_keys_cover_every_argument():
     assert len(calls) == 3
     assert fact(model, [0.5]) == fact(model, [0.5]) == ([0.5], True)
     assert len(calls) == 5                 # unhashable: not memoized
+    # an array is keyed by its dtype, shape and bytes; an array result is
+    # read-only
+    radii = np.array([0.5, 2.0])
+    assert fact(model, radii) is fact(model, radii.copy())
+    assert len(calls) == 6
+    fact(model, radii.astype(np.float32))
+    fact(model, radii[:, None])
+    assert len(calls) == 8
+
+    @model_memo
+    def doubled(obj, rhos):
+        return 2.0 * rhos
+
+    out = doubled(model, radii)
+    assert doubled(model, radii.copy()) is out and not out.flags.writeable
 
     # a check whose answer changes with its argument, on one object
     drifted = stable_like(2, 0.5, beta=(0.1, 0.0))
@@ -197,9 +206,10 @@ def test_kappa_star_on_stable_like_leaves_scipy_special_unloaded(model_file,
 @pytest.mark.parametrize("d, grid", [(3, "0.5,4"), (2, "0.25,3")])
 def test_radial_power_classify_needs_scipy_special_only_for_even_d(
         model_file, tmp_path, d, grid):
-    # d = 3 takes the elementary kernel sin(s)/s, d = 2 still hyp0f1
+    # d = 3 takes the elementary kernel sin(s)/s, d = 2 still hyp0f1; at
+    # u0 = 4 the integral ladder passes the series reach rho u0 <= 2
     path = model_file({"family": "radial_jump", "d": d, "parameters": {
-        "density": {"kind": "power", "alpha": 1.0, "u0": 1.0}}})
+        "density": {"kind": "power", "alpha": 1.0, "u0": 4.0}}})
     assert _scipy_special_loaded_after(
         ["classify", "--model", path, "--kappa-grid", grid], tmp_path) \
         == (d == 2)
@@ -305,7 +315,8 @@ def test_classify_forms_the_t1_envelopes_from_one_sweep_per_functional(
     # 17 radii, its second moment at radius 1; construction checks the
     # Levy-measure condition with T3 and the tail mass at radius 1)
     from levy_transience.densities import power_density
-    from levy_transience.verdicts import AT_INFINITY, verdict_ladder
+    from levy_transience.verdicts import (AT_INFINITY, memo_key,
+                                          verdict_ladder)
 
     sweeps = []
 
@@ -327,14 +338,19 @@ def test_classify_forms_the_t1_envelopes_from_one_sweep_per_functional(
                                        ("t3", list(range(9)), ladder),
                                        ("tm", list(range(9)), {1}),
                                        ("tm", list(range(9)), ladder)]
+    # the T1 envelopes on the ladder and the rows they come from are memo
+    # hits, one read-only row per (tag, variant, radii), and no memo entry
+    # holds values per radius
+    rhos = verdict_ladder(2.0, AT_INFINITY)[0]
+    swept = len(sweeps)
     for which, reduce in (("sup", np.max), ("inf", np.min)):
-        env = dens._cache[("t1", which)]
-        radii = sorted(r for r in env if isinstance(r, float))
-        rows = {tag: np.array([[dens._cache[(tag, i)][r] for r in radii]
+        env = dens.functional_envelope("t1", which, rhos)
+        rows = {tag: np.stack([dens._cache[(tag, i, memo_key(rhos))]
                                for i in range(9)]) for tag in ("tm", "t3")}
-        rhos = np.asarray(radii)
         want = reduce(0.5 * rhos ** 2 * rows["tm"] + 0.5 * rows["t3"], axis=0)
-        assert np.asarray([env[r] for r in radii]).tobytes() == want.tobytes()
+        assert env.tobytes() == want.tobytes()
+    assert len(sweeps) == swept
+    assert not [v for v in dens._cache.values() if isinstance(v, dict)]
 
 
 def test_cached_ladders_and_envelopes_are_read_only():

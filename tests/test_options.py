@@ -40,8 +40,8 @@ ALLOWED = {
         "finite_range_density.n_variants",
     ),
     "data selector: the density variant or envelope side to read": (
-        "integrated_tail.variant", "tail_functionals.variant",
-        "tail_mass.variant", "truncated_second_moment.variant",
+        "integrated_tail.variant", "tail_mass.variant",
+        "truncated_second_moment.variant",
         "RadialLevyDensity.support_lo.variant",
         "RadialLevyDensity.jump_symbol.variant",
         "RadialLevyDensity.envelope.which",

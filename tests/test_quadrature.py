@@ -384,26 +384,38 @@ def test_a_stacked_jump_symbol_raises_what_a_loop_over_variants_raises():
         in _raised(lambda: fresh().jump_symbol(rhos, 2))[1]
 
 
-def test_jump_symbols_fill_each_memo_as_a_loop_over_variants_would():
-    # variant 0 already holds some radii (the pointwise symbol path fills
-    # it alone); the sweep of all variants computes each variant's missing
-    # radii, so every value equals that of the per-variant loop
-    from levy_transience.densities import power_density
+def test_jump_symbols_fill_each_memo_as_a_loop_over_variants_would(
+        monkeypatch):
+    # variant 0 already holds the radii (the pointwise symbol path fills it
+    # alone); the sweep of all variants computes only the variants that
+    # lack them, one row per (variant, radii), so every value equals that
+    # of the per-variant loop
+    from levy_transience.densities import RadialLevyDensity, power_density
 
     def fresh():
         dens = power_density(3, (0.8, 1.2), u0=1.0)
         dens.jump_symbol(np.geomspace(1e-3, 3.0, 5), 0)
+        dens.jump_symbol(rhos, 0)
         return dens
 
     rhos = np.geomspace(1e-4, 10.0, 90)
     loop = fresh()
     want = np.stack([loop.jump_symbol(rhos, i) for i in range(9)])
     swept = fresh()
+    sweeps = []
+
+    def counted(density, tag, variants, radii):
+        sweeps.append(list(variants))
+        return sweep(density, tag, variants, radii)
+
+    sweep = RadialLevyDensity.sweep
+    monkeypatch.setattr(RadialLevyDensity, "sweep", counted)
     got = swept.jump_symbols(rhos)
+    assert sweeps == [list(range(1, 9))]
     assert got.shape == (9, 90) and got.tobytes() == want.tobytes()
-    for i in range(9):
-        assert swept._cache[("jsym", i)].keys() \
-            == loop._cache[("jsym", i)].keys()
+    assert swept._cache.keys() == loop._cache.keys()
+    for key, row in swept._cache.items():
+        assert row.tobytes() == loop._cache[key].tobytes()
     assert swept.jump_symbol(0.5, [4, 0]).tolist() \
         == [loop.jump_symbol(0.5, 4), loop.jump_symbol(0.5, 0)]
 

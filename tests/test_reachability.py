@@ -24,8 +24,6 @@ _CRITERION_5 = ("acceptance criterion 5: the three tail functionals and "
 KEEP = {
     "modified_density": "acceptance criterion 8: verdicts are invariant "
                         "under a local change of the jump density",
-    "tail_functionals": _CRITERION_5,
-    "TailFunctionals": _CRITERION_5,
     "tail_mass": _CRITERION_5,
     "truncated_second_moment": _CRITERION_5,
     "integrated_tail": _CRITERION_5,

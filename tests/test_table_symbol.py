@@ -199,3 +199,42 @@ def test_a_piece_at_a_pole_of_the_series_stays_on_quadrature(d):
     want = jump_symbol_value(dens.radial_weight(0), rhos, d,
                              dens.all_breakpoints(), 1.0)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_a_knot_free_table_near_alpha_2_is_its_mellin_term(d, monkeypatch):
+    # a knot-free piece uses only its Mellin constant, never G, so the pole
+    # margin of G does not apply: slope + d within 0.1 of -2 keeps the
+    # series (no quadrature), within 5e-13 of gamma rho^alpha
+    calls = []
+
+    def counted(f, rho, d, bps, lo):
+        calls.append(np.ravel(rho))
+        return jump_symbol_value(f, rho, d, bps, lo)
+
+    monkeypatch.setattr(densities, "jump_symbol_value", counted)
+    rhos = np.geomspace(2.0 ** -24, 2.0 ** 24, 49)
+    for alpha in (1.9, 1.95, 1.99, 1.999):
+        for gamma in (1.0, 0.37):
+            dens = densities.stable_density(d, alpha, gamma=gamma)
+            np.testing.assert_allclose(dens.jump_symbol(rhos),
+                                       gamma * rhos ** alpha, rtol=5e-13,
+                                       atol=0.0)
+    assert calls == []
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_a_stable_process_near_alpha_2_at_a_huge_scale_warns_nothing(d):
+    # the jump symbols of isotropic_stable(d, 1.9, gamma=1e300) were run by
+    # quadrature, whose profile overflowed; the Mellin term does not, and
+    # every verdict lies on the side of kappa* = d / 1.9 - 1
+    model = isotropic_stable(d, 1.9, gamma=1e300)
+    kappa_star = d / 1.9 - 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kappa in (0.0, 1.5, 30.0, 64.0):
+            assert classify(model, kappa).verdict == (
+                "strongly_transient" if kappa < kappa_star
+                else "weakly_transient"), kappa
+        assert kappa_boundary(model, hi=64.0) == pytest.approx(kappa_star,
+                                                               abs=0.01)
