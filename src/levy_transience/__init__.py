@@ -40,6 +40,7 @@ from .cf_integrals import (
 from .index_rules import (
     PruittIndices,
     index_bound_rules,
+    index_exact_rules,
     moment_rules,
     pruitt_indices,
     shape_diagnostic,
@@ -48,7 +49,6 @@ from .levy_tails import (
     comparison_transfer,
     cos_moment_condition,
     density_floor_test,
-    rv_classify,
     borderline_index_test,
     integrated_tail,
     moment_tail_test,

@@ -1,12 +1,13 @@
 """Rule engine: aggregate every applicable test into one transience report.
 
 Evidence is collected in three bands with fixed precedence: closed-form
-family rules (two-sided where the family admits an exact threshold), the
-frequency-side and measure-side integral tests (co-equal), and the one-sided
-index rules. A rule of every band is a (side, rule_id, statement, detail)
-record of a rule that fired, and every test reads the dimension from the
-model. Within the winning band, weak-side and strong-side evidence must not
-conflict; a conflict is reported as Inconclusive with full trace.
+rules on a family's exact indices (two-sided where its sup and inf indices
+agree), the frequency-side and measure-side integral tests (co-equal), and
+the one-sided index rules. A rule of every band is a (side, rule_id,
+statement, detail) record of a rule that fired, and every test reads the
+dimension from the model. Within the winning band, weak-side and
+strong-side evidence must not conflict; a conflict is reported as
+Inconclusive with full trace.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from .errors import (
     check_kappa,
     check_positive,
 )
-from .index_rules import index_bound_rules, moment_rules, shape_diagnostic
+from .index_rules import index_bound_rules, index_exact_rules, moment_rules
+from .index_rules import shape_diagnostic
 from .levy_tails import (
     cos_moment_condition,
     moment_tail_test,
@@ -196,7 +198,7 @@ def _evidence(model, kappa, r, methods, assumptions):
             evidence.setdefault(method, set()).add(side)
 
     if "closed_form" in methods:
-        for rule in FAMILIES[model.family].rules(model, kappa):
+        for rule in index_exact_rules(model, kappa):
             fire("closed_form", *rule)
 
     if "integral" in methods:

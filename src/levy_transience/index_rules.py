@@ -6,9 +6,10 @@ slopes over a dyadic frequency ladder, reducing over directions with max for
 the sup-envelope and min for the inf-envelope.
 
 Each rule below is a generator over (model, kappa) that yields the
-(side, rule_id, statement, detail) of every rule that fires, as the
-closed-form rules of a family do: the lower-index dimension rule, the
-second-moment and quadratic-growth rules, and the concave inf-profile rule.
+(side, rule_id, statement, detail) of every rule that fires: the exact-index
+rules of the closed-form band, which read a family's stated indices, and
+the fitted ones of the index band (the lower-index dimension rule, the
+second-moment and quadratic-growth rules, and the concave inf-profile rule).
 A rule computes a premise only after its cheaper conditions hold.
 """
 
@@ -23,6 +24,7 @@ from .errors import DegenerateModelError
 from .symbols import (
     ENV_INF_RE,
     ENV_SUP_ABS,
+    FAMILIES,
     SymbolModel,
     envelope_is_radial,
     envelope_profile,
@@ -77,6 +79,30 @@ def pruitt_indices(model: SymbolModel) -> PruittIndices:
 # ---------------------------------------------------------------------------
 # Rules.
 # ---------------------------------------------------------------------------
+
+_EXACT = {"weak": "sup-envelope germ rho^beta (ln 1/rho)^p with beta(kappa+1) "
+                  "> d, or = d and p(kappa+1) <= 1: the weak-side integral "
+                  "diverges",
+          "strong": "inf-envelope germ rho^beta (ln 1/rho)^p with "
+                    "beta(kappa+1) < d, or = d and p(kappa+1) > 1: the "
+                    "strong-side integral converges"}
+
+
+def index_exact_rules(model: SymbolModel, kappa: float):
+    """The closed-form rules, from the family's stated germs: int_0
+    rho^{d-1} / (rho^beta (ln 1/rho)^p)^{kappa+1} drho converges iff
+    beta(kappa+1) < d, or = d and p(kappa+1) > 1. Divergence at the sup
+    germ gives the weak side, convergence at the inf germ the strong side."""
+    germs = FAMILIES[model.family].indices(model)
+    for side, (beta, p) in zip(("weak", "strong"), germs or ()):
+        product = beta * (kappa + 1.0)
+        converges = product < model.d or (
+            product == model.d and p * (kappa + 1.0) > 1.0)
+        if converges == (side == "strong"):
+            yield (side, f"index-exact-{side}", _EXACT[side],
+                   {"d": model.d, "kappa": kappa, "beta": beta,
+                    "log_exponent": p, "product": product})
+
 
 def index_bound_rules(model: SymbolModel, kappa: float):
     """d < (kappa+1) * lower_index gives the weak-side condition."""
@@ -155,8 +181,12 @@ def _shape_flags(model, kind):
     def classify(eps):
         rho = eps * np.arange(1, 13) / 12
         vals = envelope_profile(model, kind, rho, reduce="min")
+        top = float(np.max(np.abs(vals)))
+        # scaled by an exact power of two below 1, so 2 * vals stays finite
+        shift = -math.frexp(top)[1]
+        vals = np.ldexp(vals, shift)
         d2 = vals[2:] - 2.0 * vals[1:-1] + vals[:-2]
-        tol = 1e-8 * max(float(np.max(np.abs(vals))), 1e-300)
+        tol = math.ldexp(1e-8 * max(top, 1e-300), shift)
         return bool(np.all(d2 >= -tol)), bool(np.all(d2 <= tol))
 
     for j in range(2, 17):

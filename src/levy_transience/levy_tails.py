@@ -390,10 +390,10 @@ def comparison_transfer(density_a: RadialLevyDensity,
 
 
 # ---------------------------------------------------------------------------
-# Regular-variation classification of state-independent radial tails.
+# The borderline tail index of dimensions 1 and 2.
 # ---------------------------------------------------------------------------
 
-#: an index this close to a case boundary of rv_classify is on it
+#: a stated tail index this close to -2d is on it
 _BOUNDARY_TOL = 1e-9
 
 
@@ -404,72 +404,3 @@ def borderline_index_test(density: RadialLevyDensity) -> DivergenceVerdict:
                       "density vanishes on the test ladder")
     return _power_test(-2.0 * density.d - 1.0, 1.0, floor,
                        2.0 * max(density.u0, 1.0))
-
-
-@dataclass(frozen=True)
-class RvClassification:
-    case: str
-    transient: bool
-    weakly_transient: bool | None
-    statement: str
-
-    def to_json(self):
-        return dataclasses.asdict(self)
-
-
-def rv_classify(d: int, delta: float, kappa: float,
-                borderline_converges: bool | None = None) -> RvClassification:
-    """Classification table for regularly varying radial tails with index
-    delta <= -d. Returns the case label, the transience flag and, when
-    transient, whether the process is kappa-weakly transient.
-    """
-    if delta > -d + _BOUNDARY_TOL:
-        raise ConfigurationError(
-            f"regular-variation index must be <= -d, got {delta}")
-    if abs(delta + d) <= _BOUNDARY_TOL:
-        return RvClassification(
-            case="vi", transient=True, weakly_transient=False,
-            statement="index -d: always kappa-strongly transient")
-    if d >= 3:
-        if abs(delta + d + 2.0) <= _BOUNDARY_TOL:
-            weak = 2.0 * (kappa + 1.0) > d
-            return RvClassification(
-                case="iii", transient=True, weakly_transient=weak,
-                statement="index -d-2 (d >= 3): weak iff 2(kappa+1) > d")
-        if delta < -d - 2.0:
-            weak = 2.0 * (kappa + 1.0) >= d
-            return RvClassification(
-                case="i", transient=True, weakly_transient=weak,
-                statement="index < -d-2 (d >= 3): weak iff 2(kappa+1) >= d")
-        weak = d * (kappa + 2.0) + delta * (kappa + 1.0) <= 0.0
-        return RvClassification(
-            case="v", transient=True, weakly_transient=weak,
-            statement="-d-2 < index < -d: weak iff "
-                      "d(kappa+2) + index*(kappa+1) <= 0")
-    # d in {1, 2}
-    if abs(delta + 2.0 * d) <= _BOUNDARY_TOL:
-        if not borderline_converges:
-            return RvClassification(
-                case="ii", transient=False, weakly_transient=None,
-                statement="index -2d without the borderline integral test: "
-                          "not transient")
-        weak = 2.0 * (kappa + 1.0) > d
-        return RvClassification(
-            case="ii", transient=True, weakly_transient=weak,
-            statement="index -2d with the borderline integral test: "
-                      "weak iff 2(kappa+1) > d")
-    if delta < -2.0 * d:
-        return RvClassification(
-            case="subcritical", transient=False, weakly_transient=None,
-            statement="index below -2d in dimension <= 2: recurrent")
-    if d == 1:
-        weak = kappa + 2.0 + delta * (kappa + 1.0) <= 0.0
-        return RvClassification(
-            case="iv", transient=True, weakly_transient=weak,
-            statement="-2 < index < -1 (d = 1): weak iff "
-                      "kappa + 2 + index*(kappa+1) <= 0")
-    weak = d * (kappa + 2.0) + delta * (kappa + 1.0) <= 0.0
-    return RvClassification(
-        case="v", transient=True, weakly_transient=weak,
-        statement="-d-2 < index < -d (d = 2): weak iff "
-                  "d(kappa+2) + index*(kappa+1) <= 0")

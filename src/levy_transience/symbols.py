@@ -34,7 +34,7 @@ from .errors import (
     DegenerateModelError,
     ModelInvariantError,
 )
-from .levy_tails import _BOUNDARY_TOL, borderline_index_test, rv_classify
+from .levy_tails import _BOUNDARY_TOL, borderline_index_test
 from .verdicts import CONVERGES, model_memo
 
 ENV_SUP_ABS = "sup_abs"
@@ -170,8 +170,9 @@ class SymbolModel:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ConfigurationError(f"unknown family {self.family!r}")
-        probe = max(abs(eval_symbol(self, None, 0.7 * _unit(self.d))),
-                    abs(eval_symbol(self, None, 1.3 * _unit(self.d))))
+        with np.errstate(over="ignore"):   # an inf probe does not vanish
+            probe = max(abs(eval_symbol(self, None, 0.7 * _unit(self.d))),
+                        abs(eval_symbol(self, None, 1.3 * _unit(self.d))))
         if probe == 0.0:
             raise DegenerateModelError("symbol vanishes identically")
 
@@ -370,6 +371,21 @@ GATE_RECURRENT = "recurrent"
 GATE_UNKNOWN = "unknown"
 
 
+def _tail_germ(slope, q, d):
+    """(beta, p) of the jump symbol of a tail u^slope (ln u)^q as rho -> 0,
+    with alpha = -slope - d: (alpha, q) below alpha = 2 and (2, 0) above it;
+    at 2 the log gains a power, (2, q + 1), or drops for q < -1. None when
+    the slope is not stated, or at alpha = 2 with q = -1 (a ln ln factor)."""
+    if slope is None:
+        return None
+    alpha = -slope - d
+    if alpha < 2.0:
+        return alpha, q
+    if alpha > 2.0 or q < -1.0:
+        return 2.0, 0.0
+    return (2.0, q + 1.0) if q > -1.0 else None
+
+
 class _Family:
     """What the package knows about one family. A slot the family lacks is
     None or returns nothing; the defaults serve a radial jump density."""
@@ -459,9 +475,17 @@ class _Family:
     def gate(self, model):
         return None
 
-    # the closed-form rules that fire, as (side, rule_id, statement, detail)
-    def rules(self, model, kappa):
-        return ()
+    # the small-frequency germs (beta, p), envelope ~ rho^beta (ln 1/rho)^p,
+    # of the sup envelope and of the inf-Re envelope, or None: here those of
+    # the variants' stated tails, the slowest for the sup and the fastest
+    # for the inf (the smaller beta is the slower; on a tie the larger p)
+    def indices(self, model):
+        germs = [_tail_germ(v.tail_slope, v.log_exponent, model.d)
+                 for v in model.triplet.jump_density.variants]
+        if None in germs:
+            return None
+        germs.sort(key=lambda g: (g[0], -g[1]))
+        return germs[0], germs[-1]
 
 
 class _BrownianDrift(_Family):
@@ -479,20 +503,16 @@ class _BrownianDrift(_Family):
                 [0.5 * c_hi * r ** 2 for r in rho])
 
     def gate(self, model):
-        if model.drift_vector is None \
-                and model.triplet.diffusion_bounds[0] > 0:
+        if self.indices(model):
             return GATE_TRANSIENT if model.d >= 3 else GATE_RECURRENT
         return None
 
-    def rules(self, model, kappa):
+    # driftless and uniformly elliptic: rho^2 on both sides
+    def indices(self, model):
         if model.drift_vector is None \
                 and model.triplet.diffusion_bounds[0] > 0:
-            d = model.d
-            weak = d <= 2.0 * (kappa + 1.0)
-            yield ("weak" if weak else "strong", "elliptic-moment-rule",
-                   "driftless uniformly elliptic diffusion: weakly "
-                   "transient iff d <= 2(kappa+1)",
-                   {"d": d, "kappa": kappa, "threshold": 2.0 * (kappa + 1.0)})
+            return (2.0, 0.0), (2.0, 0.0)
+        return None
 
     def sample(self, model, t, gen, n):
         C = model.triplet.diffusion_matrix
@@ -539,33 +559,13 @@ class _StableLike(_Family):
             return GATE_RECURRENT
         return None
 
-    def rules(self, model, kappa):
-        d = model.d
+    # rho^alpha_lo and rho^alpha_hi; a drift term |<xi, b>| ~ rho outgrows
+    # rho^alpha_lo for alpha_lo > 1
+    def indices(self, model):
         a_lo, a_hi = model.params["alpha"].bounds
-        has_drift = model.drift_vector is not None
-        if not has_drift and a_lo == a_hi:
-            weak = d <= a_lo * (kappa + 1.0)
-            yield ("weak" if weak else "strong", "stable-scaling-rule",
-                   "rotation-invariant stable scaling: weakly transient "
-                   "iff d/(kappa+1) <= alpha",
-                   {"d": d, "kappa": kappa, "alpha": a_lo})
-            return
-        if has_drift and a_lo < 1.0 and d <= (kappa + 1.0) * a_lo:
-            yield ("weak", "stable-like-drift-low",
-                   "drifted, lower index < 1: d <= (kappa+1)*alpha_lo "
-                   "gives the weak side", {"alpha_lo": a_lo})
-        if has_drift and a_lo >= 1.0 and d <= (kappa + 1.0):
-            yield ("weak", "stable-like-drift-unit",
-                   "drifted, lower index >= 1: d <= kappa+1 gives the "
-                   "weak side", {})
-        if not has_drift and d <= (kappa + 1.0) * a_lo:
-            yield ("weak", "stable-like-driftless",
-                   "driftless: d <= (kappa+1)*alpha_lo gives the weak side",
-                   {"alpha_lo": a_lo})
-        if d > (kappa + 1.0) * a_hi:
-            yield ("strong", "stable-like-strong",
-                   "d > (kappa+1)*alpha_hi gives the strong side",
-                   {"alpha_hi": a_hi})
+        if model.drift_vector is not None:
+            a_lo = min(a_lo, 1.0)
+        return (a_lo, 0.0), (a_hi, 0.0)
 
     def sample(self, model, t, gen, n):
         alpha, gamma = (model.params[k].bounds[0] for k in ("alpha", "gamma"))
@@ -590,78 +590,24 @@ class _StableLike(_Family):
                        beta=beta, gamma=param("gamma", ScalarField.make, 1.0))
 
 
-def _rv_index(dens):
-    """(index, borderline) of a state-independent density: its stated tail
-    slope (None when its variant states none, so no rv-case rule fires)
-    and, at index -2d in dimension <= 2, whether the borderline integral
-    test converges (else None)."""
-    delta = dens.variants[0].tail_slope
-    if not dens.x_independent or delta is None:
-        return None, None
-    borderline = None
-    if abs(delta + 2.0 * dens.d) <= _BOUNDARY_TOL and dens.d <= 2:
-        borderline = borderline_index_test(dens).decided_state == CONVERGES
-    return delta, borderline
-
-
 class _RadialJump(_Family):
+    # the stated tail index delta of a state-independent density; at -2d
+    # in dimension <= 2 the borderline integral test decides
     def gate(self, model):
-        d = model.d
-        delta, borderline = _rv_index(model.triplet.jump_density)
-        if delta is None:
+        d, dens = model.d, model.triplet.jump_density
+        delta = dens.variants[0].tail_slope
+        if not dens.x_independent or delta is None:
             return None
-        if borderline is not None:
-            return GATE_TRANSIENT if borderline else GATE_RECURRENT
+        if abs(delta + 2.0 * d) <= _BOUNDARY_TOL and d <= 2:
+            converges = borderline_index_test(dens).decided_state == CONVERGES
+            return GATE_TRANSIENT if converges else GATE_RECURRENT
         if d >= 3 or -2.0 * d < delta <= -float(d):
             return GATE_TRANSIENT
         return GATE_RECURRENT
 
-    def rules(self, model, kappa):
-        delta, borderline = _rv_index(model.triplet.jump_density)
-        if delta is None:
-            return
-        cls = rv_classify(model.d, delta, kappa, borderline)
-        if cls.transient and cls.weakly_transient is not None:
-            yield ("weak" if cls.weakly_transient else "strong",
-                   f"rv-case-{cls.case}", cls.statement,
-                   {"index": delta, "kappa": kappa})
-
     def parse(self, d, param):
         return partial(radial_jump_model,
                        density_from_spec(d, param("density", _object)))
-
-
-class _FiniteJump(_Family):
-    def gate(self, model):
-        a_hi = model.params["alpha"].bounds[1]
-        return GATE_TRANSIENT if model.d >= 3 or a_hi < model.d else None
-
-    def rules(self, model, kappa):
-        d = model.d
-        a_lo, a_hi = model.params["alpha"].bounds
-        if a_hi < 2.0:
-            weak = a_lo * (kappa + 1.0) >= d
-            strong = a_hi * (kappa + 1.0) < d
-            case = "tail index below 2"
-        elif a_lo > 2.0:
-            weak = 2.0 * (kappa + 1.0) >= d
-            strong = 2.0 * (kappa + 1.0) < d
-            case = "tail index above 2 (finite second moment)"
-        elif a_lo == a_hi == 2.0:
-            weak = 2.0 * (kappa + 1.0) > d
-            strong = 2.0 * (kappa + 1.0) <= d
-            case = "tail index exactly 2"
-        else:
-            return
-        for side, fired in (("weak", weak), ("strong", strong)):
-            if fired:
-                yield (side, "bounded-jump-rule",
-                       f"unit-mass power jump kernel, {case}: {side} side",
-                       {"alpha_lo": a_lo, "alpha_hi": a_hi})
-
-    def parse(self, d, param):
-        return partial(finite_jump_model, d,
-                       alpha=param("alpha", ScalarField.make))
 
 
 #: the box [lo, hi]^d of states the sampled symmetry checks draw from
@@ -717,10 +663,12 @@ class _Custom(_Family):
     def state_independent(self, model):
         return bool(model.params.get("x_independent", False))
 
+    def indices(self, model):
+        return None
+
 
 FAMILIES = {"brownian_drift": _BrownianDrift(), "stable_like": _StableLike(),
-            "radial_jump": _RadialJump(), "finite_jump": _FiniteJump(),
-            "custom": _Custom()}
+            "radial_jump": _RadialJump(), "custom": _Custom()}
 
 
 def _kanter_angles(u, w):
@@ -816,10 +764,11 @@ def radial_jump_model(density: RadialLevyDensity, params=None,
 
 
 def finite_jump_model(d, alpha, assumptions=None):
+    """The radial_jump model of the unit-mass power kernel cut at radius 1,
+    with its variants tied to states by the field alpha."""
     af = ScalarField.make(alpha)
-    triplet = LevyTriplet(d=d, jump_density=finite_range_density(d, af.bounds))
-    return SymbolModel(family="finite_jump", d=d, triplet=triplet,
-                       params={"alpha": af}, assumptions=assumptions or {})
+    return radial_jump_model(finite_range_density(d, af.bounds),
+                             {"alpha": af}, assumptions)
 
 
 def custom_model(d, eval_fn, envelopes=None, assumptions=None,
@@ -976,7 +925,8 @@ def model_from_config(cfg: dict) -> SymbolModel:
         raise ConfigurationError("model config must be a JSON object")
     top = _Section(cfg)
     parsers = {name: f.parse for name, f in FAMILIES.items() if f.parse}
-    parsers["isotropic_stable"] = _parse_isotropic
+    parsers.update(isotropic_stable=_parse_isotropic,
+                   finite_jump=_parse_finite_jump)
     parse = parsers[top("family", _member(parsers))]
     d = top("d")
     # a JSON number with no fractional part, not a bool or a string
@@ -997,6 +947,13 @@ def _parse_isotropic(d, param):
     gamma and no drift."""
     return partial(isotropic_stable, d, param("alpha", _real),
                    param("gamma", _real, 1.0))
+
+
+def _parse_finite_jump(d, param):
+    """The JSON family finite_jump: a radial_jump model, see
+    finite_jump_model."""
+    return partial(finite_jump_model, d,
+                   alpha=param("alpha", ScalarField.make))
 
 
 def load_model(path) -> SymbolModel:

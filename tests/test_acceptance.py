@@ -16,14 +16,16 @@ from levy_transience.cf_integrals import strong_integral_kappa, weak_integral_ka
 from levy_transience.classifier import classify, kappa_boundary
 from levy_transience.cli import main as cli_main
 from levy_transience.densities import (
+    DensityVariant,
+    RadialLevyDensity,
     modified_density,
+    power_density,
     power_log_density,
     stable_coefficient,
     stable_density,
 )
 from levy_transience.index_rules import pruitt_indices
 from levy_transience.levy_tails import (
-    rv_classify,
     borderline_index_test,
     integrated_tail,
     tail_mass,
@@ -101,31 +103,38 @@ def test_criterion_3_tail_symbol_agreement():
 
 
 def test_criterion_4_regular_variation_table():
-    kappas = (0.1, 0.3, 0.5, 0.6, 0.9, 1.0, 1.5, 3.0)
+    kappas = (0.0, 0.1, 0.3, 0.5, 0.6, 0.9, 1.0, 1.5, 3.0)
 
-    def check(d, delta, rule, borderline=None, case=None):
+    def check(density, rule):
+        model = radial_jump_model(density)
         for kappa in kappas:
-            cls = rv_classify(d, delta, kappa, borderline_converges=borderline)
-            assert cls.transient, (d, delta)
-            assert cls.weakly_transient == rule(kappa), (d, delta, kappa)
-            if case:
-                assert cls.case == case
+            report = classify(model, kappa, methods=("closed_form",))
+            assert report.gate == "transient", density.d
+            [rec] = report.fired_rules
+            assert rec.verdict == ("weak" if rule(kappa) else "strong"), \
+                (density.d, density.variants[0].tail_slope, kappa)
 
     # (i) d=3, delta=-7 < -d-2: weak iff 2(kappa+1) >= d
-    check(3, -7.0, lambda k: 2 * (k + 1) >= 3, case="i")
-    # (ii) d=1, delta=-2d with the borderline integral test
+    check(power_density(3, 4.0, u0=1.0), lambda k: 2 * (k + 1) >= 3)
+    # (ii) d=1, delta=-2d with the borderline integral test: the germ is
+    # rho (ln 1/rho)^2, so weak iff kappa+1 > 1 (at kappa = 0 the log
+    # exponent 2 > 1 gives the strong side)
     logd = power_log_density(1, exponent=-2.0, log_exponent=2.0)
-    borderline = borderline_index_test(logd).decided_state == CONVERGES
-    assert borderline
-    check(1, -2.0, lambda k: 2 * (k + 1) > 1, borderline=borderline, case="ii")
+    assert borderline_index_test(logd).decided_state == CONVERGES
+    check(logd, lambda k: k > 0)
     # (iii) d=3, delta=-d-2: weak iff 2(kappa+1) > d
-    check(3, -5.0, lambda k: 2 * (k + 1) > 3, case="iii")
+    check(power_density(3, 2.0, u0=1.0), lambda k: 2 * (k + 1) > 3)
     # (iv) d=1, delta=-1.5: weak iff kappa + 2 + delta(kappa+1) <= 0
-    check(1, -1.5, lambda k: k + 2 - 1.5 * (k + 1) <= 0, case="iv")
+    check(power_density(1, 0.5, u0=1.0), lambda k: k + 2 - 1.5 * (k + 1) <= 0)
     # (v) d=2, delta=-d-1=-3: weak iff d(kappa+2) + delta(kappa+1) <= 0
-    check(2, -3.0, lambda k: 2 * (k + 2) - 3 * (k + 1) <= 0, case="v")
-    # (vi) delta=-d: always strongly transient
-    check(1, -1.0, lambda k: False, case="vi")
+    check(power_density(2, 1.0, u0=1.0),
+          lambda k: 2 * (k + 2) - 3 * (k + 1) <= 0)
+    # (vi) delta=-d: always strongly transient. No tail u^-d (ln u)^q passes
+    # the numeric Levy-measure check, so a u^-2 profile states that index;
+    # the exact rule reads the stated index alone
+    stated = DensityVariant("index -d", lambda u: np.maximum(u, 1.0) ** -2.0,
+                            1.0, (1.0,), -1.0, -2.0)
+    check(RadialLevyDensity(d=1, u0=1.0, variants=(stated,)), lambda k: False)
     _report(4, "all six regular-variation cases reproduce the published "
                "rules exactly")
 

@@ -20,6 +20,7 @@ from levy_transience.classifier import (
 from levy_transience.densities import (
     RadialLevyDensity,
     power_density,
+    power_log_density,
     stable_density,
     table_density,
 )
@@ -54,7 +55,7 @@ def test_classify_examples(bm3, stable_05_d1):
     assert rep.verdict == STRONGLY_TRANSIENT
     rep = classify(stable_like(3, alpha=(1.2, 1.5), gamma=1.0), 1.6)
     assert rep.verdict == WEAKLY_TRANSIENT
-    assert any(r.rule_id == "stable-like-driftless" for r in rep.fired_rules)
+    assert any(r.rule_id == "index-exact-weak" for r in rep.fired_rules)
 
 
 def test_classify_requires_transience(stable_15_d1):
@@ -157,45 +158,42 @@ def test_large_kappa_keeps_integral_and_tail_bands(power_jump_model, kappa):
     assert {"integral", "tail"} <= methods
 
 
-_SCALING = ("rotation-invariant stable scaling: weakly transient iff "
-            "d/(kappa+1) <= alpha")
-_JUMP = "unit-mass power jump kernel, tail index "
+_WEAK = ("sup-envelope germ rho^beta (ln 1/rho)^p with beta(kappa+1) > d, "
+         "or = d and p(kappa+1) <= 1: the weak-side integral diverges")
+_STRONG = ("inf-envelope germ rho^beta (ln 1/rho)^p with beta(kappa+1) < d, "
+           "or = d and p(kappa+1) > 1: the strong-side integral converges")
 
 
+def _exact(d, kappa, beta, p, product):
+    return {"d": d, "kappa": kappa, "beta": beta, "log_exponent": p,
+            "product": product}
+
+
+# one row per closed-form case: Brownian, isotropic stable, stable_like
+# with a drift (alpha_lo capped at 1, or below 1) and without, finite_jump
+# with alpha below, above and at 2 (where the germ gains a log), and a
+# radial power tail
 @pytest.mark.parametrize("make, kappa, rule", [
-    (lambda: brownian_drift(3), 0.6, (
-        "elliptic-moment-rule", "weak", "driftless uniformly elliptic "
-        "diffusion: weakly transient iff d <= 2(kappa+1)",
-        {"d": 3, "kappa": 0.6, "threshold": 3.2})),
-    (lambda: isotropic_stable(3, 1.0), 1.0, (
-        "stable-scaling-rule", "strong", _SCALING,
-        {"d": 3, "kappa": 1.0, "alpha": 1.0})),
-    (lambda: stable_like(2, 1.3, beta=[0.5, 0.0]), 0.0, (
-        "stable-like-strong", "strong",
-        "d > (kappa+1)*alpha_hi gives the strong side", {"alpha_hi": 1.3})),
-    (lambda: stable_like(2, 1.3, beta=[0.5, 0.0]), 1.0, (
-        "stable-like-drift-unit", "weak",
-        "drifted, lower index >= 1: d <= kappa+1 gives the weak side", {})),
-    (lambda: stable_like(2, (0.6, 0.9), beta=[0.5, 0.0]), 3.0, (
-        "stable-like-drift-low", "weak", "drifted, lower index < 1: "
-        "d <= (kappa+1)*alpha_lo gives the weak side", {"alpha_lo": 0.6})),
-    (lambda: stable_like(3, (1.2, 1.5)), 1.6, (
-        "stable-like-driftless", "weak",
-        "driftless: d <= (kappa+1)*alpha_lo gives the weak side",
-        {"alpha_lo": 1.2})),
-    (lambda: finite_jump_model(2, 1.5), 0.5, (
-        "bounded-jump-rule", "weak", _JUMP + "below 2: weak side",
-        {"alpha_lo": 1.5, "alpha_hi": 1.5})),
-    (lambda: finite_jump_model(3, (2.5, 3.0)), 0.2, (
-        "bounded-jump-rule", "strong",
-        _JUMP + "above 2 (finite second moment): strong side",
-        {"alpha_lo": 2.5, "alpha_hi": 3.0})),
-    (lambda: finite_jump_model(3, 2.0), 1.0, (
-        "bounded-jump-rule", "weak", _JUMP + "exactly 2: weak side",
-        {"alpha_lo": 2.0, "alpha_hi": 2.0})),
-    (lambda: radial_jump_model(power_density(3, alpha=0.5, u0=1.0)), 1.0, (
-        "rv-case-v", "strong", "-d-2 < index < -d: weak iff "
-        "d(kappa+2) + index*(kappa+1) <= 0", {"index": -3.5, "kappa": 1.0})),
+    (lambda: brownian_drift(3), 0.6,
+     ("index-exact-weak", "weak", _WEAK, _exact(3, 0.6, 2.0, 0.0, 3.2))),
+    (lambda: isotropic_stable(3, 1.0), 1.0,
+     ("index-exact-strong", "strong", _STRONG, _exact(3, 1.0, 1.0, 0.0, 2.0))),
+    (lambda: stable_like(2, 1.3, beta=[0.5, 0.0]), 0.0,
+     ("index-exact-strong", "strong", _STRONG, _exact(2, 0.0, 1.3, 0.0, 1.3))),
+    (lambda: stable_like(2, 1.3, beta=[0.5, 0.0]), 1.0,
+     ("index-exact-weak", "weak", _WEAK, _exact(2, 1.0, 1.0, 0.0, 2.0))),
+    (lambda: stable_like(2, (0.6, 0.9), beta=[0.5, 0.0]), 3.0,
+     ("index-exact-weak", "weak", _WEAK, _exact(2, 3.0, 0.6, 0.0, 2.4))),
+    (lambda: stable_like(3, (1.2, 1.5)), 1.6,
+     ("index-exact-weak", "weak", _WEAK, _exact(3, 1.6, 1.2, 0.0, 3.12))),
+    (lambda: finite_jump_model(2, 1.5), 0.5,
+     ("index-exact-weak", "weak", _WEAK, _exact(2, 0.5, 1.5, 0.0, 2.25))),
+    (lambda: finite_jump_model(3, (2.5, 3.0)), 0.2,
+     ("index-exact-strong", "strong", _STRONG, _exact(3, 0.2, 2.0, 0.0, 2.4))),
+    (lambda: finite_jump_model(3, 2.0), 1.0,
+     ("index-exact-weak", "weak", _WEAK, _exact(3, 1.0, 2.0, 1.0, 4.0))),
+    (lambda: radial_jump_model(power_density(3, alpha=0.5, u0=1.0)), 1.0,
+     ("index-exact-strong", "strong", _STRONG, _exact(3, 1.0, 0.5, 0.0, 1.0))),
 ])
 def test_closed_form_rule_records(make, kappa, rule):
     rep = classify(make(), kappa, methods=("closed_form",))
@@ -347,14 +345,29 @@ def test_joint_stable_like_pruitt_indices_are_the_index_bounds(spec):
     (3, 0.01, 400.0)])
 def test_rv_rules_read_the_exact_tail_index_near_a_case_boundary(d, alpha,
                                                                  kappa):
-    # each index lies within 0.02 of -d-2, -2d or -d, but off it: the rule is
-    # that of the open case, on the side of kappa* = d/alpha - 1
+    # each index lies within 0.02 of -d-2, -2d or -d, but off it: the exact
+    # rule reads it as stated, on the side of kappa* = d/alpha - 1
     report = classify(radial_jump_model(power_density(d, alpha)), kappa)
     want = WEAKLY_TRANSIENT if kappa > d / alpha - 1.0 else STRONGLY_TRANSIENT
     assert report.verdict == want
-    assert {r.rule_id for r in report.fired_rules
-            if r.rule_id.startswith("rv-case")} \
-        == {"rv-case-iv" if d == 1 else "rv-case-v"}
+    side = "weak" if want == WEAKLY_TRANSIENT else "strong"
+    assert [r.rule_id for r in report.fired_rules
+            if r.method == "closed_form"] == [f"index-exact-{side}"]
+
+
+@pytest.mark.parametrize("kappa, verdict, rule", [
+    (0.0, STRONGLY_TRANSIENT, "index-exact-strong"),
+    (0.5, WEAKLY_TRANSIENT, "index-exact-weak")])
+def test_borderline_log_tail_takes_its_side_from_the_log(kappa, verdict,
+                                                         rule):
+    # n(u) = u^-2 (ln u)^2 in d = 1: index -2d, transient by the borderline
+    # test, germ rho (ln 1/rho)^2. At kappa = 0, beta(kappa+1) = d and
+    # p(kappa+1) = 2 > 1: strong (a rule "weak iff 2(kappa+1) > d" read weak)
+    model = radial_jump_model(power_log_density(1, -2.0, 2.0))
+    report = classify(model, kappa)
+    assert report.verdict == verdict
+    assert [r.rule_id for r in report.fired_rules
+            if r.method == "closed_form"] == [rule]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from levy_transience.densities import (
 )
 from levy_transience.index_rules import (
     index_bound_rules,
+    index_exact_rules,
     moment_rules,
     pruitt_indices,
     shape_diagnostic,
@@ -22,7 +24,6 @@ from levy_transience.index_rules import (
 )
 from levy_transience.quadrature import sphere_surface
 from levy_transience.symbols import (
-    FAMILIES,
     brownian_drift,
     finite_jump_model,
     isotropic_stable,
@@ -235,7 +236,7 @@ def test_every_rule_of_every_band_is_a_fired_side_record():
     fired = set()
     for model in models:
         for kappa in (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0):
-            for rules in (FAMILIES[model.family].rules, index_bound_rules,
+            for rules in (index_exact_rules, index_bound_rules,
                           moment_rules, shape_diagnostic):
                 for rule in rules(model, kappa):
                     assert isinstance(rule, tuple) and len(rule) == 4
@@ -245,8 +246,23 @@ def test_every_rule_of_every_band_is_a_fired_side_record():
                     json.dumps(detail)
                     fired.add(rule_id)
     assert {"index-lower-sufficient", "second-moment-weak",
-            "nondegeneracy-strong", "shape-concave-inf", "elliptic-moment-rule",
-            "stable-scaling-rule", "bounded-jump-rule"} <= fired
+            "nondegeneracy-strong", "shape-concave-inf", "index-exact-weak",
+            "index-exact-strong"} <= fired
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("alpha", [0.1, 0.2, 0.3])
+def test_shape_rule_reads_a_profile_at_the_top_of_the_float_range(d, alpha):
+    # gamma rho^alpha near 1.7e308 on the shape window: its second
+    # difference overflowed (2 * vals), now the window is scaled by a
+    # power of two first
+    model = isotropic_stable(d, alpha, gamma=1.7e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kappa in (0.0, 0.5, 2.0, 8.0):
+            verdict = classify(model, kappa).verdict
+            assert verdict == ("weakly_transient" if kappa > d / alpha - 1.0
+                               else "strongly_transient"), kappa
 
 
 def test_quadratic_floor_counts_atoms():

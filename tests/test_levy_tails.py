@@ -27,7 +27,6 @@ from levy_transience.levy_tails import (
     comparison_transfer,
     cos_moment_condition,
     density_floor_test,
-    rv_classify,
     borderline_index_test,
     integrated_tail,
     moment_tail_test,
@@ -40,7 +39,7 @@ from levy_transience.levy_tails import (
     truncated_second_moment,
 )
 from levy_transience.quadrature import sphere_surface
-from levy_transience.symbols import radial_jump_model
+from levy_transience.symbols import FAMILIES, radial_jump_model
 from levy_transience.verdicts import CONVERGES, DIVERGES, INCONCLUSIVE
 
 
@@ -293,17 +292,16 @@ def test_borderline_index_test():
 
 
 def test_e3_classification_against_tail_tests():
-    # pure-power tails: the table and the integral tests must agree
+    # pure-power tails: the stated indices and the integral tests must agree
     d = 2
     for alpha in (0.4, 0.8, 1.2, 1.6, 1.9):
         dens = stable_density(d, alpha)
-        delta = -(d + alpha)
+        germ = FAMILIES["radial_jump"].indices(radial_jump_model(dens))
+        assert germ[0] == germ[1] == (pytest.approx(alpha, abs=1e-15), 0.0)
         for kappa in (0.3, 0.75, 1.6, 2.6, 3.5):
-            cls = rv_classify(d, delta, kappa)
-            assert cls.transient
             weak_state = tail_test_weak(dens, kappa, 1.0).decided_state
             strong_state = tail_test_strong(dens, kappa, 1.0).decided_state
-            if cls.weakly_transient:
+            if germ[0][0] * (kappa + 1.0) >= d:
                 assert weak_state == DIVERGES, (alpha, kappa)
             else:
                 assert strong_state == CONVERGES, (alpha, kappa)

@@ -54,9 +54,7 @@ ALLOWED = {
     ),
     "the integral-only gate is the reference the structural gate is "
     "tested against": ("transience_gate.use_structural",),
-    "an input the caller has or not: a borderline test result or an exact "
-    "marginal probability": (
-        "rv_classify.borderline_converges",
+    "an input the caller has or not: an exact marginal probability": (
         "occupation_integral_estimate.probability_fn",
     ),
     "simulation input: which path and where it starts": (

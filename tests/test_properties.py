@@ -7,21 +7,30 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from levy_transience import classifier
 from levy_transience.classifier import (
     ALL_METHODS,
     GATE_RECURRENT,
+    INCONCLUSIVE,
     STRONGLY_TRANSIENT,
     WEAKLY_TRANSIENT,
+    NotTransientError,
     classify,
     classify_verdict,
     kappa_boundary,
     transience_gate,
 )
-from levy_transience.densities import stable_coefficient
+from levy_transience.densities import (
+    finite_range_density,
+    power_density,
+    power_log_density,
+    stable_coefficient,
+    stable_density,
+    table_density,
+)
 from levy_transience.errors import ConfigurationError, LevyTransienceError
 from levy_transience.quadrature import (
     jump_symbol_value,
@@ -33,8 +42,11 @@ from levy_transience.symbols import (
     ENV_SUP_ABS_IM,
     brownian_drift,
     eval_symbol,
+    finite_jump_model,
     isotropic_stable,
     model_from_config,
+    radial_jump_model,
+    stable_like,
     _envelope,
 )
 from levy_transience.verdicts import (
@@ -120,11 +132,10 @@ def test_line_recovers_an_exact_line_exactly(slope, intercept, x0, log_n):
 @st.composite
 def transient_candidates(draw):
     """Brownian motion or a rotation-invariant stable process, d in 1..5,
-    at a scale 10^e, e in [-300, 250] (recurrent ones are skipped). Above
-    about 1e260 the jump density's validity check overflows and rejects a
-    valid stable measure, a defect of its own."""
+    at a scale 10^e, e in [-307, 308], across the float range (recurrent
+    ones are skipped); the tests that draw it also run at scale 1.7e308."""
     d = draw(st.integers(1, 5))
-    scale = 10.0 ** draw(st.floats(-300.0, 250.0))
+    scale = 10.0 ** draw(st.floats(-307.0, 308.0))
     if draw(st.booleans()):
         model = brownian_drift(d, c=scale)
     else:
@@ -133,9 +144,15 @@ def transient_candidates(draw):
     return model
 
 
+#: the top of the float range, where a scale times a radius overflows
+_TOP = (brownian_drift(3, c=1.7e308), isotropic_stable(3, 0.5, gamma=1.7e308))
+
+
 @given(model=transient_candidates(),
        kappas=st.lists(st.floats(0.0, 64.0), min_size=2, max_size=2),
        methods=st.sampled_from([ALL_METHODS, ("integral", "tail", "index")]))
+@example(model=_TOP[0], kappas=[0.0, 8.0], methods=ALL_METHODS)
+@example(model=_TOP[1], kappas=[0.5, 64.0], methods=ALL_METHODS)
 def test_weak_at_a_kappa_is_never_strong_at_a_larger_one(model, kappas,
                                                          methods):
     k1, k2 = sorted(kappas)
@@ -154,6 +171,8 @@ def _verdict_or_error(call):
 
 @given(model=transient_candidates(), kappa=st.floats(0.0, 64.0),
        methods=st.lists(st.sampled_from(ALL_METHODS), unique=True).map(tuple))
+@example(model=_TOP[0], kappa=0.5, methods=ALL_METHODS)
+@example(model=_TOP[1], kappa=5.0, methods=ALL_METHODS)
 def test_classify_verdict_is_the_verdict_classify_reports(model, kappa,
                                                           methods):
     want = _verdict_or_error(
@@ -171,6 +190,8 @@ def test_classify_verdict_is_the_verdict_classify_reports(model, kappa,
 
 
 @given(model=transient_candidates())
+@example(model=_TOP[0])
+@example(model=_TOP[1])
 def test_kappa_boundary_lies_between_a_strong_and_a_weak_probe(model):
     probes = []
 
@@ -207,6 +228,77 @@ def test_raising_the_dimension_never_turns_strong_into_weak(
 
     assert not (verdict(d) == STRONGLY_TRANSIENT
                 and verdict(d + step) == WEAKLY_TRANSIENT)
+
+
+# -- the closed-form band: one comparison of beta(kappa+1) with d ----------
+
+@st.composite
+def indexed_models(draw):
+    """(model, beta_lo, beta_hi) for a model of a built-in family in d in
+    1..5, with the small-frequency exponents of its sup and inf-Re
+    envelopes read off the drawn parameters: 2 for Brownian motion, alpha
+    for a stable part (at most 1 on the sup side under a drift) and
+    min(alpha, 2) for a jump tail u^-(d+alpha)."""
+    d = draw(st.integers(1, 5))
+    # a family, or the density of a radial_jump model
+    kind = draw(st.sampled_from(["brownian_drift", "stable_like",
+                                 "finite_jump", "power", "stable",
+                                 "finite_range", "table", "power_log"]))
+    if kind == "brownian_drift":
+        return brownian_drift(d, c=draw(st.floats(0.1, 10.0))), 2.0, 2.0
+
+    def alphas(top):   # a constant or an interval
+        lo = draw(st.floats(0.3, top))
+        return lo, draw(st.floats(lo, top)) if draw(st.booleans()) else lo
+
+    if kind == "stable_like":
+        (lo, hi), drift = alphas(1.9), draw(st.booleans())
+        model = stable_like(d, (lo, hi), beta=[0.5] * d if drift else None)
+        return model, min(lo, 1.0) if drift else lo, hi
+    if kind == "finite_jump":
+        lo, hi = alphas(3.5)
+        return finite_jump_model(d, (lo, hi)), min(lo, 2.0), min(hi, 2.0)
+    if kind in ("table", "power_log"):   # one state
+        a = draw(st.floats(0.3, 3.5))
+        if kind == "table":
+            dens = table_density(d, [1.0, 4.0], [1.0, 4.0 ** -(d + a)],
+                                 u0=1.0)
+        else:
+            q = draw(st.floats(-2.0, 2.0))
+            assume(not (a == 2.0 and q == -1.0))   # a ln ln factor: no germ
+            dens = power_log_density(d, -(d + a), q)
+        return radial_jump_model(dens), min(a, 2.0), min(a, 2.0)
+    lo, hi = alphas(1.9 if kind == "stable" else 3.5)
+    alpha = lo if lo == hi else (lo, hi)
+    dens = {"power": lambda: power_density(d, alpha, u0=1.0, n_variants=3),
+            "stable": lambda: stable_density(d, alpha, n_variants=3),
+            "finite_range": lambda: finite_range_density(d, alpha, 3)}[kind]()
+    return radial_jump_model(dens), min(lo, 2.0), min(hi, 2.0)
+
+
+@given(case=indexed_models(), kappa=st.floats(0.0, 12.0))
+# a drift caps beta_lo at 1: no rule between d/alpha - 1 and d - 1
+@example(case=(stable_like(2, 1.5, beta=[0.5, 0.0]), 1.0, 1.5), kappa=0.6)
+def test_closed_form_band_is_one_comparison_of_beta_kappa_with_d(case,
+                                                                 kappa):
+    # kappa at least 5% (in beta(kappa+1) against d) off both thresholds
+    # d/beta - 1: the strong rule fires below d/beta_hi - 1, the weak one
+    # above d/beta_lo - 1, and neither in between. With beta_lo = beta_hi
+    # (every state-independent model but a drifted stable one) the model
+    # decides on the side of d/beta - 1; the two never fire together
+    model, beta_lo, beta_hi = case
+    d = model.d
+    for beta in (beta_lo, beta_hi):
+        assume(abs(beta * (kappa + 1.0) - d) >= 0.05 * d)
+    try:
+        report = classify(model, kappa, methods=("closed_form",))
+    except NotTransientError:
+        reject()
+    want = ["strong"] if beta_hi * (kappa + 1.0) < d \
+        else ["weak"] if beta_lo * (kappa + 1.0) > d else []
+    assert [r.verdict for r in report.fired_rules] == want
+    assert report.verdict == {(): INCONCLUSIVE, ("weak",): WEAKLY_TRANSIENT,
+                              ("strong",): STRONGLY_TRANSIENT}[tuple(want)]
 
 
 # -- model files: valid configs classify, a corrupted field is named --------

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -210,6 +211,15 @@ def test_symmetry_check_cases(stable_05_d1):
 def test_degenerate_symbol_rejected():
     with pytest.raises(DegenerateModelError):
         brownian_drift(2, c=0.0)
+
+
+def test_a_model_at_the_top_of_the_float_range_builds_without_warnings():
+    # the constructor's probe |q| at |xi| = 1.3 is 1.3 * 1.7e308 = inf, which
+    # does not vanish
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = isotropic_stable(3, 1.0, gamma=1.7e308)
+    assert model.params["gamma"].lo == 1.7e308
 
 
 def test_density_validation_lets_profile_bugs_through():
