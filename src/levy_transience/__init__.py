@@ -49,7 +49,6 @@ from .levy_tails import (
     comparison_transfer,
     cos_moment_condition,
     density_floor_test,
-    borderline_index_test,
     integrated_tail,
     moment_tail_test,
     perturbation_distance,

@@ -191,7 +191,7 @@ def kappa_star_cmd(model_paths, out_dir, fmt, tol, radius):
 @_with_common
 @_exit_on_error
 def pruitt_cmd(model_paths, out_dir, fmt):
-    """Estimate the scaling indices of the symbol envelopes."""
+    """The scaling indices of the symbol envelopes: stated, or fitted."""
     model = load_model(model_paths[0])
     idx = pruitt_indices(model)
     payload = {"command": "pruitt", "model": str(model_paths[0]),

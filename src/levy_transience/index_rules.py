@@ -1,9 +1,10 @@
 """Pruitt-type scaling indices and the index rules of the classifier.
 
 The lower index is the small-frequency scaling exponent of sup_x |q(x, xi)|,
-the upper index that of inf_x Re q(x, xi). Both are estimated as regression
-slopes over a dyadic frequency ladder, reducing over directions with max for
-the sup-envelope and min for the inf-envelope.
+the upper index that of inf_x Re q(x, xi). Both are the exponents of the
+germs a family states; for a model without stated germs they are estimated
+as regression slopes over a dyadic frequency ladder, reducing over
+directions with max for the sup-envelope and min for the inf-envelope.
 
 Each rule below is a generator over (model, kappa) that yields the
 (side, rule_id, statement, detail) of every rule that fires: the exact-index
@@ -28,6 +29,7 @@ from .symbols import (
     SymbolModel,
     envelope_is_radial,
     envelope_profile,
+    germ_integrable,
     symbol_even_in_xi,
 )
 from .verdicts import _line, model_memo
@@ -37,7 +39,7 @@ _K_LO, _K_HI = 4, 20
 
 @dataclass(frozen=True)
 class PruittIndices:
-    """Estimated scaling indices with fit diagnostics."""
+    """Scaling indices with fit diagnostics (residual 0 where stated)."""
 
     lower: float
     upper: float
@@ -60,8 +62,13 @@ def _slope_and_residual(rhos, vals):
 
 @model_memo
 def pruitt_indices(model: SymbolModel) -> PruittIndices:
-    """Slopes over the dyadic radii 2^-_K_LO .. 2^-_K_HI of the sup-envelope
+    """The exponents of the family's stated sup and inf germs; without them,
+    slopes over the dyadic radii 2^-_K_LO .. 2^-_K_HI of the sup-envelope
     (max over directions) and of the inf-envelope (min over directions)."""
+    germs = FAMILIES[model.family].indices(model)
+    if germs is not None:
+        (lo, _), (hi, _) = germs
+        return PruittIndices(lower=lo, upper=hi)
     rhos = 2.0 ** (-np.arange(_K_LO, _K_HI + 1).astype(float))
     sup_prof = envelope_profile(model, ENV_SUP_ABS, rhos, reduce="max")
     inf_prof = envelope_profile(model, ENV_INF_RE, rhos, reduce="min")
@@ -95,13 +102,10 @@ def index_exact_rules(model: SymbolModel, kappa: float):
     germ gives the weak side, convergence at the inf germ the strong side."""
     germs = FAMILIES[model.family].indices(model)
     for side, (beta, p) in zip(("weak", "strong"), germs or ()):
-        product = beta * (kappa + 1.0)
-        converges = product < model.d or (
-            product == model.d and p * (kappa + 1.0) > 1.0)
-        if converges == (side == "strong"):
+        if germ_integrable(beta, p, kappa, model.d) == (side == "strong"):
             yield (side, f"index-exact-{side}", _EXACT[side],
                    {"d": model.d, "kappa": kappa, "beta": beta,
-                    "log_exponent": p, "product": product})
+                    "log_exponent": p, "product": beta * (kappa + 1.0)})
 
 
 def index_bound_rules(model: SymbolModel, kappa: float):
@@ -200,12 +204,20 @@ def _shape_flags(model, kind):
 
 def shape_diagnostic(model: SymbolModel, kappa: float):
     """A concave radial inf-profile near 0 bounds the upper index above by
-    d/(kappa+1); with kappa+1 < d that gives the strong-side condition."""
+    d/(kappa+1); with kappa+1 < d that gives the strong-side condition. A
+    stated inf germ rho^beta (ln 1/rho)^p is concave near 0 iff beta < 1,
+    or beta = 1 and p >= 0."""
     if kappa + 1.0 < model.d and envelope_is_radial(model, ENV_INF_RE):
-        _, concave, window = _shape_flags(model, ENV_INF_RE)
+        germs = FAMILIES[model.family].indices(model)
+        if germs is None:
+            _, concave, window = _shape_flags(model, ENV_INF_RE)
+            premise = {"window": window}
+        else:
+            (beta, p), premise = germs[1], {"inf_germ": germs[1]}
+            concave = beta < 1.0 or (beta == 1.0 and p >= 0.0)
         if concave:
             yield ("strong", "shape-concave-inf",
                    "concave radial inf-profile near 0 with kappa+1 < d "
                    "gives the strong-side condition",
-                   {"window": window, "kappa": kappa, "d": model.d,
-                    "bound": "upper_index * (kappa+1) <= d"})
+                   dict(premise, kappa=kappa, d=model.d,
+                        bound="upper_index * (kappa+1) <= d"))

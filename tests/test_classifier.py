@@ -28,6 +28,7 @@ from levy_transience.errors import ConfigurationError
 from levy_transience.index_rules import pruitt_indices
 from levy_transience.symbols import (
     brownian_drift,
+    custom_model,
     finite_jump_model,
     isotropic_stable,
     radial_jump_model,
@@ -279,10 +280,10 @@ def test_unknown_methods_are_rejected_naming_methods(bm3):
 def test_classify_computes_only_premises_of_rules_that_can_fire(monkeypatch):
     # the radial_cold power model on a kappa grid across its band: the tail
     # band runs only the truncated-moment verdict, the concavity rule reads
-    # only the inf envelope, and the second moment is infinite, so the
-    # symbol is never tested for evenness
+    # the stated inf germ and scans no profile, and the second moment is
+    # infinite, so the symbol is never tested for evenness
     from levy_transience import index_rules
-    from levy_transience.symbols import ENV_SUP_ABS
+    from levy_transience.symbols import ENV_INF_RE
 
     model = radial_jump_model(power_density(3, (0.8, 1.2), u0=1.0))
     kinds = []
@@ -299,13 +300,21 @@ def test_classify_computes_only_premises_of_rules_that_can_fire(monkeypatch):
     monkeypatch.setattr(index_rules, "symbol_even_in_xi", never)
     for kappa in (0.3, 0.8, 3.4, 4.1):
         classify(model, kappa)
-    assert kinds and ENV_SUP_ABS not in kinds
+    assert kinds == []
     # the memo of functional_envelope is keyed (fn, tag, which, radii): the
     # truncated-moment envelope is there, no tail-mass envelope is
     envelope = RadialLevyDensity.functional_envelope.__wrapped__
     tags = {key[1] for key in model.triplet.jump_density._cache
             if key[0] is envelope}
     assert "t3" in tags and "tm" not in tags
+    # a model without stated germs still scans its inf envelope, and only
+    # that one
+    monkeypatch.undo()
+    monkeypatch.setattr(index_rules, "_shape_flags", spy)
+    custom = custom_model(3, lambda x, xi: np.linalg.norm(xi) ** 0.7,
+                          x_independent=True)
+    classify(custom, 0.3)
+    assert kinds and set(kinds) == {ENV_INF_RE}
 
 
 # stable_like with alpha and gamma both varying, as (d, alpha, gamma), and
@@ -391,15 +400,15 @@ def test_a_stable_radial_jump_model_is_the_isotropic_stable_process(d, alpha):
 
 
 _ITEM_16 = pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 16: the band reads an asymptotic premise from a "
+    "ROADMAP item 16: the integral band reads the integrand exponent from a "
     "pre-asymptotic ladder of the table"))
 
 
 @pytest.mark.parametrize("d, knots, values, kappa, star", [
     pytest.param(1, [0.233, 16.62, 34.33], [1.0, 5.1e-6, 1.454e-6], 0.30,
-                 0.370, marks=_ITEM_16, id="index-lower-sufficient-d1"),
+                 0.370, id="index-lower-sufficient-d1"),
     pytest.param(2, [1.065, 36.21, 39.70], [1.0, 0.004575, 0.003374], 0.91,
-                 0.528, marks=_ITEM_16, id="shape-concave-inf-d2"),
+                 0.528, id="shape-concave-inf-d2"),
     pytest.param(5, [0.497, 5.376, 9.694], [1.0, 3.381e-4, 5.609e-6], 1.69,
                  1.561, marks=_ITEM_16, id="cf-strong-integral-d5"),
 ])

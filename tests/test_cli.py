@@ -97,6 +97,19 @@ def test_pruitt(runner, model_file, tmp_path):
     assert "lower index = 0.5" in result.output
 
 
+def test_pruitt_prints_the_germ_exponent_of_a_log_tail(runner, model_file,
+                                                       tmp_path):
+    # n(u) = u^-1.5 (ln u)^-3 in d = 1: the germ rho^0.5 (ln 1/rho)^-3 has
+    # exponent 0.5, which no slope over a finite ladder reads
+    path = model_file({"family": "radial_jump", "d": 1, "parameters": {
+        "density": {"kind": "power_log", "exponent": -1.5,
+                    "log_exponent": -3.0}}})
+    result = runner.invoke(main, ["pruitt", "--model", path,
+                                  "--out", str(tmp_path / "o")])
+    assert result.exit_code == 0, result.output
+    assert "lower index = 0.5000, upper index = 0.5000" in result.output
+
+
 def test_tails_command(runner, model_file, tmp_path):
     path = model_file(STABLE_JUMP_A, "jump.json")
     out = tmp_path / "out"

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from conftest import stacked_density_cases
-from levy_transience.classifier import classify, kappa_boundary
+from levy_transience.classifier import (
+    GATE_RECURRENT,
+    GATE_TRANSIENT,
+    classify,
+    kappa_boundary,
+    transience_gate,
+)
 from levy_transience.densities import (
     DensityVariant,
     RadialLevyDensity,
@@ -27,7 +33,6 @@ from levy_transience.levy_tails import (
     comparison_transfer,
     cos_moment_condition,
     density_floor_test,
-    borderline_index_test,
     integrated_tail,
     moment_tail_test,
     perturbation_distance,
@@ -282,13 +287,21 @@ def test_comparison_transfer_cases():
     assert err.value.witness is not None
 
 
-def test_borderline_index_test():
-    # pure power at the -2d boundary fails the borderline test...
-    pure = power_density(1, 1.0, u0=1.0)          # n = u^{-2}, d = 1
-    assert borderline_index_test(pure).decided_state == DIVERGES
-    # ...but a log-squared correction passes it
-    logd = power_log_density(1, exponent=-2.0, log_exponent=2.0)
-    assert borderline_index_test(logd).decided_state == CONVERGES
+def test_gate_truth_table_of_log_tails_at_index_minus_2d():
+    # n(u) = u^-2d (ln u)^q: in d = 1 the symbol is ~ c rho (ln 1/rho)^q and
+    # int_0 drho / (rho (ln 1/rho)^q) converges iff q > 1; in d = 2 the germ
+    # is rho^2 (ln 1/rho)^(q+1), transient iff q > 0
+    wrong = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for d, threshold in ((1, 1.0), (2, 0.0)):
+            for q in (-3.0, -1.5, -1.0, -0.5, 0.0, 0.25, 0.5, 0.75, 1.0,
+                      1.25, 2.0, 3.0):
+                model = radial_jump_model(power_log_density(d, -2.0 * d, q))
+                want = GATE_TRANSIENT if q > threshold else GATE_RECURRENT
+                if transience_gate(model) != want:
+                    wrong.append((d, q))
+    assert wrong == []
 
 
 def test_e3_classification_against_tail_tests():

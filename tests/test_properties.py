@@ -32,6 +32,7 @@ from levy_transience.densities import (
     table_density,
 )
 from levy_transience.errors import ConfigurationError, LevyTransienceError
+from levy_transience.index_rules import pruitt_indices
 from levy_transience.quadrature import (
     jump_symbol_value,
     sphere_surface,
@@ -264,9 +265,7 @@ def indexed_models(draw):
             dens = table_density(d, [1.0, 4.0], [1.0, 4.0 ** -(d + a)],
                                  u0=1.0)
         else:
-            q = draw(st.floats(-2.0, 2.0))
-            assume(not (a == 2.0 and q == -1.0))   # a ln ln factor: no germ
-            dens = power_log_density(d, -(d + a), q)
+            dens = power_log_density(d, -(d + a), draw(st.floats(-2.0, 2.0)))
         return radial_jump_model(dens), min(a, 2.0), min(a, 2.0)
     lo, hi = alphas(1.9 if kind == "stable" else 3.5)
     alpha = lo if lo == hi else (lo, hi)
@@ -299,6 +298,56 @@ def test_closed_form_band_is_one_comparison_of_beta_kappa_with_d(case,
     assert [r.verdict for r in report.fired_rules] == want
     assert report.verdict == {(): INCONCLUSIVE, ("weak",): WEAKLY_TRANSIENT,
                               ("strong",): STRONGLY_TRANSIENT}[tuple(want)]
+
+
+def _wrong_side(report, beta_lo, beta_hi, d):
+    """The fired rules on the wrong side: weak where beta_hi(kappa+1) < d
+    makes the model strong, strong where beta_lo(kappa+1) > d makes it
+    weak."""
+    kappa = report.kappa
+    wrong = "weak" if beta_hi * (kappa + 1.0) < d \
+        else "strong" if beta_lo * (kappa + 1.0) > d else None
+    return [r.rule_id for r in report.fired_rules if r.verdict == wrong]
+
+
+@given(case=indexed_models(), kappa=st.floats(0.0, 12.0))
+def test_index_band_reads_the_stated_germs(case, kappa):
+    # the Pruitt indices are the stated germ exponents, and with kappa at
+    # least 5% off both thresholds no index rule fires on the wrong side
+    model, beta_lo, beta_hi = case
+    d = model.d
+    for beta in (beta_lo, beta_hi):
+        assume(abs(beta * (kappa + 1.0) - d) >= 0.05 * d)
+    idx = pruitt_indices(model)
+    assert abs(idx.lower - beta_lo) <= 1e-12
+    assert abs(idx.upper - beta_hi) <= 1e-12
+    try:
+        report = classify(model, kappa, methods=("index",))
+    except NotTransientError:
+        reject()
+    assert _wrong_side(report, beta_lo, beta_hi, d) == []
+
+
+_ITEM_19 = pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 19: the band reads the local slope alpha - q / ln(1/rho) "
+    "of a log-corrected tail as its index"))
+
+
+@pytest.mark.parametrize("methods", [
+    pytest.param(("index",), id="index"),
+    pytest.param(("integral",), marks=_ITEM_19, id="integral"),
+    pytest.param(("tail",), marks=_ITEM_19, id="tail")])
+@pytest.mark.parametrize("d, exponent, q, kappa", [
+    (1, -1.5, -3.0, 0.6), (1, -1.5, 3.0, 1.4),
+    (3, -4.0, -2.0, 1.7), (3, -4.0, 2.0, 2.15)])
+def test_no_band_alone_fires_on_the_wrong_side_of_a_log_tail(
+        d, exponent, q, kappa, methods):
+    # n(u) = u^exponent (ln u)^q: germ exponent alpha = -exponent - d
+    # whatever q is, so kappa* = d/alpha - 1; alpha(kappa+1) lies 5-20% off d
+    model = radial_jump_model(power_log_density(d, exponent, q))
+    alpha = -exponent - d
+    report = classify(model, kappa, methods=methods)
+    assert _wrong_side(report, alpha, alpha, d) == []
 
 
 # -- model files: valid configs classify, a corrupted field is named --------

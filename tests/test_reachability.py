@@ -103,3 +103,11 @@ def test_only_the_density_and_the_quadrature_integrate_variants():
              for module, tree in _trees().items()
              if module not in ("densities", "quadrature")}
     assert {m: names for m, names in found.items() if names} == {}
+
+
+def test_the_family_records_import_no_test_or_rule_layer():
+    # symbols states the facts (the germs, the gate); the tests and rules
+    # that read them sit above it
+    imported = {node.module for node in ast.walk(_trees()["symbols"])
+                if isinstance(node, ast.ImportFrom)}
+    assert imported & {"levy_tails", "index_rules", "classifier"} == set()
