@@ -139,11 +139,11 @@ def transience_gate(model: SymbolModel, r=1.0, use_structural=True) -> str:
 # ---------------------------------------------------------------------------
 
 def classify(model: SymbolModel, kappa: float, d=None, r=1.0,
-             methods=ALL_METHODS, gate=None) -> TransienceReport:
+             methods=ALL_METHODS) -> TransienceReport:
     """Full per-kappa classification with rule provenance."""
     if d is not None and d != model.d:
         raise ConfigurationError(f"model dimension {model.d} != requested {d}")
-    gate = _checked_gate(model, kappa, r, methods, gate)
+    gate = _checked_gate(model, kappa, r, methods, None)
     assumptions = _default_assumptions(model)
     records, evidence, notes = _evidence(model, kappa, r, methods,
                                          assumptions)
@@ -233,10 +233,9 @@ def _evidence(model, kappa, r, methods, assumptions):
                      "integrated-tail sup test diverges", tw.to_json())
             ts = tail_test_strong(dens, kappa, r_tail)
             if ts.decided_state == CONVERGES:
-                iff_ok = dens.monotone_beyond_u0 \
-                    and dens.monotone_verified() and (
-                        quadratic_growth_floor(dens)
-                        or assumptions["perturbation_margin"])
+                iff_ok = dens.monotone_verified() and (
+                    quadratic_growth_floor(dens)
+                    or assumptions["perturbation_margin"])
                 if iff_ok:
                     fire("tail", "strong", "tail-strong",
                          "integrated-tail inf test converges "

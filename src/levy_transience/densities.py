@@ -18,11 +18,12 @@ from .errors import (DivergentIntegralError, LevyMeasureError,
                      ModelInvariantError, QuadratureError)
 from .quadrature import (
     jump_symbol_value,
+    one_minus_wave_kernel,
     origin_cumulative,
     sphere_surface,
     tail_cumulative,
 )
-from .verdicts import memo_key, model_memo
+from .verdicts import _line, memo_key, model_memo
 
 
 #: a table's jump symbol is its series where rho * (largest knot) is at
@@ -207,7 +208,6 @@ class RadialLevyDensity:
     d: int
     u0: float
     variants: tuple
-    monotone_beyond_u0: bool = True
     atoms: tuple = ()
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
@@ -252,11 +252,9 @@ class RadialLevyDensity:
 
     @model_memo
     def monotone_verified(self) -> bool:
-        """Check of the decreasing-beyond-u0 hypothesis (exact on tables).
-
-        When this fails, the measure-side strong test loses its equivalence
-        status and is reported as a necessary condition only.
-        """
+        """Whether the density decreases beyond u0 (exact on tables,
+        sampled on 64 radii otherwise): a hypothesis of the strong-side tail
+        equivalence, the density-floor test and the comparison transfer."""
         if all(isinstance(v.profile, LogLogTable) for v in self.variants):
             return all(v.profile.decreasing_beyond(self.u0)
                        for v in self.variants)
@@ -272,9 +270,10 @@ class RadialLevyDensity:
         """The functional `tag` of each listed variant at its ascending
         radii, not memoized: "jsym" the jump symbol, "tm" the tail mass
         nu(B^c(0, u)), "t3" int_{B(0, u)} |y|^2 nu(dy) and "m2" the rest of
-        it, all three with atoms; a table's in closed form (its jump symbol
-        where the series reaches), the rest by quadrature, one call per
-        variant in the order listed."""
+        it, all four with atoms (mass m on the sphere of radius r adds m (1 -
+        psi_d(rho r)) to the jump symbol); a table's in closed form (its jump
+        symbol where the series reaches), the rest by quadrature, one call
+        per variant in the order listed."""
         bps = self.all_breakpoints()
         if tag == "jsym":   # a table's series where it reaches, else quadrature
             rows = []
@@ -287,6 +286,8 @@ class RadialLevyDensity:
                     row[rest] = jump_symbol_value(
                         self.radial_weight(i), np.asarray(r)[rest], self.d,
                         bps, self.support_lo(i))
+                for radius, mass in self.atoms:
+                    row += mass * one_minus_wave_kernel(r * radius, self.d)
                 rows.append(row)
             return rows
         k, outward = {"tm": (0, True), "t3": (2, False), "m2": (2, True)}[tag]
@@ -383,6 +384,20 @@ class RadialLevyDensity:
         """jump_symbol of every variant at the radii rho, as an (n_variants,
         n_radii) array: one sweep for the radii the variants lack."""
         return self.jump_symbol(rho, range(len(self.variants)))
+
+    @model_memo
+    def quadratic_ladder(self):
+        """The quadratic-growth ladder: the inf over the variants of q(rho)
+        / rho^2 (q the jump symbol) at the dyadic radii 2^-4 .. 2^-16, as
+        (floor, slope): its minimum over the smaller half of the radii (the
+        liminf surrogate as xi -> 0; +inf past the float range) and its
+        log-log slope (nan where q vanishes)."""
+        rhos = 2.0 ** -np.arange(4.0, 17.0)
+        q = np.min(self.jump_symbols(rhos), axis=0)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            ratio = q / rhos ** 2
+            slope = _line(np.log(rhos), np.log(q))[0] - 2.0
+        return float(np.min(ratio[len(ratio) // 2:])), slope
 
     # -- validation ---------------------------------------------------------
 
@@ -514,7 +529,7 @@ def power_log_density(d, exponent, log_exponent, coeff=1.0, u_start=math.e):
         "power_log", prof, u_start, (u_start,), exponent, log_exponent),))
 
 
-def table_density(d, u_knots, n_values, u0=0.0, monotone=True):
+def table_density(d, u_knots, n_values, u0=0.0):
     """Tabulated density, interpolated linearly in log-log coordinates and
     extrapolated with the edge slopes; zero below u0."""
     u_knots = np.asarray(u_knots, dtype=float)
@@ -535,7 +550,7 @@ def table_density(d, u_knots, n_values, u0=0.0, monotone=True):
     if u0 > 0:
         table = table.below(u0, -math.inf)
     return RadialLevyDensity(d=d, u0=u0, variants=(
-        DensityVariant("table", table, u0),), monotone_beyond_u0=monotone)
+        DensityVariant("table", table, u0),))
 
 
 def modified_density(base: RadialLevyDensity, radius, factor=None, replacement=None):
@@ -566,5 +581,4 @@ def modified_density(base: RadialLevyDensity, radius, factor=None, replacement=N
 
     return RadialLevyDensity(
         d=base.d, u0=max(base.u0, radius),
-        variants=tuple(map(modify, base.variants)),
-        monotone_beyond_u0=base.monotone_beyond_u0, atoms=base.atoms)
+        variants=tuple(map(modify, base.variants)), atoms=base.atoms)

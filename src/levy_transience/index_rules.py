@@ -120,41 +120,37 @@ def index_bound_rules(model: SymbolModel, kappa: float):
                 "threshold": threshold})
 
 
-def uniform_second_moment(model: SymbolModel) -> float:
+def uniform_second_moment(model: SymbolModel) -> float | None:
     """sup over states of int |y|^2 nu(x, dy), atoms included; +inf when
-    not integrable."""
+    not integrable, None when the family does not know its jump measure."""
     dens = model.triplet.jump_density
+    if not FAMILIES[model.family].jump_measure_known:
+        return None
     return 0.0 if dens is None else dens.second_moment()
 
 
-@model_memo
 def _quadratic_floor(model: SymbolModel) -> float:
-    """liminf surrogate of inf_x (<xi, C xi> + int_{|y| <= pi/(2|xi|)}
-    <xi, y>^2 nu) / |xi|^2 as xi -> 0: the diffusion floor plus (1/d) times
-    the inf over states of the truncated second moment T3 (atoms included),
-    minimized over the smaller half of the dyadic radii."""
-    rhos = 2.0 ** (-np.arange(_K_LO, _K_HI + 1).astype(float))
-    radii = math.pi / (2.0 * rhos)
+    """liminf surrogate of inf_x Re q(x, xi) / |xi|^2 as xi -> 0: the
+    diffusion floor plus the floor of the jump density's quadratic-growth
+    ladder (RadialLevyDensity.quadratic_ladder, atoms included)."""
     dens = model.triplet.jump_density
-    jumps = np.zeros(len(radii)) if dens is None \
-        else dens.functional_envelope("t3", "inf", radii) / model.d
-    floors = model.triplet.diffusion_bounds[0] + jumps
-    return float(np.min(floors[len(floors) // 2:]))
+    jumps = 0.0 if dens is None else dens.quadratic_ladder()[0]
+    return float(model.triplet.diffusion_bounds[0] + jumps)
 
 
 def moment_rules(model: SymbolModel, kappa: float):
     """Second-moment sufficiency and quadratic nondegeneracy.
 
-    (i) an even symbol with uniformly finite jump second moment and
-        d <= 2(kappa+1) gives the weak-side condition;
-    (ii) d > 2(kappa+1) plus a positive lower limit of
-        inf_x (<xi, C xi> + int_{|y| <= pi/(2|xi|)} <xi, y>^2 nu) / |xi|^2
-        gives the strong-side condition.
+    (i) an even symbol with a known, uniformly finite jump second moment
+        and d <= 2(kappa+1) gives the weak-side condition;
+    (ii) d > 2(kappa+1) plus quadratic growth, a positive lower limit of
+        inf_x Re q(x, xi) / |xi|^2 as xi -> 0 (_quadratic_floor), gives
+        the strong-side condition.
     """
     d, threshold = model.d, 2.0 * (kappa + 1.0)
     if d <= threshold:
         m2 = uniform_second_moment(model)
-        if math.isfinite(m2) and symbol_even_in_xi(model):
+        if m2 is not None and m2 < math.inf and symbol_even_in_xi(model):
             yield ("weak", "second-moment-weak",
                    "even symbol, finite uniform second moment and "
                    "d <= 2(kappa+1) give the weak-side condition",
@@ -162,7 +158,7 @@ def moment_rules(model: SymbolModel, kappa: float):
                     "kappa": kappa, "threshold": threshold})
         return
     floor = _quadratic_floor(model)
-    if floor > 1e-12:
+    if floor > 0.0:
         yield ("strong", "nondegeneracy-strong",
                "nondegenerate quadratic growth and d > 2(kappa+1) give "
                "the strong-side condition",
@@ -180,11 +176,14 @@ def _shape_flags(model, kind):
     near 0.
 
     The window is the largest dyadic radius at which the second-difference
-    sign pattern is stable across the window and its half.
+    sign pattern is stable across the window and its half; a profile that
+    is not positive on a window has no shape there.
     """
     def classify(eps):
         rho = eps * np.arange(1, 13) / 12
         vals = envelope_profile(model, kind, rho, reduce="min")
+        if not np.all(vals > 0.0):
+            return False, False
         top = float(np.max(np.abs(vals)))
         # scaled by an exact power of two below 1, so 2 * vals stays finite
         shift = -math.frexp(top)[1]

@@ -43,9 +43,7 @@ from .verdicts import (
     CONVERGES,
     DIVERGES,
     DivergenceVerdict,
-    _line,
     log_power_law,
-    model_memo,
     verdict_from_radial_integrand,
     verdict_ladder,
 )
@@ -205,7 +203,7 @@ def density_floor_test(density: RadialLevyDensity, kappa: float,
     """
     d = density.d
     check_kappa(kappa)
-    if not density.monotone_beyond_u0 or not density.monotone_verified():
+    if not density.monotone_verified():
         raise NotApplicableError(
             "density-floor test needs a density decreasing beyond the cutoff")
     floor = _positive(functools.partial(density.envelope, which="inf"),
@@ -226,34 +224,19 @@ def _positive(env, message):
     return positive
 
 
-@model_memo
-def _quadratic_ladder(density):
-    """Dyadic radii 2^-4 .. 2^-16, inf over variants of jump_symbol(rho) /
-    rho^2 on them, and the minimum over the smaller half of the radii (the
-    liminf surrogate as xi -> 0)."""
-    rhos = 2.0 ** (-np.arange(4, 17).astype(float))
-    vals = np.min(density.jump_symbols(rhos), axis=0) / rhos ** 2
-    return rhos, vals, np.min(vals[len(vals) // 2:])
-
-
 def cos_moment_condition(density: RadialLevyDensity) -> bool:
     """Whether inf_x int (1 - cos<xi, y>) nu(x, dy) / |xi|^2 stays bounded
-    away from 0 as xi -> 0 (dyadic liminf surrogate)."""
-    rhos, vals, floor = _quadratic_ladder(density)
-    if np.any(vals <= 0.0):
-        return False
-    slope = _line(np.log(rhos), np.log(vals))[0]
+    away from 0 as xi -> 0: a positive floor of the quadratic-growth ladder
+    that does not fall toward 0."""
+    floor, slope = density.quadratic_ladder()
     return bool(floor > 0.0 and slope <= 0.05)
 
 
 def quadratic_growth_floor(density: RadialLevyDensity) -> bool:
-    """liminf surrogate of inf_x q(x, xi) / |xi|^2 > 0, where q is the jump
-    symbol of the density.
-
-    This is the nondegeneracy hypothesis under which the strong-side T1 test
-    becomes an equivalence for decreasing densities.
-    """
-    return bool(_quadratic_ladder(density)[2] > 0.0)
+    """Whether the quadratic-growth ladder has a positive floor: the
+    nondegeneracy under which the strong-side T1 test of a decreasing
+    density is an equivalence."""
+    return bool(density.quadratic_ladder()[0] > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -332,11 +315,9 @@ def perturbation_equivalence(density_a: RadialLevyDensity,
     """
     dist = perturbation_distance(density_a, density_b)
     weak_transfer = math.isfinite(dist)
-    rhos, lhs_vals, lhs = _quadratic_ladder(density_a)
-    lhs = float(lhs)
-    slope = _line(np.log(rhos), np.log(np.maximum(lhs_vals, 1e-300)))[0]
+    lhs, slope = density_a.quadratic_ladder()
     if slope < -0.05:
-        lhs = float("inf")   # ratio grows without bound as xi -> 0
+        lhs = math.inf   # ratio grows without bound as xi -> 0
     strong_transfer = weak_transfer and lhs > dist
     notes = ()
     if not weak_transfer:
@@ -369,7 +350,7 @@ def comparison_transfer(density_a: RadialLevyDensity,
         raise ConfigurationError("comparison needs equal dimensions")
     if not math.isfinite(u0):
         raise ConfigurationError(f"u0 must be finite, got {u0}")
-    if not density_a.monotone_beyond_u0:
+    if not density_a.monotone_verified():
         raise NotApplicableError(
             "comparison needs the dominating density decreasing beyond u0")
     us = np.geomspace(max(u0, 1e-6) * 1.02, max(u0, 1e-6) * 2.0 ** 20, 64)

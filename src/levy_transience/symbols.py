@@ -343,7 +343,7 @@ def sector_check(model: SymbolModel, c: float):
     if im.size == 0:
         return True, None
     re = _envelopes(model, ENV_INF_RE, XI)
-    bad = np.flatnonzero(im > c * re + 1e-12 * (1.0 + re))
+    bad = np.flatnonzero(im > c * re * (1.0 + 1e-12))
     return (True, None) if bad.size == 0 else (False, XI[bad[0]])
 
 
@@ -398,6 +398,8 @@ class _Family:
     # open-set irreducibility when a model does not assert it: established
     # in the literature for the built-in families
     irreducible = True
+    # whether the Levy measure is known (a custom symbol does not tell it)
+    jump_measure_known = True
     # sample(model, t, gen, n): n exact draws of X_t - t b, started at 0;
     # step_fields(model): the Euler step kind and its fields;
     # parse(d, param): the model of a JSON `parameters` object, read through
@@ -615,6 +617,7 @@ _SAMPLE_BOX = (-10.0, 10.0)
 
 class _Custom(_Family):
     irreducible = False   # a custom model must assert it
+    jump_measure_known = False
 
     def symbol(self, model, X, XI):
         fn = model.params["eval_fn"]
@@ -904,7 +907,7 @@ def density_from_spec(d, spec):
     else:
         make, args = table_density, (
             get("u", _floats(-1)), get("n", _floats(-1)),
-            get("u0", _real, 0.0), get("monotone", _boolean, True))
+            get("u0", _real, 0.0))
     return make(d, *get.done(args))
 
 

@@ -49,6 +49,17 @@ def test_gate_integral_fallback_agrees(bm3, stable_05_d1, stable_15_d1):
             model, use_structural=False)
 
 
+def test_a_vanishing_inf_profile_is_not_concave():
+    # c(x) spans (0, 1): inf Re q = 0, whose second differences vanish; it
+    # once fired shape-concave-inf alone, strongly_transient at 0.2
+    model = brownian_drift(3, c=(0.0, 1.0))
+    rep = classify(model, 0.2)
+    assert rep.verdict == INCONCLUSIVE and rep.fired_rules == ()
+    rep = classify(model, 1.0)
+    assert rep.verdict == WEAKLY_TRANSIENT
+    assert "shape-concave-inf" not in [r.rule_id for r in rep.fired_rules]
+
+
 def test_classify_examples(bm3, stable_05_d1):
     rep = classify(bm3, 0.6)
     assert rep.verdict == WEAKLY_TRANSIENT

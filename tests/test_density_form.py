@@ -75,7 +75,7 @@ def reference_finite_range_density(d, alpha, n_variants=9):
     return RadialLevyDensity(d=d, u0=1.0, variants=variants)
 
 
-def reference_table_density(d, u_knots, n_values, u0=0.0, monotone=True):
+def reference_table_density(d, u_knots, n_values, u0=0.0):
     lu, ln = np.log(u_knots), np.log(n_values)
     slope_lo = (ln[1] - ln[0]) / (lu[1] - lu[0])
     slope_hi = (ln[-1] - ln[-2]) / (lu[-1] - lu[-2])
@@ -90,7 +90,7 @@ def reference_table_density(d, u_knots, n_values, u0=0.0, monotone=True):
 
     return RadialLevyDensity(d=d, u0=u0, variants=(DensityVariant(
         label="", profile=prof, support_lo=u0,
-        breakpoints=tuple(u_knots)),), monotone_beyond_u0=monotone)
+        breakpoints=tuple(u_knots)),))
 
 
 def reference_modified_density(base, radius, factor=None, replacement=None):

@@ -25,6 +25,7 @@ from levy_transience.index_rules import (
 from levy_transience.quadrature import sphere_surface
 from levy_transience.symbols import (
     brownian_drift,
+    custom_model,
     finite_jump_model,
     isotropic_stable,
     radial_jump_model,
@@ -93,6 +94,24 @@ def test_moment_rules_cases(bm3, bm5):
     fj = finite_jump_model(2, alpha=3.0)
     assert math.isfinite(uniform_second_moment(fj))
     assert _fired(moment_rules, fj, 1.0) == {"second-moment-weak": "weak"}
+
+
+def test_a_custom_model_states_no_second_moment():
+    # its Levy measure is unknown, not zero: no second-moment-weak
+    model = custom_model(1, lambda x, xi: abs(xi[0]) ** 0.8,
+                         x_independent=True)
+    assert uniform_second_moment(model) is None
+    assert _fired(moment_rules, model, 0.175) == {}
+
+
+@pytest.mark.parametrize("gamma", [1e-300, 1e-20, 1.0, 1.7e308])
+def test_nondegeneracy_fires_at_every_scale(gamma):
+    # q / rho^2 = gamma rho^-0.8 has a positive floor at every scale (an
+    # absolute threshold of 1e-12 once dropped the rule at small gamma)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _fired(moment_rules, isotropic_stable(5, 1.2, gamma=gamma),
+                      0.5) == {"nondegeneracy-strong": "strong"}
 
 
 def test_second_moment_infinite_for_stable():
@@ -270,15 +289,20 @@ def test_quadratic_floor_counts_atoms():
 
     from levy_transience.densities import power_density
     from levy_transience.index_rules import _quadratic_floor
+    from levy_transience.quadrature import one_minus_wave_kernel
     from levy_transience.symbols import radial_jump_model
 
     dens = power_density(3, 1.5, u0=30.0)
     with_atom = dataclasses.replace(dens, atoms=((30.0, 0.5),))
-    # every radius of the liminf half is beyond the atom, whose |y|^2 mass
-    # 30^2 * 0.5 enters the floor divided by d
+    # q / rho^2 grows as rho -> 0 with or without the atom, so the floor of
+    # the liminf half sits at its largest radius 2^-10, where the atom (mass
+    # 0.5 on the sphere of radius 30) adds 0.5 (1 - psi_3(30 rho)) / rho^2
+    # (close to its |y|^2 mass over 2d, 75)
+    rho = 2.0 ** -10
     gain = _quadratic_floor(radial_jump_model(with_atom)) \
         - _quadratic_floor(radial_jump_model(dens))
-    assert gain == pytest.approx(30.0 ** 2 * 0.5 / 3.0, rel=1e-12)
+    assert gain == pytest.approx(
+        0.5 * one_minus_wave_kernel(30.0 * rho, 3) / rho ** 2, rel=1e-12)
 
 
 def test_uniform_second_moment_counts_atoms():

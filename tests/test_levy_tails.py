@@ -333,8 +333,17 @@ def test_boundary_kappa_decreases_with_alpha():
 def test_atoms_enter_functionals_but_not_verdicts():
     import dataclasses
 
+    from levy_transience.quadrature import one_minus_wave_kernel
+
     base = power_density(2, 1.2, u0=1.0)
     with_atoms = dataclasses.replace(base, atoms=((0.5, 0.3), (1.0, 0.1)))
+    # an atom (r, m) is mass m on the sphere of radius r: it adds
+    # m (1 - psi_d(rho r)) to the jump symbol
+    for rho in (1e-3, 1.0, 7.0):
+        assert with_atoms.jump_symbol(rho) == pytest.approx(
+            base.jump_symbol(rho) + sum(
+                m * one_minus_wave_kernel(rho * r, 2) for r, m in
+                with_atoms.atoms), rel=1e-12)
     # T1 by parts matches T1 integrated from the tail mass with atom mass
     assert integrated_tail(with_atoms, 5.0) == pytest.approx(
         _outer_t1(with_atoms, 5.0), rel=1e-10)
@@ -371,10 +380,15 @@ def test_monotone_verification_and_downgrade():
     assert ok.monotone_verified()
     u = np.geomspace(1.0, 1e14, 1500)
     bumpy = u ** -3.2 * (1.0 + 0.9 * np.sin(3.0 * np.log(u)))
-    tab = table_density(2, u, bumpy, u0=1.0, monotone=True)
+    tab = table_density(2, u, bumpy, u0=1.0)
     assert not tab.monotone_verified()
     with pytest.raises(NotApplicableError):
         density_floor_test(tab, 0.5, 2.0)
+    # its tail mass dominates this one's, but it does not decrease: no
+    # transfer is claimed
+    with pytest.raises(NotApplicableError, match="decreasing"):
+        comparison_transfer(tab, power_density(2, 1.5, coeff=1e-3, u0=1.0),
+                            1.0)
 
 
 def test_monotone_verification_reads_a_table_exactly():

@@ -31,9 +31,9 @@ ALLOWED = {
     "density": (
         "power_density.coeff", "power_density.u0",
         "power_log_density.coeff", "power_log_density.u_start",
-        "stable_density.gamma", "table_density.u0", "table_density.monotone",
+        "stable_density.gamma", "table_density.u0",
         "modified_density.factor", "modified_density.replacement",
-        "RadialLevyDensity(monotone_beyond_u0)", "RadialLevyDensity(atoms)",
+        "RadialLevyDensity(atoms)",
     ),
     "variants an interval parameter spreads over; tests use 2 and 9": (
         "power_density.n_variants", "stable_density.n_variants",
@@ -46,9 +46,9 @@ ALLOWED = {
         "RadialLevyDensity.jump_symbol.variant",
         "RadialLevyDensity.envelope.which",
     ),
-    "the question asked: dimension, ball radius, kappa range, precision, "
-    "rule bands or a precomputed gate": (
-        "classify.d", "classify.r", "classify.methods", "classify.gate",
+    "the question asked: dimension, ball radius, kappa range, precision "
+    "or rule bands": (
+        "classify.d", "classify.r", "classify.methods",
         "kappa_boundary.tol", "kappa_boundary.lo", "kappa_boundary.hi",
         "kappa_boundary.r", "kappa_boundary.methods", "transience_gate.r",
     ),

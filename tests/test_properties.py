@@ -3,6 +3,7 @@ of the kappa ordering of classify and kappa_boundary."""
 
 import copy
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -42,11 +43,13 @@ from levy_transience.symbols import (
     ENV_SUP_ABS,
     ENV_SUP_ABS_IM,
     brownian_drift,
+    custom_model,
     eval_symbol,
     finite_jump_model,
     isotropic_stable,
     model_from_config,
     radial_jump_model,
+    sector_check,
     stable_like,
     _envelope,
 )
@@ -348,6 +351,63 @@ def test_no_band_alone_fires_on_the_wrong_side_of_a_log_tail(
     alpha = -exponent - d
     report = classify(model, kappa, methods=methods)
     assert _wrong_side(report, alpha, alpha, d) == []
+
+
+# -- a custom symbol states no jump measure --------------------------------
+
+def _power_symbol(alpha):
+    return lambda x, xi: float(np.linalg.norm(xi)) ** alpha
+
+
+@given(d=st.integers(1, 5), alpha=st.floats(0.1, 1.97),
+       kappa=st.floats(0.0, 12.0))
+# kappa* = 0.25: second-moment-weak once fired here, reading a custom
+# model's unknown Levy measure as a zero second moment
+@example(d=1, alpha=0.8, kappa=0.175)
+@settings(max_examples=40)
+def test_a_custom_power_symbol_fires_no_index_rule_on_the_wrong_side(
+        d, alpha, kappa):
+    # q = |xi|^alpha, x-independent: strong below kappa* = d/alpha - 1 and
+    # weak above it; kappa at least 5% (in alpha(kappa+1) against d) off it
+    assume(alpha < d - 0.1 and abs(alpha * (kappa + 1.0) / d - 1.0) >= 0.05)
+    model = custom_model(d, _power_symbol(alpha), x_independent=True)
+    report = classify(model, kappa, methods=("index",))
+    assert _wrong_side(report, alpha, alpha, d) == []
+    side = WEAKLY_TRANSIENT if alpha * (kappa + 1.0) > d \
+        else STRONGLY_TRANSIENT
+    assert classify(model, kappa).verdict in (side, INCONCLUSIVE)
+
+
+# -- the index band and the sector check do not depend on the scale --------
+
+def _index_rule_ids(model, kappa):
+    return [r.rule_id for r in classify(model, kappa,
+                                        methods=("index",)).fired_rules]
+
+
+@given(k=st.integers(-900, 900), d=st.integers(3, 5),
+       alpha=st.floats(0.1, 1.9), kappa=st.floats(0.0, 8.0))
+# gamma 2^-66 ~ 1.4e-20: the T3 floor of nondegeneracy-strong once read
+# below an absolute 1e-12 there
+@example(k=-66, d=5, alpha=1.2, kappa=0.5)
+@settings(max_examples=40)
+def test_the_index_band_and_the_sector_check_ignore_the_scale(k, d, alpha,
+                                                              kappa):
+    # transient in d >= 3; sup |Im q| = |<xi, b>| against inf Re q = gamma |xi|
+    # in the sector check
+    scale = 2.0 ** k
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for model, unit in (
+                (isotropic_stable(d, alpha, gamma=scale),
+                 isotropic_stable(d, alpha)),
+                (brownian_drift(d, c=scale), brownian_drift(d))):
+            assert _index_rule_ids(model, kappa) \
+                == _index_rule_ids(unit, kappa)
+        drifted = stable_like(2, 1.0, beta=[scale, 0.0], gamma=scale)
+        unit = stable_like(2, 1.0, beta=[1.0, 0.0])
+        for c in (0.0, 0.5, 0.9, 0.99):
+            assert sector_check(drifted, c)[0] == sector_check(unit, c)[0]
 
 
 # -- model files: valid configs classify, a corrupted field is named --------

@@ -162,6 +162,22 @@ def test_sector_check_cases():
     assert ok
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-20, 1e20])
+def test_sector_check_is_relative_to_the_real_part(scale):
+    # sup |Im q| = scale |xi_1| against inf Re q = scale |xi|: the sector
+    # fails for every constant at every scale (an absolute tolerance once
+    # let it pass at 1e-20), and a strong verdict stays conditional
+    from levy_transience.classifier import classify
+
+    model = stable_like(2, 1.0, beta=[scale, 0.0], gamma=scale)
+    assert [sector_check(model, c)[0] for c in (0.0, 0.5, 0.9, 0.99)] \
+        == [False] * 4
+    rep = classify(model, 0.2)
+    assert rep.verdict == "strongly_transient"
+    assert rep.conditional == (
+        "strong verdict is conditional on the sector condition",)
+
+
 def test_radiality_check_cases(stable_05_d1):
     assert envelope_is_radial(stable_05_d1, ENV_SUP_ABS)
     drifted = stable_like(2, alpha=1.2, beta=[0.5, 0.0])
