@@ -39,7 +39,6 @@ from .cf_integrals import (
 )
 from .index_rules import (
     PruittIndices,
-    index_bound_rules,
     index_exact_rules,
     moment_rules,
     pruitt_indices,

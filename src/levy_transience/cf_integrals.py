@@ -29,29 +29,20 @@ from .quadrature import sphere_surface
 from .symbols import (
     ENV_INF_RE,
     ENV_SUP_ABS,
+    FAMILIES,
     SymbolModel,
+    envelope_is_radial,
     envelope_profile,
 )
 from .verdicts import (
     AT_ORIGIN,
+    DIVERGES,
+    INCONCLUSIVE,
     DivergenceVerdict,
-    diverges_verdict,
     log_power_law,
-    model_memo,
+    noted_verdict,
     verdict_from_radial_integrand,
 )
-
-#: directions a non-radial envelope is reduced over
-_N_DIRECTIONS = 64
-
-
-@model_memo
-def _reduced_envelope(model, kind, rhos):
-    """The `kind` envelope at the radii rhos, reduced over directions toward
-    the largest integrand (the smallest envelope value)."""
-    return envelope_profile(model, kind, rhos, reduce="min",
-                            n_directions=_N_DIRECTIONS)
-
 
 _WHAT = {ENV_SUP_ABS: "sup |q|", ENV_INF_RE: "inf Re q"}
 
@@ -59,18 +50,26 @@ _WHAT = {ENV_SUP_ABS: "sup |q|", ENV_INF_RE: "inf Re q"}
 def _frequency_test(model, kind, r, kappa):
     """Verdict on int_B(0,r) dxi / m(xi)^{kappa+1} = int_0^r S_d rho^{d-1} /
     m(rho)^{kappa+1} drho, where m is the `kind` envelope reduced over
-    directions.
+    directions (envelope_profile).
 
     The weak side (sup |q|) needs m > 0 at every frequency; on the strong
-    side (inf Re q) a vanishing envelope makes the integral infinite.
+    side (inf Re q) a vanishing envelope makes the integral infinite, and a
+    min over sampled directions of an envelope that is neither radial nor a
+    closed form certifies nothing.
     """
     check_positive("radius", r)
     check_kappa(kappa)
-    env = functools.partial(_reduced_envelope, model, kind)
+    env = functools.partial(envelope_profile, model, kind)
     log_s_d = math.log(sphere_surface(model.d))
     if kind == ENV_INF_RE:
+        if not (FAMILIES[model.family].closed_envelopes
+                or envelope_is_radial(model, kind)):
+            return noted_verdict(INCONCLUSIVE, (
+                "inf Re q is neither radial nor a closed form: a min over "
+                "sampled directions may miss its least direction, so the "
+                "strong-side integral is not tested",))
         if np.any(env(np.asarray([r / 2.0, r / 8.0, r / 64.0])) <= 0.0):
-            return diverges_verdict(notes=(
+            return noted_verdict(DIVERGES, (
                 "inf Re q vanishes on the test set; strong-side integral is "
                 "infinite",))
 

@@ -26,8 +26,7 @@ from .errors import (
     check_kappa,
     check_positive,
 )
-from .index_rules import index_bound_rules, index_exact_rules, moment_rules
-from .index_rules import shape_diagnostic
+from .index_rules import index_exact_rules, moment_rules, shape_diagnostic
 from .levy_tails import (
     cos_moment_condition,
     moment_tail_test,
@@ -209,6 +208,7 @@ def _evidence(model, kappa, r, methods, assumptions):
                      "small-frequency integral of (sup|q|)^{-(kappa+1)} "
                      "diverges", weak_v.to_json())
             strong_v = strong_integral_kappa(model, kappa, r)
+            notes.extend(strong_v.notes)
             if strong_v.decided_state == CONVERGES:
                 sector_ok = _sector_constant(model, assumptions)
                 fire("integral", "strong", "cf-strong-integral",
@@ -253,13 +253,16 @@ def _evidence(model, kappa, r, methods, assumptions):
             notes.append(f"tail tests not applicable: {exc}")
 
     if "index" in methods:
+        band = []   # keeps the rules fired before a failing one
         try:
-            # lazy, so the records of the rules before a failing one are kept
-            for rules in (index_bound_rules, moment_rules, shape_diagnostic):
-                for rule in rules(model, kappa):
-                    fire("index", *rule)
+            for rules in (shape_diagnostic, moment_rules):
+                band += rules(model, kappa)
         except LevyTransienceError as exc:
             notes.append(f"index rules skipped: {exc}")
+        # a fixed order, whichever function fired a rule: the weak side
+        # first, each side by rule id
+        for rule in sorted(band, key=lambda r: (r[0] == "strong", r[1])):
+            fire("index", *rule)
 
     return records, evidence, notes
 
@@ -291,11 +294,13 @@ def _aggregate(model, evidence, assumptions, notes):
         notes.append("conflicting weak and strong evidence at the same "
                      "precedence; reporting inconclusive")
     elif verdict == WEAKLY_TRANSIENT:
-        unconditional = model.is_state_independent and symmetry_check(model)
-        if not unconditional and not assumptions["weak_test_hypothesis"]:
-            conditional.append(
-                "weak verdict is conditional on the weak-test hypothesis "
-                "for state-dependent symbols")
+        # the weak test is sharp for a symmetric Levy process: name the
+        # premise that fails
+        failing = "is state-dependent" if not model.is_state_independent \
+            else None if symmetry_check(model) else "is not symmetric"
+        if failing and not assumptions["weak_test_hypothesis"]:
+            conditional.append("weak verdict is conditional on the "
+                               f"weak-test hypothesis: the symbol {failing}")
     elif verdict == STRONGLY_TRANSIENT \
             and _sector_constant(model, assumptions) is None:
         conditional.append(

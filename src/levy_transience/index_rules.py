@@ -2,22 +2,25 @@
 
 The lower index is the small-frequency scaling exponent of sup_x |q(x, xi)|,
 the upper index that of inf_x Re q(x, xi). Both are the exponents of the
-germs a family states; for a model without stated germs they are estimated
-as regression slopes over a dyadic frequency ladder, reducing over
-directions with max for the sup-envelope and min for the inf-envelope.
+germs a family states; for a model without stated germs they are the
+regression slopes of the envelopes (envelope_profile) over a dyadic
+frequency ladder, each with a margin.
 
-Each rule below is a generator over (model, kappa) that yields the
-(side, rule_id, statement, detail) of every rule that fires: the exact-index
-rules of the closed-form band, which read a family's stated indices, and
-the fitted ones of the index band (the lower-index dimension rule, the
-second-moment and quadratic-growth rules, and the concave inf-profile rule).
-A rule computes a premise only after its cheaper conditions hold.
+Every rule is a one-sided bound on a germ exponent, given as (side,
+rule_id, statement, (beta, p), premise): a weak-side bound puts the sup
+exponent at or above (beta, p), a strong-side one the inf exponent at or
+below it. `_fire` decides each bound by germ_integrable, computes its
+premise only where that comparison gives the bound's side, and yields the
+(side, rule_id, statement, detail) of every rule that fires. The
+closed-form band bounds both exponents by the stated germs; the index band
+has the measure bounds of moment_rules and the envelope bounds of
+shape_diagnostic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -39,53 +42,76 @@ _K_LO, _K_HI = 4, 20
 
 @dataclass(frozen=True)
 class PruittIndices:
-    """Scaling indices with fit diagnostics (residual 0 where stated)."""
+    """Scaling indices with fit diagnostics (residual and margin 0 where
+    stated)."""
 
     lower: float
     upper: float
+    margin_lower: float
+    margin_upper: float
     window: tuple = (_K_LO, _K_HI)
     residual_lower: float = 0.0
     residual_upper: float = 0.0
 
     def to_json(self):
-        return {"lower": self.lower, "upper": self.upper,
-                "window": list(self.window),
-                "residual_lower": self.residual_lower,
-                "residual_upper": self.residual_upper}
+        return dict(asdict(self), window=list(self.window))
 
 
-def _slope_and_residual(rhos, vals):
+def _fit(rhos, vals):
+    """(slope, residual, margin) of log vals against log rhos: the margin is
+    the slope change between the two halves of the ladder plus the largest
+    residual."""
     lx, ly = np.log(rhos), np.log(vals)
     slope, intercept = _line(lx, ly)
-    return slope, float(np.max(np.abs(ly - (slope * lx + intercept))))
+    residual = float(np.max(np.abs(ly - (slope * lx + intercept))))
+    half = lx.size // 2
+    change = _line(lx[:half + 1], ly[:half + 1])[0] \
+        - _line(lx[half:], ly[half:])[0]
+    return slope, residual, abs(change) + residual
 
 
 @model_memo
 def pruitt_indices(model: SymbolModel) -> PruittIndices:
     """The exponents of the family's stated sup and inf germs; without them,
     slopes over the dyadic radii 2^-_K_LO .. 2^-_K_HI of the sup-envelope
-    (max over directions) and of the inf-envelope (min over directions)."""
+    and of the inf-envelope, each with its margin (_fit)."""
     germs = FAMILIES[model.family].indices(model)
     if germs is not None:
         (lo, _), (hi, _) = germs
-        return PruittIndices(lower=lo, upper=hi)
+        return PruittIndices(lo, hi, margin_lower=0.0, margin_upper=0.0)
     rhos = 2.0 ** (-np.arange(_K_LO, _K_HI + 1).astype(float))
-    sup_prof = envelope_profile(model, ENV_SUP_ABS, rhos, reduce="max")
-    inf_prof = envelope_profile(model, ENV_INF_RE, rhos, reduce="min")
+    sup_prof = envelope_profile(model, ENV_SUP_ABS, rhos)
+    inf_prof = envelope_profile(model, ENV_INF_RE, rhos)
     if np.any(sup_prof <= 0.0):
         raise DegenerateModelError("sup-envelope vanishes on the dyadic ladder")
-    lo, res_lo = _slope_and_residual(rhos, sup_prof)
-    if np.any(inf_prof <= 0.0):
-        hi, res_hi = float("inf"), float("nan")
-    else:
-        hi, res_hi = _slope_and_residual(rhos, inf_prof)
-    return PruittIndices(lower=lo, upper=hi,
-                         residual_lower=res_lo, residual_upper=res_hi)
+    lo, res_lo, margin_lo = _fit(rhos, sup_prof)
+    hi, res_hi, margin_hi = _fit(rhos, inf_prof) if np.all(inf_prof > 0.0) \
+        else (math.inf, math.nan, math.nan)
+    return PruittIndices(lower=lo, upper=hi, margin_lower=margin_lo,
+                         margin_upper=margin_hi, residual_lower=res_lo,
+                         residual_upper=res_hi)
 
 
 # ---------------------------------------------------------------------------
 # Rules.
 # ---------------------------------------------------------------------------
+
+def _fire(model, kappa, bounds):
+    """The (side, rule_id, statement, detail) of each bound (side, rule_id,
+    statement, (beta, p), premise) that fires: the germ rho^beta
+    (ln 1/rho)^p decides the bound's side by germ_integrable (divergence for
+    a bound on the sup exponent, the weak side; convergence for one on the
+    inf exponent, the strong side), and then premise() gives the detail of
+    a premise that holds, or None. A premise of None always holds."""
+    for side, rule_id, statement, (beta, p), premise in bounds:
+        if germ_integrable(beta, p, kappa, model.d) != (side == "strong"):
+            continue
+        detail = {} if premise is None else premise()
+        if detail is not None:
+            yield (side, rule_id, statement,
+                   dict(detail, d=model.d, kappa=kappa, beta=beta,
+                        log_exponent=p, product=beta * (kappa + 1.0)))
+
 
 _EXACT = {"weak": "sup-envelope germ rho^beta (ln 1/rho)^p with beta(kappa+1) "
                   "> d, or = d and p(kappa+1) <= 1: the weak-side integral "
@@ -96,28 +122,12 @@ _EXACT = {"weak": "sup-envelope germ rho^beta (ln 1/rho)^p with beta(kappa+1) "
 
 
 def index_exact_rules(model: SymbolModel, kappa: float):
-    """The closed-form rules, from the family's stated germs: int_0
-    rho^{d-1} / (rho^beta (ln 1/rho)^p)^{kappa+1} drho converges iff
-    beta(kappa+1) < d, or = d and p(kappa+1) > 1. Divergence at the sup
-    germ gives the weak side, convergence at the inf germ the strong side."""
-    germs = FAMILIES[model.family].indices(model)
-    for side, (beta, p) in zip(("weak", "strong"), germs or ()):
-        if germ_integrable(beta, p, kappa, model.d) == (side == "strong"):
-            yield (side, f"index-exact-{side}", _EXACT[side],
-                   {"d": model.d, "kappa": kappa, "beta": beta,
-                    "log_exponent": p, "product": beta * (kappa + 1.0)})
-
-
-def index_bound_rules(model: SymbolModel, kappa: float):
-    """d < (kappa+1) * lower_index gives the weak-side condition."""
-    lower = pruitt_indices(model).lower
-    threshold = (kappa + 1.0) * lower
-    if model.d < threshold:
-        yield ("weak", "index-lower-sufficient",
-               "d < (kappa+1) * lower_index forces the weak-side integral "
-               "to diverge",
-               {"d": model.d, "kappa": kappa, "lower_index": lower,
-                "threshold": threshold})
+    """The closed-form rules: the family's stated germs are the sup and the
+    inf exponent, exact bounds on both."""
+    germs = FAMILIES[model.family].indices(model) or ()
+    return _fire(model, kappa, [
+        (side, f"index-exact-{side}", _EXACT[side], germ, None)
+        for side, germ in zip(("weak", "strong"), germs)])
 
 
 def uniform_second_moment(model: SymbolModel) -> float | None:
@@ -139,84 +149,53 @@ def _quadratic_floor(model: SymbolModel) -> float:
 
 
 def moment_rules(model: SymbolModel, kappa: float):
-    """Second-moment sufficiency and quadratic nondegeneracy.
-
-    (i) an even symbol with a known, uniformly finite jump second moment
-        and d <= 2(kappa+1) gives the weak-side condition;
-    (ii) d > 2(kappa+1) plus quadratic growth, a positive lower limit of
-        inf_x Re q(x, xi) / |xi|^2 as xi -> 0 (_quadratic_floor), gives
-        the strong-side condition.
-    """
-    d, threshold = model.d, 2.0 * (kappa + 1.0)
-    if d <= threshold:
+    """The measure bounds: (i) an even symbol with a known, uniformly finite
+    jump second moment has sup |q| <= C rho^2, a sup exponent of at least 2;
+    (ii) quadratic growth, a positive lower limit of inf_x Re q(x, xi) /
+    |xi|^2 as xi -> 0 (_quadratic_floor), an inf exponent of at most 2."""
+    def second_moment():
         m2 = uniform_second_moment(model)
-        if m2 is not None and m2 < math.inf and symbol_even_in_xi(model):
-            yield ("weak", "second-moment-weak",
-                   "even symbol, finite uniform second moment and "
-                   "d <= 2(kappa+1) give the weak-side condition",
-                   {"even_symbol": True, "second_moment": m2, "d": d,
-                    "kappa": kappa, "threshold": threshold})
-        return
-    floor = _quadratic_floor(model)
-    if floor > 0.0:
-        yield ("strong", "nondegeneracy-strong",
-               "nondegenerate quadratic growth and d > 2(kappa+1) give "
-               "the strong-side condition",
-               {"quadratic_floor": floor, "d": d, "kappa": kappa,
-                "threshold": threshold})
+        even = m2 is not None and m2 < math.inf and symbol_even_in_xi(model)
+        return {"even_symbol": True, "second_moment": m2} if even else None
 
+    def quadratic_floor():
+        floor = _quadratic_floor(model)
+        return {"quadratic_floor": floor} if floor > 0.0 else None
 
-# ---------------------------------------------------------------------------
-# Concavity of the radial inf-envelope profile.
-# ---------------------------------------------------------------------------
-
-@model_memo
-def _shape_flags(model, kind):
-    """(is_convex, is_concave, window) of the radial `kind` envelope profile
-    near 0.
-
-    The window is the largest dyadic radius at which the second-difference
-    sign pattern is stable across the window and its half; a profile that
-    is not positive on a window has no shape there.
-    """
-    def classify(eps):
-        rho = eps * np.arange(1, 13) / 12
-        vals = envelope_profile(model, kind, rho, reduce="min")
-        if not np.all(vals > 0.0):
-            return False, False
-        top = float(np.max(np.abs(vals)))
-        # scaled by an exact power of two below 1, so 2 * vals stays finite
-        shift = -math.frexp(top)[1]
-        vals = np.ldexp(vals, shift)
-        d2 = vals[2:] - 2.0 * vals[1:-1] + vals[:-2]
-        tol = math.ldexp(1e-8 * max(top, 1e-300), shift)
-        return bool(np.all(d2 >= -tol)), bool(np.all(d2 <= tol))
-
-    for j in range(2, 17):
-        eps = 2.0 ** (-j)
-        here = classify(eps)
-        inner = classify(eps / 2.0)
-        if here != (False, False) and here == inner:
-            return here[0], here[1], eps
-    return False, False, 0.0
+    return _fire(model, kappa, (
+        ("weak", "second-moment-weak",
+         "an even symbol with a finite uniform second moment has sup "
+         "exponent >= 2; 2(kappa+1) >= d gives the weak-side condition",
+         (2.0, 0.0), second_moment),
+        ("strong", "nondegeneracy-strong",
+         "nondegenerate quadratic growth has inf exponent <= 2; "
+         "2(kappa+1) < d gives the strong-side condition",
+         (2.0, 0.0), quadratic_floor)))
 
 
 def shape_diagnostic(model: SymbolModel, kappa: float):
-    """A concave radial inf-profile near 0 bounds the upper index above by
-    d/(kappa+1); with kappa+1 < d that gives the strong-side condition. A
-    stated inf germ rho^beta (ln 1/rho)^p is concave near 0 iff beta < 1,
-    or beta = 1 and p >= 0."""
-    if kappa + 1.0 < model.d and envelope_is_radial(model, ENV_INF_RE):
-        germs = FAMILIES[model.family].indices(model)
-        if germs is None:
-            _, concave, window = _shape_flags(model, ENV_INF_RE)
-            premise = {"window": window}
-        else:
-            (beta, p), premise = germs[1], {"inf_germ": germs[1]}
-            concave = beta < 1.0 or (beta == 1.0 and p >= 0.0)
-        if concave:
-            yield ("strong", "shape-concave-inf",
-                   "concave radial inf-profile near 0 with kappa+1 < d "
-                   "gives the strong-side condition",
-                   dict(premise, kappa=kappa, d=model.d,
-                        bound="upper_index * (kappa+1) <= d"))
+    """The envelope bounds: (i) the sup exponent is at least the stated sup
+    germ, or the fitted lower index less its margin; (ii) a concave radial
+    inf-envelope near 0, a stated inf germ with beta < 1, or = 1 and p >= 0,
+    or a fitted upper index at most 1 with its margin added, has an inf
+    exponent of at most 1. A model with stated germs reads no envelope."""
+    germs = FAMILIES[model.family].indices(model)
+    if germs is None:
+        idx = pruitt_indices(model)
+        germs = ((idx.lower - idx.margin_lower, 0.0),
+                 (idx.upper + idx.margin_upper, 0.0))
+    sup_bound, (beta, p) = germs
+
+    def concave():
+        holds = (beta < 1.0 or (beta == 1.0 and p >= 0.0)) \
+            and envelope_is_radial(model, ENV_INF_RE)
+        return {"inf_bound": (beta, p)} if holds else None
+
+    return _fire(model, kappa, (
+        ("weak", "index-lower-sufficient",
+         "the lower index bounds the sup exponent below; its germ makes "
+         "the weak-side integral diverge", sup_bound, None),
+        ("strong", "shape-concave-inf",
+         "a concave radial inf-profile near 0 has inf exponent <= 1; "
+         "kappa+1 < d gives the strong-side condition", (1.0, 0.0),
+         concave)))

@@ -268,10 +268,12 @@ def perturbation_distance(density_a: RadialLevyDensity,
 
         def g(u, _va=va, _vb=vb):
             u = np.asarray(u, dtype=float)
+            diff = np.abs(_va(u) - _vb(u))
             # u^(d+1) overflows only after ~255 octaves of a diverging
-            # integral; the inf blocks then still read as divergence
-            with np.errstate(over="ignore"):
-                return s_d * u ** (d + 1) * np.abs(_va(u) - _vb(u))
+            # integral; the inf blocks then still read as divergence, and
+            # a zero difference (both profiles underflowed) contributes 0
+            with np.errstate(over="ignore", invalid="ignore"):
+                return np.where(diff > 0.0, s_d * u ** (d + 1) * diff, 0.0)
 
         try:
             val = integrate_origin(g, 1.0, bps) + integrate_tail(g, 1.0, bps)

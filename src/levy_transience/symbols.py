@@ -303,22 +303,28 @@ def _random_rotation(d, gen):
     return Q * np.sign(np.diag(R))
 
 
-def envelope_profile(model: SymbolModel, kind, rhos, reduce="min",
-                     n_directions=16) -> np.ndarray:
-    """Envelope values along radii, reduced over directions.
+#: directions a non-radial envelope is reduced over
+_N_DIRECTIONS = 64
+
+
+@model_memo
+def envelope_profile(model: SymbolModel, kind, rhos) -> np.ndarray:
+    """Envelope values along radii, reduced over directions: a sup kind with
+    max and ENV_INF_RE with min, so that a divergent integral of the reduced
+    sup and a convergent one of the reduced inf bound the tests' integrals.
 
     For radial envelopes a single direction suffices; otherwise the envelope
-    is evaluated along a deterministic direction set and reduced with min or
-    max per radius. All radii and directions are one batch of frequencies.
+    is evaluated along the deterministic direction_set of _N_DIRECTIONS
+    directions. All radii and directions are one batch of frequencies.
     """
     rhos = np.asarray(rhos, dtype=float)
     if envelope_is_radial(model, kind):
         dirs = _unit(model.d)[None, :]
     else:
-        dirs = direction_set(model.d, n_directions)
+        dirs = direction_set(model.d, _N_DIRECTIONS)
     XI = (dirs[:, None, :] * rhos[None, :, None]).reshape(-1, model.d)
     vals = _envelopes(model, kind, XI).reshape(dirs.shape[0], rhos.size)
-    return vals.min(axis=0) if reduce == "min" else vals.max(axis=0)
+    return vals.min(axis=0) if kind == ENV_INF_RE else vals.max(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +404,9 @@ class _Family:
     # open-set irreducibility when a model does not assert it: established
     # in the literature for the built-in families
     irreducible = True
-    # whether the Levy measure is known (a custom symbol does not tell it)
-    jump_measure_known = True
+    # whether the Levy measure is known and the envelopes are closed forms
+    # (a custom symbol tells neither: its envelopes are sampled functions)
+    jump_measure_known = closed_envelopes = True
     # sample(model, t, gen, n): n exact draws of X_t - t b, started at 0;
     # step_fields(model): the Euler step kind and its fields;
     # parse(d, param): the model of a JSON `parameters` object, read through
@@ -617,7 +624,7 @@ _SAMPLE_BOX = (-10.0, 10.0)
 
 class _Custom(_Family):
     irreducible = False   # a custom model must assert it
-    jump_measure_known = False
+    jump_measure_known = closed_envelopes = False
 
     def symbol(self, model, X, XI):
         fn = model.params["eval_fn"]

@@ -214,9 +214,10 @@ def verdict_from_radial_integrand(log_G, r,
         singularity=singularity, refined_state=refined_state)
 
 
-def diverges_verdict(notes=()) -> DivergenceVerdict:
-    """Annotation verdict used when the integrand is +infinity by inspection
-    (e.g. a vanishing denominator on a set of positive measure)."""
+def noted_verdict(state, notes) -> DivergenceVerdict:
+    """Annotation verdict decided by inspection, with no ladder: DIVERGES
+    where the integrand is +infinity (e.g. a vanishing denominator on a set
+    of positive measure), INCONCLUSIVE where the test does not apply."""
     return DivergenceVerdict(
-        state=DIVERGES, exponent=float("nan"), partials=(),
-        refined_state=DIVERGES, notes=tuple(notes))
+        state=state, exponent=float("nan"), partials=(),
+        refined_state=state, notes=tuple(notes))

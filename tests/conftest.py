@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from levy_transience.densities import (
 )
 from levy_transience.symbols import (
     brownian_drift,
+    custom_model,
     isotropic_stable,
     stable_like,
 )
@@ -71,6 +74,22 @@ def model_file(tmp_path):
         return str(path)
 
     return write
+
+
+@functools.lru_cache(maxsize=None)
+def anisotropic_model(alphas, angle=0.0):
+    """The x-independent custom symbol sum_i |z_i|^alpha_i of z = R xi, R a
+    rotation by `angle` in the (xi_1, xi_2) plane, with kappa* = sum_i
+    1/alpha_i - 1; one model per arguments, so that its memos serve every
+    kappa."""
+    c, s = math.cos(angle), math.sin(angle)
+
+    def q(x, xi):
+        z = xi.tolist()
+        z[:2] = c * z[0] + s * z[1], c * z[1] - s * z[0]
+        return sum(abs(zi) ** a for zi, a in zip(z, alphas))
+
+    return custom_model(len(alphas), q, x_independent=True)
 
 
 def stacked_density_cases():

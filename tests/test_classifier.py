@@ -290,24 +290,24 @@ def test_unknown_methods_are_rejected_naming_methods(bm3):
 
 def test_classify_computes_only_premises_of_rules_that_can_fire(monkeypatch):
     # the radial_cold power model on a kappa grid across its band: the tail
-    # band runs only the truncated-moment verdict, the concavity rule reads
-    # the stated inf germ and scans no profile, and the second moment is
+    # band runs only the truncated-moment verdict, the index band reads the
+    # stated germs and no envelope profile, and the second moment is
     # infinite, so the symbol is never tested for evenness
     from levy_transience import index_rules
-    from levy_transience.symbols import ENV_INF_RE
+    from levy_transience.symbols import ENV_INF_RE, ENV_SUP_ABS
 
     model = radial_jump_model(power_density(3, (0.8, 1.2), u0=1.0))
     kinds = []
-    shape_flags = index_rules._shape_flags
+    profile = index_rules.envelope_profile
 
-    def spy(model, kind):
+    def spy(model, kind, rhos):
         kinds.append(kind)
-        return shape_flags(model, kind)
+        return profile(model, kind, rhos)
 
     def never(model):
         raise AssertionError("symbol_even_in_xi was called")
 
-    monkeypatch.setattr(index_rules, "_shape_flags", spy)
+    monkeypatch.setattr(index_rules, "envelope_profile", spy)
     monkeypatch.setattr(index_rules, "symbol_even_in_xi", never)
     for kappa in (0.3, 0.8, 3.4, 4.1):
         classify(model, kappa)
@@ -318,14 +318,14 @@ def test_classify_computes_only_premises_of_rules_that_can_fire(monkeypatch):
     tags = {key[1] for key in model.triplet.jump_density._cache
             if key[0] is envelope}
     assert "t3" in tags and "tm" not in tags
-    # a model without stated germs still scans its inf envelope, and only
-    # that one
+    # a model without stated germs fits its Pruitt indices to both
+    # envelopes
     monkeypatch.undo()
-    monkeypatch.setattr(index_rules, "_shape_flags", spy)
+    monkeypatch.setattr(index_rules, "envelope_profile", spy)
     custom = custom_model(3, lambda x, xi: np.linalg.norm(xi) ** 0.7,
                           x_independent=True)
     classify(custom, 0.3)
-    assert kinds and set(kinds) == {ENV_INF_RE}
+    assert set(kinds) == {ENV_SUP_ABS, ENV_INF_RE}
 
 
 # stable_like with alpha and gamma both varying, as (d, alpha, gamma), and

@@ -15,7 +15,6 @@ from levy_transience.densities import (
     table_density,
 )
 from levy_transience.index_rules import (
-    index_bound_rules,
     index_exact_rules,
     moment_rules,
     pruitt_indices,
@@ -77,15 +76,17 @@ def test_scale_invariance_of_indices():
     assert a.upper == pytest.approx(b.upper, abs=0.02)
 
 
-def test_index_bound_rules_cases():
+def test_index_lower_sufficient_cases():
     # d = 1 < (2 + 1) * 0.5: the lower index gives the weak side
-    assert _fired(index_bound_rules, isotropic_stable(1, 0.5), 2.0) \
+    assert _fired(shape_diagnostic, isotropic_stable(1, 0.5), 2.0) \
         == {"index-lower-sufficient": "weak"}
     # d = 3 < (1 + 1) * 2
-    assert _fired(index_bound_rules, brownian_drift(3), 1.0) \
+    assert _fired(shape_diagnostic, brownian_drift(3), 1.0) \
         == {"index-lower-sufficient": "weak"}
-    # boundary d = (kappa+1)*lower is excluded (strict inequality)
-    assert _fired(index_bound_rules, isotropic_stable(2, 1.0), 1.0) == {}
+    # at d = (kappa+1) * lower the germ integral int rho^{d-1} rho^-d drho
+    # diverges: the weak side, as index-exact-weak reads it
+    assert _fired(shape_diagnostic, isotropic_stable(2, 1.0), 1.0) \
+        == {"index-lower-sufficient": "weak"}
 
 
 def test_moment_rules_cases(bm3, bm5):
@@ -213,8 +214,10 @@ def test_second_moment_of_a_cut_off_power_tail_with_alpha_above_two():
 
 
 def test_shape_diagnostic_cases():
-    # convex radial profile, kappa+1 >= d: no rule fires
-    assert _fired(shape_diagnostic, isotropic_stable(1, 1.5), 1.0) == {}
+    # convex radial profile, kappa+1 >= d: no concavity rule; the lower
+    # index gives the weak side, 1 < (1 + 1) * 1.5
+    assert _fired(shape_diagnostic, isotropic_stable(1, 1.5), 1.0) \
+        == {"index-lower-sufficient": "weak"}
     # concave inf-profile with kappa+1 < d: strong side implied
     assert _fired(shape_diagnostic, isotropic_stable(3, 0.7), 1.0) \
         == {"shape-concave-inf": "strong"}
@@ -231,7 +234,7 @@ def test_rule_soundness_against_integral_tests():
     ]
     for model, d, kappa in cases:
         assert model.d == d
-        for rules in (index_bound_rules, moment_rules, shape_diagnostic):
+        for rules in (moment_rules, shape_diagnostic):
             for side, rule_id, _, _ in rules(model, kappa):
                 if side == "weak":
                     assert weak_integral_kappa(model, kappa, 1.0) \
@@ -255,8 +258,8 @@ def test_every_rule_of_every_band_is_a_fired_side_record():
     fired = set()
     for model in models:
         for kappa in (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0):
-            for rules in (index_exact_rules, index_bound_rules,
-                          moment_rules, shape_diagnostic):
+            for rules in (index_exact_rules, moment_rules,
+                          shape_diagnostic):
                 for rule in rules(model, kappa):
                     assert isinstance(rule, tuple) and len(rule) == 4
                     side, rule_id, statement, detail = rule

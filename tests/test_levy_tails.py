@@ -261,6 +261,16 @@ def test_diverging_perturbation_distance_raises_no_warning():
     assert not rep.weak_side_transfer and not rep.strong_side_transfer
 
 
+def test_perturbation_distance_in_d5_forms_no_inf_times_zero():
+    # u^(d+1) overflows in d = 5 where both stable profiles have
+    # underflowed: their zero difference contributes 0, not inf * 0 = nan
+    # (an "invalid value" RuntimeWarning)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert perturbation_distance(stable_density(5, 0.8),
+                                     stable_density(5, 0.9)) == math.inf
+
+
 def test_perturbation_invariance_of_verdicts():
     base = stable_density(2, 1.2)
     bumped = modified_density(base, 1.0, factor=2.0)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
+from conftest import anisotropic_model
 from levy_transience import classifier
 from levy_transience.classifier import (
     ALL_METHODS,
@@ -376,6 +377,47 @@ def test_a_custom_power_symbol_fires_no_index_rule_on_the_wrong_side(
     side = WEAKLY_TRANSIENT if alpha * (kappa + 1.0) > d \
         else STRONGLY_TRANSIENT
     assert classify(model, kappa).verdict in (side, INCONCLUSIVE)
+
+
+_D2 = ((0.8, 1.6), 0.0)          # kappa* = 0.875
+_D2_ROTATED = ((0.8, 1.6), 0.3)  # 0.3 rad: off every angle 2 pi k / 64
+_D3 = ((0.5, 1.0, 1.9), 0.0)     # kappa* = 2.526
+
+
+@st.composite
+def _anisotropic_cases(draw):
+    d = draw(st.sampled_from((2, 3)))
+    alphas = tuple(draw(st.floats(0.3, 1.95)) for _ in range(d))
+    angle = draw(st.sampled_from((0.0, 0.3, 1.0)))
+    return alphas, angle
+
+
+@given(case=_anisotropic_cases(), kappa=st.floats(0.0, 12.0))
+# sup |q| reduced with min read these weak; a sampled min of inf Re q over
+# random directions (d = 3) read the strong side above kappa*
+@example(case=_D2, kappa=0.3)
+@example(case=_D2, kappa=0.5)
+@example(case=_D2, kappa=0.7)
+@example(case=_D2, kappa=1.2)
+@example(case=_D2_ROTATED, kappa=0.5)
+@example(case=_D2_ROTATED, kappa=1.2)
+@example(case=_D3, kappa=3.0)
+@example(case=_D3, kappa=4.0)
+@settings(max_examples=20)
+def test_an_anisotropic_symbol_gets_no_verdict_on_the_wrong_side(case,
+                                                                 kappa):
+    # int dxi / (sum_i |xi_i|^alpha_i)^{kappa+1} converges at 0 iff kappa+1
+    # < sum_i 1/alpha_i: strong below kappa* = sum_i 1/alpha_i - 1, weak
+    # above it; kappa at least 5% (in kappa+1) off it
+    alphas, angle = case
+    total = sum(1.0 / a for a in alphas)
+    assume(abs((kappa + 1.0) / total - 1.0) >= 0.05)
+    report = classify(anisotropic_model(alphas, angle), kappa)
+    weak = kappa + 1.0 > total
+    wrong = "strong" if weak else "weak"
+    assert [r.rule_id for r in report.fired_rules if r.verdict == wrong] == []
+    assert report.verdict in (
+        WEAKLY_TRANSIENT if weak else STRONGLY_TRANSIENT, INCONCLUSIVE)
 
 
 # -- the index band and the sector check do not depend on the scale --------

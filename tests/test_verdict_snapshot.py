@@ -12,6 +12,8 @@ Regenerate the snapshot (only for a change that moves a verdict on
 purpose, and say which cases moved) with
 
     PYTHONPATH=src python tests/test_verdict_snapshot.py --write
+
+which prints the id of every case whose record moved against the file.
 """
 
 import dataclasses
@@ -21,6 +23,7 @@ import sys
 
 import numpy as np
 
+from conftest import anisotropic_model
 from levy_transience.classifier import classify
 from levy_transience.errors import LevyTransienceError
 from levy_transience.densities import (
@@ -32,6 +35,8 @@ from levy_transience.densities import (
     table_density,
 )
 from levy_transience.symbols import (
+    brownian_drift,
+    custom_model,
     finite_jump_model,
     isotropic_stable,
     radial_jump_model,
@@ -108,7 +113,19 @@ def snapshot_cases():
              (0.3, 1.5)),
             ("finite_jump-grid-d2", finite_jump_model(2, alpha=(0.5, 1.5)),
              (0.3, 1.5)),
-            ("table-tail6.2-d5", radial_jump_model(slow), (1.5, 3.0, 3.5))):
+            ("table-tail6.2-d5", radial_jump_model(slow), (1.5, 3.0, 3.5)),
+            # no stated germs: kappa* = 3.286, 0.875, 2.526 and 0.5
+            ("custom-radial-d3", custom_model(
+                3, lambda x, xi: float(np.linalg.norm(xi)) ** 0.7,
+                x_independent=True), (0.3, 3.5)),
+            ("custom-anisotropic-d2", anisotropic_model((0.8, 1.6)),
+             (0.5, 2.0)),
+            ("custom-anisotropic-d3", anisotropic_model((0.5, 1.0, 1.9)),
+             (3.0, 4.0)),
+            ("brownian-drift-d3", brownian_drift(3, drift=(1.0, 0.0, 0.0)),
+             (0.2, 2.5)),
+            ("brownian-no-floor-d3", brownian_drift(3, c=(0.0, 1.0)),
+             (0.2, 1.0))):
         for kappa in kappas:
             yield f"{name}@{kappa:g}", model, kappa
 
@@ -142,5 +159,10 @@ def test_classify_sweep_matches_the_snapshot():
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: tests/test_verdict_snapshot.py --write")
+    pinned = json.loads(SNAPSHOT.read_text()) if SNAPSHOT.exists() else {}
+    got = _sweep()
+    for case in sorted(got.keys() | pinned.keys()):
+        if got.get(case) != pinned.get(case):
+            print(case)
     SNAPSHOT.parent.mkdir(exist_ok=True)
-    SNAPSHOT.write_text(json.dumps(_sweep(), indent=1, sort_keys=True) + "\n")
+    SNAPSHOT.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n")
